@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check-docs bench bench-compare bench-full figures table1 sample fuzz fuzz-smoke soak-smoke chaos-smoke grid grid-smoke clean
+.PHONY: all build test test-race check-docs bench-full figures table1 sample fuzz fuzz-smoke soak-smoke chaos-smoke grid grid-smoke clean
 
 all: build test
 
@@ -26,23 +26,8 @@ check-docs:
 test-race:
 	$(GO) test -race ./...
 
-# Headline benchmarks, committed as a machine-readable report. The previous
-# report (if any) is embedded under "previous" for before/after comparison.
-BENCHES = BenchmarkFigure10Timing|BenchmarkCoverageConditions|BenchmarkReplicationPoint|BenchmarkTopologyBuild|BenchmarkScalePoint|BenchmarkScaleEngine|BenchmarkLoadPoint
-bench:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench='$(BENCHES)' -benchmem -timeout 30m . \
-		| /tmp/benchjson -old BENCH_results.json -out BENCH_results.json
-
-# CI regression gate: re-run the headline timing benchmarks — the paper-sized
-# single-broadcast point and the heavy-traffic saturation point — and fail on
-# a >25% ns/op regression against the committed report.
-bench-compare:
-	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench='BenchmarkFigure10Timing|BenchmarkLoadPoint' -benchmem . \
-		| /tmp/benchjson -compare BENCH_results.json -match 'Figure10Timing|LoadPoint'
-
-# Every benchmark in the repository, human-readable.
+# Every microbenchmark in the repository, human-readable. Performance claims
+# go through the ledger instead: `go run -C bench . -all` (bench/README.md).
 bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -53,9 +38,11 @@ bench-full:
 grid:
 	$(GO) run ./cmd/grid
 
-# Two-run grid smoke over a tiny spec: the cold run computes and caches, the
-# warm rerun must be all cache hits (-require-cached proves it) with a
-# byte-identical table, and the sealed store must pass -verify.
+# Two-run grid smoke over a tiny spec with one experiment per driver family
+# (a figure; crash, hello-loss, restart, mobility and cluster extensions; load;
+# scale): the cold run computes and caches, the warm rerun must be all cache
+# hits (-require-cached proves it) with a byte-identical table, and the sealed
+# store must pass -verify.
 grid-smoke:
 	$(GO) build -o /tmp/gridsmoke-bin ./cmd/grid
 	rm -rf /tmp/gridsmoke && mkdir -p /tmp/gridsmoke/out1 /tmp/gridsmoke/out2

@@ -255,8 +255,7 @@ func BenchmarkReplicationPoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// Runs-to-converge metadata: benchjson carries free-form units
-			// into BENCH_results.json's metrics map.
+			// Runs-to-converge metadata alongside ns/op.
 			b.ReportMetric(float64(counters.Replicates())/float64(b.N), "replicates/op")
 		})
 	}
@@ -385,8 +384,7 @@ func BenchmarkTopologyBuild(b *testing.B) {
 // BenchmarkScalePoint measures one replicate of a large-n scale-sweep point:
 // topology generation plus one broadcast of each scale variant (flooding and
 // the generic Static/FR/FRB corners) on a 1000-node, d=18 network. This is
-// the unit of work `cmd/experiments -scale` repeats, so BENCH_results.json
-// tracks the scale trajectory alongside the paper-sized figures.
+// the unit of work `cmd/experiments -scale` repeats.
 func BenchmarkScalePoint(b *testing.B) {
 	cfg := experiments.ScaleConfig{
 		Sizes:       []int{1000},
@@ -417,9 +415,8 @@ func BenchmarkScalePoint(b *testing.B) {
 // BenchmarkLoadPoint measures one replicate of a saturation-sweep point at
 // the knee load (0.1 sessions/slot, n=100, d=6): workload generation plus a
 // multi-session contention-MAC run of each load variant, including the NACK
-// one. This is the unit of work `cmd/experiments -ext load` repeats, so
-// BENCH_results.json tracks the heavy-traffic trajectory alongside the
-// single-broadcast figures.
+// one. This is the unit of work `cmd/experiments -ext load` repeats; the
+// end-to-end sweep is the bench/ ledger's load_knee workload.
 func BenchmarkLoadPoint(b *testing.B) {
 	cfg := experiments.LoadConfig{
 		Rates:       []float64{0.1},

@@ -21,7 +21,7 @@
 //	internal/sim         discrete-event broadcast simulator
 //	internal/protocol    Algorithm 1 and all special cases (Sections 5, 6)
 //	internal/stats       confidence-interval replication (Section 7)
-//	internal/experiments one driver per evaluation figure (Section 7)
+//	internal/experiments one sweep driver behind every evaluation figure (Section 7)
 //	cmd/bcastsim         run a single broadcast, optionally rendered
 //	cmd/experiments      regenerate Figures 10-16 and Table 1
 //	examples/...         runnable walkthroughs of the public API

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
-
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
@@ -24,20 +21,15 @@ import (
 // alongside the crash-induced degradation.
 const crashAmbientLoss = 0.1
 
-// degradeVariant is one curve of a degradation figure: a protocol plus the
+// degradeVariants are the curves of a degradation figure: a protocol plus the
 // recovery setting layered on it.
-type degradeVariant struct {
-	label string
-	make  func() sim.Protocol
-	nack  bool
-}
-
-func degradeVariants() []degradeVariant {
-	return []degradeVariant{
-		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FRB+NACK", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true},
+func degradeVariants() []variant {
+	frb := func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }
+	return []variant{
+		{label: "Flooding", cfg: sim.Config{Hops: 2}, make: protocol.Flooding},
+		{label: "Generic-FR", cfg: sim.Config{Hops: 2}, make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
+		{label: "Generic-FRB", cfg: sim.Config{Hops: 2}, make: frb},
+		{label: "Generic-FRB+NACK", cfg: sim.Config{Hops: 2, NACKRecovery: true}, make: frb},
 	}
 }
 
@@ -83,59 +75,31 @@ func CrashForwardRatio(rc RunConfig) (Figure, error) {
 
 func crashSweep(rc RunConfig, id, title, unit string, metric func(sim.Result) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range degradeVariants() {
-			s := Series{Label: v.label}
-			for _, frac := range rc.CrashFractions {
-				frac, v := frac, v
-				pct := int(math.Round(100 * frac))
-				point := fmt.Sprintf("%s/%s/crash=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					plan, err := fault.NewPlan(w.net.G, fault.Params{
-						CrashFraction: frac,
-						Protect:       []int{w.source},
-					}, degradeSeed(rc.Seed, 100, d, i, pct*10))
-					if err != nil {
-						return 0, err
-					}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     crashAmbientLoss,
-						Faults:       plan,
-						NACKRecovery: v.nack,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return metric(res), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s crash %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+	pcts := percents(rc.CrashFractions)
+	return rc.paramSweep(id, title, unit, "crash", pcts, degradeVariants(), func(v variant, d, k int) sampleFunc {
+		return func(i int, sink *traceSink) (float64, error) {
+			w, seed, err := rc.workload(100, d, i)
+			if err != nil {
+				return 0, err
 			}
-			panel.Series = append(panel.Series, s)
+			plan, err := fault.NewPlan(w.net.G, fault.Params{
+				CrashFraction: rc.CrashFractions[k],
+				Protect:       []int{w.source},
+			}, degradeSeed(rc.Seed, 100, d, i, pcts[k]*10))
+			if err != nil {
+				return 0, err
+			}
+			cfg := v.cfg
+			cfg.Seed = seed + 1
+			cfg.LossRate = crashAmbientLoss
+			cfg.Faults = plan
+			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+			if err != nil {
+				return 0, err
+			}
+			return metric(res), nil
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
 }
 
 // LossDegradation sweeps the per-receipt loss rate with no faults: X is the
@@ -144,53 +108,21 @@ func crashSweep(rc RunConfig, id, title, unit string, metric func(sim.Result) fl
 // buys back most of what pruning loses to the channel.
 func LossDegradation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{
-		ID:    "D3",
-		Title: "Degradation: delivery vs loss rate (n=100)",
-		Unit:  "delivery %",
-	}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range degradeVariants() {
-			s := Series{Label: v.label}
-			for _, rate := range rc.LossRates {
-				rate, v := rate, v
-				pct := int(math.Round(100 * rate))
-				point := fmt.Sprintf("D3/%s/loss=%d/d=%d", v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
+	return rc.paramSweep("D3", "Degradation: delivery vs loss rate (n=100)", "delivery %",
+		"loss", percents(rc.LossRates), degradeVariants(), func(v variant, d, k int) sampleFunc {
+			return func(i int, sink *traceSink) (float64, error) {
+				w, seed, err := rc.workload(100, d, i)
 				if err != nil {
-					return Figure{}, err
+					return 0, err
 				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     rate,
-						NACKRecovery: v.nack,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("D3 %s loss %d%%: %w", v.label, pct, err)
+				cfg := v.cfg
+				cfg.Seed = seed + 1
+				cfg.LossRate = rc.LossRates[k]
+				res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+				if err != nil {
+					return 0, err
 				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+				return 100 * res.DeliveryRatio(), nil
 			}
-			panel.Series = append(panel.Series, s)
-		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+		})
 }

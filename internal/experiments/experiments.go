@@ -1,17 +1,14 @@
-// Package experiments reproduces the paper's evaluation (Section 7): one
-// driver per figure, each sweeping network size and density, replicating
-// every data point until its confidence interval is tight, and emitting the
-// same series the paper plots. Common random numbers are used across the
-// algorithms of a figure: replication i of every series sees the same
-// network and source.
+// Package experiments reproduces the paper's evaluation (Section 7): every
+// figure and extension describes its data points — sweeping network size and
+// density, or one parameter at n=100 — and one driver (driver.go) replicates
+// each point until its confidence interval is tight and emits the same series
+// the paper plots. Common random numbers are used across the algorithms of a
+// figure: replication i of every series sees the same network and source.
 package experiments
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 
-	"adhocbcast/internal/sim"
 	"adhocbcast/internal/stats"
 )
 
@@ -28,7 +25,8 @@ type RunConfig struct {
 	// Seed is the base seed; all workload randomness derives from it.
 	Seed int64
 	// Parallelism bounds the number of data points measured concurrently
-	// (default GOMAXPROCS). Results are deterministic regardless: every
+	// (default GOMAXPROCS): all points of a figure or extension share one
+	// pool of that many workers. Results are deterministic regardless: every
 	// point's workloads derive from (Seed, n, d, replication) alone.
 	Parallelism int
 	// ReplicateParallelism bounds the number of replicates evaluated
@@ -60,7 +58,9 @@ type RunConfig struct {
 	// record with counters, latency histogram, and forward-set distribution,
 	// followed by the replicate's full event trace. Tracing attaches an
 	// Observer and Metrics record to each run, so instrumented results can
-	// differ from uninstrumented ones only in cost, never in values.
+	// differ from uninstrumented ones only in cost, never in values. A point
+	// that runs no simulation (the cluster extension's backbone sizes) exports
+	// a sealed file holding no records.
 	TraceDir string
 	// Progress, when non-nil, receives a replication-progress update for
 	// every completed replicate of every data point, keyed by the point
@@ -79,63 +79,63 @@ type RunConfig struct {
 	Runner func(point string, compute func() (stats.Summary, error)) (stats.Summary, error)
 }
 
-func (c RunConfig) withDefaults() RunConfig {
-	if len(c.Sizes) == 0 {
-		c.Sizes = []int{20, 30, 40, 50, 60, 70, 80, 90, 100}
+func (rc RunConfig) withDefaults() RunConfig {
+	if len(rc.Sizes) == 0 {
+		rc.Sizes = []int{20, 30, 40, 50, 60, 70, 80, 90, 100}
 	}
-	if len(c.Degrees) == 0 {
-		c.Degrees = []int{6, 18}
+	if len(rc.Degrees) == 0 {
+		rc.Degrees = []int{6, 18}
 	}
-	if c.Replicate.MinRuns == 0 {
-		c.Replicate.MinRuns = 30
+	if rc.Replicate.MinRuns == 0 {
+		rc.Replicate.MinRuns = 30
 	}
-	if c.Replicate.MaxRuns == 0 {
-		c.Replicate.MaxRuns = 200
+	if rc.Replicate.MaxRuns == 0 {
+		rc.Replicate.MaxRuns = 200
 	}
-	if c.Replicate.RelTol == 0 {
-		c.Replicate.RelTol = 0.03
+	if rc.Replicate.RelTol == 0 {
+		rc.Replicate.RelTol = 0.03
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
+	if rc.Seed == 0 {
+		rc.Seed = 42
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
+	if rc.Parallelism <= 0 {
+		rc.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if c.ReplicateParallelism <= 0 {
-		c.ReplicateParallelism = 1
+	if rc.ReplicateParallelism <= 0 {
+		rc.ReplicateParallelism = 1
 	}
-	if len(c.CrashFractions) == 0 {
-		c.CrashFractions = []float64{0, 0.05, 0.1, 0.2, 0.3}
+	if len(rc.CrashFractions) == 0 {
+		rc.CrashFractions = []float64{0, 0.05, 0.1, 0.2, 0.3}
 	}
-	if len(c.LossRates) == 0 {
-		c.LossRates = []float64{0, 0.05, 0.1, 0.2, 0.3}
+	if len(rc.LossRates) == 0 {
+		rc.LossRates = []float64{0, 0.05, 0.1, 0.2, 0.3}
 	}
-	if len(c.HelloLossRates) == 0 {
-		c.HelloLossRates = []float64{0, 0.05, 0.1, 0.2, 0.3}
+	if len(rc.HelloLossRates) == 0 {
+		rc.HelloLossRates = []float64{0, 0.05, 0.1, 0.2, 0.3}
 	}
-	if len(c.RestartRates) == 0 {
-		c.RestartRates = []float64{0, 0.1, 0.2, 0.3, 0.4}
+	if len(rc.RestartRates) == 0 {
+		rc.RestartRates = []float64{0, 0.1, 0.2, 0.3, 0.4}
 	}
-	return c
+	return rc
 }
 
 // replicate runs one data point's replication loop through the serial or
 // parallel engine according to ReplicateParallelism. Both paths produce
 // bit-identical summaries (and progress sequences) for the same sample
 // function. point names the data point in progress updates and trace files.
-func (c RunConfig) replicate(point string, sample func(i int) (float64, error)) (stats.Summary, error) {
+func (rc RunConfig) replicate(point string, sample func(i int) (float64, error)) (stats.Summary, error) {
 	compute := func() (stats.Summary, error) {
-		opts := c.Replicate
-		if c.Progress != nil {
-			opts.Progress = func(u stats.ProgressUpdate) { c.Progress(point, u) }
+		opts := rc.Replicate
+		if rc.Progress != nil {
+			opts.Progress = func(u stats.ProgressUpdate) { rc.Progress(point, u) }
 		}
-		if c.ReplicateParallelism > 1 {
-			return stats.RunUntilCIParallel(opts, c.ReplicateParallelism, sample)
+		if rc.ReplicateParallelism > 1 {
+			return stats.RunUntilCIParallel(opts, rc.ReplicateParallelism, sample)
 		}
 		return stats.RunUntilCI(opts, sample)
 	}
-	if c.Runner != nil {
-		return c.Runner(point, compute)
+	if rc.Runner != nil {
+		return rc.Runner(point, compute)
 	}
 	return compute()
 }
@@ -189,122 +189,4 @@ type Figure struct {
 	Unit string
 	// Panels holds the subplots in the paper's order.
 	Panels []Panel
-}
-
-// variant binds a legend label to a protocol factory and simulator
-// configuration.
-type variant struct {
-	label string
-	cfg   sim.Config
-	make  func() sim.Protocol
-}
-
-// measure averages the forward-node count of one variant at one (n, d)
-// point. Replication i uses the same workload for every variant: the
-// connected network and random source come from the shared workload cache,
-// so a panel's variants generate each workload once between them. prefix
-// disambiguates the data point across figures and panels for progress and
-// trace output.
-func measure(rc RunConfig, prefix string, n, d int, v variant) (stats.Summary, error) {
-	point := fmt.Sprintf("%s/%s/n=%d/d=%d", prefix, v.label, n, d)
-	sink, err := rc.newTraceSink(point)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	sum, err := rc.replicate(point, func(i int) (float64, error) {
-		seed := workloadSeed(rc.Seed, n, d, i)
-		w, err := workloads.get(workloadKey{seed: seed, n: n, d: d})
-		if err != nil {
-			return 0, err
-		}
-		cfg := v.cfg
-		cfg.Seed = seed + 1
-		flush := sink.instrument(&cfg, i)
-		res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-		if err != nil {
-			return 0, err
-		}
-		if err := flush(); err != nil {
-			return 0, err
-		}
-		if !res.FullDelivery() {
-			return 0, fmt.Errorf("experiments: %s delivered %d/%d (n=%d d=%d rep=%d)",
-				v.label, res.Delivered, res.N, n, d, i)
-		}
-		return float64(res.ForwardCount()), nil
-	})
-	return sum, sink.finish(err)
-}
-
-// workloadSeed derives a deterministic seed from the experiment inputs.
-// The variant label is deliberately excluded so all series share workloads.
-func workloadSeed(base int64, n, d, rep int) int64 {
-	return deriveSeed("", base, n, d, rep)
-}
-
-// sweep builds one panel from the given variants, measuring the (variant,
-// size) points on a bounded worker pool. Each point is fully determined by
-// its inputs, so the parallel schedule never changes the results. prefix
-// names the figure (or experiment) the panel belongs to, for progress and
-// trace point labels.
-func sweep(rc RunConfig, prefix, title string, d int, variants []variant) (Panel, error) {
-	type job struct {
-		vi, ni int
-	}
-	jobs := make(chan job)
-	points := make([][]Point, len(variants))
-	errs := make([][]error, len(variants))
-	for vi := range variants {
-		points[vi] = make([]Point, len(rc.Sizes))
-		errs[vi] = make([]error, len(rc.Sizes))
-	}
-
-	var wg sync.WaitGroup
-	workers := rc.Parallelism
-	if total := len(variants) * len(rc.Sizes); workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				v, n := variants[j.vi], rc.Sizes[j.ni]
-				sum, err := measure(rc, prefix+"/"+title, n, d, v)
-				if err != nil {
-					// Each job owns its error slot; the pool keeps
-					// draining so it always terminates.
-					errs[j.vi][j.ni] = fmt.Errorf("%s n=%d d=%d: %w", v.label, n, d, err)
-					continue
-				}
-				points[j.vi][j.ni] = Point{
-					X:    n,
-					Mean: sum.Mean,
-					CI:   sum.HalfWidth90,
-					Runs: sum.N,
-				}
-			}
-		}()
-	}
-	for vi := range variants {
-		for ni := range rc.Sizes {
-			jobs <- job{vi: vi, ni: ni}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	panel := Panel{Title: title}
-	for vi, v := range variants {
-		for ni := range rc.Sizes {
-			if err := errs[vi][ni]; err != nil {
-				return Panel{}, err
-			}
-		}
-		panel.Series = append(panel.Series, Series{Label: v.label, Points: points[vi]})
-	}
-	return panel, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,11 +63,11 @@ func TestMeasureCommonRandomNumbers(t *testing.T) {
 	mk := func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }
 	v1 := variant{label: "a", cfg: sim.Config{Hops: 2}, make: mk}
 	v2 := variant{label: "b", cfg: sim.Config{Hops: 2}, make: mk}
-	s1, err := measure(rc, "test", 20, 6, v1)
+	s1, err := rc.measure(rc.sizeCell("test", 20, 6, v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := measure(rc, "test", 20, 6, v2)
+	s2, err := rc.measure(rc.sizeCell("test", 20, 6, v2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,28 +76,82 @@ func TestMeasureCommonRandomNumbers(t *testing.T) {
 	}
 }
 
-// TestParallelFigureBitIdentical is the contract of ReplicateParallelism:
-// a figure reproduced with parallel replication is bit-identical — every
-// mean, CI half-width and run count — to the serial reproduction.
-func TestParallelFigureBitIdentical(t *testing.T) {
-	serial := tinyConfig()
-	serial.Parallelism = 1
-	want, err := Figure10(serial)
-	if err != nil {
-		t.Fatal(err)
+// TestRunConfigRejectsDuplicateLabels: sweep values that round to the same
+// point label would share a trace file and a grid cache entry, so the driver
+// refuses the figure and names the label.
+func TestRunConfigRejectsDuplicateLabels(t *testing.T) {
+	tests := []struct {
+		name  string
+		run   func(RunConfig) (Figure, error)
+		tweak func(*RunConfig)
+		label string
+	}{
+		{"loss rates", LossDegradation, func(rc *RunConfig) { rc.LossRates = []float64{0.051, 0.054} }, "D3/Flooding/loss=5/d=6"},
+		{"crash fractions", CrashDegradation, func(rc *RunConfig) { rc.CrashFractions = []float64{0.1, 0.1} }, "D1/Flooding/crash=10/d=6"},
+		{"hello loss rates", HelloLossDelivery, func(rc *RunConfig) { rc.HelloLossRates = []float64{0.2, 0.204} }, "H1/Flooding/helloloss=20/d=6"},
+		{"restart rates", RestartDelivery, func(rc *RunConfig) { rc.RestartRates = []float64{0, 0.001} }, "RS1/Flooding/restart=0/d=6"},
+		{"sizes", Figure10, func(rc *RunConfig) { rc.Sizes = []int{20, 30, 20} }, "fig10/d=6, 2-hop/Static/n=20/d=6"},
 	}
-	for _, workers := range []int{2, 4} {
-		par := tinyConfig()
-		par.Parallelism = 2
-		par.ReplicateParallelism = workers
-		got, err := Figure10(par)
-		if err != nil {
-			t.Fatal(err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			rc := tinyConfig()
+			tt.tweak(&rc)
+			rc.Runner = func(point string, _ func() (stats.Summary, error)) (stats.Summary, error) {
+				t.Errorf("point %q measured despite the duplicate label", point)
+				return stats.Summary{}, nil
+			}
+			_, err := tt.run(rc)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tt.label)) {
+				t.Fatalf("err = %v, want one naming %q", err, tt.label)
+			}
+		})
+	}
+}
+
+// TestParallelFigureBitIdentical is the contract of Parallelism and
+// ReplicateParallelism: every figure and every extension reproduced with
+// concurrent points and concurrent replicates is bit-identical — every mean,
+// CI half-width and run count — to the fully serial reproduction.
+func TestParallelFigureBitIdentical(t *testing.T) {
+	tiny := func(points, replicates int) RunConfig {
+		return RunConfig{
+			Sizes:                []int{20},
+			Degrees:              []int{6},
+			Replicate:            stats.ReplicateOptions{MinRuns: 3, MaxRuns: 4, RelTol: 0.5},
+			Seed:                 7,
+			Parallelism:          points,
+			ReplicateParallelism: replicates,
+			CrashFractions:       []float64{0, 0.3},
+			LossRates:            []float64{0, 0.3},
+			HelloLossRates:       []float64{0, 0.3},
+			RestartRates:         []float64{0, 0.3},
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReplicateParallelism=%d diverged from serial:\n got %+v\nwant %+v",
-				workers, got, want)
-		}
+	}
+	drivers := map[string]func(RunConfig) (Figure, error){}
+	for _, id := range AllFigureIDs() {
+		drivers["fig"+id] = func(rc RunConfig) (Figure, error) { return FigureByID(id, rc) }
+	}
+	for _, id := range AllExtensionIDs() {
+		drivers["ext:"+id] = func(rc RunConfig) (Figure, error) { return ExtensionByID(id, rc) }
+	}
+	for name, run := range drivers {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			want, err := run(tiny(1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range [][2]int{{1, 3}, {4, 1}, {4, 3}} {
+				got, err := run(tiny(par[0], par[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Parallelism=%d ReplicateParallelism=%d diverged from serial:\n got %+v\nwant %+v",
+						par[0], par[1], got, want)
+				}
+			}
+		})
 	}
 }
 

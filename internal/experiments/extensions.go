@@ -28,54 +28,35 @@ import (
 func Mobility(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
 	steps := []int{0, 1, 2, 3, 5, 8}
-	variants := []struct {
-		label string
-		make  func() sim.Protocol
-	}{
+	variants := []variant{
 		{label: "Flooding", make: protocol.Flooding},
 		{label: "SBA", make: protocol.SBA},
 		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
 		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
 	}
-	fig := Figure{ID: "M1", Title: "Delivery ratio under stale views vs node movement", Unit: "delivery %"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range variants {
-			s := Series{Label: v.label}
-			for _, step := range steps {
-				point := fmt.Sprintf("M1/%s/step=%d/d=%d", v.label, step, d)
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					// Perturbation draws live on their own seed-derived
-					// stream (see mobility.Perturbed), so the stale network
-					// and source come from the shared workload cache: every
-					// movement step of every variant perturbs the same
-					// replication-i network.
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					actual := mobility.Perturbed(w.net, 100, float64(step), mobilitySeed(rc.Seed, d, i, step))
-					res, err := sim.Run(actual.G, w.source, v.make(), sim.Config{
-						Hops:         2,
-						ViewTopology: w.net.G,
-						Seed:         seed + 1,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
+	return rc.paramSweep("M1", "Delivery ratio under stale views vs node movement", "delivery %",
+		"step", steps, variants, func(v variant, d, k int) sampleFunc {
+			return func(i int, sink *traceSink) (float64, error) {
+				// Perturbation draws live on their own seed-derived stream
+				// (see mobility.Perturbed), so the stale network and source
+				// come from the shared workload cache: every movement step of
+				// every variant perturbs the same replication-i network.
+				w, seed, err := rc.workload(100, d, i)
 				if err != nil {
-					return Figure{}, fmt.Errorf("mobility %s step %d: %w", v.label, step, err)
+					return 0, err
 				}
-				s.Points = append(s.Points, Point{X: step, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+				actual := mobility.Perturbed(w.net, 100, float64(steps[k]), mobilitySeed(rc.Seed, d, i, steps[k]))
+				res, err := sink.run(i, actual.G, w.source, v.make(), sim.Config{
+					Hops:         2,
+					ViewTopology: w.net.G,
+					Seed:         seed + 1,
+				}, nil)
+				if err != nil {
+					return 0, err
+				}
+				return 100 * res.DeliveryRatio(), nil
 			}
-			panel.Series = append(panel.Series, s)
-		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+		})
 }
 
 // Reliability quantifies the broadcast storm discussion: under a collision
@@ -85,47 +66,34 @@ func Mobility(rc RunConfig) (Figure, error) {
 func Reliability(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
 	jitters := []int{0, 1, 2, 4}
-	variants := []struct {
-		label string
-		make  func() sim.Protocol
-	}{
+	variants := []variant{
 		{label: "Flooding", make: protocol.Flooding},
 		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
 	}
-	fig := Figure{ID: "R1", Title: "Delivery ratio under a collision MAC vs forwarding jitter", Unit: "delivery %"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range variants {
-			s := Series{Label: v.label}
-			for _, j := range jitters {
-				point := fmt.Sprintf("R1/%s/jitter=%d/d=%d", v.label, j, d)
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i) ^ int64(j<<40)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					res, err := sim.Run(w.net.G, w.source, v.make(), sim.Config{
-						Hops:       2,
-						Collisions: true,
-						TxJitter:   float64(j),
-						Seed:       seed + 1,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
+	return rc.paramSweep("R1", "Delivery ratio under a collision MAC vs forwarding jitter", "delivery %",
+		"jitter", jitters, variants, func(v variant, d, k int) sampleFunc {
+			return func(i int, sink *traceSink) (float64, error) {
+				// Unlike every other sweep, each jitter value draws its own
+				// networks: the jitter is folded into the workload seed. The
+				// committed tables and the grid cache pin this derivation, so
+				// it stays — and is why this sample bypasses rc.workload.
+				seed := workloadSeed(rc.Seed, 100, d, i) ^ int64(jitters[k]<<40)
+				w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
 				if err != nil {
-					return Figure{}, fmt.Errorf("reliability %s jitter %d: %w", v.label, j, err)
+					return 0, err
 				}
-				s.Points = append(s.Points, Point{X: j, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+				res, err := sink.run(i, w.net.G, w.source, v.make(), sim.Config{
+					Hops:       2,
+					Collisions: true,
+					TxJitter:   float64(jitters[k]),
+					Seed:       seed + 1,
+				}, nil)
+				if err != nil {
+					return 0, err
+				}
+				return 100 * res.DeliveryRatio(), nil
 			}
-			panel.Series = append(panel.Series, s)
-		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+		})
 }
 
 // PiggybackAblation sweeps the broadcast-state depth h (Section 4.3): the
@@ -134,30 +102,21 @@ func Reliability(rc RunConfig) (Figure, error) {
 // it. X is h; -1 disables piggybacking entirely (snooping only).
 func PiggybackAblation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: "A1", Title: "Ablation: forward nodes vs piggyback depth h (Generic-FR)"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		s := Series{Label: "Generic-FR"}
-		for _, h := range []int{-1, 1, 2, 4, 8} {
-			v := variant{
-				label: fmt.Sprintf("h=%d", h),
-				cfg:   sim.Config{Hops: 2, PiggybackDepth: h},
-				make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
+	depths := []int{-1, 1, 2, 4, 8}
+	return rc.figure("A1", "Ablation: forward nodes vs piggyback depth h (Generic-FR)", "",
+		rc.perDegree("d=%d, n=100, 2-hop", func(d int) []curveSpec {
+			s := curveSpec{label: "Generic-FR"}
+			for _, h := range depths {
+				cl := rc.sizeCell("A1", 100, d, variant{
+					label: fmt.Sprintf("h=%d", h),
+					cfg:   sim.Config{Hops: 2, PiggybackDepth: h},
+					make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
+				})
+				cl.x = max(h, 0)
+				s.cells = append(s.cells, cl)
 			}
-			sum, err := measure(rc, "A1", 100, d, v)
-			if err != nil {
-				return Figure{}, err
-			}
-			x := h
-			if h < 0 {
-				x = 0
-			}
-			s.Points = append(s.Points, Point{X: x, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-		}
-		panel.Series = append(panel.Series, s)
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+			return []curveSpec{s}
+		}))
 }
 
 // BackoffAblation sweeps the FRB/FRBD backoff window (in transmission
@@ -165,29 +124,34 @@ func PiggybackAblation(rc RunConfig) (Figure, error) {
 // only materializes once the window spans several transmission delays.
 func BackoffAblation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: "A2", Title: "Ablation: forward nodes vs backoff window (n=100)"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, timing := range []protocol.Timing{protocol.TimingBackoffRandom, protocol.TimingBackoffDegree} {
-			timing := timing
-			s := Series{Label: timing.String()}
-			for _, w := range []int{1, 2, 4, 8, 16} {
-				v := variant{
-					label: fmt.Sprintf("w=%d", w),
-					cfg:   sim.Config{Hops: 2, BackoffWindow: float64(w)},
-					make:  func() sim.Protocol { return protocol.Generic(timing) },
-				}
-				sum, err := measure(rc, "A2/"+timing.String(), 100, d, v)
-				if err != nil {
-					return Figure{}, err
-				}
-				s.Points = append(s.Points, Point{X: w, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+	windows := []int{1, 2, 4, 8, 16}
+	return rc.figure("A2", "Ablation: forward nodes vs backoff window (n=100)", "",
+		rc.perDegree("d=%d, n=100, 2-hop", func(d int) []curveSpec {
+			return curvesOf(timingVariants(protocol.TimingBackoffRandom, protocol.TimingBackoffDegree), len(windows),
+				func(timing variant, k int) cell {
+					cl := rc.sizeCell("A2/"+timing.label, 100, d, variant{
+						label: fmt.Sprintf("w=%d", windows[k]),
+						cfg:   sim.Config{Hops: 2, BackoffWindow: float64(windows[k])},
+						make:  timing.make,
+					})
+					cl.x = windows[k]
+					return cl
+				})
+		}))
+}
+
+// timingVariants returns one 2-hop generic-protocol variant per timing
+// policy, labelled by the policy name.
+func timingVariants(timings ...protocol.Timing) []variant {
+	variants := make([]variant, len(timings))
+	for ti, timing := range timings {
+		variants[ti] = variant{
+			label: timing.String(),
+			cfg:   sim.Config{Hops: 2},
+			make:  func() sim.Protocol { return protocol.Generic(timing) },
 		}
-		fig.Panels = append(fig.Panels, panel)
 	}
-	return fig, nil
+	return variants
 }
 
 // VisitedUnionAblation contrasts the generic coverage condition with and
@@ -212,15 +176,11 @@ func VisitedUnionAblation(rc RunConfig) (Figure, error) {
 		{label: "with union", cfg: sim.Config{Hops: 2}, make: withUnion},
 		{label: "without union", cfg: sim.Config{Hops: 2}, make: withoutUnion},
 	}
-	fig := Figure{ID: "A3", Title: "Ablation: the visited-union assumption (Generic-FR, 2-hop)"}
+	var panels []panelSpec
 	for _, d := range rc.Degrees {
-		panel, err := sweep(rc, "A3", fmt.Sprintf("d=%d", d), d, variants)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Panels = append(fig.Panels, panel)
+		panels = append(panels, rc.sizePanel("A3", fmt.Sprintf("d=%d", d), d, variants))
 	}
-	return fig, nil
+	return rc.figure("A3", "Ablation: the visited-union assumption (Generic-FR, 2-hop)", "", panels)
 }
 
 // Clustering compares backbone sizes in dense networks (the Section 2 /
@@ -259,34 +219,28 @@ func Clustering(rc RunConfig) (Figure, error) {
 			return len(set), err
 		}},
 	}
-	fig := Figure{
-		ID:    "C1",
-		Title: "Backbone sizes vs density (n=100)",
-		Unit:  "mean backbone size",
-	}
-	panel := Panel{Title: "n=100"}
+	p := panelSpec{title: "n=100"}
 	for _, m := range methods {
-		s := Series{Label: m.label}
+		s := curveSpec{label: m.label}
 		for _, d := range degrees {
-			point := fmt.Sprintf("C1/%s/d=%d", m.label, d)
-			sum, err := rc.replicate(point, func(i int) (float64, error) {
-				seed := workloadSeed(rc.Seed, 100, d, i)
-				w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-				if err != nil {
-					return 0, err
-				}
-				size, err := m.size(w.net.G)
-				return float64(size), err
+			s.cells = append(s.cells, cell{
+				label: fmt.Sprintf("C1/%s/d=%d", m.label, d),
+				x:     d,
+				// No simulation runs, so under TraceDir a cluster point
+				// exports a sealed file with no records.
+				sample: func(i int, _ *traceSink) (float64, error) {
+					w, _, err := rc.workload(100, d, i)
+					if err != nil {
+						return 0, err
+					}
+					size, err := m.size(w.net.G)
+					return float64(size), err
+				},
 			})
-			if err != nil {
-				return Figure{}, fmt.Errorf("clustering %s d=%d: %w", m.label, d, err)
-			}
-			s.Points = append(s.Points, Point{X: d, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
 		}
-		panel.Series = append(panel.Series, s)
+		p.curves = append(p.curves, s)
 	}
-	fig.Panels = append(fig.Panels, panel)
-	return fig, nil
+	return rc.figure("C1", "Backbone sizes vs density (n=100)", "mean backbone size", []panelSpec{p})
 }
 
 // Latency quantifies the timing-policy delay discussion of Section 4.1:
@@ -296,64 +250,36 @@ func Clustering(rc RunConfig) (Figure, error) {
 // timing policy; X is the network size.
 func Latency(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{
-		ID:    "L1",
-		Title: "Mean first-delivery latency vs timing policy",
-		Unit:  "mean latency (slots)",
-	}
-	timings := []protocol.Timing{
-		protocol.TimingStatic,
-		protocol.TimingFirstReceipt,
-		protocol.TimingBackoffRandom,
-		protocol.TimingBackoffDegree,
-	}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, 2-hop", d)}
-		for _, timing := range timings {
-			timing := timing
-			s := Series{Label: timing.String()}
-			for _, n := range rc.Sizes {
-				n := n
-				point := fmt.Sprintf("L1/%s/n=%d/d=%d", timing, n, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
+	timings := timingVariants(protocol.TimingStatic, protocol.TimingFirstReceipt,
+		protocol.TimingBackoffRandom, protocol.TimingBackoffDegree)
+	return rc.figure("L1", "Mean first-delivery latency vs timing policy", "mean latency (slots)",
+		rc.perDegree("d=%d, 2-hop", func(d int) []curveSpec {
+			return curvesOf(timings, len(rc.Sizes), func(v variant, k int) cell {
+				n := rc.Sizes[k]
+				return cell{
+					label: fmt.Sprintf("L1/%s/n=%d/d=%d", v.label, n, d),
+					x:     n,
+					sample: func(i int, sink *traceSink) (float64, error) {
+						w, seed, err := rc.workload(n, d, i)
+						if err != nil {
+							return 0, err
+						}
+						rec := &sim.Recorder{}
+						cfg := v.cfg
+						cfg.Seed = seed + 1
+						cfg.Observer = rec
+						res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+						if err != nil {
+							return 0, err
+						}
+						if !res.FullDelivery() {
+							return 0, fmt.Errorf("latency: delivered %d/%d", res.Delivered, res.N)
+						}
+						return rec.MeanDeliveryLatency(), nil
+					},
 				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, n, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: n, d: d})
-					if err != nil {
-						return 0, err
-					}
-					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:     2,
-						Seed:     seed + 1,
-						Observer: rec,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, protocol.Generic(timing), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					if !res.FullDelivery() {
-						return 0, fmt.Errorf("latency: delivered %d/%d", res.Delivered, res.N)
-					}
-					return rec.MeanDeliveryLatency(), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("latency %s n=%d: %w", timing, n, err)
-				}
-				s.Points = append(s.Points, Point{X: n, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
-		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+			})
+		}))
 }
 
 // ExtensionByID dispatches the extension experiments by name.

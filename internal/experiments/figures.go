@@ -23,7 +23,7 @@ func Figure10(rc RunConfig) (Figure, error) {
 		mk(protocol.TimingBackoffDegree, "FRBD"),
 	}
 	return buildFigure(rc, "10", "Broadcast algorithms with different timing options",
-		[]int{2}, variants, nil)
+		[]int{2}, variants)
 }
 
 // Figure11 reproduces the selection-options experiment: self-pruning (SP),
@@ -39,7 +39,7 @@ func Figure11(rc RunConfig) (Figure, error) {
 		{label: "MinPri", cfg: cfg, make: protocol.HybridMinPri},
 	}
 	return buildFigure(rc, "11", "Dynamic (first-receipt) algorithms with different selection options",
-		[]int{2}, variants, nil)
+		[]int{2}, variants)
 }
 
 // Figure12 reproduces the space experiment: generic first-receipt
@@ -60,7 +60,7 @@ func Figure12(rc RunConfig) (Figure, error) {
 		make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 	})
 	return buildFigure(rc, "12", "Dynamic self-pruning algorithms based on different local views",
-		nil, variants, nil)
+		nil, variants)
 }
 
 // Figure13 reproduces the priority experiment: generic first-receipt
@@ -76,7 +76,7 @@ func Figure13(rc RunConfig) (Figure, error) {
 		})
 	}
 	return buildFigure(rc, "13", "Dynamic self-pruning algorithms using different priority values",
-		nil, variants, nil)
+		nil, variants)
 }
 
 // Figure14 reproduces the static special-cases comparison: MPR, enhanced
@@ -95,7 +95,7 @@ func Figure14(rc RunConfig) (Figure, error) {
 		mkv("Rule k", protocol.RuleK),
 		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) }),
 	}
-	return buildFigure(rc, "14", "Static broadcast algorithms", []int{2, 3}, variants, nil)
+	return buildFigure(rc, "14", "Static broadcast algorithms", []int{2, 3}, variants)
 }
 
 // Figure15 reproduces the first-receipt special-cases comparison: DP, PDP,
@@ -111,7 +111,7 @@ func Figure15(rc RunConfig) (Figure, error) {
 		mkv("LENWB", protocol.LENWB),
 		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }),
 	}
-	return buildFigure(rc, "15", "First-receipt broadcast algorithms", []int{2, 3}, variants, nil)
+	return buildFigure(rc, "15", "First-receipt broadcast algorithms", []int{2, 3}, variants)
 }
 
 // Figure16 reproduces the first-receipt-with-backoff comparison: SBA vs the
@@ -125,41 +125,29 @@ func Figure16(rc RunConfig) (Figure, error) {
 		mkv("SBA", protocol.SBA),
 		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }),
 	}
-	return buildFigure(rc, "16", "First-receipt-with-backoff broadcast algorithms", []int{2, 3}, variants, nil)
+	return buildFigure(rc, "16", "First-receipt-with-backoff broadcast algorithms", []int{2, 3}, variants)
 }
 
-// buildFigure assembles one figure: a panel per (degree, hop) pair. When
-// hops is nil the variants carry their own view depths and panels are per
-// degree only.
-func buildFigure(rc RunConfig, id, title string, hops []int, variants []variant,
-	filter func(v variant) bool) (Figure, error) {
-	fig := Figure{ID: id, Title: title}
+// buildFigure describes and measures one paper figure: a panel per (degree,
+// hop) pair. When hops is nil the variants carry their own view depths and
+// panels are per degree only.
+func buildFigure(rc RunConfig, id, title string, hops []int, variants []variant) (Figure, error) {
+	var panels []panelSpec
 	for _, d := range rc.Degrees {
 		if len(hops) == 0 {
-			panel, err := sweep(rc, "fig"+id, fmt.Sprintf("d=%d", d), d, variants)
-			if err != nil {
-				return Figure{}, err
-			}
-			fig.Panels = append(fig.Panels, panel)
+			panels = append(panels, rc.sizePanel("fig"+id, fmt.Sprintf("d=%d", d), d, variants))
 			continue
 		}
 		for _, k := range hops {
-			vs := make([]variant, 0, len(variants))
-			for _, v := range variants {
-				if filter != nil && !filter(v) {
-					continue
-				}
+			vs := make([]variant, len(variants))
+			for vi, v := range variants {
 				v.cfg.Hops = k
-				vs = append(vs, v)
+				vs[vi] = v
 			}
-			panel, err := sweep(rc, "fig"+id, fmt.Sprintf("d=%d, %d-hop", d, k), d, vs)
-			if err != nil {
-				return Figure{}, err
-			}
-			fig.Panels = append(fig.Panels, panel)
+			panels = append(panels, rc.sizePanel("fig"+id, fmt.Sprintf("d=%d, %d-hop", d, k), d, vs))
 		}
 	}
-	return fig, nil
+	return rc.figure(id, title, "", panels)
 }
 
 // FigureByID dispatches to the figure drivers; valid ids are "10".."16".

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"math"
-
 	"adhocbcast/internal/hello"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
 )
@@ -24,23 +22,19 @@ import (
 // views every other experiment uses.
 const helloRounds = 2
 
-// helloVariant is one curve of a hello-loss figure: a protocol plus the
+// helloVariants are the curves of a hello-loss figure: a protocol plus the
 // conservative-fallback setting layered on it.
-type helloVariant struct {
-	label    string
-	make     func() sim.Protocol
-	fallback bool
-}
-
-func helloVariants() []helloVariant {
-	return []helloVariant{
+func helloVariants() []variant {
+	fr := func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }
+	frb := func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }
+	return []variant{
 		// Flooding ignores views entirely: the flat control line separating
 		// knowledge-induced losses from channel effects (there are none).
-		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FR+CF", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }, fallback: true},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FRB+CF", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, fallback: true},
+		{label: "Flooding", cfg: sim.Config{Hops: 2}, make: protocol.Flooding},
+		{label: "Generic-FR", cfg: sim.Config{Hops: 2}, make: fr},
+		{label: "Generic-FR+CF", cfg: sim.Config{Hops: 2, ConservativeFallback: true}, make: fr},
+		{label: "Generic-FRB", cfg: sim.Config{Hops: 2}, make: frb},
+		{label: "Generic-FRB+CF", cfg: sim.Config{Hops: 2, ConservativeFallback: true}, make: frb},
 	}
 }
 
@@ -97,71 +91,43 @@ func HelloLossLatency(rc RunConfig) (Figure, error) {
 // rep, rate) — bit-identical across -parallel settings and repeated runs.
 func helloSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *sim.Recorder) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range helloVariants() {
-			s := Series{Label: v.label}
-			for _, rate := range rc.HelloLossRates {
-				rate, v := rate, v
-				pct := int(math.Round(100 * rate))
-				point := fmt.Sprintf("%s/%s/helloloss=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					views, err := hello.Exchange(w.net.G, hello.Config{
-						Rounds:   helloRounds,
-						LossRate: rate,
-						Seed:     helloSeed(rc.Seed, 100, d, i, pct*10),
-					})
-					if err != nil {
-						return 0, err
-					}
-					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:                 2,
-						Seed:                 seed + 1,
-						Observer:             rec,
-						NodeViews:            views.Graph,
-						ViewIncomplete:       views.Incomplete,
-						ConservativeFallback: v.fallback,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if cfg.Metrics != nil {
-						// Tracing is on: export the view-divergence counters
-						// alongside the run record. Only the driver can fill
-						// these — the simulator never sees the ground truth.
-						div, err := views.Divergence(w.net.G)
-						if err != nil {
-							return 0, err
-						}
-						cfg.Metrics.ViewMissingLinks = div.MissingLinks
-						cfg.Metrics.ViewPhantomLinks = div.PhantomLinks
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return metric(res, rec), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s helloloss %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+	pcts := percents(rc.HelloLossRates)
+	return rc.paramSweep(id, title, unit, "helloloss", pcts, helloVariants(), func(v variant, d, k int) sampleFunc {
+		return func(i int, sink *traceSink) (float64, error) {
+			w, seed, err := rc.workload(100, d, i)
+			if err != nil {
+				return 0, err
 			}
-			panel.Series = append(panel.Series, s)
+			views, err := hello.Exchange(w.net.G, hello.Config{
+				Rounds:   helloRounds,
+				LossRate: rc.HelloLossRates[k],
+				Seed:     helloSeed(rc.Seed, 100, d, i, pcts[k]*10),
+			})
+			if err != nil {
+				return 0, err
+			}
+			rec := &sim.Recorder{}
+			cfg := v.cfg
+			cfg.Seed = seed + 1
+			cfg.Observer = rec
+			cfg.NodeViews = views.Graph
+			cfg.ViewIncomplete = views.Incomplete
+			// When tracing is on, export the view-divergence counters
+			// alongside the run record. Only the driver can fill these — the
+			// simulator never sees the ground truth.
+			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, func(rr *obsv.RunRecord) error {
+				div, err := views.Divergence(w.net.G)
+				if err != nil {
+					return err
+				}
+				rr.ViewMissingLinks = div.MissingLinks
+				rr.ViewPhantomLinks = div.PhantomLinks
+				return nil
+			})
+			if err != nil {
+				return 0, err
+			}
+			return metric(res, rec), nil
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/protocol"
@@ -123,20 +122,13 @@ type LoadRow struct {
 // channel-load worst case, the generic framework's first-receipt and
 // backoff policies, and the backoff policy with NACK recovery — so the
 // recovery layer is exercised under real contention, not just random loss.
-func loadVariants() []struct {
-	label string
-	make  func() sim.Protocol
-	nack  bool
-} {
-	return []struct {
-		label string
-		make  func() sim.Protocol
-		nack  bool
-	}{
+func loadVariants() []variant {
+	frb := func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }
+	return []variant{
 		{label: "Flooding", make: protocol.Flooding},
 		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FRB+NACK", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true},
+		{label: "Generic-FRB", make: frb},
+		{label: "Generic-FRB+NACK", cfg: sim.Config{NACKRecovery: true}, make: frb},
 	}
 }
 
@@ -153,110 +145,43 @@ func loadSeed(base int64, n, d, permille, rep int) int64 {
 	return deriveSeed("load", base, n, d, permille, rep)
 }
 
-// loadSample is the per-(replicate, variant) measurement tuple.
-type loadSample struct {
-	throughput float64
-	delivery   float64
-	p50        float64
-	p99        float64
-	qdrops     float64
-}
-
 // Load runs the saturation sweep and returns one row per (rate, variant), in
 // sweep order. Points run strictly in rate order; within a point, replicates
 // run on up to Parallelism workers.
 func Load(cfg LoadConfig) ([]LoadRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []LoadRow
-	for _, rate := range cfg.Rates {
-		point := fmt.Sprintf("load/rpm=%d/n=%d/d=%d/reps=%d",
-			ratePermille(rate), cfg.N, cfg.Degree, cfg.Replicates)
-		rate := rate
-		compute := func() ([]LoadRow, error) { return loadPoint(cfg, rate) }
-		var pointRows []LoadRow
-		var err error
-		if cfg.Runner != nil {
-			pointRows, err = cfg.Runner(point, compute)
-		} else {
-			pointRows, err = compute()
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range pointRows {
-			rows = append(rows, row)
-			if cfg.Emit != nil {
-				cfg.Emit(row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// loadPoint measures one rate point: Replicates replicates on up to
-// Parallelism workers, folded into one row per variant in replicate order so
-// the summary is bit-identical for any worker count.
-func loadPoint(cfg LoadConfig, rate float64) ([]LoadRow, error) {
 	variants := loadVariants()
-	nreps := cfg.Replicates
-	samples := make([][]loadSample, nreps)
-	errs := make([]error, nreps)
-	workers := cfg.Parallelism
-	if workers > nreps {
-		workers = nreps
-	}
-	reps := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := sim.NewArena()
-			for rep := range reps {
-				samples[rep], errs[rep] = loadReplicate(cfg, rate, rep, arena)
-			}
-		}()
-	}
-	for rep := 0; rep < nreps; rep++ {
-		reps <- rep
-	}
-	close(reps)
-	wg.Wait()
-
-	for rep, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("load rate=%g rep=%d: %w", rate, rep, err)
+	points := make([]fixedPoint[LoadRow], len(cfg.Rates))
+	for k, rate := range cfg.Rates {
+		points[k] = fixedPoint[LoadRow]{
+			label: fmt.Sprintf("load/rpm=%d/n=%d/d=%d/reps=%d",
+				ratePermille(rate), cfg.N, cfg.Degree, cfg.Replicates),
+			reps: cfg.Replicates,
+			replicate: func(rep int, arena *sim.Arena) ([][]float64, error) {
+				return loadReplicate(cfg, variants, rate, rep, arena)
+			},
+			row: func(vi int, m []stats.Summary) LoadRow {
+				return LoadRow{
+					Rate:       rate,
+					Variant:    variants[vi].label,
+					Replicates: cfg.Replicates,
+					Throughput: m[0].Mean, ThroughputCI: m[0].HalfWidth90,
+					Delivery: m[1].Mean, DeliveryCI: m[1].HalfWidth90,
+					LatencyP50: m[2].Mean, LatencyP50CI: m[2].HalfWidth90,
+					LatencyP99: m[3].Mean, LatencyP99CI: m[3].HalfWidth90,
+					QueueDrops: m[4].Mean, QueueDropsCI: m[4].HalfWidth90,
+				}
+			},
 		}
 	}
-	rows := make([]LoadRow, 0, len(variants))
-	for vi, v := range variants {
-		var thr, del, p50, p99, qd stats.Accumulator
-		for rep := 0; rep < nreps; rep++ {
-			s := samples[rep][vi]
-			thr.Add(s.throughput)
-			del.Add(s.delivery)
-			p50.Add(s.p50)
-			p99.Add(s.p99)
-			qd.Add(s.qdrops)
-		}
-		ts, ds, p50s, p99s, qs := thr.Summary(), del.Summary(), p50.Summary(), p99.Summary(), qd.Summary()
-		rows = append(rows, LoadRow{
-			Rate:       rate,
-			Variant:    v.label,
-			Replicates: nreps,
-			Throughput: ts.Mean, ThroughputCI: ts.HalfWidth90,
-			Delivery: ds.Mean, DeliveryCI: ds.HalfWidth90,
-			LatencyP50: p50s.Mean, LatencyP50CI: p50s.HalfWidth90,
-			LatencyP99: p99s.Mean, LatencyP99CI: p99s.HalfWidth90,
-			QueueDrops: qs.Mean, QueueDropsCI: qs.HalfWidth90,
-		})
-	}
-	return rows, nil
+	return runFixed(points, cfg.Parallelism, cfg.Runner, cfg.Emit)
 }
 
 // loadReplicate generates one workload (network + traffic plan) and runs
-// every variant on it through the contention MAC, reusing one arena.
-func loadReplicate(cfg LoadConfig, rate float64, rep int, arena *sim.Arena) ([]loadSample, error) {
+// every variant on it through the contention MAC, reusing the worker's arena.
+// Each variant's metrics are throughput, delivery %, p50 and p99 latency, and
+// queue drops per session.
+func loadReplicate(cfg LoadConfig, variants []variant, rate float64, rep int, arena *sim.Arena) ([][]float64, error) {
 	seed := loadSeed(cfg.Seed, cfg.N, cfg.Degree, ratePermille(rate), rep)
 	rng := rand.New(rand.NewSource(seed))
 	net, err := geo.Generate(geo.Config{N: cfg.N, AvgDegree: float64(cfg.Degree), Seed: seed}, rng)
@@ -279,8 +204,7 @@ func loadReplicate(cfg LoadConfig, rate float64, rep int, arena *sim.Arena) ([]l
 	for i, m := range plan.Messages {
 		sessions[i] = sim.SessionSpec{Source: m.Source, At: m.At}
 	}
-	variants := loadVariants()
-	out := make([]loadSample, len(variants))
+	out := make([][]float64, len(variants))
 	for vi, v := range variants {
 		res, err := sim.RunTrafficWith(arena, net.G, sessions, v.make, sim.Config{
 			Hops:         cfg.Hops,
@@ -288,17 +212,17 @@ func loadReplicate(cfg LoadConfig, rate float64, rep int, arena *sim.Arena) ([]l
 			Engine:       cfg.Engine,
 			CarrierSense: true,
 			TxQueueCap:   cfg.QueueCap,
-			NACKRecovery: v.nack,
+			NACKRecovery: v.cfg.NACKRecovery,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
-		out[vi] = loadSample{
-			throughput: res.Throughput(),
-			delivery:   100 * res.DeliveryRatio(),
-			p50:        res.LatencyP50,
-			p99:        res.LatencyP99,
-			qdrops:     float64(res.QueueDrops) / float64(res.Sessions),
+		out[vi] = []float64{
+			res.Throughput(),
+			100 * res.DeliveryRatio(),
+			res.LatencyP50,
+			res.LatencyP99,
+			float64(res.QueueDrops) / float64(res.Sessions),
 		}
 	}
 	return out, nil

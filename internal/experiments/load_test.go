@@ -109,3 +109,15 @@ func TestFormatLoad(t *testing.T) {
 		t.Errorf("want a column header per rate group, got:\n%s", out)
 	}
 }
+
+// TestFixedSweepsRejectDuplicateLabels: like the figure driver, the
+// fixed-replication point loop refuses sweep values that share a point label
+// (the second point would be served the first one's cached rows).
+func TestFixedSweepsRejectDuplicateLabels(t *testing.T) {
+	if _, err := Load(LoadConfig{Rates: []float64{0.0501, 0.0504}}); err == nil || !strings.Contains(err.Error(), `"load/rpm=50/n=100/d=6/reps=5"`) {
+		t.Fatalf("Load with rates rounding to one label: err = %v", err)
+	}
+	if _, err := Scale(ScaleConfig{Sizes: []int{40, 40}, Degree: 8}); err == nil || !strings.Contains(err.Error(), `"scale/n=40/d=8/reps=5"`) {
+		t.Fatalf("Scale with a repeated size: err = %v", err)
+	}
+}

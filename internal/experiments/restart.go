@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -28,21 +27,17 @@ import (
 // short enough that the NACK layer's retries are still in flight.
 const restartOutage = 5.0
 
-// restartVariant is one curve of a restart figure: a protocol plus the
-// recovery machinery layered on it.
-type restartVariant struct {
-	label string
-	make  func() sim.Protocol
-	nack  bool
-	hold  bool
-}
-
-func restartVariants() []restartVariant {
-	return []restartVariant{
-		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FRB+NACK", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true},
-		{label: "Generic-FRB+NACK+Hold", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true, hold: true},
+// restartVariants are the curves of a restart figure: a protocol plus the
+// recovery machinery layered on it. The "+Hold" curve's ConservativeFallback
+// is the static half of the dynamic-hello conservative hold; restartSweep
+// attaches the per-replicate staleness schedule to it.
+func restartVariants() []variant {
+	frb := func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }
+	return []variant{
+		{label: "Flooding", cfg: sim.Config{Hops: 2}, make: protocol.Flooding},
+		{label: "Generic-FR", cfg: sim.Config{Hops: 2}, make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
+		{label: "Generic-FRB+NACK", cfg: sim.Config{Hops: 2, NACKRecovery: true}, make: frb},
+		{label: "Generic-FRB+NACK+Hold", cfg: sim.Config{Hops: 2, NACKRecovery: true, ConservativeFallback: true}, make: frb},
 	}
 }
 
@@ -106,64 +101,34 @@ func RestartLatency(rc RunConfig) (Figure, error) {
 
 func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *sim.Recorder) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range restartVariants() {
-			s := Series{Label: v.label}
-			for _, frac := range rc.RestartRates {
-				frac, v := frac, v
-				pct := int(math.Round(100 * frac))
-				point := fmt.Sprintf("%s/%s/restart=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					plan, err := restartPlan(w.net.G, w.source, frac, restartSeed(rc.Seed, 100, d, i, pct*10))
-					if err != nil {
-						return 0, err
-					}
-					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     crashAmbientLoss,
-						Faults:       plan,
-						NACKRecovery: v.nack,
-						Observer:     rec,
-					}
-					if v.hold {
-						// The dynamic-hello staleness schedule is a pure
-						// function of its own seed (see internal/hello), so
-						// every replicate sees a different beacon-loss
-						// pattern but reruns are bit-identical.
-						cfg.DynamicHello = &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}
-						cfg.ConservativeFallback = true
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return metric(res, rec), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s restart %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+	pcts := percents(rc.RestartRates)
+	return rc.paramSweep(id, title, unit, "restart", pcts, restartVariants(), func(v variant, d, k int) sampleFunc {
+		return func(i int, sink *traceSink) (float64, error) {
+			w, seed, err := rc.workload(100, d, i)
+			if err != nil {
+				return 0, err
 			}
-			panel.Series = append(panel.Series, s)
+			plan, err := restartPlan(w.net.G, w.source, rc.RestartRates[k], restartSeed(rc.Seed, 100, d, i, pcts[k]*10))
+			if err != nil {
+				return 0, err
+			}
+			rec := &sim.Recorder{}
+			cfg := v.cfg
+			cfg.Seed = seed + 1
+			cfg.LossRate = crashAmbientLoss
+			cfg.Faults = plan
+			cfg.Observer = rec
+			if cfg.ConservativeFallback {
+				// The dynamic-hello staleness schedule is a pure function of
+				// its own seed (see internal/hello), so every replicate sees a
+				// different beacon-loss pattern but reruns are bit-identical.
+				cfg.DynamicHello = &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}
+			}
+			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+			if err != nil {
+				return 0, err
+			}
+			return metric(res, rec), nil
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
 }

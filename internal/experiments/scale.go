@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/obsv"
@@ -113,14 +112,8 @@ type ScaleRow struct {
 // scaleVariants are the design-space corners the sweep carries to scale:
 // blind flooding as the baseline, then the generic framework's static,
 // first-receipt, and first-receipt-with-backoff timing policies.
-func scaleVariants() []struct {
-	label string
-	make  func() sim.Protocol
-} {
-	return []struct {
-		label string
-		make  func() sim.Protocol
-	}{
+func scaleVariants() []variant {
+	return []variant{
 		{label: "Flooding", make: protocol.Flooding},
 		{label: "Generic-Static", make: func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) }},
 		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
@@ -135,110 +128,41 @@ func scaleSeed(base int64, n, d, rep int) int64 {
 	return deriveSeed("scale", base, n, d, rep)
 }
 
-// scaleSample is the per-(replicate, variant) measurement tuple.
-type scaleSample struct {
-	delivery float64
-	forward  float64
-	latency  float64
-}
-
 // Scale runs the large-n sweep and returns one row per (size, variant), in
 // sweep order. Points run strictly in size order; within a point, replicates
 // run on up to Parallelism workers, each holding one generated network at a
 // time.
 func Scale(cfg ScaleConfig) ([]ScaleRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []ScaleRow
-	for _, n := range cfg.Sizes {
-		nreps := cfg.repsFor(n)
-		point := fmt.Sprintf("scale/n=%d/d=%d/reps=%d", n, cfg.Degree, nreps)
-		compute := func() ([]ScaleRow, error) { return scalePoint(cfg, n, nreps) }
-		var pointRows []ScaleRow
-		var err error
-		if cfg.Runner != nil {
-			pointRows, err = cfg.Runner(point, compute)
-		} else {
-			pointRows, err = compute()
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Emit outside compute, so streaming consumers see cached rows too.
-		for _, row := range pointRows {
-			rows = append(rows, row)
-			if cfg.Emit != nil {
-				cfg.Emit(row)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// scalePoint measures one size point: nreps replicates on up to Parallelism
-// workers, folded into one row per variant.
-func scalePoint(cfg ScaleConfig, n, nreps int) ([]ScaleRow, error) {
 	variants := scaleVariants()
-	samples := make([][]scaleSample, nreps)
-	errs := make([]error, nreps)
-	workers := cfg.Parallelism
-	if workers > nreps {
-		workers = nreps
-	}
-	reps := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One metrics record and one simulator arena per worker:
-			// the hot state (event calendar, flat node states, views,
-			// scratch) is allocated once and reused by every run the
-			// worker executes.
-			record := obsv.NewRunRecord()
-			arena := sim.NewArena()
-			for rep := range reps {
-				samples[rep], errs[rep] = scaleReplicate(cfg, n, rep, record, arena)
-			}
-		}()
-	}
-	for rep := 0; rep < nreps; rep++ {
-		reps <- rep
-	}
-	close(reps)
-	wg.Wait()
-
-	for rep, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scale n=%d rep=%d: %w", n, rep, err)
+	points := make([]fixedPoint[ScaleRow], len(cfg.Sizes))
+	for k, n := range cfg.Sizes {
+		nreps := cfg.repsFor(n)
+		points[k] = fixedPoint[ScaleRow]{
+			label: fmt.Sprintf("scale/n=%d/d=%d/reps=%d", n, cfg.Degree, nreps),
+			reps:  nreps,
+			replicate: func(rep int, arena *sim.Arena) ([][]float64, error) {
+				return scaleReplicate(cfg, variants, n, rep, arena)
+			},
+			row: func(vi int, m []stats.Summary) ScaleRow {
+				return ScaleRow{
+					N:          n,
+					Variant:    variants[vi].label,
+					Replicates: nreps,
+					Delivery:   m[0].Mean, DeliveryCI: m[0].HalfWidth90,
+					Forward: m[1].Mean, ForwardCI: m[1].HalfWidth90,
+					Latency: m[2].Mean, LatencyCI: m[2].HalfWidth90,
+				}
+			},
 		}
 	}
-	// Fold in replicate order so the summary is bit-identical for any
-	// worker count.
-	rows := make([]ScaleRow, 0, len(variants))
-	for vi, v := range variants {
-		var del, fwd, lat stats.Accumulator
-		for rep := 0; rep < nreps; rep++ {
-			s := samples[rep][vi]
-			del.Add(s.delivery)
-			fwd.Add(s.forward)
-			lat.Add(s.latency)
-		}
-		ds, fs, ls := del.Summary(), fwd.Summary(), lat.Summary()
-		rows = append(rows, ScaleRow{
-			N:          n,
-			Variant:    v.label,
-			Replicates: nreps,
-			Delivery:   ds.Mean, DeliveryCI: ds.HalfWidth90,
-			Forward: fs.Mean, ForwardCI: fs.HalfWidth90,
-			Latency: ls.Mean, LatencyCI: ls.HalfWidth90,
-		})
-	}
-	return rows, nil
+	return runFixed(points, cfg.Parallelism, cfg.Runner, cfg.Emit)
 }
 
 // scaleReplicate generates one workload and runs every variant on it,
-// reusing one metrics record and one simulator arena across the runs.
-func scaleReplicate(cfg ScaleConfig, n, rep int, record *obsv.RunRecord, arena *sim.Arena) ([]scaleSample, error) {
+// reusing one metrics record and the worker's simulator arena across the
+// runs. Each variant's metrics are delivery %, forward %, and mean latency.
+func scaleReplicate(cfg ScaleConfig, variants []variant, n, rep int, arena *sim.Arena) ([][]float64, error) {
 	seed := scaleSeed(cfg.Seed, n, cfg.Degree, rep)
 	rng := rand.New(rand.NewSource(seed))
 	net, err := geo.Generate(geo.Config{N: n, AvgDegree: float64(cfg.Degree), Seed: seed}, rng)
@@ -246,8 +170,8 @@ func scaleReplicate(cfg ScaleConfig, n, rep int, record *obsv.RunRecord, arena *
 		return nil, err
 	}
 	source := rng.Intn(n)
-	variants := scaleVariants()
-	out := make([]scaleSample, len(variants))
+	record := obsv.NewRunRecord()
+	out := make([][]float64, len(variants))
 	for vi, v := range variants {
 		res, err := sim.RunWith(arena, net.G, source, v.make(), sim.Config{
 			Hops:    cfg.Hops,
@@ -257,10 +181,10 @@ func scaleReplicate(cfg ScaleConfig, n, rep int, record *obsv.RunRecord, arena *
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
-		out[vi] = scaleSample{
-			delivery: 100 * res.DeliveryRatio(),
-			forward:  100 * float64(res.ForwardCount()) / float64(res.N),
-			latency:  record.Latency.Mean(),
+		out[vi] = []float64{
+			100 * res.DeliveryRatio(),
+			100 * float64(res.ForwardCount()) / float64(res.N),
+			record.Latency.Mean(),
 		}
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"adhocbcast/internal/graph"
 	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/sim"
 )
@@ -34,17 +35,17 @@ type traceSink struct {
 	err   error // first write error; reported once at finish
 }
 
-// newTraceSink opens the sink for one data point under c.TraceDir, or
+// newTraceSink opens the sink for one data point under rc.TraceDir, or
 // returns nil when tracing is off. The file name is derived from the point
 // label, one file per data point.
-func (c RunConfig) newTraceSink(point string) (*traceSink, error) {
-	if c.TraceDir == "" {
+func (rc RunConfig) newTraceSink(point string) (*traceSink, error) {
+	if rc.TraceDir == "" {
 		return nil, nil
 	}
-	if err := os.MkdirAll(c.TraceDir, 0o755); err != nil {
+	if err := os.MkdirAll(rc.TraceDir, 0o755); err != nil {
 		return nil, err
 	}
-	name := filepath.Join(c.TraceDir, sanitizePoint(point)+".jsonl")
+	name := filepath.Join(rc.TraceDir, sanitizePoint(point)+".jsonl")
 	f, err := obsv.CreateAtomic(name)
 	if err != nil {
 		return nil, err
@@ -65,14 +66,18 @@ func sanitizePoint(point string) string {
 	}, point)
 }
 
-// instrument prepares one replicate for tracing: it attaches a metrics
-// record and (unless the driver already installed its own Recorder) a trace
-// recorder to cfg, and returns a flush function that writes the replicate's
-// records after the run. With a nil sink both cfg and the returned flush are
-// no-ops.
-func (s *traceSink) instrument(cfg *sim.Config, rep int) func() error {
+// run simulates one replicate — proto broadcasts from source over g under
+// cfg — with the replicate's records attached and exported: a metrics record
+// and (unless the driver already installed its own Recorder) a trace recorder
+// go onto cfg, and both are written once the run completes. annotate, when
+// non-nil, runs between the simulation and the write, to add counters only
+// the driver can compute to the run record. On a nil sink run is exactly
+// sim.Run, so instrumented results can differ from uninstrumented ones only
+// in cost.
+func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol, cfg sim.Config,
+	annotate func(*obsv.RunRecord) error) (sim.Result, error) {
 	if s == nil {
-		return func() error { return nil }
+		return sim.Run(g, source, proto, cfg)
 	}
 	rec, ok := cfg.Observer.(*sim.Recorder)
 	if !ok {
@@ -81,7 +86,16 @@ func (s *traceSink) instrument(cfg *sim.Config, rep int) func() error {
 	}
 	rr := obsv.NewRunRecord()
 	cfg.Metrics = rr
-	return func() error { return s.write(rep, rr, rec.Records()) }
+	res, err := sim.Run(g, source, proto, cfg)
+	if err != nil {
+		return res, err
+	}
+	if annotate != nil {
+		if err := annotate(rr); err != nil {
+			return res, err
+		}
+	}
+	return res, s.write(rep, rr, rec.Records())
 }
 
 // write appends one replicate's run record and trace events atomically.

@@ -24,7 +24,7 @@ func TestScanBackoffWindow(t *testing.T) {
 				cfg:   sim.Config{Hops: 2, Metric: view.MetricID, BackoffWindow: w},
 				make:  func() sim.Protocol { return protocol.Generic(timing) },
 			}
-			sum, err := measure(rc, "windowscan", 100, 6, v)
+			sum, err := rc.measure(rc.sizeCell("windowscan", 100, 6, v))
 			if err != nil {
 				t.Fatal(err)
 			}

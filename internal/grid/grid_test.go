@@ -233,6 +233,31 @@ func TestRunRequireCachedFailsCold(t *testing.T) {
 	}
 }
 
+// TestRunRejectsAliasedPoints: sweep values that round to one point label
+// would make the second point a cache hit on the first one's result; both Run
+// and List must refuse the spec, and nothing may be cached.
+func TestRunRejectsAliasedPoints(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.Tables[0].Experiments[0].ID = "ext:loss"
+	spec.Tables[0].Experiments[0].LossRates = []float64{0.051, 0.054}
+	opts := Options{Spec: spec, Cache: cache, OutDir: t.TempDir()}
+	const label = `"D3/Flooding/loss=5/d=6"`
+	if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), label) {
+		t.Fatalf("Run: err = %v, want one naming %s", err, label)
+	}
+	if _, err := List(opts); err == nil || !strings.Contains(err.Error(), label) {
+		t.Fatalf("List: err = %v, want one naming %s", err, label)
+	}
+	if points, _ := filepath.Glob(filepath.Join(dir, "points", "*")); len(points) != 0 {
+		t.Fatalf("aliased spec cached %d point(s)", len(points))
+	}
+}
+
 func TestListReportsCacheState(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {

@@ -90,8 +90,39 @@ func (p summaryPayload) summary() stats.Summary {
 	return stats.Summary{N: p.N, Mean: p.Mean, StdDev: p.StdDev, HalfWidth90: p.CI90}
 }
 
-// collector gathers per-point outcomes from Runner hooks, which the drivers
-// invoke concurrently.
+// pointHandler resolves one grid point on behalf of a driver's Runner hook:
+// it fills *dst — a pointer to the point's cached payload type — from the
+// cache or by calling compute (which assigns *dst), or leaves it zero. The
+// drivers invoke hooks concurrently, so a handler is safe for concurrent
+// calls. Run and List differ only in their handler.
+type pointHandler func(cfg PointConfig, dst any, compute func() error) error
+
+// fixedHook adapts a pointHandler to the Runner signature of a
+// fixed-replication sweep (scale, load), whose points cache their rows. The
+// point's canonical config comes from its label, which ends in the resolved
+// degree and replicate count (the scale driver caps the count for the largest
+// sizes); with the seed they pin the point.
+func fixedHook[R any](h pointHandler, experiment string, seed int64) func(string, func() ([]R, error)) ([]R, error) {
+	return func(point string, compute func() ([]R, error)) ([]R, error) {
+		cfg := PointConfig{Schema: PointSchema, Experiment: experiment, Point: point, Seed: seed}
+		i := strings.LastIndex(point, "/d=")
+		if i < 0 {
+			return nil, fmt.Errorf("grid: unparseable %s point label %q", experiment, point)
+		}
+		if _, err := fmt.Sscanf(point[i:], "/d=%d/reps=%d", &cfg.Degree, &cfg.Replicates); err != nil {
+			return nil, fmt.Errorf("grid: unparseable %s point label %q: %w", experiment, point, err)
+		}
+		var rows []R
+		err := h(cfg, &rows, func() (err error) {
+			rows, err = compute()
+			return err
+		})
+		return rows, err
+	}
+}
+
+// collector is Run's side of the caching hook: it serves points from the
+// cache and gathers per-point outcomes for the table's manifest.
 type collector struct {
 	opts Options
 	mu   sync.Mutex
@@ -99,7 +130,25 @@ type collector struct {
 	ents []manifestEntry
 }
 
-func (c *collector) record(cfg PointConfig, hit bool) {
+// serve is the get-or-compute-and-put pointHandler: a point whose cache file
+// verifies is decoded into dst, any other is computed and stored (or, under
+// RequireCached, reported as an error).
+func (c *collector) serve(cfg PointConfig, dst any, compute func() error) error {
+	hit, err := c.opts.Cache.Get(cfg, dst)
+	if err != nil {
+		return err
+	}
+	if !hit {
+		if c.opts.RequireCached {
+			return fmt.Errorf("grid: point %q (%.12s…) not cached", cfg.Point, cfg.Hash())
+		}
+		if err := compute(); err != nil {
+			return err
+		}
+		if err := c.opts.Cache.Put(cfg, dst); err != nil {
+			return err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.st.Points++
@@ -109,6 +158,7 @@ func (c *collector) record(cfg PointConfig, hit bool) {
 		c.st.Misses++
 	}
 	c.ents = append(c.ents, manifestEntry{Experiment: cfg.Experiment, Point: cfg.Point, Hash: cfg.Hash()})
+	return nil
 }
 
 // resolve returns the experiment's effective seed and replication criterion —
@@ -148,7 +198,7 @@ func Run(opts Options) (Stats, error) {
 		col := &collector{opts: opts, st: &st}
 		var buf strings.Builder
 		for _, e := range t.Experiments {
-			section, err := runExperiment(opts, e, col)
+			section, err := runExperiment(opts, e, col.serve)
 			if err != nil {
 				return st, fmt.Errorf("grid: %s: %s: %w", t.Output, e.ID, err)
 			}
@@ -170,39 +220,32 @@ func Run(opts Options) (Stats, error) {
 	return st, nil
 }
 
-// runExperiment executes one section of a table and returns its rendered
-// bytes (excluding the optional header). The output is byte-identical to what
-// cmd/experiments prints for the same parameters: Format(figure) plus the
-// trailing blank line for figure and extension sections, FormatScale for the
-// scale sweep, FormatLoad for the saturation sweep.
-func runExperiment(opts Options, e ExperimentSpec, col *collector) (string, error) {
+// runExperiment executes one section of a table with every data point
+// resolved by h, and returns the section's rendered bytes (excluding the
+// optional header). The output is byte-identical to what cmd/experiments
+// prints for the same parameters: Format(figure) plus the trailing blank line
+// for figure and extension sections, FormatScale for the scale sweep,
+// FormatLoad for the saturation sweep.
+func runExperiment(opts Options, e ExperimentSpec, h pointHandler) (string, error) {
 	seed, rep := e.resolve()
-	if e.ID == "load" {
-		lc := experiments.LoadConfig{
+	switch e.ID {
+	case "load":
+		rows, err := experiments.Load(experiments.LoadConfig{
 			Rates:      e.LoadRates,
 			Replicates: e.LoadReps,
 			Seed:       seed,
-			Runner:     loadRunner(opts, e, seed, col),
-		}
-		rows, err := experiments.Load(lc)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatLoad(rows), nil
-	}
-	if e.ID == "scale" {
-		sc := experiments.ScaleConfig{
+			Runner:     fixedHook[experiments.LoadRow](h, e.ID, seed),
+		})
+		return experiments.FormatLoad(rows), err
+	case "scale":
+		rows, err := experiments.Scale(experiments.ScaleConfig{
 			Sizes:      e.ScaleSizes,
 			Degree:     e.ScaleDegree,
 			Replicates: e.ScaleReps,
 			Seed:       seed,
-			Runner:     scaleRunner(opts, e, seed, col),
-		}
-		rows, err := experiments.Scale(sc)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatScale(rows), nil
+			Runner:     fixedHook[experiments.ScaleRow](h, e.ID, seed),
+		})
+		return experiments.FormatScale(rows), err
 	}
 	rc := experiments.RunConfig{
 		Sizes:                e.Sizes,
@@ -214,156 +257,33 @@ func runExperiment(opts Options, e ExperimentSpec, col *collector) (string, erro
 		LossRates:            e.LossRates,
 		HelloLossRates:       e.HelloLossRates,
 		RestartRates:         e.RestartRates,
-		Runner:               ciRunner(opts, e, seed, rep, col),
+		Runner: func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
+			cfg := PointConfig{
+				Schema:     PointSchema,
+				Experiment: e.ID,
+				Point:      point,
+				Seed:       seed,
+				MinRuns:    rep.MinRuns,
+				MaxRuns:    rep.MaxRuns,
+				RelTol:     rep.RelTol,
+			}
+			var payload summaryPayload
+			err := h(cfg, &payload, func() error {
+				sum, err := compute()
+				payload = payloadFrom(sum)
+				return err
+			})
+			return payload.summary(), err
+		},
 	}
-	f, err := figureFor(e.ID, rc)
-	if err != nil {
-		return "", err
+	var f experiments.Figure
+	var err error
+	if ext, ok := strings.CutPrefix(e.ID, "ext:"); ok {
+		f, err = experiments.ExtensionByID(ext, rc)
+	} else {
+		f, err = experiments.FigureByID(strings.TrimPrefix(e.ID, "fig"), rc)
 	}
-	return experiments.Format(f) + "\n", nil
-}
-
-// figureFor dispatches a fig/ext experiment id to its driver.
-func figureFor(id string, rc experiments.RunConfig) (experiments.Figure, error) {
-	if ext, ok := strings.CutPrefix(id, "ext:"); ok {
-		return experiments.ExtensionByID(ext, rc)
-	}
-	return experiments.FigureByID(strings.TrimPrefix(id, "fig"), rc)
-}
-
-// ciRunner is the caching hook for CI-replicated (figure and extension)
-// points.
-func ciRunner(opts Options, e ExperimentSpec, seed int64, rep stats.ReplicateOptions, col *collector) func(string, func() (stats.Summary, error)) (stats.Summary, error) {
-	return func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
-		cfg := PointConfig{
-			Schema:     PointSchema,
-			Experiment: e.ID,
-			Point:      point,
-			Seed:       seed,
-			MinRuns:    rep.MinRuns,
-			MaxRuns:    rep.MaxRuns,
-			RelTol:     rep.RelTol,
-		}
-		var payload summaryPayload
-		hit, err := opts.Cache.Get(cfg, &payload)
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return payload.summary(), nil
-		}
-		if opts.RequireCached {
-			return stats.Summary{}, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		sum, err := compute()
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		if err := opts.Cache.Put(cfg, payloadFrom(sum)); err != nil {
-			return stats.Summary{}, err
-		}
-		col.record(cfg, false)
-		return sum, nil
-	}
-}
-
-// scaleRunner is the caching hook for fixed-replication scale points.
-func scaleRunner(opts Options, e ExperimentSpec, seed int64, col *collector) func(string, func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-	return func(point string, compute func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-		cfg, err := scalePointConfig(e.ID, point, seed)
-		if err != nil {
-			return nil, err
-		}
-		var rows []experiments.ScaleRow
-		hit, err := opts.Cache.Get(cfg, &rows)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return rows, nil
-		}
-		if opts.RequireCached {
-			return nil, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		rows, err = compute()
-		if err != nil {
-			return nil, err
-		}
-		if err := opts.Cache.Put(cfg, rows); err != nil {
-			return nil, err
-		}
-		col.record(cfg, false)
-		return rows, nil
-	}
-}
-
-// loadRunner is the caching hook for fixed-replication saturation points.
-func loadRunner(opts Options, e ExperimentSpec, seed int64, col *collector) func(string, func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-	return func(point string, compute func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-		cfg, err := loadPointConfig(e.ID, point, seed)
-		if err != nil {
-			return nil, err
-		}
-		var rows []experiments.LoadRow
-		hit, err := opts.Cache.Get(cfg, &rows)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return rows, nil
-		}
-		if opts.RequireCached {
-			return nil, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		rows, err = compute()
-		if err != nil {
-			return nil, err
-		}
-		if err := opts.Cache.Put(cfg, rows); err != nil {
-			return nil, err
-		}
-		col.record(cfg, false)
-		return rows, nil
-	}
-}
-
-// loadPointConfig builds the canonical config of one saturation point from
-// its label (the offered load is encoded as integer permille, so no floats
-// enter the content address).
-func loadPointConfig(experiment, point string, seed int64) (PointConfig, error) {
-	var rpm, n, d, reps int
-	if _, err := fmt.Sscanf(point, "load/rpm=%d/n=%d/d=%d/reps=%d", &rpm, &n, &d, &reps); err != nil {
-		return PointConfig{}, fmt.Errorf("grid: unparseable load point label %q: %w", point, err)
-	}
-	return PointConfig{
-		Schema:     PointSchema,
-		Experiment: experiment,
-		Point:      point,
-		Seed:       seed,
-		Replicates: reps,
-		Degree:     d,
-	}, nil
-}
-
-// scalePointConfig builds the canonical config of one scale point from its
-// label, which pins the actual replicate count (the driver caps it for the
-// largest sizes) and degree.
-func scalePointConfig(experiment, point string, seed int64) (PointConfig, error) {
-	var n, d, reps int
-	if _, err := fmt.Sscanf(point, "scale/n=%d/d=%d/reps=%d", &n, &d, &reps); err != nil {
-		return PointConfig{}, fmt.Errorf("grid: unparseable scale point label %q: %w", point, err)
-	}
-	return PointConfig{
-		Schema:     PointSchema,
-		Experiment: experiment,
-		Point:      point,
-		Seed:       seed,
-		Replicates: reps,
-		Degree:     d,
-	}, nil
+	return experiments.Format(f) + "\n", err
 }
 
 // PointStatus is one grid point's cache state, as reported by List.
@@ -382,7 +302,7 @@ type PointStatus struct {
 func List(opts Options) ([]PointStatus, error) {
 	var mu sync.Mutex
 	var out []PointStatus
-	record := func(cfg PointConfig) {
+	record := func(cfg PointConfig, _ any, _ func() error) error {
 		_, err := os.Stat(opts.Cache.pointPath(cfg.Hash()))
 		mu.Lock()
 		defer mu.Unlock()
@@ -392,71 +312,14 @@ func List(opts Options) ([]PointStatus, error) {
 			Hash:       cfg.Hash(),
 			Cached:     err == nil,
 		})
+		return nil
 	}
 	for _, t := range opts.Spec.Tables {
 		if !opts.selected(t.Output) {
 			continue
 		}
 		for _, e := range t.Experiments {
-			seed, rep := e.resolve()
-			var err error
-			if e.ID == "load" {
-				lc := experiments.LoadConfig{
-					Rates:      e.LoadRates,
-					Replicates: e.LoadReps,
-					Seed:       seed,
-					Runner: func(point string, _ func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-						cfg, err := loadPointConfig(e.ID, point, seed)
-						if err != nil {
-							return nil, err
-						}
-						record(cfg)
-						return nil, nil
-					},
-				}
-				_, err = experiments.Load(lc)
-			} else if e.ID == "scale" {
-				sc := experiments.ScaleConfig{
-					Sizes:      e.ScaleSizes,
-					Degree:     e.ScaleDegree,
-					Replicates: e.ScaleReps,
-					Seed:       seed,
-					Runner: func(point string, _ func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-						cfg, err := scalePointConfig(e.ID, point, seed)
-						if err != nil {
-							return nil, err
-						}
-						record(cfg)
-						return nil, nil
-					},
-				}
-				_, err = experiments.Scale(sc)
-			} else {
-				rc := experiments.RunConfig{
-					Sizes:          e.Sizes,
-					Degrees:        e.Degrees,
-					Replicate:      rep,
-					Seed:           seed,
-					CrashFractions: e.CrashFractions,
-					LossRates:      e.LossRates,
-					HelloLossRates: e.HelloLossRates,
-					RestartRates:   e.RestartRates,
-					Runner: func(point string, _ func() (stats.Summary, error)) (stats.Summary, error) {
-						record(PointConfig{
-							Schema:     PointSchema,
-							Experiment: e.ID,
-							Point:      point,
-							Seed:       seed,
-							MinRuns:    rep.MinRuns,
-							MaxRuns:    rep.MaxRuns,
-							RelTol:     rep.RelTol,
-						})
-						return stats.Summary{}, nil
-					},
-				}
-				_, err = figureFor(e.ID, rc)
-			}
-			if err != nil {
+			if _, err := runExperiment(opts, e, record); err != nil {
 				return nil, fmt.Errorf("grid: list %s: %w", e.ID, err)
 			}
 		}
