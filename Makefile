@@ -71,13 +71,16 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzCoverageConditions -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzMaxMinPath -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzEvaluatorMatchesReference -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 30s
 
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
-# the differential oracles (grid placement vs naive, evaluator vs reference)
-# exercised on every change without a full campaign.
+# the differential oracles (grid placement vs naive, evaluator vs reference on
+# small graphs and on 60-140-neighbor hubs) exercised on every change without
+# a full campaign.
 fuzz-smoke:
 	$(GO) test -race ./internal/geo/ -run '^$$' -fuzz FuzzPlaceGridMatchesNaive -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
+	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 
 # CI-sized convergence soak under the race detector: live protocol engines on
 # real goroutines and timers, partitions and churn injected by the nemesis,

@@ -36,6 +36,15 @@ var metrics = map[string]view.Metric{
 	"ncr":    view.MetricNCR,
 }
 
+// viewLabel names a view depth the way sim.Config.Hops reads it: zero or
+// negative selects the global view.
+func viewLabel(hops int) string {
+	if hops <= 0 {
+		return "global views"
+	}
+	return fmt.Sprintf("%d-hop views", hops)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcastsim", flag.ContinueOnError)
 	var (
@@ -95,7 +104,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("network: n=%d, links=%d (avg degree %.2f), range=%.2f\n",
 		net.G.N(), net.G.M(), net.G.AverageDegree(), net.Range)
-	fmt.Printf("protocol: %s, %d-hop views, %s priority, source %d\n", *proto, *hops, *metric, src)
+	fmt.Printf("protocol: %s, %s, %s priority, source %d\n", *proto, viewLabel(*hops), *metric, src)
 	fmt.Printf("forward nodes: %d of %d  (delivered: %d, finish time: %.2f)\n",
 		res.ForwardCount(), res.N, res.Delivered, res.Finish)
 	fmt.Printf("forward set: %v\n", res.Forward)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -67,4 +69,56 @@ func TestRunTrace(t *testing.T) {
 	if err := run([]string{"-n", "20", "-d", "5", "-trace", "-seed", "6"}); err != nil {
 		t.Fatalf("run -trace: %v", err)
 	}
+}
+
+// TestRunPrintsViewDepth pins the protocol line's view depth: -hops 0 and
+// any negative depth run the global view and must say so.
+func TestRunPrintsViewDepth(t *testing.T) {
+	tests := []struct {
+		hops string
+		want string
+	}{
+		{hops: "2", want: ", 2-hop views, "},
+		{hops: "0", want: ", global views, "},
+		{hops: "-3", want: ", global views, "},
+	}
+	for _, tt := range tests {
+		t.Run("hops="+tt.hops, func(t *testing.T) {
+			out := captureStdout(t, func() {
+				if err := run([]string{"-n", "30", "-d", "6", "-seed", "2", "-hops", tt.hops}); err != nil {
+					t.Fatalf("run -hops %s: %v", tt.hops, err)
+				}
+			})
+			if !strings.Contains(out, tt.want) || strings.Contains(out, tt.hops+"-hop views") != (tt.hops == "2") {
+				t.Fatalf("run -hops %s printed:\n%s\nwant the protocol line to contain %q", tt.hops, out, tt.want)
+			}
+		})
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout, which is restored even
+// if fn fails the test.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Buffered so the reader goroutine ends even when fn never returns here.
+	done := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r) // a read error only shortens the captured text
+		r.Close()
+		done <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	func() {
+		defer func() {
+			os.Stdout = stdout
+			w.Close()
+		}()
+		fn()
+	}()
+	return <-done
 }

@@ -23,12 +23,12 @@ import (
 // The evaluation contracts the subgraph H induced by higher-priority nodes
 // into connected components (all known visited nodes count as one component,
 // since visited nodes are connected through the source under any view) and
-// then checks each neighbor pair for a direct link or a shared adjacent
-// component. The pair relation is deliberately not transitively closed:
-// a lower-priority neighbor may be a path endpoint but never an
-// intermediate.
+// then requires of each neighbor pair a direct link or a shared adjacent
+// component (the Evaluator settles the pairs a word of neighbors at a time).
+// The pair relation is deliberately not transitively closed: a
+// lower-priority neighbor may be a path endpoint but never an intermediate.
 func Covered(lv *view.Local) bool {
-	return withEvaluator(lv.N(), func(ev *Evaluator) bool { return ev.Covered(lv) })
+	return withEvaluator(func(ev *Evaluator) bool { return ev.Covered(lv) })
 }
 
 // CoveredWithoutVisitedUnion is the generic coverage condition evaluated
@@ -38,7 +38,7 @@ func Covered(lv *view.Local) bool {
 // condition's pruning power comes from the visited-union assumption
 // (Figure 6(b) in the paper) — and remains sound, merely more conservative.
 func CoveredWithoutVisitedUnion(lv *view.Local) bool {
-	return withEvaluator(lv.N(), func(ev *Evaluator) bool {
+	return withEvaluator(func(ev *Evaluator) bool {
 		return ev.CoveredWithoutVisitedUnion(lv)
 	})
 }
@@ -47,9 +47,10 @@ func CoveredWithoutVisitedUnion(lv *view.Local) bool {
 // non-forward status iff some single connected component of the
 // higher-priority subgraph H dominates N(v) (every neighbor is in the
 // component or adjacent to it). It implies the generic condition and is the
-// cheaper O(D^2) check used by Rule-k and LENWB style protocols.
+// paper's cheaper O(D^2) check, used by Rule-k and LENWB style protocols;
+// here it runs on the same kernel as the generic one (see Evaluator).
 func StrongCovered(lv *view.Local) bool {
-	return withEvaluator(lv.N(), func(ev *Evaluator) bool { return ev.StrongCovered(lv) })
+	return withEvaluator(func(ev *Evaluator) bool { return ev.StrongCovered(lv) })
 }
 
 // StrongCoveredRestricted is the strong coverage condition with the
@@ -60,7 +61,7 @@ func StrongCovered(lv *view.Local) bool {
 // coverage nodes must be self-connected, i.e. connected using only nodes of
 // the restricted set.
 func StrongCoveredRestricted(lv *view.Local, maxDist int) bool {
-	return withEvaluator(lv.N(), func(ev *Evaluator) bool {
+	return withEvaluator(func(ev *Evaluator) bool {
 		return ev.StrongCoveredRestricted(lv, maxDist)
 	})
 }

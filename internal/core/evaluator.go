@@ -14,166 +14,177 @@ import (
 // sim.Network.Evaluator) and reuses its buffers across all node decisions of
 // the run.
 //
-// Evaluations are member-driven: all work is proportional to the size of the
-// view's member set Nk(owner), not to the total node count n. The only
-// n-sized structures are flat index arrays (member index, H membership, BFS
-// distances, union-find) whose touched entries are restored after every
-// evaluation, so an evaluator shared by a million-node run costs O(n) memory
-// once and O(|Nk|·deg) time per decision.
+// Every condition runs on one kernel of neighbor bit-rows. The
+// higher-priority members H of the view are contracted into components by
+// union-find, meeting each view edge once (contract). One walk over the
+// adjacency lists of the owner's d neighbors (joined) then gives neighbor i
+// an adjacency row — bit j set when j is i or view-adjacent to it — and sets
+// bit i in the cover row of every H-component that i is in or view-adjacent
+// to. Once i is walked, bits 0..i of those rows are final, so the walk settles
+// every pair (j, i), j < i, on the spot and stops at the first failure: the
+// generic condition needs i's adjacency row OR-ed with i's cover rows to hold
+// bits 0..i, the strong condition needs ONE of i's cover rows to hold them
+// alone. The OR is taken per neighbor and never closed transitively: a pair
+// is joined by a direct link or through one shared component, because a
+// lower-priority neighbor may end a replacement path but never be one of its
+// intermediates.
+//
+// A decision costs O(|Nk| + Σ deg + d·c·⌈d/64⌉) time, the sum running over
+// the non-fringe members of H and the owner's neighbors (with 2-hop views the
+// former are among the latter, so it is about d²) and c being the number of
+// components touching one neighbor. No term depends on the node count n and
+// no step searches: the one n-sized array is the slot index, whose touched
+// entries are restored after every evaluation, so an evaluator shared by a
+// million-node run costs O(n) memory once, and the rows take
+// O((1 + components)·⌈d/64⌉) words.
 //
 // An Evaluator is NOT safe for concurrent use; concurrent simulations must
 // each hold their own. Every evaluation restores its scratch before
 // returning, so results never depend on what the evaluator computed before —
 // the equivalence with the stateless functions is asserted by tests.
 type Evaluator struct {
-	n        int
-	memIdx   []int32 // global id -> member index + 1; 0 = not a member
-	inH      []bool  // H membership, global-indexed
-	hMembers []int   // members of H in ascending global-id order
+	// slot is the one n-sized array, indexed by global id: 0 for a
+	// non-member, else everything an adjacency walk asks about a member in
+	// one load — its member index + 1 in the low 32 bits, slotH when it is
+	// in H, slotFringe when it is on the view's fringe, and bit slotNbrBit
+	// with its position among the owner's neighbors when it is one.
+	slot []uint64
+
+	// Everything below lives in member-index space (positions in
+	// lv.Members(), which ascend with the global id), inside |Nk|-sized
+	// prefixes that stay cache-resident.
+	hMembers []int // members of H
 	uf       *graph.UnionFind
-	comps    [][]int // per-neighbor H-component root sets
 	dist     []int32 // BFS scratch for the restricted condition, -1 idle
 	queue    []int
-	nbrs     []int // owner neighbor scratch
+	nbrs     []int   // the owner's neighbors, ascending
+	lists    [][]int // their adjacency lists, fetched together up front
 
-	// Dense replacement for the root -> covered-neighbor map of the
-	// dominating-component check: nbrIdx inverts the neighbor list, rowOf
-	// maps a component root to an active coverage row, rows/rowCnt hold the
-	// per-root coverage bitsets and their cardinalities, and touched lists
-	// the roots to clean up afterwards.
-	nbrIdx  []int
-	rowOf   []int
-	rows    []*graph.Bitset
-	rowCnt  []int
-	touched []int
+	// Neighbor bit-rows (see joined), words words each: row is the adjacency
+	// row of the neighbor being walked and mine lists the offsets in cov of
+	// the cover rows that hold it; cov is the flat arena of cover rows in
+	// order of first touch, rowOf maps a component root to its row's offset
+	// (-1 idle) and touched lists those roots for cleanup.
+	row, cov []uint64
+	words    int
+	mine     []int
+	rowOf    []int
+	touched  []int
 }
+
+// Flags and fields of a slot above the member index.
+const (
+	slotH      = 1 << 32
+	slotFringe = 1 << 33
+	slotNbrBit = 34 // set for a neighbor of the owner, its position from slotPos up
+	slotPos    = 35
+)
+
+// memberOf returns the member index packed in a non-zero slot.
+func memberOf(s uint64) int { return int(uint32(s)) - 1 }
 
 // NewEvaluator returns an evaluator sized for graphs of up to n nodes. It
 // grows automatically if handed a larger view.
 func NewEvaluator(n int) *Evaluator {
 	ev := &Evaluator{}
-	ev.ensure(n)
+	ev.ensure(n, 0)
 	return ev
 }
 
-func (ev *Evaluator) ensure(n int) {
-	if n <= ev.n {
+// ensure sizes the slots for n nodes and the member-indexed scratch for
+// views of m members; the latter doubles so that a run over views of
+// creeping sizes reallocates a handful of times.
+func (ev *Evaluator) ensure(n, m int) {
+	if n > len(ev.slot) {
+		ev.slot = make([]uint64, n)
+	}
+	if m <= len(ev.dist) {
 		return
 	}
-	ev.n = n
-	ev.memIdx = make([]int32, n)
-	ev.inH = make([]bool, n)
-	ev.uf = graph.NewUnionFind(n)
-	ev.dist = make([]int32, n)
-	for i := range ev.dist {
-		ev.dist[i] = -1
+	m = max(m, 2*len(ev.dist))
+	ev.uf = graph.NewUnionFind(m)
+	ev.dist = make([]int32, m)
+	ev.rowOf = make([]int, m)
+	for i := 0; i < m; i++ {
+		ev.dist[i], ev.rowOf[i] = -1, -1
 	}
-	ev.queue = make([]int, 0, 64)
-	ev.nbrIdx = make([]int, n)
-	ev.rowOf = make([]int, n)
-	for i := 0; i < n; i++ {
-		ev.nbrIdx[i] = -1
-		ev.rowOf[i] = -1
-	}
-	ev.rows = nil
-	ev.rowCnt = nil
-	ev.touched = ev.touched[:0]
 }
 
-// begin indexes the view's members into the dense memIdx array so that
-// membership tests and fringe lookups during the evaluation are O(1).
-func (ev *Evaluator) begin(lv *view.Local) {
-	ev.ensure(lv.N())
-	for i, x := range lv.Members() {
-		ev.memIdx[x] = int32(i + 1)
+// begin fills the slots of the view's members and collects the owner's view
+// neighbors: the owner is at distance 0 and never on the fringe, so these
+// are exactly its topology neighbors that are members. Their adjacency lists
+// are fetched here, back to back, so that the cache misses overlap instead
+// of each waiting for the walk to reach it.
+func (ev *Evaluator) begin(lv *view.Local) []int {
+	members := lv.Members()
+	ev.ensure(lv.N(), len(members))
+	for i, x := range members {
+		s := uint64(i + 1)
+		if lv.FringeAt(i) {
+			s |= slotFringe
+		}
+		ev.slot[x] = s
 	}
-	ev.hMembers = ev.hMembers[:0]
+	ev.nbrs = ev.nbrs[:0]
+	ev.lists = ev.lists[:0]
+	topo := lv.Topo()
+	for _, y := range topo.Adj(lv.Owner) {
+		if s := ev.slot[y]; s != 0 {
+			ev.slot[y] = s | 1<<slotNbrBit | uint64(len(ev.nbrs))<<slotPos
+			ev.nbrs = append(ev.nbrs, memberOf(s))
+			ev.lists = append(ev.lists, topo.Adj(y))
+		}
+	}
+	return ev.nbrs
 }
 
-// end restores the scratch touched by begin and the H computation.
+// end restores the scratch touched by begin and the H computation, and lets
+// go of the topology's adjacency lists.
 func (ev *Evaluator) end(lv *view.Local) {
 	for _, x := range lv.Members() {
-		ev.memIdx[x] = 0
-	}
-	for _, x := range ev.hMembers {
-		ev.inH[x] = false
+		ev.slot[x] = 0
 	}
 	ev.hMembers = ev.hMembers[:0]
+	clear(ev.lists)
 }
 
-// fringeOf reports whether member x (which MUST be a member) is on the
-// view's fringe.
-func (ev *Evaluator) fringeOf(lv *view.Local, x int) bool {
-	return lv.FringeAt(int(ev.memIdx[x]) - 1)
-}
-
-// ownerNeighbors fills ev.nbrs with the owner's view neighbors. The owner is
-// at distance 0 and never on the fringe, so these are exactly its topology
-// neighbors that are members.
-func (ev *Evaluator) ownerNeighbors(lv *view.Local) []int {
-	ev.nbrs = ev.nbrs[:0]
-	lv.Topo().ForEachNeighbor(lv.Owner, func(y int) {
-		if ev.memIdx[y] != 0 {
-			ev.nbrs = append(ev.nbrs, y)
-		}
-	})
-	return ev.nbrs
+// addH puts the member at index x into H.
+func (ev *Evaluator) addH(lv *view.Local, x int) {
+	ev.slot[lv.Members()[x]] |= slotH
+	ev.hMembers = append(ev.hMembers, x)
 }
 
 // Covered is the generic coverage condition of Section 3 (see the package
 // function Covered) evaluated with this evaluator's scratch.
 func (ev *Evaluator) Covered(lv *view.Local) bool {
-	return ev.coveredOuter(lv, true)
+	return ev.covered(lv, true)
 }
 
 // CoveredWithoutVisitedUnion is the ablation variant without the
 // visited-nodes-are-connected assumption.
 func (ev *Evaluator) CoveredWithoutVisitedUnion(lv *view.Local) bool {
-	return ev.coveredOuter(lv, false)
-}
-
-func (ev *Evaluator) coveredOuter(lv *view.Local, mergeVisited bool) bool {
-	ev.begin(lv)
-	ok := ev.covered(lv, mergeVisited)
-	ev.end(lv)
-	return ok
+	return ev.covered(lv, false)
 }
 
 func (ev *Evaluator) covered(lv *view.Local, mergeVisited bool) bool {
-	nbrs := ev.ownerNeighbors(lv)
-	if len(nbrs) <= 1 {
-		return true
+	nbrs := ev.begin(lv)
+	ok := true
+	if len(nbrs) > 1 {
+		ev.higherComponents(lv, mergeVisited)
+		ok = ev.joined(lv, nbrs, false)
 	}
-	ev.higherComponents(lv, mergeVisited)
-
-	for len(ev.comps) < len(nbrs) {
-		ev.comps = append(ev.comps, nil)
-	}
-	for i, u := range nbrs {
-		ev.comps[i] = ev.componentSet(lv, u, ev.comps[i][:0])
-	}
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if lv.HasEdge(nbrs[i], nbrs[j]) {
-				continue
-			}
-			if !intersectSorted(ev.comps[i], ev.comps[j]) {
-				return false
-			}
-		}
-	}
-	return true
+	ev.end(lv)
+	return ok
 }
 
 // StrongCovered is the strong coverage condition of Section 6 evaluated with
 // this evaluator's scratch.
 func (ev *Evaluator) StrongCovered(lv *view.Local) bool {
-	ev.begin(lv)
-	nbrs := ev.ownerNeighbors(lv)
+	nbrs := ev.begin(lv)
 	ok := true
 	if len(nbrs) > 0 {
 		ev.higherComponents(lv, true)
-		ok = ev.dominating(lv, nbrs)
+		ok = ev.joined(lv, nbrs, true)
 	}
 	ev.end(lv)
 	return ok
@@ -183,43 +194,36 @@ func (ev *Evaluator) StrongCovered(lv *view.Local) bool {
 // nodes restricted to maxDist hops of the owner, evaluated with this
 // evaluator's scratch.
 func (ev *Evaluator) StrongCoveredRestricted(lv *view.Local, maxDist int) bool {
-	ev.begin(lv)
-	v := lv.Owner
-	nbrs := ev.ownerNeighbors(lv)
+	nbrs := ev.begin(lv)
 	ok := true
 	if len(nbrs) > 0 {
-		prv := lv.Pr(v)
+		o := memberOf(ev.slot[lv.Owner])
+		prv := lv.PrAt(o)
 		// View-BFS bounded to maxDist: nodes farther than maxDist cannot
 		// enter H, so distances beyond the bound are never needed.
-		ev.viewDistances(lv, v, maxDist)
-		for i, x32 := range lv.Members() {
-			x := int(x32)
-			if x != v && ev.dist[x] >= 1 && lv.PrAt(i).Greater(prv) {
-				ev.inH[x] = true
-				ev.hMembers = append(ev.hMembers, x)
-			}
-		}
+		ev.viewDistances(lv, o, maxDist)
 		for _, x := range ev.queue {
+			if ev.dist[x] >= 1 && lv.PrAt(x).Greater(prv) {
+				ev.addH(lv, x)
+			}
 			ev.dist[x] = -1
 		}
 		ev.contract(lv, true)
-		ok = ev.dominating(lv, nbrs)
+		ok = ev.joined(lv, nbrs, true)
 	}
 	ev.end(lv)
 	return ok
 }
 
-// higherComponents fills ev.inH/ev.hMembers with the membership of the
-// higher-priority subgraph H and contracts H's connected components into
+// higherComponents puts the members of the higher-priority subgraph H into
+// the slots and ev.hMembers and contracts H's connected components into
 // ev.uf.
 func (ev *Evaluator) higherComponents(lv *view.Local, mergeVisited bool) {
-	v := lv.Owner
-	prv := lv.Pr(v)
-	for i, x32 := range lv.Members() {
-		x := int(x32)
-		if x != v && lv.PrAt(i).Greater(prv) {
-			ev.inH[x] = true
-			ev.hMembers = append(ev.hMembers, x)
+	o := memberOf(ev.slot[lv.Owner])
+	prv := lv.PrAt(o)
+	for i := range lv.Members() {
+		if i != o && lv.PrAt(i).Greater(prv) {
+			ev.addH(lv, i)
 		}
 	}
 	ev.contract(lv, mergeVisited)
@@ -227,131 +231,158 @@ func (ev *Evaluator) higherComponents(lv *view.Local, mergeVisited bool) {
 
 // contract unions H members along view edges (and all visited members into
 // one component when mergeVisited is set), resetting their union-find
-// entries first.
+// entries first. By Definition 2 every view edge has a non-fringe endpoint,
+// so walking the adjacency of the non-fringe H members alone meets every
+// H-H view edge, once: from the lower endpoint when both are non-fringe,
+// from the non-fringe one otherwise.
 func (ev *Evaluator) contract(lv *view.Local, mergeVisited bool) {
 	ev.uf.ResetSubset(ev.hMembers)
-	topo := lv.Topo()
+	members, topo := lv.Members(), lv.Topo()
 	firstVisited := -1
 	for _, x := range ev.hMembers {
-		xi := int(ev.memIdx[x]) - 1
-		if mergeVisited && lv.StatusAt(xi) == view.Visited {
+		if mergeVisited && lv.StatusAt(x) == view.Visited {
 			if firstVisited < 0 {
 				firstVisited = x
 			} else {
 				ev.uf.Union(firstVisited, x)
 			}
 		}
-		xf := lv.FringeAt(xi)
-		topo.ForEachNeighbor(x, func(y int) {
-			if y > x && ev.inH[y] && !(xf && ev.fringeOf(lv, y)) {
-				ev.uf.Union(x, y)
+		if lv.FringeAt(x) {
+			continue
+		}
+		xg := int(members[x])
+		for _, y := range topo.Adj(xg) {
+			if s := ev.slot[y]; s&slotH != 0 && (y > xg || s&slotFringe != 0) {
+				ev.uf.Union(x, memberOf(s))
 			}
-		})
+		}
 	}
 }
 
-// componentSet appends the sorted, deduplicated H-component roots through
-// which node u (a member) can be reached to dst and returns it.
-func (ev *Evaluator) componentSet(lv *view.Local, u int, dst []int) []int {
-	if ev.inH[u] {
-		dst = append(dst, ev.uf.Find(u))
-	} else {
-		uf := ev.fringeOf(lv, u)
-		lv.Topo().ForEachNeighbor(u, func(y int) {
-			if ev.inH[y] && !(uf && ev.fringeOf(lv, y)) {
-				dst = append(dst, ev.uf.Find(y))
-			}
-		})
-	}
-	sortDedup(&dst)
-	return dst
-}
-
-// dominating reports whether some single component of the set in ev.inH /
-// ev.uf dominates nbrs (every neighbor in the component or adjacent to it).
-// It replaces the map-based bookkeeping of the stateless path with dense
-// rows indexed by component root, counting coverage incrementally so a full
-// row short-circuits without a final counting pass.
-func (ev *Evaluator) dominating(lv *view.Local, nbrs []int) bool {
+// joined decides both conditions for nbrs (the owner's neighbors) from the H
+// membership in the slots and its components in ev.uf, in one walk over the
+// neighbors' adjacency lists. Walking neighbor i fills its adjacency row
+// (itself and its view-adjacent neighbors) and sets bit i in the cover row
+// of every component it is in or view-adjacent to; links to non-members and
+// between two fringe members are outside the view, exactly as in
+// view.Local.HasEdge. Bits 0..i of i's own rows are final at that point, so
+// the pairs (j, i), j < i, are settled at once and the first failure ends
+// the walk. Generic: the adjacency row OR-ed with i's cover rows has bits
+// 0..i — every earlier neighbor is linked to i or shares a component with
+// it. Strong: one of i's cover rows has bits 0..i on its own — a single
+// component still holds every neighbor so far.
+func (ev *Evaluator) joined(lv *view.Local, nbrs []int, strong bool) bool {
+	w := (len(nbrs) + 63) / 64
+	ev.words = w
+	ev.cov = ev.cov[:0]
+	members := lv.Members()
+	ok := true
 	for i, u := range nbrs {
-		ev.nbrIdx[u] = i
-	}
-	full := false
-	mark := func(root, i int) {
-		r := ev.rowOf[root]
-		if r < 0 {
-			r = len(ev.touched)
-			if r == len(ev.rows) {
-				ev.rows = append(ev.rows, graph.NewBitset(len(nbrs)))
-				ev.rowCnt = append(ev.rowCnt, 0)
-			}
-			if ev.rows[r].Cap() < len(nbrs) {
-				ev.rows[r] = graph.NewBitset(len(nbrs))
-			}
-			ev.rows[r].Reset()
-			ev.rowCnt[r] = 0
-			ev.rowOf[root] = r
-			ev.touched = append(ev.touched, root)
-		}
-		if !ev.rows[r].Has(i) {
-			ev.rows[r].Set(i)
-			ev.rowCnt[r]++
-			if ev.rowCnt[r] == len(nbrs) {
-				full = true
+		ev.row = append(ev.row[:0], make([]uint64, w)...)
+		row := ev.row
+		row[i>>6] |= 1 << (i & 63)
+		ev.mine = ev.mine[:0]
+		ug := int(members[u])
+		// A neighbor in H lies in one component, which also holds every H
+		// member adjacent to it; any other neighbor touches the components
+		// of its adjacent H members.
+		us, list := ev.slot[ug], ev.lists[i]
+		if us&slotH != 0 {
+			ev.cover(u, i)
+			if strong {
+				list = nil // its links feed the adjacency row only
 			}
 		}
-	}
-	topo := lv.Topo()
-	for _, x := range ev.hMembers {
-		if full {
+		for _, y := range list {
+			s := ev.slot[y]
+			if s == 0 || us&s&slotFringe != 0 {
+				continue
+			}
+			// Branch-free: a non-neighbor has position 0 and ORs in nothing.
+			j := s >> slotPos
+			row[j>>6] |= (s >> slotNbrBit & 1) << (j & 63)
+			if s&^us&slotH != 0 {
+				ev.cover(memberOf(s), i)
+			}
+		}
+		if !strong {
+			ok = ev.allSet(i+1, row, ev.mine)
+		} else {
+			ok = false
+			for _, r := range ev.mine {
+				ok = ok || ev.allSet(i+1, ev.cov[r:], nil)
+			}
+		}
+		if !ok {
 			break
 		}
-		root := ev.uf.Find(x)
-		if i := ev.nbrIdx[x]; i >= 0 {
-			mark(root, i)
-		}
-		xf := ev.fringeOf(lv, x)
-		topo.ForEachNeighbor(x, func(y int) {
-			if i := ev.nbrIdx[y]; i >= 0 && !(xf && ev.fringeOf(lv, y)) {
-				mark(root, i)
-			}
-		})
-	}
-	for _, u := range nbrs {
-		ev.nbrIdx[u] = -1
 	}
 	for _, root := range ev.touched {
 		ev.rowOf[root] = -1
 	}
 	ev.touched = ev.touched[:0]
-	return full
+	return ok
 }
 
-// viewDistances fills ev.dist with hop distances from src over the view's
-// edges, bounded to maxDist hops; untouched entries stay -1. ev.queue lists
-// the touched nodes for cleanup. Must run between begin and end (it relies
-// on memIdx).
+// cover sets bit i in the cover row of H member y's component, allocating
+// the row on first touch and listing it in ev.mine once.
+func (ev *Evaluator) cover(y, i int) {
+	root := ev.uf.Find(y)
+	r := ev.rowOf[root]
+	if r < 0 {
+		r = len(ev.cov)
+		ev.cov = append(ev.cov, make([]uint64, ev.words)...)
+		ev.rowOf[root] = r
+		ev.touched = append(ev.touched, root)
+	}
+	if word, bit := &ev.cov[r+i>>6], uint64(1)<<(i&63); *word&bit == 0 {
+		*word |= bit
+		ev.mine = append(ev.mine, r)
+	}
+}
+
+// allSet reports whether row, OR-ed with the cover rows at the given
+// offsets, has its low p bits set.
+func (ev *Evaluator) allSet(p int, row []uint64, covers []int) bool {
+	for k := 0; k<<6 < p; k++ {
+		acc := row[k]
+		for _, r := range covers {
+			acc |= ev.cov[r+k]
+		}
+		want := ^uint64(0)
+		if k == p>>6 {
+			want = 1<<(p&63) - 1
+		}
+		if acc&want != want {
+			return false
+		}
+	}
+	return true
+}
+
+// viewDistances fills ev.dist with hop distances from member src over the
+// view's edges, bounded to maxDist hops; untouched entries stay -1. ev.queue
+// lists the touched members for cleanup. Must run between begin and end (it
+// relies on the slots).
 func (ev *Evaluator) viewDistances(lv *view.Local, src, maxDist int) {
-	ev.queue = ev.queue[:0]
+	ev.queue = append(ev.queue[:0], src)
 	ev.dist[src] = 0
-	ev.queue = append(ev.queue, src)
-	topo := lv.Topo()
+	members, topo := lv.Members(), lv.Topo()
 	for head := 0; head < len(ev.queue); head++ {
 		x := ev.queue[head]
 		d := ev.dist[x]
 		if int(d) >= maxDist {
 			continue
 		}
-		xf := ev.fringeOf(lv, x)
-		topo.ForEachNeighbor(x, func(y int) {
-			if ev.memIdx[y] == 0 || (xf && ev.fringeOf(lv, y)) {
-				return
+		xs := ev.slot[members[x]]
+		for _, y := range topo.Adj(int(members[x])) {
+			s := ev.slot[y]
+			if s == 0 || xs&s&slotFringe != 0 || ev.dist[memberOf(s)] >= 0 {
+				continue
 			}
-			if ev.dist[y] < 0 {
-				ev.dist[y] = d + 1
-				ev.queue = append(ev.queue, y)
-			}
-		})
+			ev.dist[memberOf(s)] = d + 1
+			ev.queue = append(ev.queue, memberOf(s))
+		}
 	}
 }
 
@@ -359,9 +390,8 @@ func (ev *Evaluator) viewDistances(lv *view.Local, src, maxDist int) {
 // avoid rebuilding scratch per call.
 var evalPool = sync.Pool{New: func() any { return &Evaluator{} }}
 
-func withEvaluator(n int, f func(ev *Evaluator) bool) bool {
+func withEvaluator(f func(ev *Evaluator) bool) bool {
 	ev := evalPool.Get().(*Evaluator)
-	ev.ensure(n)
 	ok := f(ev)
 	evalPool.Put(ev)
 	return ok

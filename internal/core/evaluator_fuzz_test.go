@@ -7,108 +7,13 @@ import (
 	"adhocbcast/internal/view"
 )
 
-// refCovered is a deliberately slow, independent reference for the generic
-// coverage condition: label the higher-priority subgraph H by BFS, optionally
-// merge every visited-containing component (the visited-union assumption),
-// and check each neighbor pair for a direct link or a shared adjacent
-// component. It shares no code with the Evaluator beyond the view types.
-func refCovered(lv *view.Local, union bool) bool {
-	v := lv.Owner
-	nbrs := lv.Neighbors()
-	if len(nbrs) <= 1 {
-		return true
-	}
-	n := lv.N()
-	inH := make([]bool, n)
-	for x := 0; x < n; x++ {
-		inH[x] = x != v && lv.IsVisible(x) && lv.Pr(x).Greater(lv.Pr(v))
-	}
-	label := make([]int, n)
-	for i := range label {
-		label[i] = -1
-	}
-	next := 0
-	for x := 0; x < n; x++ {
-		if !inH[x] || label[x] >= 0 {
-			continue
-		}
-		label[x] = next
-		queue := []int{x}
-		for len(queue) > 0 {
-			y := queue[0]
-			queue = queue[1:]
-			lv.ForEachNeighbor(y, func(z int) {
-				if inH[z] && label[z] < 0 {
-					label[z] = next
-					queue = append(queue, z)
-				}
-			})
-		}
-		next++
-	}
-	if union {
-		// All visited nodes count as one component (they are connected
-		// through the source under any view): relabel every component
-		// containing a visited member to a shared super-label.
-		super := -1
-		mergeable := make(map[int]bool)
-		for x := 0; x < n; x++ {
-			if inH[x] && lv.Pr(x).Status == view.Visited {
-				mergeable[label[x]] = true
-				if super < 0 {
-					super = label[x]
-				}
-			}
-		}
-		if super >= 0 {
-			for x := 0; x < n; x++ {
-				if label[x] >= 0 && mergeable[label[x]] {
-					label[x] = super
-				}
-			}
-		}
-	}
-	compSet := func(u int) map[int]bool {
-		set := make(map[int]bool)
-		if inH[u] {
-			set[label[u]] = true
-			return set
-		}
-		lv.ForEachNeighbor(u, func(y int) {
-			if inH[y] {
-				set[label[y]] = true
-			}
-		})
-		return set
-	}
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if lv.HasEdge(nbrs[i], nbrs[j]) {
-				continue
-			}
-			shared := false
-			cj := compSet(nbrs[j])
-			for c := range compSet(nbrs[i]) {
-				if cj[c] {
-					shared = true
-					break
-				}
-			}
-			if !shared {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // FuzzEvaluatorMatchesReference cross-checks the allocation-free Evaluator —
 // both a fresh instance and one reused dirty across every fuzz input, the
 // way a simulation reuses it across node decisions — against the slow
 // reference on randomized graphs, views, and broadcast states. It pins two
 // properties at once: the dense scratch bookkeeping computes the same
 // condition as the naive definition, and every evaluation leaves the scratch
-// neutral.
+// neutral. The strong conditions are checked the same way.
 func FuzzEvaluatorMatchesReference(f *testing.F) {
 	f.Add([]byte{5, 0, 2, 0, 1, 1, 2, 2, 3, 0xff, 1})
 	f.Add([]byte{14, 3, 1, 0, 1, 0, 2, 0, 3, 1, 2})
@@ -122,47 +27,57 @@ func FuzzEvaluatorMatchesReference(f *testing.F) {
 		}
 		for _, metric := range []view.Metric{view.MetricID, view.MetricDegree} {
 			lv := view.NewLocal(g, owner, hops, view.BasePriorities(g, metric))
-			ownerMarked := false
-			for i, x := range marks {
-				if x == owner {
-					ownerMarked = true
-					break
-				}
-				// Mix visited and designated marks so the 1.5-status
-				// priority level is exercised too.
-				if i%3 == 2 {
-					lv.MarkDesignated(x)
-				} else {
-					lv.MarkVisited(x)
-				}
-			}
-			if ownerMarked {
-				continue
-			}
-			fresh := core.NewEvaluator(g.N())
-			for _, union := range []bool{true, false} {
-				want := refCovered(lv, union)
-				check := func(kind string, got bool) {
-					if got != want {
-						t.Fatalf("%s covered(union=%v) = %v, reference says %v (owner %d, hops %d, metric %v)",
-							kind, union, got, want, owner, hops, metric)
-					}
-				}
-				if union {
-					check("fresh", fresh.Covered(lv))
-					check("reused", reused.Covered(lv))
-					check("stateless", core.Covered(lv))
-				} else {
-					check("fresh", fresh.CoveredWithoutVisitedUnion(lv))
-					check("reused", reused.CoveredWithoutVisitedUnion(lv))
-					check("stateless", core.CoveredWithoutVisitedUnion(lv))
-				}
-			}
-			// The strong condition has no independent reference here, but
-			// reused-vs-fresh equality still pins scratch neutrality.
-			if fresh.StrongCovered(lv) != reused.StrongCovered(lv) {
-				t.Fatalf("strong covered differs between fresh and reused evaluator (owner %d)", owner)
-			}
+			// Mix visited and designated marks so the 1.5-status priority
+			// level is exercised too.
+			markMixed(lv, marks)
+			checkConditions(t, lv, reused)
 		}
 	})
+}
+
+// conditions is one implementation of the four conditions.
+type conditions struct {
+	covered, coveredNoUnion, strong func(*view.Local) bool
+	restricted                      func(*view.Local, int) bool
+}
+
+var stateless = conditions{core.Covered, core.CoveredWithoutVisitedUnion, core.StrongCovered, core.StrongCoveredRestricted}
+
+func conditionsOf(ev *core.Evaluator) conditions {
+	return conditions{ev.Covered, ev.CoveredWithoutVisitedUnion, ev.StrongCovered, ev.StrongCoveredRestricted}
+}
+
+// check compares the implementation's verdicts on rv's view — generic with
+// and without the visited union, strong, and strong restricted to 1 and 2
+// hops — with the references, checks that strong implies generic, and
+// returns the generic and strong verdicts. No t.Helper: the exhaustive test
+// makes millions of these calls and the failure message names the case.
+func (c conditions) check(t *testing.T, rv *refView, kind string) (generic, strong bool) {
+	lv := rv.lv
+	check := func(name string, got, want bool) {
+		if got != want {
+			t.Fatalf("%s %s = %v, reference says %v (owner %d, hops %d, %d neighbors)",
+				kind, name, got, want, lv.Owner, lv.Hops, len(lv.Neighbors()))
+		}
+	}
+	generic, strong = rv.refCovered(true), rv.refStrongCovered()
+	check("covered", c.covered(lv), generic)
+	check("covered without union", c.coveredNoUnion(lv), rv.refCovered(false))
+	check("strong", c.strong(lv), strong)
+	for maxDist := 1; maxDist <= 2; maxDist++ {
+		check("strong restricted", c.restricted(lv, maxDist), rv.refStrongCoveredRestricted(maxDist))
+	}
+	if strong && !generic {
+		t.Fatalf("strong without generic (owner %d, hops %d)", lv.Owner, lv.Hops)
+	}
+	return generic, strong
+}
+
+// checkConditions checks a fresh evaluator, a reused (dirty) one and the
+// stateless functions against the references on lv.
+func checkConditions(t *testing.T, lv *view.Local, reused *core.Evaluator) (generic, strong bool) {
+	rv := newRefView(lv)
+	conditionsOf(core.NewEvaluator(lv.N())).check(t, rv, "fresh")
+	conditionsOf(reused).check(t, rv, "reused")
+	return stateless.check(t, rv, "stateless")
 }

@@ -65,6 +65,11 @@ func (g *Graph) ForEachNeighbor(v int, fn func(u int)) {
 	}
 }
 
+// Adj returns v's neighbor list in ascending order without copying it. The
+// slice is owned by the graph and must not be mutated; it is for hot loops
+// that ForEachNeighbor's callback would slow down.
+func (g *Graph) Adj(v int) []int { return g.adj[v] }
+
 // HasEdge reports whether the edge {u, v} is present.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
