@@ -16,7 +16,7 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
-	$(GO) test -tags simdebug ./internal/sim/
+	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/
 	$(GO) run ./cmd/checkdocs
 
 # Documentation gate: package + exported doc comments, markdown link targets.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 
 	"adhocbcast/internal/sim"
@@ -97,4 +99,13 @@ func (p fixedPoint[R]) measure(parallelism int) ([]R, error) {
 		rows[vi] = p.row(vi, metrics)
 	}
 	return rows, nil
+}
+
+// pm renders the "±half-width" column of a fixed-replication row to prec
+// decimals. One replicate has no interval (stats reports +Inf): "±n/a".
+func pm(halfWidth float64, prec int) string {
+	if math.IsInf(halfWidth, 1) {
+		return "±n/a"
+	}
+	return "±" + strconv.FormatFloat(halfWidth, 'f', prec, 64)
 }

@@ -249,8 +249,8 @@ func FormatLoad(rows []LoadRow) string {
 
 // FormatLoadRow renders one row as an aligned line (no leading indent).
 func FormatLoadRow(r LoadRow) string {
-	return fmt.Sprintf("%-18s %9.4f ±%.4f %9.2f ±%.2f %8.1f ±%.1f %8.1f ±%.1f %8.2f ±%.2f",
-		r.Variant, r.Throughput, r.ThroughputCI, r.Delivery, r.DeliveryCI,
-		r.LatencyP50, r.LatencyP50CI, r.LatencyP99, r.LatencyP99CI,
-		r.QueueDrops, r.QueueDropsCI)
+	return fmt.Sprintf("%-18s %9.4f %s %9.2f %s %8.1f %s %8.1f %s %8.2f %s",
+		r.Variant, r.Throughput, pm(r.ThroughputCI, 4), r.Delivery, pm(r.DeliveryCI, 2),
+		r.LatencyP50, pm(r.LatencyP50CI, 1), r.LatencyP99, pm(r.LatencyP99CI, 1),
+		r.QueueDrops, pm(r.QueueDropsCI, 2))
 }

@@ -211,7 +211,7 @@ func FormatScale(rows []ScaleRow) string {
 
 // FormatScaleRow renders one row as an aligned line (no leading indent).
 func FormatScaleRow(r ScaleRow) string {
-	return fmt.Sprintf("%-16s %10.2f ±%.2f %10.2f ±%.2f %12.2f ±%.2f",
-		r.Variant, r.Delivery, r.DeliveryCI, r.Forward, r.ForwardCI,
-		r.Latency, r.LatencyCI)
+	return fmt.Sprintf("%-16s %10.2f %s %10.2f %s %12.2f %s",
+		r.Variant, r.Delivery, pm(r.DeliveryCI, 2), r.Forward, pm(r.ForwardCI, 2),
+		r.Latency, pm(r.LatencyCI, 2))
 }

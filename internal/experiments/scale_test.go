@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,5 +122,33 @@ func TestFormatScale(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("FormatScale output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOneReplicateIntervalRendersNA: the command ROADMAP item 2 asks every PR
+// to run (-scale -scalereps 1, and -ext load with one replicate) has
+// one-sample summaries, whose half-width is +Inf; the tables must say "±n/a",
+// not "±+Inf", and keep rendering real intervals as before.
+func TestOneReplicateIntervalRendersNA(t *testing.T) {
+	scale, err := Scale(ScaleConfig{Sizes: []int{50}, Degree: 8, Replicates: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := Load(LoadConfig{Rates: []float64{0.05}, N: 30, Replicates: 1, Horizon: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{"scale": FormatScale(scale), "load": FormatLoad(load)} {
+		if strings.Contains(out, "Inf") || !strings.Contains(out, "±n/a") {
+			t.Errorf("%s table at one replicate:\n%s", name, out)
+		}
+	}
+	if got, want := FormatScaleRow(ScaleRow{Variant: "V", Delivery: 100, DeliveryCI: math.Inf(1), Forward: 24.96, ForwardCI: 0.19, Latency: 104.23, LatencyCI: 113.27}),
+		"V                    100.00 ±n/a      24.96 ±0.19       104.23 ±113.27"; got != want {
+		t.Errorf("scale row:\n got %q\nwant %q", got, want)
+	}
+	if got, want := FormatLoadRow(LoadRow{Variant: "V", Throughput: 0.0442, ThroughputCI: 0.00125, Delivery: 61.54, DeliveryCI: math.Inf(1), LatencyP50: 6, LatencyP50CI: 0.55, LatencyP99: 19, QueueDropsCI: 0.005}),
+		"V                     0.0442 ±0.0013     61.54 ±n/a      6.0 ±0.6     19.0 ±0.0     0.00 ±0.01"; got != want {
+		t.Errorf("load row:\n got %q\nwant %q", got, want)
 	}
 }

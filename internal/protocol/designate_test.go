@@ -132,8 +132,8 @@ func fakeState(lv *view.Local, from int, pkt sim.Packet) *sim.NodeState {
 		View:        lv,
 		Received:    true,
 		FirstFrom:   from,
-		FirstPacket: pkt,
-		LastPacket:  pkt,
+		FirstPacket: &pkt,
+		LastPacket:  &pkt,
 	}
 }
 

@@ -89,7 +89,7 @@ func (e *engine) OnReceive(rt sim.Runtime, v int, r Receipt) {
 	if st.Sent {
 		return
 	}
-	first := len(st.Receipts) == 1
+	first := st.Receipts == 1
 
 	if e.opts.Timing == TimingStatic {
 		if first && e.status[v] {

@@ -47,7 +47,7 @@ func (m *mpr) Start(rt sim.Runtime, source int) {
 
 func (m *mpr) OnReceive(rt sim.Runtime, v int, r sim.Receipt) {
 	st := rt.State(v)
-	if st.Sent || len(st.Receipts) != 1 {
+	if st.Sent || st.Receipts != 1 {
 		return
 	}
 	// Relaxed neighbor-designating rule: forward iff this node is a relay

@@ -379,3 +379,38 @@ func TestProtocolsAreFreshPerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryProtocolLeavesPacketsIntact drives every registered protocol down
+// the three paths that hand one shared sim.Packet to many holders: a plain
+// broadcast (every neighbor's receipt and node state), a lossy one with NACK
+// recovery (the sender's retained packet, retransmitted after backoff), and
+// concurrent sessions through the carrier-sense MAC (transmit queues, one
+// packet slab for all sessions). Any build checks delivery and the drop
+// accounting; under -tags simdebug (make test, CI) every run also
+// re-fingerprints each packet it built, so a protocol or merge path that
+// writes to a delivered packet panics here, naming the transmitter.
+func TestEveryProtocolLeavesPacketsIntact(t *testing.T) {
+	net, err := geo.Generate(geo.Config{N: 30, AvgDegree: 6}, rand.New(rand.NewSource(401)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := []sim.SessionSpec{{Source: 0, At: 0}, {Source: 7, At: 0.5}, {Source: 0, At: 1}, {Source: 19, At: 6}}
+	arena := sim.NewArena()
+	for _, name := range protocol.Names() {
+		mk, _ := protocol.ByName(name)
+		plain, err := sim.RunWith(arena, net.G, 0, mk(), sim.Config{Hops: 2, Seed: 5})
+		if err != nil || !plain.FullDelivery() {
+			t.Errorf("%s plain: err %v, delivered %d/%d", name, err, plain.Delivered, plain.N)
+		}
+		lossy, err := sim.RunWith(arena, net.G, 0, mk(), sim.Config{Hops: 2, Seed: 5, LossRate: 0.3, NACKRecovery: true})
+		if err != nil || lossy.Retransmits == 0 ||
+			lossy.Receipts+lossy.Lost+lossy.Collided+lossy.FaultDrops() != lossy.Copies {
+			t.Errorf("%s NACK + loss: err %v, result %+v", name, err, lossy)
+		}
+		mac, err := sim.RunTrafficWith(arena, net.G, sessions, mk, sim.Config{Hops: 2, Seed: 5, CarrierSense: true, NACKRecovery: true})
+		if err != nil || mac.Forward < len(sessions) || mac.Retransmits == 0 ||
+			mac.Receipts+mac.Lost+mac.Collided+mac.FaultDrops() != mac.Copies {
+			t.Errorf("%s carrier-sense traffic: err %v, result %+v", name, err, mac)
+		}
+	}
+}

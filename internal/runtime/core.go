@@ -126,7 +126,7 @@ func (c *Core) Forwarded() bool { return c.st.Sent }
 // protocol's source handling.
 func (c *Core) Start() {
 	c.st.Received = true
-	c.st.FirstPacket = sim.Packet{Source: c.id}
+	c.st.FirstPacket = &sim.Packet{Source: c.id}
 	c.st.LastPacket = c.st.FirstPacket
 	c.out.NoteSource()
 	c.proto.Start(c, c.id)
@@ -134,9 +134,10 @@ func (c *Core) Start() {
 
 // HandlePacket delivers one packet copy: shared bookkeeping (receipt record,
 // view merge) followed by the protocol's OnReceive, in the simulator's
-// order.
+// order. Packets cross the wire and the Transport by value; this node's copy
+// moves to the heap here, where the node state starts referring to it.
 func (c *Core) HandlePacket(from int, pkt sim.Packet, at float64) {
-	r := sim.Receipt{From: from, At: at, Packet: pkt}
+	r := sim.Receipt{From: from, At: at, Packet: &pkt}
 	first := c.st.RecordReceipt(r)
 	c.out.NoteDeliver(first, at)
 	sim.MergeReceipt(c.st, c.id, r)
@@ -187,7 +188,7 @@ func (c *Core) HandleNACK(peer int, attempt int) {
 	}
 	delay := sim.RetryBackoffDelay(c.cfg.RetryBackoff, attempt)
 	c.out.AfterRecovery(delay, func() {
-		c.out.Unicast(peer, c.st.SentPacket(), attempt)
+		c.out.Unicast(peer, *c.st.SentPacket(), attempt)
 	})
 }
 
@@ -239,6 +240,7 @@ func (c *Core) TransmitExtra(v int, designated, extra []int) {
 	c.st.Sent = true
 	c.st.View.MarkVisited(c.id)
 	pkt := c.st.BuildForwardPacket(designated, extra, c.cfg.PiggybackDepth)
+	c.st.SetSentPacket(&pkt)
 	c.out.Broadcast(pkt)
 }
 
@@ -278,7 +280,7 @@ func (c *Core) ConservativeHold(v int) bool {
 func (c *Core) RestoreSent(pkt sim.Packet) {
 	c.st.Sent = true
 	c.st.View.MarkVisited(c.id)
-	c.st.RestoreSentPacket(pkt)
+	c.st.SetSentPacket(&pkt)
 }
 
 // TakePreparedCovered implements sim.Runtime: live runtimes never precompute

@@ -1,17 +1,24 @@
 package sim
 
 import (
+	"fmt"
+
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
 
 // Arena owns the fast engine's reusable hot state: the flat per-node state
-// array, the calendar event queue, batch and collision scratch, coverage
-// evaluators, and a cache of built local views. One Arena serves one run at a
-// time; passing the same Arena to consecutive RunWith calls reuses every
-// allocation, which is what makes large replication sweeps allocation-free in
-// steady state.
+// array, the packet slab, the calendar event queue, batch and collision
+// scratch, coverage evaluators, and a cache of built local views. One Arena
+// serves one run at a time; passing the same Arena to consecutive RunWith
+// calls reuses every allocation, which is what makes large replication sweeps
+// allocation-free in steady state.
+//
+// The packet slab holds a run's packets, one slot per transmission (and per
+// session source): events, MAC queues, receipts and node states point into it
+// until the run ends, across every backoff, retransmission and session.
+// Chunks are never reallocated; the next run starts over at slot 0.
 //
 // The view cache is keyed by (topology pointer, hops, metric): a run over the
 // same key reuses the built views after clearing their learned status marks.
@@ -19,6 +26,9 @@ import (
 // *graph.Graph (or a nil Arena) so the cache cannot serve stale views.
 type Arena struct {
 	nodes   []NodeState
+	pkts    [][]Packet // packet slab, in chunks of packetChunk
+	npkts   int        // slots handed out this run
+	pktSums []uint64   // simdebug: fingerprint of each slot when it was built
 	cal     calQueue
 	builder *view.Builder
 
@@ -58,8 +68,41 @@ func NewArena() *Arena {
 	return &Arena{builder: view.NewBuilder()}
 }
 
+// packetChunk is the packet slab's growth step (16 KiB of packets).
+const packetChunk = 256
+
+// addPacket stores p in the slab's next free slot, never written again, and
+// in simdebug builds fingerprints it for checkPackets.
+func (a *Arena) addPacket(p Packet) *Packet {
+	i := a.npkts
+	if i/packetChunk == len(a.pkts) {
+		a.pkts = append(a.pkts, make([]Packet, packetChunk))
+	}
+	a.npkts++
+	if debugChecks {
+		a.pktSums = append(a.pktSums, p.fingerprint())
+	}
+	dst := &a.pkts[i/packetChunk][i%packetChunk]
+	*dst = p
+	return dst
+}
+
+// checkPackets is the simdebug guard on packet sharing, run when a run ends:
+// all receivers of a transmission were handed the same Packet, so a protocol
+// or merge path that wrote to one (or to its trail, designated or extra
+// slices) corrupted the others. It panics on the first packet that no longer
+// matches the fingerprint taken when it was built.
+func (a *Arena) checkPackets() {
+	for i, sum := range a.pktSums {
+		if p := &a.pkts[i/packetChunk][i%packetChunk]; p.fingerprint() != sum {
+			panic(fmt.Sprintf("sim: the packet node %d transmitted in session %d was written to after it was built; delivered packets are shared and read-only",
+				p.Sender(), p.Session))
+		}
+	}
+}
+
 // stateNodes returns the flat node-state array resized and reset for an
-// n-node run. Receipt and designation slices keep their capacity across runs.
+// n-node run. Designation slices keep their capacity across runs.
 func (a *Arena) stateNodes(n int) []NodeState {
 	if cap(a.nodes) < n {
 		a.nodes = make([]NodeState, n)
@@ -70,7 +113,6 @@ func (a *Arena) stateNodes(n int) []NodeState {
 		*st = NodeState{
 			ID:           v,
 			FirstFrom:    -1,
-			Receipts:     st.Receipts[:0],
 			DesignatedBy: st.DesignatedBy[:0],
 		}
 	}

@@ -52,7 +52,7 @@ func calQueueMatchesHeap(t *testing.T, seed int64) bool {
 			// fanning out to several neighbors.
 			for k := 1 + rng.Intn(3); k > 0; k-- {
 				seq++
-				e := event{at: at, seq: seq, node: seq % 7}
+				e := event{at: at, seq: seq, node: int32(seq % 7)}
 				cal.push(e)
 				ec := e
 				heap.Push(&bin, &ec)

@@ -95,12 +95,12 @@ func (net *Network) runBatch(batch []event) {
 		e := &batch[i]
 		if coll && e.kind == eventReceive && arr[e.node] > 1 {
 			net.collided++
-			net.maybeNACK(e.session, e.node, e.receipt.From, e.attempt)
+			net.maybeNACK(e)
 			continue
 		}
 		switch {
 		case kinds != nil && e.kind == eventReceive && kinds[e.node]&kindPremerged != 0:
-			net.handleReceive(e.session, e.node, e.receipt, e.attempt, true)
+			net.handleReceive(e, true)
 		case e.kind == eventTimer:
 			net.dispatch(e)
 			if net.prepared != nil {
@@ -145,8 +145,8 @@ func (net *Network) precompute(batch []event) []uint8 {
 			bit = kindReceive
 		}
 		if kinds[e.node] == 0 {
-			touched = append(touched, e.node)
-			if e.kind == eventTimer && tp != nil && !net.down(e.node) {
+			touched = append(touched, int(e.node))
+			if e.kind == eventTimer && tp != nil && !net.down(int(e.node)) {
 				timers = append(timers, i)
 			}
 		}
@@ -180,7 +180,7 @@ func (net *Network) precompute(batch []event) []uint8 {
 			defer wg.Done()
 			for k := wi; k < len(timers); k += w {
 				e := &batch[timers[k]]
-				if cov, ok := tp.PrecomputeTimer(net, e.node, evals[wi]); ok {
+				if cov, ok := tp.PrecomputeTimer(net, int(e.node), evals[wi]); ok {
 					verdict := int8(0)
 					if cov {
 						verdict = 1
@@ -196,9 +196,9 @@ func (net *Network) precompute(batch []event) []uint8 {
 			// the discipline costs nothing).
 			for i := range batch {
 				e := &batch[i]
-				if e.kind == eventReceive && e.node%w == wi &&
+				if e.kind == eventReceive && int(e.node)%w == wi &&
 					kinds[e.node]&kindPremerged != 0 {
-					net.mergeReceipt(&net.nodes[e.node], e.node, e.receipt)
+					MergeReceipt(&net.nodes[e.node], int(e.node), e.receipt())
 				}
 			}
 		}(wi)

@@ -2,7 +2,7 @@ package sim
 
 import "container/heap"
 
-type eventKind int
+type eventKind uint8
 
 const (
 	eventReceive eventKind = iota + 1
@@ -22,17 +22,25 @@ const (
 	eventTxAttempt
 )
 
-// event is a scheduled simulator action. Events are ordered by time with the
-// insertion sequence number as a deterministic tie-breaker.
+// event is a scheduled simulator action, ordered by time with the insertion
+// sequence number as a deterministic tie-breaker; both engines queue this one
+// type. It is 48 bytes (pinned by TestStateFootprint) and owns nothing: a
+// receive event points at its transmission's Packet in the Arena slab, and
+// the Receipt the protocol sees is rebuilt from (peer, at, pkt) at dispatch.
 type event struct {
 	at      float64
 	seq     int
+	pkt     *Packet // eventReceive: the delivered transmission
+	node    int32
+	peer    int32 // the transmitter (eventReceive) or recovery counterpart (eventNACK, eventRetransmit)
+	attempt int32 // recovery attempt: 0 for original copies, k for retry k
+	session int32 // broadcast session id (0 outside multi-session runs)
 	kind    eventKind
-	node    int
-	receipt Receipt // valid for eventReceive
-	peer    int     // recovery counterpart (eventNACK / eventRetransmit)
-	attempt int     // recovery attempt: 0 for original copies, k for retry k
-	session int32   // broadcast session id (0 outside multi-session runs)
+}
+
+// receipt rebuilds the Receipt a receive event delivers.
+func (e *event) receipt() Receipt {
+	return Receipt{From: int(e.peer), At: e.at, Packet: e.pkt}
 }
 
 // eventQueue is a binary min-heap of events.

@@ -22,11 +22,11 @@ package sim
 // txItem is one queued transmission: a broadcast forward (to == -1) or a
 // unicast recovery retransmission toward to.
 type txItem struct {
+	pkt        *Packet // the transmission's packet (Arena slab)
+	designated []int   // forward set of broadcast items (observer/metrics)
 	session    int32
-	pkt        Packet
-	designated []int // forward set of broadcast items (observer/metrics)
-	to         int   // -1 for broadcast, else the recovery receiver
-	attempt    int   // recovery attempt of unicast items
+	to         int32 // -1 for broadcast, else the recovery receiver
+	attempt    int32 // recovery attempt of unicast items
 }
 
 // txRing is a FIFO transmit queue with an amortized-O(1) pop (items are
@@ -80,14 +80,14 @@ func (net *Network) enqueueTx(v int, it txItem) {
 	net.obsEnqueue(it.session, v)
 	if !net.txPending[v] {
 		net.txPending[v] = true
-		net.seq++
-		net.pushEvent(event{
-			at:   net.now,
-			seq:  net.seq,
-			kind: eventTxAttempt,
-			node: v,
-		})
+		net.armTxAttempt(v, net.now)
 	}
+}
+
+// armTxAttempt schedules node v's next transmit opportunity.
+func (net *Network) armTxAttempt(v int, at float64) {
+	net.seq++
+	net.pushEvent(event{at: at, seq: net.seq, kind: eventTxAttempt, node: int32(v)})
 }
 
 // txAttempt processes one transmit opportunity at node v: wipe the queue if
@@ -114,25 +114,13 @@ func (net *Network) txAttempt(v int) {
 	if net.channelBusy(v) {
 		net.macDeferrals++
 		slots := 1 + net.rngs.mac.Intn(net.Cfg.CSBackoffSlots)
-		net.seq++
-		net.pushEvent(event{
-			at:   net.now + float64(slots)*net.Cfg.TransmitDelay,
-			seq:  net.seq,
-			kind: eventTxAttempt,
-			node: v,
-		})
+		net.armTxAttempt(v, net.now+float64(slots)*net.Cfg.TransmitDelay)
 		return
 	}
 	net.emitTx(v, q.pop())
 	// The next head (if any) gets its chance when this transmission ends.
 	if q.len() > 0 {
-		net.seq++
-		net.pushEvent(event{
-			at:   net.busyUntil[v],
-			seq:  net.seq,
-			kind: eventTxAttempt,
-			node: v,
-		})
+		net.armTxAttempt(v, net.busyUntil[v])
 		return
 	}
 	net.txPending[v] = false
@@ -174,7 +162,7 @@ func (net *Network) emitTx(v int, it txItem) {
 	if it.to >= 0 {
 		// Unicast recovery retransmission: one copy toward the receiver.
 		net.retransmits++
-		net.airCopy(it.session, v, it.to, arrive, it.pkt, it.attempt)
+		net.airCopy(it.session, v, int(it.to), arrive, it.pkt, it.attempt)
 		return
 	}
 	net.forward = append(net.forward, v)
@@ -191,7 +179,7 @@ func (net *Network) emitTx(v int, it txItem) {
 // receiver-side overlap state: if this transmission started before the
 // latest in-flight copy toward u lands, both copies are garbled (the
 // overlap window extends garbleUntil to cover them).
-func (net *Network) airCopy(sid int32, v, u int, arrive float64, pkt Packet, attempt int) {
+func (net *Network) airCopy(sid int32, v, u int, arrive float64, pkt *Packet, attempt int32) {
 	if net.now < net.airEnd[u] && net.garbleUntil[u] < arrive {
 		net.garbleUntil[u] = arrive
 	}
@@ -201,15 +189,12 @@ func (net *Network) airCopy(sid int32, v, u int, arrive float64, pkt Packet, att
 	net.copies++
 	net.seq++
 	net.pushEvent(event{
-		at:   arrive,
-		seq:  net.seq,
-		kind: eventReceive,
-		node: u,
-		receipt: Receipt{
-			From:   v,
-			At:     arrive,
-			Packet: pkt,
-		},
+		at:      arrive,
+		seq:     net.seq,
+		kind:    eventReceive,
+		node:    int32(u),
+		peer:    int32(v),
+		pkt:     pkt,
 		attempt: attempt,
 		session: sid,
 	})

@@ -13,10 +13,9 @@ import (
 
 // Protocol is a broadcast protocol plugged into an executor. One Protocol
 // value serves a single run on a single Runtime; stateful protocols keep
-// per-run state in the node states' Data slots or in themselves. The
-// simulator drives one instance for the whole network; the live executor
-// (internal/runtime) drives one instance per node, which the Runtime
-// contract's locality property makes equivalent.
+// per-run state in themselves. The simulator drives one instance for the
+// whole network; the live executor (internal/runtime) drives one instance per
+// node, which the Runtime contract's locality property makes equivalent.
 type Protocol interface {
 	// Name returns the protocol's display name.
 	Name() string
@@ -35,37 +34,41 @@ type Protocol interface {
 	OnTimer(rt Runtime, v int)
 }
 
-// NodeState is the simulator-side state of one node.
+// NodeState is the executor-side state of one node: what the paper's scheme
+// lets a node own besides its view — which copy came first, which came last,
+// what it transmitted, who designated it. It keeps no history of the copies
+// heard (a counter only) and no packet of its own: the three packet fields
+// refer to the transmitters' packets, which are immutable (see Packet). 80
+// bytes per node and per traffic session; TestStateFootprint pins that.
 type NodeState struct {
 	// ID is the node id.
 	ID int
 	// View is the node's local view (topology plus learned broadcast
 	// state).
 	View *view.Local
-	// Received reports whether at least one packet copy arrived.
-	Received bool
 	// FirstFrom is the sender of the first copy (-1 at the source).
 	FirstFrom int
-	// FirstPacket is the first delivered packet copy.
-	FirstPacket Packet
-	// LastPacket is the most recently delivered copy; its trail seeds the
+	// FirstPacket is the first delivered packet (nil until one arrives).
+	FirstPacket *Packet
+	// LastPacket is the most recently delivered packet; its trail seeds the
 	// trail of this node's own transmission.
-	LastPacket Packet
+	LastPacket *Packet
+	// DesignatedBy lists the nodes that designated this node as a forward
+	// node, in learning order.
+	DesignatedBy []int
+
+	// sentPkt is the packet this node transmitted, kept for recovery-layer
+	// retransmissions.
+	sentPkt *Packet
+
+	// Receipts counts the delivered copies.
+	Receipts int32
+	// Received reports whether at least one packet copy arrived.
+	Received bool
 	// Sent reports whether the node has transmitted.
 	Sent bool
 	// NonForward reports a finalized non-forward decision.
 	NonForward bool
-	// DesignatedBy lists the nodes that designated this node as a forward
-	// node, in learning order.
-	DesignatedBy []int
-	// Receipts records every delivered copy in order.
-	Receipts []Receipt
-	// Data is protocol-private per-node state.
-	Data any
-
-	// sentPkt is the packet this node transmitted, kept for recovery-layer
-	// retransmissions.
-	sentPkt Packet
 }
 
 // Designated reports whether any node designated this node.
@@ -267,20 +270,35 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 	if err := cfg.validate(g.N()); err != nil {
 		return Result{}, err
 	}
+	net := newNetwork(a, g, source, cfg)
+	net.protocol = p
+	if err := net.build(); err != nil {
+		return Result{}, err
+	}
+	p.Init(net)
+	net.deliverToSource()
+	p.Start(net, source)
+	net.loop()
+	return net.result(), nil
+}
+
+// newNetwork returns the Network of one run (single or traffic) over a
+// validated cfg, with the arena's per-run state — event queue, packet slab,
+// loop and MAC scratch — reset for it. A nil Arena allocates a private one.
+func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	if a == nil {
 		a = NewArena()
 	}
 	net := &Network{
-		G:        g,
-		Cfg:      cfg.withDefaults(),
-		Source:   source,
-		protocol: p,
-		arena:    a,
-		rngs:     newStreams(cfg.Seed),
-		plan:     cfg.Faults,
+		G:       g,
+		Cfg:     cfg.withDefaults(),
+		Source:  source,
+		arena:   a,
+		rngs:    newStreams(cfg.Seed),
+		plan:    cfg.Faults,
+		workers: 1,
 	}
 	net.fast = net.Cfg.Engine == EngineFast
-	net.workers = 1
 	if net.fast {
 		if net.Cfg.Workers > 1 {
 			net.workers = net.Cfg.Workers
@@ -288,6 +306,7 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 		a.cal.reset(net.Cfg.TransmitDelay)
 	}
 	a.ensureLoopScratch(g.N(), net.workers > 1)
+	a.npkts, a.pktSums = 0, a.pktSums[:0]
 	if net.workers > 1 {
 		net.prepared = a.prepared
 	}
@@ -297,14 +316,7 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 	if m := net.Cfg.Metrics; m != nil {
 		m.Reset()
 	}
-	if err := net.build(); err != nil {
-		return Result{}, err
-	}
-	p.Init(net)
-	net.deliverToSource()
-	p.Start(net, source)
-	net.loop()
-	return net.result(), nil
+	return net
 }
 
 func (net *Network) build() error {
@@ -353,14 +365,19 @@ func (net *Network) build() error {
 // with sender -1 — it holds the packet from the start, so latency statistics
 // must not wait for a neighbor's retransmission to echo back.
 func (net *Network) deliverToSource() {
-	st := &net.nodes[net.Source]
-	st.Received = true
-	st.FirstPacket = Packet{Source: net.Source}
-	st.LastPacket = st.FirstPacket
+	net.holdSourcePacket(&net.nodes[net.Source], net.Source, 0)
 	net.obsDeliver(0, net.Source, -1)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.Latency.Observe(0)
 	}
+}
+
+// holdSourcePacket gives a session's source its trail-less packet: it holds
+// the broadcast from the start, and its own transmission extends that.
+func (net *Network) holdSourcePacket(st *NodeState, source int, sid int32) {
+	p := net.arena.addPacket(Packet{Source: source, Session: int(sid)})
+	st.Received = true
+	st.FirstPacket, st.LastPacket = p, p
 }
 
 // down reports whether node v is down (crashed or churned) at the current
@@ -411,7 +428,7 @@ func (net *Network) loop() {
 		for _, e := range live {
 			if e.kind == eventReceive && arr[e.node] > 1 {
 				net.collided++
-				net.maybeNACK(e.session, e.node, e.receipt.From, e.attempt)
+				net.maybeNACK(e)
 				continue
 			}
 			net.dispatch(e)
@@ -434,7 +451,7 @@ func (net *Network) countArrivals(events func(yield func(*event))) ([]int32, []i
 			return
 		}
 		if arr[e.node] == 0 {
-			touched = append(touched, e.node)
+			touched = append(touched, int(e.node))
 		}
 		arr[e.node]++
 	})
@@ -463,29 +480,29 @@ func (net *Network) dispatch(e *event) {
 		if net.dropByFault(e) {
 			return
 		}
-		if net.Cfg.CarrierSense && net.garbledArrival(e.node) {
+		if net.Cfg.CarrierSense && net.garbledArrival(int(e.node)) {
 			net.collided++
-			net.maybeNACK(e.session, e.node, e.receipt.From, e.attempt)
+			net.maybeNACK(e)
 			return
 		}
-		net.handleReceive(e.session, e.node, e.receipt, e.attempt, false)
+		net.handleReceive(e, false)
 	case eventTimer:
-		if net.down(e.node) {
+		if net.down(int(e.node)) {
 			// A down node loses its pending decision timers: a crashed
 			// node forever, a churned node because the reboot wiped its
 			// soft state.
 			net.timersCancelled++
 			return
 		}
-		net.protocolOf(e.session).OnTimer(net.runtimeOf(e.session), e.node)
+		net.protocolOf(e.session).OnTimer(net.runtimeOf(e.session), int(e.node))
 	case eventNACK:
 		net.handleNACK(e)
 	case eventRetransmit:
 		net.handleRetransmit(e)
 	case eventSessionStart:
-		net.startSession(e.session, e.node)
+		net.startSession(e.session, int(e.node))
 	case eventTxAttempt:
-		net.txAttempt(e.node)
+		net.txAttempt(int(e.node))
 	}
 }
 
@@ -497,23 +514,24 @@ func (net *Network) dropByFault(e *event) bool {
 	if net.plan == nil {
 		return false
 	}
-	if net.plan.NodeDownAt(e.node, net.now) {
+	if net.plan.NodeDownAt(int(e.node), net.now) {
 		net.droppedNodeDown++
 		return true
 	}
-	if net.plan.LinkDownAt(e.receipt.From, e.node, net.now) {
+	if net.plan.LinkDownAt(int(e.peer), int(e.node), net.now) {
 		net.droppedLinkDown++
 		return true
 	}
 	return false
 }
 
-// handleReceive delivers one packet copy to node v. merged marks a copy whose
-// view merge already happened in the fast engine's parallel pre-merge phase
-// (see precompute); everything order-sensitive — RNG draws, counters,
-// observers, receipt bookkeeping, the protocol callback — still runs here, in
-// event order.
-func (net *Network) handleReceive(sid int32, v int, r Receipt, attempt int, merged bool) {
+// handleReceive delivers receive event e's packet copy to its node. merged
+// marks a copy whose view merge already happened in the fast engine's
+// parallel pre-merge phase (see precompute); everything order-sensitive — RNG
+// draws, counters, observers, receipt bookkeeping, the protocol callback —
+// still runs here, in event order.
+func (net *Network) handleReceive(e *event, merged bool) {
+	sid, v, r := e.session, int(e.node), e.receipt()
 	if debugChecks && net.down(v) {
 		panic(fmt.Sprintf("sim: delivery dispatched to down node %d at %v", v, net.now))
 	}
@@ -521,7 +539,7 @@ func (net *Network) handleReceive(sid int32, v int, r Receipt, attempt int, merg
 		net.lost++
 		// The receiver detected a garbled transmission it could not
 		// decode: with recovery enabled it asks the sender to retry.
-		net.maybeNACK(sid, v, r.From, attempt)
+		net.maybeNACK(e)
 		return
 	}
 	net.receipts++
@@ -546,30 +564,22 @@ func (net *Network) handleReceive(sid int32, v int, r Receipt, attempt int, merg
 	}
 
 	if !merged {
-		net.mergeReceipt(st, v, r)
+		MergeReceipt(st, v, r)
 	}
 	net.protocolOf(sid).OnReceive(net.runtimeOf(sid), v, r)
 }
 
-// mergeReceipt merges a copy's broadcast state into v's local view (see the
-// exported MergeReceipt, shared with the live executor). The merge is monotone
-// and touches nothing but v's own state, which is what lets the fast engine
-// apply a node's same-instant merges from a worker goroutine.
-func (net *Network) mergeReceipt(st *NodeState, v int, r Receipt) {
-	MergeReceipt(st, v, r)
-}
-
-// maybeNACK schedules a recovery request from receiver v to sender `from`
-// after a copy was dropped by loss or collision (the drops a radio can
-// detect; a down node or link leaves nothing to overhear). attempt is the
-// retry number of the dropped copy; the request asks for attempt+1, bounded
-// by the retry budget. Receivers that already hold the packet do not bother.
-func (net *Network) maybeNACK(sid int32, v, from, attempt int) {
-	if !net.Cfg.NACKRecovery || net.stateOf(sid, v).Received {
+// maybeNACK schedules a recovery request from the receiver of copy e to its
+// sender after the copy was dropped by loss or collision (the drops a radio
+// can detect; a down node or link leaves nothing to overhear). The request
+// asks for the retry after the dropped copy's, bounded by the retry budget.
+// Receivers that already hold the packet do not bother.
+func (net *Network) maybeNACK(e *event) {
+	if !net.Cfg.NACKRecovery || net.stateOf(e.session, int(e.node)).Received {
 		return
 	}
-	next := attempt + 1
-	if next > net.Cfg.RetryBudget {
+	next := e.attempt + 1
+	if int(next) > net.Cfg.RetryBudget {
 		return
 	}
 	net.nacks++
@@ -578,10 +588,10 @@ func (net *Network) maybeNACK(sid int32, v, from, attempt int) {
 		at:      net.now + net.Cfg.NACKDelay,
 		seq:     net.seq,
 		kind:    eventNACK,
-		node:    from,
-		peer:    v,
+		node:    e.peer,
+		peer:    e.node,
 		attempt: next,
-		session: sid,
+		session: e.session,
 	})
 }
 
@@ -592,9 +602,10 @@ func (net *Network) maybeNACK(sid int32, v, from, attempt int) {
 // a dead chain anyway, so capping changes nothing observable for sane budgets.
 const maxRetryExponent = 12
 
-// retryBackoffDelay returns the bounded exponential backoff before recovery
+// RetryBackoffDelay returns the bounded exponential backoff before recovery
 // retransmission k (1-based): base * 2^(k-1), capped at base * 2^maxRetryExponent.
-func retryBackoffDelay(base float64, attempt int) float64 {
+// Both executors use it so live recovery timing matches the simulator's.
+func RetryBackoffDelay(base float64, attempt int) float64 {
 	exp := attempt - 1
 	if exp > maxRetryExponent {
 		exp = maxRetryExponent
@@ -607,11 +618,10 @@ func retryBackoffDelay(base float64, attempt int) float64 {
 // sender itself is down by now (then the recovery chain dies — there is
 // nobody left to retry).
 func (net *Network) handleNACK(e *event) {
-	u := e.node
-	if net.down(u) {
+	if net.down(int(e.node)) {
 		return
 	}
-	delay := retryBackoffDelay(net.Cfg.RetryBackoff, e.attempt)
+	delay := RetryBackoffDelay(net.Cfg.RetryBackoff, int(e.attempt))
 	if net.Cfg.CarrierSense {
 		// Hidden terminals cannot sense each other, so symmetric recovery
 		// chains with identical deterministic backoffs would retry in
@@ -629,7 +639,7 @@ func (net *Network) handleNACK(e *event) {
 		at:      net.now + delay,
 		seq:     net.seq,
 		kind:    eventRetransmit,
-		node:    u,
+		node:    e.node,
 		peer:    e.peer,
 		attempt: e.attempt,
 		session: e.session,
@@ -640,7 +650,7 @@ func (net *Network) handleNACK(e *event) {
 // receiver e.peer, subject to the same loss, collision, and fault filters as
 // any other copy.
 func (net *Network) handleRetransmit(e *event) {
-	u := e.node
+	u := int(e.node)
 	st := net.stateOf(e.session, u)
 	if net.down(u) || !st.Sent {
 		return
@@ -668,15 +678,12 @@ func (net *Network) handleRetransmit(e *event) {
 	net.copies++
 	net.seq++
 	net.pushEvent(event{
-		at:   arrive,
-		seq:  net.seq,
-		kind: eventReceive,
-		node: e.peer,
-		receipt: Receipt{
-			From:   u,
-			At:     arrive,
-			Packet: st.sentPkt,
-		},
+		at:      arrive,
+		seq:     net.seq,
+		kind:    eventReceive,
+		node:    e.peer,
+		peer:    e.node,
+		pkt:     st.sentPkt,
 		attempt: e.attempt,
 		session: e.session,
 	})
@@ -728,6 +735,7 @@ func (net *Network) result() Result {
 			panic(fmt.Sprintf("sim: drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
 				res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
 		}
+		net.arena.checkPackets()
 	}
 	if m := net.Cfg.Metrics; m != nil {
 		m.N = res.N
@@ -873,17 +881,16 @@ func (net *Network) viewStale(v int, t float64) bool {
 }
 
 // SetTimer schedules an OnTimer callback for node v after delay (>= 0).
-func (net *Network) SetTimer(v int, delay float64) {
+func (net *Network) SetTimer(v int, delay float64) { net.setTimer(0, v, delay) }
+
+// setTimer is the session-aware timer path shared with the per-session
+// runtimes of traffic runs.
+func (net *Network) setTimer(sid int32, v int, delay float64) {
 	if delay < 0 {
 		delay = 0
 	}
 	net.seq++
-	net.pushEvent(event{
-		at:   net.now + delay,
-		seq:  net.seq,
-		kind: eventTimer,
-		node: v,
-	})
+	net.pushEvent(event{at: net.now + delay, seq: net.seq, kind: eventTimer, node: int32(v), session: sid})
 }
 
 // MarkNonForward finalizes a non-forward decision for v.
@@ -923,12 +930,15 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 	}
 	st.Sent = true
 	st.View.MarkVisited(v)
+	// The transmission's one packet: every copy scheduled below, the MAC
+	// queue entry and the sender's retransmission state refer to it.
+	pkt := net.arena.addPacket(st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth))
+	st.sentPkt = pkt
 	if net.Cfg.CarrierSense {
 		// The forward decision is final (Sent above), but the packet is
 		// built now and transmitted by the MAC when the channel allows:
 		// forward-order bookkeeping, observers, and metrics fire at actual
 		// transmission time (see emitTx).
-		pkt := st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth)
 		net.enqueueTx(v, txItem{
 			session:    sid,
 			pkt:        pkt,
@@ -943,7 +953,6 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(designated)))
 	}
 
-	pkt := st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth)
 	arrive := net.now + net.Cfg.TransmitDelay
 	if net.Cfg.TxJitter > 0 {
 		// One jitter draw per transmission: all neighbors hear the same
@@ -954,15 +963,12 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 		net.copies++
 		net.seq++
 		net.pushEvent(event{
-			at:   arrive,
-			seq:  net.seq,
-			kind: eventReceive,
-			node: u,
-			receipt: Receipt{
-				From:   v,
-				At:     arrive,
-				Packet: pkt,
-			},
+			at:      arrive,
+			seq:     net.seq,
+			kind:    eventReceive,
+			node:    int32(u),
+			peer:    int32(v),
+			pkt:     pkt,
 			session: sid,
 		})
 	})

@@ -10,7 +10,11 @@ type TrailEntry struct {
 	Designated []int
 }
 
-// Packet is one copy of the broadcast packet as delivered to a neighbor.
+// Packet is one transmission of the broadcast packet, built once by the
+// transmitter (NodeState.BuildForwardPacket) and immutable from then on: every
+// receiver's Receipt, queued event, MAC queue entry and remembering node state
+// refers to the same value, so nothing may write to a delivered packet or to
+// the slices it holds (simdebug builds verify that: Arena.checkPackets).
 type Packet struct {
 	// Source is the broadcast originator.
 	Source int
@@ -44,12 +48,32 @@ func (p Packet) SenderDesignated() []int {
 	return p.Trail[len(p.Trail)-1].Designated
 }
 
-// Receipt is the delivery of one packet copy to a node.
+// Receipt is the delivery of one packet copy to a node. It lives for the
+// duration of the delivery only: executors build it at dispatch and log
+// nothing (NodeState keeps first and last packet references and a count).
 type Receipt struct {
 	// From is the transmitting neighbor.
 	From int
 	// At is the delivery time.
 	At float64
-	// Packet is the delivered packet.
-	Packet Packet
+	// Packet is the delivered packet, shared by all receivers: read-only.
+	Packet *Packet
+}
+
+// fingerprint hashes all a packet carries, slice lengths included (FNV-1a).
+func (p *Packet) fingerprint() uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(xs ...int) {
+		h = (h ^ uint64(len(xs))) * 1099511628211
+		for _, x := range xs {
+			h = (h ^ uint64(x)) * 1099511628211
+		}
+	}
+	mix(p.Source, p.Session, len(p.Trail))
+	for _, e := range p.Trail {
+		mix(e.Node)
+		mix(e.Designated...)
+	}
+	mix(p.Extra...)
+	return h
 }

@@ -75,8 +75,9 @@ func (net *Network) ForEachLocalNode(yield func(v int)) {
 
 // RecordReceipt records the delivery of one packet copy in the node's
 // bookkeeping state: first-copy fields, last-packet tracking, and the receipt
-// log. It reports whether this was the node's first copy. Both executors call
-// it on every non-dropped delivery, before the protocol's OnReceive runs.
+// count — references and a counter, nothing that grows with the copies heard.
+// It reports whether this was the node's first copy. Both executors call it
+// on every non-dropped delivery, before the protocol's OnReceive runs.
 func (st *NodeState) RecordReceipt(r Receipt) (first bool) {
 	first = !st.Received
 	st.Received = true
@@ -85,25 +86,26 @@ func (st *NodeState) RecordReceipt(r Receipt) (first bool) {
 		st.FirstPacket = r.Packet
 	}
 	st.LastPacket = r.Packet
-	st.Receipts = append(st.Receipts, r)
+	st.Receipts++
 	return first
 }
 
-// SentPacket returns the packet this node transmitted (zero Packet before the
-// node forwards). Recovery layers retransmit it on request.
-func (st *NodeState) SentPacket() Packet { return st.sentPkt }
+// SentPacket returns the packet this node transmitted (nil before the node
+// forwards). Recovery layers retransmit it on request.
+func (st *NodeState) SentPacket() *Packet { return st.sentPkt }
 
-// RestoreSentPacket reinstates the transmitted packet from durable state
-// (journal replay after a crash) so recovery retransmissions can serve it
-// without the node forwarding again.
-func (st *NodeState) RestoreSentPacket(pkt Packet) { st.sentPkt = pkt }
+// SetSentPacket records the packet this node transmitted, so recovery
+// retransmissions can serve it: the live executor calls it when the node
+// forwards, and on journal replay after a crash (without forwarding again).
+func (st *NodeState) SetSentPacket(pkt *Packet) { st.sentPkt = pkt }
 
 // BuildForwardPacket assembles the packet node st transmits when forwarding:
 // the last delivered copy's trail extended with this node's own entry (its id
 // and designated forward set), capped to the piggyback depth, plus the
-// optional extra payload. The built packet is retained for recovery
-// retransmissions (SentPacket). Both executors share this logic so a live
-// node's packets are bit-identical to the simulator's.
+// optional extra payload. The executor stores it once (the simulator in its
+// Arena slab, a live node on the heap) and has st retain that one packet for
+// recovery retransmissions (SentPacket). Both executors share this logic so a
+// live node's packets are bit-identical to the simulator's.
 func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Packet {
 	trail := st.LastPacket.Trail
 	entry := TrailEntry{Node: st.ID, Designated: append([]int(nil), designated...)}
@@ -113,22 +115,12 @@ func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Pack
 	if len(newTrail) > depth {
 		newTrail = newTrail[len(newTrail)-depth:]
 	}
-	pkt := Packet{
+	return Packet{
 		Source:  st.LastPacket.Source,
 		Session: st.LastPacket.Session,
 		Trail:   newTrail,
 		Extra:   extra,
 	}
-	st.sentPkt = pkt
-	return pkt
-}
-
-// RetryBackoffDelay returns the bounded exponential backoff before recovery
-// retransmission attempt (1-based): RetryBackoff * 2^(attempt-1), capped so a
-// large retry budget cannot overflow the delay (see maxRetryExponent). Both
-// executors use it so live recovery timing matches the simulator's.
-func RetryBackoffDelay(base float64, attempt int) float64 {
-	return retryBackoffDelay(base, attempt)
 }
 
 // MergeReceipt merges a delivered copy's broadcast state into node v's local

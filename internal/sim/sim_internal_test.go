@@ -2,10 +2,14 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
 
@@ -41,7 +45,7 @@ func TestEventQueueOrdering(t *testing.T) {
 
 	var order []int
 	for q.Len() > 0 {
-		order = append(order, heap.Pop(&q).(*event).node)
+		order = append(order, int(heap.Pop(&q).(*event).node))
 	}
 	want := []int{3, 1, 2, 0}
 	for i := range want {
@@ -57,7 +61,7 @@ func TestEventQueueQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var q eventQueue
 		for i := 0; i < 200; i++ {
-			heap.Push(&q, &event{at: float64(rng.Intn(20)), seq: i, node: i})
+			heap.Push(&q, &event{at: float64(rng.Intn(20)), seq: i, node: int32(i)})
 		}
 		var prev *event
 		for q.Len() > 0 {
@@ -95,4 +99,54 @@ func TestPacketSender(t *testing.T) {
 	if len(d) != 2 || d[0] != 1 || d[1] != 2 {
 		t.Fatalf("designated = %v", d)
 	}
+}
+
+// TestStateFootprint pins the simulator's two per-item footprints so they
+// cannot creep back: an event is what every copy in flight costs in the
+// calendar queue (and what its sifts and batch copies move), a NodeState is
+// what every node — and every node of every traffic session — costs.
+func TestStateFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 48 {
+		t.Errorf("event is %d bytes, budget 48: at 8 + seq 8 + *Packet 8 + node/peer/attempt/session 4 each + kind 1, padded; "+
+			"packets and receipts are referred to, never embedded", got)
+	}
+	if got := unsafe.Sizeof(NodeState{}); got > 80 {
+		t.Errorf("NodeState is %d bytes, budget 80: ID 8 + View 8 + FirstFrom 8 + three *Packet 24 + DesignatedBy 24 + "+
+			"one word for the receipt counter (4) and the three flags; no per-receipt log, no by-value Packet", got)
+	}
+	if got := unsafe.Sizeof(txItem{}); got > 48 {
+		t.Errorf("txItem is %d bytes, budget 48: *Packet 8 + designated 24 + session/to/attempt 4 each, padded", got)
+	}
+}
+
+// scribbler floods and, on every receipt, writes to the delivered packet's
+// header — the bug class the simdebug sharing guard exists for.
+type scribbler struct{}
+
+func (scribbler) Name() string                 { return "scribbler" }
+func (scribbler) Init(Runtime)                 {}
+func (scribbler) Start(rt Runtime, source int) { rt.Transmit(source, nil) }
+func (scribbler) OnTimer(Runtime, int)         {}
+func (scribbler) OnReceive(rt Runtime, v int, r Receipt) {
+	r.Packet.Source = v
+	rt.Transmit(v, nil)
+}
+
+// TestSimdebugCatchesWriteToDeliveredPacket: every receiver of a transmission
+// holds the same Packet, so a write through one receipt corrupts the others;
+// simdebug builds must catch it at the end of the run and name the packet.
+func TestSimdebugCatchesWriteToDeliveredPacket(t *testing.T) {
+	if !debugChecks {
+		t.Skip("the packet fingerprint guard is compiled in with -tags simdebug only")
+	}
+	g, err := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "written to after it was built") {
+			t.Fatalf("run ended with %q, want the packet-sharing panic", msg)
+		}
+	}()
+	_, _ = Run(g, 0, scribbler{}, Config{})
 }

@@ -126,20 +126,7 @@ func (rt *sessionRuntime) ForEachLocalNode(yield func(v int)) {
 
 func (rt *sessionRuntime) State(v int) *NodeState { return &rt.s.nodes[v] }
 
-func (rt *sessionRuntime) SetTimer(v int, delay float64) {
-	net := rt.net
-	if delay < 0 {
-		delay = 0
-	}
-	net.seq++
-	net.pushEvent(event{
-		at:      net.now + delay,
-		seq:     net.seq,
-		kind:    eventTimer,
-		node:    v,
-		session: rt.s.id,
-	})
-}
+func (rt *sessionRuntime) SetTimer(v int, delay float64) { rt.net.setTimer(rt.s.id, v, delay) }
 
 func (rt *sessionRuntime) MarkNonForward(v int) {
 	net := rt.net
@@ -211,42 +198,14 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 	if err := cfg.validate(g.N()); err != nil {
 		return TrafficResult{}, err
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	net := &Network{
-		G:        g,
-		Cfg:      cfg.withDefaults(),
-		Source:   sessions[0].Source,
-		newProto: newProto,
-		arena:    a,
-		rngs:     newStreams(cfg.Seed),
-		plan:     cfg.Faults,
-	}
-	net.fast = net.Cfg.Engine == EngineFast
-	net.workers = 1
-	if net.fast {
-		if net.Cfg.Workers > 1 {
-			net.workers = net.Cfg.Workers
-		}
-		a.cal.reset(net.Cfg.TransmitDelay)
-	}
-	a.ensureLoopScratch(g.N(), net.workers > 1)
-	if net.workers > 1 {
-		net.prepared = a.prepared
-	}
-	if net.Cfg.CarrierSense {
-		net.resetMAC(g.N())
-	}
-	if m := net.Cfg.Metrics; m != nil {
-		m.Reset()
-	}
+	net := newNetwork(a, g, sessions[0].Source, cfg)
+	net.newProto = newProto
 	vg := net.G
 	if net.Cfg.ViewTopology != nil {
 		vg = net.Cfg.ViewTopology
 	}
 	net.viewG = vg
-	views, base := a.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
+	views, base := net.arena.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
 	net.base = base
 	net.tmplViews = views
 	net.multi = make([]*sessionState, len(sessions))
@@ -259,7 +218,7 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 			at:      sp.At,
 			seq:     net.seq,
 			kind:    eventSessionStart,
-			node:    sp.Source,
+			node:    int32(sp.Source),
 			session: int32(i),
 		})
 	}
@@ -293,10 +252,7 @@ func (net *Network) startSession(sid int32, source int) {
 // deliverSessionSource marks the session's source as holding the packet at
 // injection time, mirroring deliverToSource: a zero-latency first delivery.
 func (net *Network) deliverSessionSource(s *sessionState) {
-	st := &s.nodes[s.source]
-	st.Received = true
-	st.FirstPacket = Packet{Source: s.source, Session: int(s.id)}
-	st.LastPacket = st.FirstPacket
+	net.holdSourcePacket(&s.nodes[s.source], s.source, s.id)
 	s.delivered++
 	net.delivered++
 	net.latSamples = append(net.latSamples, 0)
@@ -330,6 +286,7 @@ func (net *Network) trafficResult() TrafficResult {
 			panic(fmt.Sprintf("sim: traffic drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
 				res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
 		}
+		net.arena.checkPackets()
 	}
 	if len(net.latSamples) > 0 {
 		sorted := append([]float64(nil), net.latSamples...)
