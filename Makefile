@@ -15,8 +15,8 @@ test:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
-	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/
+	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
+	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/
 	$(GO) run ./cmd/checkdocs
 
 # Documentation gate: package + exported doc comments, markdown link targets.
@@ -74,11 +74,12 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 30s
 
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
-# the differential oracles (grid placement vs naive, evaluator vs reference on
-# small graphs and on 60-140-neighbor hubs) exercised on every change without
-# a full campaign.
+# the differential oracles (grid placement vs naive, view sets vs single
+# views, evaluator vs reference on small graphs and on 60-140-neighbor hubs)
+# exercised on every change without a full campaign.
 fuzz-smoke:
 	$(GO) test -race ./internal/geo/ -run '^$$' -fuzz FuzzPlaceGridMatchesNaive -fuzztime 5s
+	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"adhocbcast/internal/core"
@@ -44,26 +45,7 @@ func TestEvaluatorExhaustiveSmallWorlds(t *testing.T) {
 func exhaustSmallWorlds(t *testing.T, n, shard, shards int) (graphs, cases int) {
 	ev := conditionsOf(core.NewEvaluator(n))
 	b := view.NewBuilder()
-	var pairs [][2]int
-	for u := 0; u < n; u++ {
-		for w := u + 1; w < n; w++ {
-			pairs = append(pairs, [2]int{u, w})
-		}
-	}
-	for mask := shard; mask < 1<<len(pairs); mask += shards {
-		var edges [][2]int
-		for i, p := range pairs {
-			if mask>>i&1 == 1 {
-				edges = append(edges, p)
-			}
-		}
-		g, err := graph.FromEdges(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !g.Connected() {
-			continue
-		}
+	forEachConnectedGraph(t, n, shard, shards, func(g *graph.Graph) {
 		graphs++
 		for _, metric := range []view.Metric{view.MetricID, view.MetricDegree} {
 			base := view.BasePriorities(g, metric)
@@ -101,6 +83,74 @@ func exhaustSmallWorlds(t *testing.T, n, shard, shards int) (graphs, cases int) 
 				}
 			}
 		}
-	}
+	})
 	return graphs, cases
+}
+
+// forEachConnectedGraph calls fn with the shard's share — every shards-th edge
+// subset — of the labelled connected graphs on n vertices.
+func forEachConnectedGraph(t *testing.T, n, shard, shards int, fn func(g *graph.Graph)) {
+	var pairs [][2]int
+	for u := 0; u < n; u++ {
+		for w := u + 1; w < n; w++ {
+			pairs = append(pairs, [2]int{u, w})
+		}
+	}
+	for mask := shard; mask < 1<<len(pairs); mask += shards {
+		var edges [][2]int
+		for i, p := range pairs {
+			if mask>>i&1 == 1 {
+				edges = append(edges, p)
+			}
+		}
+		g, err := graph.FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Connected() {
+			fn(g)
+		}
+	}
+}
+
+// TestSetMatchesNewLocalExhaustive checks the builder of whole view sets
+// against the builder of single views on every small world: for every
+// labelled connected graph on up to 6 vertices and global, 1-, 2- and 3-hop
+// views, each view of the Set equals NewLocal's in members, fringe bits, and
+// in what HasEdge, Degree and Pr answer for every vertex and pair — through
+// one Set and one Builder, so each build reuses the slabs of the last.
+func TestSetMatchesNewLocalExhaustive(t *testing.T) {
+	maxN := 6
+	if testing.Short() || raceEnabled {
+		maxN = 5
+	}
+	b, s := view.NewBuilder(), &view.Set{}
+	graphs := 0
+	for n := 1; n <= maxN; n++ {
+		forEachConnectedGraph(t, n, 0, 1, func(g *graph.Graph) {
+			graphs++
+			base := view.BasePriorities(g, view.MetricDegree)
+			for _, hops := range []int{0, 1, 2, 3} {
+				b.BuildAll(s, g, hops, view.MetricDegree)
+				for v := 0; v < n; v++ {
+					got, want := &s.Views()[v], view.NewLocal(g, v, hops, base)
+					same := slices.Equal(got.Members(), want.Members())
+					for i := 0; same && i < len(want.Members()); i++ {
+						same = got.FringeAt(i) == want.FringeAt(i)
+					}
+					for x := 0; same && x < n; x++ {
+						same = got.Pr(x) == want.Pr(x) && got.Degree(x) == want.Degree(x)
+						for y := 0; same && y < n; y++ {
+							same = got.HasEdge(x, y) == want.HasEdge(x, y)
+						}
+					}
+					if !same {
+						t.Fatalf("n=%d hops=%d: view %d of the set differs from NewLocal's on edges %v (members %v vs %v)",
+							n, hops, v, g.Edges(), got.Members(), want.Members())
+					}
+				}
+			}
+		})
+	}
+	t.Logf("%d connected graphs", graphs)
 }

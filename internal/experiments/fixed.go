@@ -54,10 +54,10 @@ func runFixed[R any](points []fixedPoint[R], parallelism int,
 }
 
 // measure runs the point's replicates on up to parallelism workers — each
-// holding one simulator arena, so the hot state (event calendar, flat node
-// states, views, scratch) is allocated once per worker and one generated
-// network is alive per worker at a time — and folds them into one row per
-// variant.
+// holding one borrowed simulator arena, so the hot state (event calendar,
+// flat node states, views, scratch) is reused across the worker's replicates
+// and one generated network is alive per worker at a time — and folds them
+// into one row per variant.
 func (p fixedPoint[R]) measure(parallelism int) ([]R, error) {
 	samples := make([][][]float64, p.reps)
 	errs := make([]error, p.reps)
@@ -67,7 +67,8 @@ func (p fixedPoint[R]) measure(parallelism int) ([]R, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := sim.NewArena()
+			arena := arenas.Get().(*sim.Arena)
+			defer arenas.Put(arena)
 			for rep := range reps {
 				samples[rep], errs[rep] = p.replicate(rep, arena)
 			}

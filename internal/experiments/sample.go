@@ -49,9 +49,11 @@ func NewSample(n int, d float64, seed int64) (*Sample, error) {
 		{label: "FR", timing: protocol.TimingFirstReceipt},
 		{label: "FRB", timing: protocol.TimingBackoffRandom},
 	}
+	arena := arenas.Get().(*sim.Arena)
+	defer arenas.Put(arena)
 	for _, hops := range []int{2, 3} {
 		for _, t := range timings {
-			res, err := sim.Run(net.G, s.Source, protocol.Generic(t.timing), sim.Config{
+			res, err := sim.RunWith(arena, net.G, s.Source, protocol.Generic(t.timing), sim.Config{
 				Hops:   hops,
 				Metric: view.MetricID,
 				Seed:   seed + 1,

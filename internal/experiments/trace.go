@@ -66,18 +66,26 @@ func sanitizePoint(point string) string {
 	}, point)
 }
 
+// arenas lends simulator arenas to every driver in the package: a replicate
+// (or a fixed-sweep worker) borrows one while it runs, so a sweep's runs —
+// whatever cell, curve or figure they belong to — reuse one set of simulator
+// state per concurrent run. See sim.Arena for what a lent arena pins.
+var arenas = sync.Pool{New: func() any { return sim.NewArena() }}
+
 // run simulates one replicate — proto broadcasts from source over g under
 // cfg — with the replicate's records attached and exported: a metrics record
 // and (unless the driver already installed its own Recorder) a trace recorder
 // go onto cfg, and both are written once the run completes. annotate, when
 // non-nil, runs between the simulation and the write, to add counters only
 // the driver can compute to the run record. On a nil sink run is exactly
-// sim.Run, so instrumented results can differ from uninstrumented ones only
-// in cost.
+// sim.Run on a borrowed arena, so instrumented results can differ from
+// uninstrumented ones only in cost.
 func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol, cfg sim.Config,
 	annotate func(*obsv.RunRecord) error) (sim.Result, error) {
+	arena := arenas.Get().(*sim.Arena)
+	defer arenas.Put(arena)
 	if s == nil {
-		return sim.Run(g, source, proto, cfg)
+		return sim.RunWith(arena, g, source, proto, cfg)
 	}
 	rec, ok := cfg.Observer.(*sim.Recorder)
 	if !ok {
@@ -86,7 +94,7 @@ func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol,
 	}
 	rr := obsv.NewRunRecord()
 	cfg.Metrics = rr
-	res, err := sim.Run(g, source, proto, cfg)
+	res, err := sim.RunWith(arena, g, source, proto, cfg)
 	if err != nil {
 		return res, err
 	}

@@ -10,7 +10,8 @@ import (
 
 // Arena owns the fast engine's reusable hot state: the flat per-node state
 // array, the packet slab, the calendar event queue, batch and collision
-// scratch, coverage evaluators, and a cache of built local views. One Arena
+// scratch, coverage evaluators, and the run's built local views — one
+// view.Set (views, member and status slabs, base priorities). One Arena
 // serves one run at a time; passing the same Arena to consecutive RunWith
 // calls reuses every allocation, which is what makes large replication sweeps
 // allocation-free in steady state.
@@ -20,10 +21,14 @@ import (
 // until the run ends, across every backoff, retransmission and session.
 // Chunks are never reallocated; the next run starts over at slot 0.
 //
-// The view cache is keyed by (topology pointer, hops, metric): a run over the
-// same key reuses the built views after clearing their learned status marks.
-// Callers that mutate a graph in place between runs must therefore pass a new
-// *graph.Graph (or a nil Arena) so the cache cannot serve stale views.
+// The view set is keyed by (topology pointer, hops, metric): a run over the
+// same key reuses the built views after clearing their learned status marks,
+// any other run rebuilds them in place. Callers must therefore not edit a
+// graph in place between runs that share an Arena (simdebug builds check).
+//
+// An Arena kept between runs — a sweep driver's pool — pins the last topology
+// it built views from and state sized to the largest run it served: bounded,
+// since a driver holds one Arena per concurrent replicate.
 type Arena struct {
 	nodes   []NodeState
 	pkts    [][]Packet // packet slab, in chunks of packetChunk
@@ -32,12 +37,12 @@ type Arena struct {
 	cal     calQueue
 	builder *view.Builder
 
-	// View cache (shared-topology modes; NodeViews runs bypass it).
+	// Built views and their key (shared-topology modes; NodeViews runs build
+	// single views instead).
 	viewG      *graph.Graph
 	viewHops   int
 	viewMetric view.Metric
-	views      []*view.Local
-	base       []view.Priority
+	views      view.Set
 
 	// Coverage evaluators: one shared sequential instance plus one private
 	// instance per precompute worker. Evaluators grow on demand, so one set
@@ -120,25 +125,23 @@ func (a *Arena) stateNodes(n int) []NodeState {
 	return nodes
 }
 
-// viewsFor returns one local view per node built from vg, serving them from
-// the cache (with learned marks cleared) when the key matches the previous
-// run.
-func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric) ([]*view.Local, []view.Priority) {
-	n := vg.N()
-	if a.viewG == vg && a.viewHops == hops && a.viewMetric == metric && len(a.views) == n {
-		for _, lv := range a.views {
-			lv.ResetStatus()
+// viewsFor returns the local views of every node over vg: the set built by the
+// previous run with its learned marks cleared when the key repeats, else a
+// rebuild into the same memory. On a hit, simdebug builds check that the key
+// — the topology's pointer, not its content — still stands for the views.
+func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric) []view.Local {
+	if a.viewG != vg || a.viewHops != hops || a.viewMetric != metric {
+		a.viewG, a.viewHops, a.viewMetric = vg, hops, metric
+		a.builder.BuildAll(&a.views, vg, hops, metric)
+		return a.views.Views()
+	}
+	if debugChecks {
+		if v := a.builder.Stale(&a.views); v >= 0 {
+			panic(fmt.Sprintf("sim: the %d-hop view of node %d no longer matches its topology: a graph was changed in place between runs that share an Arena", hops, v))
 		}
-		return a.views, a.base
 	}
-	a.viewG, a.viewHops, a.viewMetric = vg, hops, metric
-	a.base = view.BasePriorities(vg, metric)
-	views := a.views[:0]
-	for v := 0; v < n; v++ {
-		views = append(views, a.builder.Build(vg, v, hops, a.base))
-	}
-	a.views = views
-	return views, a.base
+	a.views.ResetStatus()
+	return a.views.Views()
 }
 
 // evaluator returns the run's shared sequential coverage evaluator.

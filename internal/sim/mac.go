@@ -113,7 +113,7 @@ func (net *Network) txAttempt(v int) {
 	}
 	if net.channelBusy(v) {
 		net.macDeferrals++
-		slots := 1 + net.rngs.mac.Intn(net.Cfg.CSBackoffSlots)
+		slots := 1 + net.rngs.get(streamMAC).Intn(net.Cfg.CSBackoffSlots)
 		net.armTxAttempt(v, net.now+float64(slots)*net.Cfg.TransmitDelay)
 		return
 	}

@@ -189,14 +189,12 @@ type Network struct {
 	nodes    []NodeState
 	prepared []int8 // precomputed timer verdicts (nil unless workers > 1)
 	forward  []int
-	base     []view.Priority
 	viewG    *graph.Graph   // topology the views were built from (global-view modes)
 	nodeView []*graph.Graph // per-node view topologies (NodeViews mode, else nil)
 
 	// Multi-session traffic state (RunTraffic; nil/zero for single runs).
 	newProto   func() Protocol // per-session protocol factory
 	multi      []*sessionState // session states indexed by session id
-	tmplViews  []*view.Local   // built views sessions clone their own from
 	delivered  int             // first deliveries across sessions
 	latSamples []float64       // per-session-relative first-delivery latencies
 
@@ -256,13 +254,10 @@ func Run(g *graph.Graph, source int, p Protocol, cfg Config) (Result, error) {
 	return RunWith(nil, g, source, p, cfg)
 }
 
-// RunWith is Run with an explicit Arena: consecutive runs through the same
-// Arena reuse node state, event-queue buckets, evaluator scratch, and (when
-// topology, hops, and metric repeat) the built local views, making sweep
-// iterations allocation-free in steady state. A nil Arena allocates a private
-// one. An Arena serves one run at a time; concurrent runs need one each.
-// Because built views are cached by topology pointer, callers must not mutate
-// a graph in place between runs that share an Arena.
+// RunWith is Run on an explicit Arena, which consecutive runs reuse (see
+// Arena for what they share and what callers must not do between them). A
+// nil Arena allocates a private one. An Arena serves one run at a time;
+// concurrent runs need one each.
 func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Result, error) {
 	if source < 0 || source >= g.N() {
 		return Result{}, fmt.Errorf("sim: source %d out of range [0,%d)", source, g.N())
@@ -294,15 +289,19 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 		Cfg:     cfg.withDefaults(),
 		Source:  source,
 		arena:   a,
-		rngs:    newStreams(cfg.Seed),
+		rngs:    streams{seed: cfg.Seed},
 		plan:    cfg.Faults,
 		workers: 1,
+		viewG:   g,
+	}
+	if cfg.ViewTopology != nil {
+		// Views (and the priority metrics inside them) come from the view
+		// topology, which may be a stale snapshot of the actual graph.
+		net.viewG = cfg.ViewTopology
 	}
 	net.fast = net.Cfg.Engine == EngineFast
 	if net.fast {
-		if net.Cfg.Workers > 1 {
-			net.workers = net.Cfg.Workers
-		}
+		net.workers = max(net.workers, net.Cfg.Workers)
 		a.cal.reset(net.Cfg.TransmitDelay)
 	}
 	a.ensureLoopScratch(g.N(), net.workers > 1)
@@ -345,17 +344,9 @@ func (net *Network) build() error {
 		}
 		return nil
 	}
-	// Views (and the priority metrics inside them) come from the view
-	// topology, which may be a stale snapshot of the actual graph.
-	vg := net.G
-	if net.Cfg.ViewTopology != nil {
-		vg = net.Cfg.ViewTopology
-	}
-	net.viewG = vg
-	views, base := a.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
-	net.base = base
+	views := a.viewsFor(net.viewG, net.Cfg.Hops, net.Cfg.Metric)
 	for v := 0; v < n; v++ {
-		net.nodes[v].View = views[v]
+		net.nodes[v].View = &views[v]
 	}
 	return nil
 }
@@ -535,7 +526,7 @@ func (net *Network) handleReceive(e *event, merged bool) {
 	if debugChecks && net.down(v) {
 		panic(fmt.Sprintf("sim: delivery dispatched to down node %d at %v", v, net.now))
 	}
-	if net.Cfg.LossRate > 0 && net.rngs.loss.Float64() < net.Cfg.LossRate {
+	if net.Cfg.LossRate > 0 && net.rngs.get(streamLoss).Float64() < net.Cfg.LossRate {
 		net.lost++
 		// The receiver detected a garbled transmission it could not
 		// decode: with recovery enabled it asks the sender to retry.
@@ -606,11 +597,7 @@ const maxRetryExponent = 12
 // retransmission k (1-based): base * 2^(k-1), capped at base * 2^maxRetryExponent.
 // Both executors use it so live recovery timing matches the simulator's.
 func RetryBackoffDelay(base float64, attempt int) float64 {
-	exp := attempt - 1
-	if exp > maxRetryExponent {
-		exp = maxRetryExponent
-	}
-	return math.Ldexp(base, exp)
+	return math.Ldexp(base, min(attempt-1, maxRetryExponent))
 }
 
 // handleNACK processes a recovery request arriving at the original sender:
@@ -628,11 +615,8 @@ func (net *Network) handleNACK(e *event) {
 		// lockstep and re-collide forever. Classic binary exponential
 		// backoff: spread the retry by a random whole-slot count within a
 		// window that doubles per attempt.
-		exp := e.attempt
-		if exp > maxRetryExponent {
-			exp = maxRetryExponent
-		}
-		delay += float64(net.rngs.mac.Intn(1<<uint(exp))) * net.Cfg.TransmitDelay
+		exp := min(e.attempt, maxRetryExponent)
+		delay += float64(net.rngs.get(streamMAC).Intn(1<<uint(exp))) * net.Cfg.TransmitDelay
 	}
 	net.seq++
 	net.pushEvent(event{
@@ -672,7 +656,7 @@ func (net *Network) handleRetransmit(e *event) {
 	if net.Cfg.TxJitter > 0 {
 		// Recovery retransmissions jitter from the fault stream so they
 		// never perturb the jitter draws of regular transmissions.
-		arrive += net.rngs.fault.Float64() * net.Cfg.TxJitter
+		arrive += net.rngs.get(streamFault).Float64() * net.Cfg.TxJitter
 	}
 	net.retransmits++
 	net.copies++
@@ -817,7 +801,7 @@ func (net *Network) TakePreparedCovered(v int) (covered, ok bool) {
 
 // RandomBackoff draws a uniform backoff delay from [0, BackoffWindow).
 func (net *Network) RandomBackoff() float64 {
-	return net.rngs.backoff.Float64() * net.Cfg.BackoffWindow
+	return net.rngs.get(streamBackoff).Float64() * net.Cfg.BackoffWindow
 }
 
 // DegreeBackoff returns the backoff of the FRBD policy, proportional to the
@@ -886,11 +870,8 @@ func (net *Network) SetTimer(v int, delay float64) { net.setTimer(0, v, delay) }
 // setTimer is the session-aware timer path shared with the per-session
 // runtimes of traffic runs.
 func (net *Network) setTimer(sid int32, v int, delay float64) {
-	if delay < 0 {
-		delay = 0
-	}
 	net.seq++
-	net.pushEvent(event{at: net.now + delay, seq: net.seq, kind: eventTimer, node: int32(v), session: sid})
+	net.pushEvent(event{at: net.now + max(delay, 0), seq: net.seq, kind: eventTimer, node: int32(v), session: sid})
 }
 
 // MarkNonForward finalizes a non-forward decision for v.
@@ -957,7 +938,7 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 	if net.Cfg.TxJitter > 0 {
 		// One jitter draw per transmission: all neighbors hear the same
 		// (delayed) transmission at the same instant.
-		arrive += net.rngs.jitter.Float64() * net.Cfg.TxJitter
+		arrive += net.rngs.get(streamJitter).Float64() * net.Cfg.TxJitter
 	}
 	net.G.ForEachNeighbor(v, func(u int) {
 		net.copies++

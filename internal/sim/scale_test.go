@@ -99,3 +99,61 @@ func TestWarmRunAllocatesPerForwardNotPerReceipt(t *testing.T) {
 		t.Errorf("bytes per forward grow with the receipt count: %.0f B at d=36 vs %.0f B at d=12", perForward[36], perForward[12])
 	}
 }
+
+// TestWarmRunSetUpCostsNothingPerNode pins what a replicate of a paper figure
+// costs to start on a pooled Arena: a Generic-FR broadcast (which draws from
+// no random stream) over a topology the Arena has not seen, at n = 100 and
+// n = 400, d = 6. Bytes per run must split into a per-forward part (a trail,
+// the forward list) and a set-up part that does not grow with n and is a
+// fraction of one seeded math/rand source (4.9 KB) — so no stream was seeded,
+// and neither views, node states, queue nor priorities were allocated.
+func TestWarmRunSetUpCostsNothingPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates per delivery")
+	}
+	perRun := map[int][2]float64{} // n -> bytes, forwards per run
+	for _, n := range []int{100, 400} {
+		var nets []*geo.Network
+		for i := 0; i < 6; i++ {
+			net, err := geo.Generate(geo.Config{N: n, AvgDegree: 6}, rand.New(rand.NewSource(int64(n+i))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets = append(nets, net)
+		}
+		arena := sim.NewArena()
+		pass := func() (forwards int) {
+			for i, net := range nets {
+				res, err := sim.RunWith(arena, net.G, i, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{Hops: 2, Seed: int64(i) + 1})
+				if err != nil || !res.FullDelivery() {
+					t.Fatalf("n=%d net %d: err %v, delivered %d/%d", n, i, err, res.Delivered, res.N)
+				}
+				forwards += res.ForwardCount()
+			}
+			return forwards
+		}
+		pass() // cold: sizes every slab to the largest of the six
+		pass() // and once more: views pack differently into chunks cut for another topology
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		forwards := pass()
+		runtime.ReadMemStats(&after)
+		runs := float64(len(nets))
+		perRun[n] = [2]float64{float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(forwards) / runs}
+		t.Logf("n=%d: %.0f B and %.1f allocations per run, %.1f forwards per run",
+			n, perRun[n][0], float64(after.Mallocs-before.Mallocs)/runs, perRun[n][1])
+	}
+	small, large := perRun[100], perRun[400]
+	perForward := (large[0] - small[0]) / (large[1] - small[1])
+	setUp := small[0] - perForward*small[1]
+	t.Logf("%.0f B per forward + %.0f B of set-up per run", perForward, setUp)
+	if perForward > 256 {
+		t.Errorf("warm runs allocate %.0f B per forward, budget 256", perForward)
+	}
+	if setUp > 2048 {
+		t.Errorf("a warm run's set-up allocates %.0f B whatever it forwards, budget 2048: something is built per run again (a seeded rand source is 4.9 KB)", setUp)
+	}
+	if small[0] > 4864+small[1]*256 {
+		t.Errorf("a warm n=100 run allocates %.0f B: room for a seeded rand source on top of %.0f forwards", small[0], small[1])
+	}
+}

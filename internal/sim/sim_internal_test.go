@@ -150,3 +150,38 @@ func TestSimdebugCatchesWriteToDeliveredPacket(t *testing.T) {
 	}()
 	_, _ = Run(g, 0, scribbler{}, Config{})
 }
+
+// TestSimdebugCatchesGraphEditedInPlace: an Arena keys its built views by the
+// topology's pointer, so a graph edited between two runs on one Arena would be
+// served the views of what it used to be; simdebug builds must catch the hit
+// and name the first node whose view is stale.
+func TestSimdebugCatchesGraphEditedInPlace(t *testing.T) {
+	if !debugChecks {
+		t.Skip("the view-key guard is compiled in with -tags simdebug only")
+	}
+	g, err := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := NewArena()
+	if _, err := RunWith(arena, g, 0, flooder{}, Config{Hops: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWith(arena, g, 0, flooder{}, Config{Hops: 2}); err != nil {
+		t.Fatal(err) // an untouched graph is a clean hit
+	}
+	if err := g.AddEdge(2, 4); err != nil { // 4 comes within two hops of node 1; node 0 sees no change
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "2-hop view of node 1 no longer matches") {
+			t.Fatalf("run ended with %q, want the stale-view panic naming node 1", msg)
+		}
+	}()
+	_, _ = RunWith(arena, g, 0, flooder{}, Config{Hops: 2})
+}
+
+// flooder is scribbler without the bug.
+type flooder struct{ scribbler }
+
+func (flooder) OnReceive(rt Runtime, v int, _ Receipt) { rt.Transmit(v, nil) }

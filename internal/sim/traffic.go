@@ -12,9 +12,10 @@ import (
 // Multi-session traffic runs (RunTraffic): many concurrent broadcast sessions
 // share one simulated network and — under Config.CarrierSense — one radio
 // channel per node. Each session gets its own protocol instance, node states,
-// and local views (cloned from the run's built views, so per-session view
-// state costs one meta-array copy per node instead of a BFS), while the MAC
-// queues, the channel, the fault plan, and every RNG stream are shared.
+// and local views (an overlay of the run's built view set, so per-session
+// view state costs one view array and one status slab instead of n BFS),
+// while the MAC queues, the channel, the fault plan, and every RNG stream are
+// shared.
 // docs/traffic-model.md is the normative spec.
 
 // SessionSpec describes one injected broadcast session: Source starts a
@@ -200,14 +201,7 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 	}
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
-	vg := net.G
-	if net.Cfg.ViewTopology != nil {
-		vg = net.Cfg.ViewTopology
-	}
-	net.viewG = vg
-	views, base := net.arena.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
-	net.base = base
-	net.tmplViews = views
+	net.arena.viewsFor(net.viewG, net.Cfg.Hops, net.Cfg.Metric) // startSession overlays them
 	net.multi = make([]*sessionState, len(sessions))
 	for i, sp := range sessions {
 		net.multi[i] = &sessionState{id: int32(i), source: sp.Source}
@@ -233,12 +227,13 @@ func (net *Network) startSession(sid int32, source int) {
 	s := net.multi[sid]
 	s.start = net.now
 	n := net.G.N()
+	views := net.arena.views.Overlay()
 	s.nodes = make([]NodeState, n)
 	for v := range s.nodes {
 		s.nodes[v] = NodeState{
 			ID:        v,
 			FirstFrom: -1,
-			View:      net.tmplViews[v].CloneFresh(),
+			View:      &views[v],
 		}
 	}
 	s.proto = net.newProto()
@@ -329,11 +324,5 @@ func (net *Network) trafficResult() TrafficResult {
 // sample slice (q in (0, 1]).
 func quantileNearestRank(sorted []float64, q float64) float64 {
 	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

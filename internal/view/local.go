@@ -1,6 +1,10 @@
 package view
 
-import "adhocbcast/internal/graph"
+import (
+	"slices"
+
+	"adhocbcast/internal/graph"
+)
 
 // Local is the local view of one node: the k-hop topology subgraph Gk(owner)
 // of Definition 2 together with a priority overlay recording the broadcast
@@ -179,11 +183,7 @@ func (lv *Local) IsVisited(v int) bool {
 
 // CloneFresh returns an independent copy of the view with every status
 // override cleared, sharing the immutable topology, base priorities, and
-// member list with the original. Cloning costs one meta-array copy instead
-// of a bounded BFS, which is what makes per-session views affordable in
-// multi-session traffic runs: each broadcast session clones the run's built
-// views and marks its own visited/designated state without touching the
-// originals.
+// member list with the original. Set.Overlay does this for a whole set.
 func (lv *Local) CloneFresh() *Local {
 	meta := make([]uint8, len(lv.meta))
 	for i, m := range lv.meta {
@@ -290,16 +290,6 @@ func (lv *Local) TwoHopTargets() []int {
 		})
 	})
 	// The nested iteration appends in neighbor order, not globally sorted.
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(a []int) {
-	// Insertion sort: slices here are tiny (bounded by the 2-hop
-	// neighborhood) and usually nearly sorted.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

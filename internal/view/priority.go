@@ -99,9 +99,15 @@ func (m Metric) String() string {
 // BasePriorities computes the un-visited priority of every node of g under
 // metric m. The same base vector is shared by all local views of a broadcast
 // round; views overlay status changes on top of it.
-func BasePriorities(g *graph.Graph, m Metric) []Priority {
+func BasePriorities(g *graph.Graph, m Metric) []Priority { return basePriorities(nil, g, m) }
+
+// basePriorities is BasePriorities into pr's memory when it is large enough.
+func basePriorities(pr []Priority, g *graph.Graph, m Metric) []Priority {
 	n := g.N()
-	pr := make([]Priority, n)
+	if cap(pr) < n {
+		pr = make([]Priority, n)
+	}
+	pr = pr[:n]
 	for v := 0; v < n; v++ {
 		pr[v] = Priority{Status: Unvisited, ID: v}
 		switch m {

@@ -1,0 +1,69 @@
+package view
+
+import "slices"
+
+// Set holds the local views of every node of one (topology, hops, metric),
+// built by Builder.BuildAll: one array of views whose member ids and status
+// bytes are sub-slices of shared slabs (global views share one member list),
+// plus the base priorities they read. Rebuilding into a Set that has served a
+// run of the size allocates nothing. The zero value is an empty set. Distinct
+// views of a Set may be marked from distinct goroutines.
+type Set struct {
+	views []Local
+	base  []Priority
+	ids   slab[int32]
+	meta  slab[uint8]
+	total int // members over all views
+}
+
+// Views returns the views, indexed by node, valid until the next BuildAll
+// into s. Callers mark them and must not otherwise write to them.
+func (s *Set) Views() []Local { return s.views }
+
+// ResetStatus clears every status override of every view, returning the set
+// to its freshly built state, in one pass over the status slab.
+func (s *Set) ResetStatus() {
+	for _, c := range s.meta.chunks[:min(s.meta.cur+1, len(s.meta.chunks))] {
+		for i := range c {
+			c[i] &^= metaStatusMask
+		}
+	}
+}
+
+// Overlay returns copies of the views over a status slab of their own: they
+// read like the freshly built set and are marked independently of it. This is
+// what one session of a traffic run costs in views — two allocations.
+func (s *Set) Overlay() []Local {
+	views, meta := slices.Clone(s.views), make([]uint8, s.total)
+	for v := range views {
+		m := copy(meta, views[v].meta)
+		for i := range meta[:m] {
+			meta[i] &^= metaStatusMask
+		}
+		views[v].meta, meta = meta[:m:m], meta[m:]
+	}
+	return views
+}
+
+// slab hands out sub-slices of chunks that are never reallocated: a slice
+// stays valid until BuildAll rewinds the slab to reuse the chunks.
+type slab[T any] struct {
+	chunks   [][]T
+	cur, off int // next free entry: chunks[cur][off]
+}
+
+// take returns m entries with capacity m, so that appending to one view's
+// slice cannot write into the next. A chunk too full for them is left behind;
+// when none remains, one of hint entries is allocated — at least m, at most
+// 1M (4 MiB of ids), so that a large slab grows in steps, never half empty.
+func (s *slab[T]) take(m, hint int) []T {
+	for s.cur < len(s.chunks) && len(s.chunks[s.cur])-s.off < m {
+		s.cur, s.off = s.cur+1, 0
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, max(m, min(hint, 1<<20))))
+	}
+	out := s.chunks[s.cur][s.off : s.off+m : s.off+m]
+	s.off += m
+	return out
+}
