@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race check-docs bench-full figures table1 sample fuzz fuzz-smoke soak-smoke chaos-smoke grid grid-smoke clean
+.PHONY: all build test test-race check-docs figures table1 sample fuzz fuzz-smoke soak-smoke chaos-smoke grid grid-smoke clean
 
 all: build test
 
@@ -14,6 +14,8 @@ test:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
+	@# One event loop: the binary-heap oracle lives in _test.go files only.
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e '"container/heap"' -e EngineOracle .
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/
@@ -25,11 +27,6 @@ check-docs:
 
 test-race:
 	$(GO) test -race ./...
-
-# Every microbenchmark in the repository, human-readable. Performance claims
-# go through the ledger instead: `go run -C bench . -all` (bench/README.md).
-bench-full:
-	$(GO) test -bench=. -benchmem ./...
 
 # Regenerate every committed results_*.txt table from the declarative grid
 # (grid.json): cached points in .gridcache are served content-addressed, only

@@ -27,44 +27,19 @@ import (
 // component (the Evaluator settles the pairs a word of neighbors at a time).
 // The pair relation is deliberately not transitively closed: a
 // lower-priority neighbor may be a path endpoint but never an intermediate.
-func Covered(lv *view.Local) bool {
-	return withEvaluator(func(ev *Evaluator) bool { return ev.Covered(lv) })
-}
-
-// CoveredWithoutVisitedUnion is the generic coverage condition evaluated
-// WITHOUT the assumption that all visited nodes are connected through the
-// source: visited nodes only join a replacement path through links actually
-// visible in the view. It exists for ablation — quantifying how much of the
-// condition's pruning power comes from the visited-union assumption
-// (Figure 6(b) in the paper) — and remains sound, merely more conservative.
-func CoveredWithoutVisitedUnion(lv *view.Local) bool {
-	return withEvaluator(func(ev *Evaluator) bool {
-		return ev.CoveredWithoutVisitedUnion(lv)
-	})
-}
+//
+// Covered is the one-shot form: it builds an Evaluator's scratch per call.
+// Callers that evaluate many views keep one Evaluator and use its method.
+func Covered(lv *view.Local) bool { return new(Evaluator).Covered(lv) }
 
 // StrongCovered evaluates the strong coverage condition: v may take
 // non-forward status iff some single connected component of the
 // higher-priority subgraph H dominates N(v) (every neighbor is in the
 // component or adjacent to it). It implies the generic condition and is the
 // paper's cheaper O(D^2) check, used by Rule-k and LENWB style protocols;
-// here it runs on the same kernel as the generic one (see Evaluator).
-func StrongCovered(lv *view.Local) bool {
-	return withEvaluator(func(ev *Evaluator) bool { return ev.StrongCovered(lv) })
-}
-
-// StrongCoveredRestricted is the strong coverage condition with the
-// coverage set restricted to nodes within maxDist hops of the owner (in the
-// view's topology). It models the paper's restricted Rule-k implementation:
-// with 2-hop information the coverage nodes must be neighbors (maxDist 1),
-// with 3-hop information they may be neighbors' neighbors (maxDist 2). The
-// coverage nodes must be self-connected, i.e. connected using only nodes of
-// the restricted set.
-func StrongCoveredRestricted(lv *view.Local, maxDist int) bool {
-	return withEvaluator(func(ev *Evaluator) bool {
-		return ev.StrongCoveredRestricted(lv, maxDist)
-	})
-}
+// here it runs on the same kernel as the generic one (see Evaluator). Like
+// Covered, this is the one-shot form of the Evaluator method.
+func StrongCovered(lv *view.Local) bool { return new(Evaluator).StrongCovered(lv) }
 
 // sortDedup sorts a in place and removes duplicates.
 func sortDedup(a *[]int) {

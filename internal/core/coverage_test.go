@@ -152,10 +152,10 @@ func TestStrongCoveredRestrictedDistance(t *testing.T) {
 	// neighbors) the condition fails; with maxDist=2 it holds.
 	g := buildGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {3, 4}, {4, 2}})
 	lv := localView(t, g, 0, 3, view.MetricID)
-	if core.StrongCoveredRestricted(lv, 1) {
+	if new(core.Evaluator).StrongCoveredRestricted(lv, 1) {
 		t.Fatal("restricted(1) must not use 2-hop coverage nodes")
 	}
-	if !core.StrongCoveredRestricted(lv, 2) {
+	if !new(core.Evaluator).StrongCoveredRestricted(lv, 2) {
 		t.Fatal("restricted(2) should find the 2-hop coverage chain")
 	}
 }
@@ -188,7 +188,7 @@ func TestImplicationsQuick(t *testing.T) {
 			}
 			covered := core.Covered(lv)
 			strong := core.StrongCovered(lv)
-			restricted := core.StrongCoveredRestricted(lv, hops-1)
+			restricted := new(core.Evaluator).StrongCoveredRestricted(lv, hops-1)
 			span := core.SpanCovered(lv)
 			sba := core.SBACovered(lv)
 			if restricted && !strong {

@@ -1,18 +1,16 @@
 package core
 
 import (
-	"sync"
-
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
 
 // Evaluator evaluates the coverage conditions with reusable scratch state.
-// The stateless entry points (Covered, StrongCovered, ...) borrow a pooled
-// evaluator per call; inside a simulation those conditions run once per node
-// decision per receipt, so a simulation holds one Evaluator (see
+// The one-shot package functions (Covered, StrongCovered) build that scratch
+// per call; inside a simulation those conditions run once per node decision
+// per receipt, so a simulation holds one Evaluator (see
 // sim.Network.Evaluator) and reuses its buffers across all node decisions of
-// the run.
+// the run. The zero Evaluator is ready to use and grows on demand.
 //
 // Every condition runs on one kernel of neighbor bit-rows. The
 // higher-priority members H of the view are contracted into components by
@@ -41,7 +39,7 @@ import (
 // An Evaluator is NOT safe for concurrent use; concurrent simulations must
 // each hold their own. Every evaluation restores its scratch before
 // returning, so results never depend on what the evaluator computed before —
-// the equivalence with the stateless functions is asserted by tests.
+// the equivalence with a fresh evaluator per call is asserted by tests.
 type Evaluator struct {
 	// slot is the one n-sized array, indexed by global id: 0 for a
 	// non-member, else everything an adjacency walk asks about a member in
@@ -160,8 +158,12 @@ func (ev *Evaluator) Covered(lv *view.Local) bool {
 	return ev.covered(lv, true)
 }
 
-// CoveredWithoutVisitedUnion is the ablation variant without the
-// visited-nodes-are-connected assumption.
+// CoveredWithoutVisitedUnion is the generic coverage condition evaluated
+// WITHOUT the assumption that all visited nodes are connected through the
+// source: visited nodes only join a replacement path through links actually
+// visible in the view. It exists for ablation — quantifying how much of the
+// condition's pruning power comes from the visited-union assumption
+// (Figure 6(b) in the paper) — and remains sound, merely more conservative.
 func (ev *Evaluator) CoveredWithoutVisitedUnion(lv *view.Local) bool {
 	return ev.covered(lv, false)
 }
@@ -190,9 +192,13 @@ func (ev *Evaluator) StrongCovered(lv *view.Local) bool {
 	return ok
 }
 
-// StrongCoveredRestricted is the strong coverage condition with coverage
-// nodes restricted to maxDist hops of the owner, evaluated with this
-// evaluator's scratch.
+// StrongCoveredRestricted is the strong coverage condition with the
+// coverage set restricted to nodes within maxDist hops of the owner (in the
+// view's topology). It models the paper's restricted Rule-k implementation:
+// with 2-hop information the coverage nodes must be neighbors (maxDist 1),
+// with 3-hop information they may be neighbors' neighbors (maxDist 2). The
+// coverage nodes must be self-connected, i.e. connected using only nodes of
+// the restricted set.
 func (ev *Evaluator) StrongCoveredRestricted(lv *view.Local, maxDist int) bool {
 	nbrs := ev.begin(lv)
 	ok := true
@@ -384,15 +390,4 @@ func (ev *Evaluator) viewDistances(lv *view.Local, src, maxDist int) {
 			ev.queue = append(ev.queue, memberOf(s))
 		}
 	}
-}
-
-// evalPool backs the stateless package functions so one-shot callers also
-// avoid rebuilding scratch per call.
-var evalPool = sync.Pool{New: func() any { return &Evaluator{} }}
-
-func withEvaluator(f func(ev *Evaluator) bool) bool {
-	ev := evalPool.Get().(*Evaluator)
-	ok := f(ev)
-	evalPool.Put(ev)
-	return ok
 }

@@ -41,7 +41,16 @@ type conditions struct {
 	restricted                      func(*view.Local, int) bool
 }
 
-var stateless = conditions{core.Covered, core.CoveredWithoutVisitedUnion, core.StrongCovered, core.StrongCoveredRestricted}
+// stateless evaluates every condition on a zero Evaluator of its own, as the
+// one-shot package functions do.
+var stateless = conditions{
+	core.Covered,
+	func(lv *view.Local) bool { return new(core.Evaluator).CoveredWithoutVisitedUnion(lv) },
+	core.StrongCovered,
+	func(lv *view.Local, maxDist int) bool {
+		return new(core.Evaluator).StrongCoveredRestricted(lv, maxDist)
+	},
+}
 
 func conditionsOf(ev *core.Evaluator) conditions {
 	return conditions{ev.Covered, ev.CoveredWithoutVisitedUnion, ev.StrongCovered, ev.StrongCoveredRestricted}

@@ -32,7 +32,7 @@ func TestEvaluatorMatchesStateless(t *testing.T) {
 			if got, want := ev.Covered(lv), core.Covered(lv); got != want {
 				t.Fatalf("trial %d owner %d: Covered = %v, stateless %v", trial, owner, got, want)
 			}
-			if got, want := ev.CoveredWithoutVisitedUnion(lv), core.CoveredWithoutVisitedUnion(lv); got != want {
+			if got, want := ev.CoveredWithoutVisitedUnion(lv), new(core.Evaluator).CoveredWithoutVisitedUnion(lv); got != want {
 				t.Fatalf("trial %d owner %d: CoveredWithoutVisitedUnion = %v, stateless %v",
 					trial, owner, got, want)
 			}
@@ -41,7 +41,7 @@ func TestEvaluatorMatchesStateless(t *testing.T) {
 			}
 			for _, maxDist := range []int{1, 2} {
 				got := ev.StrongCoveredRestricted(lv, maxDist)
-				want := core.StrongCoveredRestricted(lv, maxDist)
+				want := new(core.Evaluator).StrongCoveredRestricted(lv, maxDist)
 				if got != want {
 					t.Fatalf("trial %d owner %d maxDist %d: restricted = %v, stateless %v",
 						trial, owner, maxDist, got, want)

@@ -66,7 +66,7 @@ func FuzzCoverageConditions(f *testing.F) {
 			strong := core.StrongCovered(lv)
 			span := core.SpanCovered(lv)
 			sba := core.SBACovered(lv)
-			noUnion := core.CoveredWithoutVisitedUnion(lv)
+			noUnion := new(core.Evaluator).CoveredWithoutVisitedUnion(lv)
 			if strong && !covered {
 				t.Fatalf("strong => generic violated (owner %d)", owner)
 			}
@@ -80,7 +80,7 @@ func FuzzCoverageConditions(f *testing.F) {
 				t.Fatalf("no-union => with-union violated (owner %d)", owner)
 			}
 			for k := 1; k <= 2; k++ {
-				if core.StrongCoveredRestricted(lv, k) && !strong {
+				if new(core.Evaluator).StrongCoveredRestricted(lv, k) && !strong {
 					t.Fatalf("restricted(%d) => strong violated (owner %d)", k, owner)
 				}
 			}

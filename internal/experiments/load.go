@@ -52,9 +52,6 @@ type LoadConfig struct {
 	Parallelism int
 	// Hops is the local-view depth (default 2).
 	Hops int
-	// Engine selects the simulation engine (default EngineFast); the sweep
-	// is engine-independent, which TestLoadSweepDeterminism pins.
-	Engine sim.EngineKind
 	// Emit, when non-nil, receives each completed row as soon as its point
 	// finishes, in (rate, variant) order (cached rows included).
 	Emit func(LoadRow)
@@ -209,7 +206,6 @@ func loadReplicate(cfg LoadConfig, variants []variant, rate float64, rep int, ar
 		res, err := sim.RunTrafficWith(arena, net.G, sessions, v.make, sim.Config{
 			Hops:         cfg.Hops,
 			Seed:         seed + 1,
-			Engine:       cfg.Engine,
 			CarrierSense: true,
 			TxQueueCap:   cfg.QueueCap,
 			NACKRecovery: v.cfg.NACKRecovery,

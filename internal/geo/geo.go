@@ -4,10 +4,10 @@
 // unit disk graph has exactly n*d/2 links for a requested average degree d.
 // Networks that are not connected are discarded and regenerated.
 //
-// Two interchangeable generators produce bit-identical networks: the
-// reference path sorts all n(n-1)/2 candidate links, while the default
-// grid-indexed path (see grid.go) only examines pairs within an estimated
-// range, which is what makes n in the tens of thousands feasible.
+// The generator is grid-indexed (see grid.go): it only examines pairs within
+// an estimated range, which is what makes n in the tens of thousands
+// feasible. Its tests pin it, edge for edge, against a reference that sorts
+// all n(n-1)/2 candidate links.
 package geo
 
 import (
@@ -40,11 +40,6 @@ type Config struct {
 	// MaxAttempts bounds the connected-graph rejection sampling
 	// (default 1000).
 	MaxAttempts int
-	// Naive selects the reference O(n^2 log n) generator that sorts every
-	// candidate link instead of the grid-indexed one. Both produce
-	// bit-identical networks; the reference path exists for equivalence
-	// tests and benchmarks.
-	Naive bool
 	// Seed is a diagnostic label only: generation randomness comes from the
 	// rng passed to Generate, but callers that seed that rng should record
 	// the seed here so a failed generation names the placement stream that
@@ -133,29 +128,27 @@ type pair struct {
 }
 
 // place builds one candidate network: uniform placement plus exact-link-count
-// range adjustment. The m = links(n, d) closest pairs become the links and
-// the m-th distance becomes the range; the naive path considers all pairs,
-// the grid path only a superset of the m closest (see grid.go). Both feed
-// the same comparator, so the resulting networks are bit-identical.
+// range adjustment, over the grid index's candidate pairs (see grid.go).
 func place(cfg Config, rng *rand.Rand) *Network {
-	n := cfg.N
-	pos := make([]Point, n)
+	pos := scatter(cfg, rng)
+	m := links(cfg.N, cfg.AvgDegree)
+	return connect(pos, candidatePairs(pos, cfg.Side, m), m)
+}
+
+// scatter draws the uniform node positions of one placement.
+func scatter(cfg Config, rng *rand.Rand) []Point {
+	pos := make([]Point, cfg.N)
 	for i := range pos {
 		pos[i] = Point{X: rng.Float64() * cfg.Side, Y: rng.Float64() * cfg.Side}
 	}
+	return pos
+}
 
-	m := links(n, cfg.AvgDegree)
-	var pairs []pair
-	if cfg.Naive {
-		pairs = make([]pair, 0, n*(n-1)/2)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				pairs = append(pairs, pair{d: pos[u].Distance(pos[v]), u: u, v: v})
-			}
-		}
-	} else {
-		pairs = candidatePairs(pos, cfg.Side, m)
-	}
+// connect links the m closest of the candidate pairs — any superset of the m
+// closest pairs overall gives the same network — and takes the m-th distance
+// as the range.
+func connect(pos []Point, pairs []pair, m int) *Network {
+	n := len(pos)
 	sortPairs(pairs)
 
 	edges := make([][2]int, m)

@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// The grid-indexed candidate generator. The naive generator materializes and
-// sorts all n(n-1)/2 point pairs to find the m = round(n*d/2) closest ones —
-// an O(n^2 log n) wall that makes n >= 5,000 infeasible. The grid path gets
-// the same m pairs from a guess-and-verify scheme:
+// The grid-indexed candidate generator. Materializing and sorting all
+// n(n-1)/2 point pairs to find the m = round(n*d/2) closest ones is an
+// O(n^2 log n) wall that makes n >= 5,000 infeasible. The grid gets the same
+// m pairs from a guess-and-verify scheme:
 //
 //  1. Estimate the range r that yields m in-range pairs from the analytic
 //     distance distribution of uniform points in a square (with the boundary
@@ -24,10 +24,11 @@ import (
 //
 // Once the scan yields k >= m candidates, the m globally closest pairs are
 // all among them (at least m pairs have distance <= r, so the m smallest do).
-// Sorting the k = O(m) candidates with the same (distance, u, v) comparator
-// the naive path uses therefore selects bit-identical edges and range — the
-// equivalence is pinned by TestPlaceGridMatchesNaive, a fuzz target, and the
-// golden-hash test over the paper's n/d grid.
+// Sorting the k = O(m) candidates by (distance, u, v) therefore selects the
+// same edges and range as sorting all n(n-1)/2 pairs would — pinned against
+// exactly that reference (placeNaive in grid_test.go) by
+// TestPlaceGridMatchesNaive, a fuzz target, and the golden-hash test over the
+// paper's n/d grid.
 
 // rangeSafety pads the analytic range estimate so the first grid scan
 // usually finds enough candidates; growFactor is the rescan growth.
@@ -198,9 +199,8 @@ func estimateRange(n int, side float64, m int) float64 {
 	return hi
 }
 
-// sortPairs orders candidate pairs by (distance, u, v) — the exact comparator
-// the naive full sort uses, so the first m of any superset of the m closest
-// pairs are identical across both paths.
+// sortPairs orders candidate pairs by (distance, u, v), a total order: the
+// first m of any superset of the m closest pairs are the same m pairs.
 func sortPairs(pairs []pair) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].d != pairs[j].d {

@@ -8,6 +8,34 @@ import (
 	"testing"
 )
 
+// placeNaive is the reference placement the grid index is pinned against: the
+// same positions, every one of the n(n-1)/2 pairs as a candidate, and the
+// production sort and link construction.
+func placeNaive(cfg Config, rng *rand.Rand) *Network {
+	pos := scatter(cfg, rng)
+	pairs := make([]pair, 0, cfg.N*(cfg.N-1)/2)
+	for u := range pos {
+		for v := u + 1; v < len(pos); v++ {
+			pairs = append(pairs, pair{d: pos[u].Distance(pos[v]), u: u, v: v})
+		}
+	}
+	return connect(pos, pairs, links(cfg.N, cfg.AvgDegree))
+}
+
+// generateNaive is Generate's rejection sampling over placeNaive.
+func generateNaive(t *testing.T, cfg Config, rng *rand.Rand) *Network {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
+		if net := placeNaive(cfg, rng); net.G.Connected() {
+			net.Attempts = attempt
+			return net
+		}
+	}
+	t.Fatalf("naive n=%d d=%g: no connected network", cfg.N, cfg.AvgDegree)
+	return nil
+}
+
 // comparePlacements asserts that the grid-indexed and naive generators built
 // bit-identical networks from the same placement.
 func comparePlacements(t *testing.T, naive, grid *Network) {
@@ -45,10 +73,8 @@ func TestPlaceGridMatchesNaive(t *testing.T) {
 			}
 			cfg = cfg.withDefaults()
 			for seed := int64(1); seed <= 3; seed++ {
-				naiveCfg, gridCfg := cfg, cfg
-				naiveCfg.Naive = true
-				naive := place(naiveCfg, rand.New(rand.NewSource(seed)))
-				grid := place(gridCfg, rand.New(rand.NewSource(seed)))
+				naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
+				grid := place(cfg, rand.New(rand.NewSource(seed)))
 				comparePlacements(t, naive, grid)
 			}
 		}
@@ -63,11 +89,7 @@ func TestGenerateGridMatchesNaive(t *testing.T) {
 		n int
 		d float64
 	}{{30, 6}, {100, 6}, {100, 18}, {200, 10}} {
-		naive, err := Generate(Config{N: tt.n, AvgDegree: tt.d, Naive: true},
-			rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatalf("naive n=%d d=%g: %v", tt.n, tt.d, err)
-		}
+		naive := generateNaive(t, Config{N: tt.n, AvgDegree: tt.d}, rand.New(rand.NewSource(11)))
 		grid, err := Generate(Config{N: tt.n, AvgDegree: tt.d},
 			rand.New(rand.NewSource(11)))
 		if err != nil {
@@ -199,9 +221,7 @@ func FuzzPlaceGridMatchesNaive(f *testing.F) {
 			t.Skip()
 		}
 		cfg = cfg.withDefaults()
-		naiveCfg := cfg
-		naiveCfg.Naive = true
-		naive := place(naiveCfg, rand.New(rand.NewSource(seed)))
+		naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
 		grid := place(cfg, rand.New(rand.NewSource(seed)))
 		comparePlacements(t, naive, grid)
 	})

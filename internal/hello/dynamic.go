@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"adhocbcast/internal/graph"
 )
 
 // This file is the view-maintenance side of the hello layer: after the
@@ -132,4 +134,28 @@ func (d Dynamic) EverStale(recv, from int, t float64) bool {
 		last = at
 	}
 	return t-last > d.Expiry
+}
+
+// ViewStale reports whether node v's view is stale at time t: some neighbor
+// of v in its view topology g is past its beacon expiry (LinkStale). Pure, so
+// every executor reaches the same verdict, from any goroutine.
+func (d Dynamic) ViewStale(g *graph.Graph, v int, t float64) bool {
+	for _, u := range g.Adj(v) {
+		if d.LinkStale(v, u, t) {
+			return true
+		}
+	}
+	return false
+}
+
+// ViewEverStale reports whether node v's view over g was stale at any time
+// in [0, t] (EverStale on some neighbor): the shape of the run records'
+// stale-view-hold counter.
+func (d Dynamic) ViewEverStale(g *graph.Graph, v int, t float64) bool {
+	for _, u := range g.Adj(v) {
+		if d.EverStale(v, u, t) {
+			return true
+		}
+	}
+	return false
 }

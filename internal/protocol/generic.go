@@ -8,24 +8,18 @@ import (
 // CoveredGeneric adapts the generic coverage condition of Section 3 as a
 // CondFunc, evaluated on the run's shared scratch evaluator.
 func CoveredGeneric(rt sim.Runtime, st *sim.NodeState) bool {
-	if rt == nil {
-		return core.Covered(st.View)
-	}
 	return rt.Evaluator().Covered(st.View)
 }
 
 // CoveredStrong adapts the strong coverage condition of Section 6 as a
 // CondFunc, evaluated on the run's shared scratch evaluator.
 func CoveredStrong(rt sim.Runtime, st *sim.NodeState) bool {
-	if rt == nil {
-		return core.StrongCovered(st.View)
-	}
 	return rt.Evaluator().StrongCovered(st.View)
 }
 
 // evalGeneric and evalStrong are the CoveredEval forms of the two conditions:
-// the same predicates against a caller-supplied evaluator, letting the fast
-// engine precompute timer verdicts in parallel.
+// the same predicates against a caller-supplied evaluator, letting the
+// simulator's event loop precompute timer verdicts in parallel.
 func evalGeneric(st *sim.NodeState, ev *core.Evaluator) bool { return ev.Covered(st.View) }
 func evalStrong(st *sim.NodeState, ev *core.Evaluator) bool  { return ev.StrongCovered(st.View) }
 

@@ -8,7 +8,7 @@ import (
 	"adhocbcast/internal/view"
 )
 
-// Arena owns the fast engine's reusable hot state: the flat per-node state
+// Arena owns the simulator's reusable hot state: the flat per-node state
 // array, the packet slab, the calendar event queue, batch and collision
 // scratch, coverage evaluators, and the run's built local views — one
 // view.Set (views, member and status slabs, base priorities). One Arena
@@ -51,14 +51,13 @@ type Arena struct {
 	wrkEval []*core.Evaluator
 
 	// Event-loop scratch.
-	batch      []event  // fast engine same-instant batch
-	obatch     []*event // oracle engine collision batch
-	arrCnt     []int32  // per-node same-instant arrival counts
-	arrTouched []int    // nodes with non-zero arrCnt entries
-	prepared   []int8   // precomputed timer verdicts: -1 none, 0/1 verdict
-	evtKind    []uint8  // per-node batch event classification bits
-	evtTouched []int    // nodes with non-zero evtKind entries
-	timerIdx   []int    // batch indices of precomputable timer events
+	batch      []event // same-instant batch
+	arrCnt     []int32 // per-node same-instant arrival counts
+	arrTouched []int   // nodes with non-zero arrCnt entries
+	prepared   []int8  // precomputed timer verdicts: -1 none, 0/1 verdict
+	evtKind    []uint8 // per-node batch event classification bits
+	evtTouched []int   // nodes with non-zero evtKind entries
+	timerIdx   []int   // batch indices of precomputable timer events
 
 	// Contention-MAC scratch (CarrierSense runs; see Network.resetMAC).
 	busyUntil   []float64

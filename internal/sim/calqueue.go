@@ -1,11 +1,10 @@
 package sim
 
-// calQueue is a bucketed calendar queue over value-typed events, the fast
-// engine's replacement for the global binary heap of *event (event.go, kept
-// as the sequential oracle). Events are bucketed by "day" — the integer
-// quotient of their timestamp and the bucket width, which the simulator sets
-// to the unit transmission delay — and each day holds a small min-heap
-// ordered by (at, seq). Because simulation time never goes backwards, days
+// calQueue is the simulator's event queue: a bucketed calendar queue over
+// value-typed events. Events are bucketed by "day" — the integer quotient of
+// their timestamp and the bucket width, which the simulator sets to the unit
+// transmission delay — and each day holds a small min-heap ordered by
+// (at, seq). Because simulation time never goes backwards, days
 // are consumed strictly left to right; emptied bucket slices are recycled
 // through a freelist, so steady-state operation allocates nothing.
 //
@@ -17,7 +16,8 @@ package sim
 // into the current day: its timestamp is <= every other queued event's, and
 // the in-bucket heap orders it correctly, so the global pop order is still
 // exactly the (at, seq) order a single heap would produce. The property/fuzz
-// tests in calqueue_test.go pin this equivalence against the binary heap.
+// tests in calqueue_test.go pin this equivalence against the test-side binary
+// heap (oracle_test.go).
 type calQueue struct {
 	width float64   // bucket width (the unit transmission delay)
 	days  [][]event // days[d] = min-heap of events in [d*width, (d+1)*width)

@@ -22,21 +22,6 @@ import (
 	"adhocbcast/internal/view"
 )
 
-// EngineKind selects the event-loop implementation a run uses.
-type EngineKind int
-
-const (
-	// EngineFast is the default engine: a bucketed calendar queue of
-	// value-typed events, flat per-node hot state reused across runs, and
-	// optional worker-sharded same-instant precomputation (Workers). Its
-	// results are bit-identical to EngineOracle for every configuration
-	// and worker count.
-	EngineFast EngineKind = iota
-	// EngineOracle is the original single binary-heap engine, kept as the
-	// sequential oracle for differential testing.
-	EngineOracle
-)
-
 // ViewProvider supplies node v's private view topology: the graph node v
 // believes the network to be, on the global vertex numbering. Providers are
 // called once per node at run setup and must be pure (same v, same graph) for
@@ -109,16 +94,12 @@ type Config struct {
 	// TransmitDelay is the time for a transmission to reach all neighbors.
 	// Default 1.
 	TransmitDelay float64
-	// Engine selects the event-loop implementation. The default EngineFast
-	// and the EngineOracle reference produce bit-identical results; the
-	// oracle exists for differential testing and as the readable spec.
-	Engine EngineKind
-	// Workers is the number of goroutines the fast engine may use to
+	// Workers is the number of goroutines the event loop may use to
 	// precompute same-instant work (pending-timer coverage verdicts and
 	// receive-side view merges) before the sequential dispatch pass. 0 and
 	// 1 both mean fully sequential. Results are bit-identical for any
-	// worker count; EngineOracle ignores the field. With Workers > 1,
-	// ViewIncomplete (if set) must be safe for concurrent calls.
+	// worker count. With Workers > 1, ViewIncomplete (if set) must be safe
+	// for concurrent calls.
 	Workers int
 	// Seed drives the run's private RNG streams. Each stochastic model
 	// (backoff, jitter, loss, recovery) draws from its own stream derived
@@ -173,12 +154,6 @@ type Config struct {
 	// the queue head to admit the arrival (head drop, favoring fresh
 	// traffic under overload).
 	DropOldest bool
-	// CSBackoffSlots is the slotted backoff window W of the contention
-	// MAC: a node that senses the channel busy retries after a uniform
-	// 1..W whole transmission slots (default 4). Draws come from a
-	// dedicated "mac" RNG stream, so enabling contention never perturbs
-	// the backoff, jitter, loss, or fault streams.
-	CSBackoffSlots int
 
 	// Faults, when non-nil, is a deterministic fault plan (node crashes,
 	// churn, link outages) the run honors: copies arriving at a down node
@@ -207,26 +182,35 @@ type Config struct {
 }
 
 // validate rejects configurations that would silently misbehave: out-of-range
-// loss rates, negative delay windows, and malformed fault plans. n is the
-// network size the fault plan must match.
+// loss rates, non-finite or negative delays and windows, and malformed fault
+// plans. n is the network size the fault plan must match.
 func (c Config) validate(n int) error {
 	if c.LossRate < 0 || c.LossRate >= 1 || math.IsNaN(c.LossRate) {
 		return fmt.Errorf("sim: LossRate %v outside [0,1)", c.LossRate)
 	}
-	if c.TxJitter < 0 || math.IsNaN(c.TxJitter) {
-		return fmt.Errorf("sim: negative TxJitter %v", c.TxJitter)
+	// Event times are sums and quotients of these: one NaN or infinity
+	// would put an event where the calendar queue can never reach it. For
+	// the first two, zero or less selects the default (withDefaults).
+	for _, f := range []struct {
+		name      string
+		v         float64
+		defaulted bool
+	}{
+		{"TransmitDelay", c.TransmitDelay, true},
+		{"BackoffWindow", c.BackoffWindow, true},
+		{"TxJitter", c.TxJitter, false},
+		{"NACKDelay", c.NACKDelay, false},
+		{"RetryBackoff", c.RetryBackoff, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s %v is not finite", f.name, f.v)
+		}
+		if f.v < 0 && !f.defaulted {
+			return fmt.Errorf("sim: negative %s %v", f.name, f.v)
+		}
 	}
 	if c.RetryBudget < 0 {
 		return fmt.Errorf("sim: negative RetryBudget %d", c.RetryBudget)
-	}
-	if c.NACKDelay < 0 || math.IsNaN(c.NACKDelay) {
-		return fmt.Errorf("sim: negative NACKDelay %v", c.NACKDelay)
-	}
-	if c.RetryBackoff < 0 || math.IsNaN(c.RetryBackoff) {
-		return fmt.Errorf("sim: negative RetryBackoff %v", c.RetryBackoff)
-	}
-	if c.Engine != EngineFast && c.Engine != EngineOracle {
-		return fmt.Errorf("sim: unknown Engine %d", c.Engine)
 	}
 	if c.CarrierSense && c.Collisions {
 		return fmt.Errorf("sim: CarrierSense and Collisions are mutually exclusive: " +
@@ -239,11 +223,8 @@ func (c Config) validate(n int) error {
 	if c.TxQueueCap < 0 {
 		return fmt.Errorf("sim: negative TxQueueCap %d", c.TxQueueCap)
 	}
-	if c.CSBackoffSlots < 0 {
-		return fmt.Errorf("sim: negative CSBackoffSlots %d", c.CSBackoffSlots)
-	}
-	if !c.CarrierSense && (c.TxQueueCap != 0 || c.DropOldest || c.CSBackoffSlots != 0) {
-		return fmt.Errorf("sim: TxQueueCap/DropOldest/CSBackoffSlots require CarrierSense")
+	if !c.CarrierSense && (c.TxQueueCap != 0 || c.DropOldest) {
+		return fmt.Errorf("sim: TxQueueCap/DropOldest require CarrierSense")
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: negative Workers %d", c.Workers)
@@ -297,9 +278,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 1
-	}
-	if c.CSBackoffSlots == 0 {
-		c.CSBackoffSlots = 4
 	}
 	if c.DynamicHello != nil {
 		d := c.DynamicHello.WithDefaults()

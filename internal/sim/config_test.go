@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"adhocbcast/internal/graph"
 )
@@ -51,6 +53,24 @@ func TestConfigValidate(t *testing.T) {
 			},
 		},
 	}
+	// Every timing value must be finite: event times are built from them.
+	for _, f := range []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"TransmitDelay", func(c *Config, v float64) { c.TransmitDelay = v }},
+		{"BackoffWindow", func(c *Config, v float64) { c.BackoffWindow = v }},
+		{"TxJitter", func(c *Config, v float64) { c.TxJitter = v }},
+		{"NACKDelay", func(c *Config, v float64) { c.NACKDelay = v }},
+		{"RetryBackoff", func(c *Config, v float64) { c.RetryBackoff = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			tc := cases[0] // the zero Config, valid but for the one field set below
+			tc.name, tc.want = fmt.Sprintf("%s %v", f.name, v), f.name
+			f.set(&tc.cfg, v)
+			cases = append(cases, tc)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.validate(g4.N())
@@ -67,5 +87,29 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("validate() = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsNaNTransmitDelay: a NaN TransmitDelay used to pass validate,
+// slip past the "<= 0 means default" test and hang the event loop on a
+// calendar-queue day of int(at/NaN). The run must fail up front instead; the
+// deadline turns a regression into a failure, not a stuck suite.
+func TestRunRejectsNaNTransmitDelay(t *testing.T) {
+	g, err := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(g, 0, flooder{}, Config{TransmitDelay: math.NaN()})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "TransmitDelay") {
+			t.Fatalf("Run = %v, want an error naming TransmitDelay", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run with a NaN TransmitDelay did not return")
 	}
 }

@@ -16,14 +16,14 @@ import (
 )
 
 // TestEngineFastMatchesOracle is the differential correctness proof for the
-// fast engine: for every protocol, under every simulator feature (loss,
+// event loop: for every protocol, under every simulator feature (loss,
 // collisions+jitter, faults, NACK recovery, stale shared views, lossy
 // per-node views with the conservative fallback, global views, metrics,
-// tracing), the calendar-queue engine at worker counts 1, 2, and 8 must
-// reproduce the oracle binary-heap engine bit-for-bit: identical Result,
-// identical event trace, identical run metrics. Fast runs share one Arena
-// across all protocols, scenarios, and worker counts, so hot-state reuse is
-// exercised in the same breath.
+// tracing), the calendar-queue loop at worker counts 1, 2, and 8 must
+// reproduce the test-side binary-heap oracle (oracle_test.go) bit-for-bit:
+// identical Result, identical event trace, identical run metrics. Production
+// runs share one Arena across all protocols, scenarios, and worker counts, so
+// hot-state reuse is exercised in the same breath.
 func TestEngineFastMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net, err := geo.Generate(geo.Config{N: 60, AvgDegree: 6}, rng)
@@ -99,9 +99,9 @@ func TestEngineFastMatchesOracle(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, mk := range protos {
 				p := mk()
-				want, wantTrace, wantRec := runOnce(t, nil, net.G, p, sc.cfg, sim.EngineOracle, 0)
+				want, wantTrace, wantRec := runOnce(t, nil, net.G, p, sc.cfg, 0)
 				for _, workers := range []int{1, 2, 8} {
-					got, gotTrace, gotRec := runOnce(t, arena, net.G, mk(), sc.cfg, sim.EngineFast, workers)
+					got, gotTrace, gotRec := runOnce(t, arena, net.G, mk(), sc.cfg, workers)
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s workers=%d: Result diverged\n fast:   %+v\n oracle: %+v",
 							p.Name(), workers, got, want)
@@ -120,18 +120,26 @@ func TestEngineFastMatchesOracle(t *testing.T) {
 	}
 }
 
+// runOnce runs p from node 0 with a trace recorder and a run record attached:
+// on the production loop with the given arena and worker count, or, for
+// workers == 0, on the oracle.
 func runOnce(t *testing.T, a *sim.Arena, g *graph.Graph, p sim.Protocol, cfg sim.Config,
-	engine sim.EngineKind, workers int) (sim.Result, []sim.TraceEvent, *obsv.RunRecord) {
+	workers int) (sim.Result, []sim.TraceEvent, *obsv.RunRecord) {
 	t.Helper()
 	rec := &sim.Recorder{}
 	metrics := obsv.NewRunRecord()
-	cfg.Engine = engine
 	cfg.Workers = workers
 	cfg.Observer = rec
 	cfg.Metrics = metrics
-	res, err := sim.RunWith(a, g, 0, p, cfg)
+	var res sim.Result
+	var err error
+	if workers == 0 {
+		res, err = sim.RunOracle(g, 0, p, cfg)
+	} else {
+		res, err = sim.RunWith(a, g, 0, p, cfg)
+	}
 	if err != nil {
-		t.Fatalf("%s (engine=%d workers=%d): %v", p.Name(), engine, workers, err)
+		t.Fatalf("%s (workers=%d): %v", p.Name(), workers, err)
 	}
 	return res, rec.Events(), metrics
 }

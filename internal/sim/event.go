@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 type eventKind uint8
 
 const (
@@ -23,10 +21,10 @@ const (
 )
 
 // event is a scheduled simulator action, ordered by time with the insertion
-// sequence number as a deterministic tie-breaker; both engines queue this one
-// type. It is 48 bytes (pinned by TestStateFootprint) and owns nothing: a
-// receive event points at its transmission's Packet in the Arena slab, and
-// the Receipt the protocol sees is rebuilt from (peer, at, pkt) at dispatch.
+// sequence number as a deterministic tie-breaker. It is 48 bytes (pinned by
+// TestStateFootprint) and owns nothing: a receive event points at its
+// transmission's Packet in the Arena slab, and the Receipt the protocol sees
+// is rebuilt from (peer, at, pkt) at dispatch.
 type event struct {
 	at      float64
 	seq     int
@@ -41,31 +39,4 @@ type event struct {
 // receipt rebuilds the Receipt a receive event delivers.
 func (e *event) receipt() Receipt {
 	return Receipt{From: int(e.peer), At: e.at, Packet: e.pkt}
-}
-
-// eventQueue is a binary min-heap of events.
-type eventQueue []*event
-
-var _ heap.Interface = (*eventQueue)(nil)
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }

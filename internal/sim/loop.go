@@ -13,7 +13,7 @@ import (
 // protocol's OnTimer coverage evaluation would reach, or ok=false when no
 // verdict applies (the timer then dispatches normally). Implementations must
 // not mutate the network, draw randomness, or read any mutable state outside
-// node v's own; ev is a private evaluator for this call. The fast engine
+// node v's own; ev is a private evaluator for this call. The event loop
 // calls it from worker goroutines for timers that are their owner's earliest
 // event of the instant, and hands the verdict back through
 // Network.TakePreparedCovered during the sequential dispatch pass.
@@ -25,7 +25,7 @@ type TimerPrecomputer interface {
 // observes designation state or the receiver's own view marks: no designated
 // sets ride the packet trails, and OnReceive for a node whose only events
 // this instant are receives reads nothing a view merge changes. For such
-// protocols the fast engine may apply a node's same-instant view merges from
+// protocols the event loop may apply a node's same-instant view merges from
 // a worker goroutine before the sequential dispatch pass; the merge is
 // monotone and per-node, so the final state is identical.
 type NonDesignating interface {
@@ -39,12 +39,13 @@ const (
 	kindPremerged                   // node's view merges were applied by a worker
 )
 
-// loopFast is the calendar-queue event loop: it drains all events sharing the
-// earliest instant as one batch (events pushed while the batch runs carry
-// higher sequence numbers and later-or-equal times, so they land in a later
-// batch, preserving the oracle's exact (at, seq) dispatch order) and hands
-// the batch to runBatch.
-func (net *Network) loopFast() {
+// loop is the event loop: it drains all events sharing the earliest instant
+// from the calendar queue as one batch (events pushed while the batch runs
+// carry higher sequence numbers and later-or-equal times, so they land in a
+// later batch, and dispatch order is exactly (at, seq) order) and hands the
+// batch to runBatch. The test-side binary-heap oracle (oracle_test.go)
+// dispatches the same events one at a time; results must match bit for bit.
+func (net *Network) loop() {
 	q := &net.arena.cal
 	for q.size > 0 {
 		at := q.peekTime()
@@ -62,17 +63,17 @@ func (net *Network) loopFast() {
 }
 
 // runBatch processes one same-instant batch: an optional sequential collision
-// pass (fault pre-filter plus arrival counting, as in the oracle), an
-// optional parallel precompute pass, and the sequential dispatch pass that
-// replays the events in sequence order with byte-identical side effects.
+// pass (fault pre-filter plus arrival counting), an optional parallel
+// precompute pass, and the sequential dispatch pass that replays the events
+// in sequence order, so side effects do not depend on the worker count.
 func (net *Network) runBatch(batch []event) {
 	coll := net.Cfg.Collisions
 	var arr []int32
 	var arrTouched []int
 	if coll {
-		// Copies already dropped by the fault plan do not count as arrivals —
-		// a down node's radio is off, not jamming. The filter and the counter
-		// run in batch order so fault-drop accounting matches the oracle.
+		// Two or more copies arriving at one receiver at the same instant
+		// destroy each other. Copies already dropped by the fault plan do not
+		// count as arrivals — a down node's radio is off, not jamming.
 		live := batch[:0]
 		for i := range batch {
 			if batch[i].kind == eventReceive && net.dropByFault(&batch[i]) {
@@ -81,20 +82,16 @@ func (net *Network) runBatch(batch []event) {
 			live = append(live, batch[i])
 		}
 		batch = live
-		arr, arrTouched = net.countArrivals(func(yield func(*event)) {
-			for i := range batch {
-				yield(&batch[i])
-			}
-		})
+		arr, arrTouched = net.countArrivals(batch)
 	}
 	var kinds []uint8
-	if net.workers > 1 && len(batch) > 1 {
+	if net.Cfg.Workers > 1 && len(batch) > 1 {
 		kinds = net.precompute(batch)
 	}
 	for i := range batch {
 		e := &batch[i]
 		if coll && e.kind == eventReceive && arr[e.node] > 1 {
-			net.collided++
+			net.tally.Collided++
 			net.maybeNACK(e)
 			continue
 		}
@@ -121,6 +118,34 @@ func (net *Network) runBatch(batch []event) {
 		}
 		net.arena.evtTouched = net.arena.evtTouched[:0]
 	}
+}
+
+// countArrivals tallies a batch's receive arrivals per receiver into the
+// arena's flat count array, returning it with the list of touched nodes. The
+// caller must hand both back to clearArrivals once done — the array relies on
+// that discipline to stay all-zero between batches instead of being cleared
+// per batch (the batch is tiny compared to n).
+func (net *Network) countArrivals(batch []event) ([]int32, []int) {
+	arr := net.arena.arrCnt
+	touched := net.arena.arrTouched[:0]
+	for i := range batch {
+		e := &batch[i]
+		if e.kind != eventReceive {
+			continue
+		}
+		if arr[e.node] == 0 {
+			touched = append(touched, int(e.node))
+		}
+		arr[e.node]++
+	}
+	return arr, touched
+}
+
+func (net *Network) clearArrivals(arr []int32, touched []int) {
+	for _, v := range touched {
+		arr[v] = 0
+	}
+	net.arena.arrTouched = touched[:0]
 }
 
 // precompute is the parallel phase: it classifies the batch's events per node
@@ -171,7 +196,7 @@ func (net *Network) precompute(batch []event) []uint8 {
 	if len(timers) == 0 && !premerge {
 		return kinds
 	}
-	w := net.workers
+	w := net.Cfg.Workers
 	evals := a.workerEvals(w, net.G.N())
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {

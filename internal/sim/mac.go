@@ -64,7 +64,7 @@ func (q *txRing) reset() {
 func (net *Network) enqueueTx(v int, it txItem) {
 	q := &net.txq[v]
 	if cap := net.Cfg.TxQueueCap; cap > 0 && q.len() >= cap {
-		net.queueDrops++
+		net.tally.QueueDrops++
 		if net.Cfg.DropOldest {
 			old := q.pop()
 			net.obsQueueDrop(old.session, v, QueueDropHead)
@@ -86,9 +86,14 @@ func (net *Network) enqueueTx(v int, it txItem) {
 
 // armTxAttempt schedules node v's next transmit opportunity.
 func (net *Network) armTxAttempt(v int, at float64) {
-	net.seq++
-	net.pushEvent(event{at: at, seq: net.seq, kind: eventTxAttempt, node: int32(v)})
+	net.pushEvent(event{at: at, kind: eventTxAttempt, node: int32(v)})
 }
+
+// csBackoffSlots is the slotted backoff window W of the contention MAC: a
+// node that senses the channel busy retries after a uniform 1..W whole
+// transmission slots. Draws come from the dedicated "mac" RNG stream, so
+// contention never perturbs the backoff, jitter, loss, or fault streams.
+const csBackoffSlots = 4
 
 // txAttempt processes one transmit opportunity at node v: wipe the queue if
 // the node is down, transmit the head if the channel is clear, otherwise
@@ -100,7 +105,7 @@ func (net *Network) txAttempt(v int) {
 		q := &net.txq[v]
 		for q.len() > 0 {
 			it := q.pop()
-			net.queueDrops++
+			net.tally.QueueDrops++
 			net.obsQueueDrop(it.session, v, QueueDropDown)
 		}
 		net.txPending[v] = false
@@ -112,8 +117,8 @@ func (net *Network) txAttempt(v int) {
 		return
 	}
 	if net.channelBusy(v) {
-		net.macDeferrals++
-		slots := 1 + net.rngs.get(streamMAC).Intn(net.Cfg.CSBackoffSlots)
+		net.tally.MACDeferrals++
+		slots := 1 + net.rngs.get(streamMAC).Intn(csBackoffSlots)
 		net.armTxAttempt(v, net.now+float64(slots)*net.Cfg.TransmitDelay)
 		return
 	}
@@ -161,11 +166,11 @@ func (net *Network) emitTx(v int, it txItem) {
 	net.busyUntil[v] = arrive
 	if it.to >= 0 {
 		// Unicast recovery retransmission: one copy toward the receiver.
-		net.retransmits++
+		net.tally.Retransmits++
 		net.airCopy(it.session, v, int(it.to), arrive, it.pkt, it.attempt)
 		return
 	}
-	net.forward = append(net.forward, v)
+	net.tally.Forward = append(net.tally.Forward, v)
 	net.obsTransmit(it.session, v, it.designated)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(it.designated)))
@@ -186,11 +191,9 @@ func (net *Network) airCopy(sid int32, v, u int, arrive float64, pkt *Packet, at
 	if net.airEnd[u] < arrive {
 		net.airEnd[u] = arrive
 	}
-	net.copies++
-	net.seq++
+	net.tally.Copies++
 	net.pushEvent(event{
 		at:      arrive,
-		seq:     net.seq,
 		kind:    eventReceive,
 		node:    int32(u),
 		peer:    int32(v),

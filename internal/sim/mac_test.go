@@ -192,10 +192,8 @@ func TestMACConfigValidation(t *testing.T) {
 		{CarrierSense: true, Collisions: true},
 		{CarrierSense: true, TxJitter: 0.5},
 		{CarrierSense: true, TxQueueCap: -1},
-		{CarrierSense: true, CSBackoffSlots: -2},
 		{TxQueueCap: 3},
 		{DropOldest: true},
-		{CSBackoffSlots: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := sim.Run(g, 0, protocol.Flooding(), cfg); err == nil {

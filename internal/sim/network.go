@@ -1,13 +1,13 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/view"
 )
 
@@ -183,12 +183,8 @@ type Network struct {
 	plan     *fault.Plan
 	now      float64
 	seq      int
-	fast     bool       // calendar-queue engine (EngineFast)
-	workers  int        // precompute workers (fast engine; >= 1)
-	queue    eventQueue // oracle engine's binary heap (EngineOracle)
 	nodes    []NodeState
-	prepared []int8 // precomputed timer verdicts (nil unless workers > 1)
-	forward  []int
+	prepared []int8         // precomputed timer verdicts (nil unless Cfg.Workers > 1)
 	viewG    *graph.Graph   // topology the views were built from (global-view modes)
 	nodeView []*graph.Graph // per-node view topologies (NodeViews mode, else nil)
 
@@ -206,17 +202,9 @@ type Network struct {
 	txPending   []bool    // per node: a tx-attempt event is in flight
 	txq         []txRing  // per-node FIFO transmit queues
 
-	receipts        int
-	copies          int
-	lost            int
-	collided        int
-	droppedNodeDown int
-	droppedLinkDown int
-	timersCancelled int
-	nacks           int
-	retransmits     int
-	queueDrops      int
-	macDeferrals    int
+	// tally accumulates the forward list and the channel accounting in the
+	// Result fields of the same names; the rest is filled when the run ends.
+	tally Result
 }
 
 // stateOf returns the bookkeeping state of node v within session sid; single
@@ -259,22 +247,33 @@ func Run(g *graph.Graph, source int, p Protocol, cfg Config) (Result, error) {
 // nil Arena allocates a private one. An Arena serves one run at a time;
 // concurrent runs need one each.
 func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Result, error) {
+	net, err := newRun(a, g, source, p, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	net.loop()
+	return net.result(), nil
+}
+
+// newRun builds the Network of one single-broadcast run up to the point where
+// only the event loop remains: configuration checked, views built, protocol
+// initialised and started at the source.
+func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Network, error) {
 	if source < 0 || source >= g.N() {
-		return Result{}, fmt.Errorf("sim: source %d out of range [0,%d)", source, g.N())
+		return nil, fmt.Errorf("sim: source %d out of range [0,%d)", source, g.N())
 	}
 	if err := cfg.validate(g.N()); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	net := newNetwork(a, g, source, cfg)
 	net.protocol = p
 	if err := net.build(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	p.Init(net)
 	net.deliverToSource()
 	p.Start(net, source)
-	net.loop()
-	return net.result(), nil
+	return net, nil
 }
 
 // newNetwork returns the Network of one run (single or traffic) over a
@@ -285,28 +284,23 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 		a = NewArena()
 	}
 	net := &Network{
-		G:       g,
-		Cfg:     cfg.withDefaults(),
-		Source:  source,
-		arena:   a,
-		rngs:    streams{seed: cfg.Seed},
-		plan:    cfg.Faults,
-		workers: 1,
-		viewG:   g,
+		G:      g,
+		Cfg:    cfg.withDefaults(),
+		Source: source,
+		arena:  a,
+		rngs:   streams{seed: cfg.Seed},
+		plan:   cfg.Faults,
+		viewG:  g,
 	}
 	if cfg.ViewTopology != nil {
 		// Views (and the priority metrics inside them) come from the view
 		// topology, which may be a stale snapshot of the actual graph.
 		net.viewG = cfg.ViewTopology
 	}
-	net.fast = net.Cfg.Engine == EngineFast
-	if net.fast {
-		net.workers = max(net.workers, net.Cfg.Workers)
-		a.cal.reset(net.Cfg.TransmitDelay)
-	}
-	a.ensureLoopScratch(g.N(), net.workers > 1)
+	a.cal.reset(net.Cfg.TransmitDelay)
+	a.ensureLoopScratch(g.N(), cfg.Workers > 1)
 	a.npkts, a.pktSums = 0, a.pktSums[:0]
-	if net.workers > 1 {
+	if cfg.Workers > 1 {
 		net.prepared = a.prepared
 	}
 	if net.Cfg.CarrierSense {
@@ -377,94 +371,6 @@ func (net *Network) down(v int) bool {
 	return net.plan != nil && net.plan.NodeDownAt(v, net.now)
 }
 
-func (net *Network) loop() {
-	if net.fast {
-		net.loopFast()
-		return
-	}
-	if !net.Cfg.Collisions {
-		for net.queue.Len() > 0 {
-			e := heap.Pop(&net.queue).(*event)
-			if debugChecks && e.at < net.now {
-				panic(fmt.Sprintf("sim: event time %v before now %v", e.at, net.now))
-			}
-			net.now = e.at
-			net.dispatch(e)
-		}
-		return
-	}
-	// Collision mode: drain all events sharing one instant as a batch; two
-	// or more copies arriving at the same receiver at the same instant
-	// destroy each other. Copies already dropped by the fault plan do not
-	// count as arrivals — a down node's radio is off, not jamming.
-	batch := net.arena.obatch[:0]
-	for net.queue.Len() > 0 {
-		batch = batch[:0]
-		at := net.queue[0].at
-		for net.queue.Len() > 0 && net.queue[0].at == at {
-			batch = append(batch, heap.Pop(&net.queue).(*event))
-		}
-		if debugChecks && at < net.now {
-			panic(fmt.Sprintf("sim: event time %v before now %v", at, net.now))
-		}
-		net.now = at
-		live := batch[:0]
-		for _, e := range batch {
-			if e.kind == eventReceive && net.dropByFault(e) {
-				continue
-			}
-			live = append(live, e)
-		}
-		arr, touched := net.countArrivals(eventsOf(live))
-		for _, e := range live {
-			if e.kind == eventReceive && arr[e.node] > 1 {
-				net.collided++
-				net.maybeNACK(e)
-				continue
-			}
-			net.dispatch(e)
-		}
-		net.clearArrivals(arr, touched)
-	}
-	net.arena.obatch = batch[:0]
-}
-
-// countArrivals tallies same-instant receive arrivals per receiver into the
-// arena's flat count array, returning it with the list of touched nodes. The
-// caller must hand both back to clearArrivals once done — the array relies on
-// that discipline to stay all-zero between batches instead of being cleared
-// per batch (the batch is tiny compared to n).
-func (net *Network) countArrivals(events func(yield func(*event))) ([]int32, []int) {
-	arr := net.arena.arrCnt
-	touched := net.arena.arrTouched[:0]
-	events(func(e *event) {
-		if e.kind != eventReceive {
-			return
-		}
-		if arr[e.node] == 0 {
-			touched = append(touched, int(e.node))
-		}
-		arr[e.node]++
-	})
-	return arr, touched
-}
-
-func (net *Network) clearArrivals(arr []int32, touched []int) {
-	for _, v := range touched {
-		arr[v] = 0
-	}
-	net.arena.arrTouched = touched[:0]
-}
-
-// eventsOf adapts a pointer-event batch to the iterator countArrivals takes.
-func eventsOf(batch []*event) func(yield func(*event)) {
-	return func(yield func(*event)) {
-		for _, e := range batch {
-			yield(e)
-		}
-	}
-}
-
 func (net *Network) dispatch(e *event) {
 	switch e.kind {
 	case eventReceive:
@@ -472,7 +378,7 @@ func (net *Network) dispatch(e *event) {
 			return
 		}
 		if net.Cfg.CarrierSense && net.garbledArrival(int(e.node)) {
-			net.collided++
+			net.tally.Collided++
 			net.maybeNACK(e)
 			return
 		}
@@ -482,7 +388,7 @@ func (net *Network) dispatch(e *event) {
 			// A down node loses its pending decision timers: a crashed
 			// node forever, a churned node because the reboot wiped its
 			// soft state.
-			net.timersCancelled++
+			net.tally.TimersCancelled++
 			return
 		}
 		net.protocolOf(e.session).OnTimer(net.runtimeOf(e.session), int(e.node))
@@ -506,19 +412,19 @@ func (net *Network) dropByFault(e *event) bool {
 		return false
 	}
 	if net.plan.NodeDownAt(int(e.node), net.now) {
-		net.droppedNodeDown++
+		net.tally.DroppedNodeDown++
 		return true
 	}
 	if net.plan.LinkDownAt(int(e.peer), int(e.node), net.now) {
-		net.droppedLinkDown++
+		net.tally.DroppedLinkDown++
 		return true
 	}
 	return false
 }
 
 // handleReceive delivers receive event e's packet copy to its node. merged
-// marks a copy whose view merge already happened in the fast engine's
-// parallel pre-merge phase (see precompute); everything order-sensitive — RNG
+// marks a copy whose view merge already happened in the loop's parallel
+// pre-merge phase (see precompute); everything order-sensitive — RNG
 // draws, counters, observers, receipt bookkeeping, the protocol callback —
 // still runs here, in event order.
 func (net *Network) handleReceive(e *event, merged bool) {
@@ -527,13 +433,13 @@ func (net *Network) handleReceive(e *event, merged bool) {
 		panic(fmt.Sprintf("sim: delivery dispatched to down node %d at %v", v, net.now))
 	}
 	if net.Cfg.LossRate > 0 && net.rngs.get(streamLoss).Float64() < net.Cfg.LossRate {
-		net.lost++
+		net.tally.Lost++
 		// The receiver detected a garbled transmission it could not
 		// decode: with recovery enabled it asks the sender to retry.
 		net.maybeNACK(e)
 		return
 	}
-	net.receipts++
+	net.tally.Receipts++
 	net.obsDeliver(sid, v, r.From)
 	st := net.stateOf(sid, v)
 	first := st.RecordReceipt(r)
@@ -573,11 +479,9 @@ func (net *Network) maybeNACK(e *event) {
 	if int(next) > net.Cfg.RetryBudget {
 		return
 	}
-	net.nacks++
-	net.seq++
+	net.tally.NACKs++
 	net.pushEvent(event{
 		at:      net.now + net.Cfg.NACKDelay,
-		seq:     net.seq,
 		kind:    eventNACK,
 		node:    e.peer,
 		peer:    e.node,
@@ -618,10 +522,8 @@ func (net *Network) handleNACK(e *event) {
 		exp := min(e.attempt, maxRetryExponent)
 		delay += float64(net.rngs.get(streamMAC).Intn(1<<uint(exp))) * net.Cfg.TransmitDelay
 	}
-	net.seq++
 	net.pushEvent(event{
 		at:      net.now + delay,
-		seq:     net.seq,
 		kind:    eventRetransmit,
 		node:    e.node,
 		peer:    e.peer,
@@ -658,12 +560,10 @@ func (net *Network) handleRetransmit(e *event) {
 		// never perturb the jitter draws of regular transmissions.
 		arrive += net.rngs.get(streamFault).Float64() * net.Cfg.TxJitter
 	}
-	net.retransmits++
-	net.copies++
-	net.seq++
+	net.tally.Retransmits++
+	net.tally.Copies++
 	net.pushEvent(event{
 		at:      arrive,
-		seq:     net.seq,
 		kind:    eventReceive,
 		node:    e.peer,
 		peer:    e.node,
@@ -673,6 +573,36 @@ func (net *Network) handleRetransmit(e *event) {
 	})
 }
 
+// counters returns the tally with the run's size and finish time filled in.
+func (net *Network) counters() Result {
+	res := net.tally
+	res.N, res.Finish = net.G.N(), net.now
+	return res
+}
+
+// FillRecord copies the outcome's size, delivery and channel counters into m:
+// the fields every executor's run record shares. View-level fields
+// (ViewIncompleteNodes, StaleViewHolds) and histograms are the caller's.
+func (r Result) FillRecord(m *obsv.RunRecord) {
+	m.N = r.N
+	m.Delivered = r.Delivered
+	m.Forward = len(r.Forward)
+	m.Copies = r.Copies
+	m.Receipts = r.Receipts
+	m.Lost = r.Lost
+	m.Collided = r.Collided
+	m.DroppedNodeDown = r.DroppedNodeDown
+	m.DroppedLinkDown = r.DroppedLinkDown
+	m.TimersCancelled = r.TimersCancelled
+	m.NACKs = r.NACKs
+	m.Retransmits = r.Retransmits
+	m.QueueDrops = r.QueueDrops
+	m.MACDeferrals = r.MACDeferrals
+	m.Reachable = r.Reachable
+	m.DeliveredReachable = r.DeliveredReachable
+	m.Finish = r.Finish
+}
+
 func (net *Network) result() Result {
 	delivered := 0
 	for v := range net.nodes {
@@ -680,23 +610,8 @@ func (net *Network) result() Result {
 			delivered++
 		}
 	}
-	res := Result{
-		Forward:         append([]int(nil), net.forward...),
-		Delivered:       delivered,
-		N:               net.G.N(),
-		Finish:          net.now,
-		Receipts:        net.receipts,
-		Copies:          net.copies,
-		Lost:            net.lost,
-		Collided:        net.collided,
-		DroppedNodeDown: net.droppedNodeDown,
-		DroppedLinkDown: net.droppedLinkDown,
-		TimersCancelled: net.timersCancelled,
-		NACKs:           net.nacks,
-		Retransmits:     net.retransmits,
-		QueueDrops:      net.queueDrops,
-		MACDeferrals:    net.macDeferrals,
-	}
+	res := net.counters()
+	res.Delivered = delivered
 	if net.plan == nil {
 		// No faults: every node is reachable (or at least scored; a
 		// disconnected input graph is a workload property, not a fault).
@@ -722,23 +637,7 @@ func (net *Network) result() Result {
 		net.arena.checkPackets()
 	}
 	if m := net.Cfg.Metrics; m != nil {
-		m.N = res.N
-		m.Delivered = res.Delivered
-		m.Forward = len(res.Forward)
-		m.Copies = res.Copies
-		m.Receipts = res.Receipts
-		m.Lost = res.Lost
-		m.Collided = res.Collided
-		m.DroppedNodeDown = res.DroppedNodeDown
-		m.DroppedLinkDown = res.DroppedLinkDown
-		m.TimersCancelled = res.TimersCancelled
-		m.NACKs = res.NACKs
-		m.Retransmits = res.Retransmits
-		m.QueueDrops = res.QueueDrops
-		m.MACDeferrals = res.MACDeferrals
-		m.Reachable = res.Reachable
-		m.DeliveredReachable = res.DeliveredReachable
-		m.Finish = res.Finish
+		res.FillRecord(m)
 		if net.Cfg.ViewIncomplete != nil {
 			for v := 0; v < res.N; v++ {
 				if net.Cfg.ViewIncomplete(v) {
@@ -750,16 +649,10 @@ func (net *Network) result() Result {
 			// A node counts as a stale-view hold when some view-neighbor's
 			// beacons went stale at any point up to the run's finish. Being a
 			// pure function of (views, seed, finish time), the count is
-			// engine- and schedule-independent, and a seed-matched live run
-			// computes the identical value.
+			// schedule-independent, and a seed-matched live run computes the
+			// identical value.
 			for v := 0; v < res.N; v++ {
-				stale := false
-				net.viewGraphOf(v).ForEachNeighbor(v, func(u int) {
-					if !stale && d.EverStale(v, u, res.Finish) {
-						stale = true
-					}
-				})
-				if stale {
+				if d.ViewEverStale(net.viewGraphOf(v), v, res.Finish) {
 					m.StaleViewHolds++
 				}
 			}
@@ -786,8 +679,8 @@ func (net *Network) Evaluator() *core.Evaluator {
 func (net *Network) State(v int) *NodeState { return &net.nodes[v] }
 
 // TakePreparedCovered returns and consumes the precomputed coverage verdict
-// for node v's pending timer, if the fast engine's parallel phase produced
-// one for the current instant. Protocols consult it at the top of their timer
+// for node v's pending timer, if the loop's parallel phase produced one for
+// the current instant. Protocols consult it at the top of their timer
 // coverage evaluation (see the protocol engine); for sequential runs it
 // always reports ok=false.
 func (net *Network) TakePreparedCovered(v int) (covered, ok bool) {
@@ -834,8 +727,9 @@ func (net *Network) viewGraphOf(v int) *graph.Graph {
 // links (ViewIncomplete) or provably stale (DynamicHello expiry), so any "I
 // am covered" conclusion it draws is untrustworthy. Protocols consult this
 // wherever a coverage condition would justify non-forward status (see the
-// protocol engine). The check is a pure function of (v, net.now) — the fast
-// engine's precompute workers call it concurrently.
+// protocol engine). The check is a pure function of (v, net.now) — the
+// precompute workers call it concurrently, and seed-matched live runs reach
+// the same verdicts.
 func (net *Network) ConservativeHold(v int) bool {
 	if !net.Cfg.ConservativeFallback {
 		return false
@@ -843,25 +737,8 @@ func (net *Network) ConservativeHold(v int) bool {
 	if net.Cfg.ViewIncomplete != nil && net.Cfg.ViewIncomplete(v) {
 		return true
 	}
-	return net.viewStale(v, net.now)
-}
-
-// viewStale reports whether node v's dynamic-hello view is stale at time t:
-// some view-neighbor has not been heard from for longer than the expiry.
-// Pure (no state mutated), so it is safe from the precompute workers and
-// yields the same verdicts in seed-matched live runs.
-func (net *Network) viewStale(v int, t float64) bool {
 	d := net.Cfg.DynamicHello
-	if d == nil {
-		return false
-	}
-	stale := false
-	net.viewGraphOf(v).ForEachNeighbor(v, func(u int) {
-		if !stale && d.LinkStale(v, u, t) {
-			stale = true
-		}
-	})
-	return stale
+	return d != nil && d.ViewStale(net.viewGraphOf(v), v, net.now)
 }
 
 // SetTimer schedules an OnTimer callback for node v after delay (>= 0).
@@ -870,8 +747,7 @@ func (net *Network) SetTimer(v int, delay float64) { net.setTimer(0, v, delay) }
 // setTimer is the session-aware timer path shared with the per-session
 // runtimes of traffic runs.
 func (net *Network) setTimer(sid int32, v int, delay float64) {
-	net.seq++
-	net.pushEvent(event{at: net.now + max(delay, 0), seq: net.seq, kind: eventTimer, node: int32(v), session: sid})
+	net.pushEvent(event{at: net.now + max(delay, 0), kind: eventTimer, node: int32(v), session: sid})
 }
 
 // MarkNonForward finalizes a non-forward decision for v.
@@ -928,7 +804,7 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 		})
 		return
 	}
-	net.forward = append(net.forward, v)
+	net.tally.Forward = append(net.tally.Forward, v)
 	net.obsTransmit(sid, v, designated)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(designated)))
@@ -941,11 +817,9 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 		arrive += net.rngs.get(streamJitter).Float64() * net.Cfg.TxJitter
 	}
 	net.G.ForEachNeighbor(v, func(u int) {
-		net.copies++
-		net.seq++
+		net.tally.Copies++
 		net.pushEvent(event{
 			at:      arrive,
-			seq:     net.seq,
 			kind:    eventReceive,
 			node:    int32(u),
 			peer:    int32(v),
@@ -955,14 +829,10 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 	})
 }
 
-// pushEvent enqueues e on whichever event queue the selected engine uses. The
-// fast engine's calendar queue stores events by value in reusable buckets;
-// the oracle allocates per push, exactly as the original simulator did.
+// pushEvent schedules e, stamping it with the next sequence number — the
+// tie-breaker that makes same-time events dispatch in scheduling order.
 func (net *Network) pushEvent(e event) {
-	if net.fast {
-		net.arena.cal.push(e)
-		return
-	}
-	ec := e
-	heap.Push(&net.queue, &ec)
+	net.seq++
+	e.seq = net.seq
+	net.arena.cal.push(e)
 }

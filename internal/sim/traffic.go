@@ -155,9 +155,9 @@ func (rt *sessionRuntime) DegreeBackoff(v int) float64 { return rt.net.DegreeBac
 
 func (rt *sessionRuntime) ConservativeHold(v int) bool { return rt.net.ConservativeHold(v) }
 
-// TakePreparedCovered always reports ok=false: the fast engine's timer
-// precompute phase is disabled in traffic runs (verdict slots are per node,
-// not per (session, node)).
+// TakePreparedCovered always reports ok=false: the loop's timer precompute
+// phase is disabled in traffic runs (verdict slots are per node, not per
+// (session, node)).
 func (rt *sessionRuntime) TakePreparedCovered(v int) (covered, ok bool) { return false, false }
 
 func (rt *sessionRuntime) Evaluator() *core.Evaluator { return rt.net.Evaluator() }
@@ -177,27 +177,39 @@ func RunTraffic(g *graph.Graph, sessions []SessionSpec, newProto func() Protocol
 // run (they are what a session is), but the event queue, built views, MAC
 // scratch, and evaluator are all arena-reused.
 func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (TrafficResult, error) {
+	net, err := newTrafficRun(a, g, sessions, newProto, cfg)
+	if err != nil {
+		return TrafficResult{}, err
+	}
+	net.loop()
+	return net.trafficResult(), nil
+}
+
+// newTrafficRun builds the Network of one traffic run up to the point where
+// only the event loop remains: inputs checked, the shared view set built, and
+// every session's start scheduled at its injection time.
+func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (*Network, error) {
 	if len(sessions) == 0 {
-		return TrafficResult{}, fmt.Errorf("sim: traffic run needs at least one session")
+		return nil, fmt.Errorf("sim: traffic run needs at least one session")
 	}
 	if newProto == nil {
-		return TrafficResult{}, fmt.Errorf("sim: traffic run needs a protocol factory")
+		return nil, fmt.Errorf("sim: traffic run needs a protocol factory")
 	}
 	if cfg.NodeViews != nil {
-		return TrafficResult{}, fmt.Errorf("sim: per-node views are not supported in traffic runs")
+		return nil, fmt.Errorf("sim: per-node views are not supported in traffic runs")
 	}
 	prev := 0.0
 	for i, sp := range sessions {
 		if sp.Source < 0 || sp.Source >= g.N() {
-			return TrafficResult{}, fmt.Errorf("sim: session %d source %d out of range [0,%d)", i, sp.Source, g.N())
+			return nil, fmt.Errorf("sim: session %d source %d out of range [0,%d)", i, sp.Source, g.N())
 		}
 		if math.IsNaN(sp.At) || math.IsInf(sp.At, 0) || sp.At < prev {
-			return TrafficResult{}, fmt.Errorf("sim: session %d injection time %v not finite and non-decreasing", i, sp.At)
+			return nil, fmt.Errorf("sim: session %d injection time %v not finite and non-decreasing", i, sp.At)
 		}
 		prev = sp.At
 	}
 	if err := cfg.validate(g.N()); err != nil {
-		return TrafficResult{}, err
+		return nil, err
 	}
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
@@ -207,17 +219,14 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 		net.multi[i] = &sessionState{id: int32(i), source: sp.Source}
 	}
 	for i, sp := range sessions {
-		net.seq++
 		net.pushEvent(event{
 			at:      sp.At,
-			seq:     net.seq,
 			kind:    eventSessionStart,
 			node:    int32(sp.Source),
 			session: int32(i),
 		})
 	}
-	net.loop()
-	return net.trafficResult(), nil
+	return net, nil
 }
 
 // startSession brings session sid to life at its injection instant: fresh
@@ -258,23 +267,25 @@ func (net *Network) deliverSessionSource(s *sessionState) {
 }
 
 func (net *Network) trafficResult() TrafficResult {
+	c := net.counters()
+	c.Delivered = net.delivered
 	res := TrafficResult{
 		Sessions:        len(net.multi),
-		N:               net.G.N(),
-		Finish:          net.now,
-		Delivered:       net.delivered,
-		Forward:         len(net.forward),
-		Copies:          net.copies,
-		Receipts:        net.receipts,
-		Lost:            net.lost,
-		Collided:        net.collided,
-		DroppedNodeDown: net.droppedNodeDown,
-		DroppedLinkDown: net.droppedLinkDown,
-		TimersCancelled: net.timersCancelled,
-		NACKs:           net.nacks,
-		Retransmits:     net.retransmits,
-		QueueDrops:      net.queueDrops,
-		MACDeferrals:    net.macDeferrals,
+		N:               c.N,
+		Finish:          c.Finish,
+		Delivered:       c.Delivered,
+		Forward:         len(c.Forward),
+		Copies:          c.Copies,
+		Receipts:        c.Receipts,
+		Lost:            c.Lost,
+		Collided:        c.Collided,
+		DroppedNodeDown: c.DroppedNodeDown,
+		DroppedLinkDown: c.DroppedLinkDown,
+		TimersCancelled: c.TimersCancelled,
+		NACKs:           c.NACKs,
+		Retransmits:     c.Retransmits,
+		QueueDrops:      c.QueueDrops,
+		MACDeferrals:    c.MACDeferrals,
 	}
 	if debugChecks {
 		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
@@ -295,27 +306,12 @@ func (net *Network) trafficResult() TrafficResult {
 		res.LatencyP99 = quantileNearestRank(sorted, 0.99)
 	}
 	if m := net.Cfg.Metrics; m != nil {
-		m.N = res.N
-		m.Sessions = res.Sessions
-		m.Delivered = res.Delivered
-		m.Forward = res.Forward
-		m.Copies = res.Copies
-		m.Receipts = res.Receipts
-		m.Lost = res.Lost
-		m.Collided = res.Collided
-		m.DroppedNodeDown = res.DroppedNodeDown
-		m.DroppedLinkDown = res.DroppedLinkDown
-		m.TimersCancelled = res.TimersCancelled
-		m.NACKs = res.NACKs
-		m.Retransmits = res.Retransmits
-		m.QueueDrops = res.QueueDrops
-		m.MACDeferrals = res.MACDeferrals
 		// Deliverability in traffic runs is over (session, node) pairs; the
 		// fault plan's reachability analysis is per injection instant, so the
 		// record scores against the full pair count.
-		m.Reachable = res.Sessions * res.N
-		m.DeliveredReachable = res.Delivered
-		m.Finish = res.Finish
+		c.Reachable, c.DeliveredReachable = res.Sessions*res.N, res.Delivered
+		c.FillRecord(m)
+		m.Sessions = res.Sessions
 	}
 	return res
 }

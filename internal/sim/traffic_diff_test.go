@@ -28,12 +28,12 @@ func sessionSpecs(t *testing.T, plan *traffic.Plan, n int) []sim.SessionSpec {
 	return specs
 }
 
-// TestTrafficFastMatchesOracle extends the engine differential proof to
+// TestTrafficFastMatchesOracle extends the event-loop differential proof to
 // multi-session traffic runs: for every scenario — clean concurrency, the
 // contention MAC (with and without queue caps, both drop policies, NACK
-// recovery under contention), the legacy collision model, loss, and faults —
-// the fast engine at worker counts 1, 2, and 8 must reproduce the oracle
-// bit-for-bit: identical TrafficResult, identical event trace (sessions, MAC
+// recovery under contention, the -ext load sweep's combination), the legacy
+// collision model, loss, and faults — the production loop at worker counts
+// 1, 2, and 8 must reproduce the oracle bit-for-bit: identical TrafficResult, identical event trace (sessions, MAC
 // queue events, and all), identical run metrics.
 func TestTrafficFastMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -72,6 +72,8 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 		{"cs-queue-tail", bursty, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 2, Seed: 2}},
 		{"cs-queue-head", bursty, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 2, DropOldest: true, Seed: 2}},
 		{"cs-nack", steady, sim.Config{Hops: 2, CarrierSense: true, NACKRecovery: true, Seed: 3}},
+		// What experiments.Load runs: queue cap at its default, NACK recovery.
+		{"cs-load", steady, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 8, NACKRecovery: true, Seed: 7}},
 		{"legacy-collisions", steady, sim.Config{Hops: 2, Collisions: true, TxJitter: 0.4, Seed: 4}},
 		{"loss", steady, sim.Config{Hops: 2, LossRate: 0.3, Seed: 6}},
 		{"cs-faults", steady, sim.Config{Hops: 2, CarrierSense: true, Faults: plan, Seed: 8}},
@@ -90,9 +92,9 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, mk := range protos {
 				name := mk().Name()
-				want, wantTrace, wantRec := runTrafficOnce(t, nil, net, sc.sessions, mk, sc.cfg, sim.EngineOracle, 0)
+				want, wantTrace, wantRec := runTrafficOnce(t, nil, net, sc.sessions, mk, sc.cfg, 0)
 				for _, workers := range []int{1, 2, 8} {
-					got, gotTrace, gotRec := runTrafficOnce(t, arena, net, sc.sessions, mk, sc.cfg, sim.EngineFast, workers)
+					got, gotTrace, gotRec := runTrafficOnce(t, arena, net, sc.sessions, mk, sc.cfg, workers)
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s workers=%d: TrafficResult diverged\n fast:   %+v\n oracle: %+v",
 							name, workers, got, want)
@@ -111,18 +113,24 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 	}
 }
 
+// runTrafficOnce is runOnce for traffic runs: workers == 0 selects the oracle.
 func runTrafficOnce(t *testing.T, a *sim.Arena, net *geo.Network, sessions []sim.SessionSpec,
-	mk func() sim.Protocol, cfg sim.Config, engine sim.EngineKind, workers int) (sim.TrafficResult, []sim.TraceEvent, *obsv.RunRecord) {
+	mk func() sim.Protocol, cfg sim.Config, workers int) (sim.TrafficResult, []sim.TraceEvent, *obsv.RunRecord) {
 	t.Helper()
 	rec := &sim.Recorder{}
 	metrics := obsv.NewRunRecord()
-	cfg.Engine = engine
 	cfg.Workers = workers
 	cfg.Observer = rec
 	cfg.Metrics = metrics
-	res, err := sim.RunTrafficWith(a, net.G, sessions, mk, cfg)
+	var res sim.TrafficResult
+	var err error
+	if workers == 0 {
+		res, err = sim.RunTrafficOracle(net.G, sessions, mk, cfg)
+	} else {
+		res, err = sim.RunTrafficWith(a, net.G, sessions, mk, cfg)
+	}
 	if err != nil {
-		t.Fatalf("traffic run (engine=%d workers=%d): %v", engine, workers, err)
+		t.Fatalf("traffic run (workers=%d): %v", workers, err)
 	}
 	return res, rec.Events(), metrics
 }
