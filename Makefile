@@ -16,6 +16,8 @@ test:
 	$(GO) vet ./...
 	@# One event loop: the binary-heap oracle lives in _test.go files only.
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e '"container/heap"' -e EngineOracle .
+	@# One live node: it lives in internal/runtime; cmd/bcastnode is flags, wires and framers.
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e '"adhocbcast/internal/view"' -e '"adhocbcast/internal/hello"' -e '"adhocbcast/internal/traffic"' cmd/bcastnode
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/
@@ -73,12 +75,15 @@ fuzz:
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
 # the differential oracles (grid placement vs naive, view sets vs single
 # views, evaluator vs reference on small graphs and on 60-140-neighbor hubs)
-# exercised on every change without a full campaign.
+# and the live node's durable and wire surfaces (journal replay, length
+# framing) exercised on every change without a full campaign.
 fuzz-smoke:
 	$(GO) test -race ./internal/geo/ -run '^$$' -fuzz FuzzPlaceGridMatchesNaive -fuzztime 5s
 	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
+	$(GO) test -race ./internal/runtime/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
+	$(GO) test -race ./cmd/bcastnode/ -run '^$$' -fuzz FuzzLengthFramer -fuzztime 5s
 
 # CI-sized convergence soak under the race detector: live protocol engines on
 # real goroutines and timers, partitions and churn injected by the nemesis,

@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -41,23 +42,19 @@ import (
 	"time"
 
 	"adhocbcast/internal/protocol"
-	"adhocbcast/internal/view"
+	rt "adhocbcast/internal/runtime"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bcastnode:", err)
 		os.Exit(1)
 	}
 }
 
-var metrics = map[string]view.Metric{
-	"id":     view.MetricID,
-	"degree": view.MetricDegree,
-	"ncr":    view.MetricNCR,
-}
-
-func run(args []string) error {
+// run parses args and serves one node until its wire closes; a stdio node
+// reads stdin and writes stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bcastnode", flag.ContinueOnError)
 	var (
 		proto     = fs.String("proto", "generic-fr", "protocol: "+strings.Join(protocol.Names(), ", "))
@@ -87,11 +84,11 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown protocol %q (valid: %s)", *proto, strings.Join(protocol.Names(), ", "))
 	}
-	m, ok := metrics[strings.ToLower(*metric)]
+	m, ok := protocol.MetricByName(*metric)
 	if !ok {
 		return fmt.Errorf("unknown metric %q (valid: id, degree, ncr)", *metric)
 	}
-	cfg := NodeConfig{
+	cfg := rt.Config{
 		Protocol:       mk,
 		Hops:           *hops,
 		Metric:         m,
@@ -102,12 +99,15 @@ func run(args []string) error {
 		Rate:           *rate,
 		TrafficHorizon: *horizon,
 		JournalDir:     *journal,
-		HelloInterval:  *helloInt,
-		HelloExpiry:    *helloExp,
-		HelloLossRate:  *helloLoss,
+	}
+	if *helloInt > 0 {
+		// A beaconing node holds its forwarding while its view is stale.
+		d := zero(cfg.DynamicHello)
+		d.Interval, d.Expiry, d.LossRate, d.Seed = *helloInt, *helloExp, *helloLoss, *seed
+		cfg.DynamicHello, cfg.ConservativeFallback = d, true
 	}
 
-	var w wire
+	var w rt.Wire
 	if *udp != "" {
 		addr, err := net.ResolveUDPAddr("udp", *udp)
 		if err != nil {
@@ -125,27 +125,31 @@ func run(args []string) error {
 		// The bound address (with the kernel-chosen port for ":0") goes to
 		// stdout, which UDP mode otherwise never writes: a supervisor
 		// respawning nodes on ephemeral ports reads it to rewire peers.
-		fmt.Printf("udp %s\n", conn.LocalAddr())
+		fmt.Fprintf(stdout, "udp %s\n", conn.LocalAddr())
 		w = newUDPWire(conn, peerAddrs)
 	} else {
 		var fr framer
 		switch *framing {
 		case "line":
-			fr = newLineFramer(os.Stdin, os.Stdout)
+			fr = newLineFramer(stdin, stdout)
 		case "length":
-			fr = &lengthFramer{r: os.Stdin, w: os.Stdout}
+			fr = &lengthFramer{r: stdin, w: stdout}
 		default:
 			return fmt.Errorf("unknown framing %q (valid: line, length)", *framing)
 		}
 		w = &stdioWire{fr: fr}
 	}
 
-	node, err := NewNode(cfg, w)
+	node, err := rt.NewNode(cfg, w)
 	if err != nil {
 		return err
 	}
 	return node.Run()
 }
+
+// zero returns a new zero value of what p points to. main configures the
+// node through runtime alone and names no type of the layers beneath it.
+func zero[T any](p *T) *T { return new(T) }
 
 // validateFlags rejects invalid values and mutually-exclusive combinations up
 // front, before any socket is bound or journal opened, so a misconfigured

@@ -34,7 +34,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, nil, nil)
 			if err == nil {
 				t.Fatalf("run(%v) succeeded, want fail-fast error", tc.args)
 			}

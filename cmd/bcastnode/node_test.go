@@ -14,35 +14,36 @@ import (
 	"time"
 
 	"adhocbcast/internal/protocol"
+	rt "adhocbcast/internal/runtime"
 	"adhocbcast/internal/sim"
 )
 
 // harness wires N in-process nodes together over stdio pipes, playing the
-// maelstrom router's role: every envelope a node emits is decoded, passed
+// maelstrom router's role: every rt.Envelope a node emits is decoded, passed
 // through an optional filter (the nemesis hook), and delivered to its
 // destination node's stdin, or to the test client for "c*" destinations.
 type harness struct {
 	t      *testing.T
 	names  []string
 	index  map[string]int
-	nodes  []*Node
+	nodes  []*rt.Node
 	inW    []*io.PipeWriter
 	inMu   []sync.Mutex
 	enc    []*json.Encoder
-	client chan envelope
-	filter func(env envelope) []envelope
+	client chan rt.Envelope
+	filter func(env rt.Envelope) []rt.Envelope
 	msgID  int
 	wg     sync.WaitGroup
 }
 
 // newHarness starts n nodes named n0..n{n-1}. filter may be nil (identity);
 // it runs on router goroutines and must be safe for concurrent use.
-func newHarness(t *testing.T, n int, cfg NodeConfig, filter func(env envelope) []envelope) *harness {
+func newHarness(t *testing.T, n int, cfg rt.Config, filter func(env rt.Envelope) []rt.Envelope) *harness {
 	t.Helper()
 	h := &harness{
 		t:      t,
 		index:  make(map[string]int, n),
-		client: make(chan envelope, 256),
+		client: make(chan rt.Envelope, 256),
 		filter: filter,
 		inMu:   make([]sync.Mutex, n),
 	}
@@ -54,7 +55,7 @@ func newHarness(t *testing.T, n int, cfg NodeConfig, filter func(env envelope) [
 	for i := 0; i < n; i++ {
 		inR, inW := io.Pipe()
 		outR, outW := io.Pipe()
-		node, err := NewNode(cfg, &stdioWire{fr: newLineFramer(inR, outW)})
+		node, err := rt.NewNode(cfg, &stdioWire{fr: newLineFramer(inR, outW)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +97,12 @@ func (h *harness) route(r io.Reader) {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var env envelope
+		var env rt.Envelope
 		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
 			h.t.Errorf("router: bad frame %q: %v", sc.Text(), err)
 			continue
 		}
-		out := []envelope{env}
+		out := []rt.Envelope{env}
 		if h.filter != nil {
 			out = h.filter(env)
 		}
@@ -111,14 +112,14 @@ func (h *harness) route(r io.Reader) {
 	}
 }
 
-func (h *harness) deliver(env envelope) {
+func (h *harness) deliver(env rt.Envelope) {
 	if strings.HasPrefix(env.Dest, "c") {
 		h.client <- env
 		return
 	}
 	i, ok := h.index[env.Dest]
 	if !ok {
-		h.t.Errorf("router: envelope for unknown node %q", env.Dest)
+		h.t.Errorf("router: rt.Envelope for unknown node %q", env.Dest)
 		return
 	}
 	h.inMu[i].Lock()
@@ -131,11 +132,11 @@ func (h *harness) deliver(env envelope) {
 }
 
 // rpc sends body b to a node as the client and waits for the matching reply.
-func (h *harness) rpc(dest string, b body) body {
+func (h *harness) rpc(dest string, b rt.Body) rt.Body {
 	h.t.Helper()
 	h.msgID++
 	b.MsgID = h.msgID
-	h.deliverClient(envelope{Src: "c0", Dest: dest, Body: b})
+	h.deliverClient(rt.Envelope{Src: "c0", Dest: dest, Body: b})
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
@@ -149,7 +150,7 @@ func (h *harness) rpc(dest string, b body) body {
 	}
 }
 
-func (h *harness) deliverClient(env envelope) {
+func (h *harness) deliverClient(env rt.Envelope) {
 	i := h.index[env.Dest]
 	h.inMu[i].Lock()
 	defer h.inMu[i].Unlock()
@@ -162,7 +163,7 @@ func (h *harness) deliverClient(env envelope) {
 func (h *harness) initAll() {
 	h.t.Helper()
 	for _, name := range h.names {
-		if b := h.rpc(name, body{Type: "init", NodeID: name, NodeIDs: h.names}); b.Type != "init_ok" {
+		if b := h.rpc(name, rt.Body{Type: "init", NodeID: name, NodeIDs: h.names}); b.Type != "init_ok" {
 			h.t.Fatalf("init %s: got %+v", name, b)
 		}
 	}
@@ -172,7 +173,7 @@ func (h *harness) initAll() {
 func (h *harness) topologyAll(adj map[string][]string) {
 	h.t.Helper()
 	for _, name := range h.names {
-		if b := h.rpc(name, body{Type: "topology", Topology: adj}); b.Type != "topology_ok" {
+		if b := h.rpc(name, rt.Body{Type: "topology", Topology: adj}); b.Type != "topology_ok" {
 			h.t.Fatalf("topology %s: got %+v", name, b)
 		}
 	}
@@ -183,7 +184,7 @@ func (h *harness) waitDelivered(dest string, msg int64) {
 	h.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		b := h.rpc(dest, body{Type: "read"})
+		b := h.rpc(dest, rt.Body{Type: "read"})
 		for _, m := range b.Messages {
 			if m == msg {
 				return
@@ -212,17 +213,17 @@ func msgRef(m int64) *int64 { return &m }
 // TestNodeBroadcastFlooding floods two waves from different sources across a
 // 5-node path and checks every node reads both messages and forwarded.
 func TestNodeBroadcastFlooding(t *testing.T) {
-	h := newHarness(t, 5, NodeConfig{
+	h := newHarness(t, 5, rt.Config{
 		Protocol:  protocol.Flooding,
 		TimeScale: time.Millisecond,
 	}, nil)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
 
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
-	if b := h.rpc("n4", body{Type: "broadcast", Message: msgRef(9)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n4", rt.Body{Type: "broadcast", Message: msgRef(9)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	for _, name := range h.names {
@@ -230,7 +231,7 @@ func TestNodeBroadcastFlooding(t *testing.T) {
 		h.waitDelivered(name, 9)
 	}
 	for _, name := range h.names {
-		b := h.rpc(name, body{Type: "status"})
+		b := h.rpc(name, rt.Body{Type: "status"})
 		if len(b.Forwarded) != 2 {
 			t.Errorf("%s forwarded %v, want both messages (flooding)", name, b.Forwarded)
 		}
@@ -240,7 +241,7 @@ func TestNodeBroadcastFlooding(t *testing.T) {
 // TestNodeGenericFR runs the pruning protocol over a denser topology: two
 // triangles joined by a bridge. Everyone must deliver.
 func TestNodeGenericFR(t *testing.T) {
-	h := newHarness(t, 6, NodeConfig{
+	h := newHarness(t, 6, rt.Config{
 		Protocol:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 		Hops:      2,
 		TimeScale: time.Millisecond,
@@ -254,7 +255,7 @@ func TestNodeGenericFR(t *testing.T) {
 		"n4": {"n3", "n5"},
 		"n5": {"n3", "n4"},
 	})
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(1)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(1)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	for _, name := range h.names {
@@ -267,16 +268,16 @@ func TestNodeGenericFR(t *testing.T) {
 // checks the NACK retry chain completes delivery.
 func TestNodeRecovery(t *testing.T) {
 	var dropped int32
-	filter := func(env envelope) []envelope {
+	filter := func(env rt.Envelope) []rt.Envelope {
 		if env.Src == "n1" && env.Dest == "n2" && env.Body.Type == "pkt" &&
 			atomic.CompareAndSwapInt32(&dropped, 0, 1) {
 			g := env
-			g.Body = body{Type: "garble", From: env.Body.From, Attempt: env.Body.Attempt, Message: env.Body.Message}
-			return []envelope{g}
+			g.Body = rt.Body{Type: "garble", From: env.Body.From, Attempt: env.Body.Attempt, Message: env.Body.Message}
+			return []rt.Envelope{g}
 		}
-		return []envelope{env}
+		return []rt.Envelope{env}
 	}
-	h := newHarness(t, 3, NodeConfig{
+	h := newHarness(t, 3, rt.Config{
 		Protocol:     protocol.Flooding,
 		TimeScale:    time.Millisecond,
 		NACKRecovery: true,
@@ -284,14 +285,14 @@ func TestNodeRecovery(t *testing.T) {
 	}, filter)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(3)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(3)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	h.waitDelivered("n2", 3)
 	if atomic.LoadInt32(&dropped) == 0 {
 		t.Fatal("the filter never dropped a pkt; the recovery path was not exercised")
 	}
-	if b := h.rpc("n2", body{Type: "status"}); b.NACKs == 0 {
+	if b := h.rpc("n2", rt.Body{Type: "status"}); b.NACKs == 0 {
 		t.Errorf("n2 recovered without NACKing: %+v", b)
 	}
 }
@@ -301,7 +302,7 @@ func TestNodeRecovery(t *testing.T) {
 // shared plan (ids tagged at or above 2^32 per source) and the waves must
 // cross the link like any harness-injected broadcast.
 func TestNodeTrafficGenerator(t *testing.T) {
-	h := newHarness(t, 2, NodeConfig{
+	h := newHarness(t, 2, rt.Config{
 		Protocol:       protocol.Flooding,
 		TimeScale:      time.Millisecond,
 		Seed:           5,
@@ -315,7 +316,7 @@ func TestNodeTrafficGenerator(t *testing.T) {
 	// probability e^-30). Wait until n1 has delivered a wave originated by
 	// n0 and vice versa.
 	sawFrom := func(dest string, source int) bool {
-		b := h.rpc(dest, body{Type: "read"})
+		b := h.rpc(dest, rt.Body{Type: "read"})
 		for _, m := range b.Messages {
 			if m>>32 == int64(source+1) {
 				return true
@@ -332,35 +333,24 @@ func TestNodeTrafficGenerator(t *testing.T) {
 	}
 }
 
-// TestTrafficMessageIDs pins the id tagging: self-injected ids stay disjoint
-// from small harness ids and from other sources' streams.
-func TestTrafficMessageIDs(t *testing.T) {
-	if got := trafficMessageID(0, 0); got != 1<<32 {
-		t.Errorf("trafficMessageID(0,0) = %d, want 2^32", got)
-	}
-	if trafficMessageID(1, 0) == trafficMessageID(0, 1<<31) {
-		t.Error("source streams overlap")
-	}
-}
-
 // TestNodeErrors checks the maelstrom-style error replies.
 func TestNodeErrors(t *testing.T) {
-	h := newHarness(t, 2, NodeConfig{
+	h := newHarness(t, 2, rt.Config{
 		Protocol:  protocol.Flooding,
 		TimeScale: time.Millisecond,
 	}, nil)
 	h.initAll()
-	if b := h.rpc("n0", body{Type: "no-such-type"}); b.Type != "error" || b.Code != errNotSupported {
+	if b := h.rpc("n0", rt.Body{Type: "no-such-type"}); b.Type != "error" || b.Code != 10 /* maelstrom: not supported */ {
 		t.Errorf("unknown type: got %+v", b)
 	}
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(1)}); b.Type != "error" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(1)}); b.Type != "error" {
 		t.Errorf("broadcast before topology: got %+v", b)
 	}
 	h.topologyAll(pathAdjacency(h.names))
-	if b := h.rpc("n0", body{Type: "broadcast"}); b.Type != "error" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast"}); b.Type != "error" {
 		t.Errorf("broadcast without message: got %+v", b)
 	}
-	if b := h.rpc("n0", body{Type: "topology", Topology: map[string][]string{"bogus": {"n0"}}}); b.Type != "error" {
+	if b := h.rpc("n0", rt.Body{Type: "topology", Topology: map[string][]string{"bogus": {"n0"}}}); b.Type != "error" {
 		t.Errorf("bogus topology: got %+v", b)
 	}
 }
@@ -415,7 +405,7 @@ func TestNodeUDP(t *testing.T) {
 				peers[name] = addrs[j]
 			}
 		}
-		node, err := NewNode(NodeConfig{
+		node, err := rt.NewNode(rt.Config{
 			Protocol:  protocol.Flooding,
 			TimeScale: time.Millisecond,
 		}, newUDPWire(conns[i], peers))
@@ -443,11 +433,11 @@ func TestNodeUDP(t *testing.T) {
 	}
 	defer client.Close()
 	msgID := 0
-	rpc := func(dest int, b body) body {
+	rpc := func(dest int, b rt.Body) rt.Body {
 		t.Helper()
 		msgID++
 		b.MsgID = msgID
-		raw, err := json.Marshal(envelope{Src: "c0", Dest: names[dest], Body: b})
+		raw, err := json.Marshal(rt.Envelope{Src: "c0", Dest: names[dest], Body: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +451,7 @@ func TestNodeUDP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rpc %s to %s: %v", b.Type, names[dest], err)
 			}
-			var env envelope
+			var env rt.Envelope
 			if err := json.Unmarshal(buf[:sz], &env); err != nil {
 				t.Fatal(err)
 			}
@@ -471,20 +461,20 @@ func TestNodeUDP(t *testing.T) {
 		}
 	}
 	for i := range names {
-		if b := rpc(i, body{Type: "init", NodeID: names[i], NodeIDs: names}); b.Type != "init_ok" {
+		if b := rpc(i, rt.Body{Type: "init", NodeID: names[i], NodeIDs: names}); b.Type != "init_ok" {
 			t.Fatalf("init: got %+v", b)
 		}
 		adj := map[string][]string{"n0": {"n1"}, "n1": {"n0"}}
-		if b := rpc(i, body{Type: "topology", Topology: adj}); b.Type != "topology_ok" {
+		if b := rpc(i, rt.Body{Type: "topology", Topology: adj}); b.Type != "topology_ok" {
 			t.Fatalf("topology: got %+v", b)
 		}
 	}
-	if b := rpc(0, body{Type: "broadcast", Message: msgRef(5)}); b.Type != "broadcast_ok" {
+	if b := rpc(0, rt.Body{Type: "broadcast", Message: msgRef(5)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		b := rpc(1, body{Type: "read"})
+		b := rpc(1, rt.Body{Type: "read"})
 		if len(b.Messages) == 1 && b.Messages[0] == 5 {
 			break
 		}

@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/hello"
 	"adhocbcast/internal/protocol"
+	rt "adhocbcast/internal/runtime"
 	"adhocbcast/internal/sim"
 )
 
@@ -31,7 +33,10 @@ func countOps(t *testing.T, path, op string, msg int64) int {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		var rec journalOp
+		var rec struct {
+			Op  string `json:"op"`
+			Msg int64  `json:"msg"`
+		}
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			break // torn final line
 		}
@@ -64,7 +69,7 @@ func journalContains(t *testing.T, path, op string) {
 // re-broadcasting the same message must not add another.
 func TestJournalReplayNoDuplicateForward(t *testing.T) {
 	dir := t.TempDir()
-	cfg := NodeConfig{
+	cfg := rt.Config{
 		Protocol:   protocol.Flooding,
 		TimeScale:  time.Millisecond,
 		JournalDir: dir,
@@ -72,7 +77,7 @@ func TestJournalReplayNoDuplicateForward(t *testing.T) {
 	h := newHarness(t, 2, cfg, nil)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	h.waitDelivered("n0", 7)
@@ -86,7 +91,7 @@ func TestJournalReplayNoDuplicateForward(t *testing.T) {
 	h2.initAll()
 	h2.topologyAll(pathAdjacency(h2.names))
 	for _, name := range h2.names {
-		b := h2.rpc(name, body{Type: "status"})
+		b := h2.rpc(name, rt.Body{Type: "status"})
 		if b.Boots != 2 || b.Replays != 1 {
 			t.Errorf("%s: boots=%d replays=%d, want 2/1", name, b.Boots, b.Replays)
 		}
@@ -102,7 +107,7 @@ func TestJournalReplayNoDuplicateForward(t *testing.T) {
 	}
 	// A replayed node must not re-forward, not even when the wave is
 	// re-injected.
-	if b := h2.rpc("n0", body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
+	if b := h2.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(7)}); b.Type != "broadcast_ok" {
 		t.Fatalf("re-broadcast: got %+v", b)
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -124,16 +129,16 @@ func TestJournalReplayNoDuplicateForward(t *testing.T) {
 func TestRestartMidNACK(t *testing.T) {
 	dir := t.TempDir()
 	var dropped int32
-	filter := func(env envelope) []envelope {
+	filter := func(env rt.Envelope) []rt.Envelope {
 		if env.Src == "n0" && env.Dest == "n1" && env.Body.Type == "pkt" &&
 			atomic.CompareAndSwapInt32(&dropped, 0, 1) {
 			g := env
-			g.Body = body{Type: "garble", From: env.Body.From, Attempt: env.Body.Attempt, Message: env.Body.Message}
-			return []envelope{g}
+			g.Body = rt.Body{Type: "garble", From: env.Body.From, Attempt: env.Body.Attempt, Message: env.Body.Message}
+			return []rt.Envelope{g}
 		}
-		return []envelope{env}
+		return []rt.Envelope{env}
 	}
-	h := newHarness(t, 2, NodeConfig{
+	h := newHarness(t, 2, rt.Config{
 		Protocol:     protocol.Flooding,
 		TimeScale:    time.Millisecond,
 		NACKRecovery: true,
@@ -142,7 +147,7 @@ func TestRestartMidNACK(t *testing.T) {
 	}, filter)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(3)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(3)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	// Wait for the NACK obligation to be durable at n0, then kill everything.
@@ -154,7 +159,7 @@ func TestRestartMidNACK(t *testing.T) {
 
 	// Successor life: default (short) backoff. Replay must find the unmet
 	// obligation and retransmit from the restored sent packet.
-	h2 := newHarness(t, 2, NodeConfig{
+	h2 := newHarness(t, 2, rt.Config{
 		Protocol:     protocol.Flooding,
 		TimeScale:    time.Millisecond,
 		NACKRecovery: true,
@@ -218,16 +223,17 @@ func TestRestartMidNACK(t *testing.T) {
 // then count a completed rejoin.
 func TestRejoinViaBeacons(t *testing.T) {
 	dir := t.TempDir()
-	cfg := NodeConfig{
-		Protocol:      protocol.Flooding,
-		TimeScale:     time.Millisecond,
-		JournalDir:    dir,
-		HelloInterval: 50,
+	cfg := rt.Config{
+		Protocol:             protocol.Flooding,
+		TimeScale:            time.Millisecond,
+		JournalDir:           dir,
+		DynamicHello:         &hello.Dynamic{Interval: 50},
+		ConservativeFallback: true,
 	}
 	h := newHarness(t, 2, cfg, nil)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
-	if b := h.rpc("n0", body{Type: "status"}); b.Stale {
+	if b := h.rpc("n0", rt.Body{Type: "status"}); b.Stale {
 		t.Error("first-boot node reports a stale view (topology push is beacon round 0)")
 	}
 	h.close()
@@ -235,12 +241,12 @@ func TestRejoinViaBeacons(t *testing.T) {
 	h2 := newHarness(t, 2, cfg, nil)
 	h2.initAll()
 	h2.topologyAll(pathAdjacency(h2.names))
-	if b := h2.rpc("n0", body{Type: "status"}); !b.Stale {
+	if b := h2.rpc("n0", rt.Body{Type: "status"}); !b.Stale {
 		t.Error("restarted node trusts its view before any neighbor beaconed")
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		b := h2.rpc("n0", body{Type: "status"})
+		b := h2.rpc("n0", rt.Body{Type: "status"})
 		if !b.Stale && b.Rejoins == 1 {
 			break
 		}
@@ -258,22 +264,23 @@ func TestRejoinViaBeacons(t *testing.T) {
 // itself.
 func TestAntiEntropyRepair(t *testing.T) {
 	var isolated int32
-	filter := func(env envelope) []envelope {
+	filter := func(env rt.Envelope) []rt.Envelope {
 		if atomic.LoadInt32(&isolated) == 1 && (env.Dest == "n2" || env.Src == "n2") {
 			return nil
 		}
-		return []envelope{env}
+		return []rt.Envelope{env}
 	}
-	h := newHarness(t, 3, NodeConfig{
-		Protocol:      protocol.Flooding,
-		TimeScale:     time.Millisecond,
-		NACKRecovery:  true,
-		HelloInterval: 20,
+	h := newHarness(t, 3, rt.Config{
+		Protocol:             protocol.Flooding,
+		TimeScale:            time.Millisecond,
+		NACKRecovery:         true,
+		DynamicHello:         &hello.Dynamic{Interval: 20},
+		ConservativeFallback: true,
 	}, filter)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))
 	atomic.StoreInt32(&isolated, 1)
-	if b := h.rpc("n0", body{Type: "broadcast", Message: msgRef(5)}); b.Type != "broadcast_ok" {
+	if b := h.rpc("n0", rt.Body{Type: "broadcast", Message: msgRef(5)}); b.Type != "broadcast_ok" {
 		t.Fatalf("broadcast: got %+v", b)
 	}
 	h.waitDelivered("n0", 5)
@@ -283,7 +290,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 	// for n2 has already been dropped by the router.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		b := h.rpc("n1", body{Type: "status"})
+		b := h.rpc("n1", rt.Body{Type: "status"})
 		forwarded := false
 		for _, m := range b.Forwarded {
 			if m == 5 {
@@ -300,7 +307,7 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 	atomic.StoreInt32(&isolated, 0)
 	h.waitDelivered("n2", 5)
-	if b := h.rpc("n2", body{Type: "status"}); b.NACKs == 0 {
+	if b := h.rpc("n2", rt.Body{Type: "status"}); b.NACKs == 0 {
 		t.Errorf("n2 recovered the wave without anti-entropy NACKs: %+v", b)
 	}
 }
@@ -362,8 +369,8 @@ func TestLengthFramerMalformed(t *testing.T) {
 }
 
 // TestStdioWireDrops feeds a length-framed stream holding an oversized frame,
-// an undecodable frame, a valid envelope, and a truncated tail: recv must
-// deliver the envelope, count three drops, and end in a clean EOF.
+// an undecodable frame, a valid rt.Envelope, and a truncated tail: recv must
+// deliver the rt.Envelope, count three drops, and end in a clean EOF.
 func TestStdioWireDrops(t *testing.T) {
 	var b bytes.Buffer
 	out := &lengthFramer{w: &b}
@@ -380,14 +387,14 @@ func TestStdioWireDrops(t *testing.T) {
 	b.Write([]byte{0, 0}) // truncated tail
 
 	w := &stdioWire{fr: &lengthFramer{r: &b}}
-	env, err := w.recv()
+	env, err := w.Recv()
 	if err != nil || env.Body.Type != "read" {
 		t.Fatalf("recv: got %+v, %v", env, err)
 	}
-	if _, err := w.recv(); err != io.EOF {
+	if _, err := w.Recv(); err != io.EOF {
 		t.Fatalf("after truncated tail: got %v, want io.EOF", err)
 	}
-	if got := w.drops(); got != 3 {
+	if got := w.Drops(); got != 3 {
 		t.Errorf("drops = %d, want 3 (oversized, undecodable, truncated)", got)
 	}
 }
@@ -415,27 +422,98 @@ func TestUDPWireDropsAndPeers(t *testing.T) {
 	if _, err := client.WriteToUDP([]byte(`{"src":"c0","dest":"n0","body":{"type":"read"}}`), addr); err != nil {
 		t.Fatal(err)
 	}
-	env, err := w.recv()
+	env, err := w.Recv()
 	if err != nil || env.Body.Type != "read" {
 		t.Fatalf("recv: got %+v, %v", env, err)
 	}
-	if got := w.drops(); got != 1 {
+	if got := w.Drops(); got != 1 {
 		t.Errorf("drops = %d, want 1", got)
 	}
 	// The valid datagram taught the wire the client's address; a peers update
 	// must be able to override it and to install new names.
-	if err := w.updatePeers(map[string]string{"n9": client.LocalAddr().String()}); err != nil {
+	if err := w.UpdatePeers(map[string]string{"n9": client.LocalAddr().String()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.send(envelope{Src: "n0", Dest: "n9", Body: body{Type: "read_ok"}}); err != nil {
+	if err := w.Send(rt.Envelope{Src: "n0", Dest: "n9", Body: rt.Body{Type: "read_ok"}}); err != nil {
 		t.Fatalf("send to updated peer: %v", err)
 	}
 	buf := make([]byte, 1024)
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := client.ReadFromUDP(buf); err != nil {
-		t.Fatalf("updated peer never got the envelope: %v", err)
+		t.Fatalf("updated peer never got the rt.Envelope: %v", err)
 	}
-	if err := w.updatePeers(map[string]string{"bad": "not-an-address:::"}); err == nil {
+	if err := w.UpdatePeers(map[string]string{"bad": "not-an-address:::"}); err == nil {
 		t.Error("unresolvable peer address accepted")
 	}
+}
+
+// FuzzLengthFramer feeds arbitrary bytes to a length-framed stdio wire: the
+// bytes must yield envelopes or end the stream, every bad frame must be a
+// counted drop, and no frame buffer may exceed maxFrame — whatever a length
+// prefix claims.
+func FuzzLengthFramer(f *testing.F) {
+	frame := func(s string) []byte {
+		var b bytes.Buffer
+		(&lengthFramer{w: &b}).WriteFrame([]byte(s))
+		return b.Bytes()
+	}
+	read := frame(`{"src":"c0","dest":"n0","body":{"type":"read"}}`)
+	f.Add(read)
+	f.Add(append(frame("not json"), read...))
+	f.Add(append(frame(""), read[:len(read)-3]...))
+	f.Add([]byte{0x00, 0x10, 0x00, 0x01, '{', '}'}) // one byte past maxFrame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// What the framer alone makes of the bytes.
+		fr := &lengthFramer{r: bytes.NewReader(data)}
+		bad, good := 0, 0
+		for i := 0; ; i++ {
+			if i > len(data) {
+				t.Fatal("the framer stopped advancing")
+			}
+			b, err := fr.ReadFrame()
+			if err == io.EOF {
+				break
+			}
+			if err == errFrameOversize || err == errFrameTruncated {
+				bad++
+				if err == errFrameTruncated {
+					break
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if cap(b) > maxFrame {
+				t.Fatalf("frame %d holds a %d-byte buffer, over maxFrame", i, cap(b))
+			}
+			var env rt.Envelope
+			if len(bytes.TrimSpace(b)) == 0 {
+				continue
+			}
+			if json.Unmarshal(b, &env) != nil {
+				bad++
+				continue
+			}
+			good++
+		}
+		// The wire must hand over exactly the good frames, count the bad
+		// ones, and end cleanly.
+		w := &stdioWire{fr: &lengthFramer{r: bytes.NewReader(data)}}
+		envs := 0
+		for {
+			_, err := w.Recv()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			envs++
+		}
+		if envs != good || w.Drops() != int64(bad) {
+			t.Fatalf("wire: %d envelopes and %d drops, framer saw %d good and %d bad frames", envs, w.Drops(), good, bad)
+		}
+	})
 }

@@ -20,7 +20,6 @@ import (
 	"adhocbcast/internal/protocol"
 	svgrender "adhocbcast/internal/render"
 	"adhocbcast/internal/sim"
-	"adhocbcast/internal/view"
 )
 
 func main() {
@@ -28,12 +27,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bcastsim:", err)
 		os.Exit(1)
 	}
-}
-
-var metrics = map[string]view.Metric{
-	"id":     view.MetricID,
-	"degree": view.MetricDegree,
-	"ncr":    view.MetricNCR,
 }
 
 // viewLabel names a view depth the way sim.Config.Hops reads it: zero or
@@ -76,7 +69,7 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown protocol %q (valid: %s)", *proto, strings.Join(protocol.Names(), ", "))
 	}
-	m, ok := metrics[strings.ToLower(*metric)]
+	m, ok := protocol.MetricByName(*metric)
 	if !ok {
 		return fmt.Errorf("unknown metric %q (valid: id, degree, ncr)", *metric)
 	}

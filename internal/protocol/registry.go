@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"adhocbcast/internal/sim"
+	"adhocbcast/internal/view"
 )
 
 // registry maps canonical CLI names to protocol factories, shared by every
@@ -38,6 +39,21 @@ var registry = map[string]func() sim.Protocol{
 func ByName(name string) (func() sim.Protocol, bool) {
 	mk, ok := registry[strings.ToLower(name)]
 	return mk, ok
+}
+
+// metrics maps CLI names to priority metrics.
+var metrics = map[string]view.Metric{
+	"id":     view.MetricID,
+	"degree": view.MetricDegree,
+	"ncr":    view.MetricNCR,
+}
+
+// MetricByName returns the priority metric registered under name (id,
+// degree, ncr; case-insensitive). The second result reports whether the name
+// is known.
+func MetricByName(name string) (view.Metric, bool) {
+	m, ok := metrics[strings.ToLower(name)]
+	return m, ok
 }
 
 // Names returns the sorted list of registered protocol names.

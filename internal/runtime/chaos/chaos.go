@@ -204,43 +204,19 @@ func (s *supervisor) backoff(attempt int) time.Duration {
 	return d + time.Duration(s.rng.Int63n(int64(d)/4+1))
 }
 
-// body mirrors the bcastnode message schema (the fields the supervisor uses).
-type body struct {
-	Type      string              `json:"type"`
-	MsgID     int                 `json:"msg_id,omitempty"`
-	InReplyTo int                 `json:"in_reply_to,omitempty"`
-	NodeID    string              `json:"node_id,omitempty"`
-	NodeIDs   []string            `json:"node_ids,omitempty"`
-	Topology  map[string][]string `json:"topology,omitempty"`
-	Message   *int64              `json:"message,omitempty"`
-	Messages  []int64             `json:"messages,omitempty"`
-	Peers     map[string]string   `json:"peers,omitempty"`
-	Boots     int                 `json:"boots,omitempty"`
-	Replays   int                 `json:"replays,omitempty"`
-	Rejoins   int                 `json:"rejoins,omitempty"`
-	Code      int                 `json:"code,omitempty"`
-	Text      string              `json:"text,omitempty"`
-}
-
-type envelope struct {
-	Src  string `json:"src"`
-	Dest string `json:"dest"`
-	Body body   `json:"body"`
-}
-
 // rpc sends b to node i and waits for the matching reply, retrying with
 // bounded exponential backoff + jitter (datagrams to a dead or restarting
 // node are simply lost).
-func (s *supervisor) rpc(i int, b body) (body, error) {
+func (s *supervisor) rpc(i int, b rt.Body) (rt.Body, error) {
 	for attempt := 0; attempt < 7; attempt++ {
 		s.msgID++
 		b.MsgID = s.msgID
-		raw, err := json.Marshal(envelope{Src: "c0", Dest: s.names[i], Body: b})
+		raw, err := json.Marshal(rt.Envelope{Src: "c0", Dest: s.names[i], Body: b})
 		if err != nil {
-			return body{}, err
+			return rt.Body{}, err
 		}
 		if _, err := s.conn.WriteToUDP(raw, s.procs[i].addr); err != nil {
-			return body{}, err
+			return rt.Body{}, err
 		}
 		deadline := time.Now().Add(s.backoff(attempt))
 		buf := make([]byte, 256<<10)
@@ -250,7 +226,7 @@ func (s *supervisor) rpc(i int, b body) (body, error) {
 			if err != nil {
 				break // timed out: resend with a longer deadline
 			}
-			var env envelope
+			var env rt.Envelope
 			if err := json.Unmarshal(buf[:sz], &env); err != nil {
 				continue // noise
 			}
@@ -263,7 +239,7 @@ func (s *supervisor) rpc(i int, b body) (body, error) {
 			}
 		}
 	}
-	return body{}, fmt.Errorf("chaos: %s rpc %s: no reply after retries", s.names[i], b.Type)
+	return rt.Body{}, fmt.Errorf("chaos: %s rpc %s: no reply after retries", s.names[i], b.Type)
 }
 
 // spawn starts (or restarts) node i: exec the binary, read the bound UDP
@@ -306,7 +282,7 @@ func (s *supervisor) spawn(i int) error {
 	}
 	go io.Copy(io.Discard, stdout) // nothing else arrives; keep the pipe drained
 	s.procs[i] = &proc{cmd: cmd, addr: addr, alive: true}
-	if _, err := s.rpc(i, body{Type: "init", NodeID: s.names[i], NodeIDs: s.names}); err != nil {
+	if _, err := s.rpc(i, rt.Body{Type: "init", NodeID: s.names[i], NodeIDs: s.names}); err != nil {
 		return err
 	}
 	return nil
@@ -344,7 +320,7 @@ func (s *supervisor) pushPeers() error {
 		if s.procs[i] == nil || !s.procs[i].alive {
 			continue
 		}
-		if _, err := s.rpc(i, body{Type: "peers", Peers: m}); err != nil {
+		if _, err := s.rpc(i, rt.Body{Type: "peers", Peers: m}); err != nil {
 			return err
 		}
 	}
@@ -369,7 +345,7 @@ func (s *supervisor) respawn(i int) error {
 	if err := s.pushPeers(); err != nil {
 		return err
 	}
-	if _, err := s.rpc(i, body{Type: "topology", Topology: s.adj}); err != nil {
+	if _, err := s.rpc(i, rt.Body{Type: "topology", Topology: s.adj}); err != nil {
 		return err
 	}
 	return nil
@@ -428,7 +404,7 @@ func Run(cfg Config) (Report, error) {
 		return rep, err
 	}
 	for i := 0; i < n; i++ {
-		if _, err := s.rpc(i, body{Type: "topology", Topology: s.adj}); err != nil {
+		if _, err := s.rpc(i, rt.Body{Type: "topology", Topology: s.adj}); err != nil {
 			return rep, err
 		}
 	}
@@ -472,7 +448,7 @@ func Run(cfg Config) (Report, error) {
 			rep.Restarts++
 		case evBroadcast:
 			m := ev.msg
-			if _, err := s.rpc(ev.source, body{Type: "broadcast", Message: &m}); err != nil {
+			if _, err := s.rpc(ev.source, rt.Body{Type: "broadcast", Message: &m}); err != nil {
 				return rep, err
 			}
 			rep.Broadcasts++
@@ -494,7 +470,7 @@ func Run(cfg Config) (Report, error) {
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < cfg.Backbone; i++ {
 		for {
-			b, err := s.rpc(i, body{Type: "read"})
+			b, err := s.rpc(i, rt.Body{Type: "read"})
 			if err != nil {
 				return rep, err
 			}
@@ -514,7 +490,7 @@ func Run(cfg Config) (Report, error) {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
-		b, err := s.rpc(i, body{Type: "read"})
+		b, err := s.rpc(i, rt.Body{Type: "read"})
 		if err != nil {
 			return rep, err
 		}
@@ -532,7 +508,7 @@ func Run(cfg Config) (Report, error) {
 
 	// Node-side counters: prove the chaos actually happened.
 	for i := 0; i < n; i++ {
-		b, err := s.rpc(i, body{Type: "status"})
+		b, err := s.rpc(i, rt.Body{Type: "status"})
 		if err != nil {
 			return rep, err
 		}

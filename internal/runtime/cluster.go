@@ -4,81 +4,82 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
-	"adhocbcast/internal/view"
 )
 
-// Cluster is an in-process live network: one goroutine per node, channel
-// inboxes as radios, wall-clock timers scaled by Config.TimeScale. A Cluster
-// is built once per topology and runs any number of broadcasts; local views
-// are built once and status-reset between broadcasts. Broadcasts run one at
-// a time per Cluster.
+// Cluster is an in-process live network: n Nodes over an in-memory wire and a
+// run clock. The wire passes envelope values (no codec) through the nemesis
+// and the fault plan; the clock reads the wall clock from the start of each
+// broadcast, scaled by Config.TimeScale. Deliveries and timers run on timer
+// goroutines under the receiving node's lock, which serializes each node's
+// handlers without a goroutine per node. A Cluster is built once per topology
+// and runs any number of broadcasts, one at a time.
 type Cluster struct {
 	g     *graph.Graph
 	cfg   Config
-	views []*view.Local
-	// viewGs[v] is the topology node v's view was built from (one shared
-	// graph unless NodeViews is set).
-	viewGs []*graph.Graph
-	bcast  int // broadcasts started, keys per-broadcast RNG streams
+	nodes []*Node
+	ports []*port
+	// locks[v] serializes node v's handlers, and guards ports[v].r.
+	locks []sync.Mutex
+	msg   int64 // broadcasts started: the message id of the latest
 	// lastDelivered records per-node delivery of the most recent broadcast
 	// (sim.Result only carries counts; invariant checks need the set).
 	lastDelivered []bool
 }
 
-// New builds a live cluster over g. View construction (the expensive part)
-// happens here, once.
+// New builds a live cluster over g: one Node per vertex, each initialized
+// and given the topology through its ordinary envelope handlers.
 func New(g *graph.Graph, cfg Config) (*Cluster, error) {
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Rate != 0 || cfg.JournalDir != "" {
+		return nil, fmt.Errorf("runtime: Rate and JournalDir configure a bcastnode deployment, not a Cluster")
+	}
 	n := g.N()
 	cl := &Cluster{
-		g:      g,
-		cfg:    cfg,
-		views:  make([]*view.Local, n),
-		viewGs: make([]*graph.Graph, n),
+		g:     g,
+		cfg:   cfg,
+		nodes: make([]*Node, n),
+		ports: make([]*port, n),
+		locks: make([]sync.Mutex, n),
 	}
-	if cfg.NodeViews != nil {
-		for v := 0; v < n; v++ {
-			gv := cfg.NodeViews(v)
-			if gv == nil {
-				return nil, fmt.Errorf("runtime: NodeViews returned nil for node %d", v)
-			}
-			if gv.N() != n {
-				return nil, fmt.Errorf("runtime: node %d view has %d nodes, network has %d", v, gv.N(), n)
-			}
-			base := view.BasePriorities(gv, cfg.Metric)
-			cl.views[v] = view.NewLocal(gv, v, cfg.Hops, base)
-			cl.viewGs[v] = gv
-		}
-		return cl, nil
+	names := make([]string, n)
+	for v := range names {
+		names[v] = "n" + strconv.Itoa(v)
 	}
-	base := view.BasePriorities(g, cfg.Metric)
+	topo := make(map[string][]string, n)
 	for v := 0; v < n; v++ {
-		cl.views[v] = view.NewLocal(g, v, cfg.Hops, base)
-		cl.viewGs[v] = g
+		for _, u := range g.Neighbors(v) {
+			topo[names[v]] = append(topo[names[v]], names[u])
+		}
+	}
+	for v := 0; v < n; v++ {
+		p := &port{cl: cl, v: v}
+		nd := newNode(cfg, p, cl.staleView)
+		nd.clk = p
+		cl.nodes[v], cl.ports[v] = nd, p
+		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "init", NodeID: names[v], NodeIDs: names}})
+		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "topology", Topology: topo}})
 	}
 	return cl, nil
 }
 
-// N returns the network size.
-func (cl *Cluster) N() int { return cl.g.N() }
-
-// staleView is the CoreConfig.StaleView hook under dynamic hello maintenance
-// (nil method value never installed when DynamicHello is off — the hook
-// checks itself). A node's view is stale at time now when some view-neighbor
-// is past its beacon expiry, with the beacon loss schedule evaluated as the
-// pure hash the simulator uses, so seed-matched runs agree on every verdict.
+// staleView is the nodes' staleness verdict under dynamic hello maintenance:
+// some view-neighbor is past its beacon expiry at time now, with the beacon
+// loss schedule evaluated as the pure hash the simulator uses, so
+// seed-matched runs agree on every verdict.
 func (cl *Cluster) staleView(v int, now float64) bool {
 	d := cl.cfg.DynamicHello
-	return d != nil && d.ViewStale(cl.viewGs[v], v, now)
+	return d != nil && d.ViewStale(cl.g, v, now)
 }
 
 // DeliveredNodes returns the per-node delivery outcome of the most recent
@@ -86,79 +87,25 @@ func (cl *Cluster) staleView(v int, now float64) bool {
 // valid until the next Broadcast.
 func (cl *Cluster) DeliveredNodes() []bool { return cl.lastDelivered }
 
-// message kinds determine how a node's loop treats an inbox entry when the
-// node is down at processing time.
-type msgKind int
-
-const (
-	// msgEvent entries (packet deliveries, garbles, NACK arrivals, the
-	// source kick) had their down checks at arrival time, in the scheduling
-	// layer; the loop runs them unconditionally.
-	msgEvent msgKind = iota
-	// msgTimer entries are protocol decision timers: cancelled and counted
-	// if the node is down when they fire, mirroring the simulator.
-	msgTimer
-	// msgRecovery entries are recovery-layer bookkeeping: silently skipped
-	// if the node is down when they fire (a down node's recovery state is
-	// soft state).
-	msgRecovery
-)
-
-type msg struct {
-	kind msgKind
-	fn   func()
-}
-
-// lnode is one live node: its inbox loop, its protocol core, and its
-// per-neighbor nemesis RNG streams. lnode implements Transport for its Core.
-type lnode struct {
-	r    *run
-	core *Core
-	// inbox serializes every entry point (deliveries, timers, recovery)
-	// onto the node's goroutine; the Core is lock-free because of it.
-	inbox   chan msg
-	stopped chan struct{}
-	// linkRngs[i] drives the nemesis draws of the directed link to the
-	// i-th true neighbor (drawn only on this node's goroutine).
-	linkRngs []*rand.Rand
-	// dispatchDown is the node's down verdict for the message being handled,
-	// evaluated once at dispatch exactly like the simulator evaluates
-	// down-ness once per event: a copy that passed its up-at-arrival check
-	// is processed fully (including the transmit it triggers) even if the
-	// node's churn window opens microseconds into the handler. Only touched
-	// on the node's loop goroutine.
-	dispatchDown bool
-}
-
 // run is the state of one live broadcast.
 type run struct {
-	cl    *Cluster
-	plan  *fault.Plan
-	nodes []*lnode
-	t0    time.Time
+	cl   *Cluster
+	plan *fault.Plan
+	msg  int64
+	t0   time.Time
 	// inflight tracks every scheduled-but-unprocessed action (pending
-	// timer, copy in flight, queued inbox entry). The broadcast has
-	// quiesced when it drains; handlers schedule follow-ups before
-	// releasing their own slot, so the counter never touches zero early.
+	// timer, copy in flight). The broadcast has quiesced when it drains;
+	// handlers schedule follow-ups before releasing their own slot, so the
+	// counter never touches zero early.
 	inflight sync.WaitGroup
+	// aborted turns every later delivery and timer of a run that missed its
+	// deadline into a no-op.
+	aborted atomic.Bool
+	// links[v][i] drives the nemesis draws of the directed link from v to
+	// its i-th true neighbor; seeded on first draw, drawn only under v's lock.
+	links [][]*rand.Rand
 
-	mu              sync.Mutex
-	forward         []forwardEvent
-	finish          float64
-	receipts        int
-	copies          int
-	lost            int
-	droppedNodeDown int
-	droppedLinkDown int
-	timersCancelled int
-	nacks           int
-	retransmits     int
-	nonForwards     int
-}
-
-type forwardEvent struct {
-	node int
-	at   float64
+	copies, lost, droppedNodeDown, droppedLinkDown, timersCancelled atomic.Int64
 }
 
 // now returns the run clock in time units.
@@ -168,238 +115,137 @@ func (r *run) now() float64 {
 
 // wall converts d time units to a wall-clock duration.
 func (r *run) wall(d float64) time.Duration {
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d * float64(r.cl.cfg.TimeScale))
+	return time.Duration(max(d, 0) * float64(r.cl.cfg.TimeScale))
 }
 
-func (r *run) downNode(v int, t float64) bool {
+func (r *run) down(v int, t float64) bool {
 	return r.plan != nil && r.plan.NodeDownAt(v, t)
 }
 
-func (r *run) downLink(u, v int, t float64) bool {
-	return r.plan != nil && r.plan.LinkDownAt(u, v, t)
-}
-
-func (r *run) count(c *int) {
-	r.mu.Lock()
-	*c++
-	r.mu.Unlock()
-}
-
-// note updates the finish clock under the run lock.
-func (r *run) note(at float64) {
-	if at > r.finish {
-		r.finish = at
-	}
-}
-
-// loop is the node's goroutine: it serializes all handler execution.
-func (n *lnode) loop() {
-	for {
-		select {
-		case m := <-n.inbox:
-			n.handle(m)
-		case <-n.stopped:
-			return
-		}
-	}
-}
-
-func (n *lnode) handle(m msg) {
-	defer n.r.inflight.Done()
-	switch m.kind {
-	case msgTimer:
-		if n.r.downNode(n.core.ID(), n.r.now()) {
-			n.r.count(&n.r.timersCancelled)
-			return
-		}
-		n.dispatchDown = false
-	case msgRecovery:
-		if n.r.downNode(n.core.ID(), n.r.now()) {
-			return
-		}
-		n.dispatchDown = false
-	default:
-		// Event messages (deliveries, garbles, NACK arrivals) had their
-		// down check at arrival time in the scheduling layer; the verdict
-		// holds for the whole dispatch.
-		n.dispatchDown = false
-	}
-	m.fn()
-}
-
-// post enqueues an inbox entry, releasing its inflight slot if the run has
-// already been torn down (deadline abort).
-func (n *lnode) post(m msg) {
-	select {
-	case n.inbox <- m:
-	case <-n.stopped:
-		n.r.inflight.Done()
-	}
-}
-
-// schedule runs fn on the node's loop after d time units.
-func (n *lnode) schedule(kind msgKind, d float64, fn func()) {
-	n.r.inflight.Add(1)
-	time.AfterFunc(n.r.wall(d), func() { n.post(msg{kind: kind, fn: fn}) })
-}
-
-// --- Transport ---
-
-var _ Transport = (*lnode)(nil)
-
-func (n *lnode) Now() float64 { return n.r.now() }
-
-// Down reports the down verdict of the current dispatch (see dispatchDown):
-// a handler that is running was up when its trigger was checked, and keeps
-// that status for its duration.
-func (n *lnode) Down() bool { return n.dispatchDown }
-
-func (n *lnode) AfterTimer(d float64, fn func()) { n.schedule(msgTimer, d, fn) }
-
-func (n *lnode) AfterRecovery(d float64, fn func()) { n.schedule(msgRecovery, d, fn) }
-
-// Broadcast radios one copy to every true neighbor through the nemesis.
-func (n *lnode) Broadcast(pkt sim.Packet) {
-	r := n.r
-	v := n.core.ID()
-	at := r.now()
-	r.mu.Lock()
-	r.forward = append(r.forward, forwardEvent{node: v, at: at})
-	if m := r.cl.cfg.Metrics; m != nil {
-		m.ForwardSet.Observe(float64(len(pkt.SenderDesignated())))
-	}
-	r.note(at)
-	r.mu.Unlock()
-	r.cl.g.ForEachNeighbor(v, func(u int) {
-		n.sendCopy(u, pkt, 0)
-	})
-}
-
-// Unicast sends one recovery retransmission copy, subject to the same
-// nemesis as any other copy.
-func (n *lnode) Unicast(to int, pkt sim.Packet, attempt int) {
-	n.r.count(&n.r.retransmits)
-	n.sendCopy(to, pkt, attempt)
-}
-
-// NACK delivers a recovery request to the original sender over the control
-// channel: reliable and immediate (the detection-plus-transit delay was
-// already spent on the receiver side), but dropped if the sender is down at
-// arrival — then the receiver-driven re-request keeps the chain alive. The
-// handoff goes through a timer goroutine so node loops never block on each
-// other's inboxes.
-func (n *lnode) NACK(to int, attempt int) {
-	r := n.r
-	from := n.core.ID()
-	tgt := r.nodes[to]
+// later runs fn on node v's execution context — under its lock — after d
+// time units, counting toward quiescence.
+func (r *run) later(v int, d float64, fn func()) {
 	r.inflight.Add(1)
-	time.AfterFunc(0, func() {
-		if r.downNode(to, r.now()) {
-			r.inflight.Done()
-			return
+	time.AfterFunc(r.wall(d), func() {
+		defer r.inflight.Done()
+		mu := &r.cl.locks[v]
+		mu.Lock()
+		defer mu.Unlock()
+		if !r.aborted.Load() {
+			fn()
 		}
-		tgt.post(msg{kind: msgRecovery, fn: func() {
-			tgt.core.HandleNACK(from, attempt)
-		}})
 	})
 }
 
-func (n *lnode) NoteDeliver(first bool, at float64) {
-	r := n.r
-	r.mu.Lock()
-	r.receipts++
-	if first {
-		if m := r.cl.cfg.Metrics; m != nil {
-			m.Latency.Observe(at)
+// port is node v's end of the in-memory wire and its run clock.
+type port struct {
+	cl *Cluster
+	v  int
+	r  *run // the current broadcast
+}
+
+func (p *port) now() float64 { return p.r.now() }
+
+func (p *port) after(d float64, protocol bool, fn func()) {
+	r := p.r
+	r.later(p.v, d, func() {
+		if !r.down(p.v, r.now()) {
+			fn()
+		} else if protocol {
+			r.timersCancelled.Add(1)
 		}
-	}
-	r.note(at)
-	r.mu.Unlock()
+	})
 }
 
-func (n *lnode) NoteSource() {
-	r := n.r
-	r.mu.Lock()
-	if m := r.cl.cfg.Metrics; m != nil {
-		m.Latency.Observe(0)
-	}
-	r.mu.Unlock()
+// Recv is never called: a Cluster delivers by calling the node's handlers.
+func (p *port) Recv() (Envelope, error) {
+	return Envelope{}, fmt.Errorf("runtime: a Cluster node has no receive loop")
 }
 
-func (n *lnode) NoteNACK() { n.r.count(&n.r.nacks) }
+func (p *port) Drops() int64 { return 0 }
 
-func (n *lnode) NoteNonForward() { n.r.count(&n.r.nonForwards) }
+// Send moves one envelope between nodes: pkt copies through the nemesis and
+// the fault plan, nack requests reliably unless the target is down on
+// arrival. Replies addressed to the Cluster itself have no reader and vanish.
+func (p *port) Send(env Envelope) error {
+	to, ok := p.cl.nodes[p.v].index[env.Dest]
+	if !ok {
+		return nil
+	}
+	r := p.r
+	switch env.Body.Type {
+	case "pkt":
+		r.sendCopy(p.v, to, env)
+	case "nack":
+		r.later(to, 0, func() {
+			if !r.down(to, r.now()) {
+				r.cl.nodes[to].handle(env)
+			}
+		})
+	}
+	return nil
+}
 
-// linkRNG returns the nemesis stream of the directed link to neighbor `to`.
-func (n *lnode) linkRNG(to int) *rand.Rand {
-	nbrs := n.r.cl.g.Neighbors(n.core.ID())
+// link returns the nemesis stream of the directed link from → to.
+func (r *run) link(from, to int) *rand.Rand {
+	nbrs := r.cl.g.Neighbors(from)
+	if r.links[from] == nil {
+		r.links[from] = make([]*rand.Rand, len(nbrs))
+	}
 	i := sort.SearchInts(nbrs, to)
-	return n.linkRngs[i]
+	if r.links[from][i] == nil {
+		r.links[from][i] = rand.New(rand.NewSource(StreamSeed(r.cl.cfg.Seed, "live.link", int(r.msg), from, to)))
+	}
+	return r.links[from][i]
 }
 
 // sendCopy pushes one copy onto the directed link, applying the nemesis:
-// jitter on the delivery delay, Bernoulli drop and duplication, and the
-// fault plan's node/link outages at arrival time. Runs on the sender's
-// goroutine, so the link's RNG draws are ordered by the sender's send order.
-func (n *lnode) sendCopy(to int, pkt sim.Packet, attempt int) {
-	r := n.r
+// jitter on the delivery delay, Bernoulli drop and duplication. Runs under
+// the sender's lock, so the link's draws are ordered by the sender's send
+// order.
+func (r *run) sendCopy(from, to int, env Envelope) {
 	cfg := &r.cl.cfg
-	lr := n.linkRNG(to)
+	lr := r.link(from, to)
 	delay := cfg.TransmitDelay
 	if cfg.Nemesis.JitterFrac > 0 {
 		delay += lr.Float64() * cfg.Nemesis.JitterFrac * cfg.TransmitDelay
 	}
 	drop := cfg.Nemesis.DropRate > 0 && lr.Float64() < cfg.Nemesis.DropRate
-	n.deliverCopy(to, pkt, attempt, delay, drop)
+	r.deliverCopy(from, to, env, delay, drop)
 	if cfg.Nemesis.DupRate > 0 && lr.Float64() < cfg.Nemesis.DupRate {
 		// The duplicate trails the original by up to one transmit delay,
 		// so it usually arrives after other traffic has interleaved.
-		n.deliverCopy(to, pkt, attempt, delay+lr.Float64()*cfg.TransmitDelay, false)
+		r.deliverCopy(from, to, env, delay+lr.Float64()*cfg.TransmitDelay, false)
 	}
 }
 
 // deliverCopy schedules one copy's arrival and resolves its fate at arrival
 // time, exactly as the simulator's dispatch does: receiver down → silent
 // drop; link down → drop, detectable if the nemesis says so; nemesis drop →
-// garble (detectable when recovery is on); otherwise delivery.
-func (n *lnode) deliverCopy(to int, pkt sim.Packet, attempt int, delay float64, drop bool) {
-	r := n.r
-	from := n.core.ID()
-	r.count(&r.copies)
-	r.inflight.Add(1)
-	time.AfterFunc(r.wall(delay), func() {
+// detectable; otherwise delivery. A detectable drop reaches the receiver as
+// a garble envelope.
+func (r *run) deliverCopy(from, to int, env Envelope, delay float64, drop bool) {
+	r.copies.Add(1)
+	r.later(to, delay, func() {
 		at := r.now()
-		tgt := r.nodes[to]
 		switch {
-		case r.downNode(to, at):
-			r.count(&r.droppedNodeDown)
-			r.inflight.Done()
-		case r.downLink(from, to, at):
-			r.count(&r.droppedLinkDown)
-			if r.cl.cfg.Nemesis.DetectablePartitions && r.cl.cfg.NACKRecovery {
-				tgt.post(msg{kind: msgEvent, fn: func() {
-					tgt.core.HandleGarble(from, attempt)
-				}})
-			} else {
-				r.inflight.Done()
+		case r.down(to, at):
+			r.droppedNodeDown.Add(1)
+			return
+		case r.plan != nil && r.plan.LinkDownAt(from, to, at):
+			r.droppedLinkDown.Add(1)
+			if !r.cl.cfg.Nemesis.DetectablePartitions {
+				return
 			}
 		case drop:
-			r.count(&r.lost)
-			if r.cl.cfg.NACKRecovery {
-				tgt.post(msg{kind: msgEvent, fn: func() {
-					tgt.core.HandleGarble(from, attempt)
-				}})
-			} else {
-				r.inflight.Done()
-			}
+			r.lost.Add(1)
 		default:
-			tgt.post(msg{kind: msgEvent, fn: func() {
-				tgt.core.HandlePacket(from, pkt, at)
-			}})
+			r.cl.nodes[to].handle(env)
+			return
 		}
+		b := env.Body
+		r.cl.nodes[to].handle(Envelope{Src: env.Src, Dest: env.Dest, Body: Body{
+			Type: "garble", From: b.From, Attempt: b.Attempt, Message: b.Message}})
 	})
 }
 
@@ -421,54 +267,22 @@ func (cl *Cluster) Broadcast(source int, plan *fault.Plan) (sim.Result, error) {
 	if m := cl.cfg.Metrics; m != nil {
 		m.Reset()
 	}
-	bcast := cl.bcast
-	cl.bcast++
-
-	r := &run{cl: cl, plan: plan, nodes: make([]*lnode, n)}
-	for v := 0; v < n; v++ {
-		lv := cl.views[v]
-		lv.ResetStatus()
-		ln := &lnode{
-			r:       r,
-			inbox:   make(chan msg, 64),
-			stopped: make(chan struct{}),
-		}
-		ln.core = NewCore(v, cl.cfg.Protocol(), lv, cl.viewGs[v], CoreConfig{
-			N:                    n,
-			PiggybackDepth:       cl.cfg.PiggybackDepth,
-			BackoffWindow:        cl.cfg.BackoffWindow,
-			TransmitDelay:        cl.cfg.TransmitDelay,
-			NACKRecovery:         cl.cfg.NACKRecovery,
-			RetryBudget:          cl.cfg.RetryBudget,
-			NACKDelay:            cl.cfg.NACKDelay,
-			RetryBackoff:         cl.cfg.RetryBackoff,
-			JitterFrac:           cl.cfg.Nemesis.JitterFrac,
-			ConservativeFallback: cl.cfg.ConservativeFallback,
-			ViewIncomplete:       cl.cfg.ViewIncomplete,
-			StaleView:            cl.staleView,
-		}, ln, streamSeed(cl.cfg.Seed, "live.backoff", bcast, v))
-		nbrs := cl.g.Neighbors(v)
-		ln.linkRngs = make([]*rand.Rand, len(nbrs))
-		for i, u := range nbrs {
-			ln.linkRngs[i] = rand.New(rand.NewSource(
-				streamSeed(cl.cfg.Seed, "live.link", bcast, v, u)))
-		}
-		r.nodes[v] = ln
+	cl.msg++
+	r := &run{cl: cl, plan: plan, msg: cl.msg, links: make([][]*rand.Rand, n)}
+	// Every node builds and initializes its core for the new message before
+	// the clock starts (static protocols precompute here). Taking each lock
+	// also waits out any handler still running from an aborted broadcast.
+	for v, nd := range cl.nodes {
+		cl.locks[v].Lock()
+		cl.ports[v].r = r
+		clear(nd.waves)
+		nd.wave(r.msg)
+		cl.locks[v].Unlock()
 	}
-	// Init every core before any goroutine starts: single-threaded, so
-	// static protocols can precompute without racing traffic.
-	for _, ln := range r.nodes {
-		ln.core.Init()
-	}
-	for _, ln := range r.nodes {
-		go ln.loop()
-	}
-
-	// The clock starts now; the source kick is the first inbox entry.
 	r.t0 = time.Now()
-	src := r.nodes[source]
-	r.inflight.Add(1)
-	src.post(msg{kind: msgEvent, fn: src.core.Start})
+	r.later(source, 0, func() {
+		cl.nodes[source].handle(Envelope{Body: Body{Type: "broadcast", Message: &r.msg}})
+	})
 
 	done := make(chan struct{})
 	go func() {
@@ -478,87 +292,62 @@ func (cl *Cluster) Broadcast(source int, plan *fault.Plan) (sim.Result, error) {
 	select {
 	case <-done:
 	case <-time.After(r.wall(cl.cfg.Deadline)):
-		for _, ln := range r.nodes {
-			close(ln.stopped)
-		}
+		r.aborted.Store(true)
 		return sim.Result{}, fmt.Errorf("runtime: broadcast from %d did not quiesce within %v time units",
 			source, cl.cfg.Deadline)
-	}
-	for _, ln := range r.nodes {
-		close(ln.stopped)
 	}
 	return r.result(source), nil
 }
 
-// result assembles the simulator-format outcome of a quiesced run. The
-// inflight.Wait in Broadcast ordered every node-goroutine write before this
-// read.
+// result assembles the simulator-format outcome of a quiesced run from the
+// nodes' wave counters and the wire's. The inflight.Wait in Broadcast
+// ordered every handler's writes before these reads.
 func (r *run) result(source int) sim.Result {
 	cl := r.cl
-	n := cl.g.N()
-	// Forward order: live transmissions are only partially ordered, so sort
-	// by timestamp (ties by node id) to get the simulator's deterministic
-	// presentation.
-	sort.Slice(r.forward, func(i, j int) bool {
-		if r.forward[i].at != r.forward[j].at {
-			return r.forward[i].at < r.forward[j].at
-		}
-		return r.forward[i].node < r.forward[j].node
-	})
+	n := len(cl.nodes)
 	res := sim.Result{
 		N:               n,
-		Finish:          r.finish,
-		Receipts:        r.receipts,
-		Copies:          r.copies,
-		Lost:            r.lost,
-		DroppedNodeDown: r.droppedNodeDown,
-		DroppedLinkDown: r.droppedLinkDown,
-		TimersCancelled: r.timersCancelled,
-		NACKs:           r.nacks,
-		Retransmits:     r.retransmits,
+		Copies:          int(r.copies.Load()),
+		Lost:            int(r.lost.Load()),
+		DroppedNodeDown: int(r.droppedNodeDown.Load()),
+		DroppedLinkDown: int(r.droppedLinkDown.Load()),
+		TimersCancelled: int(r.timersCancelled.Load()),
 	}
-	res.Forward = make([]int, len(r.forward))
-	for i, f := range r.forward {
-		res.Forward[i] = f.node
-	}
+	waves := make([]*wave, n)
+	var forward []int
 	cl.lastDelivered = make([]bool, n)
-	for v, ln := range r.nodes {
-		if ln.core.Delivered() {
-			res.Delivered++
-			cl.lastDelivered[v] = true
+	for v, nd := range cl.nodes {
+		w := nd.waves[r.msg]
+		waves[v] = w
+		res.Receipts += int(w.core.st.Receipts)
+		res.NACKs += w.nacks
+		res.Retransmits += w.retransmits
+		res.Finish = max(res.Finish, w.finish)
+		if w.core.Forwarded() {
+			forward = append(forward, v)
 		}
+		cl.lastDelivered[v] = w.core.Delivered()
 	}
-	if r.plan == nil {
-		res.Reachable = n
-		res.DeliveredReachable = res.Delivered
-	} else {
-		reach := r.plan.ReachableFrom(cl.g, source)
-		for v, ok := range reach {
-			if !ok {
-				continue
-			}
-			res.Reachable++
-			if r.nodes[v].core.Delivered() {
-				res.DeliveredReachable++
-			}
-		}
-	}
+	// Live transmissions are only partially ordered, so sort by timestamp
+	// (ties by node id) to get the simulator's deterministic presentation.
+	sort.SliceStable(forward, func(i, j int) bool {
+		return waves[forward[i]].forwardAt < waves[forward[j]].forwardAt
+	})
+	res.Forward = forward
+	res.Score(cl.g, source, r.plan, func(v int) bool { return cl.lastDelivered[v] })
 	if m := cl.cfg.Metrics; m != nil {
 		res.FillRecord(m)
-		if cl.cfg.ViewIncomplete != nil {
-			for v := 0; v < res.N; v++ {
-				if cl.cfg.ViewIncomplete(v) {
-					m.ViewIncompleteNodes++
-				}
+		for v, w := range waves {
+			if w.core.Delivered() {
+				m.Latency.Observe(w.firstAt)
 			}
-		}
-		if d := cl.cfg.DynamicHello; d != nil {
+			if w.core.Forwarded() {
+				m.ForwardSet.Observe(float64(len(w.core.st.SentPacket().SenderDesignated())))
+			}
 			// Same pure computation as the simulator's result(): nodes whose
 			// view went stale at any point up to the finish clock.
-			for v := 0; v < res.N; v++ {
-				if d.ViewEverStale(cl.viewGs[v], v, res.Finish) {
-					m.StaleViewHolds++
-				}
+			if d := cl.cfg.DynamicHello; d != nil && d.ViewEverStale(cl.g, v, res.Finish) {
+				m.StaleViewHolds++
 			}
 		}
 	}

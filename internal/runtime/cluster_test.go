@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -243,7 +244,15 @@ func TestLiveConfigValidation(t *testing.T) {
 		{"bad dup rate", Config{Protocol: protocol.Flooding, Nemesis: Nemesis{DupRate: -0.1}}},
 		{"negative jitter", Config{Protocol: protocol.Flooding, Nemesis: Nemesis{JitterFrac: -1}}},
 		{"negative budget", Config{Protocol: protocol.Flooding, RetryBudget: -1}},
-		{"fallback without incomplete", Config{Protocol: protocol.Flooding, ConservativeFallback: true}},
+		{"fallback without dynamic hello", Config{Protocol: protocol.Flooding, ConservativeFallback: true}},
+		{"NaN transmit delay", Config{Protocol: protocol.Flooding, TransmitDelay: math.NaN()}},
+		{"infinite transmit delay", Config{Protocol: protocol.Flooding, TransmitDelay: math.Inf(1)}},
+		{"NaN backoff window", Config{Protocol: protocol.Flooding, BackoffWindow: math.NaN()}},
+		{"infinite NACK delay", Config{Protocol: protocol.Flooding, NACKDelay: math.Inf(1)}},
+		{"infinite retry backoff", Config{Protocol: protocol.Flooding, RetryBackoff: math.Inf(1)}},
+		{"NaN deadline", Config{Protocol: protocol.Flooding, Deadline: math.NaN()}},
+		{"infinite jitter", Config{Protocol: protocol.Flooding, Nemesis: Nemesis{JitterFrac: math.Inf(1)}}},
+		{"journal in a cluster", Config{Protocol: protocol.Flooding, JournalDir: "journal"}},
 	}
 	for _, tc := range cases {
 		if _, err := New(g, tc.cfg); err == nil {

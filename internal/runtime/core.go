@@ -12,10 +12,9 @@ import (
 
 // Transport is everything a node Core needs from its executor: send packets
 // and recovery traffic, schedule callbacks on the node's own execution
-// context, and account protocol events. The in-process Cluster implements it
-// with channel radios and real timers; cmd/bcastnode implements it over
-// stdin/stdout or UDP. All methods are called from the node's own execution
-// context (its goroutine / handler loop) only.
+// context, and account protocol events. Node implements it once per broadcast
+// message, over whatever Wire and clock the node runs on. All methods are
+// called from the node's own execution context only.
 type Transport interface {
 	// Broadcast radios pkt to all true neighbors and records the forward.
 	Broadcast(pkt sim.Packet)
@@ -32,21 +31,13 @@ type Transport interface {
 	// units on the node's execution context; it is silently skipped if the
 	// node is down when it fires.
 	AfterRecovery(d float64, fn func())
-	// Down reports whether the local node is down right now under the
-	// fault plan.
-	Down() bool
 	// Now returns the current time in time units.
 	Now() float64
 	// NoteDeliver accounts one delivered copy (first = first copy at this
 	// node).
 	NoteDeliver(first bool, at float64)
-	// NoteSource accounts the source holding the packet from the start: a
-	// latency-0 first delivery that is not a packet copy.
-	NoteSource()
 	// NoteNACK accounts one recovery request issued by this node.
 	NoteNACK()
-	// NoteNonForward accounts this node finalizing non-forward status.
-	NoteNonForward()
 }
 
 // CoreConfig carries the per-node slice of Config a Core needs.
@@ -61,20 +52,17 @@ type CoreConfig struct {
 	RetryBackoff         float64
 	JitterFrac           float64
 	ConservativeFallback bool
-	ViewIncomplete       func(v int) bool
 	// StaleView, when non-nil, reports whether the node's dynamic-hello view
 	// is stale at time now (some view-neighbor past its beacon expiry; see
-	// hello.Dynamic). Consulted by ConservativeHold alongside ViewIncomplete.
-	// Must be pure and safe for concurrent calls.
+	// hello.Dynamic). Consulted by ConservativeHold.
 	StaleView func(v int, now float64) bool
 }
 
 // Core is one live node: it implements sim.Runtime scoped to a single node
 // id, hosts that node's protocol instance and bookkeeping state, and drives
 // all I/O through a Transport. Every method must be called from the node's
-// own execution context; the Core itself is free of locks because the
-// Transport serializes all entry points (packets, timers, recovery) onto
-// that context.
+// own execution context; the Core itself is free of locks because its Node
+// serializes all entry points (packets, timers, recovery) onto that context.
 type Core struct {
 	id      int
 	cfg     CoreConfig
@@ -107,9 +95,6 @@ func NewCore(id int, proto sim.Protocol, lv *view.Local, viewG *graph.Graph,
 	}
 }
 
-// ID returns the node id this core hosts.
-func (c *Core) ID() int { return c.id }
-
 // Init runs the protocol's per-run initialization (static protocols compute
 // their own forward status here). The executor calls it once before any
 // traffic, from any goroutine, as long as no handler runs concurrently.
@@ -128,7 +113,6 @@ func (c *Core) Start() {
 	c.st.Received = true
 	c.st.FirstPacket = &sim.Packet{Source: c.id}
 	c.st.LastPacket = c.st.FirstPacket
-	c.out.NoteSource()
 	c.proto.Start(c, c.id)
 }
 
@@ -219,12 +203,7 @@ func (c *Core) SetTimer(v int, delay float64) {
 }
 
 // MarkNonForward finalizes a non-forward decision.
-func (c *Core) MarkNonForward(v int) {
-	if !c.st.NonForward {
-		c.out.NoteNonForward()
-	}
-	c.st.NonForward = true
-}
+func (c *Core) MarkNonForward(v int) { c.st.NonForward = true }
 
 // Transmit forwards the broadcast packet with the given designated set.
 func (c *Core) Transmit(v int, designated []int) {
@@ -232,9 +211,9 @@ func (c *Core) Transmit(v int, designated []int) {
 }
 
 // TransmitExtra is Transmit with an extra payload. As in the simulator a
-// node transmits at most once and a down node stays silent.
+// node transmits at most once.
 func (c *Core) TransmitExtra(v int, designated, extra []int) {
-	if c.st.Sent || c.out.Down() {
+	if c.st.Sent {
 		return
 	}
 	c.st.Sent = true
@@ -260,16 +239,9 @@ func (c *Core) DegreeBackoff(v int) float64 {
 }
 
 // ConservativeHold reports whether this node must refuse non-forward status:
-// its view is provably incomplete (ViewIncomplete) or provably stale
-// (StaleView under dynamic hello maintenance).
+// its view is provably stale (StaleView under dynamic hello maintenance).
 func (c *Core) ConservativeHold(v int) bool {
-	if !c.cfg.ConservativeFallback {
-		return false
-	}
-	if c.cfg.ViewIncomplete != nil && c.cfg.ViewIncomplete(c.id) {
-		return true
-	}
-	return c.cfg.StaleView != nil && c.cfg.StaleView(c.id, c.out.Now())
+	return c.cfg.ConservativeFallback && c.cfg.StaleView != nil && c.cfg.StaleView(c.id, c.out.Now())
 }
 
 // RestoreSent reinstates a previously transmitted forward from durable

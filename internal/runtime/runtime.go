@@ -1,18 +1,22 @@
 // Package runtime is the live executor: it runs the same protocol
 // implementations the discrete-event simulator runs (internal/sim, via the
-// sim.Runtime interface), but as a real concurrent system — every node is a
-// goroutine with its own per-node runtime, packets travel over channel "radio"
-// links after real wall-clock delays, and decision timers are real timers.
-// Nothing is globally ordered: deliveries race, timers interleave, and the
-// race detector watches every run.
+// sim.Runtime interface), but as a real concurrent system. Node is the one
+// live node: a handler around a runtime Core per broadcast message, speaking
+// maelstrom-style envelopes over a Wire, with a write-ahead journal, hello
+// beacons and rejoin, and traffic self-injection. cmd/bcastnode runs one Node
+// per process over stdio or UDP; Cluster runs n of them in one process over
+// an in-memory wire, with real wall-clock delays and timers. Nothing is
+// globally ordered: deliveries race, timers interleave, and the race detector
+// watches every run.
 //
-// A seed-deterministic nemesis layer mirrors the simulator's unreliable-MAC
-// and fault models: per-copy drop and duplication, per-copy delivery jitter
-// (which reorders copies), and an internal/fault plan for link partitions and
-// node churn/crash evaluated against the live clock. The NACK retry/backoff
-// recovery layer runs live, extended with receiver-driven re-requests so a
-// recovery chain survives a sender that is temporarily down — the property
-// the soak harness (internal/runtime/soak) verifies under partition + churn.
+// A seed-deterministic nemesis layer in the Cluster's wire mirrors the
+// simulator's unreliable-MAC and fault models: per-copy drop and duplication,
+// per-copy delivery jitter (which reorders copies), and an internal/fault plan
+// for link partitions and node churn/crash evaluated against the live clock.
+// The NACK retry/backoff recovery layer runs live, extended with
+// receiver-driven re-requests so a recovery chain survives a sender that is
+// temporarily down — the property the soak harness (internal/runtime/soak)
+// verifies under partition + churn.
 //
 // Time is measured in the simulator's units: Config.TimeScale fixes the
 // wall-clock duration of one unit, and all Config delays (TransmitDelay,
@@ -33,7 +37,7 @@ import (
 	"adhocbcast/internal/view"
 )
 
-// Nemesis configures the adversarial message layer of a live run. The zero
+// Nemesis configures the adversarial message layer of a Cluster. The zero
 // value is a perfectly reliable network (modulo the fault plan passed to
 // Broadcast).
 type Nemesis struct {
@@ -69,18 +73,19 @@ func (nm Nemesis) validate() error {
 	if nm.DupRate < 0 || nm.DupRate >= 1 || math.IsNaN(nm.DupRate) {
 		return fmt.Errorf("runtime: Nemesis.DupRate %v outside [0,1)", nm.DupRate)
 	}
-	if nm.JitterFrac < 0 || math.IsNaN(nm.JitterFrac) {
-		return fmt.Errorf("runtime: negative Nemesis.JitterFrac %v", nm.JitterFrac)
+	if nm.JitterFrac < 0 || math.IsNaN(nm.JitterFrac) || math.IsInf(nm.JitterFrac, 0) {
+		return fmt.Errorf("runtime: Nemesis.JitterFrac %v is negative or not finite", nm.JitterFrac)
 	}
 	return nil
 }
 
-// Config holds the parameters of a live cluster. The protocol and view
-// parameters deliberately mirror sim.Config so one experiment description
-// drives both executors.
+// Config holds the parameters of a live node, and of every node of a
+// Cluster. The protocol, timing and recovery parameters deliberately mirror
+// sim.Config — they take its defaults and pass its validation — so one
+// experiment description drives both executors.
 type Config struct {
-	// Protocol builds one protocol instance. The live executor calls it once
-	// per node per broadcast — each node runs its own instance, which the
+	// Protocol builds one protocol instance. A node calls it once per
+	// broadcast message — each node runs its own instance, which the
 	// sim.Runtime locality contract makes equivalent to the simulator
 	// driving a single instance for the whole network.
 	Protocol func() sim.Protocol
@@ -101,12 +106,15 @@ type Config struct {
 	// Smaller scales run faster but leave less slack for goroutine
 	// scheduling noise relative to protocol timing.
 	TimeScale time.Duration
-	// Seed drives every random stream of the cluster: per-directed-link
-	// nemesis draws and per-node backoff draws, all derived per broadcast,
-	// per purpose. The same seed and topology give the same nemesis
-	// schedule (modulo goroutine interleaving of the deliveries it acts on).
+	// Seed drives every random stream: per-directed-link nemesis draws of
+	// a Cluster, per-node per-message backoff draws, the traffic plan of
+	// Rate, and (as DynamicHello.Seed, on bcastnode) the beacon loss
+	// schedule. The same seed and topology give the same nemesis schedule
+	// (modulo goroutine interleaving of the deliveries it acts on).
 	Seed int64
-	// Nemesis is the adversarial message layer.
+	// Nemesis is the adversarial message layer of a Cluster's wire. A
+	// bcastnode process has none of its own (its harness is the nemesis);
+	// JitterFrac still stretches its recovery re-request wait.
 	Nemesis Nemesis
 
 	// NACKRecovery enables the live recovery layer: receivers NACK
@@ -123,110 +131,97 @@ type Config struct {
 	// RetryBackoff is the base retry delay of the exponential backoff.
 	RetryBackoff float64
 
-	// NodeViews, when non-nil, gives every node a private view topology
-	// (see sim.Config.NodeViews). Nil means views match the actual graph.
-	NodeViews sim.ViewProvider
-	// ViewIncomplete reports whether node v can prove its view incomplete
-	// (see sim.Config.ViewIncomplete). Called from node goroutines: must be
-	// safe for concurrent use.
-	ViewIncomplete func(v int) bool
-	// ConservativeFallback makes provably incomplete nodes refuse
-	// non-forward status (requires ViewIncomplete or DynamicHello).
+	// ConservativeFallback makes a node whose view is provably stale refuse
+	// non-forward status (requires DynamicHello).
 	ConservativeFallback bool
 	// DynamicHello, when non-nil, enables periodic hello maintenance (see
-	// sim.Config.DynamicHello): each node tracks per-view-neighbor staleness
-	// clocks against the live run clock, beacon loss follows the pure
-	// (Seed, recv, from, round) hash of hello.Dynamic.Received, and with
-	// ConservativeFallback a stale-view node holds its forwarding until the
-	// view is fresh again. The loss schedule being a pure function is what
-	// makes a seed-matched simulator run agree on every stale hold.
+	// sim.Config.DynamicHello). A bcastnode process beacons every Interval
+	// over its wire, drops incoming beacons by the pure (Seed, recv, from,
+	// round) hash of hello.Dynamic.Received, and judges staleness from what
+	// it heard; a Cluster node takes the simulator's pure-hash verdict
+	// (hello.Dynamic.ViewStale) against the run clock, because a Cluster
+	// wave must quiesce. With ConservativeFallback a stale-view node holds
+	// its forwarding until the view is fresh again; the loss schedule being
+	// a pure function is what makes a seed-matched simulator run agree on
+	// every stale hold.
 	DynamicHello *hello.Dynamic
 
-	// Deadline aborts a broadcast that has not quiesced after this many
-	// time units (default 1000) — a live run has no event queue to drain,
-	// so a lost wakeup would otherwise hang forever.
+	// Deadline aborts a Cluster broadcast that has not quiesced after this
+	// many time units (default 1000) — a live run has no event queue to
+	// drain, so a lost wakeup would otherwise hang forever.
 	Deadline float64
-	// Metrics, when non-nil, is populated with each broadcast's counters and
-	// histograms exactly like sim.Config.Metrics (Reset at broadcast start).
+	// Metrics, when non-nil, is populated with each Cluster broadcast's
+	// counters and histograms exactly like sim.Config.Metrics (Reset at
+	// broadcast start).
 	Metrics *obsv.RunRecord
+
+	// Rate, when positive, turns a bcastnode process into a traffic source:
+	// once the first topology is configured it replays its own per-source
+	// stream of the shared deterministic traffic plan (internal/traffic,
+	// every node a source at Rate messages per time unit over
+	// TrafficHorizon units), starting each arrival as a fresh broadcast
+	// wave. All nodes run the same (Seed, N)-keyed plan, so a deployment's
+	// offered load is reproducible without any coordination traffic.
+	Rate float64
+	// TrafficHorizon is the generation horizon in time units for Rate
+	// (default 400).
+	TrafficHorizon float64
+	// JournalDir, when non-empty, enables a bcastnode process's write-ahead
+	// journal: the node appends its durable broadcast state (seen messages,
+	// forwards, pending NACK obligations) to <JournalDir>/<node-name>.journal
+	// and replays it after a restart, so a crashed-and-respawned node
+	// neither re-forwards nor double-counts. See docs/recovery.md.
+	JournalDir string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Metric == 0 {
-		c.Metric = view.MetricID
+// normalize validates c and fills its defaults. The protocol, timing and
+// recovery fields go through the simulator's own table (sim.Config.Normalize),
+// so a value one executor rejects the other rejects too.
+func (c Config) normalize() (Config, error) {
+	if c.Protocol == nil {
+		return c, fmt.Errorf("runtime: Config.Protocol factory is nil")
 	}
-	if c.PiggybackDepth == 0 {
-		c.PiggybackDepth = 2
+	if err := c.Nemesis.validate(); err != nil {
+		return c, err
 	}
-	if c.PiggybackDepth < 0 {
-		c.PiggybackDepth = 0
+	if math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 0) {
+		return c, fmt.Errorf("runtime: Deadline %v is not finite", c.Deadline)
 	}
-	if c.BackoffWindow <= 0 {
-		c.BackoffWindow = 8
+	if c.ConservativeFallback && c.DynamicHello == nil {
+		return c, fmt.Errorf("runtime: ConservativeFallback requires DynamicHello")
 	}
-	if c.TransmitDelay <= 0 {
-		c.TransmitDelay = 1
+	s, err := sim.Config{
+		Metric:         c.Metric,
+		PiggybackDepth: c.PiggybackDepth,
+		BackoffWindow:  c.BackoffWindow,
+		TransmitDelay:  c.TransmitDelay,
+		RetryBudget:    c.RetryBudget,
+		NACKDelay:      c.NACKDelay,
+		RetryBackoff:   c.RetryBackoff,
+		DynamicHello:   c.DynamicHello,
+	}.Normalize(0)
+	if err != nil {
+		return c, fmt.Errorf("runtime: %w", err)
 	}
+	c.Metric, c.PiggybackDepth = s.Metric, s.PiggybackDepth
+	c.BackoffWindow, c.TransmitDelay = s.BackoffWindow, s.TransmitDelay
+	c.RetryBudget, c.NACKDelay, c.RetryBackoff = s.RetryBudget, s.NACKDelay, s.RetryBackoff
+	c.DynamicHello = s.DynamicHello
 	if c.TimeScale <= 0 {
 		c.TimeScale = 2 * time.Millisecond
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 3
-	}
-	if c.NACKDelay == 0 {
-		c.NACKDelay = 0.5
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 1
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 1000
 	}
-	if c.DynamicHello != nil {
-		d := c.DynamicHello.WithDefaults()
-		c.DynamicHello = &d
-	}
-	return c
+	return c, nil
 }
 
-func (c Config) validate() error {
-	if c.Protocol == nil {
-		return fmt.Errorf("runtime: Config.Protocol factory is nil")
-	}
-	if err := c.Nemesis.validate(); err != nil {
-		return err
-	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("runtime: negative RetryBudget %d", c.RetryBudget)
-	}
-	if c.NACKDelay < 0 || math.IsNaN(c.NACKDelay) {
-		return fmt.Errorf("runtime: negative NACKDelay %v", c.NACKDelay)
-	}
-	if c.RetryBackoff < 0 || math.IsNaN(c.RetryBackoff) {
-		return fmt.Errorf("runtime: negative RetryBackoff %v", c.RetryBackoff)
-	}
-	if c.ConservativeFallback && c.ViewIncomplete == nil && c.DynamicHello == nil {
-		return fmt.Errorf("runtime: ConservativeFallback requires ViewIncomplete or DynamicHello")
-	}
-	if c.DynamicHello != nil {
-		if err := c.DynamicHello.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("runtime: invalid DynamicHello: %w", err)
-		}
-	}
-	return nil
-}
-
-// streamSeed derives an independent RNG stream seed from the cluster seed, a
-// purpose label, and integer qualifiers (broadcast index, node ids). It is
-// the live analog of the simulator's per-purpose stream derivation.
-// StreamSeed is streamSeed for Transport implementations outside this
-// package (cmd/bcastnode) that need the same per-purpose deterministic
-// stream derivation for their nodes' private RNGs.
+// StreamSeed derives an independent RNG stream seed from a base seed, a
+// purpose label, and integer qualifiers (message ids, node ids): the live
+// analog of the simulator's per-purpose stream derivation, used for node
+// backoff streams, the Cluster's link nemesis and the chaos harness's kill
+// schedule.
 func StreamSeed(seed int64, purpose string, parts ...int) int64 {
-	return streamSeed(seed, purpose, parts...)
-}
-
-func streamSeed(seed int64, purpose string, parts ...int) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(seed))

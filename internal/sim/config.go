@@ -254,6 +254,17 @@ func (c Config) validate(n int) error {
 	return nil
 }
 
+// Normalize validates c for an n-node network and returns it with its
+// defaults filled. It is the one default and validation table of the
+// protocol, timing and recovery fields: the live executor (internal/runtime)
+// normalizes its fields of the same names through it.
+func (c Config) Normalize(n int) (Config, error) {
+	if err := c.validate(n); err != nil {
+		return c, err
+	}
+	return c.withDefaults(), nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Metric == 0 {
 		c.Metric = view.MetricID

@@ -603,32 +603,35 @@ func (r Result) FillRecord(m *obsv.RunRecord) {
 	m.Finish = r.Finish
 }
 
+// Score sets the delivery counts of a run over g from source under plan (nil
+// for none), given which nodes received the packet: Delivered, and Reachable
+// / DeliveredReachable over the nodes still reachable from source once the
+// plan's crashed nodes are removed. Without a plan every node is scored (a
+// disconnected input graph is a workload property, not a fault). Both
+// executors score their runs through it.
+func (r *Result) Score(g *graph.Graph, source int, plan *fault.Plan, received func(v int) bool) {
+	var reach []bool
+	if plan != nil {
+		reach = plan.ReachableFrom(g, source)
+	}
+	r.Delivered, r.Reachable, r.DeliveredReachable = 0, 0, 0
+	for v := 0; v < g.N(); v++ {
+		got := received(v)
+		if got {
+			r.Delivered++
+		}
+		if reach == nil || reach[v] {
+			r.Reachable++
+			if got {
+				r.DeliveredReachable++
+			}
+		}
+	}
+}
+
 func (net *Network) result() Result {
-	delivered := 0
-	for v := range net.nodes {
-		if net.nodes[v].Received {
-			delivered++
-		}
-	}
 	res := net.counters()
-	res.Delivered = delivered
-	if net.plan == nil {
-		// No faults: every node is reachable (or at least scored; a
-		// disconnected input graph is a workload property, not a fault).
-		res.Reachable = res.N
-		res.DeliveredReachable = delivered
-	} else {
-		reach := net.plan.ReachableFrom(net.G, net.Source)
-		for v, ok := range reach {
-			if !ok {
-				continue
-			}
-			res.Reachable++
-			if net.nodes[v].Received {
-				res.DeliveredReachable++
-			}
-		}
-	}
+	res.Score(net.G, net.Source, net.plan, func(v int) bool { return net.nodes[v].Received })
 	if debugChecks {
 		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
 			panic(fmt.Sprintf("sim: drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
