@@ -42,6 +42,9 @@ func TestRunErrors(t *testing.T) {
 		{name: "unknown protocol", args: []string{"-proto", "bogus"}},
 		{name: "unknown metric", args: []string{"-metric", "bogus"}},
 		{name: "impossible degree", args: []string{"-n", "5", "-d", "30"}},
+		{name: "NaN degree", args: []string{"-d", "NaN"}},
+		{name: "infinite degree", args: []string{"-d", "Inf"}},
+		{name: "overflowing degree", args: []string{"-d", "1e300"}},
 		{name: "bad flag", args: []string{"-definitely-not-a-flag"}},
 	}
 	for _, tt := range tests {

@@ -63,10 +63,17 @@ func (c Config) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("geo: need at least 2 nodes, got %d", c.N)
 	}
-	if c.AvgDegree <= 0 {
-		return fmt.Errorf("geo: average degree must be positive, got %g", c.AvgDegree)
+	if c.N > math.MaxInt32 {
+		return fmt.Errorf("geo: at most %d nodes, got %d", math.MaxInt32, c.N)
 	}
-	if links(c.N, c.AvgDegree) > c.N*(c.N-1)/2 {
+	if math.IsNaN(c.AvgDegree) || math.IsInf(c.AvgDegree, 0) || c.AvgDegree <= 0 {
+		return fmt.Errorf("geo: average degree must be positive and finite, got %g", c.AvgDegree)
+	}
+	if math.IsNaN(c.Side) || math.IsInf(c.Side, 0) {
+		return fmt.Errorf("geo: side must be finite, got %g", c.Side)
+	}
+	// links' target, compared before its int conversion could wrap.
+	if math.Round(float64(c.N)*c.AvgDegree/2) > float64(c.N)*float64(c.N-1)/2 {
 		return fmt.Errorf("geo: average degree %g impossible for %d nodes", c.AvgDegree, c.N)
 	}
 	return nil
@@ -96,9 +103,10 @@ func Generate(cfg Config, rng *rand.Rand) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	var s scratch
 	var last *Network
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		net := place(cfg, rng)
+		net := s.place(cfg, rng)
 		if net.G.Connected() {
 			net.Attempts = attempt
 			return net, nil
@@ -122,17 +130,18 @@ func Generate(cfg Config, rng *rand.Rand) (*Network, error) {
 }
 
 // pair is one candidate link: the endpoint pair (u < v) and its distance.
+// Ids are 32-bit (Validate caps N), so a pair is 16 bytes.
 type pair struct {
 	d    float64
-	u, v int
+	u, v int32
 }
 
 // place builds one candidate network: uniform placement plus exact-link-count
 // range adjustment, over the grid index's candidate pairs (see grid.go).
-func place(cfg Config, rng *rand.Rand) *Network {
+func (s *scratch) place(cfg Config, rng *rand.Rand) *Network {
 	pos := scatter(cfg, rng)
 	m := links(cfg.N, cfg.AvgDegree)
-	return connect(pos, candidatePairs(pos, cfg.Side, m), m)
+	return connect(pos, s.candidatePairs(pos, cfg.Side, m), m)
 }
 
 // scatter draws the uniform node positions of one placement.
@@ -146,21 +155,21 @@ func scatter(cfg Config, rng *rand.Rand) []Point {
 
 // connect links the m closest of the candidate pairs — any superset of the m
 // closest pairs overall gives the same network — and takes the m-th distance
-// as the range.
+// as the range. It selects rather than sorts: the links come out in no
+// particular order, which FromEdges does not mind.
 func connect(pos []Point, pairs []pair, m int) *Network {
 	n := len(pos)
-	sortPairs(pairs)
-
+	r := 0.0
+	if m > 0 {
+		selectPairs(pairs, m-1)
+		r = pairs[m-1].d
+	}
 	edges := make([][2]int, m)
-	for i := 0; i < m; i++ {
-		edges[i] = [2]int{pairs[i].u, pairs[i].v}
+	for i, p := range pairs[:m] {
+		edges[i] = [2]int{int(p.u), int(p.v)}
 	}
 	// Endpoints are valid and distinct by construction; FromEdges cannot fail.
 	g, _ := graph.FromEdges(n, edges)
-	r := 0.0
-	if m > 0 {
-		r = pairs[m-1].d
-	}
 	return &Network{G: g, Pos: pos, Range: r}
 }
 

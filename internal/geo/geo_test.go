@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,12 @@ func TestValidate(t *testing.T) {
 		{name: "negative degree", cfg: Config{N: 10, AvgDegree: -1}, wantErr: true},
 		{name: "impossible degree", cfg: Config{N: 10, AvgDegree: 40}, wantErr: true},
 		{name: "complete graph degree", cfg: Config{N: 10, AvgDegree: 9}},
+		{name: "NaN degree", cfg: Config{N: 20, AvgDegree: math.NaN()}, wantErr: true},
+		{name: "infinite degree", cfg: Config{N: 20, AvgDegree: math.Inf(1)}, wantErr: true},
+		{name: "overflowing degree", cfg: Config{N: 20, AvgDegree: 1e300}, wantErr: true},
+		{name: "NaN side", cfg: Config{N: 20, AvgDegree: 4, Side: math.NaN()}, wantErr: true},
+		{name: "infinite side", cfg: Config{N: 20, AvgDegree: 4, Side: math.Inf(1)}, wantErr: true},
+		{name: "too many nodes", cfg: Config{N: math.MaxInt32 + 1, AvgDegree: 4}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -168,5 +175,30 @@ func TestLinksRounding(t *testing.T) {
 		if got := links(tt.n, tt.d); got != tt.want {
 			t.Fatalf("links(%d,%g) = %d, want %d", tt.n, tt.d, got, tt.want)
 		}
+	}
+}
+
+// TestGenerateBytesPerLink pins the generator's allocation per link: the
+// candidate pairs (16 bytes each, in one buffer sized from the expected
+// count), the edge list and the adjacency lists FromEdges builds. A sort
+// over 24-byte pairs in a buffer grown by appending allocated ~220 B per
+// link; the bound sits ~20 % above today's reading, and the count does not
+// depend on the machine.
+func TestGenerateBytesPerLink(t *testing.T) {
+	const bound = 80
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, err := Generate(Config{N: 20000, AvgDegree: 18}, rand.New(rand.NewSource(1)))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.Attempts != 1 {
+		t.Fatalf("seed needed %d attempts; the bound assumes one placement", net.Attempts)
+	}
+	perLink := float64(after.TotalAlloc-before.TotalAlloc) / float64(net.G.M())
+	t.Logf("%.1f B allocated per link", perLink)
+	if perLink > bound {
+		t.Fatalf("Generate allocated %.1f B per link, want <= %d", perLink, bound)
 	}
 }

@@ -4,22 +4,83 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+
+	"adhocbcast/internal/graph"
 )
 
 // placeNaive is the reference placement the grid index is pinned against: the
-// same positions, every one of the n(n-1)/2 pairs as a candidate, and the
-// production sort and link construction.
+// same positions, every one of the n(n-1)/2 pairs as a candidate, fully
+// sorted, and the first m linked. It shares only scatter and links with the
+// production path, not the selection.
 func placeNaive(cfg Config, rng *rand.Rand) *Network {
-	pos := scatter(cfg, rng)
-	pairs := make([]pair, 0, cfg.N*(cfg.N-1)/2)
+	net, _ := connectNaive(scatter(cfg, rng), links(cfg.N, cfg.AvgDegree))
+	return net
+}
+
+// connectNaive sorts all pairs of pos by (distance, u, v) and links the
+// first m. tied reports whether the (m+1)-th pair is exactly as far as the
+// m-th, that is, whether the id tie-break chose among pairs at the range.
+func connectNaive(pos []Point, m int) (net *Network, tied bool) {
+	pairs := make([]pair, 0, len(pos)*(len(pos)-1)/2)
 	for u := range pos {
 		for v := u + 1; v < len(pos); v++ {
-			pairs = append(pairs, pair{d: pos[u].Distance(pos[v]), u: u, v: v})
+			pairs = append(pairs, pair{d: pos[u].Distance(pos[v]), u: int32(u), v: int32(v)})
 		}
 	}
-	return connect(pos, pairs, links(cfg.N, cfg.AvgDegree))
+	sortPairs(pairs)
+	edges := make([][2]int, m)
+	for i, p := range pairs[:m] {
+		edges[i] = [2]int{int(p.u), int(p.v)}
+	}
+	g, err := graph.FromEdges(len(pos), edges)
+	if err != nil {
+		panic(err)
+	}
+	net = &Network{G: g, Pos: pos}
+	if m > 0 {
+		net.Range = pairs[m-1].d
+		tied = m < len(pairs) && pairs[m].d == net.Range
+	}
+	return net, tied
+}
+
+// sortPairs orders candidate pairs by (distance, u, v), a total order: the
+// first m of any superset of the m closest pairs are the same m pairs.
+func sortPairs(pairs []pair) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].d != pairs[j].d {
+			return pairs[i].d < pairs[j].d
+		}
+		if pairs[i].u != pairs[j].u {
+			return pairs[i].u < pairs[j].u
+		}
+		return pairs[i].v < pairs[j].v
+	})
+}
+
+// latticeSteps is the lattice resolution of the tie tests: coordinates
+// snap to multiples of side/64, so many pairs share each distance.
+const latticeSteps = 64
+
+// compareLattice snaps one placement to the lattice and checks the grid
+// path (candidatePairs + connect) against connectNaive on it, edge for edge
+// and with the range equal bit for bit. It reports whether the m-th
+// distance was tied, so callers can check the tie-break was exercised.
+func compareLattice(t *testing.T, cfg Config, seed int64) bool {
+	t.Helper()
+	pos := scatter(cfg, rand.New(rand.NewSource(seed)))
+	step := cfg.Side / latticeSteps
+	for i, p := range pos {
+		pos[i] = Point{X: math.Round(p.X/step) * step, Y: math.Round(p.Y/step) * step}
+	}
+	m := links(cfg.N, cfg.AvgDegree)
+	naive, tied := connectNaive(pos, m)
+	var s scratch
+	comparePlacements(t, naive, connect(pos, s.candidatePairs(pos, cfg.Side, m), m))
+	return tied
 }
 
 // generateNaive is Generate's rejection sampling over placeNaive.
@@ -63,8 +124,11 @@ func comparePlacements(t *testing.T, naive, grid *Network) {
 // against the reference full-sort path across a seed matrix. Infeasible
 // (n, d) combinations (d impossible for n) are skipped. The comparison is at
 // the placement level, so disconnected draws are compared too — equivalence
-// must hold for every placement, not just the accepted ones.
+// must hold for every placement, not just the accepted ones. Lattice mode
+// repeats each placement snapped to the side/64 lattice, where pairs tie at
+// the m-th distance and the (u, v) order decides which of them link.
 func TestPlaceGridMatchesNaive(t *testing.T) {
+	ties := 0
 	for _, n := range []int{20, 100, 500} {
 		for _, d := range []float64{6, 18, 30} {
 			cfg := Config{N: n, AvgDegree: d}
@@ -74,10 +138,16 @@ func TestPlaceGridMatchesNaive(t *testing.T) {
 			cfg = cfg.withDefaults()
 			for seed := int64(1); seed <= 3; seed++ {
 				naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
-				grid := place(cfg, rand.New(rand.NewSource(seed)))
+				grid := new(scratch).place(cfg, rand.New(rand.NewSource(seed)))
 				comparePlacements(t, naive, grid)
+				if compareLattice(t, cfg, seed) {
+					ties++
+				}
 			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("no lattice placement tied at the m-th distance; the tie-break went untested")
 	}
 }
 
@@ -209,20 +279,76 @@ func TestEstimateRange(t *testing.T) {
 }
 
 // FuzzPlaceGridMatchesNaive fuzzes the equivalence of the two generators over
-// placement seed, size, and degree.
+// placement seed, size, and degree, on uniform positions or (lattice) on
+// positions snapped to the side/64 lattice, where distances tie.
 func FuzzPlaceGridMatchesNaive(f *testing.F) {
-	f.Add(int64(1), uint16(25), uint16(6))
-	f.Add(int64(42), uint16(100), uint16(18))
-	f.Add(int64(7), uint16(60), uint16(30))
-	f.Add(int64(-3), uint16(2), uint16(1))
-	f.Fuzz(func(t *testing.T, seed int64, n, d uint16) {
+	f.Add(int64(1), uint16(25), uint16(6), false)
+	f.Add(int64(42), uint16(100), uint16(18), false)
+	f.Add(int64(7), uint16(60), uint16(30), false)
+	f.Add(int64(-3), uint16(2), uint16(1), false)
+	f.Add(int64(1), uint16(25), uint16(6), true)
+	f.Add(int64(42), uint16(100), uint16(18), true)
+	f.Add(int64(7), uint16(299), uint16(30), true)
+	f.Add(int64(-3), uint16(2), uint16(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, n, d uint16, lattice bool) {
 		cfg := Config{N: int(n%300) + 2, AvgDegree: float64(d%40) + 0.5}
 		if err := cfg.Validate(); err != nil {
 			t.Skip()
 		}
 		cfg = cfg.withDefaults()
+		if lattice {
+			compareLattice(t, cfg, seed)
+			return
+		}
 		naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
-		grid := place(cfg, rand.New(rand.NewSource(seed)))
+		grid := new(scratch).place(cfg, rand.New(rand.NewSource(seed)))
 		comparePlacements(t, naive, grid)
 	})
+}
+
+// TestSelectPairs checks selectPairs' contract against sortPairs for every
+// k on inputs that stress a quickselect: random, sorted, reversed, organ
+// pipe, and all distances equal (only the ids order them). Each runs with
+// the default partition budget and with budgets of 0-2 rounds, which hand
+// over to the fallback sort.
+func TestSelectPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	shapes := map[string]func(i, n int) float64{
+		"random":   func(i, n int) float64 { return rng.Float64() },
+		"sorted":   func(i, n int) float64 { return float64(i) },
+		"reversed": func(i, n int) float64 { return float64(n - i) },
+		"organ":    func(i, n int) float64 { return float64(min(i, n-i)) },
+		"equal":    func(i, n int) float64 { return 1 },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 17, 100, 333} {
+			in := make([]pair, n)
+			for i := range in {
+				// Ids in a scrambled order, so "equal" is not presorted.
+				in[i] = pair{d: shape(i, n), u: int32(i * 7919 % n), v: int32(n + i)}
+			}
+			want := append([]pair(nil), in...)
+			sortPairs(want)
+			for k := 0; k < n; k++ {
+				for rounds := -1; rounds <= 2; rounds++ {
+					got := append([]pair(nil), in...)
+					if rounds < 0 {
+						selectPairs(got, k)
+					} else {
+						selectRounds(got, k, rounds)
+					}
+					if got[k] != want[k] {
+						t.Fatalf("%s n=%d k=%d rounds=%d: pairs[k] = %v, want %v",
+							name, n, k, rounds, got[k], want[k])
+					}
+					for i := range got {
+						if i < k && !pairLess(got[i], got[k]) || i > k && !pairLess(got[k], got[i]) {
+							t.Fatalf("%s n=%d k=%d rounds=%d: pair %d = %v on the wrong side of %v",
+								name, n, k, rounds, i, got[i], got[k])
+						}
+					}
+				}
+			}
+		}
+	}
 }
