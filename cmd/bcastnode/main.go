@@ -104,7 +104,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		// A beaconing node holds its forwarding while its view is stale.
 		d := zero(cfg.DynamicHello)
 		d.Interval, d.Expiry, d.LossRate, d.Seed = *helloInt, *helloExp, *helloLoss, *seed
-		cfg.DynamicHello, cfg.ConservativeFallback = d, true
+		cfg.DynamicHello = d
 	}
 
 	var w rt.Wire

@@ -26,6 +26,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"hello expiry without interval", []string{"-hello-expiry", "10"}, "-hello-expiry"},
 		{"hello loss without interval", []string{"-hello-loss", "0.1"}, "-hello-loss"},
 		{"negative hello interval", []string{"-hello-interval", "-1"}, "-hello-interval"},
+		{"infinite hello interval", []string{"-hello-interval", "Inf"}, "Interval"},
 		{"nonpositive hello expiry", []string{"-hello-interval", "5", "-hello-expiry", "0"}, "-hello-expiry"},
 		{"hello loss out of range", []string{"-hello-interval", "5", "-hello-loss", "1.5"}, "-hello-loss"},
 		{"unwritable journal dir", []string{"-journal", "/dev/null/state"}, "-journal"},

@@ -224,11 +224,10 @@ func TestRestartMidNACK(t *testing.T) {
 func TestRejoinViaBeacons(t *testing.T) {
 	dir := t.TempDir()
 	cfg := rt.Config{
-		Protocol:             protocol.Flooding,
-		TimeScale:            time.Millisecond,
-		JournalDir:           dir,
-		DynamicHello:         &hello.Dynamic{Interval: 50},
-		ConservativeFallback: true,
+		Protocol:     protocol.Flooding,
+		TimeScale:    time.Millisecond,
+		JournalDir:   dir,
+		DynamicHello: &hello.Dynamic{Interval: 50},
 	}
 	h := newHarness(t, 2, cfg, nil)
 	h.initAll()
@@ -271,11 +270,10 @@ func TestAntiEntropyRepair(t *testing.T) {
 		return []rt.Envelope{env}
 	}
 	h := newHarness(t, 3, rt.Config{
-		Protocol:             protocol.Flooding,
-		TimeScale:            time.Millisecond,
-		NACKRecovery:         true,
-		DynamicHello:         &hello.Dynamic{Interval: 20},
-		ConservativeFallback: true,
+		Protocol:     protocol.Flooding,
+		TimeScale:    time.Millisecond,
+		NACKRecovery: true,
+		DynamicHello: &hello.Dynamic{Interval: 20},
 	}, filter)
 	h.initAll()
 	h.topologyAll(pathAdjacency(h.names))

@@ -7,9 +7,10 @@
 //     are exempt.
 //  2. Markdown links: every relative link or image target in the checked-in
 //     *.md files resolves to an existing file or directory.
-//  3. Configuration coverage: every exported field of sim.Config (parsed
-//     from internal/sim/config.go) is mentioned by name in at least one
-//     checked-in markdown file, so no simulation knob can ship undocumented.
+//  3. Configuration coverage: every exported field of sim.Config and every
+//     exported type of internal/sim/config.go (the variants of its sum-typed
+//     fields) is mentioned by name in at least one checked-in markdown
+//     file, so no simulation knob can ship undocumented.
 //     Roots without that file (test fixtures) skip this check.
 //
 // Usage:
@@ -31,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -140,60 +142,57 @@ func checkConfigCoverage(root string, mdFiles []string) ([]string, error) {
 		}
 		docs = append(docs, string(data))
 	}
+	types, fields := exportedNames(f, "Config")
 	var problems []string
-	for _, field := range exportedStructFields(f, "Config") {
-		re := regexp.MustCompile(`\b` + regexp.QuoteMeta(field.name) + `\b`)
-		mentioned := false
-		for _, doc := range docs {
-			if re.MatchString(doc) {
-				mentioned = true
-				break
+	audit := func(kind string, names []structField) {
+		for _, n := range names {
+			re := regexp.MustCompile(`\b` + regexp.QuoteMeta(n.name) + `\b`)
+			if !slices.ContainsFunc(docs, re.MatchString) {
+				problems = append(problems, fmt.Sprintf(
+					"%s:%d: %s %s is not mentioned in any checked-in markdown file",
+					path, fset.Position(n.pos).Line, kind, n.name))
 			}
 		}
-		if !mentioned {
-			p := fset.Position(field.pos)
-			problems = append(problems, fmt.Sprintf(
-				"%s:%d: sim.Config field %s is not mentioned in any checked-in markdown file",
-				path, p.Line, field.name))
-		}
 	}
+	audit("sim.Config field", fields)
+	audit("sim type", types)
 	return problems, nil
 }
 
-// structField is one exported field found by exportedStructFields.
+// structField is one exported name found by exportedNames.
 type structField struct {
 	name string
 	pos  token.Pos
 }
 
-// exportedStructFields returns the exported fields of the named top-level
-// struct type, in declaration order (embedded fields are skipped).
-func exportedStructFields(f *ast.File, typeName string) []structField {
-	var out []structField
+// exportedNames returns, in declaration order, the exported top-level types
+// of f and the exported fields of its struct type typeName (embedded fields
+// are skipped).
+func exportedNames(f *ast.File, typeName string) (types, fields []structField) {
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.TYPE {
 			continue
 		}
 		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != typeName {
-				continue
+			ts := spec.(*ast.TypeSpec)
+			if ts.Name.IsExported() {
+				types = append(types, structField{name: ts.Name.Name, pos: ts.Name.Pos()})
 			}
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
+			if !ok || ts.Name.Name != typeName {
 				continue
 			}
 			for _, fld := range st.Fields.List {
 				for _, n := range fld.Names {
 					if n.IsExported() {
-						out = append(out, structField{name: n.Name, pos: n.Pos()})
+						fields = append(fields, structField{name: n.Name, pos: n.Pos()})
 					}
 				}
 			}
 		}
 	}
-	return out
+	return types, fields
 }
 
 // checkPackage parses one package directory and reports missing package and

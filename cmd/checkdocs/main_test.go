@@ -78,25 +78,36 @@ func TestCheckFindsProblems(t *testing.T) {
 	}
 }
 
-// TestConfigCoverage exercises invariant 3 on a fixture tree: a sim.Config
-// field mentioned nowhere in markdown is a problem, one mentioned anywhere
-// (prose or code fence) is covered, and unexported fields are ignored.
+// TestConfigCoverage exercises invariant 3 on fixture trees: a sim.Config
+// field or an exported type of config.go mentioned nowhere in markdown is a
+// problem, one mentioned anywhere (prose or code fence) is covered, and
+// unexported fields and types are ignored.
 func TestConfigCoverage(t *testing.T) {
-	dir := t.TempDir()
-	writeTree(t, dir, map[string]string{
-		"internal/sim/config.go": "// Package sim is documented.\npackage sim\n\n" +
-			"// Config is documented.\ntype Config struct {\n" +
-			"\t// Hops is documented.\n\tHops int\n" +
-			"\t// Orphan is documented in Go but not in markdown.\n\tOrphan int\n" +
-			"\tinternal int\n}\n",
-		"README.md": "The `Hops` knob sets the view depth.\n",
-	})
-	problems, err := check(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 1 || !strings.Contains(problems[0], "sim.Config field Orphan") {
-		t.Fatalf("got %v, want exactly the Orphan coverage problem", problems)
+	const config = "// Package sim is documented.\npackage sim\n\n" +
+		"// Config is documented.\ntype Config struct {\n" +
+		"\t// Hops is documented.\n\tHops int\n" +
+		"\t// Orphan is documented in Go but not in markdown.\n\tOrphan int\n" +
+		"\tinternal int\n}\n"
+	for _, tc := range []struct{ name, extra, readme, want string }{
+		{"undocumented field", "", "The `Hops` knob of `Config` sets the view depth.\n", "sim.Config field Orphan"},
+		{"undocumented type",
+			"\n// Variant is documented in Go but not in markdown.\ntype Variant struct{}\n\ntype hidden struct{}\n",
+			"`Config` has the `Hops` and `Orphan` knobs.\n", "sim type Variant"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeTree(t, dir, map[string]string{
+				"internal/sim/config.go": config + tc.extra,
+				"README.md":              tc.readme,
+			})
+			problems, err := check(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(problems) != 1 || !strings.Contains(problems[0], tc.want) {
+				t.Fatalf("got %v, want exactly the %q coverage problem", problems, tc.want)
+			}
+		})
 	}
 }
 

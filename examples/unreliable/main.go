@@ -82,9 +82,9 @@ func run() error {
 		for i := 0; i < runs; i++ {
 			moved := mobility.Perturbed(net, 100, 5, int64(100+i))
 			res, err := sim.Run(moved.G, i%100, tc.mk(), sim.Config{
-				Hops:         2,
-				ViewTopology: net.G,
-				Seed:         int64(i + 1),
+				Hops:  2,
+				Views: sim.SharedViews{Topology: net.G},
+				Seed:  int64(i + 1),
 			})
 			if err != nil {
 				return err

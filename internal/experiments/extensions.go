@@ -47,9 +47,9 @@ func Mobility(rc RunConfig) (Figure, error) {
 				}
 				actual := mobility.Perturbed(w.net, 100, float64(steps[k]), mobilitySeed(rc.Seed, d, i, steps[k]))
 				res, err := sink.run(i, actual.G, w.source, v.make(), sim.Config{
-					Hops:         2,
-					ViewTopology: w.net.G,
-					Seed:         seed + 1,
+					Hops:  2,
+					Views: sim.SharedViews{Topology: w.net.G},
+					Seed:  seed + 1,
 				}, nil)
 				if err != nil {
 					return 0, err

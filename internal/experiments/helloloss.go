@@ -32,9 +32,9 @@ func helloVariants() []variant {
 		// knowledge-induced losses from channel effects (there are none).
 		{label: "Flooding", cfg: sim.Config{Hops: 2}, make: protocol.Flooding},
 		{label: "Generic-FR", cfg: sim.Config{Hops: 2}, make: fr},
-		{label: "Generic-FR+CF", cfg: sim.Config{Hops: 2, ConservativeFallback: true}, make: fr},
+		{label: "Generic-FR+CF", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Hold: true}}, make: fr},
 		{label: "Generic-FRB", cfg: sim.Config{Hops: 2}, make: frb},
-		{label: "Generic-FRB+CF", cfg: sim.Config{Hops: 2, ConservativeFallback: true}, make: frb},
+		{label: "Generic-FRB+CF", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Hold: true}}, make: frb},
 	}
 }
 
@@ -110,8 +110,8 @@ func helloSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *s
 			cfg := v.cfg
 			cfg.Seed = seed + 1
 			cfg.Observer = rec
-			cfg.NodeViews = views.Graph
-			cfg.ViewIncomplete = views.Incomplete
+			pv, _ := v.cfg.Views.(sim.PerNodeViews) // the variant says whether it holds
+			cfg.Views = sim.PerNodeViews{Views: views, Hold: pv.Hold}
 			// When tracing is on, export the view-divergence counters
 			// alongside the run record. Only the driver can fill these — the
 			// simulator never sees the ground truth.

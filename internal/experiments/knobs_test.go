@@ -18,7 +18,7 @@ func TestConfigFieldCounts(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{sim.Config{}, 25},
+		{sim.Config{}, 21},
 		{LoadConfig{}, 12},
 		{geo.Config{}, 5},
 	} {

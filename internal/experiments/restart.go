@@ -28,16 +28,15 @@ import (
 const restartOutage = 5.0
 
 // restartVariants are the curves of a restart figure: a protocol plus the
-// recovery machinery layered on it. The "+Hold" curve's ConservativeFallback
-// is the static half of the dynamic-hello conservative hold; restartSweep
-// attaches the per-replicate staleness schedule to it.
+// recovery machinery layered on it. The "+Hold" curve's BeaconedViews is a
+// template: restartSweep fills in each replicate's beacon-loss schedule.
 func restartVariants() []variant {
 	frb := func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }
 	return []variant{
 		{label: "Flooding", cfg: sim.Config{Hops: 2}, make: protocol.Flooding},
 		{label: "Generic-FR", cfg: sim.Config{Hops: 2}, make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
 		{label: "Generic-FRB+NACK", cfg: sim.Config{Hops: 2, NACKRecovery: true}, make: frb},
-		{label: "Generic-FRB+NACK+Hold", cfg: sim.Config{Hops: 2, NACKRecovery: true, ConservativeFallback: true}, make: frb},
+		{label: "Generic-FRB+NACK+Hold", cfg: sim.Config{Hops: 2, NACKRecovery: true, Views: sim.BeaconedViews{}}, make: frb},
 	}
 }
 
@@ -118,11 +117,11 @@ func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, 
 			cfg.LossRate = crashAmbientLoss
 			cfg.Faults = plan
 			cfg.Observer = rec
-			if cfg.ConservativeFallback {
+			if _, ok := cfg.Views.(sim.BeaconedViews); ok {
 				// The dynamic-hello staleness schedule is a pure function of
 				// its own seed (see internal/hello), so every replicate sees a
 				// different beacon-loss pattern but reruns are bit-identical.
-				cfg.DynamicHello = &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}
+				cfg.Views = sim.BeaconedViews{Hello: hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}}
 			}
 			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"adhocbcast/internal/graph"
 )
@@ -47,13 +48,14 @@ func (d Dynamic) WithDefaults() Dynamic {
 	return d
 }
 
-// Validate rejects parameters that would silently misbehave.
+// Validate rejects parameters that would silently misbehave, infinite ones
+// included (a live beacon timer would fire at once and re-arm forever).
 func (d Dynamic) Validate() error {
-	if d.Interval < 0 || math.IsNaN(d.Interval) {
-		return fmt.Errorf("hello: negative beacon Interval %v", d.Interval)
+	if d.Interval < 0 || math.IsNaN(d.Interval) || math.IsInf(d.Interval, 0) {
+		return fmt.Errorf("hello: beacon Interval %v is negative or not finite", d.Interval)
 	}
-	if d.Expiry < 0 || math.IsNaN(d.Expiry) {
-		return fmt.Errorf("hello: negative beacon Expiry %v", d.Expiry)
+	if d.Expiry < 0 || math.IsNaN(d.Expiry) || math.IsInf(d.Expiry, 0) {
+		return fmt.Errorf("hello: beacon Expiry %v is negative or not finite", d.Expiry)
 	}
 	if d.LossRate < 0 || d.LossRate >= 1 || math.IsNaN(d.LossRate) {
 		return fmt.Errorf("hello: beacon LossRate %v outside [0,1)", d.LossRate)
@@ -98,8 +100,11 @@ func (d Dynamic) Rounds(t float64) int {
 
 // LastHeard returns the time of the latest beacon from sender from that
 // receiver recv has received by time t (0 when only the initial exchange
-// got through).
+// got through). O(1) without loss, when every beacon lands.
 func (d Dynamic) LastHeard(recv, from int, t float64) float64 {
+	if d.LossRate <= 0 && d.Interval > 0 && t >= 0 {
+		return math.Floor(t/d.Interval) * d.Interval
+	}
 	for r := d.Rounds(t); r > 0; r-- {
 		if d.Received(recv, from, r) {
 			return float64(r) * d.Interval
@@ -117,10 +122,14 @@ func (d Dynamic) LinkStale(recv, from int, t float64) bool {
 // EverStale reports whether the link from→recv was stale at any time in
 // [0, t]: some gap between consecutive received beacons (or between the last
 // received beacon and t) exceeded Expiry. This is the run-level counter shape
-// — staleness during the run, not just at its end.
+// — staleness during the run, not just at its end. O(1) without loss.
 func (d Dynamic) EverStale(recv, from int, t float64) bool {
 	if t < 0 {
 		return false
+	}
+	if d.LossRate <= 0 {
+		last := d.LastHeard(recv, from, t)
+		return (last > 0 && d.Interval > d.Expiry) || t-last > d.Expiry
 	}
 	last := 0.0
 	for r := 1; r <= d.Rounds(t); r++ {
@@ -148,14 +157,15 @@ func (d Dynamic) ViewStale(g *graph.Graph, v int, t float64) bool {
 	return false
 }
 
-// ViewEverStale reports whether node v's view over g was stale at any time
-// in [0, t] (EverStale on some neighbor): the shape of the run records'
-// stale-view-hold counter.
-func (d Dynamic) ViewEverStale(g *graph.Graph, v int, t float64) bool {
-	for _, u := range g.Adj(v) {
-		if d.EverStale(v, u, t) {
-			return true
+// StaleViewHolds counts the nodes of g whose view was stale at some time in
+// [0, t]: the run records' StaleViewHolds, which the simulator and the live
+// Cluster both fill through it, so seed-matched runs report the same value.
+func (d Dynamic) StaleViewHolds(g *graph.Graph, t float64) int {
+	holds := 0
+	for v := 0; v < g.N(); v++ {
+		if slices.ContainsFunc(g.Adj(v), func(u int) bool { return d.EverStale(v, u, t) }) {
+			holds++
 		}
 	}
-	return false
+	return holds
 }

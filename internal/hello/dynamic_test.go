@@ -22,6 +22,8 @@ func TestDynamicDefaultsAndValidate(t *testing.T) {
 		{Interval: 5, LossRate: 1},
 		{Interval: 5, LossRate: -0.1},
 		{Interval: math.NaN()},
+		{Interval: math.Inf(1)},
+		{Interval: 5, Expiry: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", bad)
@@ -131,4 +133,35 @@ func TestDynamicEverStale(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed in 1..32 produced a suitable loss pattern")
+}
+
+// TestDynamicLosslessClosedForm: without loss LastHeard and EverStale answer
+// in closed form. They must agree with the round-by-round walk wherever that
+// walk is affordable, and answer at once where it is not.
+func TestDynamicLosslessClosedForm(t *testing.T) {
+	for _, iv := range []float64{0, 0.5, 1, 2, 3, 5} {
+		for _, exp := range []float64{0.4, 0.5, 1, 2.5, 15} {
+			d := Dynamic{Interval: iv, Expiry: exp, Seed: 7}
+			for _, tm := range []float64{-1, 0, 0.3, 1, 2.4, 2.5, 7, 12.75, 100} {
+				last, ever := 0.0, false
+				for r := 1; r <= d.Rounds(tm); r++ {
+					at := float64(r) * d.Interval
+					ever = ever || at-last > d.Expiry
+					last = at
+				}
+				ever = tm >= 0 && (ever || tm-last > d.Expiry)
+				if got := d.LastHeard(0, 1, tm); got != last {
+					t.Errorf("%+v: LastHeard(%v) = %v, want %v", d, tm, got, last)
+				}
+				if got := d.EverStale(0, 1, tm); got != ever {
+					t.Errorf("%+v: EverStale(%v) = %v, want %v", d, tm, got, ever)
+				}
+			}
+		}
+	}
+	// Ten billion rounds: only the closed form answers this in time.
+	d := Dynamic{Interval: 1e-10}.WithDefaults()
+	if d.EverStale(0, 1, 1) || d.LinkStale(0, 1, 1) {
+		t.Error("lossless 1e-10 interval link reported stale")
+	}
 }

@@ -15,7 +15,7 @@ import (
 // and from the truth. The paper's coverage condition is only safe when each
 // node's k-hop view (Definition 2) matches reality; running the exchange over
 // an unreliable channel produces exactly the per-node, partially wrong views
-// the simulator's NodeViews knob consumes, plus the bookkeeping (receipt
+// the simulator's sim.PerNodeViews consumes, plus the bookkeeping (receipt
 // counts, divergence report) the robustness experiments measure.
 
 // Config parameterizes one lossy hello exchange.
@@ -124,9 +124,9 @@ func (vs *Views) N() int { return len(vs.graphs) }
 func (vs *Views) Rounds() int { return vs.rounds }
 
 // Graph returns node v's learned topology on the global vertex numbering.
-// The signature matches the simulator's per-node view provider, so a Views
-// value plugs into sim.Config.NodeViews directly. The returned graph is
-// shared: treat it as read-only.
+// With Incomplete it implements sim.NodeViews, so a *Views plugs into
+// sim.PerNodeViews directly. The returned graph is shared: treat it as
+// read-only.
 func (vs *Views) Graph(v int) *graph.Graph { return vs.graphs[v] }
 
 // Known reports whether node v has heard of node u (itself included).

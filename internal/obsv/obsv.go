@@ -132,7 +132,7 @@ type RunRecord struct {
 	// ViewIncompleteNodes counts nodes that could prove their own local
 	// view incomplete before the broadcast started (missed hello receipts;
 	// see hello.Views.Incomplete). Zero unless the run was configured with
-	// per-node view incompleteness information.
+	// per-node views (sim.PerNodeViews).
 	ViewIncompleteNodes int `json:"view_incomplete_nodes,omitempty"`
 	// ViewMissingLinks and ViewPhantomLinks record the divergence of the
 	// run's per-node views against the true topology, summed over nodes

@@ -92,7 +92,8 @@ func (e *engine) OnReceive(rt sim.Runtime, v int, r Receipt) {
 	first := st.Receipts == 1
 
 	if e.opts.Timing == TimingStatic {
-		if first && e.status[v] {
+		// A view gone stale since Init holds its forwarding (BeaconedViews).
+		if first && (e.status[v] || rt.ConservativeHold(v)) {
 			e.forward(rt, v)
 		} else if first {
 			rt.MarkNonForward(v)

@@ -139,7 +139,7 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestDynamicHelloAgreement: seed-matched sim and live runs with dynamic
-// hello maintenance plus the conservative fallback must agree on mean
+// hello maintenance and its conservative hold must agree on mean
 // delivery and forward ratios within 1% — the same aggregate-agreement
 // contract the soak harness enforces for Generic-FR, now with stale-view
 // holds in the decision path on both sides.
@@ -164,12 +164,11 @@ func TestDynamicHelloAgreement(t *testing.T) {
 	dyn := &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.4, Seed: seed}
 	var liveRec obsv.RunRecord
 	cl, err := rt.New(g, rt.Config{
-		Protocol:             func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
-		Seed:                 seed,
-		TimeScale:            40 * time.Millisecond,
-		DynamicHello:         dyn,
-		ConservativeFallback: true,
-		Metrics:              &liveRec,
+		Protocol:     func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
+		Seed:         seed,
+		TimeScale:    40 * time.Millisecond,
+		DynamicHello: dyn,
+		Metrics:      &liveRec,
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -180,10 +179,9 @@ func TestDynamicHelloAgreement(t *testing.T) {
 		source := (i * 7) % n
 		var simRec obsv.RunRecord
 		simRes, err := sim.Run(g, source, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-			Seed:                 seed,
-			DynamicHello:         dyn,
-			ConservativeFallback: true,
-			Metrics:              &simRec,
+			Seed:    seed,
+			Views:   sim.BeaconedViews{Hello: *dyn},
+			Metrics: &simRec,
 		})
 		if err != nil {
 			t.Fatalf("sim round %d: %v", i, err)

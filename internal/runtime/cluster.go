@@ -337,18 +337,17 @@ func (r *run) result(source int) sim.Result {
 	res.Score(cl.g, source, r.plan, func(v int) bool { return cl.lastDelivered[v] })
 	if m := cl.cfg.Metrics; m != nil {
 		res.FillRecord(m)
-		for v, w := range waves {
+		for _, w := range waves {
 			if w.core.Delivered() {
 				m.Latency.Observe(w.firstAt)
 			}
 			if w.core.Forwarded() {
 				m.ForwardSet.Observe(float64(len(w.core.st.SentPacket().SenderDesignated())))
 			}
-			// Same pure computation as the simulator's result(): nodes whose
-			// view went stale at any point up to the finish clock.
-			if d := cl.cfg.DynamicHello; d != nil && d.ViewEverStale(cl.g, v, res.Finish) {
-				m.StaleViewHolds++
-			}
+		}
+		// The simulator fills the counter through the same pure function.
+		if d := cl.cfg.DynamicHello; d != nil {
+			m.StaleViewHolds = d.StaleViewHolds(cl.g, res.Finish)
 		}
 	}
 	return res

@@ -244,7 +244,6 @@ func TestLiveConfigValidation(t *testing.T) {
 		{"bad dup rate", Config{Protocol: protocol.Flooding, Nemesis: Nemesis{DupRate: -0.1}}},
 		{"negative jitter", Config{Protocol: protocol.Flooding, Nemesis: Nemesis{JitterFrac: -1}}},
 		{"negative budget", Config{Protocol: protocol.Flooding, RetryBudget: -1}},
-		{"fallback without dynamic hello", Config{Protocol: protocol.Flooding, ConservativeFallback: true}},
 		{"NaN transmit delay", Config{Protocol: protocol.Flooding, TransmitDelay: math.NaN()}},
 		{"infinite transmit delay", Config{Protocol: protocol.Flooding, TransmitDelay: math.Inf(1)}},
 		{"NaN backoff window", Config{Protocol: protocol.Flooding, BackoffWindow: math.NaN()}},

@@ -42,19 +42,18 @@ type Transport interface {
 
 // CoreConfig carries the per-node slice of Config a Core needs.
 type CoreConfig struct {
-	N                    int
-	PiggybackDepth       int
-	BackoffWindow        float64
-	TransmitDelay        float64
-	NACKRecovery         bool
-	RetryBudget          int
-	NACKDelay            float64
-	RetryBackoff         float64
-	JitterFrac           float64
-	ConservativeFallback bool
+	N              int
+	PiggybackDepth int
+	BackoffWindow  float64
+	TransmitDelay  float64
+	NACKRecovery   bool
+	RetryBudget    int
+	NACKDelay      float64
+	RetryBackoff   float64
+	JitterFrac     float64
 	// StaleView, when non-nil, reports whether the node's dynamic-hello view
 	// is stale at time now (some view-neighbor past its beacon expiry; see
-	// hello.Dynamic). Consulted by ConservativeHold.
+	// hello.Dynamic); a stale node holds its forwarding (ConservativeHold).
 	StaleView func(v int, now float64) bool
 }
 
@@ -241,7 +240,7 @@ func (c *Core) DegreeBackoff(v int) float64 {
 // ConservativeHold reports whether this node must refuse non-forward status:
 // its view is provably stale (StaleView under dynamic hello maintenance).
 func (c *Core) ConservativeHold(v int) bool {
-	return c.cfg.ConservativeFallback && c.cfg.StaleView != nil && c.cfg.StaleView(c.id, c.out.Now())
+	return c.cfg.StaleView != nil && c.cfg.StaleView(c.id, c.out.Now())
 }
 
 // RestoreSent reinstates a previously transmitted forward from durable

@@ -249,12 +249,14 @@ func (c *loopClock) now() float64 {
 // after posts fn to the loop after d time units. Every timer execution ends
 // at a journal durability point, like envelope handlers.
 func (c *loopClock) after(d float64, _ bool, fn func()) {
-	time.AfterFunc(time.Duration(d*float64(c.n.cfg.TimeScale)), func() {
-		c.n.post(func() {
-			fn()
-			c.n.syncJournal()
+	if wall := d * float64(c.n.cfg.TimeScale); wall < 1<<63 { // else past time.Duration: never fires
+		time.AfterFunc(time.Duration(wall), func() {
+			c.n.post(func() {
+				fn()
+				c.n.syncJournal()
+			})
 		})
-	})
+	}
 }
 
 func (n *Node) now() float64 { return n.clk.now() }
@@ -629,17 +631,16 @@ func (n *Node) wave(msg int64) *wave {
 	w := &wave{n: n, msg: msg}
 	lv := view.NewLocal(n.g, n.self, n.cfg.Hops, n.base)
 	w.core = NewCore(n.self, n.cfg.Protocol(), lv, n.g, CoreConfig{
-		N:                    len(n.names),
-		PiggybackDepth:       n.cfg.PiggybackDepth,
-		BackoffWindow:        n.cfg.BackoffWindow,
-		TransmitDelay:        n.cfg.TransmitDelay,
-		NACKRecovery:         n.cfg.NACKRecovery,
-		RetryBudget:          n.cfg.RetryBudget,
-		NACKDelay:            n.cfg.NACKDelay,
-		RetryBackoff:         n.cfg.RetryBackoff,
-		JitterFrac:           n.cfg.Nemesis.JitterFrac,
-		ConservativeFallback: n.cfg.ConservativeFallback,
-		StaleView:            n.staleView,
+		N:              len(n.names),
+		PiggybackDepth: n.cfg.PiggybackDepth,
+		BackoffWindow:  n.cfg.BackoffWindow,
+		TransmitDelay:  n.cfg.TransmitDelay,
+		NACKRecovery:   n.cfg.NACKRecovery,
+		RetryBudget:    n.cfg.RetryBudget,
+		NACKDelay:      n.cfg.NACKDelay,
+		RetryBackoff:   n.cfg.RetryBackoff,
+		JitterFrac:     n.cfg.Nemesis.JitterFrac,
+		StaleView:      n.staleView,
 	}, w, StreamSeed(n.cfg.Seed, "bcastnode.backoff", n.self, int(msg)))
 	w.core.Init()
 	n.waves[msg] = w

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
@@ -30,8 +31,8 @@ func TestConfigFieldCounts(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{Config{}, 20},
-		{CoreConfig{}, 11},
+		{Config{}, 19},
+		{CoreConfig{}, 10},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		got := 0
@@ -172,4 +173,20 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLoopClockBeyondDurationNeverFires: a delay past time.Duration's range,
+// such as a -hello-interval of 1e300 units, must never fire. Converted
+// unchecked it wrapped negative and fired at once, so the beacon re-armed
+// itself in a tight loop.
+func TestLoopClockBeyondDurationNeverFires(t *testing.T) {
+	n, err := NewNode(Config{Protocol: protocol.Flooding}, &recWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.clk.after(1e300, false, func() {})
+	time.Sleep(50 * time.Millisecond)
+	if len(n.loop) != 0 {
+		t.Fatal("a 1e300-unit timer fired")
+	}
 }

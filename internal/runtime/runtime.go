@@ -131,19 +131,16 @@ type Config struct {
 	// RetryBackoff is the base retry delay of the exponential backoff.
 	RetryBackoff float64
 
-	// ConservativeFallback makes a node whose view is provably stale refuse
-	// non-forward status (requires DynamicHello).
-	ConservativeFallback bool
-	// DynamicHello, when non-nil, enables periodic hello maintenance (see
-	// sim.Config.DynamicHello). A bcastnode process beacons every Interval
-	// over its wire, drops incoming beacons by the pure (Seed, recv, from,
-	// round) hash of hello.Dynamic.Received, and judges staleness from what
-	// it heard; a Cluster node takes the simulator's pure-hash verdict
+	// DynamicHello, when non-nil, enables periodic hello maintenance, and a
+	// node whose view is provably stale holds its forwarding (refuses
+	// non-forward status) until the view is fresh again — the live face of
+	// sim.BeaconedViews. A bcastnode process beacons every Interval over its
+	// wire, drops incoming beacons by the pure (Seed, recv, from, round)
+	// hash of hello.Dynamic.Received, and judges staleness from what it
+	// heard; a Cluster node takes the simulator's pure-hash verdict
 	// (hello.Dynamic.ViewStale) against the run clock, because a Cluster
-	// wave must quiesce. With ConservativeFallback a stale-view node holds
-	// its forwarding until the view is fresh again; the loss schedule being
-	// a pure function is what makes a seed-matched simulator run agree on
-	// every stale hold.
+	// wave must quiesce. The loss schedule being a pure function is what
+	// makes a seed-matched simulator run agree on every stale hold.
 	DynamicHello *hello.Dynamic
 
 	// Deadline aborts a Cluster broadcast that has not quiesced after this
@@ -187,9 +184,6 @@ func (c Config) normalize() (Config, error) {
 	if math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 0) {
 		return c, fmt.Errorf("runtime: Deadline %v is not finite", c.Deadline)
 	}
-	if c.ConservativeFallback && c.DynamicHello == nil {
-		return c, fmt.Errorf("runtime: ConservativeFallback requires DynamicHello")
-	}
 	s, err := sim.Config{
 		Metric:         c.Metric,
 		PiggybackDepth: c.PiggybackDepth,
@@ -198,7 +192,6 @@ func (c Config) normalize() (Config, error) {
 		RetryBudget:    c.RetryBudget,
 		NACKDelay:      c.NACKDelay,
 		RetryBackoff:   c.RetryBackoff,
-		DynamicHello:   c.DynamicHello,
 	}.Normalize(0)
 	if err != nil {
 		return c, fmt.Errorf("runtime: %w", err)
@@ -206,7 +199,13 @@ func (c Config) normalize() (Config, error) {
 	c.Metric, c.PiggybackDepth = s.Metric, s.PiggybackDepth
 	c.BackoffWindow, c.TransmitDelay = s.BackoffWindow, s.TransmitDelay
 	c.RetryBudget, c.NACKDelay, c.RetryBackoff = s.RetryBudget, s.NACKDelay, s.RetryBackoff
-	c.DynamicHello = s.DynamicHello
+	if c.DynamicHello != nil { // through hello.Dynamic's own table, as sim.BeaconedViews
+		d := c.DynamicHello.WithDefaults()
+		if err := d.Validate(); err != nil {
+			return c, fmt.Errorf("runtime: invalid DynamicHello: %w", err)
+		}
+		c.DynamicHello = &d
+	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 2 * time.Millisecond
 	}

@@ -37,8 +37,8 @@ type Arena struct {
 	cal     calQueue
 	builder *view.Builder
 
-	// Built views and their key (shared-topology modes; NodeViews runs build
-	// single views instead).
+	// Built views and their key (shared-topology modes; PerNodeViews runs
+	// build single views instead).
 	viewG      *graph.Graph
 	viewHops   int
 	viewMetric view.Metric

@@ -16,7 +16,7 @@ import (
 // TestUsedArenaIsFreshArena is the contract sweep drivers lean on when they
 // pool arenas: whatever an Arena ran last, the next run on it is the run a
 // new Arena would have made. For every registered protocol under every way a
-// run builds and marks views (shared, stale and per-node topologies; global,
+// run builds and marks views (shared, stale, per-node and beaconed views; global,
 // 1-, 2- and 3-hop; both metrics; parallel pre-merge; loss with NACK
 // recovery; concurrent sessions over the contention MAC), the Result, the
 // event trace and the run record on an Arena that last ran another size,
@@ -45,8 +45,9 @@ func TestUsedArenaIsFreshArena(t *testing.T) {
 	}{
 		{name: "plain", cfg: sim.Config{Hops: 2, Seed: 1}},
 		{name: "nack-loss", cfg: sim.Config{Hops: 2, LossRate: 0.3, NACKRecovery: true, Seed: 2}},
-		{name: "view-topology", cfg: sim.Config{Hops: 2, ViewTopology: stale.G, Seed: 3}},
-		{name: "node-views", cfg: sim.Config{Hops: 2, NodeViews: vs.Graph, ViewIncomplete: vs.Incomplete, ConservativeFallback: true, Seed: 4}},
+		{name: "view-topology", cfg: sim.Config{Hops: 2, Views: sim.SharedViews{Topology: stale.G}, Seed: 3}},
+		{name: "node-views", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs, Hold: true}, Seed: 4}},
+		{name: "beaconed-views", cfg: sim.Config{Hops: 2, Views: sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: 3}}, Seed: 11}},
 		{name: "global", cfg: sim.Config{Hops: 0, Seed: 5}},
 		{name: "1-hop", cfg: sim.Config{Hops: 1, Seed: 6}},
 		{name: "3-hop", cfg: sim.Config{Hops: 3, Seed: 7}},

@@ -22,11 +22,94 @@ import (
 	"adhocbcast/internal/view"
 )
 
-// ViewProvider supplies node v's private view topology: the graph node v
-// believes the network to be, on the global vertex numbering. Providers are
-// called once per node at run setup and must be pure (same v, same graph) for
-// runs to be reproducible; hello.Views.Graph satisfies the signature.
-type ViewProvider func(v int) *graph.Graph
+// Views says what the nodes' k-hop views are built from when it is not the
+// actual graph passed to Run: the paper's View(t) (Section 2, assembled by
+// the Section 4.3 hello exchange) drifts from it in three modeled ways, one
+// sealed variant each. Nil is the paper's setting.
+type Views interface {
+	validate(n int) error                         // rejects a variant unfit for n nodes
+	graphOf(g *graph.Graph, v int) *graph.Graph   // node v's view topology (g: the actual one)
+	hold(g *graph.Graph, v int, now float64) bool // see Network.ConservativeHold
+	record(g *graph.Graph, m *obsv.RunRecord)     // adds the variant's run-record counters
+}
+
+// SharedViews builds every view from one shared, possibly stale snapshot
+// while transmissions propagate over the actual graph: views assembled from
+// hellos exchanged before the nodes moved.
+type SharedViews struct {
+	Topology *graph.Graph // the snapshot, on the network's vertex numbering
+}
+
+// NodeViews is the view source of PerNodeViews; *hello.Views implements it.
+// Both methods must be pure, and safe for concurrent calls when
+// Config.Workers > 1.
+type NodeViews interface {
+	Graph(v int) *graph.Graph // node v's private view topology
+	Incomplete(v int) bool    // whether v can prove its view may miss links
+}
+
+// PerNodeViews builds each node's view and priorities from its own, possibly
+// wrong, graph (a lossy hello exchange's outcome). Hold is the conservative
+// fallback mirroring the paper's default-forward safety property: a provably
+// incomplete node refuses non-forward status.
+type PerNodeViews struct {
+	Views NodeViews
+	Hold  bool
+}
+
+// BeaconedViews models periodic hello maintenance over the actual graph:
+// beacons are lost by the pure hash of hello.Dynamic.Received, and a node
+// that has not heard a view-neighbor within the expiry holds its forwarding
+// until its view is fresh, as the live runtime does with real timers. Zero
+// Hello fields take hello.Dynamic's defaults.
+type BeaconedViews struct {
+	Hello hello.Dynamic
+}
+
+func (s SharedViews) validate(n int) error {
+	if s.Topology == nil || s.Topology.N() != n {
+		return fmt.Errorf("sim: view topology is nil or does not have the network's %d nodes", n)
+	}
+	return nil
+}
+
+func (s SharedViews) graphOf(*graph.Graph, int) *graph.Graph { return s.Topology }
+func (SharedViews) hold(*graph.Graph, int, float64) bool     { return false }
+func (SharedViews) record(*graph.Graph, *obsv.RunRecord)     {}
+
+func (p PerNodeViews) validate(n int) error {
+	if p.Views == nil {
+		return fmt.Errorf("sim: PerNodeViews has no Views")
+	}
+	for v := 0; v < n; v++ {
+		if gv := p.Views.Graph(v); gv == nil || gv.N() != n {
+			return fmt.Errorf("sim: node %d view is nil or does not have the network's %d nodes", v, n)
+		}
+	}
+	return nil
+}
+
+func (p PerNodeViews) graphOf(_ *graph.Graph, v int) *graph.Graph { return p.Views.Graph(v) }
+func (p PerNodeViews) hold(_ *graph.Graph, v int, _ float64) bool {
+	return p.Hold && p.Views.Incomplete(v)
+}
+
+func (p PerNodeViews) record(_ *graph.Graph, m *obsv.RunRecord) {
+	for v := 0; v < m.N; v++ {
+		if p.Views.Incomplete(v) {
+			m.ViewIncompleteNodes++
+		}
+	}
+}
+
+func (b BeaconedViews) validate(int) error                       { return b.Hello.WithDefaults().Validate() }
+func (BeaconedViews) graphOf(g *graph.Graph, _ int) *graph.Graph { return g }
+func (b BeaconedViews) hold(g *graph.Graph, v int, now float64) bool {
+	return b.Hello.ViewStale(g, v, now)
+}
+func (b BeaconedViews) record(g *graph.Graph, m *obsv.RunRecord) {
+	m.StaleViewHolds = b.Hello.StaleViewHolds(g, m.Finish)
+}
 
 // Config holds the physical and view-formation parameters of a run.
 type Config struct {
@@ -40,42 +123,9 @@ type Config struct {
 	// default) skips all metric work and keeps runs byte-identical to the
 	// uninstrumented simulator.
 	Metrics *obsv.RunRecord
-	// ViewTopology, when non-nil, is the (possibly stale) topology the
-	// local views are built from, while transmissions propagate over the
-	// actual graph passed to Run. It models views assembled from hello
-	// messages exchanged before the nodes moved. Nil means views match the
-	// actual topology (the paper's static evaluation assumption).
-	ViewTopology *graph.Graph
-	// NodeViews, when non-nil, gives every node its own private (divergent,
-	// possibly wrong) view topology, modeling views assembled from a *lossy*
-	// hello exchange: local views and priority metrics are built per node
-	// from its own graph. Mutually exclusive with ViewTopology, which models
-	// one shared stale snapshot. Nil means no per-node views.
-	NodeViews ViewProvider
-	// ViewIncomplete, when non-nil, reports whether node v knows its own
-	// view may be missing links (e.g. it counted fewer hello receipts than
-	// exchange rounds; see hello.Views.Incomplete). It is consulted by the
-	// conservative fallback and the metrics layer only — a nil func means no
-	// node can prove anything about its view.
-	ViewIncomplete func(v int) bool
-	// ConservativeFallback enables the robustness mechanism mirroring the
-	// paper's default-forward safety property: a node whose view is provably
-	// incomplete (ViewIncomplete) refuses non-forward status and forwards
-	// when its turn comes, trading redundancy for the delivery that wrong
-	// pruning decisions would lose. Requires ViewIncomplete or DynamicHello.
-	// Default off, which keeps every paper figure byte-identical.
-	ConservativeFallback bool
-	// DynamicHello, when non-nil, models periodic hello maintenance after
-	// the initial exchange: every node beacons each hello.Dynamic.Interval,
-	// beacons are lost per receiver by the pure (Seed, recv, from, round)
-	// hash of hello.Dynamic.Received, and a node that has not heard a
-	// view-neighbor for longer than the expiry considers its view provably
-	// stale. With ConservativeFallback set, stale-view nodes hold their
-	// forwarding (refuse non-forward status) until the view is fresh again —
-	// the same view-repair semantics the live runtime implements with real
-	// timers, so seed-matched sim and live runs agree on every stale hold.
-	// Nil (the default) keeps every paper figure byte-identical.
-	DynamicHello *hello.Dynamic
+	// Views, when non-nil, builds the nodes' views from something other
+	// than the actual graph passed to Run (see its variants).
+	Views Views
 	// Hops is the k of the k-hop local views; 0 or negative selects the
 	// global view.
 	Hops int
@@ -98,8 +148,7 @@ type Config struct {
 	// precompute same-instant work (pending-timer coverage verdicts and
 	// receive-side view merges) before the sequential dispatch pass. 0 and
 	// 1 both mean fully sequential. Results are bit-identical for any
-	// worker count. With Workers > 1, ViewIncomplete (if set) must be safe
-	// for concurrent calls.
+	// worker count.
 	Workers int
 	// Seed drives the run's private RNG streams. Each stochastic model
 	// (backoff, jitter, loss, recovery) draws from its own stream derived
@@ -234,22 +283,8 @@ func (c Config) validate(n int) error {
 			return fmt.Errorf("sim: invalid fault plan: %w", err)
 		}
 	}
-	if c.ViewTopology != nil && c.ViewTopology.N() != n {
-		return fmt.Errorf("sim: view topology has %d nodes, network has %d",
-			c.ViewTopology.N(), n)
-	}
-	if c.ViewTopology != nil && c.NodeViews != nil {
-		return fmt.Errorf("sim: ViewTopology and NodeViews are mutually exclusive: " +
-			"one global stale snapshot or per-node views, not both")
-	}
-	if c.ConservativeFallback && c.ViewIncomplete == nil && c.DynamicHello == nil {
-		return fmt.Errorf("sim: ConservativeFallback requires ViewIncomplete or DynamicHello " +
-			"(no node can prove its view incomplete or stale, so the fallback would silently never fire)")
-	}
-	if c.DynamicHello != nil {
-		if err := c.DynamicHello.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("sim: invalid DynamicHello: %w", err)
-		}
+	if c.Views != nil {
+		return c.Views.validate(n)
 	}
 	return nil
 }
@@ -290,9 +325,9 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 1
 	}
-	if c.DynamicHello != nil {
-		d := c.DynamicHello.WithDefaults()
-		c.DynamicHello = &d
+	if b, ok := c.Views.(BeaconedViews); ok {
+		b.Hello = b.Hello.WithDefaults()
+		c.Views = b
 	}
 	return c
 }

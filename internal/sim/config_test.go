@@ -16,7 +16,6 @@ import (
 func TestConfigValidate(t *testing.T) {
 	g4 := graph.New(4)
 	g2 := graph.New(2)
-	provider := func(int) *graph.Graph { return g4 }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -31,27 +30,13 @@ func TestConfigValidate(t *testing.T) {
 		{name: "negative NACK delay", cfg: Config{NACKDelay: -0.5}, want: "NACKDelay"},
 		{name: "NaN NACK delay", cfg: Config{NACKDelay: math.NaN()}, want: "NACKDelay"},
 		{name: "negative retry backoff", cfg: Config{RetryBackoff: -1}, want: "RetryBackoff"},
-		{name: "view topology size mismatch", cfg: Config{ViewTopology: g2}, want: "view topology"},
-		{name: "view topology ok", cfg: Config{ViewTopology: g4}},
-		{name: "node views ok", cfg: Config{NodeViews: provider}},
-		{
-			name: "view topology and node views",
-			cfg:  Config{ViewTopology: g4, NodeViews: provider},
-			want: "mutually exclusive",
-		},
-		{
-			name: "fallback without incompleteness source",
-			cfg:  Config{NodeViews: provider, ConservativeFallback: true},
-			want: "ViewIncomplete",
-		},
-		{
-			name: "fallback with incompleteness source",
-			cfg: Config{
-				NodeViews:            provider,
-				ViewIncomplete:       func(int) bool { return false },
-				ConservativeFallback: true,
-			},
-		},
+		{name: "view topology size mismatch", cfg: Config{Views: SharedViews{Topology: g2}}, want: "view topology"},
+		{name: "view topology ok", cfg: Config{Views: SharedViews{Topology: g4}}},
+		{name: "node views ok", cfg: Config{Views: PerNodeViews{Views: graphViews{g4}}}},
+		{name: "fallback without incompleteness source", cfg: Config{Views: PerNodeViews{Hold: true}}, want: "no Views"},
+		{name: "fallback with incompleteness source", cfg: Config{Views: PerNodeViews{Views: graphViews{g4}, Hold: true}}},
+		{name: "nil per-node view", cfg: Config{Views: PerNodeViews{Views: graphViews{}}}, want: "node 0"},
+		{name: "per-node view size mismatch", cfg: Config{Views: PerNodeViews{Views: graphViews{g2}}}, want: "node 0"},
 	}
 	// Every timing value must be finite: event times are built from them.
 	for _, f := range []struct {
@@ -113,3 +98,9 @@ func TestRunRejectsNaNTransmitDelay(t *testing.T) {
 		t.Fatal("Run with a NaN TransmitDelay did not return")
 	}
 }
+
+// graphViews gives every node the view topology g, none provably incomplete.
+type graphViews struct{ g *graph.Graph }
+
+func (v graphViews) Graph(int) *graph.Graph { return v.g }
+func (graphViews) Incomplete(int) bool      { return false }

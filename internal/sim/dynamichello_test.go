@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/hello"
@@ -12,28 +14,58 @@ import (
 	"adhocbcast/internal/sim"
 )
 
-// TestDynamicHelloValidation pins the config contract: a DynamicHello
-// satisfies ConservativeFallback's requirement, and invalid beacon parameters
-// are rejected up front.
+// TestDynamicHelloValidation pins the config contract of BeaconedViews:
+// valid beacon parameters run, and invalid ones — an out-of-range loss rate,
+// an infinite interval or expiry — are rejected up front.
 func TestDynamicHelloValidation(t *testing.T) {
 	g := pathGraph(t, 3)
 	proto := protocol.Generic(protocol.TimingFirstReceipt)
 	if _, err := sim.Run(g, 0, proto, sim.Config{
-		ConservativeFallback: true,
-		DynamicHello:         &hello.Dynamic{Interval: 1},
+		Views: sim.BeaconedViews{Hello: hello.Dynamic{Interval: 1}},
 	}); err != nil {
-		t.Fatalf("DynamicHello did not satisfy ConservativeFallback: %v", err)
+		t.Fatalf("valid BeaconedViews rejected: %v", err)
 	}
-	if _, err := sim.Run(g, 0, proto, sim.Config{
-		ConservativeFallback: true,
-		DynamicHello:         &hello.Dynamic{Interval: 1, LossRate: 1.5},
-	}); err == nil {
-		t.Fatal("invalid DynamicHello accepted")
+	for _, bad := range []hello.Dynamic{
+		{Interval: 1, LossRate: 1.5},
+		{Interval: math.Inf(1)},
+		{Interval: 1, Expiry: math.Inf(1)},
+	} {
+		if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.BeaconedViews{Hello: bad}}); err == nil {
+			t.Errorf("invalid BeaconedViews %+v accepted", bad)
+		}
+	}
+}
+
+// TestBeaconedViewsTinyInterval: a lossless beacon schedule with a tiny
+// interval used to make the run record walk every beacon round up to the
+// finish time. Without loss the clocks have a closed form, so the run returns
+// at once, and no node is ever stale.
+func TestBeaconedViewsTinyInterval(t *testing.T) {
+	g := pathGraph(t, 6)
+	var rec obsv.RunRecord
+	done := make(chan error, 1)
+	go func() {
+		_, err := sim.Run(g, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
+			Views:   sim.BeaconedViews{Hello: hello.Dynamic{Interval: 1e-10}},
+			Metrics: &rec,
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.StaleViewHolds != 0 {
+			t.Fatalf("StaleViewHolds = %d on a lossless schedule, want 0", rec.StaleViewHolds)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run with a 1e-10 beacon interval did not return")
 	}
 }
 
 // TestDynamicHelloHoldForwards: with beacon loss making views provably stale
-// at decision time, the conservative fallback converts prunes into forwards —
+// at decision time, the conservative hold converts prunes into forwards —
 // the forward set can only grow, delivery never drops, and the run's
 // StaleViewHolds counter records the held nodes. The beacon schedule is a
 // pure hash, so the whole comparison is deterministic; the seed loop hunts
@@ -51,15 +83,9 @@ func TestDynamicHelloHoldForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 64; seed++ {
-		dyn := &hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: seed}
+		views := sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: seed}}
 		var rec obsv.RunRecord
-		held, err := sim.Run(g, 0, proto(), sim.Config{
-			Hops:                 2,
-			Seed:                 5,
-			DynamicHello:         dyn,
-			ConservativeFallback: true,
-			Metrics:              &rec,
-		})
+		held, err := sim.Run(g, 0, proto(), sim.Config{Hops: 2, Seed: 5, Views: views, Metrics: &rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +105,7 @@ func TestDynamicHelloHoldForwards(t *testing.T) {
 				seed, len(base.Forward), len(held.Forward))
 		}
 		// Determinism: the identical config reproduces the identical result.
-		again, err := sim.Run(g, 0, proto(), sim.Config{
-			Hops:                 2,
-			Seed:                 5,
-			DynamicHello:         dyn,
-			ConservativeFallback: true,
-		})
+		again, err := sim.Run(g, 0, proto(), sim.Config{Hops: 2, Seed: 5, Views: views})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,8 @@ import (
 // TestEngineFastMatchesOracle is the differential correctness proof for the
 // event loop: for every protocol, under every simulator feature (loss,
 // collisions+jitter, faults, NACK recovery, stale shared views, lossy
-// per-node views with the conservative fallback, global views, metrics,
+// per-node views with and without the conservative fallback, beaconed
+// views with stale holds, global views, metrics,
 // tracing), the calendar-queue loop at worker counts 1, 2, and 8 must
 // reproduce the test-side binary-heap oracle (oracle_test.go) bit-for-bit:
 // identical Result, identical event trace, identical run metrics. Production
@@ -60,14 +61,10 @@ func TestEngineFastMatchesOracle(t *testing.T) {
 		{"collisions-jitter", sim.Config{Hops: 2, Collisions: true, TxJitter: 0.4, Seed: 9}},
 		{"nack-loss", sim.Config{Hops: 2, LossRate: 0.3, NACKRecovery: true, Seed: 3}},
 		{"faults", sim.Config{Hops: 2, Faults: plan, Seed: 2}},
-		{"stale-view", sim.Config{Hops: 2, ViewTopology: stale.G, Seed: 4}},
-		{"node-views-conservative", sim.Config{
-			Hops:                 2,
-			NodeViews:            vs.Graph,
-			ViewIncomplete:       vs.Incomplete,
-			ConservativeFallback: true,
-			Seed:                 6,
-		}},
+		{"stale-view", sim.Config{Hops: 2, Views: sim.SharedViews{Topology: stale.G}, Seed: 4}},
+		{"node-views", sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs}, Seed: 6}},
+		{"node-views-conservative", sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs, Hold: true}, Seed: 6}},
+		{"beaconed-views", sim.Config{Hops: 2, Views: sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: 3}}, Seed: 8}},
 	}
 	protos := []func() sim.Protocol{
 		protocol.Flooding,

@@ -222,7 +222,7 @@ func TestRunTrafficValidation(t *testing.T) {
 		t.Errorf("decreasing injection times accepted")
 	}
 	if _, err := sim.RunTraffic(g, []sim.SessionSpec{{Source: 0}}, mk, sim.Config{
-		NodeViews: func(v int) *graph.Graph { return g },
+		Views: sim.PerNodeViews{Views: sameViews(g, g)},
 	}); err == nil {
 		t.Errorf("per-node views accepted in traffic run")
 	}

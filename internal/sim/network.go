@@ -184,9 +184,7 @@ type Network struct {
 	now      float64
 	seq      int
 	nodes    []NodeState
-	prepared []int8         // precomputed timer verdicts (nil unless Cfg.Workers > 1)
-	viewG    *graph.Graph   // topology the views were built from (global-view modes)
-	nodeView []*graph.Graph // per-node view topologies (NodeViews mode, else nil)
+	prepared []int8 // precomputed timer verdicts (nil unless Cfg.Workers > 1)
 
 	// Multi-session traffic state (RunTraffic; nil/zero for single runs).
 	newProto   func() Protocol // per-session protocol factory
@@ -267,9 +265,7 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 	}
 	net := newNetwork(a, g, source, cfg)
 	net.protocol = p
-	if err := net.build(); err != nil {
-		return nil, err
-	}
+	net.build()
 	p.Init(net)
 	net.deliverToSource()
 	p.Start(net, source)
@@ -290,12 +286,6 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 		arena:  a,
 		rngs:   streams{seed: cfg.Seed},
 		plan:   cfg.Faults,
-		viewG:  g,
-	}
-	if cfg.ViewTopology != nil {
-		// Views (and the priority metrics inside them) come from the view
-		// topology, which may be a stale snapshot of the actual graph.
-		net.viewG = cfg.ViewTopology
 	}
 	a.cal.reset(net.Cfg.TransmitDelay)
 	a.ensureLoopScratch(g.N(), cfg.Workers > 1)
@@ -312,37 +302,29 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	return net
 }
 
-func (net *Network) build() error {
+func (net *Network) build() {
 	n := net.G.N()
 	a := net.arena
 	net.nodes = a.stateNodes(n)
-	if net.Cfg.NodeViews != nil {
+	if p, ok := net.Cfg.Views.(PerNodeViews); ok {
 		// Per-node views: every node's local view AND its priority metrics
 		// come from its own (possibly wrong) graph. Nodes therefore disagree
 		// not only about links but also about degree-derived priorities —
 		// exactly the divergence a lossy hello exchange produces. Divergent
 		// views can never share the arena's view cache, so they are built
 		// fresh every run.
-		net.nodeView = make([]*graph.Graph, n)
 		for v := 0; v < n; v++ {
-			gv := net.Cfg.NodeViews(v)
-			if gv == nil {
-				return fmt.Errorf("sim: NodeViews returned nil for node %d", v)
-			}
-			if gv.N() != n {
-				return fmt.Errorf("sim: node %d view has %d nodes, network has %d", v, gv.N(), n)
-			}
-			net.nodeView[v] = gv
+			gv := p.Views.Graph(v)
 			base := view.BasePriorities(gv, net.Cfg.Metric)
 			net.nodes[v].View = a.builder.Build(gv, v, net.Cfg.Hops, base)
 		}
-		return nil
+		return
 	}
-	views := a.viewsFor(net.viewG, net.Cfg.Hops, net.Cfg.Metric)
+	// Every other variant gives all nodes one view graph (priorities included).
+	views := a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric)
 	for v := 0; v < n; v++ {
 		net.nodes[v].View = &views[v]
 	}
-	return nil
 }
 
 // deliverToSource marks the source as having the packet so that protocols
@@ -641,24 +623,8 @@ func (net *Network) result() Result {
 	}
 	if m := net.Cfg.Metrics; m != nil {
 		res.FillRecord(m)
-		if net.Cfg.ViewIncomplete != nil {
-			for v := 0; v < res.N; v++ {
-				if net.Cfg.ViewIncomplete(v) {
-					m.ViewIncompleteNodes++
-				}
-			}
-		}
-		if d := net.Cfg.DynamicHello; d != nil {
-			// A node counts as a stale-view hold when some view-neighbor's
-			// beacons went stale at any point up to the run's finish. Being a
-			// pure function of (views, seed, finish time), the count is
-			// schedule-independent, and a seed-matched live run computes the
-			// identical value.
-			for v := 0; v < res.N; v++ {
-				if d.ViewEverStale(net.viewGraphOf(v), v, res.Finish) {
-					m.StaleViewHolds++
-				}
-			}
+		if net.Cfg.Views != nil {
+			net.Cfg.Views.record(net.G, m)
 		}
 	}
 	return res
@@ -707,8 +673,7 @@ func (net *Network) RandomBackoff() float64 {
 // low-degree nodes actually hear their high-degree neighbors forward before
 // deciding.
 func (net *Network) DegreeBackoff(v int) float64 {
-	// Degrees come from the node's (possibly stale or private) knowledge:
-	// its own view graph under NodeViews, else the shared view topology.
+	// Degrees come from the node's (possibly stale or private) knowledge.
 	vg := net.viewGraphOf(v)
 	d := vg.Degree(v)
 	if d == 0 {
@@ -719,29 +684,22 @@ func (net *Network) DegreeBackoff(v int) float64 {
 
 // viewGraphOf returns the topology node v's knowledge is built from.
 func (net *Network) viewGraphOf(v int) *graph.Graph {
-	if net.nodeView != nil {
-		return net.nodeView[v]
+	if net.Cfg.Views == nil {
+		return net.G
 	}
-	return net.viewG
+	return net.Cfg.Views.graphOf(net.G, v)
 }
 
-// ConservativeHold reports whether node v must refuse non-forward status: the
-// conservative fallback is enabled and v knows its own view may be missing
-// links (ViewIncomplete) or provably stale (DynamicHello expiry), so any "I
-// am covered" conclusion it draws is untrustworthy. Protocols consult this
-// wherever a coverage condition would justify non-forward status (see the
-// protocol engine). The check is a pure function of (v, net.now) — the
-// precompute workers call it concurrently, and seed-matched live runs reach
-// the same verdicts.
+// ConservativeHold reports whether node v must refuse non-forward status: v
+// knows its own view may be missing links (PerNodeViews with Hold) or is
+// provably stale (BeaconedViews expiry), so any "I am covered" conclusion it
+// draws is untrustworthy. Protocols consult this wherever a coverage
+// condition would justify non-forward status (see the protocol engine). The
+// check is a pure function of (v, net.now) — the precompute workers call it
+// concurrently, and seed-matched live runs reach the same verdicts. With the
+// default nil Views it is one nil check.
 func (net *Network) ConservativeHold(v int) bool {
-	if !net.Cfg.ConservativeFallback {
-		return false
-	}
-	if net.Cfg.ViewIncomplete != nil && net.Cfg.ViewIncomplete(v) {
-		return true
-	}
-	d := net.Cfg.DynamicHello
-	return d != nil && d.ViewStale(net.viewGraphOf(v), v, net.now)
+	return net.Cfg.Views != nil && net.Cfg.Views.hold(net.G, v, net.now)
 }
 
 // SetTimer schedules an OnTimer callback for node v after delay (>= 0).

@@ -11,7 +11,29 @@ import (
 	"adhocbcast/internal/sim"
 )
 
-// TestNodeViewsPerNodeDecisions pins the NodeViews semantics: each node's
+// A lossy hello exchange's result plugs into PerNodeViews as it is.
+var _ sim.NodeViews = (*hello.Views)(nil)
+
+// fixedViews is a hand-built sim.NodeViews: node v sees graphs[v] and knows
+// its view incomplete iff incomplete[v] (a nil slice flags no node).
+type fixedViews struct {
+	graphs     []*graph.Graph
+	incomplete []bool
+}
+
+func (f fixedViews) Graph(v int) *graph.Graph { return f.graphs[v] }
+func (f fixedViews) Incomplete(v int) bool    { return f.incomplete != nil && f.incomplete[v] }
+
+// sameViews gives every one of g's nodes the view topology vg.
+func sameViews(g, vg *graph.Graph) fixedViews {
+	f := fixedViews{graphs: make([]*graph.Graph, g.N())}
+	for v := range f.graphs {
+		f.graphs[v] = vg
+	}
+	return f
+}
+
+// TestNodeViewsPerNodeDecisions pins the PerNodeViews semantics: each node's
 // pruning decision runs on its OWN graph while packets propagate over the
 // actual topology — one node's wrong view must not leak into its neighbors'
 // decisions.
@@ -24,15 +46,11 @@ func TestNodeViewsPerNodeDecisions(t *testing.T) {
 	if err := wrong.AddEdge(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	views := func(v int) *graph.Graph {
-		if v == 2 {
-			return wrong
-		}
-		return actual
-	}
+	views := sameViews(actual, actual)
+	views.graphs[2] = wrong
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:      2,
-		NodeViews: views,
+		Hops:  2,
+		Views: sim.PerNodeViews{Views: views},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +66,8 @@ func TestNodeViewsPerNodeDecisions(t *testing.T) {
 
 	// Control: truthful per-node views reach everyone, same as no views.
 	res, err = sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:      2,
-		NodeViews: func(int) *graph.Graph { return actual },
+		Hops:  2,
+		Views: sim.PerNodeViews{Views: sameViews(actual, actual)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +79,7 @@ func TestNodeViewsPerNodeDecisions(t *testing.T) {
 
 // TestNodeViewsLosslessHelloMatchesDefault is the end-to-end identity at the
 // heart of the pipeline: views from a LOSSLESS k-round hello exchange plugged
-// in as NodeViews reproduce the default run (k-hop views of the true
+// in as PerNodeViews reproduce the default run (k-hop views of the true
 // topology) result-for-result, for every timing policy. Hello loss — and
 // nothing else — is what makes per-node views diverge.
 func TestNodeViewsLosslessHelloMatchesDefault(t *testing.T) {
@@ -84,9 +102,9 @@ func TestNodeViewsLosslessHelloMatchesDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := sim.Run(net.G, 0, protocol.Generic(timing), sim.Config{
-			Hops:      2,
-			Seed:      9,
-			NodeViews: views.Graph,
+			Hops:  2,
+			Seed:  9,
+			Views: sim.PerNodeViews{Views: views},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,17 +140,13 @@ func TestConservativeFallbackRefusesNonForward(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	views := func(v int) *graph.Graph {
-		if v == 2 {
-			return blind
-		}
-		return actual
-	}
-	incomplete := func(v int) bool { return v == 2 }
+	views := sameViews(actual, actual)
+	views.graphs[2] = blind
+	views.incomplete = []bool{false, false, true, false}
 
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:      2,
-		NodeViews: views,
+		Hops:  2,
+		Views: sim.PerNodeViews{Views: views},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +157,9 @@ func TestConservativeFallbackRefusesNonForward(t *testing.T) {
 
 	rec := &sim.Recorder{}
 	res, err = sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:                 2,
-		NodeViews:            views,
-		ViewIncomplete:       incomplete,
-		ConservativeFallback: true,
-		Observer:             rec,
+		Hops:     2,
+		Views:    sim.PerNodeViews{Views: views, Hold: true},
+		Observer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,14 +199,13 @@ func TestConservativeFallbackEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := sim.Config{Hops: 2, Seed: seed, NodeViews: views.Graph}
+		base := sim.Config{Hops: 2, Seed: seed, Views: sim.PerNodeViews{Views: views}}
 		plain, err := sim.Run(net.G, 0, protocol.Generic(protocol.TimingFirstReceipt), base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withFB := base
-		withFB.ViewIncomplete = views.Incomplete
-		withFB.ConservativeFallback = true
+		withFB.Views = sim.PerNodeViews{Views: views, Hold: true}
 		fb, err := sim.Run(net.G, 0, protocol.Generic(protocol.TimingFirstReceipt), withFB)
 		if err != nil {
 			t.Fatal(err)
@@ -220,24 +231,19 @@ func TestConservativeFallbackEndToEnd(t *testing.T) {
 }
 
 // TestNodeViewsValidation covers the failure modes of the per-node view
-// configuration: the mutually exclusive knobs, a fallback with no
-// incompleteness source, and malformed providers.
+// configuration: a missing view source and malformed per-node graphs.
 func TestNodeViewsValidation(t *testing.T) {
 	g := pathGraph(t, 4)
-	provider := func(int) *graph.Graph { return g }
 	proto := protocol.Generic(protocol.TimingFirstReceipt)
 
-	if _, err := sim.Run(g, 0, proto, sim.Config{ViewTopology: g, NodeViews: provider}); err == nil {
-		t.Fatal("ViewTopology+NodeViews accepted")
+	if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.PerNodeViews{Hold: true}}); err == nil {
+		t.Fatal("PerNodeViews without a view source accepted")
 	}
-	if _, err := sim.Run(g, 0, proto, sim.Config{ConservativeFallback: true}); err == nil {
-		t.Fatal("ConservativeFallback without ViewIncomplete accepted")
-	}
-	if _, err := sim.Run(g, 0, proto, sim.Config{NodeViews: func(int) *graph.Graph { return nil }}); err == nil {
+	if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.PerNodeViews{Views: sameViews(g, nil)}}); err == nil {
 		t.Fatal("nil per-node view accepted")
 	}
 	small := graph.New(2)
-	if _, err := sim.Run(g, 0, proto, sim.Config{NodeViews: func(int) *graph.Graph { return small }}); err == nil {
+	if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.PerNodeViews{Views: sameViews(g, small)}}); err == nil {
 		t.Fatal("size-mismatched per-node view accepted")
 	}
 }

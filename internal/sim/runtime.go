@@ -44,8 +44,8 @@ type Runtime interface {
 	// proportional to v's (view) degree.
 	DegreeBackoff(v int) float64
 	// ConservativeHold reports whether node v must refuse non-forward
-	// status because its view is provably incomplete (the conservative
-	// fallback of the imperfect-views pipeline).
+	// status because its view is provably incomplete or stale (the
+	// conservative fallback of the imperfect-views pipeline).
 	ConservativeHold(v int) bool
 	// TakePreparedCovered returns and consumes a precomputed coverage
 	// verdict for node v's pending timer, when the executor produced one

@@ -7,7 +7,7 @@ import (
 	"adhocbcast/internal/sim"
 )
 
-// TestStaleViewTopologyUsedForDecisions pins the ViewTopology semantics: the
+// TestStaleViewTopologyUsedForDecisions pins the SharedViews semantics: the
 // coverage condition runs on the stale snapshot while packets propagate over
 // the actual graph.
 func TestStaleViewTopologyUsedForDecisions(t *testing.T) {
@@ -20,8 +20,8 @@ func TestStaleViewTopologyUsedForDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:         2,
-		ViewTopology: stale,
+		Hops:  2,
+		Views: sim.SharedViews{Topology: stale},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +55,8 @@ func TestStaleViewMissingLink(t *testing.T) {
 	}
 	stale := pathGraph(t, 4) // the {0,2} link is unknown
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
-		Hops:         2,
-		ViewTopology: stale,
+		Hops:  2,
+		Views: sim.SharedViews{Topology: stale},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -195,7 +195,7 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	if newProto == nil {
 		return nil, fmt.Errorf("sim: traffic run needs a protocol factory")
 	}
-	if cfg.NodeViews != nil {
+	if _, ok := cfg.Views.(PerNodeViews); ok {
 		return nil, fmt.Errorf("sim: per-node views are not supported in traffic runs")
 	}
 	prev := 0.0
@@ -213,7 +213,7 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	}
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
-	net.arena.viewsFor(net.viewG, net.Cfg.Hops, net.Cfg.Metric) // startSession overlays them
+	net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric) // startSession overlays them
 	net.multi = make([]*sessionState, len(sessions))
 	for i, sp := range sessions {
 		net.multi[i] = &sessionState{id: int32(i), source: sp.Source}
