@@ -18,6 +18,8 @@ test:
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench -e '"container/heap"' -e EngineOracle .
 	@# One live node: it lives in internal/runtime; cmd/bcastnode is flags, wires and framers.
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e '"adhocbcast/internal/view"' -e '"adhocbcast/internal/hello"' -e '"adhocbcast/internal/traffic"' cmd/bcastnode
+	@# One clock per Cluster run: the in-memory fleet runs on its virtual-time queue, no locks or timers.
+	@! grep -n -e '"sync"' -e '"sync/atomic"' -e '"time"' internal/runtime/cluster.go
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/
@@ -85,12 +87,11 @@ fuzz-smoke:
 	$(GO) test -race ./internal/runtime/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test -race ./cmd/bcastnode/ -run '^$$' -fuzz FuzzLengthFramer -fuzztime 5s
 
-# CI-sized convergence soak under the race detector: live protocol engines on
-# real goroutines and timers, partitions and churn injected by the nemesis,
-# delivery cross-checked against the simulator. -short trims the broadcast
-# count; the full 200-broadcast soak runs without it.
+# Convergence soak under the race detector: the full 200 live broadcasts on a
+# Cluster's virtual clock (about a second), partitions and churn injected by
+# the nemesis, delivery cross-checked against the simulator.
 soak-smoke:
-	$(GO) test -race -short ./internal/runtime/soak/
+	$(GO) test -race ./internal/runtime/soak/
 
 # CI-sized process-kill chaos harness under the race detector: real bcastnode
 # processes over UDP, SIGKILL/restart on a seed-deterministic schedule,

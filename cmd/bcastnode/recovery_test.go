@@ -310,10 +310,11 @@ func TestAntiEntropyRepair(t *testing.T) {
 	}
 }
 
-// TestLengthFramerMalformed hand-crafts damaged binary frames: an oversized
-// length prefix must be discarded (payload skipped, stream resynced) and a
-// truncated prefix or payload must surface as a clean counted drop — never a
-// hang, a panic, or an unbounded allocation.
+// TestLengthFramerMalformed hand-crafts damaged frames: an oversized length
+// prefix, or an oversized line in line framing, must be discarded (payload
+// skipped, stream resynced) and a truncated prefix or payload must surface
+// as a clean counted drop — never a hang, a panic, or an unbounded
+// allocation.
 func TestLengthFramerMalformed(t *testing.T) {
 	valid := func(s string) []byte {
 		var b bytes.Buffer
@@ -338,6 +339,22 @@ func TestLengthFramerMalformed(t *testing.T) {
 		got, err := f.ReadFrame()
 		if err != nil || string(got) != `{"a":1}` {
 			t.Fatalf("after resync: got %q, %v", got, err)
+		}
+	})
+
+	t.Run("oversized line then resync", func(t *testing.T) {
+		in := append(bytes.Repeat([]byte("x"), maxFrame+1), '\n')
+		in = append(in, `{"src":"c0","dest":"n0","body":{"type":"read"}}`+"\n"...)
+		if _, err := newLineFramer(bytes.NewReader(in), io.Discard).ReadFrame(); err != errFrameOversize {
+			t.Fatalf("oversized line: got %v, want errFrameOversize", err)
+		}
+		w := &stdioWire{fr: newLineFramer(bytes.NewReader(in), io.Discard)}
+		env, err := w.Recv()
+		if err != nil || env.Body.Type != "read" {
+			t.Fatalf("after resync: got %+v, %v", env, err)
+		}
+		if got := w.Drops(); got != 1 {
+			t.Errorf("drops = %d, want 1 (the oversized line)", got)
 		}
 	})
 
@@ -445,10 +462,11 @@ func TestUDPWireDropsAndPeers(t *testing.T) {
 	}
 }
 
-// FuzzLengthFramer feeds arbitrary bytes to a length-framed stdio wire: the
-// bytes must yield envelopes or end the stream, every bad frame must be a
-// counted drop, and no frame buffer may exceed maxFrame — whatever a length
-// prefix claims.
+// FuzzLengthFramer feeds arbitrary bytes to a length-framed and to a
+// line-framed stdio wire: the bytes must yield envelopes or end the stream,
+// every bad frame must be a counted drop, and no frame buffer may exceed
+// maxFrame (plus a line's newline) — whatever a length prefix claims or
+// however long a line runs.
 func FuzzLengthFramer(f *testing.F) {
 	frame := func(s string) []byte {
 		var b bytes.Buffer
@@ -461,57 +479,66 @@ func FuzzLengthFramer(f *testing.F) {
 	f.Add(append(frame(""), read[:len(read)-3]...))
 	f.Add([]byte{0x00, 0x10, 0x00, 0x01, '{', '}'}) // one byte past maxFrame
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// One line a byte past maxFrame, then a good line.
+	f.Add(append(append(bytes.Repeat([]byte("{"), maxFrame+1), '\n'), read[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// What the framer alone makes of the bytes.
-		fr := &lengthFramer{r: bytes.NewReader(data)}
-		bad, good := 0, 0
-		for i := 0; ; i++ {
-			if i > len(data) {
-				t.Fatal("the framer stopped advancing")
-			}
-			b, err := fr.ReadFrame()
-			if err == io.EOF {
-				break
-			}
-			if err == errFrameOversize || err == errFrameTruncated {
-				bad++
-				if err == errFrameTruncated {
-					break
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-			if cap(b) > maxFrame {
-				t.Fatalf("frame %d holds a %d-byte buffer, over maxFrame", i, cap(b))
-			}
-			var env rt.Envelope
-			if len(bytes.TrimSpace(b)) == 0 {
-				continue
-			}
-			if json.Unmarshal(b, &env) != nil {
-				bad++
-				continue
-			}
-			good++
-		}
-		// The wire must hand over exactly the good frames, count the bad
-		// ones, and end cleanly.
-		w := &stdioWire{fr: &lengthFramer{r: bytes.NewReader(data)}}
-		envs := 0
-		for {
-			_, err := w.Recv()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("recv: %v", err)
-			}
-			envs++
-		}
-		if envs != good || w.Drops() != int64(bad) {
-			t.Fatalf("wire: %d envelopes and %d drops, framer saw %d good and %d bad frames", envs, w.Drops(), good, bad)
-		}
+		checkFramer(t, data, func(r io.Reader) framer { return &lengthFramer{r: r} }, maxFrame)
+		checkFramer(t, data, func(r io.Reader) framer { return newLineFramer(r, io.Discard) }, maxFrame+1)
 	})
+}
+
+// checkFramer cuts data into frames with a framer from mk, then reads it
+// through a stdio wire over the same framing: the wire must hand over
+// exactly the good frames, count the bad ones, and end cleanly.
+func checkFramer(t *testing.T, data []byte, mk func(io.Reader) framer, limit int) {
+	t.Helper()
+	// What the framer alone makes of the bytes.
+	fr := mk(bytes.NewReader(data))
+	bad, good := 0, 0
+	for i := 0; ; i++ {
+		if i > len(data) {
+			t.Fatal("the framer stopped advancing")
+		}
+		b, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err == errFrameOversize || err == errFrameTruncated {
+			bad++
+			if err == errFrameTruncated {
+				break
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if cap(b) > limit {
+			t.Fatalf("frame %d holds a %d-byte buffer, over %d", i, cap(b), limit)
+		}
+		var env rt.Envelope
+		if len(bytes.TrimSpace(b)) == 0 {
+			continue
+		}
+		if json.Unmarshal(b, &env) != nil {
+			bad++
+			continue
+		}
+		good++
+	}
+	w := &stdioWire{fr: mk(bytes.NewReader(data))}
+	envs := 0
+	for {
+		_, err := w.Recv()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		envs++
+	}
+	if envs != good || w.Drops() != int64(bad) {
+		t.Fatalf("wire: %d envelopes and %d drops, framer saw %d good and %d bad frames", envs, w.Drops(), good, bad)
+	}
 }

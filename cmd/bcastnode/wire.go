@@ -155,25 +155,40 @@ type framer interface {
 	WriteFrame(b []byte) error
 }
 
-// lineFramer is the maelstrom framing: one JSON object per newline.
+// lineFramer is the maelstrom framing: one JSON object per newline. A line
+// longer than maxFrame is discarded up to its newline, so a newline-free
+// stream cannot balloon memory.
 type lineFramer struct {
 	r *bufio.Reader
 	w io.Writer
 }
 
 func newLineFramer(r io.Reader, w io.Writer) *lineFramer {
-	return &lineFramer{r: bufio.NewReaderSize(r, 1<<20), w: w}
+	// Room for a maxFrame payload plus its newline.
+	return &lineFramer{r: bufio.NewReaderSize(r, maxFrame+1), w: w}
 }
 
 func (f *lineFramer) ReadFrame() ([]byte, error) {
-	line, err := f.r.ReadBytes('\n')
+	line, err := f.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		for err == bufio.ErrBufferFull {
+			_, err = f.r.ReadSlice('\n')
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		return nil, errFrameOversize
+	}
 	if err == io.EOF && len(bytes.TrimSpace(line)) > 0 {
-		return line, nil
+		err = nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return line, nil
+	// The slice aliases the reader's buffer until the next read.
+	frame := make([]byte, len(line))
+	copy(frame, line)
+	return frame, nil
 }
 
 func (f *lineFramer) WriteFrame(b []byte) error {
@@ -181,13 +196,14 @@ func (f *lineFramer) WriteFrame(b []byte) error {
 	return err
 }
 
-// maxFrame bounds length-prefixed frames (1 MiB is far beyond any packet a
+// maxFrame bounds frames in both framings (1 MiB is far beyond any packet a
 // protocol here produces).
 const maxFrame = 1 << 20
 
-// errFrameOversize reports a frame whose advertised length exceeds maxFrame.
-// The framer has already discarded the payload, so the stream is positioned
-// at the next frame and the caller may keep reading after counting the drop.
+// errFrameOversize reports a frame longer than maxFrame: an advertised length
+// or a line. The framer has already discarded the payload, so the stream is
+// positioned at the next frame and the caller may keep reading after
+// counting the drop.
 var errFrameOversize = errors.New("bcastnode: oversized frame dropped")
 
 // errFrameTruncated reports a stream that ended in the middle of a frame (a

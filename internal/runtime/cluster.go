@@ -5,29 +5,24 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
 )
 
-// Cluster is an in-process live network: n Nodes over an in-memory wire and a
-// run clock. The wire passes envelope values (no codec) through the nemesis
-// and the fault plan; the clock reads the wall clock from the start of each
-// broadcast, scaled by Config.TimeScale. Deliveries and timers run on timer
-// goroutines under the receiving node's lock, which serializes each node's
-// handlers without a goroutine per node. A Cluster is built once per topology
-// and runs any number of broadcasts, one at a time.
+// Cluster is an in-process live network: n Nodes over an in-memory wire and
+// one virtual clock. The wire passes envelope values (no codec) through the
+// nemesis and the fault plan; the clock is a queue of the run's scheduled
+// actions — copies in flight, timers — popped in (time, seq) order, one at a
+// time, so every node's handlers run sequentially and a broadcast is a pure
+// function of the topology, the seed and the fault plan. A Cluster is built
+// once per topology and runs any number of broadcasts, one at a time.
 type Cluster struct {
 	g     *graph.Graph
 	cfg   Config
 	nodes []*Node
-	ports []*port
-	// locks[v] serializes node v's handlers, and guards ports[v].r.
-	locks []sync.Mutex
+	r     *run  // the current broadcast
 	msg   int64 // broadcasts started: the message id of the latest
 	// lastDelivered records per-node delivery of the most recent broadcast
 	// (sim.Result only carries counts; invariant checks need the set).
@@ -49,8 +44,6 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		g:     g,
 		cfg:   cfg,
 		nodes: make([]*Node, n),
-		ports: make([]*port, n),
-		locks: make([]sync.Mutex, n),
 	}
 	names := make([]string, n)
 	for v := range names {
@@ -66,7 +59,7 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		p := &port{cl: cl, v: v}
 		nd := newNode(cfg, p, cl.staleView)
 		nd.clk = p
-		cl.nodes[v], cl.ports[v] = nd, p
+		cl.nodes[v] = nd
 		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "init", NodeID: names[v], NodeIDs: names}})
 		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "topology", Topology: topo}})
 	}
@@ -92,67 +85,86 @@ type run struct {
 	cl   *Cluster
 	plan *fault.Plan
 	msg  int64
-	t0   time.Time
-	// inflight tracks every scheduled-but-unprocessed action (pending
-	// timer, copy in flight). The broadcast has quiesced when it drains;
-	// handlers schedule follow-ups before releasing their own slot, so the
-	// counter never touches zero early.
-	inflight sync.WaitGroup
-	// aborted turns every later delivery and timer of a run that missed its
-	// deadline into a no-op.
-	aborted atomic.Bool
+	// now is the virtual clock in time units: the time of the action being
+	// run. queue holds every scheduled-but-unrun action; the broadcast has
+	// quiesced when it is empty.
+	now   float64
+	seq   int
+	queue queue
 	// links[v][i] drives the nemesis draws of the directed link from v to
-	// its i-th true neighbor; seeded on first draw, drawn only under v's lock.
+	// its i-th true neighbor (see draw).
 	links [][]*rand.Rand
 
-	copies, lost, droppedNodeDown, droppedLinkDown, timersCancelled atomic.Int64
-}
-
-// now returns the run clock in time units.
-func (r *run) now() float64 {
-	return float64(time.Since(r.t0)) / float64(r.cl.cfg.TimeScale)
-}
-
-// wall converts d time units to a wall-clock duration.
-func (r *run) wall(d float64) time.Duration {
-	return time.Duration(max(d, 0) * float64(r.cl.cfg.TimeScale))
+	copies, lost, droppedNodeDown, droppedLinkDown, timersCancelled int
 }
 
 func (r *run) down(v int, t float64) bool {
 	return r.plan != nil && r.plan.NodeDownAt(v, t)
 }
 
-// later runs fn on node v's execution context — under its lock — after d
-// time units, counting toward quiescence.
-func (r *run) later(v int, d float64, fn func()) {
-	r.inflight.Add(1)
-	time.AfterFunc(r.wall(d), func() {
-		defer r.inflight.Done()
-		mu := &r.cl.locks[v]
-		mu.Lock()
-		defer mu.Unlock()
-		if !r.aborted.Load() {
-			fn()
+// later schedules fn d time units from now.
+func (r *run) later(d float64, fn func()) {
+	r.seq++
+	r.queue.push(action{at: r.now + max(d, 0), seq: r.seq, fn: fn})
+}
+
+// action is one scheduled step of a run: fn at time at, with seq breaking
+// ties in scheduling order.
+type action struct {
+	at  float64
+	seq int
+	fn  func()
+}
+
+// queue is a binary min-heap of actions ordered by (at, seq).
+type queue []action
+
+func (q queue) less(i, j int) bool {
+	return q[i].at < q[j].at || (q[i].at == q[j].at && q[i].seq < q[j].seq)
+}
+
+func (q *queue) push(a action) {
+	*q = append(*q, a)
+	h := *q
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+}
+
+// pop removes and returns the earliest action of a non-empty queue.
+func (q *queue) pop() action {
+	h := *q
+	top, last := h[0], len(h)-1
+	h[0], h[last] = h[last], action{}
+	*q = h[:last]
+	for i, m := 0, 0; ; i = m {
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < last && h.less(c, m) {
+				m = c
+			}
 		}
-	})
+		if m == i {
+			return top
+		}
+		h[i], h[m] = h[m], h[i]
+	}
 }
 
 // port is node v's end of the in-memory wire and its run clock.
 type port struct {
 	cl *Cluster
 	v  int
-	r  *run // the current broadcast
 }
 
-func (p *port) now() float64 { return p.r.now() }
+func (p *port) now() float64 { return p.cl.r.now }
 
 func (p *port) after(d float64, protocol bool, fn func()) {
-	r := p.r
-	r.later(p.v, d, func() {
-		if !r.down(p.v, r.now()) {
+	r := p.cl.r
+	r.later(d, func() {
+		if !r.down(p.v, r.now) {
 			fn()
 		} else if protocol {
-			r.timersCancelled.Add(1)
+			r.timersCancelled++
 		}
 	})
 }
@@ -172,13 +184,13 @@ func (p *port) Send(env Envelope) error {
 	if !ok {
 		return nil
 	}
-	r := p.r
+	r := p.cl.r
 	switch env.Body.Type {
 	case "pkt":
 		r.sendCopy(p.v, to, env)
 	case "nack":
-		r.later(to, 0, func() {
-			if !r.down(to, r.now()) {
+		r.later(0, func() {
+			if !r.down(to, r.now) {
 				r.cl.nodes[to].handle(env)
 			}
 		})
@@ -186,8 +198,10 @@ func (p *port) Send(env Envelope) error {
 	return nil
 }
 
-// link returns the nemesis stream of the directed link from → to.
-func (r *run) link(from, to int) *rand.Rand {
+// draw returns the next nemesis draw of the directed link from → to. A
+// link's stream is seeded on its first draw: seeding costs more than a wave,
+// and a reliable link never draws.
+func (r *run) draw(from, to int) float64 {
 	nbrs := r.cl.g.Neighbors(from)
 	if r.links[from] == nil {
 		r.links[from] = make([]*rand.Rand, len(nbrs))
@@ -196,26 +210,24 @@ func (r *run) link(from, to int) *rand.Rand {
 	if r.links[from][i] == nil {
 		r.links[from][i] = rand.New(rand.NewSource(StreamSeed(r.cl.cfg.Seed, "live.link", int(r.msg), from, to)))
 	}
-	return r.links[from][i]
+	return r.links[from][i].Float64()
 }
 
 // sendCopy pushes one copy onto the directed link, applying the nemesis:
-// jitter on the delivery delay, Bernoulli drop and duplication. Runs under
-// the sender's lock, so the link's draws are ordered by the sender's send
-// order.
+// jitter on the delivery delay, Bernoulli drop and duplication. The link's
+// draws follow the sender's send order.
 func (r *run) sendCopy(from, to int, env Envelope) {
 	cfg := &r.cl.cfg
-	lr := r.link(from, to)
 	delay := cfg.TransmitDelay
 	if cfg.Nemesis.JitterFrac > 0 {
-		delay += lr.Float64() * cfg.Nemesis.JitterFrac * cfg.TransmitDelay
+		delay += r.draw(from, to) * cfg.Nemesis.JitterFrac * cfg.TransmitDelay
 	}
-	drop := cfg.Nemesis.DropRate > 0 && lr.Float64() < cfg.Nemesis.DropRate
+	drop := cfg.Nemesis.DropRate > 0 && r.draw(from, to) < cfg.Nemesis.DropRate
 	r.deliverCopy(from, to, env, delay, drop)
-	if cfg.Nemesis.DupRate > 0 && lr.Float64() < cfg.Nemesis.DupRate {
+	if cfg.Nemesis.DupRate > 0 && r.draw(from, to) < cfg.Nemesis.DupRate {
 		// The duplicate trails the original by up to one transmit delay,
 		// so it usually arrives after other traffic has interleaved.
-		r.deliverCopy(from, to, env, delay+lr.Float64()*cfg.TransmitDelay, false)
+		r.deliverCopy(from, to, env, delay+r.draw(from, to)*cfg.TransmitDelay, false)
 	}
 }
 
@@ -225,20 +237,20 @@ func (r *run) sendCopy(from, to int, env Envelope) {
 // detectable; otherwise delivery. A detectable drop reaches the receiver as
 // a garble envelope.
 func (r *run) deliverCopy(from, to int, env Envelope, delay float64, drop bool) {
-	r.copies.Add(1)
-	r.later(to, delay, func() {
-		at := r.now()
+	r.copies++
+	r.later(delay, func() {
+		at := r.now
 		switch {
 		case r.down(to, at):
-			r.droppedNodeDown.Add(1)
+			r.droppedNodeDown++
 			return
 		case r.plan != nil && r.plan.LinkDownAt(from, to, at):
-			r.droppedLinkDown.Add(1)
+			r.droppedLinkDown++
 			if !r.cl.cfg.Nemesis.DetectablePartitions {
 				return
 			}
 		case drop:
-			r.lost.Add(1)
+			r.lost++
 		default:
 			r.cl.nodes[to].handle(env)
 			return
@@ -250,9 +262,9 @@ func (r *run) deliverCopy(from, to int, env Envelope, delay float64, drop bool) 
 }
 
 // Broadcast runs one live broadcast from source under the given fault plan
-// (nil for none) and returns a result in the simulator's format. It blocks
-// until the network has quiesced: no copy in flight, no timer pending, no
-// recovery chain alive. A broadcast that has not quiesced within
+// (nil for none) and returns a result in the simulator's format. It runs
+// the queue until the network has quiesced: no copy in flight, no timer
+// pending, no recovery chain alive. A broadcast whose next action lies past
 // Config.Deadline time units returns an error.
 func (cl *Cluster) Broadcast(source int, plan *fault.Plan) (sim.Result, error) {
 	n := cl.g.N()
@@ -269,49 +281,38 @@ func (cl *Cluster) Broadcast(source int, plan *fault.Plan) (sim.Result, error) {
 	}
 	cl.msg++
 	r := &run{cl: cl, plan: plan, msg: cl.msg, links: make([][]*rand.Rand, n)}
+	cl.r = r
 	// Every node builds and initializes its core for the new message before
-	// the clock starts (static protocols precompute here). Taking each lock
-	// also waits out any handler still running from an aborted broadcast.
-	for v, nd := range cl.nodes {
-		cl.locks[v].Lock()
-		cl.ports[v].r = r
+	// the clock starts (static protocols precompute here).
+	for _, nd := range cl.nodes {
 		clear(nd.waves)
 		nd.wave(r.msg)
-		cl.locks[v].Unlock()
 	}
-	r.t0 = time.Now()
-	r.later(source, 0, func() {
-		cl.nodes[source].handle(Envelope{Body: Body{Type: "broadcast", Message: &r.msg}})
-	})
-
-	done := make(chan struct{})
-	go func() {
-		r.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(r.wall(cl.cfg.Deadline)):
-		r.aborted.Store(true)
-		return sim.Result{}, fmt.Errorf("runtime: broadcast from %d did not quiesce within %v time units",
-			source, cl.cfg.Deadline)
+	cl.nodes[source].handle(Envelope{Body: Body{Type: "broadcast", Message: &r.msg}})
+	for len(r.queue) > 0 {
+		a := r.queue.pop()
+		if a.at > cl.cfg.Deadline {
+			return sim.Result{}, fmt.Errorf("runtime: broadcast from %d did not quiesce within %v time units",
+				source, cl.cfg.Deadline)
+		}
+		r.now = a.at
+		a.fn()
 	}
 	return r.result(source), nil
 }
 
 // result assembles the simulator-format outcome of a quiesced run from the
-// nodes' wave counters and the wire's. The inflight.Wait in Broadcast
-// ordered every handler's writes before these reads.
+// nodes' wave counters and the wire's.
 func (r *run) result(source int) sim.Result {
 	cl := r.cl
 	n := len(cl.nodes)
 	res := sim.Result{
 		N:               n,
-		Copies:          int(r.copies.Load()),
-		Lost:            int(r.lost.Load()),
-		DroppedNodeDown: int(r.droppedNodeDown.Load()),
-		DroppedLinkDown: int(r.droppedLinkDown.Load()),
-		TimersCancelled: int(r.timersCancelled.Load()),
+		Copies:          r.copies,
+		Lost:            r.lost,
+		DroppedNodeDown: r.droppedNodeDown,
+		DroppedLinkDown: r.droppedLinkDown,
+		TimersCancelled: r.timersCancelled,
 	}
 	waves := make([]*wave, n)
 	var forward []int
@@ -328,8 +329,7 @@ func (r *run) result(source int) sim.Result {
 		}
 		cl.lastDelivered[v] = w.core.Delivered()
 	}
-	// Live transmissions are only partially ordered, so sort by timestamp
-	// (ties by node id) to get the simulator's deterministic presentation.
+	// Present transmissions in time order, ties by node id.
 	sort.SliceStable(forward, func(i, j int) bool {
 		return waves[forward[i]].forwardAt < waves[forward[j]].forwardAt
 	})

@@ -2,18 +2,17 @@ package runtime
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
-	"time"
 
 	"adhocbcast/internal/fault"
+	"adhocbcast/internal/geo"
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
 )
-
-// testTimeScale keeps live tests fast while leaving enough wall-clock slack
-// per time unit for goroutine scheduling noise.
-const testTimeScale = 500 * time.Microsecond
 
 func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
@@ -28,9 +27,6 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 
 func mustCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 	t.Helper()
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = testTimeScale
-	}
 	cl, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +114,6 @@ func TestLivePartitionRecovered(t *testing.T) {
 		NACKDelay:    0.25,
 		RetryBackoff: 0.5,
 		Nemesis:      Nemesis{DetectablePartitions: true},
-		// A generous time scale keeps the partition window (6 units) far
-		// above timer scheduling noise, so the wave reliably hits it.
-		TimeScale: 4 * time.Millisecond,
 	})
 	res := mustBroadcast(t, cl, 0, plan)
 	if res.Delivered != 3 {
@@ -217,6 +210,89 @@ func TestLiveDuplication(t *testing.T) {
 	}
 	if res.Copies <= len(res.Forward) {
 		t.Fatalf("duplication nemesis never bit: %d copies for %d forwards", res.Copies, len(res.Forward))
+	}
+}
+
+// TestLiveDeterministic: two fresh Clusters with the same topology, seed and
+// nemesis, driven through the same churn + partition plans, produce the same
+// run event for event — identical results (forward order, every counter,
+// finish time) and identical run records, broadcast after broadcast.
+func TestLiveDeterministic(t *testing.T) {
+	const n, seed = 30, 17
+	net, err := geo.Generate(geo.Config{N: n, AvgDegree: 6, Seed: seed}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.G
+	var recs [2]obsv.RunRecord
+	var cls [2]*Cluster
+	for i := range cls {
+		cls[i] = mustCluster(t, g, Config{
+			Protocol: func() sim.Protocol {
+				return protocol.Generic(protocol.TimingBackoffRandom)
+			},
+			Seed:         seed,
+			NACKRecovery: true,
+			RetryBudget:  8,
+			NACKDelay:    0.25,
+			RetryBackoff: 0.5,
+			Nemesis: Nemesis{
+				DropRate:             0.05,
+				DupRate:              0.2,
+				JitterFrac:           0.5,
+				DetectablePartitions: true,
+			},
+			Metrics: &recs[i],
+		})
+	}
+	var lost, linkDrops, nodeDrops int
+	for b := 0; b < 24; b++ {
+		source := (b * 7) % n
+		plan, err := fault.NewPlan(g, fault.Params{
+			ChurnFraction: 0.15, ChurnWindow: 8, ChurnDuration: 4,
+			LinkFraction: 0.2, LinkWindow: 8, LinkDuration: 4,
+			Protect: []int{source},
+		}, seed+int64(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res [2]sim.Result
+		for i, cl := range cls {
+			res[i] = mustBroadcast(t, cl, source, plan)
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Fatalf("broadcast %d: results differ:\n%+v\n%+v", b, res[0], res[1])
+		}
+		if !reflect.DeepEqual(recs[0], recs[1]) {
+			t.Fatalf("broadcast %d: run records differ:\n%+v\n%+v", b, recs[0], recs[1])
+		}
+		lost += res[0].Lost
+		linkDrops += res[0].DroppedLinkDown
+		nodeDrops += res[0].DroppedNodeDown
+	}
+	// The adversary must have bitten, or the agreement is vacuous.
+	if lost == 0 || linkDrops == 0 || nodeDrops == 0 {
+		t.Errorf("nemesis idle: lost %d, link drops %d, node drops %d", lost, linkDrops, nodeDrops)
+	}
+}
+
+// TestQueueOrder: the run queue pops actions in (at, seq) order however they
+// were pushed, ties included.
+func TestQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q queue
+	for round := 0; round < 50; round++ {
+		for i := rng.Intn(40); i >= 0; i-- {
+			q.push(action{at: float64(rng.Intn(8)), seq: rng.Int()})
+		}
+		prev := q.pop()
+		for n := rng.Intn(len(q) + 1); n > 0; n-- {
+			a := q.pop()
+			if a.at < prev.at || (a.at == prev.at && a.seq < prev.seq) {
+				t.Fatalf("round %d: popped (%v, %d) after (%v, %d)", round, a.at, a.seq, prev.at, prev.seq)
+			}
+			prev = a
+		}
 	}
 }
 

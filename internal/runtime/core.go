@@ -63,14 +63,15 @@ type CoreConfig struct {
 // own execution context; the Core itself is free of locks because its Node
 // serializes all entry points (packets, timers, recovery) onto that context.
 type Core struct {
-	id      int
-	cfg     CoreConfig
-	proto   sim.Protocol
-	st      *sim.NodeState
-	viewG   *graph.Graph
-	out     Transport
-	backoff *rand.Rand
-	eval    *core.Evaluator
+	id          int
+	cfg         CoreConfig
+	proto       sim.Protocol
+	st          *sim.NodeState
+	viewG       *graph.Graph
+	out         Transport
+	backoff     *rand.Rand // seeded from backoffSeed on first draw
+	backoffSeed int64
+	eval        *core.Evaluator
 }
 
 // NewCore builds the live runtime core of node id. lv is the node's local
@@ -87,10 +88,10 @@ func NewCore(id int, proto sim.Protocol, lv *view.Local, viewG *graph.Graph,
 			View:      lv,
 			FirstFrom: -1,
 		},
-		viewG:   viewG,
-		out:     out,
-		backoff: rand.New(rand.NewSource(backoffSeed)),
-		eval:    core.NewEvaluator(cfg.N),
+		viewG:       viewG,
+		out:         out,
+		backoffSeed: backoffSeed,
+		eval:        core.NewEvaluator(cfg.N),
 	}
 }
 
@@ -222,8 +223,12 @@ func (c *Core) TransmitExtra(v int, designated, extra []int) {
 	c.out.Broadcast(pkt)
 }
 
-// RandomBackoff draws from this node's private backoff stream.
+// RandomBackoff draws from this node's private backoff stream. Seeding costs
+// more than most waves, and only backoff protocols ever draw.
 func (c *Core) RandomBackoff() float64 {
+	if c.backoff == nil {
+		c.backoff = rand.New(rand.NewSource(c.backoffSeed))
+	}
 	return c.backoff.Float64() * c.cfg.BackoffWindow
 }
 

@@ -98,8 +98,8 @@ type Wire interface {
 
 // clock is a node's time source and timer service. A bcastnode process
 // reads the wall clock and posts timers to its handler loop (loopClock); a
-// Cluster measures time from the start of each broadcast and runs timers
-// under the node's lock (port).
+// Cluster node reads its broadcast's virtual clock and queues timers on it
+// (port).
 type clock interface {
 	// now returns the current time in protocol time units.
 	now() float64
@@ -113,7 +113,7 @@ type clock interface {
 // Node is one live protocol node: a handler around a runtime Core per
 // broadcast message, speaking envelopes over a Wire. All protocol state is
 // confined to the node's execution context — the handler loop of Run, or the
-// node's lock inside a Cluster.
+// event queue of a Cluster.
 type Node struct {
 	cfg  Config
 	wire Wire

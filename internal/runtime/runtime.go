@@ -1,27 +1,27 @@
 // Package runtime is the live executor: it runs the same protocol
 // implementations the discrete-event simulator runs (internal/sim, via the
-// sim.Runtime interface), but as a real concurrent system. Node is the one
-// live node: a handler around a runtime Core per broadcast message, speaking
+// sim.Runtime interface), but as message-passing nodes. Node is the one live
+// node: a handler around a runtime Core per broadcast message, speaking
 // maelstrom-style envelopes over a Wire, with a write-ahead journal, hello
 // beacons and rejoin, and traffic self-injection. cmd/bcastnode runs one Node
-// per process over stdio or UDP; Cluster runs n of them in one process over
-// an in-memory wire, with real wall-clock delays and timers. Nothing is
-// globally ordered: deliveries race, timers interleave, and the race detector
-// watches every run.
+// per process over stdio or UDP, on the wall clock; Cluster runs n of them in
+// one process over an in-memory wire, on one virtual clock: a queue that runs
+// every delivery and timer in (time, seq) order, so a seed and a fault plan
+// replay a broadcast event for event.
 //
 // A seed-deterministic nemesis layer in the Cluster's wire mirrors the
 // simulator's unreliable-MAC and fault models: per-copy drop and duplication,
 // per-copy delivery jitter (which reorders copies), and an internal/fault plan
-// for link partitions and node churn/crash evaluated against the live clock.
+// for link partitions and node churn/crash evaluated against the run clock.
 // The NACK retry/backoff recovery layer runs live, extended with
 // receiver-driven re-requests so a recovery chain survives a sender that is
 // temporarily down — the property the soak harness (internal/runtime/soak)
 // verifies under partition + churn.
 //
-// Time is measured in the simulator's units: Config.TimeScale fixes the
-// wall-clock duration of one unit, and all Config delays (TransmitDelay,
-// BackoffWindow, fault-plan intervals, ...) are in units, so one
-// configuration describes both a simulated and a live run.
+// Time is measured in the simulator's units: all Config delays
+// (TransmitDelay, BackoffWindow, fault-plan intervals, ...) are in units, so
+// one configuration describes both a simulated and a live run; a bcastnode
+// process maps a unit to Config.TimeScale of wall time.
 package runtime
 
 import (
@@ -102,15 +102,16 @@ type Config struct {
 	// TransmitDelay is the nominal propagation delay of a copy in time
 	// units (default 1).
 	TransmitDelay float64
-	// TimeScale is the wall-clock duration of one time unit (default 2ms).
-	// Smaller scales run faster but leave less slack for goroutine
-	// scheduling noise relative to protocol timing.
+	// TimeScale is the wall-clock duration of one time unit of a bcastnode
+	// process (default 2ms). Smaller scales run faster but leave less slack
+	// for scheduling noise relative to protocol timing. A Cluster runs in
+	// virtual time and ignores it.
 	TimeScale time.Duration
 	// Seed drives every random stream: per-directed-link nemesis draws of
 	// a Cluster, per-node per-message backoff draws, the traffic plan of
 	// Rate, and (as DynamicHello.Seed, on bcastnode) the beacon loss
-	// schedule. The same seed and topology give the same nemesis schedule
-	// (modulo goroutine interleaving of the deliveries it acts on).
+	// schedule. A Cluster given the same seed, topology and fault plans
+	// repeats its broadcasts event for event.
 	Seed int64
 	// Nemesis is the adversarial message layer of a Cluster's wire. A
 	// bcastnode process has none of its own (its harness is the nemesis);
@@ -143,9 +144,9 @@ type Config struct {
 	// makes a seed-matched simulator run agree on every stale hold.
 	DynamicHello *hello.Dynamic
 
-	// Deadline aborts a Cluster broadcast that has not quiesced after this
-	// many time units (default 1000) — a live run has no event queue to
-	// drain, so a lost wakeup would otherwise hang forever.
+	// Deadline aborts a Cluster broadcast whose next event lies past this
+	// many time units (default 1000), so a protocol that keeps scheduling
+	// work cannot run forever.
 	Deadline float64
 	// Metrics, when non-nil, is populated with each Cluster broadcast's
 	// counters and histograms exactly like sim.Config.Metrics (Reset at

@@ -32,16 +32,14 @@
 //
 //  2. Executor agreement — on the same fault-free topology the live
 //     executor and the discrete-event simulator agree: bit-equal forward
-//     sets for timing-independent protocols, and mean delivery and
-//     forward-ratio within a small tolerance for receipt-order-sensitive
-//     ones (live racing can tie-break differently than the simulator's
-//     event order, but must not shift the aggregate).
+//     sets for timing-independent protocols, and equal mean delivery and
+//     forward ratios for the receipt-order-sensitive Generic-FR. Both
+//     executors run on a virtual clock in (time, seq) order, so receipt
+//     order is the same on both sides.
 package soak
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/geo"
@@ -66,15 +64,10 @@ type Config struct {
 	// CompareBroadcasts is the number of fault-free sim-vs-live comparison
 	// broadcasts per compared protocol.
 	CompareBroadcasts int
-	// TimeScale is the live executor's wall clock per time unit.
-	TimeScale time.Duration
-	// Tolerance bounds the comparison arm's mean delivery and forward-ratio
-	// disagreement (default 0.01 = 1%).
-	Tolerance float64
 }
 
 // DefaultConfig returns the CI soak shape: a 36-node degree-6 network,
-// partition + churn + loss + duplication nemesis, 0.5ms per time unit.
+// partition + churn + loss + duplication nemesis.
 func DefaultConfig(seed int64, broadcasts int) Config {
 	return Config{
 		N:                 36,
@@ -82,8 +75,6 @@ func DefaultConfig(seed int64, broadcasts int) Config {
 		Seed:              seed,
 		Broadcasts:        broadcasts,
 		CompareBroadcasts: 40,
-		TimeScale:         500 * time.Microsecond,
-		Tolerance:         0.01,
 	}
 }
 
@@ -160,9 +151,6 @@ func strictReachable(g *graph.Graph, plan *fault.Plan, source int) []bool {
 // timeouts; invariant violations are reported in Report.Violations so the
 // caller sees all of them at once.
 func Run(cfg Config) (Report, error) {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.01
-	}
 	var rep Report
 	net, err := geo.Generate(geo.Config{N: cfg.N, AvgDegree: cfg.AvgDegree, Seed: cfg.Seed},
 		rand.New(rand.NewSource(cfg.Seed)))
@@ -182,7 +170,6 @@ func Run(cfg Config) (Report, error) {
 		return rt.New(g, rt.Config{
 			Protocol:     mk,
 			Seed:         cfg.Seed + streamTag,
-			TimeScale:    cfg.TimeScale,
 			NACKRecovery: true,
 			RetryBudget:  8,
 			NACKDelay:    0.25,
@@ -282,7 +269,7 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	// --- Comparison arm: fault-free, nemesis off. Static forward sets must
-	// match bit-for-bit; Generic-FR aggregates must agree within tolerance.
+	// match bit-for-bit; Generic-FR aggregates must agree exactly.
 	if cfg.CompareBroadcasts > 0 {
 		if err := compare(&rep, g, cfg); err != nil {
 			return rep, err
@@ -293,17 +280,15 @@ func Run(cfg Config) (Report, error) {
 
 func compare(rep *Report, g *graph.Graph, cfg Config) error {
 	staticCl, err := rt.New(g, rt.Config{
-		Protocol:  func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) },
-		Seed:      cfg.Seed,
-		TimeScale: cfg.TimeScale,
+		Protocol: func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) },
+		Seed:     cfg.Seed,
 	})
 	if err != nil {
 		return fmt.Errorf("soak: compare cluster: %w", err)
 	}
 	frCl, err := rt.New(g, rt.Config{
-		Protocol:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
-		Seed:      cfg.Seed,
-		TimeScale: cfg.TimeScale,
+		Protocol: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
+		Seed:     cfg.Seed,
 	})
 	if err != nil {
 		return fmt.Errorf("soak: compare cluster: %w", err)
@@ -349,15 +334,13 @@ func compare(rep *Report, g *graph.Graph, cfg Config) error {
 	rep.LiveMeanDelivery = liveDel / k
 	rep.SimMeanForward = simFwd / k
 	rep.LiveMeanForward = liveFwd / k
-	if d := math.Abs(rep.SimMeanDelivery - rep.LiveMeanDelivery); d > cfg.Tolerance {
+	if rep.SimMeanDelivery != rep.LiveMeanDelivery {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"mean delivery disagrees by %.4f (> %.4f): sim %.4f, live %.4f",
-			d, cfg.Tolerance, rep.SimMeanDelivery, rep.LiveMeanDelivery))
+			"mean delivery disagrees: sim %.4f, live %.4f", rep.SimMeanDelivery, rep.LiveMeanDelivery))
 	}
-	if d := math.Abs(rep.SimMeanForward - rep.LiveMeanForward); d > cfg.Tolerance {
+	if rep.SimMeanForward != rep.LiveMeanForward {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"mean forward ratio disagrees by %.4f (> %.4f): sim %.4f, live %.4f",
-			d, cfg.Tolerance, rep.SimMeanForward, rep.LiveMeanForward))
+			"mean forward ratio disagrees: sim %.4f, live %.4f", rep.SimMeanForward, rep.LiveMeanForward))
 	}
 	return nil
 }

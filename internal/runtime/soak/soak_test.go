@@ -5,16 +5,10 @@ import "testing"
 // TestSoakPartitionChurn is the acceptance soak: hundreds of live broadcasts
 // under a partition + churn + loss + duplication nemesis with NACK recovery
 // on, asserting 100% delivery to strictly reachable nodes, plus the
-// fault-free sim-vs-live agreement check on the same topology. `go test
-// -short` runs a reduced broadcast count (the CI soak-smoke shape); the full
-// run covers the acceptance target of at least 200.
+// fault-free sim-vs-live agreement check on the same topology, at the
+// acceptance size of 200 broadcasts.
 func TestSoakPartitionChurn(t *testing.T) {
-	broadcasts := 200
-	cfg := DefaultConfig(42, broadcasts)
-	if testing.Short() {
-		cfg.Broadcasts = 40
-		cfg.CompareBroadcasts = 12
-	}
+	cfg := DefaultConfig(42, 200)
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
