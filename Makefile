@@ -20,6 +20,10 @@ test:
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e '"adhocbcast/internal/view"' -e '"adhocbcast/internal/hello"' -e '"adhocbcast/internal/traffic"' cmd/bcastnode
 	@# One clock per Cluster run: the in-memory fleet runs on its virtual-time queue, no locks or timers.
 	@! grep -n -e '"sync"' -e '"sync/atomic"' -e '"time"' internal/runtime/cluster.go
+	@# One trace event: sim.Recorder records obsv.TraceEvent, no observer interfaces.
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e SessionObserver -e TraceEventKind -e QueueDropCause internal
+	@# One copy of a Cluster's network: its nodes share it, no init/topology envelopes.
+	@! grep -n -e 'Type: "init"' -e 'Type: "topology"' internal/runtime/cluster.go
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/

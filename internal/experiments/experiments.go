@@ -56,8 +56,8 @@ type RunConfig struct {
 	// TraceDir, when non-empty, exports every replicate of every data point
 	// as JSONL (one file per point, see internal/obsv): a versioned run
 	// record with counters, latency histogram, and forward-set distribution,
-	// followed by the replicate's full event trace. Tracing attaches an
-	// Observer and Metrics record to each run, so instrumented results can
+	// followed by the replicate's full event trace. Tracing attaches a
+	// sim.Recorder and a Metrics record to each run, so instrumented results can
 	// differ from uninstrumented ones only in cost, never in values. A point
 	// that runs no simulation (the cluster extension's backbone sizes) exports
 	// a sealed file holding no records.

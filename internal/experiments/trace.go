@@ -87,10 +87,8 @@ func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol,
 	if s == nil {
 		return sim.RunWith(arena, g, source, proto, cfg)
 	}
-	rec, ok := cfg.Observer.(*sim.Recorder)
-	if !ok {
-		rec = &sim.Recorder{}
-		cfg.Observer = rec
+	if cfg.Observer == nil {
+		cfg.Observer = &sim.Recorder{}
 	}
 	rr := obsv.NewRunRecord()
 	cfg.Metrics = rr
@@ -103,7 +101,7 @@ func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol,
 			return res, err
 		}
 	}
-	return res, s.write(rep, rr, rec.Records())
+	return res, s.write(rep, rr, cfg.Observer.Events())
 }
 
 // write appends one replicate's run record and trace events atomically.

@@ -26,12 +26,10 @@ const (
 	KindChain = "chain"
 )
 
-// TraceEvent is the export form of one simulation trace event. It mirrors
-// sim.TraceEvent without importing the simulator, keeping this package
-// dependency-free.
+// TraceEvent is one simulation trace event: what sim.Recorder records and
+// what a KindTrace line carries.
 type TraceEvent struct {
-	// Kind is "transmit", "deliver", "non-forward", "session-start",
-	// "enqueue", or "queue-drop".
+	// Kind is one of the Trace* kinds below.
 	Kind string `json:"kind"`
 	// At is the simulation time.
 	At float64 `json:"at"`
@@ -45,12 +43,44 @@ type TraceEvent struct {
 	// events with the session they belong to. Additive: the schema version
 	// stays obsv/v1.
 	Session int `json:"session,omitempty"`
-	// Cause labels queue-drop events ("tail", "head", or "down"); absent for
+	// Cause labels queue-drop events (one of the Cause* values); absent for
 	// every other kind. Additive, like Session.
 	Cause string `json:"cause,omitempty"`
 	// Designated carries the designated forward set of transmit events.
 	Designated []int `json:"designated,omitempty"`
 }
+
+// Trace event kinds: the per-node decisions a broadcast is judged by, plus
+// the contention MAC's queue events and the start of a traffic session.
+const (
+	// TraceTransmit: Node forwards the packet, designating Designated.
+	TraceTransmit = "transmit"
+	// TraceDeliver: a copy from From reaches Node, after loss and collision
+	// filtering.
+	TraceDeliver = "deliver"
+	// TraceNonForward: Node finalizes a non-forward decision.
+	TraceNonForward = "non-forward"
+	// TraceSessionStart: a broadcast session is injected at its source Node.
+	TraceSessionStart = "session-start"
+	// TraceEnqueue: the contention MAC admits a packet to Node's transmit
+	// queue.
+	TraceEnqueue = "enqueue"
+	// TraceQueueDrop: the contention MAC drops a queued packet at Node, for
+	// Cause.
+	TraceQueueDrop = "queue-drop"
+)
+
+// Queue-drop causes.
+const (
+	// CauseTail: the arriving packet was dropped because the queue was full
+	// (the default tail-drop policy).
+	CauseTail = "tail"
+	// CauseHead: the oldest queued packet was evicted to admit a new arrival
+	// (sim.Config.DropOldest).
+	CauseHead = "head"
+	// CauseDown: the queue was wiped because its node went down.
+	CauseDown = "down"
+)
 
 // Record is one JSONL line: a versioned envelope around either a run record
 // or a trace event, keyed by the data point and replication that produced it.

@@ -6,9 +6,11 @@ import (
 	"sort"
 	"strconv"
 
+	"adhocbcast/internal/core"
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
+	"adhocbcast/internal/view"
 )
 
 // Cluster is an in-process live network: n Nodes over an in-memory wire and
@@ -29,8 +31,10 @@ type Cluster struct {
 	lastDelivered []bool
 }
 
-// New builds a live cluster over g: one Node per vertex, each initialized
-// and given the topology through its ordinary envelope handlers.
+// New builds a live cluster over g: one Node per vertex. The nodes share one
+// name table, the graph g itself (which must not change while the Cluster is
+// in use), one set of k-hop views built in one pass, and one coverage
+// evaluator, so setup costs what the simulator's does.
 func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -45,23 +49,21 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		cfg:   cfg,
 		nodes: make([]*Node, n),
 	}
-	names := make([]string, n)
+	names, index := make([]string, n), make(map[string]int, n)
 	for v := range names {
 		names[v] = "n" + strconv.Itoa(v)
+		index[names[v]] = v
 	}
-	topo := make(map[string][]string, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			topo[names[v]] = append(topo[names[v]], names[u])
-		}
-	}
+	var views view.Set
+	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric)
+	eval := new(core.Evaluator)
 	for v := 0; v < n; v++ {
 		p := &port{cl: cl, v: v}
 		nd := newNode(cfg, p, cl.staleView)
 		nd.clk = p
+		nd.name, nd.self, nd.names, nd.index, nd.eval = names[v], v, names, index, eval
+		nd.install(g, &views.Views()[v])
 		cl.nodes[v] = nd
-		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "init", NodeID: names[v], NodeIDs: names}})
-		nd.handle(Envelope{Dest: names[v], Body: Body{Type: "topology", Topology: topo}})
 	}
 	return cl, nil
 }

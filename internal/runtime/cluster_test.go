@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"adhocbcast/internal/fault"
@@ -333,5 +335,58 @@ func TestLiveConfigValidation(t *testing.T) {
 		if _, err := New(g, tc.cfg); err == nil {
 			t.Errorf("%s: expected config error, got nil", tc.name)
 		}
+	}
+}
+
+// scaleNetwork is a d=18 geometric network of n nodes and the Generic-FR
+// protocol: the setting the Cluster's setup and per-wave costs are pinned in.
+func scaleNetwork(t *testing.T, n int) (*graph.Graph, func() sim.Protocol) {
+	t.Helper()
+	net, err := geo.Generate(geo.Config{N: n, AvgDegree: 18, Seed: 1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net.G, func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }
+}
+
+// TestClusterAllocBound pins the Cluster's memory cost at n=1000: its nodes
+// share one name table, graph, view set and evaluator, and every wave marks
+// clones of the shared views, so New and a wave each allocate a few bytes per
+// link.
+func TestClusterAllocBound(t *testing.T) {
+	g, fr := scaleNetwork(t, 1000)
+	allocated := func(fn func()) float64 {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		fn()
+		goruntime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	}
+	var cl *Cluster
+	if mb := allocated(func() { cl = mustCluster(t, g, Config{Protocol: fr, Hops: 2, Seed: 1}) }); mb > 8 {
+		t.Errorf("New allocated %.1f MB, want under 8 MB", mb)
+	}
+	mustBroadcast(t, cl, 0, nil)
+	if mb := allocated(func() { mustBroadcast(t, cl, 1, nil) }); mb > 12 {
+		t.Errorf("one wave allocated %.1f MB, want under 12 MB", mb)
+	}
+}
+
+// TestClusterMatchesSimAtScale: an n=2000 Generic-FR Cluster wave forwards at
+// the same nodes, delivers to as many and finishes at the same time as
+// sim.Run on the same graph and source.
+func TestClusterMatchesSimAtScale(t *testing.T) {
+	g, fr := scaleNetwork(t, 2000)
+	live := mustBroadcast(t, mustCluster(t, g, Config{Protocol: fr, Hops: 2, Seed: 1}), 0, nil)
+	ref, err := sim.Run(g, 0, fr(), sim.Config{Hops: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := slices.Clone(live.Forward), slices.Clone(ref.Forward)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) || live.Delivered != ref.Delivered || live.Finish != ref.Finish {
+		t.Errorf("live: %d forwards, delivered %d, finish %v; sim: %d forwards, delivered %d, finish %v (forward sets equal: %v)",
+			len(got), live.Delivered, live.Finish, len(want), ref.Delivered, ref.Finish, slices.Equal(got, want))
 	}
 }

@@ -71,7 +71,7 @@ type Core struct {
 	out         Transport
 	backoff     *rand.Rand // seeded from backoffSeed on first draw
 	backoffSeed int64
-	eval        *core.Evaluator
+	eval        *core.Evaluator // built on first use unless the executor shares one
 }
 
 // NewCore builds the live runtime core of node id. lv is the node's local
@@ -91,7 +91,6 @@ func NewCore(id int, proto sim.Protocol, lv *view.Local, viewG *graph.Graph,
 		viewG:       viewG,
 		out:         out,
 		backoffSeed: backoffSeed,
-		eval:        core.NewEvaluator(cfg.N),
 	}
 }
 
@@ -263,8 +262,14 @@ func (c *Core) RestoreSent(pkt sim.Packet) {
 // coverage verdicts.
 func (c *Core) TakePreparedCovered(v int) (covered, ok bool) { return false, false }
 
-// Evaluator returns this node's private coverage evaluator.
-func (c *Core) Evaluator() *core.Evaluator { return c.eval }
+// Evaluator returns this node's coverage evaluator: the one its executor
+// shares between waves, or one of its own, built on first use.
+func (c *Core) Evaluator() *core.Evaluator {
+	if c.eval == nil {
+		c.eval = core.NewEvaluator(c.cfg.N)
+	}
+	return c.eval
+}
 
 // Now returns the current time in time units.
 func (c *Core) Now() float64 { return c.out.Now() }

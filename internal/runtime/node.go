@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
 	"adhocbcast/internal/traffic"
@@ -134,7 +135,12 @@ type Node struct {
 	names []string
 	index map[string]int
 	g     *graph.Graph
-	base  []view.Priority
+	// lv is this node's k-hop view as built, never marked: every wave
+	// marks a fresh clone of it.
+	lv *view.Local
+	// eval is the coverage evaluator all of this node's waves share (and,
+	// in a Cluster, all of its nodes).
+	eval  *core.Evaluator
 	msgID int
 	waves map[int64]*wave
 
@@ -384,11 +390,17 @@ func (n *Node) handleTopology(env Envelope) {
 			}
 		}
 	}
-	n.g = g
-	n.base = view.BasePriorities(g, n.cfg.Metric)
-	// Topology changes reset all broadcast state: views were cut from the
-	// old graph.
-	n.waves = make(map[int64]*wave)
+	n.install(g, view.NewLocal(g, n.self, n.cfg.Hops, view.BasePriorities(g, n.cfg.Metric)))
+	n.reply(env, Body{Type: "topology_ok"})
+	n.startTraffic()
+	n.startBeacons()
+}
+
+// install puts the node on topology g with its k-hop view lv over g. Topology
+// changes reset all broadcast state: views were cut from the old graph.
+func (n *Node) install(g *graph.Graph, lv *view.Local) {
+	n.g, n.lv = g, lv
+	clear(n.waves)
 	if len(n.pendingOps) > 0 {
 		// First topology after a restart: replay the journal into fresh
 		// cores. A first-boot node has no prior ops and skips this.
@@ -412,9 +424,6 @@ func (n *Node) handleTopology(env Envelope) {
 			n.g.ForEachNeighbor(n.self, func(u int) { n.lastHeard[u] = now })
 		}
 	}
-	n.reply(env, Body{Type: "topology_ok"})
-	n.startTraffic()
-	n.startBeacons()
 }
 
 // peer reports whether i names a node of the configured network: peer ids
@@ -629,8 +638,7 @@ func (n *Node) wave(msg int64) *wave {
 		return w
 	}
 	w := &wave{n: n, msg: msg}
-	lv := view.NewLocal(n.g, n.self, n.cfg.Hops, n.base)
-	w.core = NewCore(n.self, n.cfg.Protocol(), lv, n.g, CoreConfig{
+	w.core = NewCore(n.self, n.cfg.Protocol(), n.lv.CloneFresh(), n.g, CoreConfig{
 		N:              len(n.names),
 		PiggybackDepth: n.cfg.PiggybackDepth,
 		BackoffWindow:  n.cfg.BackoffWindow,
@@ -642,6 +650,10 @@ func (n *Node) wave(msg int64) *wave {
 		JitterFrac:     n.cfg.Nemesis.JitterFrac,
 		StaleView:      n.staleView,
 	}, w, StreamSeed(n.cfg.Seed, "bcastnode.backoff", n.self, int(msg)))
+	if n.eval == nil {
+		n.eval = new(core.Evaluator)
+	}
+	w.core.eval = n.eval
 	w.core.Init()
 	n.waves[msg] = w
 	return w

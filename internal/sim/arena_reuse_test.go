@@ -57,7 +57,7 @@ func TestUsedArenaIsFreshArena(t *testing.T) {
 	}
 	type outcome struct {
 		res   any
-		trace []sim.TraceEvent
+		trace []obsv.TraceEvent
 		rec   *obsv.RunRecord
 	}
 	run := func(a *sim.Arena, g *geo.Network, mk func() sim.Protocol, cfg sim.Config, traffic bool) outcome {

@@ -113,9 +113,9 @@ func (b BeaconedViews) record(g *graph.Graph, m *obsv.RunRecord) {
 
 // Config holds the physical and view-formation parameters of a run.
 type Config struct {
-	// Observer, when non-nil, receives transmit/deliver/non-forward events
-	// as they happen (see Recorder for a ready-made implementation).
-	Observer Observer
+	// Observer, when non-nil, records every event of the run as it happens
+	// (see Recorder). Nil (the default) builds no event at all.
+	Observer *Recorder
 	// Metrics, when non-nil, is populated with the run's counters, the
 	// first-delivery latency histogram, and the forward-set size
 	// distribution (see obsv.RunRecord). The record is Reset at the start

@@ -121,7 +121,7 @@ func TestEngineFastMatchesOracle(t *testing.T) {
 // on the production loop with the given arena and worker count, or, for
 // workers == 0, on the oracle.
 func runOnce(t *testing.T, a *sim.Arena, g *graph.Graph, p sim.Protocol, cfg sim.Config,
-	workers int) (sim.Result, []sim.TraceEvent, *obsv.RunRecord) {
+	workers int) (sim.Result, []obsv.TraceEvent, *obsv.RunRecord) {
 	t.Helper()
 	rec := &sim.Recorder{}
 	metrics := obsv.NewRunRecord()
@@ -141,7 +141,7 @@ func runOnce(t *testing.T, a *sim.Arena, g *graph.Graph, p sim.Protocol, cfg sim
 	return res, rec.Events(), metrics
 }
 
-func firstTraceDiff(a, b []sim.TraceEvent) int {
+func firstTraceDiff(a, b []obsv.TraceEvent) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)

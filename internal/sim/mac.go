@@ -19,11 +19,13 @@ package sim
 //     enqueueTx arms it for an empty queue and every attempt either
 //     transmits, defers, re-arms for the next head, or clears it.
 
+import "adhocbcast/internal/obsv"
+
 // txItem is one queued transmission: a broadcast forward (to == -1) or a
 // unicast recovery retransmission toward to.
 type txItem struct {
 	pkt        *Packet // the transmission's packet (Arena slab)
-	designated []int   // forward set of broadcast items (observer/metrics)
+	designated []int   // forward set of broadcast items (trace/metrics)
 	session    int32
 	to         int32 // -1 for broadcast, else the recovery receiver
 	attempt    int32 // recovery attempt of unicast items
@@ -67,17 +69,17 @@ func (net *Network) enqueueTx(v int, it txItem) {
 		net.tally.QueueDrops++
 		if net.Cfg.DropOldest {
 			old := q.pop()
-			net.obsQueueDrop(old.session, v, QueueDropHead)
+			net.trace(obsv.TraceQueueDrop, old.session, v, -1, obsv.CauseHead, nil)
 			q.push(it)
-			net.obsEnqueue(it.session, v)
+			net.trace(obsv.TraceEnqueue, it.session, v, -1, "", nil)
 		} else {
-			net.obsQueueDrop(it.session, v, QueueDropTail)
+			net.trace(obsv.TraceQueueDrop, it.session, v, -1, obsv.CauseTail, nil)
 		}
 		// The queue stays non-empty, so an attempt is already pending.
 		return
 	}
 	q.push(it)
-	net.obsEnqueue(it.session, v)
+	net.trace(obsv.TraceEnqueue, it.session, v, -1, "", nil)
 	if !net.txPending[v] {
 		net.txPending[v] = true
 		net.armTxAttempt(v, net.now)
@@ -106,7 +108,7 @@ func (net *Network) txAttempt(v int) {
 		for q.len() > 0 {
 			it := q.pop()
 			net.tally.QueueDrops++
-			net.obsQueueDrop(it.session, v, QueueDropDown)
+			net.trace(obsv.TraceQueueDrop, it.session, v, -1, obsv.CauseDown, nil)
 		}
 		net.txPending[v] = false
 		return
@@ -158,7 +160,7 @@ func (net *Network) channelBusy(v int) bool {
 
 // emitTx puts one queued transmission on the air at the current instant:
 // occupancy and per-receiver overlap tracking, copy scheduling, and — for
-// broadcast forwards — the forward-order bookkeeping, observer callback, and
+// broadcast forwards — the forward-order bookkeeping, trace event, and
 // forward-set metric that the immediate (collision-free) path performs at
 // Transmit time.
 func (net *Network) emitTx(v int, it txItem) {
@@ -171,7 +173,7 @@ func (net *Network) emitTx(v int, it txItem) {
 		return
 	}
 	net.tally.Forward = append(net.tally.Forward, v)
-	net.obsTransmit(it.session, v, it.designated)
+	net.trace(obsv.TraceTransmit, it.session, v, -1, "", it.designated)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(it.designated)))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
 )
@@ -91,8 +92,8 @@ func TestMACQueueTailDrop(t *testing.T) {
 	}
 	found := false
 	for _, e := range rec.Events() {
-		if e.Kind == sim.TraceQueueDrop {
-			if e.Cause != sim.QueueDropTail {
+		if e.Kind == obsv.TraceQueueDrop {
+			if e.Cause != obsv.CauseTail {
 				t.Errorf("queue-drop cause = %v, want tail", e.Cause)
 			}
 			found = true
@@ -119,14 +120,14 @@ func TestMACQueueHeadDrop(t *testing.T) {
 		t.Fatalf("QueueDrops = 0, want > 0")
 	}
 	for _, e := range rec.Events() {
-		if e.Kind == sim.TraceQueueDrop && e.Cause != sim.QueueDropHead {
+		if e.Kind == obsv.TraceQueueDrop && e.Cause != obsv.CauseHead {
 			t.Errorf("queue-drop cause = %v, want head", e.Cause)
 		}
 	}
 	// The last-injected session's packet survived the evictions.
 	lastDelivered := false
 	for _, e := range rec.Events() {
-		if e.Kind == sim.TraceDeliver && e.Session == 3 && e.Node == 1 {
+		if e.Kind == obsv.TraceDeliver && e.Session == 3 && e.Node == 1 {
 			lastDelivered = true
 		}
 	}
@@ -161,15 +162,15 @@ func TestTrafficSessionTagging(t *testing.T) {
 	if res.Delivered != 8 {
 		t.Fatalf("Delivered = %d, want 8", res.Delivered)
 	}
-	// OnDeliver fires per delivered copy; count distinct reached nodes per
-	// session.
+	// A deliver event is recorded per delivered copy; count distinct
+	// reached nodes per session.
 	starts := 0
 	reached := map[int]map[int]bool{}
 	for _, e := range rec.Events() {
 		switch e.Kind {
-		case sim.TraceSessionStart:
+		case obsv.TraceSessionStart:
 			starts++
-		case sim.TraceDeliver:
+		case obsv.TraceDeliver:
 			if reached[e.Session] == nil {
 				reached[e.Session] = map[int]bool{}
 			}

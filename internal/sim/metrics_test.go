@@ -154,7 +154,7 @@ func TestObserverSilentAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range rec.Events() {
-		if e.Kind != sim.TraceDeliver && e.Kind != sim.TraceTransmit {
+		if e.Kind != obsv.TraceDeliver && e.Kind != obsv.TraceTransmit {
 			continue
 		}
 		if tc, crashed := plan.CrashTime(e.Node); crashed && e.At >= tc {

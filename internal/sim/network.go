@@ -333,7 +333,7 @@ func (net *Network) build() {
 // must not wait for a neighbor's retransmission to echo back.
 func (net *Network) deliverToSource() {
 	net.holdSourcePacket(&net.nodes[net.Source], net.Source, 0)
-	net.obsDeliver(0, net.Source, -1)
+	net.trace(obsv.TraceDeliver, 0, net.Source, -1, "", nil)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.Latency.Observe(0)
 	}
@@ -407,7 +407,7 @@ func (net *Network) dropByFault(e *event) bool {
 // handleReceive delivers receive event e's packet copy to its node. merged
 // marks a copy whose view merge already happened in the loop's parallel
 // pre-merge phase (see precompute); everything order-sensitive — RNG
-// draws, counters, observers, receipt bookkeeping, the protocol callback —
+// draws, counters, trace events, receipt bookkeeping, the protocol callback —
 // still runs here, in event order.
 func (net *Network) handleReceive(e *event, merged bool) {
 	sid, v, r := e.session, int(e.node), e.receipt()
@@ -422,7 +422,7 @@ func (net *Network) handleReceive(e *event, merged bool) {
 		return
 	}
 	net.tally.Receipts++
-	net.obsDeliver(sid, v, r.From)
+	net.trace(obsv.TraceDeliver, sid, v, r.From, "", nil)
 	st := net.stateOf(sid, v)
 	first := st.RecordReceipt(r)
 	if first {
@@ -718,7 +718,7 @@ func (net *Network) MarkNonForward(v int) {
 	}
 	st := &net.nodes[v]
 	if !st.NonForward {
-		net.obsNonForward(0, v)
+		net.trace(obsv.TraceNonForward, 0, v, -1, "", nil)
 	}
 	st.NonForward = true
 }
@@ -755,7 +755,7 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 	if net.Cfg.CarrierSense {
 		// The forward decision is final (Sent above), but the packet is
 		// built now and transmitted by the MAC when the channel allows:
-		// forward-order bookkeeping, observers, and metrics fire at actual
+		// forward-order bookkeeping, trace events, and metrics fire at actual
 		// transmission time (see emitTx).
 		net.enqueueTx(v, txItem{
 			session:    sid,
@@ -766,7 +766,7 @@ func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
 		return
 	}
 	net.tally.Forward = append(net.tally.Forward, v)
-	net.obsTransmit(sid, v, designated)
+	net.trace(obsv.TraceTransmit, sid, v, -1, "", designated)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(designated)))
 	}

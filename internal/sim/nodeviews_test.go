@@ -7,6 +7,7 @@ import (
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/hello"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
 )
@@ -177,7 +178,7 @@ func TestConservativeFallbackRefusesNonForward(t *testing.T) {
 		t.Fatal("flagged node 2 did not forward under the fallback")
 	}
 	for _, e := range rec.Events() {
-		if e.Kind == sim.TraceNonForward && e.Node == 2 {
+		if e.Kind == obsv.TraceNonForward && e.Node == 2 {
 			t.Fatal("flagged node 2 took non-forward status under the fallback")
 		}
 	}

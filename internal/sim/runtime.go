@@ -8,10 +8,17 @@ import "adhocbcast/internal/core"
 //
 //   - *Network, the discrete-event simulator (this package), where one Runtime
 //     value hosts every node and event ordering is fully deterministic; and
-//   - the live executor (internal/runtime), where each node is a goroutine
-//     with its own per-node Runtime, real timers, and a channel radio.
+//   - the live executor (internal/runtime), where each node is a
+//     message-passing node with a per-node Runtime of its own (runtime.Core):
+//     n of them share one virtual-time queue and an in-memory wire in a
+//     runtime.Cluster, and a cmd/bcastnode process runs one on the wall
+//     clock.
 //
 // A protocol written against Runtime therefore runs unchanged in both worlds.
+// The executors differ in one place: under dynamic hello maintenance a
+// Cluster node takes the simulator's pure-hash staleness verdict, while a
+// bcastnode process beacons and judges staleness from the beacons it hears
+// (a beaconing Cluster node would keep its queue busy and never quiesce).
 // The contract mirrors the paper's locality property: every method a protocol
 // calls while handling node v touches only v's own state (State(v), timers for
 // v, v's transmission); a Runtime hosting a single node supports exactly that
@@ -56,8 +63,9 @@ type Runtime interface {
 	// Protocol callbacks on one runtime value run sequentially, so the
 	// shared instance is safe and allocation-free.
 	Evaluator() *core.Evaluator
-	// Now returns the current time in simulation units (wall-clock scaled
-	// by the configured time scale on live executors).
+	// Now returns the current time in simulation units: the event or
+	// virtual-queue time, or wall time over the configured time scale on a
+	// bcastnode process.
 	Now() float64
 }
 
@@ -129,7 +137,7 @@ func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Pack
 // are merged with designation tracking. Merging is monotone (status only ever
 // increases) and touches nothing but v's own state. The simulator calls it
 // from its delivery path (including the fast engine's parallel pre-merge);
-// the live executor calls it on each node's own goroutine.
+// the live executor calls it from the receiving node's handler.
 func MergeReceipt(st *NodeState, v int, r Receipt) {
 	st.View.MarkVisited(r.From)
 	for _, entry := range r.Packet.Trail {

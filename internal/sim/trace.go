@@ -8,261 +8,41 @@ import (
 	"adhocbcast/internal/obsv"
 )
 
-// Observer receives simulation events as they happen; attach one through
-// Config.Observer to trace or visualize a broadcast. Callbacks run
-// synchronously inside the event loop and must not mutate the simulation.
-type Observer interface {
-	// OnTransmit fires when node v forwards the packet.
-	OnTransmit(v int, at float64, designated []int)
-	// OnDeliver fires when a packet copy from `from` reaches node v (after
-	// loss and collision filtering). The source's initial possession of the
-	// packet is reported as a delivery at t=0 with from == -1.
-	OnDeliver(v, from int, at float64)
-	// OnNonForward fires when node v finalizes a non-forward decision.
-	OnNonForward(v int, at float64)
-}
-
-// SessionObserver is the optional extension of Observer for multi-session
-// traffic runs and the contention MAC. An Observer that also implements it
-// receives the broadcast session id on every callback plus the MAC queue
-// events; a plain Observer attached to such a run still works and simply
-// sees the session-blind callbacks. In single runs every event carries
-// session 0, so a SessionObserver records traces byte-identical to before.
-type SessionObserver interface {
-	Observer
-	// OnSessionStart fires when a broadcast session is injected at its
-	// source.
-	OnSessionStart(session, source int, at float64)
-	// OnSessionTransmit is OnTransmit with the session id.
-	OnSessionTransmit(session, v int, at float64, designated []int)
-	// OnSessionDeliver is OnDeliver with the session id.
-	OnSessionDeliver(session, v, from int, at float64)
-	// OnSessionNonForward is OnNonForward with the session id.
-	OnSessionNonForward(session, v int, at float64)
-	// OnEnqueue fires when the contention MAC admits a packet to node v's
-	// transmit queue.
-	OnEnqueue(session, v int, at float64)
-	// OnQueueDrop fires when the contention MAC drops a queued packet at
-	// node v.
-	OnQueueDrop(session, v int, at float64, cause QueueDropCause)
-}
-
-// QueueDropCause labels why the contention MAC dropped a queued packet.
-type QueueDropCause int
-
-// Queue-drop causes.
-const (
-	// QueueDropTail: the arriving packet was dropped because the queue was
-	// full (the default tail-drop policy).
-	QueueDropTail QueueDropCause = iota + 1
-	// QueueDropHead: the oldest queued packet was evicted to admit a new
-	// arrival (Config.DropOldest).
-	QueueDropHead
-	// QueueDropDown: the queue was wiped because its node went down.
-	QueueDropDown
-)
-
-// String returns the cause name used in exported traces.
-func (c QueueDropCause) String() string {
-	switch c {
-	case QueueDropTail:
-		return "tail"
-	case QueueDropHead:
-		return "head"
-	case QueueDropDown:
-		return "down"
-	default:
-		return "unknown"
-	}
-}
-
-// obsDeliver, obsTransmit, obsNonForward, obsSessionStart, obsEnqueue, and
-// obsQueueDrop route simulation events to the configured observer, using the
-// session-aware callbacks when the observer supports them and degrading to
-// the session-blind Observer surface (dropping MAC-only events) otherwise.
-
-func (net *Network) obsDeliver(sid int32, v, from int) {
-	o := net.Cfg.Observer
-	if o == nil {
-		return
-	}
-	if so, ok := o.(SessionObserver); ok {
-		so.OnSessionDeliver(int(sid), v, from, net.now)
-		return
-	}
-	o.OnDeliver(v, from, net.now)
-}
-
-func (net *Network) obsTransmit(sid int32, v int, designated []int) {
-	o := net.Cfg.Observer
-	if o == nil {
-		return
-	}
-	if so, ok := o.(SessionObserver); ok {
-		so.OnSessionTransmit(int(sid), v, net.now, designated)
-		return
-	}
-	o.OnTransmit(v, net.now, designated)
-}
-
-func (net *Network) obsNonForward(sid int32, v int) {
-	o := net.Cfg.Observer
-	if o == nil {
-		return
-	}
-	if so, ok := o.(SessionObserver); ok {
-		so.OnSessionNonForward(int(sid), v, net.now)
-		return
-	}
-	o.OnNonForward(v, net.now)
-}
-
-func (net *Network) obsSessionStart(sid int32, source int) {
-	if so, ok := net.Cfg.Observer.(SessionObserver); ok {
-		so.OnSessionStart(int(sid), source, net.now)
-	}
-}
-
-func (net *Network) obsEnqueue(sid int32, v int) {
-	if so, ok := net.Cfg.Observer.(SessionObserver); ok {
-		so.OnEnqueue(int(sid), v, net.now)
-	}
-}
-
-func (net *Network) obsQueueDrop(sid int32, v int, cause QueueDropCause) {
-	if so, ok := net.Cfg.Observer.(SessionObserver); ok {
-		so.OnQueueDrop(int(sid), v, net.now, cause)
-	}
-}
-
-// TraceEventKind labels recorded trace events.
-type TraceEventKind int
-
-// Trace event kinds.
-const (
-	TraceTransmit TraceEventKind = iota + 1
-	TraceDeliver
-	TraceNonForward
-	TraceSessionStart
-	TraceEnqueue
-	TraceQueueDrop
-)
-
-// String returns a short event-kind name.
-func (k TraceEventKind) String() string {
-	switch k {
-	case TraceTransmit:
-		return "transmit"
-	case TraceDeliver:
-		return "deliver"
-	case TraceNonForward:
-		return "non-forward"
-	case TraceSessionStart:
-		return "session-start"
-	case TraceEnqueue:
-		return "enqueue"
-	case TraceQueueDrop:
-		return "queue-drop"
-	default:
-		return "unknown"
-	}
-}
-
-// TraceEvent is one recorded simulation event.
-type TraceEvent struct {
-	// Kind is the event type.
-	Kind TraceEventKind
-	// At is the simulation time.
-	At float64
-	// Node is the acting node (transmitter, receiver, or decider).
-	Node int
-	// From is the sender for deliver events (-1 otherwise).
-	From int
-	// Session is the broadcast session id (0 outside multi-session runs).
-	Session int
-	// Cause labels queue-drop events (zero QueueDropCause otherwise).
-	Cause QueueDropCause
-	// Designated carries the designated forward set for transmit events.
-	Designated []int
-}
-
-// Recorder is an Observer that collects every event in order. It also
-// implements SessionObserver, so multi-session traffic runs and contention-MAC
-// runs record session ids and queue events; in single runs every recorded
-// event carries session 0 and the trace is identical to the session-blind one.
+// Recorder collects every simulation event of a run in occurrence order, in
+// its obsv/v1 export form; attach one through Config.Observer to trace or
+// visualize a broadcast. Multi-session traffic runs and contention-MAC runs
+// tag events with their session and record the MAC queue events too; in
+// single runs every event carries session 0.
 type Recorder struct {
-	events []TraceEvent
+	events []obsv.TraceEvent
 }
 
-var _ SessionObserver = (*Recorder)(nil)
-
-// OnTransmit implements Observer.
-func (r *Recorder) OnTransmit(v int, at float64, designated []int) {
-	r.OnSessionTransmit(0, v, at, designated)
-}
-
-// OnDeliver implements Observer.
-func (r *Recorder) OnDeliver(v, from int, at float64) {
-	r.OnSessionDeliver(0, v, from, at)
-}
-
-// OnNonForward implements Observer.
-func (r *Recorder) OnNonForward(v int, at float64) {
-	r.OnSessionNonForward(0, v, at)
-}
-
-// OnSessionStart implements SessionObserver.
-func (r *Recorder) OnSessionStart(session, source int, at float64) {
-	r.events = append(r.events, TraceEvent{
-		Kind: TraceSessionStart, At: at, Node: source, From: -1, Session: session,
-	})
-}
-
-// OnSessionTransmit implements SessionObserver.
-func (r *Recorder) OnSessionTransmit(session, v int, at float64, designated []int) {
-	r.events = append(r.events, TraceEvent{
-		Kind:       TraceTransmit,
-		At:         at,
+// trace records one event at the current simulation time on the configured
+// Recorder. Nothing is built, and designated is not copied, when no Recorder
+// is attached. from is the sender of a deliver event (-1 otherwise and for
+// the source's own t=0 delivery), cause labels a queue drop, and designated
+// is the designated forward set of a transmit event.
+func (net *Network) trace(kind string, sid int32, v, from int, cause string, designated []int) {
+	r := net.Cfg.Observer
+	if r == nil {
+		return
+	}
+	r.events = append(r.events, obsv.TraceEvent{
+		Kind:       kind,
+		At:         net.now,
 		Node:       v,
-		From:       -1,
-		Session:    session,
+		From:       from,
+		Session:    int(sid),
+		Cause:      cause,
 		Designated: append([]int(nil), designated...),
-	})
-}
-
-// OnSessionDeliver implements SessionObserver.
-func (r *Recorder) OnSessionDeliver(session, v, from int, at float64) {
-	r.events = append(r.events, TraceEvent{
-		Kind: TraceDeliver, At: at, Node: v, From: from, Session: session,
-	})
-}
-
-// OnSessionNonForward implements SessionObserver.
-func (r *Recorder) OnSessionNonForward(session, v int, at float64) {
-	r.events = append(r.events, TraceEvent{
-		Kind: TraceNonForward, At: at, Node: v, From: -1, Session: session,
-	})
-}
-
-// OnEnqueue implements SessionObserver.
-func (r *Recorder) OnEnqueue(session, v int, at float64) {
-	r.events = append(r.events, TraceEvent{
-		Kind: TraceEnqueue, At: at, Node: v, From: -1, Session: session,
-	})
-}
-
-// OnQueueDrop implements SessionObserver.
-func (r *Recorder) OnQueueDrop(session, v int, at float64, cause QueueDropCause) {
-	r.events = append(r.events, TraceEvent{
-		Kind: TraceQueueDrop, At: at, Node: v, From: -1, Session: session, Cause: cause,
 	})
 }
 
 // Events returns the recorded events in occurrence order. The events are
 // fully cloned — mutating a returned event's Designated slice never aliases
 // the recorder's internal state or earlier returns.
-func (r *Recorder) Events() []TraceEvent {
-	out := make([]TraceEvent, len(r.events))
+func (r *Recorder) Events() []obsv.TraceEvent {
+	out := make([]obsv.TraceEvent, len(r.events))
 	for i, e := range r.events {
 		out[i] = cloneEvent(e)
 	}
@@ -270,10 +50,10 @@ func (r *Recorder) Events() []TraceEvent {
 }
 
 // Transmissions returns the transmit events only, fully cloned like Events.
-func (r *Recorder) Transmissions() []TraceEvent {
-	var out []TraceEvent
+func (r *Recorder) Transmissions() []obsv.TraceEvent {
+	var out []obsv.TraceEvent
 	for _, e := range r.events {
-		if e.Kind == TraceTransmit {
+		if e.Kind == obsv.TraceTransmit {
 			out = append(out, cloneEvent(e))
 		}
 	}
@@ -281,32 +61,11 @@ func (r *Recorder) Transmissions() []TraceEvent {
 }
 
 // cloneEvent deep-copies one trace event.
-func cloneEvent(e TraceEvent) TraceEvent {
+func cloneEvent(e obsv.TraceEvent) obsv.TraceEvent {
 	if e.Designated != nil {
 		e.Designated = append([]int(nil), e.Designated...)
 	}
 	return e
-}
-
-// Records converts the recorded events to their obsv export form, in
-// occurrence order, for JSONL trace export.
-func (r *Recorder) Records() []obsv.TraceEvent {
-	out := make([]obsv.TraceEvent, len(r.events))
-	for i, e := range r.events {
-		rec := obsv.TraceEvent{
-			Kind:       e.Kind.String(),
-			At:         e.At,
-			Node:       e.Node,
-			From:       e.From,
-			Session:    e.Session,
-			Designated: append([]int(nil), e.Designated...),
-		}
-		if e.Cause != 0 {
-			rec.Cause = e.Cause.String()
-		}
-		out[i] = rec
-	}
-	return out
 }
 
 // DeliveryTimes returns the first delivery time per node id. The source is
@@ -315,7 +74,7 @@ func (r *Recorder) Records() []obsv.TraceEvent {
 func (r *Recorder) DeliveryTimes() map[int]float64 {
 	out := make(map[int]float64)
 	for _, e := range r.events {
-		if e.Kind != TraceDeliver {
+		if e.Kind != obsv.TraceDeliver {
 			continue
 		}
 		if _, ok := out[e.Node]; !ok {
@@ -336,25 +95,25 @@ func (r *Recorder) Format() string {
 			tag = fmt.Sprintf(" [s=%d]", e.Session)
 		}
 		switch e.Kind {
-		case TraceTransmit:
+		case obsv.TraceTransmit:
 			if len(e.Designated) > 0 {
 				fmt.Fprintf(&b, "t=%6.2f  node %3d transmits, designating %v%s\n", e.At, e.Node, e.Designated, tag)
 			} else {
 				fmt.Fprintf(&b, "t=%6.2f  node %3d transmits%s\n", e.At, e.Node, tag)
 			}
-		case TraceDeliver:
+		case obsv.TraceDeliver:
 			if e.From < 0 {
 				fmt.Fprintf(&b, "t=%6.2f  node %3d holds the packet (source)%s\n", e.At, e.Node, tag)
 			} else {
 				fmt.Fprintf(&b, "t=%6.2f  node %3d receives from %d%s\n", e.At, e.Node, e.From, tag)
 			}
-		case TraceNonForward:
+		case obsv.TraceNonForward:
 			fmt.Fprintf(&b, "t=%6.2f  node %3d takes non-forward status%s\n", e.At, e.Node, tag)
-		case TraceSessionStart:
+		case obsv.TraceSessionStart:
 			fmt.Fprintf(&b, "t=%6.2f  node %3d starts broadcast session %d\n", e.At, e.Node, e.Session)
-		case TraceEnqueue:
+		case obsv.TraceEnqueue:
 			fmt.Fprintf(&b, "t=%6.2f  node %3d enqueues a transmission%s\n", e.At, e.Node, tag)
-		case TraceQueueDrop:
+		case obsv.TraceQueueDrop:
 			fmt.Fprintf(&b, "t=%6.2f  node %3d drops a queued transmission (%s)%s\n", e.At, e.Node, e.Cause, tag)
 		}
 	}

@@ -68,7 +68,7 @@ func TestTraceGolden(t *testing.T) {
 		if err := r.run(rec); err != nil {
 			t.Fatalf("%s: %v", r.point, err)
 		}
-		events := traceRecords(rec)
+		events := rec.Events()
 		for i := range events {
 			seen[events[i].Kind] = true
 			if events[i].Cause != "" {
@@ -80,8 +80,9 @@ func TestTraceGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&text, "# %s\n%s", r.point, rec.Format())
 	}
-	for _, want := range []string{"transmit", "deliver", "non-forward", "session-start", "enqueue", "queue-drop",
-		"cause=tail", "cause=head", "cause=down"} {
+	for _, want := range []string{obsv.TraceTransmit, obsv.TraceDeliver, obsv.TraceNonForward,
+		obsv.TraceSessionStart, obsv.TraceEnqueue, obsv.TraceQueueDrop,
+		"cause=" + obsv.CauseTail, "cause=" + obsv.CauseHead, "cause=" + obsv.CauseDown} {
 		if !seen[want] {
 			t.Errorf("golden runs record no %q event", want)
 		}
@@ -109,6 +110,3 @@ func TestTraceGolden(t *testing.T) {
 		}
 	}
 }
-
-// traceRecords returns the recorder's events in their obsv/v1 export form.
-func traceRecords(rec *sim.Recorder) []obsv.TraceEvent { return rec.Records() }

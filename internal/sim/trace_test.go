@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
 )
@@ -50,7 +51,7 @@ func TestRecorderOnPath(t *testing.T) {
 	// The leaf (node 3) prunes itself: exactly one non-forward decision.
 	nonForward := 0
 	for _, e := range rec.Events() {
-		if e.Kind == sim.TraceNonForward {
+		if e.Kind == obsv.TraceNonForward {
 			nonForward++
 			if e.Node != 3 {
 				t.Fatalf("unexpected non-forward decision at node %d", e.Node)
@@ -83,15 +84,6 @@ func TestRecorderEmpty(t *testing.T) {
 	}
 	if len(rec.Events()) != 0 || len(rec.Transmissions()) != 0 {
 		t.Fatal("empty recorder has events")
-	}
-}
-
-func TestTraceEventKindString(t *testing.T) {
-	if sim.TraceTransmit.String() != "transmit" ||
-		sim.TraceDeliver.String() != "deliver" ||
-		sim.TraceNonForward.String() != "non-forward" ||
-		sim.TraceEventKind(0).String() != "unknown" {
-		t.Fatal("kind names wrong")
 	}
 }
 
@@ -138,14 +130,14 @@ func TestSourceDeliveryAtZero(t *testing.T) {
 		t.Fatalf("source first delivery at %v, want 0", times[0])
 	}
 	events := rec.Events()
-	if e := events[0]; e.Kind != sim.TraceDeliver || e.Node != 0 || e.At != 0 || e.From != -1 {
+	if e := events[0]; e.Kind != obsv.TraceDeliver || e.Node != 0 || e.At != 0 || e.From != -1 {
 		t.Fatalf("first event is %+v, want source delivery at t=0 from -1", e)
 	}
 	// Flooding on a path: node 1 retransmits, its copy echoes to the source
 	// at t=2; the first-delivery map must keep t=0.
 	echo := false
 	for _, e := range events[1:] {
-		if e.Kind == sim.TraceDeliver && e.Node == 0 && e.At == 2 {
+		if e.Kind == obsv.TraceDeliver && e.Node == 0 && e.At == 2 {
 			echo = true
 		}
 	}
@@ -166,9 +158,9 @@ func TestEventsDeepCopy(t *testing.T) {
 	if _, err := sim.Run(g, 0, protocol.DP(), sim.Config{Hops: 2, Observer: rec}); err != nil {
 		t.Fatal(err)
 	}
-	find := func(events []sim.TraceEvent) *sim.TraceEvent {
+	find := func(events []obsv.TraceEvent) *obsv.TraceEvent {
 		for i := range events {
-			if events[i].Kind == sim.TraceTransmit && len(events[i].Designated) > 0 {
+			if events[i].Kind == obsv.TraceTransmit && len(events[i].Designated) > 0 {
 				return &events[i]
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/obsv"
 )
 
 // Multi-session traffic runs (RunTraffic): many concurrent broadcast sessions
@@ -136,7 +137,7 @@ func (rt *sessionRuntime) MarkNonForward(v int) {
 	}
 	st := &rt.s.nodes[v]
 	if !st.NonForward {
-		net.obsNonForward(rt.s.id, v)
+		net.trace(obsv.TraceNonForward, rt.s.id, v, -1, "", nil)
 	}
 	st.NonForward = true
 }
@@ -247,7 +248,7 @@ func (net *Network) startSession(sid int32, source int) {
 	}
 	s.proto = net.newProto()
 	s.rt = sessionRuntime{net: net, s: s}
-	net.obsSessionStart(sid, source)
+	net.trace(obsv.TraceSessionStart, sid, source, -1, "", nil)
 	s.proto.Init(&s.rt)
 	net.deliverSessionSource(s)
 	s.proto.Start(&s.rt, source)
@@ -260,7 +261,7 @@ func (net *Network) deliverSessionSource(s *sessionState) {
 	s.delivered++
 	net.delivered++
 	net.latSamples = append(net.latSamples, 0)
-	net.obsDeliver(s.id, s.source, -1)
+	net.trace(obsv.TraceDeliver, s.id, s.source, -1, "", nil)
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.Latency.Observe(0)
 	}

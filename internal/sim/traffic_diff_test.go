@@ -115,7 +115,7 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 
 // runTrafficOnce is runOnce for traffic runs: workers == 0 selects the oracle.
 func runTrafficOnce(t *testing.T, a *sim.Arena, net *geo.Network, sessions []sim.SessionSpec,
-	mk func() sim.Protocol, cfg sim.Config, workers int) (sim.TrafficResult, []sim.TraceEvent, *obsv.RunRecord) {
+	mk func() sim.Protocol, cfg sim.Config, workers int) (sim.TrafficResult, []obsv.TraceEvent, *obsv.RunRecord) {
 	t.Helper()
 	rec := &sim.Recorder{}
 	metrics := obsv.NewRunRecord()
