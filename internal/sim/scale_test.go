@@ -157,3 +157,40 @@ func TestWarmRunSetUpCostsNothingPerNode(t *testing.T) {
 		t.Errorf("a warm n=100 run allocates %.0f B: room for a seeded rand source on top of %.0f forwards", small[0], small[1])
 	}
 }
+
+// TestWarmRunAllocBound pins what a single broadcast allocates on a warm
+// Arena that has already served its topology: a Generic-FR broadcast at
+// n = 1000, d = 18, 2 hops, repeated from one source, stays within 260
+// objects and 64 KB per run. Per-session node states (n NodeStates, 80 KB
+// here) or an overlay copy of the view set would each break it.
+func TestWarmRunAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates per delivery")
+	}
+	net, err := geo.Generate(geo.Config{N: 1000, AvgDegree: 18}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := sim.NewArena()
+	run := func() {
+		res, err := sim.RunWith(arena, net.G, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{Hops: 2, Seed: 1})
+		if err != nil || !res.FullDelivery() {
+			t.Fatalf("err %v, delivered %d/%d", err, res.Delivered, res.N)
+		}
+	}
+	run() // cold: builds views, sizes the queue, fills the packet slab
+	run()
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm run: %.1f objects, %.0f B", objects, bytes)
+	if objects > 260 || bytes > 64<<10 {
+		t.Errorf("a warm run allocates %.1f objects and %.0f B, budget 260 objects and 64 KB", objects, bytes)
+	}
+}
