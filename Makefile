@@ -24,6 +24,8 @@ test:
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e SessionObserver -e TraceEventKind -e QueueDropCause internal
 	@# One copy of a Cluster's network: its nodes share it, no init/topology envelopes.
 	@! grep -n -e 'Type: "init"' -e 'Type: "topology"' internal/runtime/cluster.go
+	@# One simulator Runtime: a single run is session 0, no second implementation or single/multi branches.
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e sessionRuntime -e runtimeOf -e protocolOf -e 'net\.multi' internal/sim
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/

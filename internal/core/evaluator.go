@@ -9,7 +9,7 @@ import (
 // The one-shot package functions (Covered, StrongCovered) build that scratch
 // per call; inside a simulation those conditions run once per node decision
 // per receipt, so a simulation holds one Evaluator (see
-// sim.Network.Evaluator) and reuses its buffers across all node decisions of
+// sim.Runtime.Evaluator) and reuses its buffers across all node decisions of
 // the run. The zero Evaluator is ready to use and grows on demand.
 //
 // Every condition runs on one kernel of neighbor bit-rows. The

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -105,6 +106,21 @@ func TestRunConfigRejectsDuplicateLabels(t *testing.T) {
 				t.Fatalf("err = %v, want one naming %q", err, tt.label)
 			}
 		})
+	}
+}
+
+// TestRestartRejectsFractionOutsideUnit: a restart fraction is a share of the
+// nodes, so NaN or a value outside [0,1] is refused with an error instead of
+// restarting every non-source node under a -50 or 150 label.
+func TestRestartRejectsFractionOutsideUnit(t *testing.T) {
+	for _, bad := range []float64{-0.5, 1.5, math.NaN()} {
+		for name, run := range map[string]func(RunConfig) (Figure, error){"delivery": RestartDelivery, "latency": RestartLatency} {
+			rc := tinyConfig()
+			rc.RestartRates = []float64{0, bad}
+			if _, err := run(rc); err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+				t.Errorf("%s with restart fraction %v: err = %v, want one naming [0,1]", name, bad, err)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -100,6 +101,11 @@ func RestartLatency(rc RunConfig) (Figure, error) {
 
 func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *sim.Recorder) float64) (Figure, error) {
 	rc = rc.withDefaults()
+	for _, frac := range rc.RestartRates {
+		if !(frac >= 0 && frac <= 1) {
+			return Figure{}, fmt.Errorf("experiments: restart fraction %v outside [0,1]", frac)
+		}
+	}
 	pcts := percents(rc.RestartRates)
 	return rc.paramSweep(id, title, unit, "restart", pcts, restartVariants(), func(v variant, d, k int) sampleFunc {
 		return func(i int, sink *traceSink) (float64, error) {

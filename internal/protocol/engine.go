@@ -183,18 +183,18 @@ func (e *engine) covered(rt sim.Runtime, st *sim.NodeState) bool {
 // non-forward, strict designation). The simulator guarantees the timer is v's
 // earliest event of the instant, so the state read here is the state the
 // sequential dispatch would see.
-func (e *engine) PrecomputeTimer(net *sim.Network, v int, ev *core.Evaluator) (bool, bool) {
+func (e *engine) PrecomputeTimer(rt sim.Runtime, v int, ev *core.Evaluator) (bool, bool) {
 	if e.opts.Covered == nil || e.opts.CoveredEval == nil {
 		return false, false
 	}
-	st := net.State(v)
+	st := rt.State(v)
 	if st.Sent || st.NonForward {
 		return false, false
 	}
 	if e.opts.StrictDesignation && st.Designated() {
 		return false, false
 	}
-	if net.ConservativeHold(v) {
+	if rt.ConservativeHold(v) {
 		return false, true
 	}
 	return e.opts.CoveredEval(st, ev), true

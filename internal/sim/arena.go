@@ -59,6 +59,10 @@ type Arena struct {
 	evtTouched []int   // nodes with non-zero evtKind entries
 	timerIdx   []int   // batch indices of precomputable timer events
 
+	// The run's first-delivery latencies, relative to each session's
+	// injection (traffic runs report their quantiles).
+	latencies []float64
+
 	// Contention-MAC scratch (CarrierSense runs; see Network.resetMAC).
 	busyUntil   []float64
 	airEnd      []float64
@@ -178,16 +182,19 @@ func (a *Arena) ensureMACScratch(n int) {
 }
 
 // ensureLoopScratch sizes the batch-processing scratch for an n-node run.
-// The count and classification arrays rely on their users to zero touched
-// entries after every batch, so reuse needs no clearing pass here.
-func (a *Arena) ensureLoopScratch(n int, workers bool) {
+// The count array relies on its users to zero touched entries after every
+// batch, so reuse needs no clearing pass here.
+func (a *Arena) ensureLoopScratch(n int) {
 	if cap(a.arrCnt) < n {
 		a.arrCnt = make([]int32, n)
 	}
 	a.arrCnt = a.arrCnt[:n]
-	if !workers {
-		return
-	}
+}
+
+// precomputeScratch sizes the parallel phase's scratch for an n-node single
+// run and returns its timer-verdict array. Like the count array, the
+// classification and verdict arrays are reset entry by entry by their users.
+func (a *Arena) precomputeScratch(n int) []int8 {
 	if cap(a.evtKind) < n {
 		a.evtKind = make([]uint8, n)
 	}
@@ -199,4 +206,5 @@ func (a *Arena) ensureLoopScratch(n int, workers bool) {
 		}
 	}
 	a.prepared = a.prepared[:n]
+	return a.prepared
 }

@@ -144,11 +144,12 @@ type Config struct {
 	// TransmitDelay is the time for a transmission to reach all neighbors.
 	// Default 1.
 	TransmitDelay float64
-	// Workers is the number of goroutines the event loop may use to
-	// precompute same-instant work (pending-timer coverage verdicts and
-	// receive-side view merges) before the sequential dispatch pass. 0 and
-	// 1 both mean fully sequential. Results are bit-identical for any
-	// worker count.
+	// Workers is the number of goroutines the event loop of a
+	// single-broadcast run (Run, RunWith) may use to precompute same-instant
+	// work (pending-timer coverage verdicts and receive-side view merges)
+	// before the sequential dispatch pass; traffic runs ignore it. 0 and 1
+	// both mean fully sequential. Results are bit-identical for any worker
+	// count.
 	Workers int
 	// Seed drives the run's private RNG streams. Each stochastic model
 	// (backoff, jitter, loss, recovery) draws from its own stream derived

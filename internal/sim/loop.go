@@ -12,13 +12,14 @@ import (
 // v with a timer firing now, PrecomputeTimer returns the verdict the
 // protocol's OnTimer coverage evaluation would reach, or ok=false when no
 // verdict applies (the timer then dispatches normally). Implementations must
-// not mutate the network, draw randomness, or read any mutable state outside
-// node v's own; ev is a private evaluator for this call. The event loop
-// calls it from worker goroutines for timers that are their owner's earliest
-// event of the instant, and hands the verdict back through
-// Network.TakePreparedCovered during the sequential dispatch pass.
+// not mutate the run, draw randomness, or read any mutable state outside
+// node v's own; rt is the run's Runtime, ev a private evaluator for this
+// call. The event loop of a single run with Config.Workers > 1 calls it from
+// worker goroutines for timers that are their owner's earliest event of the
+// instant, and hands the verdict back through Runtime.TakePreparedCovered
+// during the sequential dispatch pass.
 type TimerPrecomputer interface {
-	PrecomputeTimer(net *Network, v int, ev *core.Evaluator) (covered, ok bool)
+	PrecomputeTimer(rt Runtime, v int, ev *core.Evaluator) (covered, ok bool)
 }
 
 // NonDesignating is implemented by protocols for which receive handling never
@@ -85,7 +86,7 @@ func (net *Network) runBatch(batch []event) {
 		arr, arrTouched = net.countArrivals(batch)
 	}
 	var kinds []uint8
-	if net.Cfg.Workers > 1 && len(batch) > 1 {
+	if net.prepared != nil && len(batch) > 1 {
 		kinds = net.precompute(batch)
 	}
 	for i := range batch {
@@ -148,7 +149,8 @@ func (net *Network) clearArrivals(arr []int32, touched []int) {
 	net.arena.arrTouched = touched[:0]
 }
 
-// precompute is the parallel phase: it classifies the batch's events per node
+// precompute is the parallel phase of a single run (session 0) with
+// Config.Workers > 1: it classifies the batch's events per node
 // sequentially, then shards two kinds of pure per-node work across worker
 // goroutines — coverage verdicts for timers that are their owner's earliest
 // event of the instant (any protocol implementing TimerPrecomputer), and view
@@ -162,7 +164,8 @@ func (net *Network) precompute(batch []event) []uint8 {
 	kinds := a.evtKind
 	touched := a.evtTouched[:0]
 	timers := a.timerIdx[:0]
-	tp, _ := net.protocol.(TimerPrecomputer)
+	s := &net.sessions[0]
+	tp, _ := s.proto.(TimerPrecomputer)
 	for i := range batch {
 		e := &batch[i]
 		bit := kindOther
@@ -181,11 +184,10 @@ func (net *Network) precompute(batch []event) []uint8 {
 	a.timerIdx = timers
 	premerge := false
 	// Pre-merge is off under the contention MAC (a copy may still be garbled
-	// at dispatch time) and in multi-session runs (net.nodes is not the
-	// session's state), in addition to the loss/collision/fault gates.
-	if nd, ok := net.protocol.(NonDesignating); ok && nd.NonDesignating() &&
+	// at dispatch time), in addition to the loss/collision/fault gates.
+	if nd, ok := s.proto.(NonDesignating); ok && nd.NonDesignating() &&
 		net.Cfg.LossRate == 0 && !net.Cfg.Collisions && !net.Cfg.CarrierSense &&
-		net.plan == nil && net.multi == nil {
+		net.plan == nil {
 		for _, v := range touched {
 			if kinds[v] == kindReceive {
 				kinds[v] |= kindPremerged
@@ -205,7 +207,7 @@ func (net *Network) precompute(batch []event) []uint8 {
 			defer wg.Done()
 			for k := wi; k < len(timers); k += w {
 				e := &batch[timers[k]]
-				if cov, ok := tp.PrecomputeTimer(net, int(e.node), evals[wi]); ok {
+				if cov, ok := tp.PrecomputeTimer(s, int(e.node), evals[wi]); ok {
 					verdict := int8(0)
 					if cov {
 						verdict = 1
@@ -223,7 +225,7 @@ func (net *Network) precompute(batch []event) []uint8 {
 				e := &batch[i]
 				if e.kind == eventReceive && int(e.node)%w == wi &&
 					kinds[e.node]&kindPremerged != 0 {
-					MergeReceipt(&net.nodes[e.node], int(e.node), e.receipt())
+					MergeReceipt(&s.nodes[e.node], int(e.node), e.receipt())
 				}
 			}
 		}(wi)

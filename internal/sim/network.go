@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/fault"
@@ -13,9 +14,10 @@ import (
 
 // Protocol is a broadcast protocol plugged into an executor. One Protocol
 // value serves a single run on a single Runtime; stateful protocols keep
-// per-run state in themselves. The simulator drives one instance for the
-// whole network; the live executor (internal/runtime) drives one instance per
-// node, which the Runtime contract's locality property makes equivalent.
+// per-run state in themselves. The simulator drives one instance per
+// broadcast session for the whole network; the live executor
+// (internal/runtime) drives one instance per node, which the Runtime
+// contract's locality property makes equivalent.
 type Protocol interface {
 	// Name returns the protocol's display name.
 	Name() string
@@ -168,7 +170,8 @@ func (r Result) ForwardCount() int { return len(r.Forward) }
 // FullDelivery reports whether every node received the packet.
 func (r Result) FullDelivery() bool { return r.Delivered == r.N }
 
-// Network is one simulation instance.
+// Network is one simulation run: the topology, channel, fault plan, RNG
+// streams and event queue its broadcast sessions share.
 type Network struct {
 	// G is the true connectivity graph.
 	G *graph.Graph
@@ -177,20 +180,19 @@ type Network struct {
 	// Source is the broadcast originator.
 	Source int
 
-	protocol Protocol
 	arena    *Arena
 	rngs     streams
 	plan     *fault.Plan
 	now      float64
 	seq      int
-	nodes    []NodeState
-	prepared []int8 // precomputed timer verdicts (nil unless Cfg.Workers > 1)
+	prepared []int8 // precomputed timer verdicts (nil unless a single run has Cfg.Workers > 1)
 
-	// Multi-session traffic state (RunTraffic; nil/zero for single runs).
-	newProto   func() Protocol // per-session protocol factory
-	multi      []*sessionState // session states indexed by session id
-	delivered  int             // first deliveries across sessions
-	latSamples []float64       // per-session-relative first-delivery latencies
+	// The run's broadcasts, indexed by session id. A single run is session
+	// 0, held in solo so that it allocates nothing of its own.
+	sessions  []session
+	solo      [1]session
+	newProto  func() Protocol // traffic runs' per-session protocol factory
+	delivered int             // first deliveries across sessions
 
 	// Contention-MAC state (CarrierSense; nil/zero otherwise). All slices
 	// are arena scratch, reset per run.
@@ -203,33 +205,6 @@ type Network struct {
 	// tally accumulates the forward list and the channel accounting in the
 	// Result fields of the same names; the rest is filled when the run ends.
 	tally Result
-}
-
-// stateOf returns the bookkeeping state of node v within session sid; single
-// runs (no session table) route to the network-wide node array.
-func (net *Network) stateOf(sid int32, v int) *NodeState {
-	if net.multi == nil {
-		return &net.nodes[v]
-	}
-	return &net.multi[sid].nodes[v]
-}
-
-// protocolOf returns the protocol instance handling session sid.
-func (net *Network) protocolOf(sid int32) Protocol {
-	if net.multi == nil {
-		return net.protocol
-	}
-	return net.multi[sid].proto
-}
-
-// runtimeOf returns the Runtime protocol callbacks of session sid run
-// against: the network itself for single runs, the session's scoped runtime
-// in traffic runs.
-func (net *Network) runtimeOf(sid int32) Runtime {
-	if net.multi == nil {
-		return net
-	}
-	return &net.multi[sid].rt
 }
 
 // Run simulates one broadcast of protocol p from source over g and returns
@@ -264,11 +239,12 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 		return nil, err
 	}
 	net := newNetwork(a, g, source, cfg)
-	net.protocol = p
-	net.build()
-	p.Init(net)
-	net.deliverToSource()
-	p.Start(net, source)
+	net.solo[0] = session{net: net, source: source, proto: p, nodes: net.build()}
+	net.sessions = net.solo[:]
+	if cfg.Workers > 1 {
+		net.prepared = net.arena.precomputeScratch(g.N())
+	}
+	net.begin(&net.sessions[0])
 	return net, nil
 }
 
@@ -288,11 +264,9 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 		plan:   cfg.Faults,
 	}
 	a.cal.reset(net.Cfg.TransmitDelay)
-	a.ensureLoopScratch(g.N(), cfg.Workers > 1)
+	a.ensureLoopScratch(g.N())
 	a.npkts, a.pktSums = 0, a.pktSums[:0]
-	if cfg.Workers > 1 {
-		net.prepared = a.prepared
-	}
+	a.latencies = slices.Grow(a.latencies[:0], g.N()) // room for a single run's n first deliveries
 	if net.Cfg.CarrierSense {
 		net.resetMAC(g.N())
 	}
@@ -302,10 +276,11 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	return net
 }
 
-func (net *Network) build() {
+// build returns a single run's node states over the arena's views.
+func (net *Network) build() []NodeState {
 	n := net.G.N()
 	a := net.arena
-	net.nodes = a.stateNodes(n)
+	nodes := a.stateNodes(n)
 	if p, ok := net.Cfg.Views.(PerNodeViews); ok {
 		// Per-node views: every node's local view AND its priority metrics
 		// come from its own (possibly wrong) graph. Nodes therefore disagree
@@ -316,35 +291,43 @@ func (net *Network) build() {
 		for v := 0; v < n; v++ {
 			gv := p.Views.Graph(v)
 			base := view.BasePriorities(gv, net.Cfg.Metric)
-			net.nodes[v].View = a.builder.Build(gv, v, net.Cfg.Hops, base)
+			nodes[v].View = a.builder.Build(gv, v, net.Cfg.Hops, base)
 		}
-		return
+		return nodes
 	}
 	// Every other variant gives all nodes one view graph (priorities included).
 	views := a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric)
 	for v := 0; v < n; v++ {
-		net.nodes[v].View = &views[v]
+		nodes[v].View = &views[v]
 	}
+	return nodes
 }
 
-// deliverToSource marks the source as having the packet so that protocols
-// can treat it uniformly. The source's first delivery is reported at t=0
-// with sender -1 — it holds the packet from the start, so latency statistics
-// must not wait for a neighbor's retransmission to echo back.
-func (net *Network) deliverToSource() {
-	net.holdSourcePacket(&net.nodes[net.Source], net.Source, 0)
-	net.trace(obsv.TraceDeliver, 0, net.Source, -1, "", nil)
-	if net.Cfg.Metrics != nil {
-		net.Cfg.Metrics.Latency.Observe(0)
-	}
-}
-
-// holdSourcePacket gives a session's source its trail-less packet: it holds
-// the broadcast from the start, and its own transmission extends that.
-func (net *Network) holdSourcePacket(st *NodeState, source int, sid int32) {
-	p := net.arena.addPacket(Packet{Source: source, Session: int(sid)})
+// begin runs session s's set-up at its injection instant: protocol Init, the
+// source's delivery, protocol Start. The source holds a trail-less packet
+// from the start — its own transmission extends that — and its first
+// delivery is reported at injection time with sender -1, so latency
+// statistics do not wait for a neighbor's retransmission to echo back.
+func (net *Network) begin(s *session) {
+	s.proto.Init(s)
+	st := &s.nodes[s.source]
+	p := net.arena.addPacket(Packet{Source: s.source, Session: int(s.id)})
 	st.Received = true
 	st.FirstPacket, st.LastPacket = p, p
+	net.trace(obsv.TraceDeliver, s.id, s.source, -1, "", nil)
+	net.firstDelivery(s)
+	s.proto.Start(s, s.source)
+}
+
+// firstDelivery accounts a node's first copy of session s at the current
+// time: latency is relative to the session's injection.
+func (net *Network) firstDelivery(s *session) {
+	net.delivered++
+	lat := net.now - s.start
+	net.arena.latencies = append(net.arena.latencies, lat)
+	if net.Cfg.Metrics != nil {
+		net.Cfg.Metrics.Latency.Observe(lat)
+	}
 }
 
 // down reports whether node v is down (crashed or churned) at the current
@@ -373,13 +356,14 @@ func (net *Network) dispatch(e *event) {
 			net.tally.TimersCancelled++
 			return
 		}
-		net.protocolOf(e.session).OnTimer(net.runtimeOf(e.session), int(e.node))
+		s := &net.sessions[e.session]
+		s.proto.OnTimer(s, int(e.node))
 	case eventNACK:
 		net.handleNACK(e)
 	case eventRetransmit:
 		net.handleRetransmit(e)
 	case eventSessionStart:
-		net.startSession(e.session, int(e.node))
+		net.startSession(e.session)
 	case eventTxAttempt:
 		net.txAttempt(int(e.node))
 	}
@@ -423,29 +407,15 @@ func (net *Network) handleReceive(e *event, merged bool) {
 	}
 	net.tally.Receipts++
 	net.trace(obsv.TraceDeliver, sid, v, r.From, "", nil)
-	st := net.stateOf(sid, v)
-	first := st.RecordReceipt(r)
-	if first {
-		if net.multi != nil {
-			// Multi-session latency is relative to the session's injection
-			// time; exact samples feed the traffic quantiles.
-			s := net.multi[sid]
-			s.delivered++
-			net.delivered++
-			lat := net.now - s.start
-			net.latSamples = append(net.latSamples, lat)
-			if net.Cfg.Metrics != nil {
-				net.Cfg.Metrics.Latency.Observe(lat)
-			}
-		} else if net.Cfg.Metrics != nil {
-			net.Cfg.Metrics.Latency.Observe(net.now)
-		}
+	s := &net.sessions[sid]
+	st := &s.nodes[v]
+	if st.RecordReceipt(r) {
+		net.firstDelivery(s)
 	}
-
 	if !merged {
 		MergeReceipt(st, v, r)
 	}
-	net.protocolOf(sid).OnReceive(net.runtimeOf(sid), v, r)
+	s.proto.OnReceive(s, v, r)
 }
 
 // maybeNACK schedules a recovery request from the receiver of copy e to its
@@ -454,7 +424,7 @@ func (net *Network) handleReceive(e *event, merged bool) {
 // asks for the retry after the dropped copy's, bounded by the retry budget.
 // Receivers that already hold the packet do not bother.
 func (net *Network) maybeNACK(e *event) {
-	if !net.Cfg.NACKRecovery || net.stateOf(e.session, int(e.node)).Received {
+	if !net.Cfg.NACKRecovery || net.sessions[e.session].nodes[e.node].Received {
 		return
 	}
 	next := e.attempt + 1
@@ -519,7 +489,7 @@ func (net *Network) handleNACK(e *event) {
 // any other copy.
 func (net *Network) handleRetransmit(e *event) {
 	u := int(e.node)
-	st := net.stateOf(e.session, u)
+	st := &net.sessions[e.session].nodes[u]
 	if net.down(u) || !st.Sent {
 		return
 	}
@@ -613,7 +583,17 @@ func (r *Result) Score(g *graph.Graph, source int, plan *fault.Plan, received fu
 
 func (net *Network) result() Result {
 	res := net.counters()
-	res.Score(net.G, net.Source, net.plan, func(v int) bool { return net.nodes[v].Received })
+	nodes := net.sessions[0].nodes
+	res.Score(net.G, net.Source, net.plan, func(v int) bool { return nodes[v].Received })
+	net.finish(res)
+	return res
+}
+
+// finish ends a run whose outcome is res: simdebug builds check the drop
+// accounting and the packets, and the run record gets the counters and the
+// Views variant's fields. A traffic run scores res over (session, node)
+// pairs.
+func (net *Network) finish(res Result) {
 	if debugChecks {
 		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
 			panic(fmt.Sprintf("sim: drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
@@ -627,11 +607,7 @@ func (net *Network) result() Result {
 			net.Cfg.Views.record(net.G, m)
 		}
 	}
-	return res
 }
-
-// Now returns the current simulation time.
-func (net *Network) Now() float64 { return net.now }
 
 // Evaluator returns this run's shared coverage-condition evaluator. Protocol
 // callbacks run sequentially, so every node decision of the run reuses one
@@ -640,25 +616,6 @@ func (net *Network) Now() float64 { return net.now }
 // evaluators.
 func (net *Network) Evaluator() *core.Evaluator {
 	return net.arena.evaluator(net.G.N())
-}
-
-// State returns the simulator state of node v. The returned pointer stays
-// valid for the whole run (node states live in one flat array that is never
-// reallocated after setup).
-func (net *Network) State(v int) *NodeState { return &net.nodes[v] }
-
-// TakePreparedCovered returns and consumes the precomputed coverage verdict
-// for node v's pending timer, if the loop's parallel phase produced one for
-// the current instant. Protocols consult it at the top of their timer
-// coverage evaluation (see the protocol engine); for sequential runs it
-// always reports ok=false.
-func (net *Network) TakePreparedCovered(v int) (covered, ok bool) {
-	if net.prepared == nil || net.prepared[v] < 0 {
-		return false, false
-	}
-	covered = net.prepared[v] == 1
-	net.prepared[v] = -1
-	return covered, true
 }
 
 // RandomBackoff draws a uniform backoff delay from [0, BackoffWindow).
@@ -702,47 +659,14 @@ func (net *Network) ConservativeHold(v int) bool {
 	return net.Cfg.Views != nil && net.Cfg.Views.hold(net.G, v, net.now)
 }
 
-// SetTimer schedules an OnTimer callback for node v after delay (>= 0).
-func (net *Network) SetTimer(v int, delay float64) { net.setTimer(0, v, delay) }
-
-// setTimer is the session-aware timer path shared with the per-session
-// runtimes of traffic runs.
-func (net *Network) setTimer(sid int32, v int, delay float64) {
-	net.pushEvent(event{at: net.now + max(delay, 0), kind: eventTimer, node: int32(v), session: sid})
-}
-
-// MarkNonForward finalizes a non-forward decision for v.
-func (net *Network) MarkNonForward(v int) {
-	if debugChecks && net.ConservativeHold(v) {
-		panic(fmt.Sprintf("sim: conservative-fallback node %d took non-forward status", v))
-	}
-	st := &net.nodes[v]
-	if !st.NonForward {
-		net.trace(obsv.TraceNonForward, 0, v, -1, "", nil)
-	}
-	st.NonForward = true
-}
-
-// Transmit makes node v forward the broadcast packet now, carrying the given
-// designated forward set. All neighbors receive a copy after TransmitDelay.
-// Repeated transmissions by the same node are ignored (a node forwards at
-// most once). A node that is down at transmission time stays silent.
-func (net *Network) Transmit(v int, designated []int) {
-	net.TransmitExtra(v, designated, nil)
-}
-
-// TransmitExtra is Transmit with a protocol-specific extra payload attached
-// to the packet.
-func (net *Network) TransmitExtra(v int, designated, extra []int) {
-	net.transmitExtra(0, v, designated, extra)
-}
-
-// transmitExtra is the session-aware transmit path shared by the network's
-// own Runtime surface (session 0) and the per-session runtimes of traffic
-// runs. Under the contention MAC the packet is handed to the node's transmit
-// queue instead of going on the air immediately.
-func (net *Network) transmitExtra(sid int32, v int, designated, extra []int) {
-	st := net.stateOf(sid, v)
+// TransmitExtra makes node v forward the broadcast packet now, carrying the
+// given designated forward set and protocol-specific extra payload: every
+// neighbor receives a copy after TransmitDelay, or, under the contention
+// MAC, once the node's transmit queue gets the channel. A node forwards at
+// most once, and a node that is down at transmission time stays silent.
+func (s *session) TransmitExtra(v int, designated, extra []int) {
+	net, sid := s.net, s.id
+	st := &s.nodes[v]
 	if st.Sent || net.down(v) {
 		return
 	}

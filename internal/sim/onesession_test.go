@@ -17,8 +17,8 @@ import (
 // of a traffic run: for every registered protocol under clean, contention-MAC,
 // lossy, slot-collision, faulty, beaconed-view and global-view channels, a
 // one-session RunTraffic injected at t=0 reports the counters, finish time,
-// latency and forward-set histograms of the same Run, and records the same
-// events apart from its one session-start.
+// latency and forward-set histograms and view-level record fields of the
+// same Run, and records the same events apart from its one session-start.
 func TestOneSessionTrafficMatchesRun(t *testing.T) {
 	net, err := geo.Generate(geo.Config{N: 60, AvgDegree: 6}, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -76,6 +76,9 @@ func TestOneSessionTrafficMatchesRun(t *testing.T) {
 				if !reflect.DeepEqual(multiRec.Latency, singleRec.Latency) ||
 					!reflect.DeepEqual(multiRec.ForwardSet, singleRec.ForwardSet) {
 					t.Errorf("%s: latency or forward-set histogram diverged", name)
+				}
+				if multiRec.StaleViewHolds != singleRec.StaleViewHolds {
+					t.Errorf("%s: traffic record holds %d stale views, the run's %d", name, multiRec.StaleViewHolds, singleRec.StaleViewHolds)
 				}
 				events := multi.Events()
 				if len(events) == 0 || events[0].Kind != obsv.TraceSessionStart {

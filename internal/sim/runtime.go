@@ -1,13 +1,20 @@
 package sim
 
-import "adhocbcast/internal/core"
+import (
+	"fmt"
+
+	"adhocbcast/internal/core"
+	"adhocbcast/internal/obsv"
+)
 
 // Runtime is the narrow executor surface a broadcast protocol drives: deliver
 // and transmit packets, set decision timers, finalize statuses, and read the
 // per-node state the common bookkeeping maintains. Two executors implement it:
 //
-//   - *Network, the discrete-event simulator (this package), where one Runtime
-//     value hosts every node and event ordering is fully deterministic; and
+//   - the discrete-event simulator (this package), where one Runtime value
+//     per broadcast session hosts every node — a Run is one session, a
+//     RunTraffic run many over one channel — and event ordering is fully
+//     deterministic; and
 //   - the live executor (internal/runtime), where each node is a
 //     message-passing node with a per-node Runtime of its own (runtime.Core):
 //     n of them share one virtual-time queue and an in-memory wire in a
@@ -69,17 +76,79 @@ type Runtime interface {
 	Now() float64
 }
 
-var _ Runtime = (*Network)(nil)
+// session is the simulator's Runtime: one broadcast of a run, with its own
+// protocol instance and node states over the run's shared topology, channel,
+// fault plan and RNG streams. A single run (Run) is session 0, over the
+// arena's node states and views; each session of a traffic run (RunTraffic)
+// gets fresh states over an overlay of the view set. State reads and status
+// writes route to the session's nodes; transmissions and timers go to the
+// shared network (and, under CarrierSense, its MAC queues) tagged with the
+// session id.
+type session struct {
+	net    *Network
+	id     int32
+	source int
+	start  float64 // injection time: the origin of the session's latencies
+	proto  Protocol
+	nodes  []NodeState
+}
 
-// N returns the network size.
-func (net *Network) N() int { return net.G.N() }
+var _ Runtime = (*session)(nil)
+
+func (s *session) N() int { return s.net.G.N() }
 
 // ForEachLocalNode implements Runtime: the simulator hosts every node.
-func (net *Network) ForEachLocalNode(yield func(v int)) {
-	for v := 0; v < net.G.N(); v++ {
+func (s *session) ForEachLocalNode(yield func(v int)) {
+	for v := 0; v < s.net.G.N(); v++ {
 		yield(v)
 	}
 }
+
+// State returns the session's state of node v. The pointer stays valid for
+// the whole run (the states are one array, never reallocated).
+func (s *session) State(v int) *NodeState { return &s.nodes[v] }
+
+func (s *session) SetTimer(v int, delay float64) {
+	net := s.net
+	net.pushEvent(event{at: net.now + max(delay, 0), kind: eventTimer, node: int32(v), session: s.id})
+}
+
+func (s *session) MarkNonForward(v int) {
+	if debugChecks && s.net.ConservativeHold(v) {
+		panic(fmt.Sprintf("sim: conservative-fallback node %d took non-forward status", v))
+	}
+	st := &s.nodes[v]
+	if !st.NonForward {
+		s.net.trace(obsv.TraceNonForward, s.id, v, -1, "", nil)
+	}
+	st.NonForward = true
+}
+
+func (s *session) Transmit(v int, designated []int) { s.TransmitExtra(v, designated, nil) }
+
+func (s *session) RandomBackoff() float64 { return s.net.RandomBackoff() }
+
+func (s *session) DegreeBackoff(v int) float64 { return s.net.DegreeBackoff(v) }
+
+func (s *session) ConservativeHold(v int) bool { return s.net.ConservativeHold(v) }
+
+// TakePreparedCovered returns and consumes the verdict the loop's parallel
+// phase precomputed for node v's pending timer at the current instant. Only
+// single runs with Config.Workers > 1 precompute; otherwise it always
+// reports ok=false.
+func (s *session) TakePreparedCovered(v int) (covered, ok bool) {
+	prepared := s.net.prepared
+	if prepared == nil || prepared[v] < 0 {
+		return false, false
+	}
+	covered = prepared[v] == 1
+	prepared[v] = -1
+	return covered, true
+}
+
+func (s *session) Evaluator() *core.Evaluator { return s.net.Evaluator() }
+
+func (s *session) Now() float64 { return s.net.now }
 
 // RecordReceipt records the delivery of one packet copy in the node's
 // bookkeeping state: first-copy fields, last-packet tracking, and the receipt

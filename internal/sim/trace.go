@@ -10,9 +10,10 @@ import (
 
 // Recorder collects every simulation event of a run in occurrence order, in
 // its obsv/v1 export form; attach one through Config.Observer to trace or
-// visualize a broadcast. Multi-session traffic runs and contention-MAC runs
-// tag events with their session and record the MAC queue events too; in
-// single runs every event carries session 0.
+// visualize a broadcast. Traffic runs tag events with their session and
+// record each session's start; contention-MAC runs record the MAC queue
+// events too. A single run is session 0, started inline: its events carry
+// session 0 and no session start.
 type Recorder struct {
 	events []obsv.TraceEvent
 }

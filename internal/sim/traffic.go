@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/obsv"
 )
@@ -95,76 +94,6 @@ func (r TrafficResult) Throughput() float64 {
 // FaultDrops returns the total copies dropped by the fault plan.
 func (r TrafficResult) FaultDrops() int { return r.DroppedNodeDown + r.DroppedLinkDown }
 
-// sessionState is the per-session half of a traffic run: its own protocol
-// instance and node bookkeeping over shared topology and channel.
-type sessionState struct {
-	id        int32
-	source    int
-	start     float64 // injection time (session-relative latency origin)
-	proto     Protocol
-	nodes     []NodeState
-	rt        sessionRuntime
-	delivered int
-}
-
-// sessionRuntime is the Runtime protocol callbacks of one session run
-// against: state reads and status writes route to the session's own nodes,
-// transmissions and timers route to the shared network (and, under
-// CarrierSense, the shared MAC queues) tagged with the session id.
-type sessionRuntime struct {
-	net *Network
-	s   *sessionState
-}
-
-var _ Runtime = (*sessionRuntime)(nil)
-
-func (rt *sessionRuntime) N() int { return rt.net.G.N() }
-
-func (rt *sessionRuntime) ForEachLocalNode(yield func(v int)) {
-	for v := 0; v < rt.net.G.N(); v++ {
-		yield(v)
-	}
-}
-
-func (rt *sessionRuntime) State(v int) *NodeState { return &rt.s.nodes[v] }
-
-func (rt *sessionRuntime) SetTimer(v int, delay float64) { rt.net.setTimer(rt.s.id, v, delay) }
-
-func (rt *sessionRuntime) MarkNonForward(v int) {
-	net := rt.net
-	if debugChecks && net.ConservativeHold(v) {
-		panic(fmt.Sprintf("sim: conservative-fallback node %d took non-forward status", v))
-	}
-	st := &rt.s.nodes[v]
-	if !st.NonForward {
-		net.trace(obsv.TraceNonForward, rt.s.id, v, -1, "", nil)
-	}
-	st.NonForward = true
-}
-
-func (rt *sessionRuntime) Transmit(v int, designated []int) {
-	rt.net.transmitExtra(rt.s.id, v, designated, nil)
-}
-
-func (rt *sessionRuntime) TransmitExtra(v int, designated, extra []int) {
-	rt.net.transmitExtra(rt.s.id, v, designated, extra)
-}
-
-func (rt *sessionRuntime) RandomBackoff() float64 { return rt.net.RandomBackoff() }
-
-func (rt *sessionRuntime) DegreeBackoff(v int) float64 { return rt.net.DegreeBackoff(v) }
-
-func (rt *sessionRuntime) ConservativeHold(v int) bool { return rt.net.ConservativeHold(v) }
-
-// TakePreparedCovered always reports ok=false: the loop's timer precompute
-// phase is disabled in traffic runs (verdict slots are per node, not per
-// (session, node)).
-func (rt *sessionRuntime) TakePreparedCovered(v int) (covered, ok bool) { return false, false }
-
-func (rt *sessionRuntime) Evaluator() *core.Evaluator { return rt.net.Evaluator() }
-
-func (rt *sessionRuntime) Now() float64 { return rt.net.now }
-
 // RunTraffic simulates the given broadcast sessions over g, one protocol
 // instance per session built by newProto, and returns the aggregate outcome.
 // Sessions must be ordered by non-decreasing injection time; use
@@ -215,11 +144,9 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
 	net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric) // startSession overlays them
-	net.multi = make([]*sessionState, len(sessions))
+	net.sessions = make([]session, len(sessions))
 	for i, sp := range sessions {
-		net.multi[i] = &sessionState{id: int32(i), source: sp.Source}
-	}
-	for i, sp := range sessions {
+		net.sessions[i] = session{net: net, id: int32(i), source: sp.Source}
 		net.pushEvent(event{
 			at:      sp.At,
 			kind:    eventSessionStart,
@@ -230,11 +157,11 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	return net, nil
 }
 
-// startSession brings session sid to life at its injection instant: fresh
-// per-session node states and views, a fresh protocol instance, then the
-// usual Init / source-delivery / Start sequence of a single run.
-func (net *Network) startSession(sid int32, source int) {
-	s := net.multi[sid]
+// startSession brings traffic session sid to life at its injection instant:
+// fresh node states and views, a fresh protocol instance, then the set-up a
+// single run's session gets.
+func (net *Network) startSession(sid int32) {
+	s := &net.sessions[sid]
 	s.start = net.now
 	n := net.G.N()
 	views := net.arena.views.Overlay()
@@ -247,31 +174,20 @@ func (net *Network) startSession(sid int32, source int) {
 		}
 	}
 	s.proto = net.newProto()
-	s.rt = sessionRuntime{net: net, s: s}
-	net.trace(obsv.TraceSessionStart, sid, source, -1, "", nil)
-	s.proto.Init(&s.rt)
-	net.deliverSessionSource(s)
-	s.proto.Start(&s.rt, source)
-}
-
-// deliverSessionSource marks the session's source as holding the packet at
-// injection time, mirroring deliverToSource: a zero-latency first delivery.
-func (net *Network) deliverSessionSource(s *sessionState) {
-	net.holdSourcePacket(&s.nodes[s.source], s.source, s.id)
-	s.delivered++
-	net.delivered++
-	net.latSamples = append(net.latSamples, 0)
-	net.trace(obsv.TraceDeliver, s.id, s.source, -1, "", nil)
-	if net.Cfg.Metrics != nil {
-		net.Cfg.Metrics.Latency.Observe(0)
-	}
+	net.trace(obsv.TraceSessionStart, sid, s.source, -1, "", nil)
+	net.begin(s)
 }
 
 func (net *Network) trafficResult() TrafficResult {
 	c := net.counters()
+	// Deliverability in traffic runs is over (session, node) pairs; the fault
+	// plan's reachability analysis is per injection instant, so the record
+	// scores against the full pair count.
 	c.Delivered = net.delivered
+	c.Reachable, c.DeliveredReachable = len(net.sessions)*c.N, c.Delivered
+	net.finish(c)
 	res := TrafficResult{
-		Sessions:        len(net.multi),
+		Sessions:        len(net.sessions),
 		N:               c.N,
 		Finish:          c.Finish,
 		Delivered:       c.Delivered,
@@ -288,15 +204,7 @@ func (net *Network) trafficResult() TrafficResult {
 		QueueDrops:      c.QueueDrops,
 		MACDeferrals:    c.MACDeferrals,
 	}
-	if debugChecks {
-		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
-			panic(fmt.Sprintf("sim: traffic drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
-				res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
-		}
-		net.arena.checkPackets()
-	}
-	if len(net.latSamples) > 0 {
-		sorted := append([]float64(nil), net.latSamples...)
+	if sorted := net.arena.latencies; len(sorted) > 0 {
 		sort.Float64s(sorted)
 		sum := 0.0
 		for _, x := range sorted {
@@ -307,11 +215,6 @@ func (net *Network) trafficResult() TrafficResult {
 		res.LatencyP99 = quantileNearestRank(sorted, 0.99)
 	}
 	if m := net.Cfg.Metrics; m != nil {
-		// Deliverability in traffic runs is over (session, node) pairs; the
-		// fault plan's reachability analysis is per injection instant, so the
-		// record scores against the full pair count.
-		c.Reachable, c.DeliveredReachable = res.Sessions*res.N, res.Delivered
-		c.FillRecord(m)
 		m.Sessions = res.Sessions
 	}
 	return res
