@@ -27,7 +27,7 @@ test:
 	@# One simulator Runtime: a single run is session 0, no second implementation or single/multi branches.
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e sessionRuntime -e runtimeOf -e protocolOf -e 'net\.multi' internal/sim
 	$(GO) test ./...
-	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
+	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/protocol/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/
 	$(GO) run ./cmd/checkdocs
 

@@ -21,6 +21,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -73,6 +74,14 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// 0 selects the default replicate count; a negative count is a typo,
+	// not a request for the default.
+	if *sreps < 0 {
+		return fmt.Errorf("-scalereps %d: replicate count must not be negative", *sreps)
+	}
+	if *lreps < 0 {
+		return fmt.Errorf("-loadreps %d: replicate count must not be negative", *lreps)
 	}
 	if *trace != "" {
 		// Fail now, not after hours of sweeping: trace export opens its
@@ -337,7 +346,8 @@ func parseInts(s, flagName string) ([]int, error) {
 	return out, nil
 }
 
-// parseFloats parses a comma-separated float list; "" yields nil (defaults).
+// parseFloats parses a comma-separated list of finite floats; "" yields nil
+// (defaults).
 func parseFloats(s, flagName string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -347,6 +357,9 @@ func parseFloats(s, flagName string) ([]float64, error) {
 		var x float64
 		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%g", &x); err != nil {
 			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, tok, err)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("bad %s entry %q: not a finite number", flagName, tok)
 		}
 		out = append(out, x)
 	}

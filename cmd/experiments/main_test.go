@@ -98,6 +98,7 @@ func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // a substring of the error, when it must name the flag
 	}{
 		{name: "no action", args: nil},
 		{name: "unknown figure", args: []string{"-fig", "99"}},
@@ -107,11 +108,21 @@ func TestRunErrors(t *testing.T) {
 		{name: "infeasible scale degree", args: []string{"-scale", "-scalesizes", "200", "-scaledegree", "2", "-scalereps", "1"}},
 		{name: "bad flag", args: []string{"-nope"}},
 		{name: "unwritable tracedir", args: []string{"-fig", "16", "-sizes", "20", "-tracedir", "/dev/null/traces"}},
+		{name: "negative load replicates", args: []string{"-ext", "load", "-loadrates", "0.1", "-loadreps", "-2"}, want: "-loadreps"},
+		{name: "negative scale replicates", args: []string{"-scale", "-scalesizes", "200", "-scalereps", "-1"}, want: "-scalereps"},
+		{name: "NaN loss rate", args: []string{"-ext", "loss", "-sizes", "20", "-lossrates", "NaN"}, want: "-lossrates"},
+		{name: "infinite loss rate", args: []string{"-ext", "loss", "-sizes", "20", "-lossrates", "0.1,+Inf"}, want: "-lossrates"},
+		{name: "NaN load rate", args: []string{"-ext", "load", "-loadrates", "NaN", "-loadreps", "1"}, want: "-loadrates"},
+		{name: "infinite load rate", args: []string{"-ext", "load", "-loadrates", "-Inf", "-loadreps", "1"}, want: "-loadrates"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args); err == nil {
+			err := run(tt.args)
+			if err == nil {
 				t.Fatalf("run(%v) succeeded, want error", tt.args)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("run(%v): %v, want an error naming %s", tt.args, err, tt.want)
 			}
 		})
 	}

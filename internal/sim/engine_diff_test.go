@@ -22,10 +22,13 @@ import (
 // views with stale holds, global views, metrics,
 // tracing), the calendar-queue loop at worker counts 1, 2, and 8 must
 // reproduce the test-side binary-heap oracle (oracle_test.go) bit-for-bit:
-// identical Result, identical event trace, identical run metrics. Production
-// runs share one Arena across all protocols, scenarios, and worker counts, so
-// hot-state reuse is exercised in the same breath.
+// identical Result, identical event trace, identical run metrics. Every
+// batch shards at workers 2 and 8 (ShardEveryBatch), since none of this
+// 60-node network reaches the production threshold. Production runs share
+// one Arena across all protocols, scenarios, and worker counts, so hot-state
+// reuse is exercised in the same breath.
 func TestEngineFastMatchesOracle(t *testing.T) {
+	sim.ShardEveryBatch(t)
 	rng := rand.New(rand.NewSource(7))
 	net, err := geo.Generate(geo.Config{N: 60, AvgDegree: 6}, rng)
 	if err != nil {

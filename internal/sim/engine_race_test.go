@@ -16,7 +16,10 @@ import (
 // paths (timer-verdict precompute via backoff timers, receive-side view
 // premerge via first-receipt and static timing), several replicates through
 // one shared Arena, and a determinism check that every worker count agrees.
+// Every batch shards (ShardEveryBatch): no batch of this network reaches the
+// production threshold.
 func TestParallelEngineStress(t *testing.T) {
+	sim.ShardEveryBatch(t)
 	rng := rand.New(rand.NewSource(31))
 	net, err := geo.Generate(geo.Config{N: 400, AvgDegree: 10}, rng)
 	if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"adhocbcast/internal/core"
@@ -185,7 +186,8 @@ type Network struct {
 	plan     *fault.Plan
 	now      float64
 	seq      int
-	prepared []int8 // precomputed timer verdicts (nil unless a single run has Cfg.Workers > 1)
+	workers  int    // precompute workers of a single run (0 in traffic runs)
+	prepared []int8 // precomputed timer verdicts (nil until the run's first sharded batch)
 
 	// The run's broadcasts, indexed by session id. A single run is session
 	// 0, held in solo so that it allocates nothing of its own.
@@ -241,8 +243,9 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 	net := newNetwork(a, g, source, cfg)
 	net.solo[0] = session{net: net, source: source, proto: p, nodes: net.build()}
 	net.sessions = net.solo[:]
-	if cfg.Workers > 1 {
-		net.prepared = net.arena.precomputeScratch(g.N())
+	net.workers = cfg.Workers
+	if net.workers == 0 {
+		net.workers = runtime.GOMAXPROCS(0)
 	}
 	net.begin(&net.sessions[0])
 	return net, nil
@@ -612,8 +615,8 @@ func (net *Network) finish(res Result) {
 // Evaluator returns this run's shared coverage-condition evaluator. Protocol
 // callbacks run sequentially, so every node decision of the run reuses one
 // set of scratch buffers instead of allocating per evaluation. The parallel
-// precompute phase never touches this instance — its workers get private
-// evaluators.
+// precompute phase uses it only on the dispatching goroutine, for shard 0;
+// its helper goroutines get private evaluators.
 func (net *Network) Evaluator() *core.Evaluator {
 	return net.arena.evaluator(net.G.N())
 }

@@ -134,7 +134,7 @@ func (s *session) ConservativeHold(v int) bool { return s.net.ConservativeHold(v
 
 // TakePreparedCovered returns and consumes the verdict the loop's parallel
 // phase precomputed for node v's pending timer at the current instant. Only
-// single runs with Config.Workers > 1 precompute; otherwise it always
+// the sharded batches of a single run precompute (see minShard); otherwise it
 // reports ok=false.
 func (s *session) TakePreparedCovered(v int) (covered, ok bool) {
 	prepared := s.net.prepared
