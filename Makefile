@@ -26,6 +26,8 @@ test:
 	@! grep -n -e 'Type: "init"' -e 'Type: "topology"' internal/runtime/cluster.go
 	@# One simulator Runtime: a single run is session 0, no second implementation or single/multi branches.
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e sessionRuntime -e runtimeOf -e protocolOf -e 'net\.multi' internal/sim
+	@# One protocol-executor contract: one coverage-condition form, one Transmit, no Runtime method only the simulator implements.
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e CoveredEval -e TransmitExtra -e 'TakePreparedCovered([A-Za-z_]* *int)' internal cmd examples
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/protocol/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/

@@ -179,8 +179,8 @@ func validateFlags(fs *flag.FlagSet) error {
 	}
 
 	rate, hor := getF("rate"), getF("horizon")
-	if rate < 0 || math.IsNaN(rate) {
-		return fmt.Errorf("-rate must be >= 0, got %v", rate)
+	if !(rate >= 0) || math.IsInf(rate, 0) {
+		return fmt.Errorf("-rate must be finite and >= 0, got %v", rate)
 	}
 	if set["rate"] && rate > 0 && !set["horizon"] {
 		return fmt.Errorf("-rate requires an explicit -horizon: a traffic source must state how long it generates")
@@ -188,8 +188,8 @@ func validateFlags(fs *flag.FlagSet) error {
 	if set["horizon"] && !set["rate"] {
 		return fmt.Errorf("-horizon requires -rate: without a traffic rate there is no generation to bound")
 	}
-	if set["horizon"] && (hor <= 0 || math.IsNaN(hor)) {
-		return fmt.Errorf("-horizon must be > 0, got %v", hor)
+	if set["horizon"] && (!(hor > 0) || math.IsInf(hor, 0)) {
+		return fmt.Errorf("-horizon must be finite and > 0, got %v", hor)
 	}
 
 	hi, he, hl := getF("hello-interval"), getF("hello-expiry"), getF("hello-loss")

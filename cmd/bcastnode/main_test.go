@@ -23,6 +23,8 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"rate without horizon", []string{"-rate", "0.1"}, "-horizon"},
 		{"horizon without rate", []string{"-horizon", "100"}, "-horizon"},
 		{"nonpositive horizon", []string{"-rate", "0.1", "-horizon", "0"}, "-horizon"},
+		{"infinite rate", []string{"-rate", "Inf", "-horizon", "10"}, "-rate"},
+		{"infinite horizon", []string{"-rate", "1", "-horizon", "Inf"}, "-horizon"},
 		{"hello expiry without interval", []string{"-hello-expiry", "10"}, "-hello-expiry"},
 		{"hello loss without interval", []string{"-hello-loss", "0.1"}, "-hello-loss"},
 		{"negative hello interval", []string{"-hello-interval", "-1"}, "-hello-interval"},

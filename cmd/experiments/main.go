@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -82,6 +83,14 @@ func run(args []string) error {
 	}
 	if *lreps < 0 {
 		return fmt.Errorf("-loadreps %d: replicate count must not be negative", *lreps)
+	}
+	if *par < 0 {
+		return fmt.Errorf("-parallel %d: replicate parallelism must not be negative", *par)
+	}
+	// -ext load is the CLI's own sweep; every other value is a figure-type
+	// extension experiment.
+	if exts := append(experiments.AllExtensionIDs(), "load"); *ext != "" && !slices.Contains(exts, *ext) {
+		return fmt.Errorf("-ext %q: unknown extension (valid: %s)", *ext, strings.Join(exts, ", "))
 	}
 	if *trace != "" {
 		// Fail now, not after hours of sweeping: trace export opens its

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"adhocbcast/internal/experiments"
 	"adhocbcast/internal/obsv"
 )
 
@@ -110,6 +112,9 @@ func TestRunErrors(t *testing.T) {
 		{name: "unwritable tracedir", args: []string{"-fig", "16", "-sizes", "20", "-tracedir", "/dev/null/traces"}},
 		{name: "negative load replicates", args: []string{"-ext", "load", "-loadrates", "0.1", "-loadreps", "-2"}, want: "-loadreps"},
 		{name: "negative scale replicates", args: []string{"-scale", "-scalesizes", "200", "-scalereps", "-1"}, want: "-scalereps"},
+		{name: "negative parallel figure", args: []string{"-fig", "10", "-sizes", "20", "-parallel", "-3"}, want: "-parallel"},
+		{name: "negative parallel scale", args: []string{"-scale", "-scalesizes", "200", "-scalereps", "1", "-parallel", "-3"}, want: "-parallel"},
+		{name: "negative parallel load", args: []string{"-ext", "load", "-loadrates", "0.1", "-loadreps", "1", "-parallel", "-3"}, want: "-parallel"},
 		{name: "NaN loss rate", args: []string{"-ext", "loss", "-sizes", "20", "-lossrates", "NaN"}, want: "-lossrates"},
 		{name: "infinite loss rate", args: []string{"-ext", "loss", "-sizes", "20", "-lossrates", "0.1,+Inf"}, want: "-lossrates"},
 		{name: "NaN load rate", args: []string{"-ext", "load", "-loadrates", "NaN", "-loadreps", "1"}, want: "-loadrates"},
@@ -125,5 +130,28 @@ func TestRunErrors(t *testing.T) {
 				t.Fatalf("run(%v): %v, want an error naming %s", tt.args, err, tt.want)
 			}
 		})
+	}
+
+	// main prefixes every error with "experiments:", so the -ext message
+	// carries no prefix of its own, and it lists each value -ext accepts
+	// exactly once, -ext load included.
+	err := run([]string{"-ext", "bogus"})
+	if err == nil {
+		t.Fatal("run -ext bogus succeeded")
+	}
+	msg := err.Error()
+	if strings.Contains(msg, "experiments:") {
+		t.Errorf("-ext error %q carries its own prefix", msg)
+	}
+	open, end := strings.Index(msg, "(valid: "), strings.LastIndex(msg, ")")
+	if open < 0 || end < open {
+		t.Fatalf("-ext error %q lists no valid values", msg)
+	}
+	got := strings.Split(msg[open+len("(valid: "):end], ", ")
+	want := append(experiments.AllExtensionIDs(), "load")
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("-ext error lists %v, want each of %v once", got, want)
 	}
 }

@@ -166,8 +166,8 @@ func VisitedUnionAblation(rc RunConfig) (Figure, error) {
 			Name:      "Generic-NoUnion",
 			Timing:    protocol.TimingFirstReceipt,
 			Selection: protocol.SelfPruning,
-			Covered: func(rt sim.Runtime, st *sim.NodeState) bool {
-				return rt.Evaluator().CoveredWithoutVisitedUnion(st.View)
+			Covered: func(st *sim.NodeState, ev *core.Evaluator) bool {
+				return ev.CoveredWithoutVisitedUnion(st.View)
 			},
 			SelfPrune: true,
 		})

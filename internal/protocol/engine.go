@@ -16,14 +16,6 @@ type Options struct {
 	// Covered is the coverage condition; nil means never covered (pure
 	// flooding behavior for self-pruning protocols).
 	Covered CondFunc
-	// CoveredEval, when non-nil, computes the same predicate as Covered
-	// against the supplied evaluator instead of the network's shared one.
-	// It must be pure: no network mutation, no randomness, no reads of
-	// mutable state outside st. Setting it lets the fast engine precompute
-	// pending-timer verdicts on worker goroutines (sim.TimerPrecomputer);
-	// correctness never depends on it. Constructors set it alongside
-	// Covered whenever the condition qualifies.
-	CoveredEval func(st *sim.NodeState, ev *core.Evaluator) bool
 	// SelfPrune enables self decisions. When false the node forwards only
 	// if designated.
 	SelfPrune bool
@@ -162,29 +154,26 @@ func (e *engine) covered(rt sim.Runtime, st *sim.NodeState) bool {
 	if e.opts.Covered == nil {
 		return false
 	}
-	if rt != nil {
-		if c, ok := rt.TakePreparedCovered(st.ID); ok {
-			// The fast engine precomputed this node's pending-timer verdict
-			// (PrecomputeTimer below) — including the conservative-fallback
-			// override — on a worker goroutine.
-			return c
-		}
-		if rt.ConservativeHold(st.ID) {
-			return false
-		}
+	if c, ok := st.TakePreparedCovered(); ok {
+		// The simulator precomputed this node's pending-timer verdict
+		// (PrecomputeTimer below) — including the conservative-fallback
+		// override — on a worker goroutine.
+		return c
 	}
-	return e.opts.Covered(rt, st)
+	if rt.ConservativeHold(st.ID) {
+		return false
+	}
+	return e.opts.Covered(st, rt.Evaluator())
 }
 
 // PrecomputeTimer implements sim.TimerPrecomputer: it returns the verdict
 // covered() will reach when node v's timer dispatches at the current instant,
-// provided the constructor declared a pure CoveredEval form of the condition
-// and no engine rule preempts the coverage evaluation (already sent, already
-// non-forward, strict designation). The simulator guarantees the timer is v's
-// earliest event of the instant, so the state read here is the state the
-// sequential dispatch would see.
+// provided the engine has a coverage condition and no engine rule preempts
+// its evaluation (already sent, already non-forward, strict designation).
+// The simulator guarantees the timer is v's earliest event of the instant,
+// so the state read here is the state the sequential dispatch would see.
 func (e *engine) PrecomputeTimer(rt sim.Runtime, v int, ev *core.Evaluator) (bool, bool) {
-	if e.opts.Covered == nil || e.opts.CoveredEval == nil {
+	if e.opts.Covered == nil {
 		return false, false
 	}
 	st := rt.State(v)
@@ -197,7 +186,7 @@ func (e *engine) PrecomputeTimer(rt sim.Runtime, v int, ev *core.Evaluator) (boo
 	if rt.ConservativeHold(v) {
 		return false, true
 	}
-	return e.opts.CoveredEval(st, ev), true
+	return e.opts.Covered(st, ev), true
 }
 
 // NonDesignating implements sim.NonDesignating: with no designation mechanism
@@ -235,7 +224,7 @@ func (e *engine) forward(rt sim.Runtime, v int) {
 	if e.opts.Extra != nil {
 		extra = e.opts.Extra(rt, st)
 	}
-	rt.TransmitExtra(v, designated, extra)
+	rt.Transmit(v, designated, extra)
 }
 
 // Receipt aliases the simulator receipt type for protocol callbacks.

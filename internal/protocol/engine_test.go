@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
 )
@@ -54,7 +55,7 @@ func TestEngineStaticStatusPrecomputed(t *testing.T) {
 	// (Such a condition violates the coverage requirements; the engine must
 	// still execute it faithfully.)
 	g := lineGraph6(t)
-	always := func(sim.Runtime, *sim.NodeState) bool { return true }
+	always := func(*sim.NodeState, *core.Evaluator) bool { return true }
 	p := New(Options{Name: "static-all-covered", Timing: TimingStatic, SelfPrune: true, Covered: always})
 	res, err := sim.Run(g, 0, p, sim.Config{Hops: 2})
 	if err != nil {
@@ -76,7 +77,7 @@ func TestEngineStrictDesignationForcesForward(t *testing.T) {
 	p := New(Options{
 		Name:   "strict",
 		Timing: TimingFirstReceipt,
-		Covered: func(sim.Runtime, *sim.NodeState) bool {
+		Covered: func(*sim.NodeState, *core.Evaluator) bool {
 			return true // everyone covered: only designations force forwards
 		},
 		SelfPrune:         true,

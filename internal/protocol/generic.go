@@ -5,23 +5,12 @@ import (
 	"adhocbcast/internal/sim"
 )
 
-// CoveredGeneric adapts the generic coverage condition of Section 3 as a
-// CondFunc, evaluated on the run's shared scratch evaluator.
-func CoveredGeneric(rt sim.Runtime, st *sim.NodeState) bool {
-	return rt.Evaluator().Covered(st.View)
-}
+// CoveredGeneric is the generic coverage condition of Section 3 as a
+// CondFunc.
+func CoveredGeneric(st *sim.NodeState, ev *core.Evaluator) bool { return ev.Covered(st.View) }
 
-// CoveredStrong adapts the strong coverage condition of Section 6 as a
-// CondFunc, evaluated on the run's shared scratch evaluator.
-func CoveredStrong(rt sim.Runtime, st *sim.NodeState) bool {
-	return rt.Evaluator().StrongCovered(st.View)
-}
-
-// evalGeneric and evalStrong are the CoveredEval forms of the two conditions:
-// the same predicates against a caller-supplied evaluator, letting the
-// simulator's event loop precompute timer verdicts in parallel.
-func evalGeneric(st *sim.NodeState, ev *core.Evaluator) bool { return ev.Covered(st.View) }
-func evalStrong(st *sim.NodeState, ev *core.Evaluator) bool  { return ev.StrongCovered(st.View) }
+// CoveredStrong is the strong coverage condition of Section 6 as a CondFunc.
+func CoveredStrong(st *sim.NodeState, ev *core.Evaluator) bool { return ev.StrongCovered(st.View) }
 
 // Flooding returns the blind-flooding baseline: every node forwards the
 // packet exactly once upon first receipt.
@@ -39,12 +28,11 @@ func Flooding() sim.Protocol {
 // (the "Generic" series of Figures 10, 12, 13, 14, 15, 16).
 func Generic(t Timing) sim.Protocol {
 	return New(Options{
-		Name:        "Generic-" + t.String(),
-		Timing:      t,
-		Selection:   SelfPruning,
-		Covered:     CoveredGeneric,
-		CoveredEval: evalGeneric,
-		SelfPrune:   true,
+		Name:      "Generic-" + t.String(),
+		Timing:    t,
+		Selection: SelfPruning,
+		Covered:   CoveredGeneric,
+		SelfPrune: true,
 	})
 }
 
@@ -52,12 +40,11 @@ func Generic(t Timing) sim.Protocol {
 // coverage condition under the given timing policy.
 func GenericStrong(t Timing) sim.Protocol {
 	return New(Options{
-		Name:        "GenericStrong-" + t.String(),
-		Timing:      t,
-		Selection:   SelfPruning,
-		Covered:     CoveredStrong,
-		CoveredEval: evalStrong,
-		SelfPrune:   true,
+		Name:      "GenericStrong-" + t.String(),
+		Timing:    t,
+		Selection: SelfPruning,
+		Covered:   CoveredStrong,
+		SelfPrune: true,
 	})
 }
 
@@ -65,12 +52,11 @@ func GenericStrong(t Timing) sim.Protocol {
 // Figure 11); it equals Generic(TimingFirstReceipt) under another name.
 func SelfPruningFR() sim.Protocol {
 	return New(Options{
-		Name:        "SP",
-		Timing:      TimingFirstReceipt,
-		Selection:   SelfPruning,
-		Covered:     CoveredGeneric,
-		CoveredEval: evalGeneric,
-		SelfPrune:   true,
+		Name:      "SP",
+		Timing:    TimingFirstReceipt,
+		Selection: SelfPruning,
+		Covered:   CoveredGeneric,
+		SelfPrune: true,
 	})
 }
 
@@ -99,13 +85,12 @@ func NeighborDesignatingFR() sim.Protocol {
 // self-pruning and pure neighbor-designating.
 func HybridMaxDeg() sim.Protocol {
 	return New(Options{
-		Name:        "MaxDeg",
-		Timing:      TimingFirstReceipt,
-		Selection:   Hybrid,
-		Covered:     CoveredGeneric,
-		CoveredEval: evalGeneric,
-		SelfPrune:   true,
-		Designate:   HybridDesignate(true),
+		Name:      "MaxDeg",
+		Timing:    TimingFirstReceipt,
+		Selection: Hybrid,
+		Covered:   CoveredGeneric,
+		SelfPrune: true,
+		Designate: HybridDesignate(true),
 	})
 }
 
@@ -114,12 +99,11 @@ func HybridMaxDeg() sim.Protocol {
 // rule as HybridMaxDeg.
 func HybridMinPri() sim.Protocol {
 	return New(Options{
-		Name:        "MinPri",
-		Timing:      TimingFirstReceipt,
-		Selection:   Hybrid,
-		Covered:     CoveredGeneric,
-		CoveredEval: evalGeneric,
-		SelfPrune:   true,
-		Designate:   HybridDesignate(false),
+		Name:      "MinPri",
+		Timing:    TimingFirstReceipt,
+		Selection: Hybrid,
+		Covered:   CoveredGeneric,
+		SelfPrune: true,
+		Designate: HybridDesignate(false),
 	})
 }

@@ -42,7 +42,7 @@ func (m *mpr) Init(rt sim.Runtime) {
 }
 
 func (m *mpr) Start(rt sim.Runtime, source int) {
-	rt.Transmit(source, m.sets[source])
+	rt.Transmit(source, m.sets[source], nil)
 }
 
 func (m *mpr) OnReceive(rt sim.Runtime, v int, r sim.Receipt) {
@@ -58,7 +58,7 @@ func (m *mpr) OnReceive(rt sim.Runtime, v int, r sim.Receipt) {
 	// missing links may hide exactly the designation it never saw — so it
 	// forwards instead of pruning (the default-forward safety property).
 	if st.DesignatedByNode(r.From) || rt.ConservativeHold(v) {
-		rt.Transmit(v, m.sets[v])
+		rt.Transmit(v, m.sets[v], nil)
 		return
 	}
 	rt.MarkNonForward(v)

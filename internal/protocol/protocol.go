@@ -10,7 +10,10 @@
 // protocol values constructed here.
 package protocol
 
-import "adhocbcast/internal/sim"
+import (
+	"adhocbcast/internal/core"
+	"adhocbcast/internal/sim"
+)
 
 // Timing is the timing axis of Section 4.1: when a node's forward status is
 // determined.
@@ -74,9 +77,13 @@ func (s Selection) String() string {
 	}
 }
 
-// CondFunc evaluates a coverage condition for the node owning st; true means
-// the node is covered and may take non-forward status.
-type CondFunc func(rt sim.Runtime, st *sim.NodeState) bool
+// CondFunc evaluates a coverage condition for the node owning st on the
+// scratch evaluator ev; true means the node is covered and may take
+// non-forward status. It must be pure: no runtime calls, no randomness, no
+// reads of mutable state outside st. That lets the simulator precompute
+// pending-timer verdicts on worker goroutines, each with an evaluator of its
+// own (sim.TimerPrecomputer); correctness never depends on it.
+type CondFunc func(st *sim.NodeState, ev *core.Evaluator) bool
 
 // DesignateFunc selects the designated forward set a forwarding node
 // attaches to its transmission.

@@ -13,12 +13,7 @@ func WuLi() sim.Protocol {
 		Name:      "WuLi",
 		Timing:    TimingStatic,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return wuLiCovered(st)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
-			return wuLiCovered(st)
-		},
+		Covered:   wuLiCovered,
 		SelfPrune: true,
 	})
 }
@@ -33,10 +28,7 @@ func RuleK() sim.Protocol {
 		Name:      "Rule k",
 		Timing:    TimingStatic,
 		Selection: SelfPruning,
-		Covered: func(rt sim.Runtime, st *sim.NodeState) bool {
-			return rt.Evaluator().StrongCoveredRestricted(st.View, ruleKDist(st))
-		},
-		CoveredEval: func(st *sim.NodeState, ev *core.Evaluator) bool {
+		Covered: func(st *sim.NodeState, ev *core.Evaluator) bool {
 			return ev.StrongCoveredRestricted(st.View, ruleKDist(st))
 		},
 		SelfPrune: true,
@@ -52,10 +44,7 @@ func Span() sim.Protocol {
 		Name:      "Span",
 		Timing:    TimingStatic,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return core.SpanCovered(st.View)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
+		Covered: func(st *sim.NodeState, _ *core.Evaluator) bool {
 			return core.SpanCovered(st.View)
 		},
 		SelfPrune: true,
@@ -70,12 +59,7 @@ func SBA() sim.Protocol {
 		Name:      "SBA",
 		Timing:    TimingBackoffRandom,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return core.SBACovered(st.View)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
-			return core.SBACovered(st.View)
-		},
+		Covered:   sbaCovered,
 		SelfPrune: true,
 	})
 }
@@ -91,12 +75,7 @@ func Stojmenovic() sim.Protocol {
 		Name:      "Stojmenovic",
 		Timing:    TimingBackoffRandom,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return stojmenovicCovered(st)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
-			return stojmenovicCovered(st)
-		},
+		Covered:   stojmenovicCovered,
 		SelfPrune: true,
 	})
 }
@@ -110,12 +89,7 @@ func LimKimSelfPruning() sim.Protocol {
 		Name:      "LimKim-SP",
 		Timing:    TimingFirstReceipt,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return core.SBACovered(st.View)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
-			return core.SBACovered(st.View)
-		},
+		Covered:   sbaCovered,
 		SelfPrune: true,
 	})
 }
@@ -128,10 +102,7 @@ func LENWB() sim.Protocol {
 		Name:      "LENWB",
 		Timing:    TimingFirstReceipt,
 		Selection: SelfPruning,
-		Covered: func(_ sim.Runtime, st *sim.NodeState) bool {
-			return core.LENWBCovered(st.View, st.FirstFrom)
-		},
-		CoveredEval: func(st *sim.NodeState, _ *core.Evaluator) bool {
+		Covered: func(st *sim.NodeState, _ *core.Evaluator) bool {
 			return core.LENWBCovered(st.View, st.FirstFrom)
 		},
 		SelfPrune: true,
@@ -193,9 +164,9 @@ func TDP() sim.Protocol {
 	})
 }
 
-// wuLiCovered is the Wu-Li non-gateway predicate shared by the CondFunc and
-// CoveredEval forms: unmarked, or unmarked by pruning Rule 1 or 2.
-func wuLiCovered(st *sim.NodeState) bool {
+// wuLiCovered is the Wu-Li non-gateway predicate: unmarked, or unmarked by
+// pruning Rule 1 or 2.
+func wuLiCovered(st *sim.NodeState, _ *core.Evaluator) bool {
 	if !core.WuLiMarked(st.View) {
 		return true
 	}
@@ -214,10 +185,14 @@ func ruleKDist(st *sim.NodeState) int {
 	return maxDist
 }
 
-// stojmenovicCovered is Stojmenovic's silence predicate shared by the
-// CondFunc and CoveredEval forms: statically covered by the Wu-Li rules, or
-// dynamically covered by SBA-style neighbor elimination.
-func stojmenovicCovered(st *sim.NodeState) bool {
+// sbaCovered is SBA's silence predicate: the whole neighborhood is covered
+// by the visited neighbors the node knows about.
+func sbaCovered(st *sim.NodeState, _ *core.Evaluator) bool { return core.SBACovered(st.View) }
+
+// stojmenovicCovered is Stojmenovic's silence predicate: statically covered
+// by the Wu-Li rules, or dynamically covered by SBA-style neighbor
+// elimination.
+func stojmenovicCovered(st *sim.NodeState, _ *core.Evaluator) bool {
 	lv := st.View
 	if !core.WuLiMarked(lv) || core.WuLiRule1(lv) || core.WuLiRule2(lv) {
 		return true

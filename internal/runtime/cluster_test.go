@@ -336,6 +336,23 @@ func TestLiveConfigValidation(t *testing.T) {
 			t.Errorf("%s: expected config error, got nil", tc.name)
 		}
 	}
+	// A traffic source is a bcastnode deployment, so its rate and horizon
+	// are checked where a standalone node is built.
+	nodeCases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"infinite rate", Config{Protocol: protocol.Flooding, Rate: math.Inf(1), TrafficHorizon: 10}},
+		{"NaN rate", Config{Protocol: protocol.Flooding, Rate: math.NaN()}},
+		{"infinite horizon", Config{Protocol: protocol.Flooding, Rate: 1, TrafficHorizon: math.Inf(1)}},
+		{"NaN horizon", Config{Protocol: protocol.Flooding, Rate: 1, TrafficHorizon: math.NaN()}},
+		{"negative horizon", Config{Protocol: protocol.Flooding, Rate: 1, TrafficHorizon: -5}},
+	}
+	for _, tc := range nodeCases {
+		if _, err := NewNode(tc.cfg, nil); err == nil {
+			t.Errorf("%s: expected config error from NewNode, got nil", tc.name)
+		}
+	}
 }
 
 // scaleNetwork is a d=18 geometric network of n nodes and the Generic-FR

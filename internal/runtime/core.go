@@ -204,14 +204,9 @@ func (c *Core) SetTimer(v int, delay float64) {
 // MarkNonForward finalizes a non-forward decision.
 func (c *Core) MarkNonForward(v int) { c.st.NonForward = true }
 
-// Transmit forwards the broadcast packet with the given designated set.
-func (c *Core) Transmit(v int, designated []int) {
-	c.TransmitExtra(v, designated, nil)
-}
-
-// TransmitExtra is Transmit with an extra payload. As in the simulator a
-// node transmits at most once.
-func (c *Core) TransmitExtra(v int, designated, extra []int) {
+// Transmit forwards the broadcast packet with the given designated set and
+// extra payload. As in the simulator a node transmits at most once.
+func (c *Core) Transmit(v int, designated, extra []int) {
 	if c.st.Sent {
 		return
 	}
@@ -257,10 +252,6 @@ func (c *Core) RestoreSent(pkt sim.Packet) {
 	c.st.View.MarkVisited(c.id)
 	c.st.SetSentPacket(&pkt)
 }
-
-// TakePreparedCovered implements sim.Runtime: live runtimes never precompute
-// coverage verdicts.
-func (c *Core) TakePreparedCovered(v int) (covered, ok bool) { return false, false }
 
 // Evaluator returns this node's coverage evaluator: the one its executor
 // shares between waves, or one of its own, built on first use.

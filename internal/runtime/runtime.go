@@ -185,6 +185,13 @@ func (c Config) normalize() (Config, error) {
 	if math.IsNaN(c.Deadline) || math.IsInf(c.Deadline, 0) {
 		return c, fmt.Errorf("runtime: Deadline %v is not finite", c.Deadline)
 	}
+	if math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
+		return c, fmt.Errorf("runtime: Rate %v is not finite", c.Rate)
+	}
+	// A zero TrafficHorizon takes the traffic plan's default.
+	if c.Rate > 0 && (!(c.TrafficHorizon >= 0) || math.IsInf(c.TrafficHorizon, 0)) {
+		return c, fmt.Errorf("runtime: TrafficHorizon %v is not a positive finite time", c.TrafficHorizon)
+	}
 	s, err := sim.Config{
 		Metric:         c.Metric,
 		PiggybackDepth: c.PiggybackDepth,

@@ -56,7 +56,6 @@ type Arena struct {
 	batch      []event // same-instant batch
 	arrCnt     []int32 // per-node same-instant arrival counts
 	arrTouched []int   // nodes with non-zero arrCnt entries
-	prepared   []int8  // precomputed timer verdicts: -1 none, 0/1 verdict
 	evtKind    []uint8 // per-node batch event classification bits
 	evtTouched []int   // nodes with non-zero evtKind entries
 	timerIdx   []int   // batch indices of precomputable timer events
@@ -194,21 +193,12 @@ func (a *Arena) ensureLoopScratch(n int) {
 	a.arrCnt = a.arrCnt[:n]
 }
 
-// precomputeScratch sizes the parallel phase's scratch for an n-node single
-// run and returns its timer-verdict array; a run calls it at its first
-// sharded batch. Like the count array, the classification and verdict arrays
-// are reset entry by entry by their users.
-func (a *Arena) precomputeScratch(n int) []int8 {
+// precomputeScratch sizes the parallel phase's event-classification array
+// for an n-node single run; a run calls it at its first sharded batch. Like
+// the count array, it is reset entry by entry by its users.
+func (a *Arena) precomputeScratch(n int) {
 	if cap(a.evtKind) < n {
 		a.evtKind = make([]uint8, n)
 	}
 	a.evtKind = a.evtKind[:n]
-	if cap(a.prepared) < n {
-		a.prepared = make([]int8, n)
-		for i := range a.prepared {
-			a.prepared[i] = -1
-		}
-	}
-	a.prepared = a.prepared[:n]
-	return a.prepared
 }

@@ -25,5 +25,5 @@ func RunSharded(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (R
 		return Result{}, false, err
 	}
 	net.loop()
-	return net.result(), net.prepared != nil, nil
+	return net.result(), net.sharded, nil
 }

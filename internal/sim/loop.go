@@ -19,8 +19,8 @@ import (
 // dispatching goroutine and on helper goroutines, for each timer that is its
 // owner's earliest event of the instant, in every same-instant batch of at
 // least minShard timers (by default whenever GOMAXPROCS > 1; see
-// Config.Workers), and hands the verdict back through
-// Runtime.TakePreparedCovered during the sequential dispatch pass.
+// Config.Workers), and hands the verdict back through the owner's
+// NodeState.TakePreparedCovered during the sequential dispatch pass.
 type TimerPrecomputer interface {
 	PrecomputeTimer(rt Runtime, v int, ev *core.Evaluator) (covered, ok bool)
 }
@@ -129,7 +129,7 @@ func (net *Network) runBatch(batch []event, shard bool) {
 			net.dispatch(e)
 			// Drop any verdict the dispatch did not consume (node down,
 			// already sent, strict designation, ...).
-			net.prepared[e.node] = -1
+			net.sessions[0].nodes[e.node].prepared = 0
 		default:
 			net.dispatch(e)
 		}
@@ -185,13 +185,14 @@ func (net *Network) clearArrivals(arr []int32, touched []int) {
 // merges by receiver; a batch gets one helper per shardGrain timers, at most
 // w-1. Workers write only to disjoint per-node slots, so the
 // merged outcome is deterministic and independent of scheduling; everything
-// order-sensitive stays in the sequential dispatch pass. The verdict array
-// is set up by the run's first sharded batch, so a run that never shards
-// allocates nothing for it.
+// order-sensitive stays in the sequential dispatch pass. Verdicts go to the
+// timer owner's NodeState. The classification array is set up by the run's
+// first sharded batch, so a run that never shards allocates nothing for it.
 func (net *Network) precompute(batch []event) []uint8 {
 	a := net.arena
-	if net.prepared == nil {
-		net.prepared = a.precomputeScratch(net.G.N())
+	if !net.sharded {
+		a.precomputeScratch(net.G.N())
+		net.sharded = true
 	}
 	kinds := a.evtKind
 	touched := a.evtTouched[:0]
@@ -246,11 +247,11 @@ func (net *Network) precompute(batch []event) []uint8 {
 			}
 			e := &batch[timers[k]]
 			if cov, ok := tp.PrecomputeTimer(s, int(e.node), ev); ok {
-				verdict := int8(0)
+				verdict := int8(1)
 				if cov {
-					verdict = 1
+					verdict = 2
 				}
-				net.prepared[e.node] = verdict
+				s.nodes[e.node].prepared = verdict
 			}
 		}
 		if !premerge {

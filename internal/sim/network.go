@@ -72,6 +72,12 @@ type NodeState struct {
 	Sent bool
 	// NonForward reports a finalized non-forward decision.
 	NonForward bool
+
+	// prepared is the coverage verdict a single run's sharded precompute
+	// produced for this node's pending timer: 0 none, 1 uncovered, 2
+	// covered. It sits in the padding after the flags, and the zero value
+	// means none, so a struct-literal reset clears it.
+	prepared int8
 }
 
 // Designated reports whether any node designated this node.
@@ -181,13 +187,13 @@ type Network struct {
 	// Source is the broadcast originator.
 	Source int
 
-	arena    *Arena
-	rngs     streams
-	plan     *fault.Plan
-	now      float64
-	seq      int
-	workers  int    // precompute workers of a single run (0 in traffic runs)
-	prepared []int8 // precomputed timer verdicts (nil until the run's first sharded batch)
+	arena   *Arena
+	rngs    streams
+	plan    *fault.Plan
+	now     float64
+	seq     int
+	workers int  // precompute workers of a single run (0 in traffic runs)
+	sharded bool // a batch of this run went through the parallel precompute
 
 	// The run's broadcasts, indexed by session id. A single run is session
 	// 0, held in solo so that it allocates nothing of its own.
@@ -662,12 +668,12 @@ func (net *Network) ConservativeHold(v int) bool {
 	return net.Cfg.Views != nil && net.Cfg.Views.hold(net.G, v, net.now)
 }
 
-// TransmitExtra makes node v forward the broadcast packet now, carrying the
+// Transmit makes node v forward the broadcast packet now, carrying the
 // given designated forward set and protocol-specific extra payload: every
 // neighbor receives a copy after TransmitDelay, or, under the contention
 // MAC, once the node's transmit queue gets the channel. A node forwards at
 // most once, and a node that is down at transmission time stays silent.
-func (s *session) TransmitExtra(v int, designated, extra []int) {
+func (s *session) Transmit(v int, designated, extra []int) {
 	net, sid := s.net, s.id
 	st := &s.nodes[v]
 	if st.Sent || net.down(v) {

@@ -48,10 +48,9 @@ type Runtime interface {
 	// MarkNonForward finalizes a non-forward decision for v.
 	MarkNonForward(v int)
 	// Transmit makes node v forward the broadcast packet now, carrying the
-	// given designated forward set. A node transmits at most once.
-	Transmit(v int, designated []int)
-	// TransmitExtra is Transmit with a protocol-specific extra payload.
-	TransmitExtra(v int, designated, extra []int)
+	// given designated forward set and protocol-specific extra payload
+	// (either may be nil). A node transmits at most once.
+	Transmit(v int, designated, extra []int)
 	// RandomBackoff draws a uniform backoff delay from [0, BackoffWindow).
 	RandomBackoff() float64
 	// DegreeBackoff returns the FRBD backoff of node v, inversely
@@ -61,11 +60,6 @@ type Runtime interface {
 	// status because its view is provably incomplete or stale (the
 	// conservative fallback of the imperfect-views pipeline).
 	ConservativeHold(v int) bool
-	// TakePreparedCovered returns and consumes a precomputed coverage
-	// verdict for node v's pending timer, when the executor produced one
-	// (the simulator's parallel precompute phase; live executors always
-	// report ok=false).
-	TakePreparedCovered(v int) (covered, ok bool)
 	// Evaluator returns the runtime's scratch coverage-condition evaluator.
 	// Protocol callbacks on one runtime value run sequentially, so the
 	// shared instance is safe and allocation-free.
@@ -124,27 +118,11 @@ func (s *session) MarkNonForward(v int) {
 	st.NonForward = true
 }
 
-func (s *session) Transmit(v int, designated []int) { s.TransmitExtra(v, designated, nil) }
-
 func (s *session) RandomBackoff() float64 { return s.net.RandomBackoff() }
 
 func (s *session) DegreeBackoff(v int) float64 { return s.net.DegreeBackoff(v) }
 
 func (s *session) ConservativeHold(v int) bool { return s.net.ConservativeHold(v) }
-
-// TakePreparedCovered returns and consumes the verdict the loop's parallel
-// phase precomputed for node v's pending timer at the current instant. Only
-// the sharded batches of a single run precompute (see minShard); otherwise it
-// reports ok=false.
-func (s *session) TakePreparedCovered(v int) (covered, ok bool) {
-	prepared := s.net.prepared
-	if prepared == nil || prepared[v] < 0 {
-		return false, false
-	}
-	covered = prepared[v] == 1
-	prepared[v] = -1
-	return covered, true
-}
 
 func (s *session) Evaluator() *core.Evaluator { return s.net.Evaluator() }
 
@@ -165,6 +143,17 @@ func (st *NodeState) RecordReceipt(r Receipt) (first bool) {
 	st.LastPacket = r.Packet
 	st.Receipts++
 	return first
+}
+
+// TakePreparedCovered returns and consumes the coverage verdict the
+// simulator's parallel precompute produced for this node's pending timer at
+// the current instant (TimerPrecomputer). Only the sharded batches of a
+// single run precompute (see minShard); otherwise, and always on a live
+// node, it reports ok=false.
+func (st *NodeState) TakePreparedCovered() (covered, ok bool) {
+	p := st.prepared
+	st.prepared = 0
+	return p == 2, p != 0
 }
 
 // SentPacket returns the packet this node transmitted (nil before the node

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adhocbcast/internal/core"
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
@@ -21,7 +22,8 @@ func atLeastTwoProcs(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkersMatchSequentialAtScale runs every registered protocol on
+// TestDefaultWorkersMatchSequentialAtScale runs every registered protocol,
+// plus one custom protocol.New condition (the visited-union ablation's), on
 // a 2000-node, degree-18 network, where first-receipt waves put more timers
 // in one instant than the production sharding threshold: the default worker
 // count must reproduce Workers: 1 exactly (Result, event trace, run record),
@@ -35,14 +37,40 @@ func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := sim.NewArena()
-	sharded := 0
+	type input struct {
+		name   string
+		source int
+		mk     func() sim.Protocol
+	}
+	var inputs []input
 	for _, name := range protocol.Names() {
 		mk, _ := protocol.ByName(name)
+		inputs = append(inputs, input{name, 0, mk})
+	}
+	// A condition built outside the protocol package (the visited-union
+	// ablation's): every CondFunc precomputes, so it must shard like the
+	// registered ones. Its wave from node 0 never holds minShard timers in
+	// one instant; from node 1 it does.
+	const custom = "Generic-NoUnion"
+	inputs = append(inputs, input{custom, 1, func() sim.Protocol {
+		return protocol.New(protocol.Options{
+			Name:      custom,
+			Timing:    protocol.TimingFirstReceipt,
+			Selection: protocol.SelfPruning,
+			Covered: func(st *sim.NodeState, ev *core.Evaluator) bool {
+				return ev.CoveredWithoutVisitedUnion(st.View)
+			},
+			SelfPrune: true,
+		})
+	}})
+	arena := sim.NewArena()
+	sharded := 0
+	for _, in := range inputs {
+		name := in.name
 		run := func(workers int) (sim.Result, bool, []obsv.TraceEvent, *obsv.RunRecord) {
 			rec, metrics := &sim.Recorder{}, obsv.NewRunRecord()
 			cfg := sim.Config{Hops: 2, Seed: 1, Workers: workers, Observer: rec, Metrics: metrics}
-			res, shard, err := sim.RunSharded(arena, net.G, 0, mk(), cfg)
+			res, shard, err := sim.RunSharded(arena, net.G, in.source, in.mk(), cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -52,6 +80,8 @@ func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 		got, shard, gotTrace, gotRec := run(0)
 		if shard {
 			sharded++
+		} else if name == custom {
+			t.Errorf("%s: no batch sharded", name)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Result diverged\n default:   %+v\n workers=1: %+v", name, got, want)
@@ -65,7 +95,7 @@ func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 			t.Errorf("%s: run record diverged", name)
 		}
 	}
-	t.Logf("%d of %d protocols sharded a batch", sharded, len(protocol.Names()))
+	t.Logf("%d of %d protocols sharded a batch", sharded, len(inputs))
 	if sharded == 0 {
 		t.Error("no run sharded a batch: the production-threshold path went untested")
 	}

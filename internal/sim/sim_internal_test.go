@@ -112,7 +112,7 @@ func TestStateFootprint(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(NodeState{}); got > 80 {
 		t.Errorf("NodeState is %d bytes, budget 80: ID 8 + View 8 + FirstFrom 8 + three *Packet 24 + DesignatedBy 24 + "+
-			"one word for the receipt counter (4) and the three flags; no per-receipt log, no by-value Packet", got)
+			"one word for the receipt counter (4), the three flags and the precompute verdict byte; no per-receipt log, no by-value Packet", got)
 	}
 	if got := unsafe.Sizeof(txItem{}); got > 48 {
 		t.Errorf("txItem is %d bytes, budget 48: *Packet 8 + designated 24 + session/to/attempt 4 each, padded", got)
@@ -125,11 +125,11 @@ type scribbler struct{}
 
 func (scribbler) Name() string                 { return "scribbler" }
 func (scribbler) Init(Runtime)                 {}
-func (scribbler) Start(rt Runtime, source int) { rt.Transmit(source, nil) }
+func (scribbler) Start(rt Runtime, source int) { rt.Transmit(source, nil, nil) }
 func (scribbler) OnTimer(Runtime, int)         {}
 func (scribbler) OnReceive(rt Runtime, v int, r Receipt) {
 	r.Packet.Source = v
-	rt.Transmit(v, nil)
+	rt.Transmit(v, nil, nil)
 }
 
 // TestSimdebugCatchesWriteToDeliveredPacket: every receiver of a transmission
@@ -184,4 +184,4 @@ func TestSimdebugCatchesGraphEditedInPlace(t *testing.T) {
 // flooder is scribbler without the bug.
 type flooder struct{ scribbler }
 
-func (flooder) OnReceive(rt Runtime, v int, _ Receipt) { rt.Transmit(v, nil) }
+func (flooder) OnReceive(rt Runtime, v int, _ Receipt) { rt.Transmit(v, nil, nil) }
