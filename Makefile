@@ -51,7 +51,8 @@ grid:
 # (a figure; crash, hello-loss, restart, mobility and cluster extensions; load;
 # scale): the cold run computes and caches, the warm rerun must be all cache
 # hits (-require-cached proves it) with a byte-identical table, and the sealed
-# store must pass -verify.
+# store must pass -verify. Last, cmd/experiments (a front end over the same
+# executor, with no cache) must print the committed saturation table.
 grid-smoke:
 	$(GO) build -o /tmp/gridsmoke-bin ./cmd/grid
 	rm -rf /tmp/gridsmoke && mkdir -p /tmp/gridsmoke/out1 /tmp/gridsmoke/out2
@@ -59,6 +60,7 @@ grid-smoke:
 	/tmp/gridsmoke-bin -spec cmd/grid/testdata/smoke.json -cache /tmp/gridsmoke/cache -out /tmp/gridsmoke/out2 -require-cached
 	cmp /tmp/gridsmoke/out1/smoke.txt /tmp/gridsmoke/out2/smoke.txt
 	/tmp/gridsmoke-bin -spec cmd/grid/testdata/smoke.json -cache /tmp/gridsmoke/cache -out /tmp/gridsmoke/out2 -verify
+	$(GO) run ./cmd/experiments -ext load | cmp - results_load.txt
 
 # Regenerate every evaluation figure (moderate replication).
 figures:

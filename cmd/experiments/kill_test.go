@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -19,7 +20,7 @@ func TestKilledSweepLeavesNoPartialTrace(t *testing.T) {
 	if dir := os.Getenv("EXPERIMENTS_KILL_HELPER_DIR"); dir != "" {
 		// Helper process: a paper-criterion sweep at n=100 keeps every
 		// point busy for seconds, so the parent's kill lands mid-point.
-		run([]string{"-fig", "10", "-sizes", "100", "-paper", "-tracedir", dir})
+		run([]string{"-fig", "10", "-sizes", "100", "-paper", "-tracedir", dir}, io.Discard)
 		os.Exit(0)
 	}
 

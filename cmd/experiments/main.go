@@ -18,79 +18,73 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"sync"
 
 	"adhocbcast/internal/experiments"
+	"adhocbcast/internal/grid"
 	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/render"
 	"adhocbcast/internal/stats"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses the flags into one grid table — one section per figure under
+// -all, else one section, each set by the sweep flags — and runs it through
+// the grid's executor with no cache, printing each section to out as it
+// completes.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
+		sec    grid.ExperimentSpec
 		fig    = fs.String("fig", "", "figure id to reproduce (10..16)")
 		all    = fs.Bool("all", false, "reproduce every figure")
 		table1 = fs.Bool("table1", false, "print Table 1")
 		ext    = fs.String("ext", "", "extension experiment: mobility, reliability, piggyback, backoff, visitedunion, cluster, latency, crash, crashforward, loss, helloloss, hellolossforward, hellolosslatency, restart, restartlatency, load")
 		scale  = fs.Bool("scale", false, "run the large-n scale sweep (delivery/forward/latency beyond the paper's n=100)")
-		ssizes = fs.String("scalesizes", "", "comma-separated network sizes for -scale (default 1000,5000,10000,25000,100000,1000000)")
-		sdeg   = fs.Int("scaledegree", 0, "average degree for -scale (default 18; sparse degrees are not connectable at large n)")
-		sreps  = fs.Int("scalereps", 0, "replicates per -scale point (default 5)")
-		paper  = fs.Bool("paper", false, "use the paper's ±1% CI replication criterion")
-		seed   = fs.Int64("seed", 42, "base workload seed")
 		svgDir = fs.String("svgdir", "", "also write each figure as an SVG chart into this directory")
-		sizes  = fs.String("sizes", "", "comma-separated network sizes (default 20..100)")
-		crash  = fs.String("crashfracs", "", "comma-separated crash fractions for -ext crash/crashforward (default 0,0.05,0.1,0.2,0.3)")
-		loss   = fs.String("lossrates", "", "comma-separated loss rates for -ext loss (default 0,0.05,0.1,0.2,0.3)")
-		hello  = fs.String("hellorates", "", "comma-separated hello loss rates for -ext helloloss* (default 0,0.05,0.1,0.2,0.3)")
-		rrates = fs.String("restartrates", "", "comma-separated restart fractions for -ext restart* (default 0,0.1,0.2,0.3,0.4)")
-		lrates = fs.String("loadrates", "", "comma-separated offered loads (sessions/slot) for -ext load (default 0.02,0.05,0.1,0.2,0.4)")
-		lreps  = fs.Int("loadreps", 0, "replicates per -ext load point (default 5)")
-		par    = fs.Int("parallel", 1, "replicates evaluated concurrently per data point (results are identical for any value)")
+		par    = fs.Int("parallel", 0, "replicates evaluated concurrently per data point (default 1 for figures, every core for -scale and -ext load; results are identical for any value)")
 		cpu    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		mem    = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 		trace  = fs.String("tracedir", "", "export per-replicate JSONL run records and event traces into this directory (one file per data point)")
 		prog   = fs.Bool("progress", false, "print replication progress (replicates done, relative CI, estimated total) to stderr")
 		debug  = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. localhost:6060) with live replication counters under \"experiments\"")
 	)
+	fs.BoolVar(&sec.Paper, "paper", false, "use the paper's ±1% CI replication criterion")
+	fs.Int64Var(&sec.Seed, "seed", 42, "base workload seed")
+	listFlag(fs, &sec.Sizes, "sizes", "comma-separated network sizes (default 20..100)")
+	listFlag(fs, &sec.CrashFractions, "crashfracs", "comma-separated crash fractions for -ext crash/crashforward (default 0,0.05,0.1,0.2,0.3)")
+	listFlag(fs, &sec.LossRates, "lossrates", "comma-separated loss rates for -ext loss (default 0,0.05,0.1,0.2,0.3)")
+	listFlag(fs, &sec.HelloLossRates, "hellorates", "comma-separated hello loss rates for -ext helloloss* (default 0,0.05,0.1,0.2,0.3)")
+	listFlag(fs, &sec.RestartRates, "restartrates", "comma-separated restart fractions for -ext restart* (default 0,0.1,0.2,0.3,0.4)")
+	listFlag(fs, &sec.ScaleSizes, "scalesizes", "comma-separated network sizes for -scale (default 1000,5000,10000,25000,100000,1000000)")
+	fs.IntVar(&sec.ScaleDegree, "scaledegree", 0, "average degree for -scale (default 18; sparse degrees are not connectable at large n)")
+	fs.IntVar(&sec.ScaleReps, "scalereps", 0, "replicates per -scale point (default 5)")
+	listFlag(fs, &sec.LoadRates, "loadrates", "comma-separated offered loads (sessions/slot) for -ext load (default 0.02,0.05,0.1,0.2,0.4)")
+	fs.IntVar(&sec.LoadReps, "loadreps", 0, "replicates per -ext load point (default 5)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// 0 selects the default replicate count; a negative count is a typo,
-	// not a request for the default.
-	if *sreps < 0 {
-		return fmt.Errorf("-scalereps %d: replicate count must not be negative", *sreps)
-	}
-	if *lreps < 0 {
-		return fmt.Errorf("-loadreps %d: replicate count must not be negative", *lreps)
-	}
 	if *par < 0 {
 		return fmt.Errorf("-parallel %d: replicate parallelism must not be negative", *par)
-	}
-	// -ext load is the CLI's own sweep; every other value is a figure-type
-	// extension experiment.
-	if exts := append(experiments.AllExtensionIDs(), "load"); *ext != "" && !slices.Contains(exts, *ext) {
-		return fmt.Errorf("-ext %q: unknown extension (valid: %s)", *ext, strings.Join(exts, ", "))
 	}
 	if *trace != "" {
 		// Fail now, not after hours of sweeping: trace export opens its
@@ -125,14 +119,32 @@ func run(args []string) error {
 		}()
 	}
 	if *table1 {
-		fmt.Print(experiments.Table1())
-		return nil
+		_, err := io.WriteString(out, experiments.Table1())
+		return err
 	}
-	rc := experiments.RunConfig{Seed: *seed, ReplicateParallelism: *par, TraceDir: *trace}
-	if *paper {
-		rc.Replicate = experiments.Paper()
+	var ids []string
+	switch {
+	case *scale:
+		ids = []string{"scale"}
+	case *ext == "load":
+		ids = []string{"load"}
+	case *ext != "":
+		ids = []string{"ext:" + *ext}
+	case *all:
+		for _, id := range experiments.AllFigureIDs() {
+			ids = append(ids, "fig"+id)
+		}
+	case *fig != "":
+		ids = []string{"fig" + *fig}
+	default:
+		fs.Usage()
+		return fmt.Errorf("need -fig, -all, -ext, -scale, or -table1")
 	}
-	rc.Progress = progressFunc(*prog, *debug)
+	var table grid.TableSpec
+	for _, id := range ids {
+		sec.ID = id
+		table.Experiments = append(table.Experiments, sec)
+	}
 	if *debug != "" {
 		// The default mux already serves /debug/pprof/ (the blank pprof
 		// import) and /debug/vars (expvar); the listener lives for the
@@ -143,92 +155,64 @@ func run(args []string) error {
 			}
 		}()
 	}
-	var err error
-	if rc.Sizes, err = parseInts(*sizes, "-sizes"); err != nil {
+	base := experiments.RunConfig{ReplicateParallelism: *par, TraceDir: *trace, Progress: progressFunc(*prog, *debug)}
+	svg := func(f experiments.Figure) error { return writeSVG(*svgDir, f) }
+	if *svgDir == "" {
+		svg = nil
+	}
+	return flagError(grid.Execute(out, table, base, svg), *ext, *fig)
+}
+
+// flagOf names the flag that sets each ExperimentSpec field the grid's
+// validator can reject, keyed by the field's JSON name.
+var flagOf = map[string]string{
+	"crash_fractions":  "-crashfracs",
+	"loss_rates":       "-lossrates",
+	"hello_loss_rates": "-hellorates",
+	"restart_rates":    "-restartrates",
+	"scale_degree":     "-scaledegree",
+	"scale_reps":       "-scalereps",
+	"load_rates":       "-loadrates",
+	"load_reps":        "-loadreps",
+}
+
+// flagError restates a spec validation error in terms of the flag behind
+// the rejected field; an unknown id came from -ext or -fig, and the message
+// lists what that flag accepts. Every other error passes through.
+func flagError(err error, ext, fig string) error {
+	var fe *grid.FieldError
+	switch {
+	case !errors.As(err, &fe):
+		return err
+	case fe.Field == "id" && ext != "":
+		exts := append(experiments.AllExtensionIDs(), "load")
+		return fmt.Errorf("-ext %q: unknown extension (valid: %s)", ext, strings.Join(exts, ", "))
+	case fe.Field == "id":
+		return fmt.Errorf("-fig %q: unknown figure (valid: %s)", fig, strings.Join(experiments.AllFigureIDs(), ", "))
+	case flagOf[fe.Field] != "":
+		return fmt.Errorf("%s: %s", flagOf[fe.Field], fe.Msg)
+	}
+	return err
+}
+
+// writeSVG writes figure f as an SVG chart into dir.
+func writeSVG(dir string, f experiments.Figure) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if rc.CrashFractions, err = parseFloats(*crash, "-crashfracs"); err != nil {
+	name := filepath.Join(dir, "figure-"+unsafeID.ReplaceAllString(f.ID, "_")+".svg")
+	out, err := os.Create(name)
+	if err != nil {
 		return err
 	}
-	if rc.LossRates, err = parseFloats(*loss, "-lossrates"); err != nil {
+	if err := render.Chart(out, f); err != nil {
+		out.Close()
 		return err
 	}
-	if rc.HelloLossRates, err = parseFloats(*hello, "-hellorates"); err != nil {
+	if err := out.Close(); err != nil {
 		return err
 	}
-	if rc.RestartRates, err = parseFloats(*rrates, "-restartrates"); err != nil {
-		return err
-	}
-	emit := func(f experiments.Figure) error {
-		fmt.Println(experiments.Format(f))
-		if *svgDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-			return err
-		}
-		name := filepath.Join(*svgDir, "figure-"+sanitize(f.ID)+".svg")
-		out, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := render.Chart(out, f); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "wrote", name)
-		return nil
-	}
-	if *scale {
-		sc := experiments.ScaleConfig{Seed: *seed, Degree: *sdeg, Replicates: *sreps}
-		if sc.Sizes, err = parseInts(*ssizes, "-scalesizes"); err != nil {
-			return err
-		}
-		// -parallel keeps its figure-sweep meaning (replicates measured
-		// concurrently); left at its default the scale sweep uses every
-		// core, which is safe because results are schedule-independent.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "parallel" {
-				sc.Parallelism = *par
-			}
-		})
-		return runScale(sc)
-	}
-	if *ext == "load" {
-		// The saturation sweep measures traffic curves, not a paper figure,
-		// so it has its own row type and streaming output (like -scale).
-		lc := experiments.LoadConfig{Seed: *seed, Replicates: *lreps, Parallelism: *par}
-		if lc.Rates, err = parseFloats(*lrates, "-loadrates"); err != nil {
-			return err
-		}
-		return runLoad(lc)
-	}
-	if *ext != "" {
-		f, err := experiments.ExtensionByID(*ext, rc)
-		if err != nil {
-			return err
-		}
-		return emit(f)
-	}
-	ids := []string{*fig}
-	if *all {
-		ids = experiments.AllFigureIDs()
-	} else if *fig == "" {
-		fs.Usage()
-		return fmt.Errorf("need -fig, -all, -ext, or -table1")
-	}
-	for _, id := range ids {
-		f, err := experiments.FigureByID(id, rc)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintln(os.Stderr, "wrote", name)
 	return nil
 }
 
@@ -284,46 +268,6 @@ func progressFunc(print bool, debugAddr string) func(string, stats.ProgressUpdat
 	}
 }
 
-// runScale streams the large-n sweep: each point prints as soon as it
-// completes, so the small sizes confirm the setup while the big ones run.
-func runScale(sc experiments.ScaleConfig) error {
-	lastN := -1
-	sc.Emit = func(r experiments.ScaleRow) {
-		if r.N != lastN {
-			if lastN != -1 {
-				fmt.Println()
-			}
-			fmt.Printf("n=%d (%d replicates)\n", r.N, r.Replicates)
-			fmt.Printf("  %-16s %16s %16s %18s\n",
-				"variant", "delivery %", "forward %", "latency (slots)")
-			lastN = r.N
-		}
-		fmt.Println("  " + experiments.FormatScaleRow(r))
-	}
-	_, err := experiments.Scale(sc)
-	return err
-}
-
-// runLoad streams the saturation sweep: each offered-load point prints as
-// soon as it completes, light loads first, so the knee emerges live.
-func runLoad(lc experiments.LoadConfig) error {
-	lastRate := -1.0
-	lc.Emit = func(r experiments.LoadRow) {
-		if r.Rate != lastRate {
-			if lastRate != -1 {
-				fmt.Println()
-			}
-			fmt.Printf("offered load %.3f sessions/slot (%d replicates)\n", r.Rate, r.Replicates)
-			fmt.Printf("  %-18s %16s %15s %14s %14s %14s\n",
-				"variant", "throughput", "delivery %", "p50 (slots)", "p99 (slots)", "qdrops/sess")
-			lastRate = r.Rate
-		}
-		fmt.Println("  " + experiments.FormatLoadRow(r))
-	}
-	_, err := experiments.Load(lc)
-	return err
-}
-
 // validateWritableDir creates dir if needed and proves it writable by
 // creating and removing a probe file.
 func validateWritableDir(dir string) error {
@@ -339,50 +283,22 @@ func validateWritableDir(dir string) error {
 	return os.Remove(name)
 }
 
-// parseInts parses a comma-separated int list; "" yields nil (defaults).
-func parseInts(s, flagName string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &n); err != nil {
-			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, tok, err)
+// listFlag defines a flag holding a comma-separated list, parsed into *dst;
+// unset, *dst stays nil and the drivers' defaults apply. Range checks are
+// the grid validator's.
+func listFlag[T int | float64](fs *flag.FlagSet, dst *[]T, name, usage string) {
+	fs.Func(name, usage, func(s string) error {
+		*dst = nil
+		for _, tok := range strings.Split(s, ",") {
+			var x T
+			if _, err := fmt.Sscan(strings.TrimSpace(tok), &x); err != nil {
+				return fmt.Errorf("bad entry %q: %w", tok, err)
+			}
+			*dst = append(*dst, x)
 		}
-		out = append(out, n)
-	}
-	return out, nil
+		return nil
+	})
 }
 
-// parseFloats parses a comma-separated list of finite floats; "" yields nil
-// (defaults).
-func parseFloats(s, flagName string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, tok := range strings.Split(s, ",") {
-		var x float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%g", &x); err != nil {
-			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, tok, err)
-		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("bad %s entry %q: not a finite number", flagName, tok)
-		}
-		out = append(out, x)
-	}
-	return out, nil
-}
-
-// sanitize keeps figure ids filesystem-safe.
-func sanitize(id string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, id)
-}
+// unsafeID matches what a figure id may not carry into a file name.
+var unsafeID = regexp.MustCompile(`[^A-Za-z0-9-]`)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,17 +11,18 @@ import (
 	"time"
 
 	"adhocbcast/internal/experiments"
+	"adhocbcast/internal/grid"
 	"adhocbcast/internal/obsv"
 )
 
 func TestRunTable1(t *testing.T) {
-	if err := run([]string{"-table1"}); err != nil {
+	if err := run([]string{"-table1"}, io.Discard); err != nil {
 		t.Fatalf("run -table1: %v", err)
 	}
 }
 
 func TestRunFigureTiny(t *testing.T) {
-	if err := run([]string{"-fig", "16", "-sizes", "20"}); err != nil {
+	if err := run([]string{"-fig", "16", "-sizes", "20"}, io.Discard); err != nil {
 		t.Fatalf("run -fig 16: %v", err)
 	}
 }
@@ -29,7 +32,7 @@ func TestRunFigureTiny(t *testing.T) {
 // must not perturb the run.
 func TestRunTraceDirAndProgress(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-fig", "16", "-sizes", "20", "-tracedir", dir, "-progress", "-parallel", "2"}); err != nil {
+	if err := run([]string{"-fig", "16", "-sizes", "20", "-tracedir", dir, "-progress", "-parallel", "2"}, io.Discard); err != nil {
 		t.Fatalf("run with -tracedir: %v", err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
@@ -60,7 +63,7 @@ func TestRunTraceDirAndProgress(t *testing.T) {
 // would take minutes if validation were deferred to the first export.
 func TestTraceDirValidatedUpFront(t *testing.T) {
 	start := time.Now()
-	err := run([]string{"-all", "-paper", "-tracedir", "/dev/null/traces"})
+	err := run([]string{"-all", "-paper", "-tracedir", "/dev/null/traces"}, io.Discard)
 	if err == nil {
 		t.Fatal("run with unusable -tracedir succeeded")
 	}
@@ -91,8 +94,53 @@ func TestValidateWritableDir(t *testing.T) {
 
 // TestRunScaleTiny drives the -scale mode end to end on toy sizes.
 func TestRunScaleTiny(t *testing.T) {
-	if err := run([]string{"-scale", "-scalesizes", "40,60", "-scaledegree", "8", "-scalereps", "2"}); err != nil {
+	if err := run([]string{"-scale", "-scalesizes", "40,60", "-scaledegree", "8", "-scalereps", "2"}, io.Discard); err != nil {
 		t.Fatalf("run -scale: %v", err)
+	}
+}
+
+// TestRunMatchesGrid: the CLI is a front end over the grid's executor, so it
+// prints exactly the table grid.Run writes for the equivalent one-table spec.
+func TestRunMatchesGrid(t *testing.T) {
+	var figures []grid.ExperimentSpec
+	for _, id := range experiments.AllFigureIDs() {
+		figures = append(figures, grid.ExperimentSpec{ID: "fig" + id, Sizes: []int{20}})
+	}
+	tests := []struct {
+		args     []string
+		sections []grid.ExperimentSpec
+	}{
+		{[]string{"-all", "-sizes", "20"}, figures},
+		{[]string{"-ext", "crash", "-sizes", "20", "-crashfracs", "0,0.3"},
+			[]grid.ExperimentSpec{{ID: "ext:crash", Sizes: []int{20}, CrashFractions: []float64{0, 0.3}}}},
+		{[]string{"-scale", "-scalesizes", "40,60", "-scaledegree", "8", "-scalereps", "2"},
+			[]grid.ExperimentSpec{{ID: "scale", ScaleSizes: []int{40, 60}, ScaleDegree: 8, ScaleReps: 2}}},
+		{[]string{"-ext", "load", "-loadrates", "0.05", "-loadreps", "1"},
+			[]grid.ExperimentSpec{{ID: "load", LoadRates: []float64{0.05}, LoadReps: 1}}},
+	}
+	for _, tt := range tests {
+		t.Run(strings.Join(tt.args, " "), func(t *testing.T) {
+			var cli bytes.Buffer
+			if err := run(tt.args, &cli); err != nil {
+				t.Fatal(err)
+			}
+			cache, err := grid.OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := t.TempDir()
+			spec := grid.Spec{Tables: []grid.TableSpec{{Output: "table.txt", Experiments: tt.sections}}}
+			if _, err := grid.Run(grid.Options{Spec: spec, Cache: cache, OutDir: out}); err != nil {
+				t.Fatal(err)
+			}
+			table, err := os.ReadFile(filepath.Join(out, "table.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(table) == 0 || !bytes.Equal(cli.Bytes(), table) {
+				t.Fatalf("CLI output differs from the grid's table:\ncli:  %q\ngrid: %q", cli.Bytes(), table)
+			}
+		})
 	}
 }
 
@@ -122,7 +170,7 @@ func TestRunErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := run(tt.args)
+			err := run(tt.args, io.Discard)
 			if err == nil {
 				t.Fatalf("run(%v) succeeded, want error", tt.args)
 			}
@@ -132,10 +180,15 @@ func TestRunErrors(t *testing.T) {
 		})
 	}
 
-	// main prefixes every error with "experiments:", so the -ext message
-	// carries no prefix of its own, and it lists each value -ext accepts
+	// main prefixes every error with "experiments:", so an unknown -fig
+	// carries no prefix of its own.
+	if err := run([]string{"-fig", "99"}, io.Discard); err == nil || strings.Contains(err.Error(), "experiments:") || !strings.Contains(err.Error(), "-fig") {
+		t.Errorf("-fig 99: error %v, want one naming -fig with no prefix of its own", err)
+	}
+
+	// Nor does an unknown -ext, whose message lists each value -ext accepts
 	// exactly once, -ext load included.
-	err := run([]string{"-ext", "bogus"})
+	err := run([]string{"-ext", "bogus"}, io.Discard)
 	if err == nil {
 		t.Fatal("run -ext bogus succeeded")
 	}

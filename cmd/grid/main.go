@@ -47,10 +47,13 @@ func run(args []string, out io.Writer) error {
 		list     = flags.Bool("list", false, "list grid points and their cache state without computing")
 		verify   = flags.Bool("verify", false, "verify cached points, manifests, and table hashes, then exit")
 		require  = flags.Bool("require-cached", false, "fail on any cache miss instead of computing")
-		par      = flags.Int("parallel", 1, "replicates evaluated concurrently per data point (results are identical for any value)")
+		par      = flags.Int("parallel", 0, "replicates evaluated concurrently per data point (default 1 for figures, every core for scale and load; results are identical for any value)")
 	)
 	if err := flags.Parse(args); err != nil {
 		return err
+	}
+	if *par < 0 {
+		return fmt.Errorf("-parallel %d: replicate parallelism must not be negative", *par)
 	}
 	spec, err := loadSpec(*specPath)
 	if err != nil {

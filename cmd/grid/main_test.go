@@ -101,3 +101,37 @@ func TestGridMissingNamedSpecIsError(t *testing.T) {
 		t.Fatal("missing -spec file accepted")
 	}
 }
+
+// TestGridErrors: every failure names its cause once. main prefixes errors
+// with "grid:", so none carries that prefix itself; an unknown -table lists
+// the spec's outputs instead of running nothing, and a negative -parallel
+// names its flag.
+func TestGridErrors(t *testing.T) {
+	badSpec := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(badSpec, []byte(`{"tables":[{"output":"a.txt","experiments":[{"id":"fig10","min_runs":50,"max_runs":10}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown table", gridArgs(t.TempDir(), t.TempDir(), "-table", "results_bogus.txt"), "smoke.txt"},
+		{"unknown table listed", gridArgs(t.TempDir(), t.TempDir(), "-list", "-table", "results_bogus.txt"), "smoke.txt"},
+		{"negative parallel", gridArgs(t.TempDir(), t.TempDir(), "-parallel", "-3"), "-parallel"},
+		{"bad spec", []string{"-spec", badSpec, "-cache", t.TempDir(), "-list"}, "max_runs"},
+		{"cold require-cached", gridArgs(t.TempDir(), t.TempDir(), "-require-cached"), "not cached"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(tt.args, &out)
+			if err == nil {
+				t.Fatalf("run(%v) succeeded:\n%s", tt.args, out.String())
+			}
+			if msg := err.Error(); !strings.Contains(msg, tt.want) || strings.Contains(msg, "grid:") {
+				t.Fatalf("run(%v): %q, want one naming %s with no grid: prefix of its own", tt.args, msg, tt.want)
+			}
+		})
+	}
+}

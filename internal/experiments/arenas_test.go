@@ -41,11 +41,8 @@ func TestPooledArenasLeaveNoTrace(t *testing.T) {
 		}}
 	}
 	var drivers []driver
-	for _, id := range AllFigureIDs() {
-		drivers = append(drivers, figure("fig"+id, func(rc RunConfig) (Figure, error) { return FigureByID(id, rc) }))
-	}
-	for _, id := range AllExtensionIDs() {
-		drivers = append(drivers, figure("ext:"+id, func(rc RunConfig) (Figure, error) { return ExtensionByID(id, rc) }))
+	for _, d := range registry {
+		drivers = append(drivers, figure(d.id, d.run))
 	}
 	drivers = append(drivers,
 		driver{"load", func(replicates int) (string, error) {
@@ -58,7 +55,7 @@ func TestPooledArenasLeaveNoTrace(t *testing.T) {
 			cfg := testScaleConfig()
 			cfg.Parallelism = replicates
 			rows, err := Scale(cfg)
-			return FormatScale(rows), err
+			return foldRows(rows, ScaleWriter), err
 		}})
 	for _, d := range drivers {
 		// A sync.Pool is empty after two collections; the arenas come back

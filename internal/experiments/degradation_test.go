@@ -114,11 +114,11 @@ func TestDegradationDeterministicAcrossParallelism(t *testing.T) {
 			serial.ReplicateParallelism = 1
 			parallel := base
 			parallel.ReplicateParallelism = 4
-			a, err := ExtensionByID(id, serial)
+			a, err := runDriver("ext:"+id, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ExtensionByID(id, parallel)
+			b, err := runDriver("ext:"+id, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -118,7 +118,7 @@ func uniqueLabels(n int, label func(j int) string) error {
 	seen := make(map[string]bool, n)
 	for j := 0; j < n; j++ {
 		if seen[label(j)] {
-			return fmt.Errorf("experiments: two data points labelled %q (sweep values that round to the same label)", label(j))
+			return fmt.Errorf("two data points labelled %q (sweep values that round to the same label)", label(j))
 		}
 		seen[label(j)] = true
 	}
@@ -180,7 +180,7 @@ func (rc RunConfig) sizeCell(prefix string, n, d int, v variant) cell {
 				return 0, err
 			}
 			if !res.FullDelivery() {
-				return 0, fmt.Errorf("experiments: %s delivered %d/%d (n=%d d=%d rep=%d)",
+				return 0, fmt.Errorf("%s delivered %d/%d (n=%d d=%d rep=%d)",
 					v.label, res.Delivered, res.N, n, d, i)
 			}
 			return float64(res.ForwardCount()), nil

@@ -18,9 +18,9 @@ type RunConfig struct {
 	Sizes []int
 	// Degrees lists the average degrees d (default 6 and 18).
 	Degrees []int
-	// Replicate controls the per-point replication loop. The zero value
-	// uses a quick preset (30..200 runs, 3% CI); see Paper for the paper's
-	// full ±1% criterion.
+	// Replicate controls the per-point replication loop. Zero fields take
+	// the default criterion's (see Criterion: 30..200 runs, 3% CI); see
+	// Paper for the paper's full ±1% criterion.
 	Replicate stats.ReplicateOptions
 	// Seed is the base seed; all workload randomness derives from it.
 	Seed int64
@@ -86,15 +86,7 @@ func (rc RunConfig) withDefaults() RunConfig {
 	if len(rc.Degrees) == 0 {
 		rc.Degrees = []int{6, 18}
 	}
-	if rc.Replicate.MinRuns == 0 {
-		rc.Replicate.MinRuns = 30
-	}
-	if rc.Replicate.MaxRuns == 0 {
-		rc.Replicate.MaxRuns = 200
-	}
-	if rc.Replicate.RelTol == 0 {
-		rc.Replicate.RelTol = 0.03
-	}
+	rc.Replicate = Criterion(rc.Replicate)
 	if rc.Seed == 0 {
 		rc.Seed = 42
 	}
@@ -138,6 +130,21 @@ func (rc RunConfig) replicate(point string, sample func(i int) (float64, error))
 		return rc.Runner(point, compute)
 	}
 	return compute()
+}
+
+// Criterion returns o with each zero field set to the default criterion's:
+// 30 to 200 runs, until the 90% CI is within ±3% of the mean.
+func Criterion(o stats.ReplicateOptions) stats.ReplicateOptions {
+	if o.MinRuns == 0 {
+		o.MinRuns = 30
+	}
+	if o.MaxRuns == 0 {
+		o.MaxRuns = 200
+	}
+	if o.RelTol == 0 {
+		o.RelTol = 0.03
+	}
+	return o
 }
 
 // Paper returns the paper's replication criterion: repeat until the 90%

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -143,15 +144,9 @@ func TestParallelFigureBitIdentical(t *testing.T) {
 			RestartRates:         []float64{0, 0.3},
 		}
 	}
-	drivers := map[string]func(RunConfig) (Figure, error){}
-	for _, id := range AllFigureIDs() {
-		drivers["fig"+id] = func(rc RunConfig) (Figure, error) { return FigureByID(id, rc) }
-	}
-	for _, id := range AllExtensionIDs() {
-		drivers["ext:"+id] = func(rc RunConfig) (Figure, error) { return ExtensionByID(id, rc) }
-	}
-	for name, run := range drivers {
-		t.Run(name, func(t *testing.T) {
+	for _, d := range registry {
+		run := d.run
+		t.Run(d.id, func(t *testing.T) {
 			t.Parallel()
 			want, err := run(tiny(1, 1))
 			if err != nil {
@@ -172,12 +167,23 @@ func TestParallelFigureBitIdentical(t *testing.T) {
 }
 
 func TestFigureByIDUnknown(t *testing.T) {
-	if _, err := FigureByID("9", RunConfig{}); err == nil {
-		t.Fatal("figure 9 is the sample scenario, not a sweep; must error")
+	if _, ok := Driver("fig9"); ok {
+		t.Fatal("figure 9 is the sample scenario, not a sweep; must have no driver")
 	}
-	if _, err := FigureByID("x", RunConfig{}); err == nil {
-		t.Fatal("unknown figure accepted")
+	for _, id := range []string{"figx", "10"} {
+		if _, ok := Driver(id); ok {
+			t.Fatalf("%q is not a grid id but has a driver", id)
+		}
 	}
+}
+
+// runDriver runs the driver registered under a grid id.
+func runDriver(id string, rc RunConfig) (Figure, error) {
+	run, ok := Driver(id)
+	if !ok {
+		return Figure{}, fmt.Errorf("no driver registered as %q", id)
+	}
+	return run(rc)
 }
 
 func TestAllFigureIDs(t *testing.T) {
@@ -205,7 +211,7 @@ func TestFigureStructures(t *testing.T) {
 	for _, tt := range tests {
 		t.Run("figure"+tt.id, func(t *testing.T) {
 			t.Parallel()
-			fig, err := FigureByID(tt.id, rc)
+			fig, err := runDriver("fig"+tt.id, rc)
 			if err != nil {
 				t.Fatal(err)
 			}

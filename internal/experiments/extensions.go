@@ -282,49 +282,6 @@ func Latency(rc RunConfig) (Figure, error) {
 		}))
 }
 
-// ExtensionByID dispatches the extension experiments by name.
-func ExtensionByID(id string, rc RunConfig) (Figure, error) {
-	switch id {
-	case "cluster":
-		return Clustering(rc)
-	case "latency":
-		return Latency(rc)
-	case "mobility":
-		return Mobility(rc)
-	case "reliability":
-		return Reliability(rc)
-	case "piggyback":
-		return PiggybackAblation(rc)
-	case "backoff":
-		return BackoffAblation(rc)
-	case "visitedunion":
-		return VisitedUnionAblation(rc)
-	case "crash":
-		return CrashDegradation(rc)
-	case "crashforward":
-		return CrashForwardRatio(rc)
-	case "loss":
-		return LossDegradation(rc)
-	case "helloloss":
-		return HelloLossDelivery(rc)
-	case "hellolossforward":
-		return HelloLossForwardRatio(rc)
-	case "hellolosslatency":
-		return HelloLossLatency(rc)
-	case "restart":
-		return RestartDelivery(rc)
-	case "restartlatency":
-		return RestartLatency(rc)
-	default:
-		return Figure{}, fmt.Errorf("experiments: unknown extension %q (valid: %v)", id, AllExtensionIDs())
-	}
-}
-
-// AllExtensionIDs lists the extension experiments.
-func AllExtensionIDs() []string {
-	return []string{"mobility", "reliability", "piggyback", "backoff", "visitedunion", "cluster", "latency", "crash", "crashforward", "loss", "helloloss", "hellolossforward", "hellolosslatency", "restart", "restartlatency"}
-}
-
 // mobilitySeed derives the perturbation seed for one mobility replication.
 // The variant label is deliberately excluded (every series sees the same
 // movements) while the step is included, so different sweep points move the

@@ -17,8 +17,10 @@ func extTinyConfig() RunConfig {
 }
 
 func TestExtensionByIDUnknown(t *testing.T) {
-	if _, err := ExtensionByID("nope", RunConfig{}); err == nil {
-		t.Fatal("unknown extension accepted")
+	for _, id := range []string{"ext:nope", "mobility"} {
+		if _, ok := Driver(id); ok {
+			t.Fatalf("%q is not a registered grid id but has a driver", id)
+		}
 	}
 }
 
@@ -28,7 +30,7 @@ func TestAllExtensionIDsDispatch(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			fig, err := ExtensionByID(id, rc)
+			fig, err := runDriver("ext:"+id, rc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
@@ -150,29 +151,57 @@ func buildFigure(rc RunConfig, id, title string, hops []int, variants []variant)
 	return rc.figure(id, title, "", panels)
 }
 
-// FigureByID dispatches to the figure drivers; valid ids are "10".."16".
-func FigureByID(id string, rc RunConfig) (Figure, error) {
-	switch id {
-	case "10":
-		return Figure10(rc)
-	case "11":
-		return Figure11(rc)
-	case "12":
-		return Figure12(rc)
-	case "13":
-		return Figure13(rc)
-	case "14":
-		return Figure14(rc)
-	case "15":
-		return Figure15(rc)
-	case "16":
-		return Figure16(rc)
-	default:
-		return Figure{}, fmt.Errorf("experiments: unknown figure %q (valid: 10..16)", id)
-	}
+// registry lists every figure-type driver under its grid id, in table order:
+// the paper's figures, then the extension experiments. The scale and load
+// sweeps have row types of their own (ScaleRow, LoadRow), so they are not
+// figures and not here.
+var registry = []struct {
+	id  string
+	run func(RunConfig) (Figure, error)
+}{
+	{"fig10", Figure10}, {"fig11", Figure11}, {"fig12", Figure12}, {"fig13", Figure13},
+	{"fig14", Figure14}, {"fig15", Figure15}, {"fig16", Figure16},
+	{"ext:mobility", Mobility},
+	{"ext:reliability", Reliability},
+	{"ext:piggyback", PiggybackAblation},
+	{"ext:backoff", BackoffAblation},
+	{"ext:visitedunion", VisitedUnionAblation},
+	{"ext:cluster", Clustering},
+	{"ext:latency", Latency},
+	{"ext:crash", CrashDegradation},
+	{"ext:crashforward", CrashForwardRatio},
+	{"ext:loss", LossDegradation},
+	{"ext:helloloss", HelloLossDelivery},
+	{"ext:hellolossforward", HelloLossForwardRatio},
+	{"ext:hellolosslatency", HelloLossLatency},
+	{"ext:restart", RestartDelivery},
+	{"ext:restartlatency", RestartLatency},
 }
 
-// AllFigureIDs lists the reproducible figures in paper order.
-func AllFigureIDs() []string {
-	return []string{"10", "11", "12", "13", "14", "15", "16"}
+// Driver returns the figure-type driver registered under a grid id —
+// "fig10".."fig16" or "ext:<name>" — and whether there is one.
+func Driver(id string) (func(RunConfig) (Figure, error), bool) {
+	for _, d := range registry {
+		if d.id == id {
+			return d.run, true
+		}
+	}
+	return nil, false
+}
+
+// AllFigureIDs lists the reproducible figures in paper order ("10".."16").
+func AllFigureIDs() []string { return registryIDs("fig") }
+
+// AllExtensionIDs lists the extension experiments in table order.
+func AllExtensionIDs() []string { return registryIDs("ext:") }
+
+// registryIDs lists the registry's ids that carry prefix, without it.
+func registryIDs(prefix string) []string {
+	var ids []string
+	for _, d := range registry {
+		if id, ok := strings.CutPrefix(d.id, prefix); ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 
 	"adhocbcast/internal/sim"
@@ -102,11 +105,63 @@ func (p fixedPoint[R]) measure(parallelism int) ([]R, error) {
 	return rows, nil
 }
 
+// rowWriter returns the Emit hook that lays a fixed-replication sweep's rows
+// out on w as they arrive: whenever a row starts a new point (key changes) a
+// heading, preceded by a blank line unless it is the first, then every row
+// indented on a line of its own. An Emit hook returns nothing, so write
+// errors are dropped; the grid's table buffers have none.
+func rowWriter[R any, K comparable](w io.Writer, key func(R) K, heading, line func(R) string) func(R) {
+	started := false
+	var last K
+	return func(r R) {
+		if k := key(r); !started || k != last {
+			if started {
+				io.WriteString(w, "\n")
+			}
+			io.WriteString(w, heading(r))
+			started, last = true, k
+		}
+		io.WriteString(w, "  "+line(r)+"\n")
+	}
+}
+
+// foldRows renders rows through a fresh row writer into a string.
+func foldRows[R any](rows []R, writer func(io.Writer) func(R)) string {
+	var b strings.Builder
+	emit := writer(&b)
+	for _, r := range rows {
+		emit(r)
+	}
+	return b.String()
+}
+
+// HalfWidth is a 90% confidence half-width in a result row. One replicate
+// has no interval: stats reports +Inf, which a row renders "±n/a" and JSON
+// (which has no infinities) carries as null, so a cached row decodes as it was.
+type HalfWidth float64
+
+// MarshalJSON encodes +Inf as null.
+func (h HalfWidth) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(h), 1) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(h))
+}
+
+// UnmarshalJSON decodes null as +Inf.
+func (h *HalfWidth) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*h = HalfWidth(math.Inf(1))
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(h))
+}
+
 // pm renders the "±half-width" column of a fixed-replication row to prec
-// decimals. One replicate has no interval (stats reports +Inf): "±n/a".
-func pm(halfWidth float64, prec int) string {
-	if math.IsInf(halfWidth, 1) {
+// decimals; a one-replicate row has no interval: "±n/a".
+func pm(halfWidth HalfWidth, prec int) string {
+	if math.IsInf(float64(halfWidth), 1) {
 		return "±n/a"
 	}
-	return "±" + strconv.FormatFloat(halfWidth, 'f', prec, 64)
+	return "±" + strconv.FormatFloat(float64(halfWidth), 'f', prec, 64)
 }

@@ -91,11 +91,11 @@ func TestHelloLossDeterministicAcrossParallelism(t *testing.T) {
 			serial.ReplicateParallelism = 1
 			parallel := base
 			parallel.ReplicateParallelism = 4
-			a, err := ExtensionByID(id, serial)
+			a, err := runDriver("ext:"+id, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ExtensionByID(id, parallel)
+			b, err := runDriver("ext:"+id, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}

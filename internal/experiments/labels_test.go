@@ -25,13 +25,8 @@ func TestDefaultPointLabelsPinned(t *testing.T) {
 			return stats.Summary{}, nil
 		},
 	}
-	for _, id := range AllFigureIDs() {
-		if _, err := FigureByID(id, rc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range AllExtensionIDs() {
-		if _, err := ExtensionByID(id, rc); err != nil {
+	for _, d := range registry {
+		if _, err := d.run(rc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/protocol"
@@ -104,15 +104,15 @@ type LoadRow struct {
 	Variant      string
 	Replicates   int
 	Throughput   float64
-	ThroughputCI float64
+	ThroughputCI HalfWidth
 	Delivery     float64
-	DeliveryCI   float64
+	DeliveryCI   HalfWidth
 	LatencyP50   float64
-	LatencyP50CI float64
+	LatencyP50CI HalfWidth
 	LatencyP99   float64
-	LatencyP99CI float64
+	LatencyP99CI HalfWidth
 	QueueDrops   float64
-	QueueDropsCI float64
+	QueueDropsCI HalfWidth
 }
 
 // loadVariants are the protocols the sweep saturates: blind flooding as the
@@ -162,11 +162,11 @@ func Load(cfg LoadConfig) ([]LoadRow, error) {
 					Rate:       rate,
 					Variant:    variants[vi].label,
 					Replicates: cfg.Replicates,
-					Throughput: m[0].Mean, ThroughputCI: m[0].HalfWidth90,
-					Delivery: m[1].Mean, DeliveryCI: m[1].HalfWidth90,
-					LatencyP50: m[2].Mean, LatencyP50CI: m[2].HalfWidth90,
-					LatencyP99: m[3].Mean, LatencyP99CI: m[3].HalfWidth90,
-					QueueDrops: m[4].Mean, QueueDropsCI: m[4].HalfWidth90,
+					Throughput: m[0].Mean, ThroughputCI: HalfWidth(m[0].HalfWidth90),
+					Delivery: m[1].Mean, DeliveryCI: HalfWidth(m[1].HalfWidth90),
+					LatencyP50: m[2].Mean, LatencyP50CI: HalfWidth(m[2].HalfWidth90),
+					LatencyP99: m[3].Mean, LatencyP99CI: HalfWidth(m[3].HalfWidth90),
+					QueueDrops: m[4].Mean, QueueDropsCI: HalfWidth(m[4].HalfWidth90),
 				}
 			},
 		}
@@ -224,27 +224,21 @@ func loadReplicate(cfg LoadConfig, variants []variant, rate float64, rep int, ar
 	return out, nil
 }
 
-// FormatLoad renders load rows as one aligned text table per offered load.
-func FormatLoad(rows []LoadRow) string {
-	var b strings.Builder
-	lastRate := -1.0
-	for _, r := range rows {
-		if r.Rate != lastRate {
-			if lastRate != -1 {
-				b.WriteString("\n")
-			}
-			fmt.Fprintf(&b, "offered load %.3f sessions/slot (%d replicates)\n", r.Rate, r.Replicates)
-			fmt.Fprintf(&b, "  %-18s %16s %15s %14s %14s %14s\n",
-				"variant", "throughput", "delivery %", "p50 (slots)", "p99 (slots)", "qdrops/sess")
-			lastRate = r.Rate
-		}
-		b.WriteString("  " + FormatLoadRow(r) + "\n")
-	}
-	return b.String()
+// LoadWriter returns an Emit hook that writes each load row to w as it
+// arrives: one aligned table per offered load, light loads first, so the
+// saturation knee emerges while the heavy loads still run.
+func LoadWriter(w io.Writer) func(LoadRow) {
+	return rowWriter(w, func(r LoadRow) float64 { return r.Rate }, func(r LoadRow) string {
+		return fmt.Sprintf("offered load %.3f sessions/slot (%d replicates)\n  %-18s %16s %15s %14s %14s %14s\n",
+			r.Rate, r.Replicates, "variant", "throughput", "delivery %", "p50 (slots)", "p99 (slots)", "qdrops/sess")
+	}, loadLine)
 }
 
-// FormatLoadRow renders one row as an aligned line (no leading indent).
-func FormatLoadRow(r LoadRow) string {
+// FormatLoad renders load rows as LoadWriter writes them.
+func FormatLoad(rows []LoadRow) string { return foldRows(rows, LoadWriter) }
+
+// loadLine renders one row as an aligned line (no leading indent).
+func loadLine(r LoadRow) string {
 	return fmt.Sprintf("%-18s %9.4f %s %9.2f %s %8.1f %s %8.1f %s %8.2f %s",
 		r.Variant, r.Throughput, pm(r.ThroughputCI, 4), r.Delivery, pm(r.DeliveryCI, 2),
 		r.LatencyP50, pm(r.LatencyP50CI, 1), r.LatencyP99, pm(r.LatencyP99CI, 1),

@@ -103,7 +103,7 @@ func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, 
 	rc = rc.withDefaults()
 	for _, frac := range rc.RestartRates {
 		if !(frac >= 0 && frac <= 1) {
-			return Figure{}, fmt.Errorf("experiments: restart fraction %v outside [0,1]", frac)
+			return Figure{}, fmt.Errorf("restart fraction %v outside [0,1]", frac)
 		}
 	}
 	pcts := percents(rc.RestartRates)

@@ -62,7 +62,7 @@ func NewSample(n int, d float64, seed int64) (*Sample, error) {
 				return nil, err
 			}
 			if !res.FullDelivery() {
-				return nil, fmt.Errorf("experiments: sample %s/%d-hop delivered %d/%d",
+				return nil, fmt.Errorf("sample %s/%d-hop delivered %d/%d",
 					t.label, hops, res.Delivered, res.N)
 			}
 			s.Runs = append(s.Runs, SampleRun{

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
-	"strings"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/obsv"
@@ -50,8 +50,8 @@ type ScaleConfig struct {
 	// Hops is the local-view depth (default 2).
 	Hops int
 	// Emit, when non-nil, receives each completed row as soon as its point
-	// finishes, in (size, variant) order — the streaming hook the CLI uses
-	// to print results while later, larger points are still running. Emit
+	// finishes, in (size, variant) order — ScaleWriter is the hook that
+	// prints results while later, larger points are still running. Emit
 	// fires for cached rows too when a Runner substitutes stored results.
 	Emit func(ScaleRow)
 	// Runner, when non-nil, intercepts each size point's computation: it
@@ -102,11 +102,11 @@ type ScaleRow struct {
 	Variant    string
 	Replicates int
 	Delivery   float64
-	DeliveryCI float64
+	DeliveryCI HalfWidth
 	Forward    float64
-	ForwardCI  float64
+	ForwardCI  HalfWidth
 	Latency    float64
-	LatencyCI  float64
+	LatencyCI  HalfWidth
 }
 
 // scaleVariants are the design-space corners the sweep carries to scale:
@@ -149,9 +149,9 @@ func Scale(cfg ScaleConfig) ([]ScaleRow, error) {
 					N:          n,
 					Variant:    variants[vi].label,
 					Replicates: nreps,
-					Delivery:   m[0].Mean, DeliveryCI: m[0].HalfWidth90,
-					Forward: m[1].Mean, ForwardCI: m[1].HalfWidth90,
-					Latency: m[2].Mean, LatencyCI: m[2].HalfWidth90,
+					Delivery:   m[0].Mean, DeliveryCI: HalfWidth(m[0].HalfWidth90),
+					Forward: m[1].Mean, ForwardCI: HalfWidth(m[1].HalfWidth90),
+					Latency: m[2].Mean, LatencyCI: HalfWidth(m[2].HalfWidth90),
 				}
 			},
 		}
@@ -190,27 +190,18 @@ func scaleReplicate(cfg ScaleConfig, variants []variant, n, rep int, arena *sim.
 	return out, nil
 }
 
-// FormatScale renders scale rows as one aligned text table per network size.
-func FormatScale(rows []ScaleRow) string {
-	var b strings.Builder
-	lastN := -1
-	for _, r := range rows {
-		if r.N != lastN {
-			if lastN != -1 {
-				b.WriteString("\n")
-			}
-			fmt.Fprintf(&b, "n=%d (%d replicates)\n", r.N, r.Replicates)
-			fmt.Fprintf(&b, "  %-16s %16s %16s %18s\n",
-				"variant", "delivery %", "forward %", "latency (slots)")
-			lastN = r.N
-		}
-		b.WriteString("  " + FormatScaleRow(r) + "\n")
-	}
-	return b.String()
+// ScaleWriter returns an Emit hook that writes each scale row to w as it
+// arrives: one aligned table per network size, so a sweep prints its small
+// sizes while the large ones still run.
+func ScaleWriter(w io.Writer) func(ScaleRow) {
+	return rowWriter(w, func(r ScaleRow) int { return r.N }, func(r ScaleRow) string {
+		return fmt.Sprintf("n=%d (%d replicates)\n  %-16s %16s %16s %18s\n",
+			r.N, r.Replicates, "variant", "delivery %", "forward %", "latency (slots)")
+	}, scaleLine)
 }
 
-// FormatScaleRow renders one row as an aligned line (no leading indent).
-func FormatScaleRow(r ScaleRow) string {
+// scaleLine renders one row as an aligned line (no leading indent).
+func scaleLine(r ScaleRow) string {
 	return fmt.Sprintf("%-16s %10.2f %s %10.2f %s %12.2f %s",
 		r.Variant, r.Delivery, pm(r.DeliveryCI, 2), r.Forward, pm(r.ForwardCI, 2),
 		r.Latency, pm(r.LatencyCI, 2))

@@ -117,10 +117,10 @@ func TestFormatScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatScale(rows)
+	out := foldRows(rows, ScaleWriter)
 	for _, want := range []string{"n=50", "n=80", "Flooding", "Generic-FRB", "delivery %"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("FormatScale output missing %q:\n%s", want, out)
+			t.Fatalf("ScaleWriter output missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -138,16 +138,16 @@ func TestOneReplicateIntervalRendersNA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, out := range map[string]string{"scale": FormatScale(scale), "load": FormatLoad(load)} {
+	for name, out := range map[string]string{"scale": foldRows(scale, ScaleWriter), "load": FormatLoad(load)} {
 		if strings.Contains(out, "Inf") || !strings.Contains(out, "±n/a") {
 			t.Errorf("%s table at one replicate:\n%s", name, out)
 		}
 	}
-	if got, want := FormatScaleRow(ScaleRow{Variant: "V", Delivery: 100, DeliveryCI: math.Inf(1), Forward: 24.96, ForwardCI: 0.19, Latency: 104.23, LatencyCI: 113.27}),
+	if got, want := scaleLine(ScaleRow{Variant: "V", Delivery: 100, DeliveryCI: HalfWidth(math.Inf(1)), Forward: 24.96, ForwardCI: 0.19, Latency: 104.23, LatencyCI: 113.27}),
 		"V                    100.00 ±n/a      24.96 ±0.19       104.23 ±113.27"; got != want {
 		t.Errorf("scale row:\n got %q\nwant %q", got, want)
 	}
-	if got, want := FormatLoadRow(LoadRow{Variant: "V", Throughput: 0.0442, ThroughputCI: 0.00125, Delivery: 61.54, DeliveryCI: math.Inf(1), LatencyP50: 6, LatencyP50CI: 0.55, LatencyP99: 19, QueueDropsCI: 0.005}),
+	if got, want := loadLine(LoadRow{Variant: "V", Throughput: 0.0442, ThroughputCI: 0.00125, Delivery: 61.54, DeliveryCI: HalfWidth(math.Inf(1)), LatencyP50: 6, LatencyP50CI: 0.55, LatencyP99: 19, QueueDropsCI: 0.005}),
 		"V                     0.0442 ±0.0013     61.54 ±n/a      6.0 ±0.6     19.0 ±0.0     0.00 ±0.01"; got != want {
 		t.Errorf("load row:\n got %q\nwant %q", got, want)
 	}

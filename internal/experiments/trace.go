@@ -137,7 +137,7 @@ func (s *traceSink) finish(err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err == nil && s.err != nil {
-		err = fmt.Errorf("experiments: trace %s: %w", s.point, s.err)
+		err = fmt.Errorf("trace %s: %w", s.point, s.err)
 	}
 	if err != nil {
 		s.f.Abort()
@@ -145,10 +145,10 @@ func (s *traceSink) finish(err error) error {
 	}
 	if serr := s.w.Seal(); serr != nil {
 		s.f.Abort()
-		return fmt.Errorf("experiments: trace %s: %w", s.point, serr)
+		return fmt.Errorf("trace %s: %w", s.point, serr)
 	}
 	if cerr := s.f.Commit(); cerr != nil {
-		return fmt.Errorf("experiments: trace %s: %w", s.point, cerr)
+		return fmt.Errorf("trace %s: %w", s.point, cerr)
 	}
 	return nil
 }

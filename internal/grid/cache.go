@@ -87,10 +87,10 @@ func (c *Cache) Get(cfg PointConfig, out any) (bool, error) {
 		return false, err
 	}
 	if rec.Config != cfg {
-		return false, fmt.Errorf("grid: %s: cached config does not match its content address (cache tampered?)", path)
+		return false, fmt.Errorf("%s: cached config does not match its content address (cache tampered?)", path)
 	}
 	if err := json.Unmarshal(rec.Result, out); err != nil {
-		return false, fmt.Errorf("grid: %s: cached result: %w", path, err)
+		return false, fmt.Errorf("%s: cached result: %w", path, err)
 	}
 	return true, nil
 }
@@ -100,7 +100,7 @@ func (c *Cache) Get(cfg PointConfig, out any) (bool, error) {
 func (c *Cache) Put(cfg PointConfig, result any) error {
 	raw, err := json.Marshal(result)
 	if err != nil {
-		return fmt.Errorf("grid: encode result for %s: %w", cfg.Point, err)
+		return fmt.Errorf("encode result for %s: %w", cfg.Point, err)
 	}
 	line, err := json.Marshal(pointRecord{Schema: RecordSchema, Kind: KindPoint, Config: cfg, Result: raw})
 	if err != nil {
@@ -131,23 +131,23 @@ func sealLines(lines []byte) []byte {
 // address) and returns its point record.
 func parsePointFile(path string, data []byte) (pointRecord, error) {
 	if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
-		return pointRecord{}, fmt.Errorf("grid: %s: %w", path, err)
+		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
 	}
 	first, _, ok := bytes.Cut(data, []byte("\n"))
 	if !ok {
-		return pointRecord{}, fmt.Errorf("grid: %s: empty point file", path)
+		return pointRecord{}, fmt.Errorf("%s: empty point file", path)
 	}
 	var rec pointRecord
 	if err := json.Unmarshal(first, &rec); err != nil {
-		return pointRecord{}, fmt.Errorf("grid: %s: %w", path, err)
+		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if rec.Schema != RecordSchema || rec.Kind != KindPoint {
-		return pointRecord{}, fmt.Errorf("grid: %s: not a %s %s record (schema %q kind %q)",
+		return pointRecord{}, fmt.Errorf("%s: not a %s %s record (schema %q kind %q)",
 			path, RecordSchema, KindPoint, rec.Schema, rec.Kind)
 	}
 	want := strings.TrimSuffix(filepath.Base(path), ".jsonl")
 	if got := rec.Config.Hash(); got != want {
-		return pointRecord{}, fmt.Errorf("grid: %s: config hashes to %.12s…, file claims %.12s… (cache tampered?)", path, got, want)
+		return pointRecord{}, fmt.Errorf("%s: config hashes to %.12s…, file claims %.12s… (cache tampered?)", path, got, want)
 	}
 	return rec, nil
 }
@@ -236,7 +236,7 @@ func (c *Cache) readManifest(output string) ([]manifestEntry, manifestTable, err
 		return nil, manifestTable{}, err
 	}
 	if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
-		return nil, manifestTable{}, fmt.Errorf("grid: %s: %w", path, err)
+		return nil, manifestTable{}, fmt.Errorf("%s: %w", path, err)
 	}
 	var entries []manifestEntry
 	var table manifestTable
@@ -249,23 +249,23 @@ func (c *Cache) readManifest(output string) ([]manifestEntry, manifestTable, err
 			Kind   string `json:"kind"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, manifestTable{}, fmt.Errorf("grid: %s: %w", path, err)
+			return nil, manifestTable{}, fmt.Errorf("%s: %w", path, err)
 		}
 		switch {
 		case probe.Schema == RecordSchema && probe.Kind == KindEntry:
 			var e manifestEntry
 			if err := json.Unmarshal(line, &e); err != nil {
-				return nil, manifestTable{}, fmt.Errorf("grid: %s: %w", path, err)
+				return nil, manifestTable{}, fmt.Errorf("%s: %w", path, err)
 			}
 			entries = append(entries, e)
 		case probe.Schema == RecordSchema && probe.Kind == KindTable:
 			if err := json.Unmarshal(line, &table); err != nil {
-				return nil, manifestTable{}, fmt.Errorf("grid: %s: %w", path, err)
+				return nil, manifestTable{}, fmt.Errorf("%s: %w", path, err)
 			}
 		}
 	}
 	if table.Output == "" {
-		return nil, manifestTable{}, fmt.Errorf("grid: %s: manifest has no table record", path)
+		return nil, manifestTable{}, fmt.Errorf("%s: manifest has no table record", path)
 	}
 	return entries, table, nil
 }

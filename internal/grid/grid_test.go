@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,6 +157,53 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{"tables":[{"output":"a.txt","experiments":[{"id":"ext:mobility"},{"id":"scale"}]}]}`)); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestParseSpecRejectsUnrunnableSections: a point's configuration must
+// record the criterion its driver runs, so a negative count or tolerance
+// (which the drivers would replace by a default) and a replication cap below
+// its floor once defaults are filled in (which stats would raise to the
+// floor) are refused, each naming its JSON field.
+func TestParseSpecRejectsUnrunnableSections(t *testing.T) {
+	cases := []struct{ section, field string }{
+		{`"id":"fig10","min_runs":50,"max_runs":10`, "max_runs"},
+		{`"id":"fig10","min_runs":300`, "max_runs"},
+		{`"id":"fig10","min_runs":-1`, "min_runs"},
+		{`"id":"fig10","max_runs":-5`, "max_runs"},
+		{`"id":"fig10","rel_tol":-0.01`, "rel_tol"},
+		{`"id":"scale","scale_reps":-1`, "scale_reps"},
+		{`"id":"scale","scale_degree":-18`, "scale_degree"},
+		{`"id":"load","load_reps":-2`, "load_reps"},
+	}
+	for _, c := range cases {
+		_, err := ParseSpec([]byte(`{"tables":[{"output":"a.txt","experiments":[{` + c.section + `}]}]}`))
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != c.field {
+			t.Errorf("{%s}: err = %v, want a FieldError on %s", c.section, err, c.field)
+		}
+	}
+	if _, err := ParseSpec([]byte(`{"tables":[{"output":"a.txt","experiments":[{"id":"fig10","min_runs":5,"max_runs":5},{"id":"fig11","paper":true,"min_runs":300}]}]}`)); err != nil {
+		t.Errorf("equal floor and cap, or a paper section's unused floor, rejected: %v", err)
+	}
+}
+
+// TestRunValidatesBeforeAnyPoint: a spec built in Go skips ParseSpec, so Run
+// validates every section of a table before its first point computes.
+func TestRunValidatesBeforeAnyPoint(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.Tables[0].Experiments = append(spec.Tables[0].Experiments, ExperimentSpec{ID: "load", LoadReps: -1})
+	var fe *FieldError
+	if _, err := Run(Options{Spec: spec, Cache: cache, OutDir: t.TempDir()}); !errors.As(err, &fe) || fe.Field != "load_reps" {
+		t.Fatalf("Run: err = %v, want a FieldError on load_reps", err)
+	}
+	if points, _ := filepath.Glob(filepath.Join(dir, "points", "*")); len(points) != 0 {
+		t.Fatalf("invalid spec computed %d point(s)", len(points))
 	}
 }
 
@@ -460,5 +508,43 @@ func TestScaleRunnerCaches(t *testing.T) {
 	}
 	if !strings.Contains(string(table1), "n=40 (2 replicates)") {
 		t.Fatalf("scale table content: %q", table1)
+	}
+}
+
+// TestOneReplicatePointsCache: a point measured once has no confidence
+// interval (a +Inf half-width, which JSON cannot carry); it must still cache,
+// and its warm rerun must print the same "±n/a" table.
+func TestOneReplicatePointsCache(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	spec := Spec{Tables: []TableSpec{{
+		Output: "once.txt",
+		Experiments: []ExperimentSpec{
+			{ID: "fig16", Seed: 7, Sizes: []int{20}, Degrees: []int{6}, MinRuns: 1, MaxRuns: 1},
+			{ID: "scale", Seed: 7, ScaleSizes: []int{40}, ScaleDegree: 8, ScaleReps: 1},
+			{ID: "load", Seed: 7, LoadRates: []float64{0.05}, LoadReps: 1},
+		},
+	}}}
+	opts := Options{Spec: spec, Cache: cache, OutDir: out}
+	if _, err := Run(opts); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	cold, err := os.ReadFile(filepath.Join(out, "once.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.RequireCached = true
+	if _, err := Run(opts); err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	warm, err := os.ReadFile(filepath.Join(out, "once.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cold, warm) || !strings.Contains(string(cold), "±n/a") {
+		t.Fatalf("one-replicate table:\ncold: %q\nwarm: %q", cold, warm)
 	}
 }

@@ -11,8 +11,9 @@
 //
 // The package drives the experiment drivers through their Runner hooks
 // (experiments.RunConfig.Runner, experiments.ScaleConfig.Runner), so a grid
-// point is exactly one driver data point and cold-run results are
-// byte-identical to cmd/experiments output.
+// point is exactly one driver data point. cmd/experiments runs its flags as a
+// one-table spec through the same executor (Execute, with no cache), so
+// cold-run tables are byte-identical to its output.
 package grid
 
 import (

@@ -1,12 +1,15 @@
 package grid
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +34,9 @@ type Options struct {
 	// point — the mode grid-smoke uses to prove a rerun is all hits.
 	RequireCached bool
 	// ReplicateParallelism bounds concurrently evaluated replicates within a
-	// data point (results are identical for any value); default 1.
+	// data point (results are identical for any value); 0 selects each
+	// driver's default: 1 for figures and extensions, GOMAXPROCS for the
+	// scale and load sweeps.
 	ReplicateParallelism int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -50,17 +55,24 @@ func (o Options) outDir() string {
 	return o.OutDir
 }
 
-// selected reports whether output is in the Tables filter (empty = all).
-func (o Options) selected(output string) bool {
-	if len(o.Tables) == 0 {
-		return true
-	}
-	for _, t := range o.Tables {
-		if t == output {
-			return true
+// tables returns the spec's tables the Tables filter selects (all when it is
+// empty), in spec order. A name that is no table's output is an error that
+// lists the valid ones, not an empty run.
+func (o Options) tables() ([]TableSpec, error) {
+	var sel []TableSpec
+	var outputs []string
+	for _, t := range o.Spec.Tables {
+		outputs = append(outputs, t.Output)
+		if len(o.Tables) == 0 || slices.Contains(o.Tables, t.Output) {
+			sel = append(sel, t)
 		}
 	}
-	return false
+	for _, name := range o.Tables {
+		if !slices.Contains(outputs, name) {
+			return nil, fmt.Errorf("unknown table %q (valid: %s)", name, strings.Join(outputs, ", "))
+		}
+	}
+	return sel, nil
 }
 
 // Stats counts the points a Run touched.
@@ -76,41 +88,45 @@ type Stats struct {
 // shortest round-tripping form), so a cached summary formats byte-identically
 // to a freshly computed one.
 type summaryPayload struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	CI90   float64 `json:"ci90"`
+	N      int                   `json:"n"`
+	Mean   float64               `json:"mean"`
+	StdDev float64               `json:"stddev"`
+	CI90   experiments.HalfWidth `json:"ci90"`
 }
 
 func payloadFrom(s stats.Summary) summaryPayload {
-	return summaryPayload{N: s.N, Mean: s.Mean, StdDev: s.StdDev, CI90: s.HalfWidth90}
+	return summaryPayload{N: s.N, Mean: s.Mean, StdDev: s.StdDev, CI90: experiments.HalfWidth(s.HalfWidth90)}
 }
 
 func (p summaryPayload) summary() stats.Summary {
-	return stats.Summary{N: p.N, Mean: p.Mean, StdDev: p.StdDev, HalfWidth90: p.CI90}
+	return stats.Summary{N: p.N, Mean: p.Mean, StdDev: p.StdDev, HalfWidth90: float64(p.CI90)}
 }
 
 // pointHandler resolves one grid point on behalf of a driver's Runner hook:
 // it fills *dst — a pointer to the point's cached payload type — from the
 // cache or by calling compute (which assigns *dst), or leaves it zero. The
 // drivers invoke hooks concurrently, so a handler is safe for concurrent
-// calls. Run and List differ only in their handler.
+// calls. Run and List differ only in their handler; Execute passes none.
 type pointHandler func(cfg PointConfig, dst any, compute func() error) error
 
 // fixedHook adapts a pointHandler to the Runner signature of a
 // fixed-replication sweep (scale, load), whose points cache their rows. The
 // point's canonical config comes from its label, which ends in the resolved
 // degree and replicate count (the scale driver caps the count for the largest
-// sizes); with the seed they pin the point.
+// sizes); with the seed they pin the point. A nil handler is no hook: every
+// point computes.
 func fixedHook[R any](h pointHandler, experiment string, seed int64) func(string, func() ([]R, error)) ([]R, error) {
+	if h == nil {
+		return nil
+	}
 	return func(point string, compute func() ([]R, error)) ([]R, error) {
 		cfg := PointConfig{Schema: PointSchema, Experiment: experiment, Point: point, Seed: seed}
 		i := strings.LastIndex(point, "/d=")
 		if i < 0 {
-			return nil, fmt.Errorf("grid: unparseable %s point label %q", experiment, point)
+			return nil, fmt.Errorf("unparseable %s point label %q", experiment, point)
 		}
 		if _, err := fmt.Sscanf(point[i:], "/d=%d/reps=%d", &cfg.Degree, &cfg.Replicates); err != nil {
-			return nil, fmt.Errorf("grid: unparseable %s point label %q: %w", experiment, point, err)
+			return nil, fmt.Errorf("unparseable %s point label %q: %w", experiment, point, err)
 		}
 		var rows []R
 		err := h(cfg, &rows, func() (err error) {
@@ -140,7 +156,7 @@ func (c *collector) serve(cfg PointConfig, dst any, compute func() error) error 
 	}
 	if !hit {
 		if c.opts.RequireCached {
-			return fmt.Errorf("grid: point %q (%.12s…) not cached", cfg.Point, cfg.Hash())
+			return fmt.Errorf("point %q (%.12s…) not cached", cfg.Point, cfg.Hash())
 		}
 		if err := compute(); err != nil {
 			return err
@@ -172,17 +188,7 @@ func (e ExperimentSpec) resolve() (int64, stats.ReplicateOptions) {
 	if e.Paper {
 		return seed, experiments.Paper()
 	}
-	rep := stats.ReplicateOptions{MinRuns: e.MinRuns, MaxRuns: e.MaxRuns, RelTol: e.RelTol}
-	if rep.MinRuns == 0 {
-		rep.MinRuns = 30
-	}
-	if rep.MaxRuns == 0 {
-		rep.MaxRuns = 200
-	}
-	if rep.RelTol == 0 {
-		rep.RelTol = 0.03
-	}
-	return seed, rep
+	return seed, experiments.Criterion(stats.ReplicateOptions{MinRuns: e.MinRuns, MaxRuns: e.MaxRuns, RelTol: e.RelTol})
 }
 
 // Run executes every selected table of the spec: each grid point is served
@@ -190,83 +196,97 @@ func (e ExperimentSpec) resolve() (int64, stats.ReplicateOptions) {
 // stored otherwise, and each completed table is written atomically to OutDir
 // alongside a sealed provenance manifest in the cache.
 func Run(opts Options) (Stats, error) {
+	tables, err := opts.tables()
+	if err != nil {
+		return Stats{}, err
+	}
 	var st Stats
-	for _, t := range opts.Spec.Tables {
-		if !opts.selected(t.Output) {
-			continue
-		}
+	for _, t := range tables {
 		col := &collector{opts: opts, st: &st}
-		var buf strings.Builder
-		for _, e := range t.Experiments {
-			section, err := runExperiment(opts, e, col.serve)
-			if err != nil {
-				return st, fmt.Errorf("grid: %s: %s: %w", t.Output, e.ID, err)
-			}
-			if e.Header != "" {
-				buf.WriteString(e.Header + "\n")
-			}
-			buf.WriteString(section)
+		var buf bytes.Buffer
+		if err := runTable(&buf, t, experiments.RunConfig{ReplicateParallelism: opts.ReplicateParallelism}, nil, col.serve); err != nil {
+			return st, fmt.Errorf("%s: %w", t.Output, err)
 		}
-		data := []byte(buf.String())
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(buf.Bytes())
 		if err := opts.Cache.WriteManifest(t.Output, col.ents, hex.EncodeToString(sum[:])); err != nil {
-			return st, fmt.Errorf("grid: %s: manifest: %w", t.Output, err)
+			return st, fmt.Errorf("%s: manifest: %w", t.Output, err)
 		}
-		if err := obsv.WriteFileAtomic(filepath.Join(opts.outDir(), t.Output), data); err != nil {
-			return st, fmt.Errorf("grid: %s: %w", t.Output, err)
+		if err := obsv.WriteFileAtomic(filepath.Join(opts.outDir(), t.Output), buf.Bytes()); err != nil {
+			return st, fmt.Errorf("%s: %w", t.Output, err)
 		}
 		opts.logf("%s: %d point(s)", t.Output, len(col.ents))
 	}
 	return st, nil
 }
 
-// runExperiment executes one section of a table with every data point
-// resolved by h, and returns the section's rendered bytes (excluding the
-// optional header). The output is byte-identical to what cmd/experiments
-// prints for the same parameters: Format(figure) plus the trailing blank line
-// for figure and extension sections, FormatScale for the scale sweep,
-// FormatLoad for the saturation sweep.
-func runExperiment(opts Options, e ExperimentSpec, h pointHandler) (string, error) {
+// Execute runs one table with no store — every point computes, no manifest
+// is written — writing each section to w as it completes, the bytes Run
+// writes for the same table. base carries what a spec cannot say (replicate
+// parallelism, 0 meaning each driver's default; TraceDir; Progress); figure,
+// when non-nil, receives each figure-type section's result once written.
+func Execute(w io.Writer, t TableSpec, base experiments.RunConfig, figure func(experiments.Figure) error) error {
+	return runTable(w, t, base, figure, nil)
+}
+
+// runTable validates every section of t, then runs them in order, writing
+// each (its header first) to w as it completes. h resolves every data point;
+// when nil, each point computes.
+func runTable(w io.Writer, t TableSpec, base experiments.RunConfig, figure func(experiments.Figure) error, h pointHandler) error {
+	for _, e := range t.Experiments {
+		if err := e.validate(); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	for _, e := range t.Experiments {
+		if e.Header != "" {
+			if _, err := io.WriteString(w, e.Header+"\n"); err != nil {
+				return err
+			}
+		}
+		if err := runSection(w, e, base, figure, h); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return nil
+}
+
+// runSection runs one validated section: the scale and load sweeps stream
+// their rows through ScaleWriter/LoadWriter as each point completes, a
+// figure-type driver writes Format(figure) and a blank line once it is done.
+func runSection(w io.Writer, e ExperimentSpec, base experiments.RunConfig, figure func(experiments.Figure) error, h pointHandler) error {
 	seed, rep := e.resolve()
 	switch e.ID {
 	case "load":
-		rows, err := experiments.Load(experiments.LoadConfig{
-			Rates:      e.LoadRates,
-			Replicates: e.LoadReps,
-			Seed:       seed,
-			Runner:     fixedHook[experiments.LoadRow](h, e.ID, seed),
+		_, err := experiments.Load(experiments.LoadConfig{
+			Rates:       e.LoadRates,
+			Replicates:  e.LoadReps,
+			Seed:        seed,
+			Parallelism: base.ReplicateParallelism,
+			Emit:        experiments.LoadWriter(w),
+			Runner:      fixedHook[experiments.LoadRow](h, e.ID, seed),
 		})
-		return experiments.FormatLoad(rows), err
+		return err
 	case "scale":
-		rows, err := experiments.Scale(experiments.ScaleConfig{
-			Sizes:      e.ScaleSizes,
-			Degree:     e.ScaleDegree,
-			Replicates: e.ScaleReps,
-			Seed:       seed,
-			Runner:     fixedHook[experiments.ScaleRow](h, e.ID, seed),
+		_, err := experiments.Scale(experiments.ScaleConfig{
+			Sizes:       e.ScaleSizes,
+			Degree:      e.ScaleDegree,
+			Replicates:  e.ScaleReps,
+			Seed:        seed,
+			Parallelism: base.ReplicateParallelism,
+			Emit:        experiments.ScaleWriter(w),
+			Runner:      fixedHook[experiments.ScaleRow](h, e.ID, seed),
 		})
-		return experiments.FormatScale(rows), err
+		return err
 	}
-	rc := experiments.RunConfig{
-		Sizes:                e.Sizes,
-		Degrees:              e.Degrees,
-		Replicate:            rep,
-		Seed:                 seed,
-		ReplicateParallelism: opts.ReplicateParallelism,
-		CrashFractions:       e.CrashFractions,
-		LossRates:            e.LossRates,
-		HelloLossRates:       e.HelloLossRates,
-		RestartRates:         e.RestartRates,
-		Runner: func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
-			cfg := PointConfig{
-				Schema:     PointSchema,
-				Experiment: e.ID,
-				Point:      point,
-				Seed:       seed,
-				MinRuns:    rep.MinRuns,
-				MaxRuns:    rep.MaxRuns,
-				RelTol:     rep.RelTol,
-			}
+	rc := base
+	rc.Sizes, rc.Degrees = e.Sizes, e.Degrees
+	rc.Replicate, rc.Seed = rep, seed
+	rc.CrashFractions, rc.LossRates = e.CrashFractions, e.LossRates
+	rc.HelloLossRates, rc.RestartRates = e.HelloLossRates, e.RestartRates
+	if h != nil {
+		rc.Runner = func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
+			cfg := PointConfig{Schema: PointSchema, Experiment: e.ID, Point: point, Seed: seed,
+				MinRuns: rep.MinRuns, MaxRuns: rep.MaxRuns, RelTol: rep.RelTol}
 			var payload summaryPayload
 			err := h(cfg, &payload, func() error {
 				sum, err := compute()
@@ -274,16 +294,20 @@ func runExperiment(opts Options, e ExperimentSpec, h pointHandler) (string, erro
 				return err
 			})
 			return payload.summary(), err
-		},
+		}
 	}
-	var f experiments.Figure
-	var err error
-	if ext, ok := strings.CutPrefix(e.ID, "ext:"); ok {
-		f, err = experiments.ExtensionByID(ext, rc)
-	} else {
-		f, err = experiments.FigureByID(strings.TrimPrefix(e.ID, "fig"), rc)
+	run, _ := experiments.Driver(e.ID)
+	f, err := run(rc)
+	if err != nil {
+		return err
 	}
-	return experiments.Format(f) + "\n", err
+	if _, err := io.WriteString(w, experiments.Format(f)+"\n"); err != nil {
+		return err
+	}
+	if figure != nil {
+		return figure(f)
+	}
+	return nil
 }
 
 // PointStatus is one grid point's cache state, as reported by List.
@@ -314,14 +338,13 @@ func List(opts Options) ([]PointStatus, error) {
 		})
 		return nil
 	}
-	for _, t := range opts.Spec.Tables {
-		if !opts.selected(t.Output) {
-			continue
-		}
-		for _, e := range t.Experiments {
-			if _, err := runExperiment(opts, e, record); err != nil {
-				return nil, fmt.Errorf("grid: list %s: %w", e.ID, err)
-			}
+	tables, err := opts.tables()
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tables {
+		if err := runTable(io.Discard, t, experiments.RunConfig{ReplicateParallelism: opts.ReplicateParallelism}, nil, record); err != nil {
+			return nil, fmt.Errorf("list %s: %w", t.Output, err)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -356,18 +379,18 @@ func Verify(opts Options) (int, error) {
 		}
 		for _, e := range entries {
 			if _, err := os.Stat(opts.Cache.pointPath(e.Hash)); err != nil {
-				errs = append(errs, fmt.Errorf("grid: manifest %s: point %q (%.12s…) has no cache file", output, e.Point, e.Hash))
+				errs = append(errs, fmt.Errorf("manifest %s: point %q (%.12s…) has no cache file", output, e.Point, e.Hash))
 			}
 		}
 		path := filepath.Join(opts.outDir(), table.Output)
 		data, err := os.ReadFile(path)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("grid: manifest %s: %w", output, err))
+			errs = append(errs, fmt.Errorf("manifest %s: %w", output, err))
 			continue
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != table.SHA256 {
-			errs = append(errs, fmt.Errorf("grid: %s does not match its manifest hash (regenerated without `make grid`, or tampered)", path))
+			errs = append(errs, fmt.Errorf("%s does not match its manifest hash (regenerated without `make grid`, or tampered)", path))
 			continue
 		}
 		opts.logf("%s: %d point(s), table hash ok", output, len(entries))

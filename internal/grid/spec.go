@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -76,7 +77,7 @@ func ParseSpec(data []byte) (Spec, error) {
 	dec.DisallowUnknownFields()
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
-		return Spec{}, fmt.Errorf("grid: parse spec: %w", err)
+		return Spec{}, fmt.Errorf("parse spec: %w", err)
 	}
 	if err := spec.validate(); err != nil {
 		return Spec{}, err
@@ -99,50 +100,71 @@ func LoadSpec(path string) (Spec, error) {
 
 func (s Spec) validate() error {
 	if len(s.Tables) == 0 {
-		return fmt.Errorf("grid: spec has no tables")
+		return fmt.Errorf("spec has no tables")
 	}
 	seen := map[string]bool{}
 	for _, t := range s.Tables {
 		if t.Output == "" {
-			return fmt.Errorf("grid: table without output name")
+			return fmt.Errorf("table without output name")
 		}
 		if strings.ContainsAny(t.Output, "/\\") || strings.HasPrefix(t.Output, ".") {
-			return fmt.Errorf("grid: table output %q must be a plain file name", t.Output)
+			return fmt.Errorf("table output %q must be a plain file name", t.Output)
 		}
 		if seen[t.Output] {
-			return fmt.Errorf("grid: duplicate table output %q", t.Output)
+			return fmt.Errorf("duplicate table output %q", t.Output)
 		}
 		seen[t.Output] = true
 		if len(t.Experiments) == 0 {
-			return fmt.Errorf("grid: table %q has no experiments", t.Output)
+			return fmt.Errorf("table %q has no experiments", t.Output)
 		}
 		for _, e := range t.Experiments {
-			if err := validateID(e.ID); err != nil {
-				return fmt.Errorf("grid: table %q: %w", t.Output, err)
+			if err := e.validate(); err != nil {
+				return fmt.Errorf("table %q: %s: %w", t.Output, e.ID, err)
 			}
 		}
 	}
 	return nil
 }
 
-func validateID(id string) error {
-	switch {
-	case id == "scale", id == "load":
-		return nil
-	case strings.HasPrefix(id, "fig"):
-		for _, fid := range experiments.AllFigureIDs() {
-			if id == "fig"+fid {
-				return nil
-			}
+// FieldError is an ExperimentSpec field whose value no driver can run.
+// Field is the field's JSON key, so each front end can name it in its own
+// terms (cmd/experiments maps it to the flag that sets it).
+type FieldError struct {
+	Field, Msg string
+}
+
+// Error reports the field by its JSON key, then what is wrong with it.
+func (e *FieldError) Error() string { return e.Field + ": " + e.Msg }
+
+// validate checks a section before any of its points runs: a registered
+// driver, no negative count or tolerance, finite sweep values, and a
+// replication cap no lower than its floor once defaults are filled in — so a
+// point's recorded configuration is the one its driver actually uses.
+func (e ExperimentSpec) validate() error {
+	if _, ok := experiments.Driver(e.ID); !ok && e.ID != "scale" && e.ID != "load" {
+		return &FieldError{"id", fmt.Sprintf("unknown experiment %q (valid: fig10..fig16, ext:<name>, scale, load)", e.ID)}
+	}
+	counts := []int{e.MinRuns, e.MaxRuns, e.ScaleDegree, e.ScaleReps, e.LoadReps}
+	for i, field := range []string{"min_runs", "max_runs", "scale_degree", "scale_reps", "load_reps"} {
+		if counts[i] < 0 {
+			return &FieldError{field, fmt.Sprintf("%d must not be negative", counts[i])}
 		}
-	case strings.HasPrefix(id, "ext:"):
-		for _, eid := range experiments.AllExtensionIDs() {
-			if id == "ext:"+eid {
-				return nil
+	}
+	if !(e.RelTol >= 0) || math.IsInf(e.RelTol, 1) {
+		return &FieldError{"rel_tol", fmt.Sprintf("%v is not a finite non-negative number", e.RelTol)}
+	}
+	lists := [][]float64{e.CrashFractions, e.LossRates, e.HelloLossRates, e.RestartRates, e.LoadRates}
+	for i, field := range []string{"crash_fractions", "loss_rates", "hello_loss_rates", "restart_rates", "load_rates"} {
+		for _, x := range lists[i] {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return &FieldError{field, fmt.Sprintf("entry %v is not a finite number", x)}
 			}
 		}
 	}
-	return fmt.Errorf("unknown experiment id %q (valid: fig10..fig16, ext:<name>, scale, load)", id)
+	if _, rep := e.resolve(); rep.MaxRuns < rep.MinRuns {
+		return &FieldError{"max_runs", fmt.Sprintf("%d is below min_runs %d", rep.MaxRuns, rep.MinRuns)}
+	}
+	return nil
 }
 
 // DefaultSpec is the grid behind the six committed results tables:
