@@ -19,9 +19,8 @@ import (
 // renderings: the obsv/v1 JSONL export (testdata/trace.golden.jsonl) and
 // Recorder.Format (testdata/trace.golden.txt). The runs cover every event
 // kind and every queue-drop cause: single broadcasts of Generic-FR and of a
-// designating scheme, and contention-MAC traffic runs with a small transmit
-// queue and a crash plan, under both drop policies. UPDATE_GOLDEN=1 rewrites
-// the files.
+// designating scheme, and a contention-MAC traffic run with a small transmit
+// queue and a crash plan. UPDATE_GOLDEN=1 rewrites the files.
 func TestTraceGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net, err := geo.Generate(geo.Config{N: 16, AvgDegree: 5}, rng)
@@ -54,11 +53,6 @@ func TestTraceGolden(t *testing.T) {
 				CarrierSense: true, TxQueueCap: 2, Faults: plan, Observer: rec})
 			return err
 		}},
-		{"traffic/head", func(rec *sim.Recorder) error {
-			_, err := sim.RunTraffic(net.G, sessions, protocol.Flooding, sim.Config{Hops: 2, Seed: 2,
-				CarrierSense: true, TxQueueCap: 2, DropOldest: true, Faults: plan, Observer: rec})
-			return err
-		}},
 	}
 	var jsonl, text bytes.Buffer
 	w := obsv.NewWriter(&jsonl)
@@ -82,7 +76,7 @@ func TestTraceGolden(t *testing.T) {
 	}
 	for _, want := range []string{obsv.TraceTransmit, obsv.TraceDeliver, obsv.TraceNonForward,
 		obsv.TraceSessionStart, obsv.TraceEnqueue, obsv.TraceQueueDrop,
-		"cause=" + obsv.CauseTail, "cause=" + obsv.CauseHead, "cause=" + obsv.CauseDown} {
+		"cause=" + obsv.CauseTail, "cause=" + obsv.CauseDown} {
 		if !seen[want] {
 			t.Errorf("golden runs record no %q event", want)
 		}
