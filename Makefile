@@ -28,6 +28,8 @@ test:
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e sessionRuntime -e runtimeOf -e protocolOf -e 'net\.multi' internal/sim
 	@# One protocol-executor contract: one coverage-condition form, one Transmit, no Runtime method only the simulator implements.
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e CoveredEval -e TransmitExtra -e 'TakePreparedCovered([A-Za-z_]* *int)' internal cmd examples
+	@# One stream-seed derivation: internal/stream; experiments keeps its own text-layout seed.
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"hash/fnv"' . | grep -v '^./internal/experiments/seed.go:'
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/protocol/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/

@@ -1,13 +1,12 @@
 package fault
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/stream"
 )
 
 // Params describes a randomized fault workload. All fields default to zero
@@ -89,7 +88,7 @@ func NewPlan(g *graph.Graph, p Params, seed int64) (*Plan, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(deriveSeed(seed, "fault.plan")))
+	rng := rand.New(rand.NewSource(stream.Seed(seed, "fault.plan")))
 	plan := NewEmptyPlan(n)
 
 	protected := make([]bool, n)
@@ -172,15 +171,4 @@ func pickEdges(rng *rand.Rand, edges [][2]int, frac float64) [][2]int {
 		out[i] = edges[perm[i]]
 	}
 	return out
-}
-
-// deriveSeed maps (seed, purpose) to an independent stream seed, so distinct
-// consumers of one base seed never share a generator.
-func deriveSeed(seed int64, purpose string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	return int64(h.Sum64() & (1<<62 - 1))
 }

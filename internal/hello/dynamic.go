@@ -1,13 +1,12 @@
 package hello
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/stream"
 )
 
 // This file is the view-maintenance side of the hello layer: after the
@@ -74,17 +73,8 @@ func (d Dynamic) Received(recv, from, round int) bool {
 	if round <= 0 || d.LossRate <= 0 {
 		return true
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(d.Seed))
-	h.Write(buf[:])
-	h.Write([]byte("hello/beacon"))
-	for _, x := range []int{recv, from, round} {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
 	// 53 bits of hash to a uniform float in [0, 1).
-	u := float64(h.Sum64()>>11) / (1 << 53)
+	u := float64(stream.Hash(d.Seed, "hello/beacon", recv, from, round)>>11) / (1 << 53)
 	return u >= d.LossRate
 }
 

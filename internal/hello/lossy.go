@@ -1,13 +1,12 @@
 package hello
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/stream"
 )
 
 // This file is the imperfect-knowledge side of the hello layer: a lossy,
@@ -78,7 +77,7 @@ func Exchange(g *graph.Graph, cfg Config) (*Views, error) {
 	}
 	var drop func(v, u int) bool
 	if cfg.LossRate > 0 {
-		rng := rand.New(rand.NewSource(helloSubSeed(cfg.Seed, "hello/loss")))
+		rng := rand.New(rand.NewSource(stream.Seed(cfg.Seed, "hello/loss")))
 		drop = func(v, u int) bool {
 			if rng.Float64() < cfg.LossRate {
 				return true
@@ -141,18 +140,6 @@ func (vs *Views) Receipts(v, u int) int { return vs.recv[v][u] }
 // conservative fallback keys on — a node missing a whole neighbor it never
 // heard of (directly or indirectly) has no way to know.
 func (vs *Views) Incomplete(v int) bool { return vs.incomplete[v] }
-
-// IncompleteCount returns the number of nodes whose views are provably
-// incomplete.
-func (vs *Views) IncompleteCount() int {
-	count := 0
-	for _, inc := range vs.incomplete {
-		if inc {
-			count++
-		}
-	}
-	return count
-}
 
 // NodeDivergence quantifies how far one node's view is from the truth.
 type NodeDivergence struct {
@@ -226,15 +213,4 @@ func (vs *Views) Divergence(truth *graph.Graph) (Divergence, error) {
 		}
 	}
 	return div, nil
-}
-
-// helloSubSeed maps (seed, purpose) to an independent stream seed, mirroring
-// the simulator's per-purpose stream derivation.
-func helloSubSeed(seed int64, purpose string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	return int64(h.Sum64() & (1<<62 - 1))
 }

@@ -9,13 +9,12 @@
 package mobility
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
 	"adhocbcast/internal/geo"
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/stream"
 )
 
 // Perturbed returns a copy of net in which every node moved a uniform
@@ -30,7 +29,7 @@ import (
 // perturbation can never shift topology generation, source selection, or
 // protocol randomness seeded elsewhere.
 func Perturbed(net *geo.Network, side, maxStep float64, seed int64) *geo.Network {
-	rng := rand.New(rand.NewSource(subSeed(seed, "mobility/perturb")))
+	rng := rand.New(rand.NewSource(stream.Seed(seed, "mobility/perturb")))
 	pos := make([]geo.Point, len(net.Pos))
 	for i, p := range net.Pos {
 		angle := rng.Float64() * 2 * math.Pi
@@ -109,18 +108,6 @@ func (w *Walker) Snapshot() *geo.Network {
 		Pos:   pos,
 		Range: w.r,
 	}
-}
-
-// subSeed maps (seed, purpose) to an independent stream seed, mirroring the
-// simulator's derivation so every stochastic subsystem splits streams the
-// same way.
-func subSeed(seed int64, purpose string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	return int64(h.Sum64() & (1<<62 - 1))
 }
 
 // linkByRange builds the unit disk graph of the positions under range r.

@@ -72,12 +72,8 @@ const (
 
 // Queue-drop causes.
 const (
-	// CauseTail: the arriving packet was dropped because the queue was full
-	// (the default tail-drop policy).
+	// CauseTail: the arriving packet was dropped because the queue was full.
 	CauseTail = "tail"
-	// CauseHead: the oldest queued packet was evicted to admit a new arrival
-	// (sim.Config.DropOldest).
-	CauseHead = "head"
 	// CauseDown: the queue was wiped because its node went down.
 	CauseDown = "down"
 )

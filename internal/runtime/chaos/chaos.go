@@ -43,6 +43,7 @@ import (
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
 	rt "adhocbcast/internal/runtime"
+	"adhocbcast/internal/stream"
 )
 
 // Config parameterizes one chaos run. Bin must point at a built bcastnode
@@ -142,7 +143,7 @@ func KillPlan(cfg Config) (*fault.Plan, error) {
 	killEnd := 0.85 * cfg.Horizon
 	for v := 0; v < cfg.Victims; v++ {
 		id := cfg.Backbone + v
-		rng := rand.New(rand.NewSource(rt.StreamSeed(cfg.Seed, "chaos.kill", id)))
+		rng := rand.New(rand.NewSource(stream.Seed(cfg.Seed, "chaos.kill", id)))
 		t := 0.05*cfg.Horizon + rng.Float64()*20
 		for t < killEnd {
 			down := 10 + rng.Float64()*10
@@ -371,7 +372,7 @@ func Run(cfg Config) (Report, error) {
 	s := &supervisor{
 		cfg: cfg, g: g,
 		procs: make([]*proc, n),
-		rng:   rand.New(rand.NewSource(rt.StreamSeed(cfg.Seed, "chaos.jitter"))),
+		rng:   rand.New(rand.NewSource(stream.Seed(cfg.Seed, "chaos.jitter"))),
 	}
 	for i := 0; i < n; i++ {
 		s.names = append(s.names, fmt.Sprintf("n%d", i))

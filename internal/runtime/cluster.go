@@ -10,6 +10,7 @@ import (
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
+	"adhocbcast/internal/stream"
 	"adhocbcast/internal/view"
 )
 
@@ -210,7 +211,7 @@ func (r *run) draw(from, to int) float64 {
 	}
 	i := sort.SearchInts(nbrs, to)
 	if r.links[from][i] == nil {
-		r.links[from][i] = rand.New(rand.NewSource(StreamSeed(r.cl.cfg.Seed, "live.link", int(r.msg), from, to)))
+		r.links[from][i] = rand.New(rand.NewSource(stream.Seed(r.cl.cfg.Seed, "live.link", int(r.msg), from, to)))
 	}
 	return r.links[from][i].Float64()
 }

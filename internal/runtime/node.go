@@ -14,6 +14,7 @@ import (
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/sim"
+	"adhocbcast/internal/stream"
 	"adhocbcast/internal/traffic"
 	"adhocbcast/internal/view"
 )
@@ -649,7 +650,7 @@ func (n *Node) wave(msg int64) *wave {
 		RetryBackoff:   n.cfg.RetryBackoff,
 		JitterFrac:     n.cfg.Nemesis.JitterFrac,
 		StaleView:      n.staleView,
-	}, w, StreamSeed(n.cfg.Seed, "bcastnode.backoff", n.self, int(msg)))
+	}, w, stream.Seed(n.cfg.Seed, "bcastnode.backoff", n.self, int(msg)))
 	if n.eval == nil {
 		n.eval = new(core.Evaluator)
 	}

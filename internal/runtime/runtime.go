@@ -25,9 +25,7 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -221,22 +219,4 @@ func (c Config) normalize() (Config, error) {
 		c.Deadline = 1000
 	}
 	return c, nil
-}
-
-// StreamSeed derives an independent RNG stream seed from a base seed, a
-// purpose label, and integer qualifiers (message ids, node ids): the live
-// analog of the simulator's per-purpose stream derivation, used for node
-// backoff streams, the Cluster's link nemesis and the chaos harness's kill
-// schedule.
-func StreamSeed(seed int64, purpose string, parts ...int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(p))
-		h.Write(buf[:])
-	}
-	return int64(h.Sum64() & (1<<62 - 1))
 }

@@ -205,14 +205,9 @@ type Config struct {
 	CarrierSense bool
 	// TxQueueCap caps each node's transmit queue (only meaningful with
 	// CarrierSense). 0 means unbounded; with a positive cap, an enqueue to
-	// a full queue drops a packet according to DropOldest and is counted
-	// in Result.QueueDrops.
+	// a full queue drops the arriving packet (tail drop), counted in
+	// Result.QueueDrops.
 	TxQueueCap int
-	// DropOldest selects the overflow policy of a full transmit queue:
-	// false (default) drops the arriving packet (tail drop), true evicts
-	// the queue head to admit the arrival (head drop, favoring fresh
-	// traffic under overload).
-	DropOldest bool
 
 	// Faults, when non-nil, is a deterministic fault plan (node crashes,
 	// churn, link outages) the run honors: copies arriving at a down node
@@ -282,8 +277,8 @@ func (c Config) validate(n int) error {
 	if c.TxQueueCap < 0 {
 		return fmt.Errorf("sim: negative TxQueueCap %d", c.TxQueueCap)
 	}
-	if !c.CarrierSense && (c.TxQueueCap != 0 || c.DropOldest) {
-		return fmt.Errorf("sim: TxQueueCap/DropOldest require CarrierSense")
+	if !c.CarrierSense && c.TxQueueCap != 0 {
+		return fmt.Errorf("sim: TxQueueCap requires CarrierSense")
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: negative Workers %d", c.Workers)

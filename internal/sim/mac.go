@@ -61,20 +61,13 @@ func (q *txRing) reset() {
 	q.head = 0
 }
 
-// enqueueTx admits one packet to node v's transmit queue, applying the
-// capacity/drop policy, and arms a tx-attempt event if none is in flight.
+// enqueueTx admits one packet to node v's transmit queue, tail-dropping it
+// when the queue is full, and arms a tx-attempt event if none is in flight.
 func (net *Network) enqueueTx(v int, it txItem) {
 	q := &net.txq[v]
 	if cap := net.Cfg.TxQueueCap; cap > 0 && q.len() >= cap {
 		net.tally.QueueDrops++
-		if net.Cfg.DropOldest {
-			old := q.pop()
-			net.trace(obsv.TraceQueueDrop, old.session, v, -1, obsv.CauseHead, nil)
-			q.push(it)
-			net.trace(obsv.TraceEnqueue, it.session, v, -1, "", nil)
-		} else {
-			net.trace(obsv.TraceQueueDrop, it.session, v, -1, obsv.CauseTail, nil)
-		}
+		net.trace(obsv.TraceQueueDrop, it.session, v, -1, obsv.CauseTail, nil)
 		// The queue stays non-empty, so an attempt is already pending.
 		return
 	}

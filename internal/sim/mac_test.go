@@ -107,35 +107,6 @@ func TestMACQueueTailDrop(t *testing.T) {
 	}
 }
 
-// DropOldest evicts the head instead: the cause flips and the newest packets
-// survive (the last session injected still gets delivered to node 1).
-func TestMACQueueHeadDrop(t *testing.T) {
-	g := mustGraph(t, 2, [][2]int{{0, 1}})
-	sessions := make([]sim.SessionSpec, 4)
-	for i := range sessions {
-		sessions[i] = sim.SessionSpec{Source: 0, At: 0}
-	}
-	res, rec := runMAC(t, g, sessions, sim.Config{Seed: 1, TxQueueCap: 1, DropOldest: true})
-	if res.QueueDrops == 0 {
-		t.Fatalf("QueueDrops = 0, want > 0")
-	}
-	for _, e := range rec.Events() {
-		if e.Kind == obsv.TraceQueueDrop && e.Cause != obsv.CauseHead {
-			t.Errorf("queue-drop cause = %v, want head", e.Cause)
-		}
-	}
-	// The last-injected session's packet survived the evictions.
-	lastDelivered := false
-	for _, e := range rec.Events() {
-		if e.Kind == obsv.TraceDeliver && e.Session == 3 && e.Node == 1 {
-			lastDelivered = true
-		}
-	}
-	if !lastDelivered {
-		t.Errorf("newest session not delivered under DropOldest")
-	}
-}
-
 // NACK recovery under contention: hidden-terminal collisions are repaired by
 // retransmissions that themselves go through the MAC queue.
 func TestMACNACKRecoversCollisions(t *testing.T) {
@@ -194,7 +165,6 @@ func TestMACConfigValidation(t *testing.T) {
 		{CarrierSense: true, TxJitter: 0.5},
 		{CarrierSense: true, TxQueueCap: -1},
 		{TxQueueCap: 3},
-		{DropOldest: true},
 	}
 	for i, cfg := range bad {
 		if _, err := sim.Run(g, 0, protocol.Flooding(), cfg); err == nil {

@@ -43,7 +43,7 @@ func TestOneSessionTrafficMatchesRun(t *testing.T) {
 		{"collisions-jitter", sim.Config{Hops: 2, Collisions: true, TxJitter: 0.4, Seed: 9}},
 		{"faults", sim.Config{Hops: 2, Faults: plan, Seed: 2}},
 		{"beaconed-views", sim.Config{Hops: 2, Views: sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: 3}}, Seed: 8}},
-		{"global-view-head-drop", sim.Config{Hops: 0, CarrierSense: true, TxQueueCap: 1, DropOldest: true, Seed: 4}},
+		{"global-view-tail-drop", sim.Config{Hops: 0, CarrierSense: true, TxQueueCap: 1, Seed: 4}},
 	}
 	arena := sim.NewArena()
 	for _, sc := range scenarios {

@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
+
+	"adhocbcast/internal/stream"
 )
 
 // The per-purpose random streams of a run, by index into streams.rngs.
@@ -35,19 +35,9 @@ func (s *streams) get(k int) *rand.Rand {
 	if s.rngs[k] == nil {
 		seed := s.seed
 		if k != streamBackoff {
-			seed = subSeed(seed, [...]string{streamJitter: "jitter", streamLoss: "loss", streamFault: "fault", streamMAC: "mac"}[k])
+			seed = stream.Seed(seed, [...]string{streamJitter: "jitter", streamLoss: "loss", streamFault: "fault", streamMAC: "mac"}[k])
 		}
 		s.rngs[k] = rand.New(rand.NewSource(seed))
 	}
 	return s.rngs[k]
-}
-
-// subSeed maps (seed, purpose) to an independent stream seed.
-func subSeed(seed int64, purpose string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	return int64(h.Sum64() & (1<<62 - 1))
 }

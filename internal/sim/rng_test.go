@@ -3,22 +3,24 @@ package sim
 import (
 	"math/rand"
 	"testing"
+
+	"adhocbcast/internal/stream"
 )
 
 // TestStreamsSeededOnFirstDrawMatchEager checks that when a stream is first
 // drawn from changes nothing it yields: for every order of first use of the
 // five streams, interleaved draws equal those of sources seeded up front the
 // way the simulator always has — backoff with the seed itself, the others
-// with subSeed(seed, purpose) — and a stream never drawn from is never built.
+// with stream.Seed(seed, purpose) — and a stream never drawn from is never built.
 func TestStreamsSeededOnFirstDrawMatchEager(t *testing.T) {
 	const seed = 20030519
 	eager := func() [numStreams]*rand.Rand {
 		return [numStreams]*rand.Rand{
 			streamBackoff: rand.New(rand.NewSource(seed)),
-			streamJitter:  rand.New(rand.NewSource(subSeed(seed, "jitter"))),
-			streamLoss:    rand.New(rand.NewSource(subSeed(seed, "loss"))),
-			streamFault:   rand.New(rand.NewSource(subSeed(seed, "fault"))),
-			streamMAC:     rand.New(rand.NewSource(subSeed(seed, "mac"))),
+			streamJitter:  rand.New(rand.NewSource(stream.Seed(seed, "jitter"))),
+			streamLoss:    rand.New(rand.NewSource(stream.Seed(seed, "loss"))),
+			streamFault:   rand.New(rand.NewSource(stream.Seed(seed, "fault"))),
+			streamMAC:     rand.New(rand.NewSource(stream.Seed(seed, "mac"))),
 		}
 	}
 	orders := 0

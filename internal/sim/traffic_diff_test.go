@@ -70,7 +70,6 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 		{"carrier-sense", steady, sim.Config{Hops: 2, CarrierSense: true, Seed: 5}},
 		{"cs-bursts", bursty, sim.Config{Hops: 2, CarrierSense: true, Seed: 9}},
 		{"cs-queue-tail", bursty, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 2, Seed: 2}},
-		{"cs-queue-head", bursty, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 2, DropOldest: true, Seed: 2}},
 		{"cs-nack", steady, sim.Config{Hops: 2, CarrierSense: true, NACKRecovery: true, Seed: 3}},
 		// What experiments.Load runs: queue cap at its default, NACK recovery.
 		{"cs-load", steady, sim.Config{Hops: 2, CarrierSense: true, TxQueueCap: 8, NACKRecovery: true, Seed: 7}},

@@ -5,8 +5,8 @@
 // injection time) pair tagged with a dense session id. The simulator replays
 // a Plan with sim.RunTraffic; the live runtime replays one with a per-node
 // generator behind the bcastnode -rate flag. The package depends only on the
-// standard library, so both executors (and tests) can share one workload
-// definition.
+// standard library and internal/stream, so both executors (and tests) can
+// share one workload definition.
 //
 // Determinism contract: every message of a plan is a pure function of
 // (Config, Seed). Each source draws from its own RNG stream derived from
@@ -16,12 +16,12 @@
 package traffic
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
+
+	"adhocbcast/internal/stream"
 )
 
 // Message is one broadcast session of a workload: node Source originates a
@@ -167,7 +167,7 @@ func generate(cfg Config) (*Plan, error) {
 	epochRate := cfg.Rate / float64(cfg.Burst)
 	var msgs []Message
 	for _, s := range sources {
-		rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, s)))
+		rng := rand.New(rand.NewSource(stream.Seed(cfg.Seed, "", s)))
 		t := 0.0
 		for {
 			t += rng.ExpFloat64() / epochRate
@@ -196,19 +196,8 @@ func generate(cfg Config) (*Plan, error) {
 // pickSources returns cfg.Sources distinct node ids, a seed-deterministic
 // uniform sample of [0, N).
 func pickSources(cfg Config) []int {
-	rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, -1)))
+	rng := rand.New(rand.NewSource(stream.Seed(cfg.Seed, "", -1)))
 	perm := rng.Perm(cfg.N)[:cfg.Sources]
 	sort.Ints(perm)
 	return perm
-}
-
-// streamSeed maps (seed, source) to an independent per-source stream seed
-// (source -1 keys the source-selection stream).
-func streamSeed(seed int64, source int) int64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(source)))
-	h.Write(buf[:])
-	return int64(h.Sum64() & (1<<62 - 1))
 }
