@@ -88,12 +88,14 @@ fuzz:
 
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
 # the differential oracles (grid placement vs naive, view sets vs single
-# views, evaluator vs reference on small graphs and on 60-140-neighbor hubs)
+# views, calendar queue vs binary heap, evaluator vs reference on small graphs
+# and on 60-140-neighbor hubs)
 # and the live node's durable and wire surfaces (journal replay, length
 # framing) exercised on every change without a full campaign.
 fuzz-smoke:
 	$(GO) test -race ./internal/geo/ -run '^$$' -fuzz FuzzPlaceGridMatchesNaive -fuzztime 5s
 	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
+	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzCalQueueMatchesHeap -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 	$(GO) test -race ./internal/runtime/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s

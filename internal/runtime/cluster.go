@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sort"
 	"strconv"
 
@@ -34,8 +35,8 @@ type Cluster struct {
 
 // New builds a live cluster over g: one Node per vertex. The nodes share one
 // name table, the graph g itself (which must not change while the Cluster is
-// in use), one set of k-hop views built in one pass, and one coverage
-// evaluator, so setup costs what the simulator's does.
+// in use), one set of k-hop views built in one pass on every core, and one
+// coverage evaluator, so setup costs what the simulator's does.
 func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -56,7 +57,7 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		index[names[v]] = v
 	}
 	var views view.Set
-	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric)
+	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric, goruntime.GOMAXPROCS(0))
 	eval := new(core.Evaluator)
 	for v := 0; v < n; v++ {
 		p := &port{cl: cl, v: v}

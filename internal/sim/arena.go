@@ -131,12 +131,13 @@ func (a *Arena) stateNodes(n int) []NodeState {
 
 // viewsFor returns the local views of every node over vg: the set built by the
 // previous run with its learned marks cleared when the key repeats, else a
-// rebuild into the same memory. On a hit, simdebug builds check that the key
-// — the topology's pointer, not its content — still stands for the views.
-func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric) []view.Local {
+// rebuild into the same memory on up to workers goroutines. On a hit, simdebug
+// builds check that the key — the topology's pointer, not its content — still
+// stands for the views.
+func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers int) []view.Local {
 	if a.viewG != vg || a.viewHops != hops || a.viewMetric != metric {
 		a.viewG, a.viewHops, a.viewMetric = vg, hops, metric
-		a.builder.BuildAll(&a.views, vg, hops, metric)
+		a.builder.BuildAll(&a.views, vg, hops, metric, workers)
 		return a.views.Views()
 	}
 	if debugChecks {

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
@@ -145,20 +146,23 @@ type Config struct {
 	// TransmitDelay is the time for a transmission to reach all neighbors.
 	// Default 1.
 	TransmitDelay float64
-	// Workers is the number of goroutines the event loop of a
-	// single-broadcast run (Run, RunWith) may use to precompute same-instant
-	// work (pending-timer coverage verdicts and receive-side view merges)
-	// before the sequential dispatch pass; traffic runs ignore it. 0 (the
-	// default) means runtime.GOMAXPROCS(0), 1 fully sequential, k > 1 k
-	// goroutines. Only a batch of at least 128 timers shards (a wave front
-	// of a network in the thousands of nodes; no run at the paper's n <= 100
-	// comes near it), so small runs stay sequential and start no goroutine
-	// whatever the count. A sharded batch starts one helper goroutine per 64
-	// of its timers, at most k-1, and each helper the Arena has ever started
-	// keeps an evaluator of 8 bytes per node (8 MB at n = 1M), so a run's
-	// extra memory is bounded by its widest batch (at most 25 helpers at
-	// n = 200k, d = 18) as well as by k. Results are bit-identical for any
-	// worker count.
+	// Workers is the number of goroutines a run may use: to build its
+	// k-hop views, and in the event loop of a single-broadcast run (Run,
+	// RunWith) to precompute same-instant work (pending-timer coverage
+	// verdicts and receive-side view merges) before the sequential dispatch
+	// pass; traffic runs use it for the view build only. 0 (the default)
+	// means runtime.GOMAXPROCS(0), 1 fully sequential, k > 1 k goroutines.
+	// A view build splits into one range per goroutine of at least 1000
+	// nodes each, and only a batch of at least 128 timers shards (a wave
+	// front of a network in the thousands of nodes); no run at the paper's
+	// n <= 100 comes near either, so small runs stay sequential and start no
+	// goroutine whatever the count. The view build's BFS order, and the
+	// search scratch of each range after the first, keep 4 bytes per node. A sharded batch starts one helper
+	// goroutine per 64 of its timers, at most k-1, and each helper the Arena
+	// has ever started keeps an evaluator of 8 bytes per node (8 MB at
+	// n = 1M), so a run's extra memory is bounded by its widest batch (at
+	// most 25 helpers at n = 200k, d = 18) as well as by k. Results are
+	// bit-identical for any worker count.
 	Workers int
 	// Seed drives the run's private RNG streams. Each stochastic model
 	// (backoff, jitter, loss, recovery) draws from its own stream derived
@@ -303,6 +307,14 @@ func (c Config) Normalize(n int) (Config, error) {
 		return c, err
 	}
 	return c.withDefaults(), nil
+}
+
+// workerBudget is Workers resolved: 0 means runtime.GOMAXPROCS(0).
+func (c Config) workerBudget() int {
+	if c.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
 }
 
 func (c Config) withDefaults() Config {

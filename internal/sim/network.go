@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"adhocbcast/internal/core"
@@ -247,12 +246,9 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 		return nil, err
 	}
 	net := newNetwork(a, g, source, cfg)
+	net.workers = cfg.workerBudget()
 	net.solo[0] = session{net: net, source: source, proto: p, nodes: net.build()}
 	net.sessions = net.solo[:]
-	net.workers = cfg.Workers
-	if net.workers == 0 {
-		net.workers = runtime.GOMAXPROCS(0)
-	}
 	net.begin(&net.sessions[0])
 	return net, nil
 }
@@ -305,7 +301,7 @@ func (net *Network) build() []NodeState {
 		return nodes
 	}
 	// Every other variant gives all nodes one view graph (priorities included).
-	views := a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric)
+	views := a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.workers)
 	for v := 0; v < n; v++ {
 		nodes[v].View = &views[v]
 	}

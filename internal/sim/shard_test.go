@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/geo"
+	"adhocbcast/internal/graph"
 	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/protocol"
 	"adhocbcast/internal/sim"
@@ -25,9 +27,13 @@ func atLeastTwoProcs(t *testing.T) {
 // TestDefaultWorkersMatchSequentialAtScale runs every registered protocol,
 // plus one custom protocol.New condition (the visited-union ablation's), on
 // a 2000-node, degree-18 network, where first-receipt waves put more timers
-// in one instant than the production sharding threshold: the default worker
-// count must reproduce Workers: 1 exactly (Result, event trace, run record),
-// and at least one of the runs must have sharded a batch.
+// in one instant than the production sharding threshold, and which the
+// default worker count's view build splits into two ranges (view.buildGrain
+// is 1000): the default worker count must reproduce Workers: 1 exactly
+// (Result, event trace, run record), and at least one of the runs must have
+// sharded a batch. Each worker count runs on an arena of its own, so the
+// default runs read views built split and the sequential ones views built
+// whole.
 func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-node runs of every protocol")
@@ -63,14 +69,14 @@ func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 			SelfPrune: true,
 		})
 	}})
-	arena := sim.NewArena()
+	arenas := map[int]*sim.Arena{0: sim.NewArena(), 1: sim.NewArena()}
 	sharded := 0
 	for _, in := range inputs {
 		name := in.name
 		run := func(workers int) (sim.Result, bool, []obsv.TraceEvent, *obsv.RunRecord) {
 			rec, metrics := &sim.Recorder{}, obsv.NewRunRecord()
 			cfg := sim.Config{Hops: 2, Seed: 1, Workers: workers, Observer: rec, Metrics: metrics}
-			res, shard, err := sim.RunSharded(arena, net.G, in.source, in.mk(), cfg)
+			res, shard, err := sim.RunSharded(arenas[workers], net.G, in.source, in.mk(), cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -102,9 +108,10 @@ func TestDefaultWorkersMatchSequentialAtScale(t *testing.T) {
 }
 
 // TestSmallRunStaysSequential pins that a paper-sized run never pays for the
-// parallel path: at n = 100, d = 18 no protocol's run with the default
-// worker count shards a batch, and a warm Generic-FR run allocates exactly
-// what the same run with Workers: 1 allocates.
+// parallel paths: at n = 100, d = 18 no protocol's run with the default
+// worker count shards a batch, and a Generic-FR run allocates exactly what
+// the same run with Workers: 1 allocates, cold (its view build is one range
+// and starts no goroutine) and warm.
 func TestSmallRunStaysSequential(t *testing.T) {
 	atLeastTwoProcs(t)
 	net, err := geo.Generate(geo.Config{N: 100, AvgDegree: 18}, rand.New(rand.NewSource(1)))
@@ -121,26 +128,48 @@ func TestSmallRunStaysSequential(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's instrumentation allocates per delivery
 	}
-	allocs := func(workers int) (objects, bytes uint64) {
-		run := func() {
-			cfg := sim.Config{Hops: 2, Seed: 1, Workers: workers}
-			if _, err := sim.RunWith(arena, net.G, 0, protocol.Generic(protocol.TimingFirstReceipt), cfg); err != nil {
+	// Objects, not bytes: MemStats.Mallocs counts every allocation once,
+	// while TotalAlloc counts the tiny allocator's 16-byte blocks, which
+	// sub-16-byte pointer-free objects share per P, so equal code can differ
+	// by a block. Another goroutine's allocation (the scheduler starting a
+	// thread) can only add to a window, so each is taken three times and the
+	// least count kept.
+	net2, err := geo.Generate(geo.Config{N: 100, AvgDegree: 18}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	allocs := func(workers int) (cold, warm uint64) {
+		cfg := sim.Config{Hops: 2, Seed: 1, Workers: workers}
+		run := func(g *graph.Graph) {
+			if _, err := sim.RunWith(arena, g, 0, protocol.Generic(protocol.TimingFirstReceipt), cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the arena for this configuration
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 4; i++ {
-			run()
+		cold, warm = math.MaxUint64, math.MaxUint64
+		for rep := 0; rep < 3; rep++ {
+			run(net2.G) // the next run on net.G rebuilds its views into served memory
+			a := mallocs()
+			run(net.G)
+			b := mallocs()
+			for i := 0; i < 4; i++ {
+				run(net.G)
+			}
+			c := mallocs()
+			cold, warm = min(cold, b-a), min(warm, c-b)
 		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		return cold, warm
 	}
-	seqObjects, seqBytes := allocs(1)
-	defObjects, defBytes := allocs(0)
-	if defObjects != seqObjects || defBytes != seqBytes {
-		t.Errorf("default workers allocate %d objects / %d B over 4 warm runs, Workers: 1 %d / %d B",
-			defObjects, defBytes, seqObjects, seqBytes)
+	seqCold, seqWarm := allocs(1)
+	defCold, defWarm := allocs(0)
+	if defCold != seqCold {
+		t.Errorf("a cold run (view rebuild) with default workers allocates %d objects, Workers: 1 %d", defCold, seqCold)
+	}
+	if defWarm != seqWarm {
+		t.Errorf("4 warm runs with default workers allocate %d objects, Workers: 1 %d", defWarm, seqWarm)
 	}
 }

@@ -143,7 +143,7 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	}
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
-	net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric) // startSession overlays them
+	net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, cfg.workerBudget()) // startSession overlays them
 	net.sessions = make([]session, len(sessions))
 	for i, sp := range sessions {
 		net.sessions[i] = session{net: net, id: int32(i), source: sp.Source}

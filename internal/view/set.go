@@ -4,16 +4,23 @@ import "slices"
 
 // Set holds the local views of every node of one (topology, hops, metric),
 // built by Builder.BuildAll: one array of views whose member ids and status
-// bytes are sub-slices of shared slabs (global views share one member list),
-// plus the base priorities they read. Rebuilding into a Set that has served a
-// run of the size allocates nothing. The zero value is an empty set. Distinct
-// views of a Set may be marked from distinct goroutines.
+// bytes are sub-slices of shared slabs, one pair per range of the build
+// (global views share one member list), plus the base priorities they read.
+// Rebuilding into a Set that has served a run of the size and range count
+// allocates nothing. The zero value is an empty set. Distinct views of a Set
+// may be marked from distinct goroutines.
 type Set struct {
 	views []Local
 	base  []Priority
+	parts []part // one per range of the last build; capacity keeps earlier ones' chunks
+	total int    // members over all views
+}
+
+// part is the slab pair one range of a build writes its views into.
+type part struct {
 	ids   slab[int32]
 	meta  slab[uint8]
-	total int // members over all views
+	total int // members over the range's views
 }
 
 // Views returns the views, indexed by node, valid until the next BuildAll
@@ -21,11 +28,13 @@ type Set struct {
 func (s *Set) Views() []Local { return s.views }
 
 // ResetStatus clears every status override of every view, returning the set
-// to its freshly built state, in one pass over the status slab.
+// to its freshly built state, in one pass over the status slabs.
 func (s *Set) ResetStatus() {
-	for _, c := range s.meta.chunks[:min(s.meta.cur+1, len(s.meta.chunks))] {
-		for i := range c {
-			c[i] &^= metaStatusMask
+	for _, p := range s.parts {
+		for _, c := range p.meta.chunks[:min(p.meta.cur+1, len(p.meta.chunks))] {
+			for i := range c {
+				c[i] &^= metaStatusMask
+			}
 		}
 	}
 }
