@@ -87,13 +87,14 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 30s
 
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
-# the differential oracles (grid placement vs naive, view sets vs single
-# views, calendar queue vs binary heap, evaluator vs reference on small graphs
-# and on 60-140-neighbor hubs)
+# the differential oracles (grid placement vs naive, graph edits vs the bulk
+# build, view sets vs single views, calendar queue vs binary heap, evaluator
+# vs reference on small graphs and on 60-140-neighbor hubs)
 # and the live node's durable and wire surfaces (journal replay, length
 # framing) exercised on every change without a full campaign.
 fuzz-smoke:
 	$(GO) test -race ./internal/geo/ -run '^$$' -fuzz FuzzPlaceGridMatchesNaive -fuzztime 5s
+	$(GO) test -race ./internal/graph/ -run '^$$' -fuzz FuzzGraphEditsMatchFromEdges -fuzztime 5s
 	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzCalQueueMatchesHeap -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s

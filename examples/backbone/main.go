@@ -109,15 +109,16 @@ func isCDS(g *graph.Graph, backbone []int) bool {
 			return false
 		}
 	}
-	induced := graph.New(g.N())
+	var links [][2]int
 	for _, v := range backbone {
 		g.ForEachNeighbor(v, func(u int) {
 			if inSet[u] && u > v {
-				// Both endpoints are backbone members of g.
-				_ = induced.AddEdge(v, u)
+				links = append(links, [2]int{v, u})
 			}
 		})
 	}
+	// The links are distinct links of g between backbone members.
+	induced, _ := graph.FromEdges(g.N(), links)
 	seen := induced.BFSDistances(backbone[0])
 	for _, v := range backbone {
 		if seen[v] < 0 {

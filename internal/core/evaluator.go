@@ -55,8 +55,8 @@ type Evaluator struct {
 	uf       *graph.UnionFind
 	dist     []int32 // BFS scratch for the restricted condition, -1 idle
 	queue    []int
-	nbrs     []int   // the owner's neighbors, ascending
-	lists    [][]int // their adjacency lists, fetched together up front
+	nbrs     []int     // the owner's neighbors, ascending
+	lists    [][]int32 // their adjacency lists, fetched together up front
 
 	// Neighbor bit-rows (see joined), words words each: row is the adjacency
 	// row of the neighbor being walked and mine lists the offsets in cov of
@@ -130,7 +130,7 @@ func (ev *Evaluator) begin(lv *view.Local) []int {
 		if s := ev.slot[y]; s != 0 {
 			ev.slot[y] = s | 1<<slotNbrBit | uint64(len(ev.nbrs))<<slotPos
 			ev.nbrs = append(ev.nbrs, memberOf(s))
-			ev.lists = append(ev.lists, topo.Adj(y))
+			ev.lists = append(ev.lists, topo.Adj(int(y)))
 		}
 	}
 	return ev.nbrs
@@ -256,8 +256,8 @@ func (ev *Evaluator) contract(lv *view.Local, mergeVisited bool) {
 		if lv.FringeAt(x) {
 			continue
 		}
-		xg := int(members[x])
-		for _, y := range topo.Adj(xg) {
+		xg := members[x]
+		for _, y := range topo.Adj(int(xg)) {
 			if s := ev.slot[y]; s&slotH != 0 && (y > xg || s&slotFringe != 0) {
 				ev.uf.Union(x, memberOf(s))
 			}

@@ -66,7 +66,7 @@ func (c conditions) check(t *testing.T, rv *refView, kind string) (generic, stro
 	check := func(name string, got, want bool) {
 		if got != want {
 			t.Fatalf("%s %s = %v, reference says %v (owner %d, hops %d, %d neighbors)",
-				kind, name, got, want, lv.Owner, lv.Hops, len(lv.Neighbors()))
+				kind, name, got, want, lv.Owner, lv.Hops(), len(lv.Neighbors()))
 		}
 	}
 	generic, strong = rv.refCovered(true), rv.refStrongCovered()
@@ -77,7 +77,7 @@ func (c conditions) check(t *testing.T, rv *refView, kind string) (generic, stro
 		check("strong restricted", c.restricted(lv, maxDist), rv.refStrongCoveredRestricted(maxDist))
 	}
 	if strong && !generic {
-		t.Fatalf("strong without generic (owner %d, hops %d)", lv.Owner, lv.Hops)
+		t.Fatalf("strong without generic (owner %d, hops %d)", lv.Owner, lv.Hops())
 	}
 	return generic, strong
 }

@@ -16,10 +16,10 @@ func (g *Graph) BFSDistances(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.adj[v] {
+		for _, u := range g.Adj(v) {
 			if dist[u] < 0 {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -60,10 +60,10 @@ func (g *Graph) Components() (labels []int, count int) {
 		for len(queue) > 0 {
 			x := queue[0]
 			queue = queue[1:]
-			for _, u := range g.adj[x] {
+			for _, u := range g.Adj(x) {
 				if labels[u] < 0 {
 					labels[u] = count
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
 			}
 		}
@@ -103,14 +103,14 @@ func (g *Graph) LocalView(v, k int) (sub *Graph, visible []bool) {
 		return g.Clone(), visible
 	}
 	dist := g.boundedDistances(v, k)
-	sub = New(g.n)
+	var edges [][2]int
 	for u, du := range dist {
 		if du < 0 {
 			continue
 		}
 		visible[u] = true
-		for _, w := range g.adj[u] {
-			if w <= u {
+		for _, w := range g.Adj(u) {
+			if int(w) <= u {
 				continue
 			}
 			dw := dist[w]
@@ -120,11 +120,12 @@ func (g *Graph) LocalView(v, k int) (sub *Graph, visible []bool) {
 			// Edge {u,w} is in Ek(v) iff at least one endpoint is within
 			// k-1 hops.
 			if du <= k-1 || dw <= k-1 {
-				// Both endpoints checked in range; ignore the impossible error.
-				_ = sub.AddEdge(u, w)
+				edges = append(edges, [2]int{u, int(w)})
 			}
 		}
 	}
+	// The edges are distinct links of g between valid vertices.
+	sub, _ = FromEdges(g.n, edges)
 	return sub, visible
 }
 
@@ -147,10 +148,10 @@ func (g *Graph) boundedDistances(src, k int) []int {
 		if dist[v] >= k {
 			continue
 		}
-		for _, u := range g.adj[v] {
+		for _, u := range g.Adj(v) {
 			if dist[u] < 0 {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,9 +82,123 @@ func TestFromEdgesErrors(t *testing.T) {
 	}
 }
 
-// TestFromEdgesMutableAfterBuild guards the shared-backing-array hazard: the
-// per-vertex adjacency slices are carved from one array, so growing one via
-// AddEdge must reallocate instead of overwriting its neighbor's segment.
+// TestFromEdgesSizeLimit checks the 32-bit bound FromEdges applies before it
+// allocates: vertex ids and the 2m adjacency offsets must fit an int32.
+func TestFromEdgesSizeLimit(t *testing.T) {
+	for _, c := range []struct {
+		n, m int
+		ok   bool
+	}{
+		{0, 0, true},
+		{math.MaxInt32, 0, true},
+		{math.MaxInt32 + 1, 0, false},
+		{10, math.MaxInt32 / 2, true},
+		{10, math.MaxInt32/2 + 1, false},
+		{math.MaxInt32 + 1, math.MaxInt32, false},
+	} {
+		if err := checkSize(c.n, c.m); (err == nil) != c.ok {
+			t.Errorf("checkSize(%d, %d) = %v, want ok %v", c.n, c.m, err, c.ok)
+		}
+	}
+	// FromEdges consults it first: a vertex count beyond int32 is refused
+	// before anything n-sized is allocated.
+	if _, err := FromEdges(math.MaxInt32+1, nil); err == nil {
+		t.Error("FromEdges accepted 2^31 vertices")
+	}
+}
+
+// TestFromEdgesAdjacencyBytes pins the CSR footprint: a FromEdges graph
+// retains n+1 int32 offsets and 2m int32 neighbor ids, nothing more.
+func TestFromEdgesAdjacencyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 50, 1000} {
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Intn(max(1, n/8)) == 0 {
+					edges = append(edges, [2]int{v, u})
+				}
+			}
+		}
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(edges)
+		if got, want := 4*cap(g.off)+4*cap(g.to), 4*(n+1)+8*m; got != want {
+			t.Errorf("n=%d m=%d: %d adjacency bytes retained, want 4(n+1) + 8m = %d", n, m, got, want)
+		}
+	}
+}
+
+// FuzzGraphEditsMatchFromEdges applies a random sequence of AddEdge and
+// RemoveEdge calls, some of them self-loops, out of range, repeated or of
+// absent edges, and checks the result against FromEdges of the edge set the
+// sequence leaves: the same Adj, Degree, HasEdge, Edges and M. data[0] sets
+// the vertex count (1-24); every following triple is one edit: the low bit of
+// its first byte picks remove or add, the next two bytes are the endpoints,
+// taken modulo n+1 so that n itself appears as an out-of-range id.
+func FuzzGraphEditsMatchFromEdges(f *testing.F) {
+	f.Add([]byte{5, 1, 0, 1, 1, 1, 2, 0, 0, 1, 1, 4, 0})
+	f.Add([]byte{3, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 2, 3, 0, 1, 0})
+	f.Add([]byte{8, 1, 7, 0, 1, 0, 7, 1, 3, 5, 0, 7, 0, 1, 8, 2, 1, 6, 6})
+	f.Add([]byte{24, 1, 0, 23, 1, 23, 12, 1, 12, 0, 0, 0, 23, 1, 5, 6, 0, 12, 23})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0])%24 + 1
+		g := New(n)
+		set := map[[2]int]bool{}
+		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
+			u, v := int(ops[1])%(n+1), int(ops[2])%(n+1)
+			key := [2]int{min(u, v), max(u, v)}
+			if ops[0]&1 == 0 {
+				g.RemoveEdge(u, v)
+				delete(set, key)
+				continue
+			}
+			bad := u == n || v == n || u == v
+			if err := g.AddEdge(u, v); (err != nil) != bad {
+				t.Fatalf("AddEdge(%d, %d) on %d vertices: err = %v", u, v, n, err)
+			}
+			if !bad {
+				set[key] = true
+			}
+		}
+		edges := make([][2]int, 0, len(set))
+		for e := range set {
+			edges = append(edges, e)
+		}
+		want, err := FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.N() != want.N() || g.M() != want.M() {
+			t.Fatalf("size (%d,%d), want (%d,%d)", g.N(), g.M(), want.N(), want.M())
+		}
+		if !slices.Equal(g.Edges(), want.Edges()) {
+			t.Fatalf("Edges %v, want %v", g.Edges(), want.Edges())
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.Adj(v), want.Adj(v)) || g.Degree(v) != want.Degree(v) {
+				t.Fatalf("vertex %d: Adj %v degree %d, want %v degree %d",
+					v, g.Adj(v), g.Degree(v), want.Adj(v), want.Degree(v))
+			}
+		}
+		for u := -1; u <= n; u++ {
+			for v := -1; v <= n; v++ {
+				if g.HasEdge(u, v) != want.HasEdge(u, v) {
+					t.Fatalf("HasEdge(%d, %d) = %v, want %v", u, v, g.HasEdge(u, v), want.HasEdge(u, v))
+				}
+			}
+		}
+	})
+}
+
+// TestFromEdgesMutableAfterBuild edits a graph whose adjacency array
+// FromEdges sized exactly: an insertion must grow it and shift the later
+// vertices' segments instead of overwriting a neighbor's.
 func TestFromEdgesMutableAfterBuild(t *testing.T) {
 	g, err := FromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {

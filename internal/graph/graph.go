@@ -1,22 +1,25 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// broadcast framework: adjacency-set graphs, traversal, connectivity,
-// connected components, k-hop neighborhoods and the k-hop local-view
-// subgraphs of Definition 2 in the paper.
+// broadcast framework: compressed sparse row graphs with 32-bit vertex ids,
+// traversal, connectivity, connected components, k-hop neighborhoods and the
+// k-hop local-view subgraphs of Definition 2 in the paper.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// Graph is a simple undirected graph on vertices 0..N()-1.
-//
-// Neighbor lists are kept sorted in ascending vertex order, which makes all
-// traversal deterministic. The zero value is not usable; construct with New.
+// Graph is a simple undirected graph on vertices 0..N()-1, kept in
+// compressed sparse row form: the neighbors of v are to[off[v]:off[v+1]],
+// sorted in ascending vertex order, which makes all traversal deterministic.
+// Each link is stored once from each side, so a graph retains 4(n+1) + 8m
+// bytes of adjacency. The zero value is not usable; construct with New or
+// FromEdges.
 type Graph struct {
-	n   int
-	adj [][]int
-	m   int // number of edges
+	n, m int
+	off  []int32 // n+1 offsets into to
+	to   []int32 // 2m neighbor ids
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -24,23 +27,12 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{
-		n:   n,
-		adj: make([][]int, n),
-	}
+	return &Graph{n: n, off: make([]int32, n+1)}
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:   g.n,
-		adj: make([][]int, g.n),
-		m:   g.m,
-	}
-	for v, nbrs := range g.adj {
-		c.adj[v] = append([]int(nil), nbrs...)
-	}
-	return c
+	return &Graph{n: g.n, m: g.m, off: slices.Clone(g.off), to: slices.Clone(g.to)}
 }
 
 // N returns the number of vertices.
@@ -50,41 +42,50 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // Neighbors returns a copy of v's neighbor list in ascending order.
 func (g *Graph) Neighbors(v int) []int {
-	return append([]int(nil), g.adj[v]...)
+	out := make([]int, 0, g.Degree(v))
+	for _, u := range g.Adj(v) {
+		out = append(out, int(u))
+	}
+	return out
 }
 
 // ForEachNeighbor calls fn for every neighbor of v in ascending order. It
-// avoids the copy made by Neighbors and is intended for hot paths.
+// avoids the copy made by Neighbors.
 func (g *Graph) ForEachNeighbor(v int, fn func(u int)) {
-	for _, u := range g.adj[v] {
-		fn(u)
+	for _, u := range g.Adj(v) {
+		fn(int(u))
 	}
 }
 
 // Adj returns v's neighbor list in ascending order without copying it. The
-// slice is owned by the graph and must not be mutated; it is for hot loops
-// that ForEachNeighbor's callback would slow down.
-func (g *Graph) Adj(v int) []int { return g.adj[v] }
+// slice is owned by the graph, valid until the next AddEdge or RemoveEdge,
+// and must not be mutated; it is for hot loops that ForEachNeighbor's
+// callback would slow down.
+func (g *Graph) Adj(v int) []int32 {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.to[lo:hi:hi]
+}
 
 // HasEdge reports whether the edge {u, v} is present.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return false
 	}
-	if len(g.adj[v]) < len(g.adj[u]) {
+	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
+	_, ok := slices.BinarySearch(g.Adj(u), int32(v))
+	return ok
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and out-of-range
-// vertices are rejected; adding an existing edge is a no-op.
+// vertices are rejected; adding an existing edge is a no-op. An edit shifts
+// the adjacency array, so it costs O(n + m): it is for tests and small
+// edits, and a whole graph is built with FromEdges.
 func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n)
@@ -92,25 +93,78 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
 	}
-	if g.hasEdgeFast(u, v) {
+	if u > v {
+		u, v = v, u
+	}
+	iu, found := slices.BinarySearch(g.Adj(u), int32(v))
+	if found {
 		return nil
 	}
-	g.adj[u] = insertSorted(g.adj[u], v)
-	g.adj[v] = insertSorted(g.adj[v], u)
+	if err := checkSize(g.n, g.m+1); err != nil {
+		return err
+	}
+	iv, _ := slices.BinarySearch(g.Adj(v), int32(u))
+	// u < v, so u's segment lies before v's: v goes in at pu, u at pv + 1
+	// once v's insertion has shifted v's segment by one.
+	pu, pv := int(g.off[u])+iu, int(g.off[v])+iv
+	g.to = slices.Insert(g.to, pv, int32(u))
+	g.to = slices.Insert(g.to, pu, int32(v))
+	g.shift(u, v, 1)
 	g.m++
 	return nil
 }
 
+// RemoveEdge deletes the undirected edge {u, v} if present, in O(n + m).
+func (g *Graph) RemoveEdge(u, v int) {
+	if !g.HasEdge(u, v) {
+		return
+	}
+	if u > v {
+		u, v = v, u
+	}
+	iu, _ := slices.BinarySearch(g.Adj(u), int32(v))
+	iv, _ := slices.BinarySearch(g.Adj(v), int32(u))
+	pu, pv := int(g.off[u])+iu, int(g.off[v])+iv
+	g.to = slices.Delete(g.to, pv, pv+1)
+	g.to = slices.Delete(g.to, pu, pu+1)
+	g.shift(u, v, -1)
+	g.m--
+}
+
+// shift moves the offsets after an edit of the edge {u, v}, u < v, that
+// changed both endpoints' degrees by d: the segments of u+1..v move by d,
+// the ones after v by 2d.
+func (g *Graph) shift(u, v int, d int32) {
+	for w := u + 1; w <= v; w++ {
+		g.off[w] += d
+	}
+	for w := v + 1; w <= g.n; w++ {
+		g.off[w] += 2 * d
+	}
+}
+
+// checkSize rejects a graph whose vertex ids or adjacency offsets would not
+// fit the 32-bit CSR arrays: n vertices and m edges, stored from both sides.
+func checkSize(n, m int) error {
+	if n > math.MaxInt32 || m > math.MaxInt32/2 {
+		return fmt.Errorf("graph: %d vertices and %d edges exceed 32-bit ids", n, m)
+	}
+	return nil
+}
+
 // FromEdges builds a graph on n vertices from a complete edge list in one
-// pass: degrees are counted, one backing array is carved into per-vertex
-// adjacency slices, and each slice is sorted. This is O(n + m log deg)
-// versus the O(m * deg) of repeated AddEdge calls, which is what the
-// large-scale topology generator needs when m reaches hundreds of thousands
-// of links. Self-loops, out-of-range endpoints, and duplicate edges are
-// rejected. The resulting graph is fully mutable afterwards.
+// pass: degrees are counted into the offsets, each edge is written from both
+// sides, and each vertex's neighbors are sorted. This is O(n + m log deg),
+// which is what the large-scale topology generator needs when m reaches
+// millions of links, and the arrays it allocates are exactly the graph's.
+// Self-loops, out-of-range endpoints, duplicate edges and sizes beyond
+// 32-bit ids are rejected.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	if err := checkSize(n, len(edges)); err != nil {
+		return nil, err
+	}
 	g := New(n)
-	deg := make([]int, n)
+	n = g.n
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || v < 0 || u >= n || v >= n {
@@ -119,56 +173,44 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("graph: self-loop at %d", u)
 		}
-		deg[u]++
-		deg[v]++
+		g.off[u+1]++
+		g.off[v+1]++
 	}
-	off := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
+		g.off[v+1] += g.off[v]
 	}
-	backing := make([]int, off[n])
-	fill := append([]int(nil), off[:n]...)
+	// off[v] serves as v's write cursor, which leaves it at the old off[v+1];
+	// one shift right restores the offsets.
+	g.to = make([]int32, 2*len(edges))
 	for _, e := range edges {
 		u, v := e[0], e[1]
-		backing[fill[u]] = v
-		fill[u]++
-		backing[fill[v]] = u
-		fill[v]++
+		g.to[g.off[u]] = int32(v)
+		g.off[u]++
+		g.to[g.off[v]] = int32(u)
+		g.off[v]++
 	}
+	copy(g.off[1:], g.off[:n])
+	g.off[0] = 0
 	for v := 0; v < n; v++ {
-		// The three-index slice caps each adjacency list at its segment, so a
-		// later AddEdge reallocates instead of clobbering the next vertex's
-		// neighbors in the shared backing array.
-		a := backing[off[v]:off[v+1]:off[v+1]]
-		sort.Ints(a)
+		a := g.Adj(v)
+		slices.Sort(a)
 		for i := 1; i < len(a); i++ {
 			if a[i] == a[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", v, a[i])
 			}
 		}
-		g.adj[v] = a
 	}
 	g.m = len(edges)
 	return g, nil
-}
-
-// RemoveEdge deletes the undirected edge {u, v} if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	if !g.HasEdge(u, v) {
-		return
-	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
-	g.m--
 }
 
 // Edges returns every edge {u, v} with u < v, ordered lexicographically.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				out = append(out, [2]int{u, v})
+		for _, v := range g.Adj(u) {
+			if u < int(v) {
+				out = append(out, [2]int{u, int(v)})
 			}
 		}
 	}
@@ -186,26 +228,4 @@ func (g *Graph) AverageDegree() float64 {
 // IsComplete reports whether every pair of vertices is adjacent.
 func (g *Graph) IsComplete() bool {
 	return g.m == g.n*(g.n-1)/2
-}
-
-func (g *Graph) hasEdgeFast(u, v int) bool {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
-}
-
-func insertSorted(a []int, x int) []int {
-	i := sort.SearchInts(a, x)
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = x
-	return a
-}
-
-func removeSorted(a []int, x int) []int {
-	i := sort.SearchInts(a, x)
-	if i < len(a) && a[i] == x {
-		return append(a[:i], a[i+1:]...)
-	}
-	return a
 }

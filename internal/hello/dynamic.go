@@ -140,7 +140,7 @@ func (d Dynamic) EverStale(recv, from int, t float64) bool {
 // every executor reaches the same verdict, from any goroutine.
 func (d Dynamic) ViewStale(g *graph.Graph, v int, t float64) bool {
 	for _, u := range g.Adj(v) {
-		if d.LinkStale(v, u, t) {
+		if d.LinkStale(v, int(u), t) {
 			return true
 		}
 	}
@@ -153,7 +153,7 @@ func (d Dynamic) ViewStale(g *graph.Graph, v int, t float64) bool {
 func (d Dynamic) StaleViewHolds(g *graph.Graph, t float64) int {
 	holds := 0
 	for v := 0; v < g.N(); v++ {
-		if slices.ContainsFunc(g.Adj(v), func(u int) bool { return d.EverStale(v, u, t) }) {
+		if slices.ContainsFunc(g.Adj(v), func(u int32) bool { return d.EverStale(v, int(u), t) }) {
 			holds++
 		}
 	}

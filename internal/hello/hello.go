@@ -126,13 +126,14 @@ func (p *Protocol) KnownLinks(v int) [][2]int {
 func (p *Protocol) ViewGraph(v int) (g *graph.Graph, known []bool) {
 	known = make([]bool, p.g.N())
 	known[v] = true
-	g = graph.New(p.g.N())
+	links := make([][2]int, 0, len(p.nodes[v].links))
 	for l := range p.nodes[v].links {
 		known[l[0]] = true
 		known[l[1]] = true
-		// Link endpoints are valid vertices of the true graph.
-		_ = g.AddEdge(l[0], l[1])
+		links = append(links, l)
 	}
+	// The learned links are distinct links of the true graph.
+	g, _ = graph.FromEdges(p.g.N(), links)
 	return g, known
 }
 

@@ -112,15 +112,16 @@ func (w *Walker) Snapshot() *geo.Network {
 
 // linkByRange builds the unit disk graph of the positions under range r.
 func linkByRange(pos []geo.Point, r float64) *graph.Graph {
-	g := graph.New(len(pos))
+	var links [][2]int
 	for u := range pos {
 		for v := u + 1; v < len(pos); v++ {
 			if pos[u].Distance(pos[v]) <= r {
-				// Indices are valid vertices by construction.
-				_ = g.AddEdge(u, v)
+				links = append(links, [2]int{u, v})
 			}
 		}
 	}
+	// Each pair is listed once, and indices are valid vertices.
+	g, _ := graph.FromEdges(len(pos), links)
 	return g
 }
 

@@ -175,8 +175,8 @@ func wuLiCovered(st *sim.NodeState, _ *core.Evaluator) bool {
 
 // ruleKDist is Rule k's coverage-node distance bound for the view in use.
 func ruleKDist(st *sim.NodeState) int {
-	maxDist := st.View.Hops - 1
-	if st.View.Hops <= 0 {
+	maxDist := st.View.Hops() - 1
+	if st.View.Hops() <= 0 {
 		maxDist = 2 // global view: the paper's 3-hop-style restriction
 	}
 	if maxDist < 1 {

@@ -1,12 +1,14 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -372,7 +374,7 @@ func (n *Node) handleTopology(env Envelope) {
 		n.replyError(env, errMalformed, "topology before init")
 		return
 	}
-	g := graph.New(len(n.names))
+	var links [][2]int
 	for name, nbrs := range env.Body.Topology {
 		u, ok := n.index[name]
 		if !ok {
@@ -385,11 +387,15 @@ func (n *Node) handleTopology(env Envelope) {
 				n.replyError(env, errMalformed, fmt.Sprintf("unknown neighbor %q of %q", nb, name))
 				return
 			}
-			if err := g.AddEdge(u, v); err != nil {
-				n.replyError(env, errMalformed, err.Error())
-				return
-			}
+			links = append(links, [2]int{min(u, v), max(u, v)})
 		}
+	}
+	// A link may be listed from both of its ends.
+	slices.SortFunc(links, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	g, err := graph.FromEdges(len(n.names), slices.Compact(links))
+	if err != nil {
+		n.replyError(env, errMalformed, err.Error())
+		return
 	}
 	n.install(g, view.NewLocal(g, n.self, n.cfg.Hops, view.BasePriorities(g, n.cfg.Metric)))
 	n.reply(env, Body{Type: "topology_ok"})

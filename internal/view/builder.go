@@ -41,7 +41,7 @@ func NewBuilder() *Builder { return &Builder{} }
 // on top of it).
 func (b *Builder) Build(g *graph.Graph, owner, k int, base []Priority) *Local {
 	m := b.reach(g, owner, k)
-	lv := &Local{Owner: owner, Hops: k, topo: g, base: base, global: k <= 0,
+	lv := &Local{Owner: owner, h: &header{topo: g, base: base, hops: k, global: k <= 0},
 		members: make([]int32, m), meta: make([]uint8, m)}
 	b.fill(lv.members, lv.meta, g.N(), k)
 	return lv
@@ -59,7 +59,10 @@ func (b *Builder) Build(g *graph.Graph, owner, k int, base []Priority) *Local {
 // starts none. Every view is the one Build would return, whatever the split.
 func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers int) {
 	n := g.N()
-	s.base = basePriorities(s.base, g, metric)
+	if s.h == nil {
+		s.h = &header{}
+	}
+	*s.h = header{topo: g, base: basePriorities(s.h.base, g, metric), hops: k, global: k <= 0}
 	if cap(s.views) < n {
 		s.views = make([]Local, n)
 	}
@@ -136,8 +139,7 @@ func (b *Builder) buildRange(s *Set, p *part, g *graph.Graph, k int, ident, node
 		} else {
 			clear(meta)
 		}
-		s.views[v] = Local{Owner: v, Hops: k, topo: g, base: s.base, global: k <= 0,
-			members: members, meta: meta}
+		s.views[v] = Local{Owner: v, h: s.h, members: members, meta: meta}
 	}
 }
 
@@ -158,7 +160,7 @@ func (b *Builder) bfsOrder(g *graph.Graph) []int32 {
 			for _, y := range g.Adj(int(order[head])) {
 				if b.dist[y] < 0 {
 					b.dist[y] = 0
-					order = append(order, int32(y))
+					order = append(order, y)
 				}
 			}
 		}
@@ -176,12 +178,12 @@ func (b *Builder) bfsOrder(g *graph.Graph) []int32 {
 func (b *Builder) Stale(s *Set) int {
 	for v := range s.views {
 		lv := &s.views[v]
-		if lv.global {
+		if lv.h.global {
 			continue // every vertex, whatever the edges
 		}
-		ok := b.reach(lv.topo, v, lv.Hops) == len(lv.members)
+		ok := b.reach(lv.h.topo, v, lv.h.hops) == len(lv.members)
 		for i, x := range lv.members {
-			ok = ok && b.dist[x] >= 0 && (int(b.dist[x]) == lv.Hops) == lv.FringeAt(i)
+			ok = ok && b.dist[x] >= 0 && (int(b.dist[x]) == lv.h.hops) == lv.FringeAt(i)
 		}
 		if !ok {
 			return v
@@ -215,12 +217,12 @@ func (b *Builder) reach(g *graph.Graph, owner, k int) int {
 		if int(d) >= k {
 			continue
 		}
-		g.ForEachNeighbor(x, func(y int) {
+		for _, y := range g.Adj(x) {
 			if b.dist[y] < 0 {
 				b.dist[y] = d + 1
-				b.queue = append(b.queue, int32(y))
+				b.queue = append(b.queue, y)
 			}
-		})
+		}
 	}
 	return len(b.queue)
 }

@@ -15,18 +15,17 @@ import (
 // The representation is compact: instead of n-sized visibility and priority
 // vectors plus a materialized subgraph per view (O(n) memory per node, O(n²)
 // per run), a view stores only the sorted member list Nk(owner) with one
-// status byte per member, shares the immutable base-priority vector with
-// every other view of the round, and answers adjacency queries by filtering
-// the underlying topology on the fly. A million-node run with k=2 views
-// therefore costs O(Σ|Nk(v)|) = O(n·deg^k) total, not O(n²).
+// status byte per member, shares a header holding the topology, the
+// immutable base-priority vector and the hop count with every other view of
+// its build, and answers adjacency queries by filtering the underlying
+// topology on the fly. A million-node run with k=2 views therefore costs
+// O(Σ|Nk(v)|) = O(n·deg^k) total, not O(n²), and the per-view part is one
+// 64-byte cache line.
 type Local struct {
 	// Owner is the node whose view this is.
 	Owner int
-	// Hops records the k used to build the view; 0 means global.
-	Hops int
 
-	topo *graph.Graph // underlying topology (not the view subgraph)
-	base []Priority   // shared un-visited priorities, indexed by global id
+	h *header // shared by every view of one build
 	// members lists Nk(owner) in ascending global-id order. For a global
 	// view it is the full vertex set.
 	members []int32
@@ -35,7 +34,15 @@ type Local struct {
 	// (exactly k hops from the owner, whose mutual links are outside the
 	// view by Definition 2).
 	meta []uint8
-	// global marks a k <= 0 view: every vertex is a member, no fringe, and
+}
+
+// header is what every view of one build shares: one per Builder.Build,
+// one per Set.
+type header struct {
+	topo *graph.Graph // underlying topology (not the view subgraph)
+	base []Priority   // un-visited priorities, indexed by global id
+	hops int          // the k the views were built with; 0 means global
+	// global marks k <= 0 views: every vertex is a member, no fringe, and
 	// memberIndex is the identity.
 	global bool
 }
@@ -58,25 +65,31 @@ func NewLocal(g *graph.Graph, owner, k int, base []Priority) *Local {
 
 // N returns the number of vertices of the underlying topology (views keep
 // the global vertex numbering).
-func (lv *Local) N() int { return lv.topo.N() }
+func (lv *Local) N() int { return lv.h.topo.N() }
+
+// Hops returns the k the view was built with; 0 means global.
+func (lv *Local) Hops() int { return lv.h.hops }
 
 // Topo returns the underlying topology graph. Its adjacency is NOT filtered
 // by the view: callers iterating it must apply membership and fringe checks
 // themselves (see ForEachNeighbor). Intended for performance-critical code
 // such as the coverage evaluator.
-func (lv *Local) Topo() *graph.Graph { return lv.topo }
+func (lv *Local) Topo() *graph.Graph { return lv.h.topo }
 
 // Members returns the view's member set Nk(owner) in ascending global-id
 // order. The slice is owned by the view and must not be mutated.
 func (lv *Local) Members() []int32 { return lv.members }
 
-// memberIndex returns the position of global id x in members, or -1.
+// memberIndex returns the position of global id x in members, or -1. It
+// reads the topology of neither kind of view: a global view's members are
+// the identity, and any id outside a k-hop view's sorted list, out of range
+// or not, is not found by the search.
 func (lv *Local) memberIndex(x int) int {
-	if x < 0 || x >= lv.topo.N() {
+	if lv.h.global {
+		if uint(x) < uint(len(lv.members)) {
+			return x
+		}
 		return -1
-	}
-	if lv.global {
-		return x
 	}
 	lo, hi := 0, len(lv.members)
 	for lo < hi {
@@ -109,14 +122,14 @@ func (lv *Local) StatusAt(i int) Status {
 	case metaDesignated:
 		return Designated
 	default:
-		return lv.base[lv.members[i]].Status
+		return lv.h.base[lv.members[i]].Status
 	}
 }
 
 // PrAt returns the priority of the member at index i: the shared base
 // priority with the view's status override applied.
 func (lv *Local) PrAt(i int) Priority {
-	p := lv.base[lv.members[i]]
+	p := lv.h.base[lv.members[i]]
 	switch lv.meta[i] & metaStatusMask {
 	case metaVisited:
 		if p.Status < Visited {
@@ -219,12 +232,12 @@ func (lv *Local) ForEachNeighbor(x int, fn func(y int)) {
 	if i < 0 {
 		return
 	}
-	if lv.global {
-		lv.topo.ForEachNeighbor(x, fn)
+	if lv.h.global {
+		lv.h.topo.ForEachNeighbor(x, fn)
 		return
 	}
 	xf := lv.FringeAt(i)
-	lv.topo.ForEachNeighbor(x, func(y int) {
+	lv.h.topo.ForEachNeighbor(x, func(y int) {
 		j := lv.memberIndex(y)
 		if j < 0 || (xf && lv.FringeAt(j)) {
 			return
@@ -243,10 +256,10 @@ func (lv *Local) HasEdge(u, w int) bool {
 	if j < 0 {
 		return false
 	}
-	if !lv.global && lv.FringeAt(i) && lv.FringeAt(j) {
+	if !lv.h.global && lv.FringeAt(i) && lv.FringeAt(j) {
 		return false
 	}
-	return lv.topo.HasEdge(u, w)
+	return lv.h.topo.HasEdge(u, w)
 }
 
 // Degree returns the number of view-neighbors of x.
@@ -255,10 +268,10 @@ func (lv *Local) Degree(x int) int {
 	if i < 0 {
 		return 0
 	}
-	if lv.global || !lv.FringeAt(i) {
+	if lv.h.global || !lv.FringeAt(i) {
 		// A non-fringe member is within k-1 hops, so all its topology
 		// neighbors are members and every incident link is in the view.
-		return lv.topo.Degree(x)
+		return lv.h.topo.Degree(x)
 	}
 	deg := 0
 	lv.ForEachNeighbor(x, func(int) { deg++ })

@@ -2,6 +2,7 @@ package view
 
 import (
 	"testing"
+	"unsafe"
 
 	"adhocbcast/internal/graph"
 )
@@ -37,8 +38,8 @@ func TestNewLocalInvisiblePriorities(t *testing.T) {
 			t.Fatalf("node %d id = %d", v, lv.Pr(v).ID)
 		}
 	}
-	if lv.Owner != 0 || lv.Hops != 2 {
-		t.Fatalf("Owner/Hops = %d/%d", lv.Owner, lv.Hops)
+	if lv.Owner != 0 || lv.Hops() != 2 {
+		t.Fatalf("Owner/Hops = %d/%d", lv.Owner, lv.Hops())
 	}
 }
 
@@ -233,6 +234,46 @@ func TestGlobalViewAllVisible(t *testing.T) {
 				t.Fatalf("global view lost edge %d-%d", v, u)
 			}
 		})
+	}
+}
+
+// TestOutOfRangeIDsAreInvisible feeds ids outside 0..n-1 to a 2-hop view
+// whose members include both end vertices and to a global view. memberIndex
+// reads no topology to reject them — a k-hop view relies on the member search
+// alone, a global view on the length of its identity list — so each must
+// come out invisible, unmarkable and without links.
+func TestOutOfRangeIDsAreInvisible(t *testing.T) {
+	const n = 5
+	g := pathGraph(t, n)
+	base := BasePriorities(g, MetricID)
+	for _, k := range []int{2, 0} {
+		lv := NewLocal(g, 2, k, base)
+		if !lv.IsVisible(0) || !lv.IsVisible(n-1) {
+			t.Fatalf("k=%d: the view does not reach both ends", k)
+		}
+		for _, x := range []int{-1, n, n + 5} {
+			lv.MarkVisited(x)
+			lv.MarkDesignated(x)
+			if lv.IsVisible(x) || lv.IsVisited(x) || lv.Status(x) != Invisible {
+				t.Errorf("k=%d: id %d visible (%v) or marked (status %v)", k, x, lv.IsVisible(x), lv.Status(x))
+			}
+			if p := lv.Pr(x); p != (Priority{Status: Invisible, ID: x}) {
+				t.Errorf("k=%d: Pr(%d) = %+v", k, x, p)
+			}
+			if lv.HasEdge(lv.Owner, x) || lv.HasEdge(x, n-1) || lv.Degree(x) != 0 {
+				t.Errorf("k=%d: id %d has view links", k, x)
+			}
+			lv.ForEachNeighbor(x, func(y int) { t.Errorf("k=%d: id %d has view-neighbor %d", k, x, y) })
+		}
+	}
+}
+
+// TestLocalFootprint pins a view to one cache line: what every node costs
+// beyond its members, and what the receipt path's MarkVisited loads.
+func TestLocalFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Local{}); got > 64 {
+		t.Errorf("Local is %d bytes, budget 64: Owner 8 + header pointer 8 + members 24 + meta 24; "+
+			"the topology, base priorities and hop count live in the header every view of a build shares", got)
 	}
 }
 

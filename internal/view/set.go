@@ -5,15 +5,16 @@ import "slices"
 // Set holds the local views of every node of one (topology, hops, metric),
 // built by Builder.BuildAll: one array of views whose member ids and status
 // bytes are sub-slices of shared slabs, one pair per range of the build
-// (global views share one member list), plus the base priorities they read.
+// (global views share one member list), plus the header they share: the
+// topology, the base priorities they read and the hop count.
 // Rebuilding into a Set that has served a run of the size and range count
 // allocates nothing. The zero value is an empty set. Distinct views of a Set
 // may be marked from distinct goroutines.
 type Set struct {
 	views []Local
-	base  []Priority
-	parts []part // one per range of the last build; capacity keeps earlier ones' chunks
-	total int    // members over all views
+	h     *header // rewritten in place by each build
+	parts []part  // one per range of the last build; capacity keeps earlier ones' chunks
+	total int     // members over all views
 }
 
 // part is the slab pair one range of a build writes its views into.

@@ -35,8 +35,8 @@ func checkSetMatchesNewLocal(t *testing.T, b *Builder, s *Set, g *graph.Graph, k
 	base := BasePriorities(g, metric)
 	for v := 0; v < n; v++ {
 		got, want := &s.Views()[v], NewLocal(g, v, k, base)
-		if got.Owner != v || got.Hops != k || got.N() != n {
-			t.Fatalf("n=%d k=%d: view %d has owner %d, hops %d, n %d", n, k, v, got.Owner, got.Hops, got.N())
+		if got.Owner != v || got.Hops() != k || got.N() != n {
+			t.Fatalf("n=%d k=%d: view %d has owner %d, hops %d, n %d", n, k, v, got.Owner, got.Hops(), got.N())
 		}
 		if !slices.Equal(got.Members(), want.Members()) {
 			t.Fatalf("n=%d k=%d: view %d members %v, NewLocal has %v", n, k, v, got.Members(), want.Members())
