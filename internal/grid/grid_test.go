@@ -270,6 +270,35 @@ func TestRunCachesAndResumes(t *testing.T) {
 	}
 }
 
+// TestRunPreparesOutDirFirst: a missing -out directory is created, and one
+// that cannot be (a regular file stands in its way) fails the run before its
+// first point computes, instead of after the whole table.
+func TestRunPreparesOutDirFirst(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Spec: tinySpec(), Cache: cache, OutDir: filepath.Join(blocked, "out")}); err == nil || !strings.Contains(err.Error(), "output directory") {
+		t.Fatalf("Run into a directory under a file: err = %v, want an output directory error", err)
+	}
+	if points, _ := filepath.Glob(filepath.Join(dir, "points", "*")); len(points) != 0 {
+		t.Fatalf("a run that cannot write its table computed %d point(s)", len(points))
+	}
+
+	out := filepath.Join(t.TempDir(), "missing", "nested")
+	if _, err := Run(Options{Spec: tinySpec(), Cache: cache, OutDir: out}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "tiny.txt")); err != nil {
+		t.Fatalf("table not written into the created directory: %v", err)
+	}
+}
+
 func TestRunRequireCachedFailsCold(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {

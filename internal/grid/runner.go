@@ -194,11 +194,16 @@ func (e ExperimentSpec) resolve() (int64, stats.ReplicateOptions) {
 // Run executes every selected table of the spec: each grid point is served
 // from the cache when its content-addressed file verifies, computed and
 // stored otherwise, and each completed table is written atomically to OutDir
-// alongside a sealed provenance manifest in the cache.
+// alongside a sealed provenance manifest in the cache. OutDir is created
+// before the first point, so a run that could not write its tables fails
+// before computing them.
 func Run(opts Options) (Stats, error) {
 	tables, err := opts.tables()
 	if err != nil {
 		return Stats{}, err
+	}
+	if err := os.MkdirAll(opts.outDir(), 0o755); err != nil {
+		return Stats{}, fmt.Errorf("output directory: %w", err)
 	}
 	var st Stats
 	for _, t := range tables {

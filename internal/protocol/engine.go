@@ -26,12 +26,18 @@ type Options struct {
 	StrictDesignation bool
 	// Extra builds an optional packet payload at forwarding time.
 	Extra ExtraFunc
+
+	// settle names Covered when it is CoveredGeneric (settleGeneric) or
+	// CoveredStrong (settleStrong), whose pristine verdicts settle later
+	// ones; 0 for any other condition.
+	settle int
 }
 
 // engine implements Algorithm 1 parameterized by Options.
 type engine struct {
-	opts   Options
-	status []bool // static forward status (TimingStatic only)
+	opts    Options
+	status  []bool       // static forward status (TimingStatic only)
+	settled *sim.Settled // the run's settled verdicts (sim.Settler), or nil
 }
 
 var (
@@ -39,6 +45,7 @@ var (
 	_ Describer            = (*engine)(nil)
 	_ sim.TimerPrecomputer = (*engine)(nil)
 	_ sim.NonDesignating   = (*engine)(nil)
+	_ sim.Settler          = (*engine)(nil)
 )
 
 // New builds a protocol from explicit engine options. Most callers should
@@ -67,6 +74,11 @@ func (e *engine) Init(rt sim.Runtime) {
 	// node on a live per-node runtime.
 	e.status = make([]bool, rt.N())
 	rt.ForEachLocalNode(func(v int) {
+		if e.settled != nil {
+			// The settle pass has decided every pristine view already.
+			e.status[v] = rt.ConservativeHold(v) || !e.settled.Pristine(rt.State(v), rt.Evaluator())
+			return
+		}
 		e.status[v] = !e.covered(rt, rt.State(v))
 	})
 }
@@ -163,7 +175,16 @@ func (e *engine) covered(rt sim.Runtime, st *sim.NodeState) bool {
 	if rt.ConservativeHold(st.ID) {
 		return false
 	}
-	return e.opts.Covered(st, rt.Evaluator())
+	return e.verdict(st, rt.Evaluator())
+}
+
+// verdict evaluates the coverage condition for the node owning st on ev, or
+// takes its settled verdict when the run has one that says covered.
+func (e *engine) verdict(st *sim.NodeState, ev *core.Evaluator) bool {
+	if e.settled != nil {
+		return e.settled.Covered(st, ev)
+	}
+	return e.opts.Covered(st, ev)
 }
 
 // PrecomputeTimer implements sim.TimerPrecomputer: it returns the verdict
@@ -186,8 +207,24 @@ func (e *engine) PrecomputeTimer(rt sim.Runtime, v int, ev *core.Evaluator) (boo
 	if rt.ConservativeHold(v) {
 		return false, true
 	}
-	return e.opts.Covered(st, ev), true
+	return e.verdict(st, ev), true
 }
+
+// SettleCondition implements sim.Settler: settled verdicts hold for an engine
+// whose condition is generic or strong and that never designates, so no
+// node's own status rises above un-visited before it transmits. With a
+// designation, the designated node's own priority rises to 1.5, and a
+// pristine "covered" may no longer hold (internal/core's
+// TestOwnDesignationBreaksSettling).
+func (e *engine) SettleCondition() (int, func(*sim.NodeState, *core.Evaluator) bool, bool) {
+	if e.opts.settle == 0 || !e.NonDesignating() {
+		return 0, nil, false
+	}
+	return e.opts.settle, e.opts.Covered, e.opts.Timing == TimingStatic
+}
+
+// UseSettled implements sim.Settler.
+func (e *engine) UseSettled(s *sim.Settled) { e.settled = s }
 
 // NonDesignating implements sim.NonDesignating: with no designation mechanism
 // configured, packets never carry designated sets and the engine's receive

@@ -12,6 +12,14 @@ func CoveredGeneric(st *sim.NodeState, ev *core.Evaluator) bool { return ev.Cove
 // CoveredStrong is the strong coverage condition of Section 6 as a CondFunc.
 func CoveredStrong(st *sim.NodeState, ev *core.Evaluator) bool { return ev.StrongCovered(st.View) }
 
+// The ids under which the simulator keeps settled verdicts (sim.Settler) of
+// the two conditions whose pristine verdicts settle later ones: Options.settle
+// names Covered by one of them.
+const (
+	settleGeneric = 1
+	settleStrong  = 2
+)
+
 // Flooding returns the blind-flooding baseline: every node forwards the
 // packet exactly once upon first receipt.
 func Flooding() sim.Protocol {
@@ -32,6 +40,7 @@ func Generic(t Timing) sim.Protocol {
 		Timing:    t,
 		Selection: SelfPruning,
 		Covered:   CoveredGeneric,
+		settle:    settleGeneric,
 		SelfPrune: true,
 	})
 }
@@ -44,6 +53,7 @@ func GenericStrong(t Timing) sim.Protocol {
 		Timing:    t,
 		Selection: SelfPruning,
 		Covered:   CoveredStrong,
+		settle:    settleStrong,
 		SelfPrune: true,
 	})
 }
@@ -56,6 +66,7 @@ func SelfPruningFR() sim.Protocol {
 		Timing:    TimingFirstReceipt,
 		Selection: SelfPruning,
 		Covered:   CoveredGeneric,
+		settle:    settleGeneric,
 		SelfPrune: true,
 	})
 }
@@ -72,6 +83,7 @@ func NeighborDesignatingFR() sim.Protocol {
 		Timing:    TimingFirstReceipt,
 		Selection: NeighborDesignating,
 		Covered:   CoveredGeneric,
+		settle:    settleGeneric,
 		Designate: NDDesignate,
 	})
 }
@@ -89,6 +101,7 @@ func HybridMaxDeg() sim.Protocol {
 		Timing:    TimingFirstReceipt,
 		Selection: Hybrid,
 		Covered:   CoveredGeneric,
+		settle:    settleGeneric,
 		SelfPrune: true,
 		Designate: HybridDesignate(true),
 	})
@@ -103,6 +116,7 @@ func HybridMinPri() sim.Protocol {
 		Timing:    TimingFirstReceipt,
 		Selection: Hybrid,
 		Covered:   CoveredGeneric,
+		settle:    settleGeneric,
 		SelfPrune: true,
 		Designate: HybridDesignate(false),
 	})

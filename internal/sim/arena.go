@@ -23,8 +23,9 @@ import (
 //
 // The view set is keyed by (topology pointer, hops, metric): a run over the
 // same key reuses the built views after clearing their learned status marks,
-// any other run rebuilds them in place. Callers must therefore not edit a
-// graph in place between runs that share an Arena (simdebug builds check).
+// and their settled verdicts (Settled); any other run rebuilds them in place.
+// Callers must therefore not edit a graph in place between runs that share an
+// Arena (simdebug builds check).
 //
 // An Arena kept between runs — a sweep driver's pool — pins the last topology
 // it built views from and state sized to the largest run it served: bounded,
@@ -43,6 +44,11 @@ type Arena struct {
 	viewHops   int
 	viewMetric view.Metric
 	views      view.Set
+
+	// The view set's settled verdicts (settle.go) and the settle pass's
+	// per-helper bitmaps.
+	settled    Settled
+	settleBits [][]uint64
 
 	// Coverage evaluators: one shared instance, which the dispatching
 	// goroutine also uses for its precompute shard, plus one private
@@ -137,6 +143,7 @@ func (a *Arena) stateNodes(n int) []NodeState {
 func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers int) []view.Local {
 	if a.viewG != vg || a.viewHops != hops || a.viewMetric != metric {
 		a.viewG, a.viewHops, a.viewMetric = vg, hops, metric
+		a.settled.id, a.settled.cond = 0, nil // verdicts of the views being replaced
 		a.builder.BuildAll(&a.views, vg, hops, metric, workers)
 		return a.views.Views()
 	}

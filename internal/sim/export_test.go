@@ -27,3 +27,17 @@ func RunSharded(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (R
 	net.loop()
 	return net.result(), net.sharded, nil
 }
+
+// SettleCounts returns what the last run on a did with settled verdicts: the
+// verdicts a set bit decided, the verdicts evaluated past a clear bit, and
+// the evaluations of settle passes.
+func SettleCounts(a *Arena) (settled, evaluated, passed int64) {
+	return a.settled.hits.Load(), a.settled.evals.Load(), a.settled.passEvals.Load()
+}
+
+// PristineCovered returns node v's settled pristine verdict; ok is false when
+// a holds no settled verdicts.
+func PristineCovered(a *Arena, v int) (covered, ok bool) {
+	s := &a.settled
+	return s.id != 0 && s.bits[v>>6]>>(v&63)&1 != 0, s.id != 0
+}

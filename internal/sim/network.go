@@ -271,6 +271,9 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	a.cal.reset(net.Cfg.TransmitDelay)
 	a.ensureLoopScratch(g.N())
 	a.npkts, a.pktSums = 0, a.pktSums[:0]
+	a.settled.hits.Store(0)
+	a.settled.evals.Store(0)
+	a.settled.passEvals.Store(0)
 	a.latencies = slices.Grow(a.latencies[:0], g.N()) // room for a single run's n first deliveries
 	if net.Cfg.CarrierSense {
 		net.resetMAC(g.N())
@@ -308,12 +311,14 @@ func (net *Network) build() []NodeState {
 	return nodes
 }
 
-// begin runs session s's set-up at its injection instant: protocol Init, the
-// source's delivery, protocol Start. The source holds a trail-less packet
-// from the start — its own transmission extends that — and its first
-// delivery is reported at injection time with sender -1, so latency
-// statistics do not wait for a neighbor's retransmission to echo back.
+// begin runs session s's set-up at its injection instant: settled verdicts
+// handed over, protocol Init, the source's delivery, protocol Start. The
+// source holds a trail-less packet from the start — its own transmission
+// extends that — and its first delivery is reported at injection time with
+// sender -1, so latency statistics do not wait for a neighbor's
+// retransmission to echo back.
 func (net *Network) begin(s *session) {
+	net.offerSettled(s)
 	s.proto.Init(s)
 	st := &s.nodes[s.source]
 	p := net.arena.addPacket(Packet{Source: s.source, Session: int(s.id)})

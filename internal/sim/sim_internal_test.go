@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
@@ -185,3 +186,60 @@ func TestSimdebugCatchesGraphEditedInPlace(t *testing.T) {
 type flooder struct{ scribbler }
 
 func (flooder) OnReceive(rt Runtime, v int, _ Receipt) { rt.Transmit(v, nil, nil) }
+
+// settler is flooder that takes every node's settled verdict at Init: the
+// pristine one a static protocol takes, or, with dynamic set, the one a timer
+// takes.
+type settler struct {
+	flooder
+	dynamic bool
+	s       *Settled
+}
+
+func (p *settler) SettleCondition() (int, func(*NodeState, *core.Evaluator) bool, bool) {
+	return 1, func(st *NodeState, ev *core.Evaluator) bool { return ev.Covered(st.View) }, true
+}
+func (p *settler) UseSettled(s *Settled) { p.s = s }
+func (p *settler) Init(rt Runtime) {
+	rt.ForEachLocalNode(func(v int) {
+		if p.dynamic {
+			p.s.Covered(rt.State(v), rt.Evaluator())
+		} else {
+			p.s.Pristine(rt.State(v), rt.Evaluator())
+		}
+	})
+}
+
+// TestSimdebugCatchesWrongSettledVerdict: every settled verdict a run takes
+// stands for an evaluation it skips on the strength of the settling lemma;
+// simdebug builds evaluate it anyway and must name the node whose view
+// disagrees. On the path 0-1-2 with 2-hop views node 1 alone is uncovered;
+// once its bit is set, both the static and the timer-time verdict of node 1
+// must panic.
+func TestSimdebugCatchesWrongSettledVerdict(t *testing.T) {
+	if !debugChecks {
+		t.Skip("the settled-verdict cross-check is compiled in with -tags simdebug only")
+	}
+	g, err := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dynamic := range []bool{false, true} {
+		t.Run(fmt.Sprint("dynamic=", dynamic), func(t *testing.T) {
+			arena := NewArena()
+			if _, err := RunWith(arena, g, 0, &settler{dynamic: dynamic}, Config{Hops: 2}); err != nil {
+				t.Fatal(err) // the bits as the pass left them are right
+			}
+			if bits := arena.settled.bits[0]; bits != 0b101 {
+				t.Fatalf("settled bits %03b, want 101", bits)
+			}
+			arena.settled.bits[0] |= 1 << 1
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "node 1: settled verdict") {
+					t.Fatalf("run ended with %q, want the settled-verdict panic naming node 1", msg)
+				}
+			}()
+			_, _ = RunWith(arena, g, 0, &settler{dynamic: dynamic}, Config{Hops: 2})
+		})
+	}
+}

@@ -16,9 +16,8 @@ type Builder struct {
 	dist  []int32 // per-vertex BFS distance, -1 when untouched
 	queue []int32 // BFS frontier; doubles as the touched list for cleanup
 
-	// BuildAll scratch: the vertices in BFS order, and one helper Builder
-	// per range after the first, which this Builder builds itself.
-	order   []int32
+	// BuildAll scratch: one helper Builder per range after the first, which
+	// this Builder builds itself.
 	helpers []*Builder
 	wg      sync.WaitGroup
 }
@@ -68,7 +67,7 @@ func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers
 	}
 	clear(s.views[:cap(s.views)][n:]) // a view left over from a larger run pins its topology
 	s.views = s.views[:n]
-	r := ranges(n, workers)
+	r := Ranges(n, workers)
 	if cap(s.parts) < r {
 		s.parts = append(s.parts[:cap(s.parts)], make([]part, r-cap(s.parts))...)
 	}
@@ -78,7 +77,8 @@ func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers
 		p.ids, p.meta, p.total = slab[int32]{chunks: p.ids.chunks}, slab[uint8]{chunks: p.meta.chunks}, 0
 	}
 	ident := s.parts[0].identity(n, k)
-	order := b.bfsOrder(g)
+	s.order = b.bfsOrder(g, s.order[:0])
+	order := s.order
 	for len(b.helpers) < r-1 {
 		b.helpers = append(b.helpers, NewBuilder())
 	}
@@ -110,10 +110,12 @@ func (p *part) identity(n, k int) []int32 {
 	return ident
 }
 
-// ranges is how many ranges BuildAll cuts an n-vertex graph into under a
+// Ranges is how many ranges BuildAll cuts an n-vertex graph into under a
 // budget of workers goroutines: one per worker, as long as each holds at
-// least buildGrain vertices, and always at least one.
-func ranges(n, workers int) int {
+// least buildGrain vertices, and always at least one. Other passes over every
+// view of a Set split the same way, so they start goroutines exactly where the
+// build does.
+func Ranges(n, workers int) int {
 	if buildGrain > 0 {
 		workers = min(workers, n/buildGrain)
 	}
@@ -143,13 +145,12 @@ func (b *Builder) buildRange(s *Set, p *part, g *graph.Graph, k int, ident, node
 	}
 }
 
-// bfsOrder returns the vertices of g in BFS order from vertex 0, restarting
-// from the lowest unreached vertex in each further component, in b.order
-// until the next call. It leaves b's search scratch as reach expects it.
-func (b *Builder) bfsOrder(g *graph.Graph) []int32 {
+// bfsOrder appends the vertices of g in BFS order from vertex 0, restarting
+// from the lowest unreached vertex in each further component, to order and
+// returns it. It leaves b's search scratch as reach expects it.
+func (b *Builder) bfsOrder(g *graph.Graph, order []int32) []int32 {
 	n := g.N()
 	b.reach(g, -1, 1) // clear what the last search marked, grow dist to n
-	order := b.order[:0]
 	for root := 0; root < n; root++ {
 		if b.dist[root] >= 0 {
 			continue
@@ -168,7 +169,6 @@ func (b *Builder) bfsOrder(g *graph.Graph) []int32 {
 	for _, x := range order {
 		b.dist[x] = -1
 	}
-	b.order = order
 	return order
 }
 

@@ -12,6 +12,7 @@ import "slices"
 // may be marked from distinct goroutines.
 type Set struct {
 	views []Local
+	order []int32 // the vertices in the BFS order of the last build
 	h     *header // rewritten in place by each build
 	parts []part  // one per range of the last build; capacity keeps earlier ones' chunks
 	total int     // members over all views
@@ -27,6 +28,12 @@ type part struct {
 // Views returns the views, indexed by node, valid until the next BuildAll
 // into s. Callers mark them and must not otherwise write to them.
 func (s *Set) Views() []Local { return s.views }
+
+// Order returns the vertices in the order the last BuildAll visited them: BFS
+// order, so neighbours' views sit side by side in the slabs and a pass over
+// every view that follows it meets overlapping neighbourhoods in turn. Valid
+// until the next BuildAll into s; callers must not write to it.
+func (s *Set) Order() []int32 { return s.order }
 
 // ResetStatus clears every status override of every view, returning the set
 // to its freshly built state, in one pass over the status slabs.

@@ -29,7 +29,7 @@ func checkSetMatchesNewLocal(t *testing.T, b *Builder, s *Set, g *graph.Graph, k
 	if len(s.Views()) != n {
 		t.Fatalf("n=%d k=%d: set has %d views", n, k, len(s.Views()))
 	}
-	if r := ranges(n, workers); len(s.parts) != r {
+	if r := Ranges(n, workers); len(s.parts) != r {
 		t.Fatalf("n=%d k=%d workers=%d: built %d ranges, want %d", n, k, workers, len(s.parts), r)
 	}
 	base := BasePriorities(g, metric)
@@ -225,7 +225,7 @@ func TestBuildAllRestartsOnDisconnectedGraphs(t *testing.T) {
 		}
 	}
 	b, s := NewBuilder(), &Set{}
-	if got, want := b.bfsOrder(g), []int32{0, 4, 7, 1, 5, 8, 2, 3, 6}; !slices.Equal(got, want) {
+	if got, want := b.bfsOrder(g, nil), []int32{0, 4, 7, 1, 5, 8, 2, 3, 6}; !slices.Equal(got, want) {
 		t.Fatalf("BFS order %v, want %v", got, want)
 	}
 	for _, k := range []int{0, 1, 2, 3} {
@@ -272,8 +272,8 @@ func TestSplitRebuildReusesTheSet(t *testing.T) {
 // so it starts no goroutine — while the simulator's 2000-node at-scale
 // differential test splits in two on two cores.
 func TestSmallBuildIsOneRange(t *testing.T) {
-	if got := ranges(2000, 2); got != 2 {
-		t.Errorf("ranges(2000, 2) = %d, want 2", got)
+	if got := Ranges(2000, 2); got != 2 {
+		t.Errorf("Ranges(2000, 2) = %d, want 2", got)
 	}
 	net, err := geo.Generate(geo.Config{N: 100, AvgDegree: 18}, rand.New(rand.NewSource(1)))
 	if err != nil {
