@@ -89,7 +89,8 @@ fuzz:
 # CI-sized fuzz smoke under the race detector: a few seconds per target keeps
 # the differential oracles (grid placement vs naive, graph edits vs the bulk
 # build, view sets vs single views, calendar queue vs binary heap, evaluator
-# vs reference on small graphs and on 60-140-neighbor hubs)
+# vs reference on small graphs and on 60-140-neighbor hubs, runs that skip
+# unread view merges vs runs that merge every copy)
 # and the live node's durable and wire surfaces (journal replay, length
 # framing) exercised on every change without a full campaign.
 fuzz-smoke:
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -race ./internal/graph/ -run '^$$' -fuzz FuzzGraphEditsMatchFromEdges -fuzztime 5s
 	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzCalQueueMatchesHeap -fuzztime 5s
+	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzMergeSkipInvisible -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 	$(GO) test -race ./internal/runtime/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s

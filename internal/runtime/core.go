@@ -66,6 +66,7 @@ type Core struct {
 	id          int
 	cfg         CoreConfig
 	proto       sim.Protocol
+	retire      bool // sim.RetiresViews(proto): a decided node's view takes no merges
 	st          *sim.NodeState
 	viewG       *graph.Graph
 	out         Transport
@@ -80,9 +81,10 @@ type Core struct {
 func NewCore(id int, proto sim.Protocol, lv *view.Local, viewG *graph.Graph,
 	cfg CoreConfig, out Transport, backoffSeed int64) *Core {
 	return &Core{
-		id:    id,
-		cfg:   cfg,
-		proto: proto,
+		id:     id,
+		cfg:    cfg,
+		proto:  proto,
+		retire: sim.RetiresViews(proto),
 		st: &sim.NodeState{
 			ID:        id,
 			View:      lv,
@@ -116,14 +118,17 @@ func (c *Core) Start() {
 }
 
 // HandlePacket delivers one packet copy: shared bookkeeping (receipt record,
-// view merge) followed by the protocol's OnReceive, in the simulator's
-// order. Packets cross the wire and the Transport by value; this node's copy
-// moves to the heap here, where the node state starts referring to it.
+// view merge unless the view is retired) followed by the protocol's
+// OnReceive, in the simulator's order. Packets cross the wire and the
+// Transport by value; this node's copy moves to the heap here, where the node
+// state starts referring to it.
 func (c *Core) HandlePacket(from int, pkt sim.Packet, at float64) {
 	r := sim.Receipt{From: from, At: at, Packet: &pkt}
 	first := c.st.RecordReceipt(r)
 	c.out.NoteDeliver(first, at)
-	sim.MergeReceipt(c.st, c.id, r)
+	if !c.st.ViewRetired(c.retire) {
+		sim.MergeReceipt(c.st, c.id, r)
+	}
 	c.proto.OnReceive(c, c.id, r)
 }
 

@@ -62,8 +62,7 @@ type Arena struct {
 	batch      []event // same-instant batch
 	arrCnt     []int32 // per-node same-instant arrival counts
 	arrTouched []int   // nodes with non-zero arrCnt entries
-	evtKind    []uint8 // per-node batch event classification bits
-	evtTouched []int   // nodes with non-zero evtKind entries
+	evtSeen    []bool  // per node: an event of it was met in the batch
 	timerIdx   []int   // batch indices of precomputable timer events
 
 	// The run's first-delivery latencies, relative to each session's
@@ -201,12 +200,12 @@ func (a *Arena) ensureLoopScratch(n int) {
 	a.arrCnt = a.arrCnt[:n]
 }
 
-// precomputeScratch sizes the parallel phase's event-classification array
-// for an n-node single run; a run calls it at its first sharded batch. Like
-// the count array, it is reset entry by entry by its users.
+// precomputeScratch sizes the parallel phase's per-node marks for an n-node
+// single run; a run calls it at its first sharded batch. Like the count
+// array, they are reset entry by entry by their user.
 func (a *Arena) precomputeScratch(n int) {
-	if cap(a.evtKind) < n {
-		a.evtKind = make([]uint8, n)
+	if cap(a.evtSeen) < n {
+		a.evtSeen = make([]bool, n)
 	}
-	a.evtKind = a.evtKind[:n]
+	a.evtSeen = a.evtSeen[:n]
 }

@@ -17,7 +17,7 @@ import (
 // pool arenas: whatever an Arena ran last, the next run on it is the run a
 // new Arena would have made. For every registered protocol under every way a
 // run builds and marks views (shared, stale, per-node and beaconed views; global,
-// 1-, 2- and 3-hop; both metrics; parallel pre-merge; loss with NACK
+// 1-, 2- and 3-hop; both metrics; sharded timer verdicts; loss with NACK
 // recovery; concurrent sessions over the contention MAC), the Result, the
 // event trace and the run record on an Arena that last ran another size,
 // depth, metric and protocol — alternately a lossy broadcast and a traffic

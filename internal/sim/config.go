@@ -149,8 +149,8 @@ type Config struct {
 	// Workers is the number of goroutines a run may use: to build its
 	// k-hop views, and in the event loop of a single-broadcast run (Run,
 	// RunWith) to precompute same-instant work (pending-timer coverage
-	// verdicts and receive-side view merges) before the sequential dispatch
-	// pass; traffic runs use it for the view build only. 0 (the default)
+	// verdicts) before the sequential dispatch pass; traffic runs use it for
+	// the view build only. 0 (the default)
 	// means runtime.GOMAXPROCS(0), 1 fully sequential, k > 1 k goroutines.
 	// A view build splits into one range per goroutine of at least 1000
 	// nodes each, and only a batch of at least 128 timers shards (a wave

@@ -12,10 +12,10 @@ import (
 
 // TestParallelEngineStress drives the multi-worker fast engine hard enough
 // that `go test -race ./internal/sim/...` is meaningful: a network large
-// enough for big same-instant batches, protocols that exercise both parallel
-// paths (timer-verdict precompute via backoff timers, receive-side view
-// premerge via first-receipt and static timing), several replicates through
-// one shared Arena, and a determinism check that every worker count agrees.
+// enough for big same-instant batches, protocols whose timers the parallel
+// precompute decides (first-receipt waves and backoff timers) and one with
+// none (static timing), several replicates through one shared Arena, and a
+// determinism check that every worker count agrees.
 // Every batch shards (ShardEveryBatch): no batch of this network reaches the
 // production threshold.
 func TestParallelEngineStress(t *testing.T) {
@@ -26,13 +26,13 @@ func TestParallelEngineStress(t *testing.T) {
 		t.Fatalf("generate network: %v", err)
 	}
 	protos := []func() sim.Protocol{
-		// Synchronized first-receipt waves: the premerge path, with the
-		// whole frontier arriving in one batch.
+		// Synchronized first-receipt waves: the whole frontier's timers
+		// fire in one batch.
 		func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 		// Backoff timers: the timer-verdict precompute path.
 		func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) },
 		func() sim.Protocol { return protocol.GenericStrong(protocol.TimingBackoffDegree) },
-		// Static timing with premerged receives.
+		// Static timing: no timers, so nothing to precompute.
 		func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) },
 	}
 	arena := sim.NewArena()

@@ -41,3 +41,26 @@ func PristineCovered(a *Arena, v int) (covered, ok bool) {
 	s := &a.settled
 	return s.id != 0 && s.bits[v>>6]>>(v&63)&1 != 0, s.id != 0
 }
+
+// MergeEverywhere turns view retirement off until t ends: every delivered
+// copy is merged into its receiver's view, decided or settled, so tests can
+// compare runs with and without the skip.
+func MergeEverywhere(t testing.TB) {
+	mergeEverywhere = true
+	t.Cleanup(func() { mergeEverywhere = false })
+}
+
+// RunCounted is RunWith that also reports how many delivered copies the run
+// merged into views.
+func RunCounted(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Result, int, error) {
+	net, err := newRun(a, g, source, p, cfg)
+	if err != nil {
+		return Result{}, 0, err
+	}
+	net.loop()
+	return net.result(), net.merges, nil
+}
+
+// DebugChecks reports whether the package was built with the simdebug tag,
+// whose runs keep merging copies at settled nodes.
+const DebugChecks = debugChecks

@@ -26,22 +26,17 @@ type TimerPrecomputer interface {
 }
 
 // NonDesignating is implemented by protocols for which receive handling never
-// observes designation state or the receiver's own view marks: no designated
-// sets ride the packet trails, and OnReceive for a node whose only events
-// this instant are receives reads nothing a view merge changes. For such
-// protocols the event loop may apply a node's same-instant view merges from
-// a worker goroutine before the sequential dispatch pass; the merge is
-// monotone and per-node, so the final state is identical.
+// observes designation state or the receiver's own view marks, and nothing
+// reads the view of a node that has decided: no designated sets ride the
+// packet trails, OnReceive reads nothing a view merge changes, and a node's
+// coverage condition runs from its own timers only while it has neither
+// transmitted nor taken non-forward status. Both executors therefore stop
+// merging copies into a node's view once it has decided (RetiresViews,
+// NodeState.ViewRetired), and the simulator also at a node whose settled bit
+// says covered (Settled), since the bit decides it without reading the view.
 type NonDesignating interface {
 	NonDesignating() bool
 }
-
-// evtKind bits classifying a node's events within one same-instant batch.
-const (
-	kindReceive   uint8 = 1 << iota // node has >= 1 receive event
-	kindOther                       // node has a timer/NACK/retransmit event
-	kindPremerged                   // node's view merges were applied by a worker
-)
 
 // minShard is the fewest timers a same-instant batch must hold before the
 // loop shards its precompute across workers. A fork/join of one helper
@@ -111,9 +106,8 @@ func (net *Network) runBatch(batch []event, shard bool) {
 		batch = live
 		arr, arrTouched = net.countArrivals(batch)
 	}
-	var kinds []uint8
 	if shard {
-		kinds = net.precompute(batch)
+		net.precompute(batch)
 	}
 	for i := range batch {
 		e := &batch[i]
@@ -122,26 +116,15 @@ func (net *Network) runBatch(batch []event, shard bool) {
 			net.maybeNACK(e)
 			continue
 		}
-		switch {
-		case kinds != nil && e.kind == eventReceive && kinds[e.node]&kindPremerged != 0:
-			net.handleReceive(e, true)
-		case kinds != nil && e.kind == eventTimer:
-			net.dispatch(e)
+		net.dispatch(e)
+		if shard && e.kind == eventTimer {
 			// Drop any verdict the dispatch did not consume (node down,
 			// already sent, strict designation, ...).
 			net.sessions[0].nodes[e.node].prepared = 0
-		default:
-			net.dispatch(e)
 		}
 	}
 	if coll {
 		net.clearArrivals(arr, arrTouched)
-	}
-	if kinds != nil {
-		for _, v := range net.arena.evtTouched {
-			kinds[v] = 0
-		}
-		net.arena.evtTouched = net.arena.evtTouched[:0]
 	}
 }
 
@@ -174,76 +157,57 @@ func (net *Network) clearArrivals(arr []int32, touched []int) {
 }
 
 // precompute is the parallel phase of a single run (session 0), for a batch
-// of at least minShard timers: it classifies the batch's events per node
-// sequentially, then shards two kinds of pure per-node work across w workers
-// — coverage verdicts for timers that are their owner's earliest event of the
-// instant (any protocol implementing TimerPrecomputer), and view merges for
-// nodes whose only events this instant are receives (protocols declaring
-// NonDesignating, under a clean collision-free MAC). The dispatching
-// goroutine, with the run's own evaluator, and w-1 helper goroutines, each
-// with a private evaluator, claim the timers one at a time and split the
-// merges by receiver; a batch gets one helper per shardGrain timers, at most
-// w-1. Workers write only to disjoint per-node slots, so the
-// merged outcome is deterministic and independent of scheduling; everything
-// order-sensitive stays in the sequential dispatch pass. Verdicts go to the
-// timer owner's NodeState. The classification array is set up by the run's
-// first sharded batch, so a run that never shards allocates nothing for it.
-func (net *Network) precompute(batch []event) []uint8 {
+// of at least minShard timers: it picks, sequentially, the timers that are
+// their owner's earliest event of the instant (any protocol implementing
+// TimerPrecomputer), then shards their coverage verdicts across w workers.
+// The dispatching goroutine, with the run's own evaluator, and w-1 helper
+// goroutines, each with a private evaluator, claim the timers one at a time;
+// a batch gets one helper per shardGrain timers, at most w-1. Workers write
+// only the timer owner's NodeState, so the outcome is deterministic and
+// independent of scheduling; everything order-sensitive stays in the
+// sequential dispatch pass. The per-node marks are set up by the run's first
+// sharded batch, so a run that never shards allocates nothing for them.
+func (net *Network) precompute(batch []event) {
 	a := net.arena
 	if !net.sharded {
 		a.precomputeScratch(net.G.N())
 		net.sharded = true
 	}
-	kinds := a.evtKind
-	touched := a.evtTouched[:0]
-	timers := a.timerIdx[:0]
 	s := &net.sessions[0]
-	tp, _ := s.proto.(TimerPrecomputer)
+	tp, ok := s.proto.(TimerPrecomputer)
+	if !ok {
+		return
+	}
+	seen, timers := a.evtSeen, a.timerIdx[:0]
 	for i := range batch {
 		e := &batch[i]
-		bit := kindOther
-		if e.kind == eventReceive {
-			bit = kindReceive
-		}
-		if kinds[e.node] == 0 {
-			touched = append(touched, int(e.node))
-			if e.kind == eventTimer && tp != nil && !net.down(int(e.node)) {
+		if !seen[e.node] {
+			seen[e.node] = true
+			if e.kind == eventTimer && !net.down(int(e.node)) {
 				timers = append(timers, i)
 			}
 		}
-		kinds[e.node] |= bit
 	}
-	a.evtTouched = touched
+	for i := range batch {
+		seen[batch[i].node] = false
+	}
 	a.timerIdx = timers
-	premerge := false
-	// Pre-merge is off under the contention MAC (a copy may still be garbled
-	// at dispatch time), in addition to the loss/collision/fault gates.
-	if nd, ok := s.proto.(NonDesignating); ok && nd.NonDesignating() &&
-		net.Cfg.LossRate == 0 && !net.Cfg.Collisions && !net.Cfg.CarrierSense &&
-		net.plan == nil {
-		for _, v := range touched {
-			if kinds[v] == kindReceive {
-				kinds[v] |= kindPremerged
-				premerge = true
-			}
-		}
-	}
-	if len(timers) == 0 && !premerge {
-		return kinds
+	if len(timers) == 0 {
+		return
 	}
 	w := net.workers
 	if shardGrain > 0 {
 		w = 1 + min(w-1, len(timers)/shardGrain)
 	}
 	var next atomic.Int32 // the next unclaimed entry of timers
-	work := func(wi int, ev *core.Evaluator) {
+	work := func(ev *core.Evaluator) {
 		// Timers are claimed one at a time rather than split up front, so a
 		// worker whose core is busy elsewhere holds up the join by one
 		// verdict at most.
 		for {
 			k := int(next.Add(1)) - 1
 			if k >= len(timers) {
-				break
+				return
 			}
 			e := &batch[timers[k]]
 			if cov, ok := tp.PrecomputeTimer(s, int(e.node), ev); ok {
@@ -254,30 +218,16 @@ func (net *Network) precompute(batch []event) []uint8 {
 				s.nodes[e.node].prepared = verdict
 			}
 		}
-		if !premerge {
-			return
-		}
-		// Shard merges by receiver so each node's merges apply in batch
-		// order within one worker (they are monotone and commutative, but
-		// the discipline costs nothing).
-		for i := range batch {
-			e := &batch[i]
-			if e.kind == eventReceive && int(e.node)%w == wi &&
-				kinds[e.node]&kindPremerged != 0 {
-				MergeReceipt(&s.nodes[e.node], int(e.node), e.receipt())
-			}
-		}
 	}
 	helpers := a.workerEvals(w-1, net.G.N())
 	var wg sync.WaitGroup
 	wg.Add(len(helpers))
-	for i, ev := range helpers {
+	for _, ev := range helpers {
 		go func() {
 			defer wg.Done()
-			work(i+1, ev)
+			work(ev)
 		}()
 	}
-	work(0, net.Evaluator())
+	work(net.Evaluator())
 	wg.Wait()
-	return kinds
 }

@@ -193,6 +193,7 @@ type Network struct {
 	seq     int
 	workers int  // precompute workers of a single run (0 in traffic runs)
 	sharded bool // a batch of this run went through the parallel precompute
+	merges  int  // copies merged into views (read by the package's tests)
 
 	// The run's broadcasts, indexed by session id. A single run is session
 	// 0, held in solo so that it allocates nothing of its own.
@@ -318,6 +319,7 @@ func (net *Network) build() []NodeState {
 // sender -1, so latency statistics do not wait for a neighbor's
 // retransmission to echo back.
 func (net *Network) begin(s *session) {
+	s.retire = RetiresViews(s.proto)
 	net.offerSettled(s)
 	s.proto.Init(s)
 	st := &s.nodes[s.source]
@@ -357,7 +359,7 @@ func (net *Network) dispatch(e *event) {
 			net.maybeNACK(e)
 			return
 		}
-		net.handleReceive(e, false)
+		net.handleReceive(e)
 	case eventTimer:
 		if net.down(int(e.node)) {
 			// A down node loses its pending decision timers: a crashed
@@ -398,12 +400,10 @@ func (net *Network) dropByFault(e *event) bool {
 	return false
 }
 
-// handleReceive delivers receive event e's packet copy to its node. merged
-// marks a copy whose view merge already happened in the loop's parallel
-// pre-merge phase (see precompute); everything order-sensitive — RNG
-// draws, counters, trace events, receipt bookkeeping, the protocol callback —
-// still runs here, in event order.
-func (net *Network) handleReceive(e *event, merged bool) {
+// handleReceive delivers receive event e's packet copy to its node, merging
+// it into the node's view only where the view is still read: not at a node
+// that has decided (NodeState.ViewRetired) or that its settled bit decides.
+func (net *Network) handleReceive(e *event) {
 	sid, v, r := e.session, int(e.node), e.receipt()
 	if debugChecks && net.down(v) {
 		panic(fmt.Sprintf("sim: delivery dispatched to down node %d at %v", v, net.now))
@@ -422,7 +422,8 @@ func (net *Network) handleReceive(e *event, merged bool) {
 	if st.RecordReceipt(r) {
 		net.firstDelivery(s)
 	}
-	if !merged {
+	if !st.ViewRetired(s.retire) && !s.settled.has(v) {
+		net.merges++
 		MergeReceipt(st, v, r)
 	}
 	s.proto.OnReceive(s, v, r)

@@ -85,6 +85,13 @@ type session struct {
 	start  float64 // injection time: the origin of the session's latencies
 	proto  Protocol
 	nodes  []NodeState
+
+	// What handleReceive needs to skip the merges no one reads: whether the
+	// protocol retires decided nodes' views (RetiresViews), and the settled
+	// verdicts whose set bits decide a node without its view (nil unless it
+	// does, and in simdebug builds, whose Settled.check reads the view).
+	retire  bool
+	settled *Settled
 }
 
 var _ Runtime = (*session)(nil)
@@ -189,6 +196,26 @@ func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Pack
 	}
 }
 
+// RetiresViews reports whether the executor may stop merging copies into the
+// views of p's decided nodes: p declares NonDesignating, so nothing reads
+// such a view again (NodeState.ViewRetired).
+func RetiresViews(p Protocol) bool {
+	nd, ok := p.(NonDesignating)
+	return ok && nd.NonDesignating() && !mergeEverywhere
+}
+
+// ViewRetired reports whether the node owning st has decided — transmitted or
+// taken non-forward status — under a protocol that retires decided nodes'
+// views (retire, from RetiresViews): a copy delivered to it then needs no
+// MergeReceipt. Both executors ask it before every merge.
+func (st *NodeState) ViewRetired(retire bool) bool {
+	return retire && (st.Sent || st.NonForward)
+}
+
+// mergeEverywhere turns every view retirement off, so the package's tests can
+// compare runs with and without it (export_test.go).
+var mergeEverywhere = false
+
 // MergeReceipt merges a delivered copy's broadcast state into node v's local
 // view: the sender is marked visited (MAC-level snooping); the packet trail
 // carries piggybacked visited nodes and their designated forward sets, which
@@ -196,8 +223,8 @@ func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Pack
 // increases) and touches nothing but v's own state. A trail entry for the
 // sender itself (its last entry at the default depth) is not marked visited
 // a second time, which saves one member search per receipt. The simulator
-// calls it from its delivery path (including the fast engine's parallel
-// pre-merge); the live executor calls it from the receiving node's handler.
+// calls it from its delivery path, the live executor from the receiving
+// node's handler, each only where the view is still read (ViewRetired).
 func MergeReceipt(st *NodeState, v int, r Receipt) {
 	st.View.MarkVisited(r.From)
 	for _, entry := range r.Packet.Trail {

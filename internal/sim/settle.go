@@ -80,6 +80,11 @@ func (s *Settled) Pristine(st *NodeState, ev *core.Evaluator) bool {
 	return c
 }
 
+// has reports whether node v's bit is set; a nil s has none.
+func (s *Settled) has(v int) bool {
+	return s != nil && s.bits[v>>6]>>(v&63)&1 != 0
+}
+
 // check panics unless the condition evaluated on st's view gives the
 // settled verdict.
 func (s *Settled) check(st *NodeState, ev *core.Evaluator, settled bool) {
@@ -189,4 +194,11 @@ func (net *Network) offerSettled(s *session) {
 		}
 	}
 	st.UseSettled(settled)
+	// A set bit decides its node without reading the view, so the node's
+	// merges may go too. simdebug builds keep them: Settled.check then
+	// evaluates the view the broadcast actually left, which tests the lemma
+	// itself rather than re-running the settle pass on a pristine view.
+	if s.retire && !debugChecks {
+		s.settled = settled
+	}
 }
