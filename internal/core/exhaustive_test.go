@@ -131,9 +131,9 @@ func TestSetMatchesNewLocalExhaustive(t *testing.T) {
 			graphs++
 			base := view.BasePriorities(g, view.MetricDegree)
 			for _, hops := range []int{0, 1, 2, 3} {
-				b.BuildAll(s, g, hops, view.MetricDegree, 1)
+				b.BuildAll(s, g, hops, view.MetricDegree, 1, nil)
 				for v := 0; v < n; v++ {
-					got, want := &s.Views()[v], view.NewLocal(g, v, hops, base)
+					got, want := s.View(v), view.NewLocal(g, v, hops, base)
 					same := slices.Equal(got.Members(), want.Members())
 					for i := 0; same && i < len(want.Members()); i++ {
 						same = got.FringeAt(i) == want.FringeAt(i)

@@ -75,7 +75,7 @@ func (e *engine) Init(rt sim.Runtime) {
 	e.status = make([]bool, rt.N())
 	rt.ForEachLocalNode(func(v int) {
 		if e.settled != nil {
-			// The settle pass has decided every pristine view already.
+			// The view build has settled every pristine view already.
 			e.status[v] = rt.ConservativeHold(v) || !e.settled.Pristine(rt.State(v), rt.Evaluator())
 			return
 		}
@@ -215,9 +215,16 @@ func (e *engine) PrecomputeTimer(rt sim.Runtime, v int, ev *core.Evaluator) (boo
 // node's own status rises above un-visited before it transmits. With a
 // designation, the designated node's own priority rises to 1.5, and a
 // pristine "covered" may no longer hold (internal/core's
-// TestOwnDesignationBreaksSettling).
+// TestOwnDesignationBreaksSettling). A non-designating engine with no
+// condition (Flooding) covers no node and reads no view, which a nil
+// condition says.
 func (e *engine) SettleCondition() (int, func(*sim.NodeState, *core.Evaluator) bool, bool) {
-	if e.opts.settle == 0 || !e.NonDesignating() {
+	switch {
+	case !e.NonDesignating():
+		return 0, nil, false
+	case e.opts.Covered == nil:
+		return settleNever, nil, false
+	case e.opts.settle == 0:
 		return 0, nil, false
 	}
 	return e.opts.settle, e.opts.Covered, e.opts.Timing == TimingStatic

@@ -14,10 +14,12 @@ func CoveredStrong(st *sim.NodeState, ev *core.Evaluator) bool { return ev.Stron
 
 // The ids under which the simulator keeps settled verdicts (sim.Settler) of
 // the two conditions whose pristine verdicts settle later ones: Options.settle
-// names Covered by one of them.
+// names Covered by one of them. settleNever names the absent condition of an
+// engine that covers no node (engine.SettleCondition).
 const (
 	settleGeneric = 1
 	settleStrong  = 2
+	settleNever   = 3
 )
 
 // Flooding returns the blind-flooding baseline: every node forwards the

@@ -57,14 +57,14 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		index[names[v]] = v
 	}
 	var views view.Set
-	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric, goruntime.GOMAXPROCS(0))
+	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric, goruntime.GOMAXPROCS(0), nil)
 	eval := new(core.Evaluator)
 	for v := 0; v < n; v++ {
 		p := &port{cl: cl, v: v}
 		nd := newNode(cfg, p, cl.staleView)
 		nd.clk = p
 		nd.name, nd.self, nd.names, nd.index, nd.eval = names[v], v, names, index, eval
-		nd.install(g, &views.Views()[v])
+		nd.install(g, views.View(v))
 		cl.nodes[v] = nd
 	}
 	return cl, nil

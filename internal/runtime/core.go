@@ -66,7 +66,7 @@ type Core struct {
 	id          int
 	cfg         CoreConfig
 	proto       sim.Protocol
-	retire      bool // sim.RetiresViews(proto): a decided node's view takes no merges
+	retire      bool // sim.RetiresViews(proto): a decided node's view takes no merges or marks
 	st          *sim.NodeState
 	viewG       *graph.Graph
 	out         Transport
@@ -216,7 +216,9 @@ func (c *Core) Transmit(v int, designated, extra []int) {
 		return
 	}
 	c.st.Sent = true
-	c.st.View.MarkVisited(c.id)
+	if !c.retire { // else no one reads the view of a node that has decided
+		c.st.View.MarkVisited(c.id)
+	}
 	pkt := c.st.BuildForwardPacket(designated, extra, c.cfg.PiggybackDepth)
 	c.st.SetSentPacket(&pkt)
 	c.out.Broadcast(pkt)
@@ -254,7 +256,9 @@ func (c *Core) ConservativeHold(v int) bool {
 // write-ahead journal after a crash.
 func (c *Core) RestoreSent(pkt sim.Packet) {
 	c.st.Sent = true
-	c.st.View.MarkVisited(c.id)
+	if !c.retire {
+		c.st.View.MarkVisited(c.id)
+	}
 	c.st.SetSentPacket(&pkt)
 }
 

@@ -11,19 +11,23 @@ import (
 // Arena owns the simulator's reusable hot state: the flat per-node state
 // array, the packet slab, the calendar event queue, batch and collision
 // scratch, coverage evaluators, and the run's built local views — one
-// view.Set (views, member and status slabs, base priorities). One Arena
-// serves one run at a time; passing the same Arena to consecutive RunWith
-// calls reuses every allocation, which is what makes large replication sweeps
-// allocation-free in steady state.
+// view.Set (views, member and status slabs, base priorities) with its
+// settled verdicts. One Arena serves one run at a time; passing the same
+// Arena to consecutive RunWith calls reuses every allocation, which is what
+// makes large replication sweeps allocation-free in steady state.
 //
 // The packet slab holds a run's packets, one slot per transmission (and per
 // session source): events, MAC queues, receipts and node states point into it
 // until the run ends, across every backoff, retransmission and session.
 // Chunks are never reallocated; the next run starts over at slot 0.
 //
-// The view set is keyed by (topology pointer, hops, metric): a run over the
-// same key reuses the built views after clearing their learned status marks,
-// and their settled verdicts (Settled); any other run rebuilds them in place.
+// The view set holds a view only where a run reads one (viewsFor): under a
+// protocol whose settled verdicts decide a node without its view, the views
+// of settled nodes are dropped as they are built, and a protocol that reads
+// no view gets none. The set is keyed by (topology pointer, hops, metric),
+// the condition whose settled verdicts it holds (Settled) and whether it
+// dropped views: a run over the same key reuses the built views after
+// clearing their learned status marks; any other run rebuilds them in place.
 // Callers must therefore not edit a graph in place between runs that share an
 // Arena (simdebug builds check).
 //
@@ -38,17 +42,20 @@ type Arena struct {
 	cal     calQueue
 	builder *view.Builder
 
-	// Built views and their key (shared-topology modes; PerNodeViews runs
-	// build single views instead).
-	viewG      *graph.Graph
-	viewHops   int
-	viewMetric view.Metric
-	views      view.Set
+	// Built views and their key, with settled.id (shared-topology modes;
+	// PerNodeViews runs build single views instead). viewCompact is set
+	// when the build dropped the views of settled nodes.
+	viewG       *graph.Graph
+	viewHops    int
+	viewMetric  view.Metric
+	viewCompact bool
+	views       view.Set
 
-	// The view set's settled verdicts (settle.go) and the settle pass's
-	// per-helper bitmaps.
-	settled    Settled
-	settleBits [][]uint64
+	// The view set's settled verdicts (settle.go), and the settling build's
+	// per-helper bitmaps and per-worker node states.
+	settled      Settled
+	settleBits   [][]uint64
+	settleStates []NodeState
 
 	// Coverage evaluators: one shared instance, which the dispatching
 	// goroutine also uses for its precompute shard, plus one private
@@ -132,27 +139,6 @@ func (a *Arena) stateNodes(n int) []NodeState {
 	}
 	a.nodes = nodes
 	return nodes
-}
-
-// viewsFor returns the local views of every node over vg: the set built by the
-// previous run with its learned marks cleared when the key repeats, else a
-// rebuild into the same memory on up to workers goroutines. On a hit, simdebug
-// builds check that the key — the topology's pointer, not its content — still
-// stands for the views.
-func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers int) []view.Local {
-	if a.viewG != vg || a.viewHops != hops || a.viewMetric != metric {
-		a.viewG, a.viewHops, a.viewMetric = vg, hops, metric
-		a.settled.id, a.settled.cond = 0, nil // verdicts of the views being replaced
-		a.builder.BuildAll(&a.views, vg, hops, metric, workers)
-		return a.views.Views()
-	}
-	if debugChecks {
-		if v := a.builder.Stale(&a.views); v >= 0 {
-			panic(fmt.Sprintf("sim: the %d-hop view of node %d no longer matches its topology: a graph was changed in place between runs that share an Arena", hops, v))
-		}
-	}
-	a.views.ResetStatus()
-	return a.views.Views()
 }
 
 // evaluator returns the run's shared sequential coverage evaluator.

@@ -152,12 +152,12 @@ type Config struct {
 	// verdicts) before the sequential dispatch pass; traffic runs use it for
 	// the view build only. 0 (the default)
 	// means runtime.GOMAXPROCS(0), 1 fully sequential, k > 1 k goroutines.
-	// A view build splits into one range per goroutine of at least 1000
-	// nodes each, and only a batch of at least 128 timers shards (a wave
-	// front of a network in the thousands of nodes); no run at the paper's
-	// n <= 100 comes near either, so small runs stay sequential and start no
-	// goroutine whatever the count. The view build's BFS order, and the
-	// search scratch of each range after the first, keep 4 bytes per node. A sharded batch starts one helper
+	// A view build uses one goroutine per 1000 nodes at most, and only a
+	// batch of at least 128 timers shards (a wave front of a network in the
+	// thousands of nodes); no run at the paper's n <= 100 comes near either,
+	// so small runs stay sequential and start no goroutine whatever the
+	// count. The view build's BFS order, and the search scratch of each
+	// build goroutine after the first, keep 4 bytes per node. A sharded batch starts one helper
 	// goroutine per 64 of its timers, at most k-1, and each helper the Arena
 	// has ever started keeps an evaluator of 8 bytes per node (8 MB at
 	// n = 1M), so a run's extra memory is bounded by its widest batch (at

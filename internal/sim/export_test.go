@@ -30,7 +30,7 @@ func RunSharded(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (R
 
 // SettleCounts returns what the last run on a did with settled verdicts: the
 // verdicts a set bit decided, the verdicts evaluated past a clear bit, and
-// the evaluations of settle passes.
+// the evaluations of settling view builds.
 func SettleCounts(a *Arena) (settled, evaluated, passed int64) {
 	return a.settled.hits.Load(), a.settled.evals.Load(), a.settled.passEvals.Load()
 }
@@ -41,6 +41,10 @@ func PristineCovered(a *Arena, v int) (covered, ok bool) {
 	s := &a.settled
 	return s.id != 0 && s.bits[v>>6]>>(v&63)&1 != 0, s.id != 0
 }
+
+// HasView reports whether node v had a view in the last single run on a:
+// false where the run's view set dropped it, or kept none.
+func HasView(a *Arena, v int) bool { return a.nodes[v].View != nil }
 
 // MergeEverywhere turns view retirement off until t ends: every delivered
 // copy is merged into its receiver's view, decided or settled, so tests can

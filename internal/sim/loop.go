@@ -31,9 +31,10 @@ type TimerPrecomputer interface {
 // packet trails, OnReceive reads nothing a view merge changes, and a node's
 // coverage condition runs from its own timers only while it has neither
 // transmitted nor taken non-forward status. Both executors therefore stop
-// merging copies into a node's view once it has decided (RetiresViews,
-// NodeState.ViewRetired), and the simulator also at a node whose settled bit
-// says covered (Settled), since the bit decides it without reading the view.
+// merging copies into a node's view, and marking a sender's own, once it has
+// decided (RetiresViews, NodeState.ViewRetired), and the simulator keeps no
+// view at all for a node whose settled bit says covered (Settled), since the
+// bit decides it without reading the view.
 type NonDesignating interface {
 	NonDesignating() bool
 }

@@ -129,13 +129,14 @@ func TestMergeSkipInvisible(t *testing.T) {
 }
 
 // TestMergeCounts pins where a warm n = 2000 arena merges copies: only at
-// receivers that have not decided and whose settled bit is clear (simdebug
-// builds merge at settled nodes too, to check the bits against real
-// broadcast state), which the run's own trace says. Static decides at its
-// first copy, so it merges at most one per node; Flooding sets a zero-delay
-// timer there, so it merges every copy of the instant its first one arrives
-// in, but none after; Generic-FR merges a twelfth of its copies. Each run
-// equals the same run with every copy merged.
+// receivers that have not decided and that have a view, which the run's own
+// trace and its views say (a settled node has none; simdebug builds keep
+// every view of a settling run, to check the bits against real broadcast
+// state). Static decides at its first copy, so it merges at most one per
+// node; Flooding reads no view and keeps none, so it merges nothing (it used
+// to merge every copy of the instant its first one arrives in: 9,128);
+// Generic-FR merges a twelfth of its copies. Each run equals the same run
+// with every copy merged.
 func TestMergeCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-node runs")
@@ -146,7 +147,7 @@ func TestMergeCounts(t *testing.T) {
 		name string
 		want [2]int // merges in a plain build, in a simdebug build
 	}{
-		{"flooding", [2]int{9128, 9128}},
+		{"flooding", [2]int{0, 0}},
 		{"generic-static", [2]int{554, 1999}},
 		{"generic-fr", [2]int{729, 2874}},
 	} {
@@ -170,8 +171,7 @@ func TestMergeCounts(t *testing.T) {
 				case obsv.TraceTransmit, obsv.TraceNonForward:
 					decided[e.Node] = true
 				case obsv.TraceDeliver:
-					settled, _ := sim.PristineCovered(arena, e.Node)
-					if e.From >= 0 && !decided[e.Node] && (sim.DebugChecks || !settled) {
+					if e.From >= 0 && !decided[e.Node] && sim.HasView(arena, e.Node) {
 						expect++
 					}
 				}

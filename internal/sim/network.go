@@ -202,6 +202,12 @@ type Network struct {
 	newProto  func() Protocol // traffic runs' per-session protocol factory
 	delivered int             // first deliveries across sessions
 
+	// A traffic run's view set and settled verdicts, readied by its first
+	// session (startSession).
+	viewsReady bool
+	viewSet    *view.Set
+	settled    *Settled
+
 	// Contention-MAC state (CarrierSense; nil/zero otherwise). All slices
 	// are arena scratch, reset per run.
 	busyUntil   []float64 // per transmitter: end of its transmission on the air
@@ -248,7 +254,8 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 	}
 	net := newNetwork(a, g, source, cfg)
 	net.workers = cfg.workerBudget()
-	net.solo[0] = session{net: net, source: source, proto: p, nodes: net.build()}
+	net.solo[0] = session{net: net, source: source, proto: p, retire: RetiresViews(p)}
+	net.solo[0].nodes = net.build(&net.solo[0])
 	net.sessions = net.solo[:]
 	net.begin(&net.sessions[0])
 	return net, nil
@@ -285,8 +292,11 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	return net
 }
 
-// build returns a single run's node states over the arena's views.
-func (net *Network) build() []NodeState {
+// build returns single-run session s's node states: over per-node views, or
+// over the arena's view set readied for s's protocol (Arena.viewsFor), whose
+// settled verdicts it records in s. A node whose view the set dropped, or
+// every node when the protocol reads none, has a nil View.
+func (net *Network) build(s *session) []NodeState {
 	n := net.G.N()
 	a := net.arena
 	nodes := a.stateNodes(n)
@@ -296,7 +306,7 @@ func (net *Network) build() []NodeState {
 		// not only about links but also about degree-derived priorities —
 		// exactly the divergence a lossy hello exchange produces. Divergent
 		// views can never share the arena's view cache, so they are built
-		// fresh every run.
+		// fresh every run, and no verdict settles them.
 		for v := 0; v < n; v++ {
 			gv := p.Views.Graph(v)
 			base := view.BasePriorities(gv, net.Cfg.Metric)
@@ -305,9 +315,12 @@ func (net *Network) build() []NodeState {
 		return nodes
 	}
 	// Every other variant gives all nodes one view graph (priorities included).
-	views := a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.workers)
-	for v := 0; v < n; v++ {
-		nodes[v].View = &views[v]
+	var set *view.Set
+	set, s.settled = a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.workers, s.proto, s.retire)
+	if set != nil {
+		for v := 0; v < n; v++ {
+			nodes[v].View = set.View(v)
+		}
 	}
 	return nodes
 }
@@ -319,8 +332,9 @@ func (net *Network) build() []NodeState {
 // sender -1, so latency statistics do not wait for a neighbor's
 // retransmission to echo back.
 func (net *Network) begin(s *session) {
-	s.retire = RetiresViews(s.proto)
-	net.offerSettled(s)
+	if st, ok := s.proto.(Settler); ok {
+		st.UseSettled(s.settled)
+	}
 	s.proto.Init(s)
 	st := &s.nodes[s.source]
 	p := net.arena.addPacket(Packet{Source: s.source, Session: int(s.id)})
@@ -402,7 +416,8 @@ func (net *Network) dropByFault(e *event) bool {
 
 // handleReceive delivers receive event e's packet copy to its node, merging
 // it into the node's view only where the view is still read: not at a node
-// that has decided (NodeState.ViewRetired) or that its settled bit decides.
+// that has decided, nor at one whose view the run does not keep
+// (NodeState.ViewRetired).
 func (net *Network) handleReceive(e *event) {
 	sid, v, r := e.session, int(e.node), e.receipt()
 	if debugChecks && net.down(v) {
@@ -422,7 +437,7 @@ func (net *Network) handleReceive(e *event) {
 	if st.RecordReceipt(r) {
 		net.firstDelivery(s)
 	}
-	if !st.ViewRetired(s.retire) && !s.settled.has(v) {
+	if !st.ViewRetired(s.retire) {
 		net.merges++
 		MergeReceipt(st, v, r)
 	}
@@ -682,7 +697,9 @@ func (s *session) Transmit(v int, designated, extra []int) {
 		return
 	}
 	st.Sent = true
-	st.View.MarkVisited(v)
+	if !s.retire { // else no one reads the view of a node that has decided
+		st.View.MarkVisited(v)
+	}
 	// The transmission's one packet: every copy scheduled below, the MAC
 	// queue entry and the sender's retransmission state refer to it.
 	pkt := net.arena.addPacket(st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth))

@@ -86,10 +86,9 @@ type session struct {
 	proto  Protocol
 	nodes  []NodeState
 
-	// What handleReceive needs to skip the merges no one reads: whether the
-	// protocol retires decided nodes' views (RetiresViews), and the settled
-	// verdicts whose set bits decide a node without its view (nil unless it
-	// does, and in simdebug builds, whose Settled.check reads the view).
+	// Whether the protocol retires decided nodes' views (RetiresViews),
+	// which handleReceive and Transmit read to skip the marks no one reads,
+	// and the settled verdicts handed to it (nil when it gets none).
 	retire  bool
 	settled *Settled
 }
@@ -204,12 +203,14 @@ func RetiresViews(p Protocol) bool {
 	return ok && nd.NonDesignating() && !mergeEverywhere
 }
 
-// ViewRetired reports whether the node owning st has decided — transmitted or
-// taken non-forward status — under a protocol that retires decided nodes'
-// views (retire, from RetiresViews): a copy delivered to it then needs no
-// MergeReceipt. Both executors ask it before every merge.
+// ViewRetired reports whether a copy delivered to the node owning st needs
+// no MergeReceipt: the node has no view — the simulator keeps none where a
+// settled verdict decides the node, nor under a protocol that reads no view —
+// or it has decided (transmitted or taken non-forward status) under a
+// protocol that retires decided nodes' views (retire, from RetiresViews).
+// Both executors ask it before every merge.
 func (st *NodeState) ViewRetired(retire bool) bool {
-	return retire && (st.Sent || st.NonForward)
+	return st.View == nil || retire && (st.Sent || st.NonForward)
 }
 
 // mergeEverywhere turns every view retirement off, so the package's tests can

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"adhocbcast/internal/core"
+	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
 
@@ -18,17 +18,22 @@ import (
 // (internal/core's TestPristineCoverageSettles proves this for the generic
 // and the strong condition on every small world, and
 // TestOwnDesignationBreaksSettling shows why a designating engine may not
-// rely on it). The simulator then computes every node's pristine verdict once
-// per view set, on every core (the settle pass), and hands the protocol the
-// outcome through UseSettled.
+// rely on it). The simulator then decides every node's pristine verdict once
+// per view set, on every core, in the pass that builds the views, and hands
+// the protocol the outcome through UseSettled. Under a protocol that also
+// retires decided nodes' views (RetiresViews), a settled node never reads
+// its view, so that pass keeps only the views of unsettled nodes
+// (Arena.viewsFor).
 type Settler interface {
 	// SettleCondition returns a positive id naming the protocol's coverage
 	// condition and the condition itself, or id 0 when settled verdicts do
 	// not hold for the protocol. Two protocols returning one id must
-	// return the same condition. static reports that the protocol decides
-	// every node on its pristine view at Init, which is the settle pass's
-	// own work; a protocol deciding later asks for a pass only where its
-	// parallel split pays (see Network.offerSettled).
+	// return the same condition. A positive id with a nil condition says
+	// that no node is ever covered, so no node reads its view: under
+	// RetiresViews the simulator then builds none. static reports that the
+	// protocol decides every node on its pristine view at Init, which is the
+	// settling build's own work; a protocol deciding later asks for
+	// verdicts only where their parallel split pays (see Arena.viewsFor).
 	SettleCondition() (id int, cond func(*NodeState, *core.Evaluator) bool, static bool)
 	// UseSettled hands the protocol the run's settled verdicts, or nil when
 	// it gets none. The simulator calls it before Init on every run and
@@ -38,17 +43,16 @@ type Settler interface {
 
 // Settled holds one view set's settled verdicts under one coverage condition:
 // bit v is set when node v is covered on its pristine view. An Arena keeps
-// one, keyed like its views by (topology, hops, metric) and by the
-// condition's id, until it rebuilds the views or a run asks for another
-// condition. Its methods are safe for concurrent use.
+// one with its views, which it keys by (topology, hops, metric) and by the
+// condition's id. Its methods are safe for concurrent use.
 type Settled struct {
 	id   int // the condition's id; 0 when the Arena holds no verdicts
 	cond func(*NodeState, *core.Evaluator) bool
 	bits []uint64
 
 	// The current run's verdicts that a set bit decided, that were
-	// evaluated past a clear one, and that settle passes evaluated. Only the
-	// package's tests read them (export_test.go).
+	// evaluated past a clear one, and that settling builds evaluated. Only
+	// the package's tests read them (export_test.go).
 	hits, evals, passEvals atomic.Int64
 }
 
@@ -80,11 +84,6 @@ func (s *Settled) Pristine(st *NodeState, ev *core.Evaluator) bool {
 	return c
 }
 
-// has reports whether node v's bit is set; a nil s has none.
-func (s *Settled) has(v int) bool {
-	return s != nil && s.bits[v>>6]>>(v&63)&1 != 0
-}
-
 // check panics unless the condition evaluated on st's view gives the
 // settled verdict.
 func (s *Settled) check(st *NodeState, ev *core.Evaluator, settled bool) {
@@ -93,53 +92,104 @@ func (s *Settled) check(st *NodeState, ev *core.Evaluator, settled bool) {
 	}
 }
 
-// settleChunk is how many nodes, in the view set's BFS order, a settle-pass
-// worker claims at a time: enough to amortise the claim, few enough that a
-// worker whose core is busy elsewhere holds up the join by little.
-const settleChunk = 256
+// viewsFor readies the Arena's view set for a run of protocol p over vg —
+// retire is RetiresViews(p) — and returns it with the settled verdicts p may
+// take (nil when none), or a nil set when p reads no view at all (a Settler
+// with a nil condition, under retire). The set is the one the previous run
+// left, its learned marks cleared, when its key repeats; otherwise a rebuild
+// into the same memory on up to workers goroutines. The key is (vg, hops,
+// metric), the id of the condition whose verdicts the set holds, and whether
+// it dropped the views of settled nodes:
+//   - p gets verdicts when it is a Settler with a condition, and it decides
+//     every node at Init (static), or a view build of n nodes would split in
+//     two (view.Ranges, whatever the core count), or the set holds its
+//     condition's verdicts already: at paper sizes a later-deciding
+//     protocol's evaluations cost less than settling every view;
+//   - a set with verdicts drops the views of settled nodes when p retires
+//     views, since it then reads none of them — except in simdebug builds,
+//     where Settled.check evaluates every settled verdict on the view the
+//     broadcast actually left;
+//   - any other run gets every view, with or without verdicts.
+//
+// On a hit, simdebug builds check that the key's topology — its pointer,
+// not its content — still stands for the views.
+func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers int, p Protocol, retire bool) (*view.Set, *Settled) {
+	var (
+		id     int
+		cond   func(*NodeState, *core.Evaluator) bool
+		static bool
+	)
+	if st, ok := p.(Settler); ok {
+		id, cond, static = st.SettleCondition()
+	}
+	if id != 0 && cond == nil && retire {
+		return nil, nil
+	}
+	n := vg.N()
+	same := a.viewG == vg && a.viewHops == hops && a.viewMetric == metric
+	compact := false
+	if id != 0 && cond != nil && (static || view.Ranges(n, n) > 1 || same && a.settled.id == id) {
+		compact = retire && !debugChecks
+	} else {
+		id = 0
+	}
+	if same && a.viewCompact == compact && (id == 0 || a.settled.id == id) {
+		if debugChecks {
+			if v := a.builder.Stale(&a.views); v >= 0 {
+				panic(fmt.Sprintf("sim: the %d-hop view of node %d no longer matches its topology: a graph was changed in place between runs that share an Arena", hops, v))
+			}
+		}
+		a.views.ResetStatus()
+	} else {
+		a.buildViews(vg, hops, metric, workers, id, cond, compact)
+	}
+	if id == 0 {
+		return &a.views, nil
+	}
+	return &a.views, &a.settled
+}
 
-// settle runs the settle pass into s: cond on the pristine view of every node
-// of views, in the set's BFS order, on the calling goroutine with the Arena's
-// shared evaluator and on helper goroutines with private evaluators and
-// bitmaps of their own, one goroutine per range a view build of the set would
-// split into (view.Ranges), so a paper-sized pass starts none.
-func (a *Arena) settle(s *Settled, views []view.Local, order []int32, workers int) {
-	n := len(views)
-	words := (n + 63) / 64
-	r := view.Ranges(n, workers)
+// buildViews rebuilds the Arena's view set over vg on up to workers
+// goroutines. With a condition id it settles each view as it is built: cond
+// on the pristine view, with the build worker's own evaluator (the shared
+// one on the calling goroutine) into a bitmap of the worker's own, merged
+// when the build joins; compact then drops every settled node's view, so the
+// full set never exists.
+func (a *Arena) buildViews(vg *graph.Graph, hops int, metric view.Metric, workers, id int, cond func(*NodeState, *core.Evaluator) bool, compact bool) {
+	a.viewG, a.viewHops, a.viewMetric, a.viewCompact = vg, hops, metric, compact
+	s := &a.settled
+	s.id, s.cond = id, cond
+	if id == 0 {
+		a.builder.BuildAll(&a.views, vg, hops, metric, workers, nil)
+		return
+	}
+	n := vg.N()
+	r, words := view.Ranges(n, workers), (n+63)/64
+	s.bits = resetBits(s.bits, words)
 	for len(a.settleBits) < r-1 {
 		a.settleBits = append(a.settleBits, nil)
 	}
-	s.bits = resetBits(s.bits, words)
-	var next atomic.Int64 // the next unclaimed position of order
-	work := func(bits []uint64, ev *core.Evaluator) {
-		var st NodeState
-		for {
-			k := int(next.Add(settleChunk)) - settleChunk
-			if k >= n {
-				return
-			}
-			for _, v := range order[k:min(k+settleChunk, n)] {
-				st.ID, st.View = int(v), &views[v]
-				if s.cond(&st, ev) {
-					bits[v>>6] |= 1 << (v & 63)
-				}
-			}
-		}
-	}
-	helpers := a.workerEvals(r-1, n)
-	var wg sync.WaitGroup
-	wg.Add(len(helpers))
-	for i, ev := range helpers {
+	for i := range a.settleBits[:r-1] {
 		a.settleBits[i] = resetBits(a.settleBits[i], words)
-		go func() {
-			defer wg.Done()
-			work(a.settleBits[i], ev)
-		}()
 	}
-	work(s.bits, a.evaluator(n))
-	wg.Wait()
-	for _, bits := range a.settleBits[:len(helpers)] {
+	if len(a.settleStates) < r {
+		a.settleStates = make([]NodeState, r)
+	}
+	a.evaluator(n) // every worker's evaluator exists before the build starts them
+	a.workerEvals(r-1, n)
+	a.builder.BuildAll(&a.views, vg, hops, metric, workers, func(w int, lv *view.Local) bool {
+		st, ev, bits := &a.settleStates[w], a.eval, s.bits
+		if w > 0 {
+			ev, bits = a.wrkEval[w-1], a.settleBits[w-1]
+		}
+		st.ID, st.View = lv.Owner, lv
+		if !cond(st, ev) {
+			return true
+		}
+		bits[lv.Owner>>6] |= 1 << (lv.Owner & 63)
+		return !compact
+	})
+	for _, bits := range a.settleBits[:r-1] {
 		for i, w := range bits {
 			s.bits[i] |= w
 		}
@@ -156,49 +206,4 @@ func resetBits(b []uint64, words int) []uint64 {
 	b = b[:words]
 	clear(b)
 	return b
-}
-
-// settledFor returns the Arena's settled verdicts of its current view set
-// under condition id: the ones computed earlier when it holds them, else the
-// outcome of a new settle pass when need says one pays, else nil. The views
-// must be the set's, pristine.
-func (a *Arena) settledFor(id int, cond func(*NodeState, *core.Evaluator) bool, need bool, workers int) *Settled {
-	s := &a.settled
-	if s.id != id {
-		if !need {
-			return nil
-		}
-		s.id, s.cond = id, cond
-		a.settle(s, a.views.Views(), a.views.Order(), workers)
-	}
-	return s
-}
-
-// offerSettled hands session s's protocol the run's settled verdicts before
-// its Init, or nil where they do not hold: per-node views are built afresh
-// every run, from graphs of their own, and are not the Arena's set. A static
-// protocol always gets them, since its Init is the settle pass's work; any
-// other asks for a pass on a set that has none only where a view build of n
-// nodes would split in two (view.Ranges, whatever the core count), since at
-// paper sizes the pass costs more than the evaluations it saves.
-func (net *Network) offerSettled(s *session) {
-	st, ok := s.proto.(Settler)
-	if !ok {
-		return
-	}
-	var settled *Settled
-	if id, cond, static := st.SettleCondition(); id != 0 {
-		if _, own := net.Cfg.Views.(PerNodeViews); !own {
-			n := net.G.N()
-			settled = net.arena.settledFor(id, cond, static || view.Ranges(n, n) > 1, net.Cfg.workerBudget())
-		}
-	}
-	st.UseSettled(settled)
-	// A set bit decides its node without reading the view, so the node's
-	// merges may go too. simdebug builds keep them: Settled.check then
-	// evaluates the view the broadcast actually left, which tests the lemma
-	// itself rather than re-running the settle pass on a pristine view.
-	if s.retire && !debugChecks {
-		s.settled = settled
-	}
 }

@@ -26,10 +26,11 @@ func generateSettle(t *testing.T, n int, d float64, seed int64) *graph.Graph {
 
 // TestSettledCounts pins what settled verdicts save, in counts the code
 // determines: a warm Generic-Static run evaluates nothing (its Init reads the
-// settle pass's bits); a warm Generic-FR run evaluates exactly the timers of
-// nodes its pristine verdict leaves unsettled and settles the rest; a cold
-// FR run at n = 100 runs no settle pass and evaluates every timer, while one
-// at n = 2000, where a view build splits in two, runs the pass.
+// bits its settling view build left); a warm Generic-FR run evaluates exactly
+// the timers of nodes its pristine verdict leaves unsettled and settles the
+// rest; a cold FR run at n = 100 builds its views without settling them and
+// evaluates every timer, while one at n = 2000, where a view build splits in
+// two, settles every view as it builds it.
 func TestSettledCounts(t *testing.T) {
 	g := generateSettle(t, 100, 18, 1)
 	cfg := sim.Config{Hops: 2, Seed: 1}
@@ -189,9 +190,10 @@ func TestSettledStaleBits(t *testing.T) {
 	}
 }
 
-// TestSettlePassMatchesEvaluator checks a split settle pass bit by bit: at
-// n = 2000 a pass on two workers splits in two (view.Ranges), and every
-// node's settled verdict must be the generic condition on its own 2-hop view.
+// TestSettlePassMatchesEvaluator checks a split settling view build bit by
+// bit: at n = 2000 a build on two workers splits in two (view.Ranges), and
+// every node's settled verdict must be the generic condition on its own 2-hop
+// view.
 func TestSettlePassMatchesEvaluator(t *testing.T) {
 	g := generateSettle(t, 2000, 18, 6)
 	arena := sim.NewArena()

@@ -143,7 +143,6 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	}
 	net := newNetwork(a, g, sessions[0].Source, cfg)
 	net.newProto = newProto
-	net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, cfg.workerBudget()) // startSession overlays them
 	net.sessions = make([]session, len(sessions))
 	for i, sp := range sessions {
 		net.sessions[i] = session{net: net, id: int32(i), source: sp.Source}
@@ -158,22 +157,34 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 }
 
 // startSession brings traffic session sid to life at its injection instant:
-// fresh node states and views, a fresh protocol instance, then the set-up a
-// single run's session gets.
+// a fresh protocol instance, fresh node states over an overlay of the view
+// set, then the set-up a single run's session gets. The run's first session
+// readies the arena's view set for its protocol (Arena.viewsFor); every
+// session runs a protocol of the one factory, so the set and its settled
+// verdicts serve them all.
 func (net *Network) startSession(sid int32) {
 	s := &net.sessions[sid]
 	s.start = net.now
+	s.proto = net.newProto()
+	s.retire = RetiresViews(s.proto)
+	if !net.viewsReady {
+		net.viewSet, net.settled = net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.Cfg.workerBudget(), s.proto, s.retire)
+		net.viewsReady = true
+	}
+	s.settled = net.settled
 	n := net.G.N()
-	views := net.arena.views.Overlay()
 	s.nodes = make([]NodeState, n)
 	for v := range s.nodes {
-		s.nodes[v] = NodeState{
-			ID:        v,
-			FirstFrom: -1,
-			View:      &views[v],
+		s.nodes[v] = NodeState{ID: v, FirstFrom: -1}
+	}
+	if set := net.viewSet; set != nil {
+		views := set.Overlay()
+		for v := range s.nodes {
+			if set.View(v) != nil {
+				s.nodes[v].View = &views[v]
+			}
 		}
 	}
-	s.proto = net.newProto()
 	net.trace(obsv.TraceSessionStart, sid, s.source, -1, "", nil)
 	net.begin(s)
 }

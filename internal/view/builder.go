@@ -3,6 +3,7 @@ package view
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"adhocbcast/internal/graph"
 )
@@ -11,21 +12,30 @@ import (
 // building all n views of a run costs O(Σ|Nk(v)|·deg) time and only the
 // views' own member arrays in memory. Build and Stale run on the calling
 // goroutine and share its scratch, so one Builder serves one caller at a
-// time; BuildAll spreads its ranges over helper Builders of its own.
+// time; BuildAll spreads its blocks over helper Builders of its own.
 type Builder struct {
 	dist  []int32 // per-vertex BFS distance, -1 when untouched
 	queue []int32 // BFS frontier; doubles as the touched list for cleanup
 
-	// BuildAll scratch: one helper Builder per range after the first, which
-	// this Builder builds itself.
+	// BuildAll scratch: the BFS order, the next unclaimed block of it, one
+	// helper Builder per worker after the first, which is this Builder; and,
+	// per worker, the block being built (its kept views' ids, status bytes
+	// and headers), the view handed to keep, and the members kept.
+	order   []int32
+	next    atomic.Int64
 	helpers []*Builder
 	wg      sync.WaitGroup
+	ids     []int32
+	meta    []uint8
+	kept    []Local
+	lv      Local
+	members int
 }
 
-// buildGrain is the fewest vertices one range of a BuildAll holds, so a
-// build splits only when every range is worth a goroutine: at d = 18, k = 2
-// a range of 1000 views is about 10 ms of work, against microseconds to
-// start its goroutine and 4n bytes of helper scratch. No paper-sized network
+// buildGrain is the fewest vertices per worker of a BuildAll, so a
+// build splits only when every worker is worth a goroutine: at d = 18, k = 2
+// 1000 views are about 10 ms of work, against microseconds to start a
+// goroutine and 4n bytes of helper scratch. No paper-sized network
 // (n <= 100) comes near it; n = 2000 splits in two on two cores. It is a
 // variable only so that the package's tests can lower it and split small
 // graphs.
@@ -46,75 +56,87 @@ func (b *Builder) Build(g *graph.Graph, owner, k int, base []Priority) *Local {
 	return lv
 }
 
+// claimGrain is how many vertices of the BFS order one block of a BuildAll
+// holds: the unit a worker claims at a time, enough to amortise the claim,
+// few enough that a worker whose core is busy elsewhere holds up the join by
+// little. It is a variable only so that the package's tests can lower it and
+// cut small graphs into many blocks.
+var claimGrain = 256
+
 // BuildAll builds the k-hop view of every vertex of g under metric into s,
-// replacing what s held and reusing its memory: once s has served a run of
-// the size and worker count, a rebuild allocates nothing but its helper
-// goroutines. It visits the vertices in BFS order, so consecutive builds
-// search overlapping neighbourhoods and neighbours' views sit side by side in
-// the slabs, and cuts that order into at most workers contiguous ranges of at
-// least buildGrain vertices. Each range is built by its own Builder into its
-// own slab chunks, the first on the calling goroutine and each other on a
-// goroutine of its own; a graph under 2·buildGrain vertices is one range and
-// starts none. Every view is the one Build would return, whatever the split.
-func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers int) {
+// replacing what s held and reusing its memory, and keeps the views keep
+// accepts; a nil keep keeps all. It visits the vertices in BFS order, so
+// consecutive builds search overlapping neighbourhoods and neighbours' views
+// sit side by side in the slabs, cut into blocks of claimGrain vertices that
+// Ranges(n, workers) workers claim one at a time: the calling goroutine as
+// worker 0 and each other on a goroutine of its own (a graph under
+// 2·buildGrain vertices has one worker and starts none). A worker builds a
+// block's views into scratch of its own, calls keep(worker, view) on each —
+// the view is valid during the call only, and keep may read it from its
+// worker's goroutine — and copies the views kept into the block's slabs, so
+// a view keep drops never holds memory of the Set. Once s has served a
+// build of the size whose blocks kept at least as much, a rebuild allocates
+// nothing but its helper goroutines. Every view kept is the one Build would
+// return, whatever the split.
+func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers int, keep func(worker int, lv *Local) bool) {
 	n := g.N()
 	if s.h == nil {
 		s.h = &header{}
 	}
 	*s.h = header{topo: g, base: basePriorities(s.h.base, g, metric), hops: k, global: k <= 0}
-	if cap(s.views) < n {
-		s.views = make([]Local, n)
+	s.views = fit(s.views, n)
+	clear(s.views[:cap(s.views)]) // a dropped view must read absent
+	s.ident = s.ident[:0]
+	if k <= 0 {
+		s.ident = fit(s.ident, n)[:n:n]
+		for i := range s.ident {
+			s.ident[i] = int32(i)
+		}
 	}
-	clear(s.views[:cap(s.views)][n:]) // a view left over from a larger run pins its topology
-	s.views = s.views[:n]
+	b.order = b.bfsOrder(g, b.order[:0])
+	nb := (n + claimGrain - 1) / claimGrain
+	if cap(s.blocks) < nb {
+		s.blocks = append(s.blocks[:cap(s.blocks)], make([]block, nb-cap(s.blocks))...)
+	}
+	s.blocks = s.blocks[:nb]
 	r := Ranges(n, workers)
-	if cap(s.parts) < r {
-		s.parts = append(s.parts[:cap(s.parts)], make([]part, r-cap(s.parts))...)
-	}
-	s.parts = s.parts[:r]
-	for i := range s.parts {
-		p := &s.parts[i]
-		p.ids, p.meta, p.total = slab[int32]{chunks: p.ids.chunks}, slab[uint8]{chunks: p.meta.chunks}, 0
-	}
-	ident := s.parts[0].identity(n, k)
-	s.order = b.bfsOrder(g, s.order[:0])
-	order := s.order
 	for len(b.helpers) < r-1 {
 		b.helpers = append(b.helpers, NewBuilder())
 	}
+	b.next.Store(0)
 	b.wg.Add(r - 1)
 	for i := 1; i < r; i++ {
 		go func() {
 			defer b.wg.Done()
-			b.helpers[i-1].buildRange(s, &s.parts[i], g, k, ident, order[i*n/r:(i+1)*n/r])
+			b.helpers[i-1].buildBlocks(s, g, k, b.order, &b.next, i, keep)
 		}()
 	}
-	b.buildRange(s, &s.parts[0], g, k, ident, order[:n/r])
+	b.buildBlocks(s, g, k, b.order, &b.next, 0, keep)
 	b.wg.Wait()
-	s.total = 0
-	for i := range s.parts {
-		s.total += s.parts[i].total
+	// Which worker claims which block varies from build to build, so every
+	// worker's scratch grows to the largest any of them needed: a rebuild
+	// then allocates none, whoever builds the largest block.
+	s.total = b.members
+	ids, meta, kept := cap(b.ids), cap(b.meta), cap(b.kept)
+	for _, h := range b.helpers[:r-1] {
+		s.total += h.members
+		ids, meta, kept = max(ids, cap(h.ids)), max(meta, cap(h.meta)), max(kept, cap(h.kept))
+	}
+	b.growScratch(ids, meta, kept)
+	for _, h := range b.helpers[:r-1] {
+		h.growScratch(ids, meta, kept)
 	}
 }
 
-// identity returns the one member list global views (k <= 0) share, the
-// identity over n vertices in p's id slab; nil for k > 0.
-func (p *part) identity(n, k int) []int32 {
-	if k > 0 {
-		return nil
-	}
-	ident := p.ids.take(n, n)
-	for i := range ident {
-		ident[i] = int32(i)
-	}
-	return ident
+// growScratch gives b's block scratch room for ids member ids, meta status
+// bytes and kept views, exactly, so that the workers' capacities settle.
+func (b *Builder) growScratch(ids, meta, kept int) {
+	b.ids, b.meta, b.kept = fit(b.ids, ids)[:0], fit(b.meta, meta)[:0], fit(b.kept, kept)[:0]
 }
 
-// Ranges is how many ranges BuildAll cuts an n-vertex graph into under a
-// budget of workers goroutines: one per worker, as long as each holds at
-// least buildGrain vertices, and always at least one. Other passes over every
-// view of a Set split the same way, so they start goroutines exactly where the
-// build does.
+// Ranges is how many workers BuildAll spreads an n-vertex graph over under a
+// budget of workers goroutines: one per worker, as long as each has at least
+// buildGrain vertices to build, and always at least one.
 func Ranges(n, workers int) int {
 	if buildGrain > 0 {
 		workers = min(workers, n/buildGrain)
@@ -122,26 +144,66 @@ func Ranges(n, workers int) int {
 	return max(1, min(workers, n))
 }
 
-// buildRange builds the views of the vertices in nodes into s, their members
-// and status bytes into p's slabs (global views share ident), and counts
-// their members in p.total.
-func (b *Builder) buildRange(s *Set, p *part, g *graph.Graph, k int, ident, nodes []int32) {
+// buildBlocks is worker w of a BuildAll into s: it claims blocks of order
+// through next until none is left, builds each block's views into b's
+// scratch, moves those keep accepts (all, for a nil keep) into the block's
+// slabs, points s's per-node entries at them, and counts their members in
+// b.members.
+func (b *Builder) buildBlocks(s *Set, g *graph.Graph, k int, order []int32, next *atomic.Int64, w int, keep func(int, *Local) bool) {
 	n := g.N()
-	for i, x := range nodes {
-		v := int(x)
-		m := b.reach(g, v, k)
-		// A new chunk is sized to what the rest of the range needs at the
-		// average view size so far.
-		p.total += m
-		hint := (len(nodes) - i) * (p.total/(i+1) + 1)
-		meta, members := p.meta.take(m, hint), ident
-		if k > 0 {
-			members = p.ids.take(m, hint)
-			b.fill(members, meta, n, k)
-		} else {
-			clear(meta)
+	b.members = 0
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(s.blocks) {
+			return
 		}
-		s.views[v] = Local{Owner: v, h: s.h, members: members, meta: meta}
+		nodes := order[i*claimGrain : min((i+1)*claimGrain, n)]
+		ids, meta, kept := b.ids[:0], b.meta[:0], b.kept[:0]
+		for _, x := range nodes {
+			v := int(x)
+			m := b.reach(g, v, k)
+			meta = slices.Grow(meta, m)
+			lv := Local{Owner: v, h: s.h, members: s.ident, meta: meta[len(meta) : len(meta)+m : len(meta)+m]}
+			if k > 0 {
+				ids = slices.Grow(ids, m)
+				lv.members = ids[len(ids) : len(ids)+m : len(ids)+m]
+				b.fill(lv.members, lv.meta, n, k)
+			} else {
+				clear(lv.meta)
+			}
+			if keep != nil {
+				b.lv = lv
+				if !keep(w, &b.lv) {
+					continue
+				}
+			}
+			// Kept: its slices move to the block's slabs once the block is
+			// copied out of the scratch.
+			kept = append(kept, lv)
+			meta = meta[:len(meta)+m]
+			if k > 0 {
+				ids = ids[:len(ids)+m]
+			}
+		}
+		b.ids, b.meta, b.kept = ids, meta, kept
+		blk := &s.blocks[i]
+		blk.ids, blk.meta = fit(blk.ids, len(ids)), fit(blk.meta, len(meta))
+		copy(blk.ids, ids)
+		copy(blk.meta, meta)
+		blk.views = fit(blk.views, len(kept))
+		clear(blk.views[len(kept):cap(blk.views)]) // they would pin replaced slabs
+		off := 0
+		for j, lv := range kept {
+			m := len(lv.meta)
+			if k > 0 {
+				lv.members = blk.ids[off : off+m : off+m]
+			}
+			lv.meta = blk.meta[off : off+m : off+m]
+			blk.views[j] = lv
+			s.views[lv.Owner] = &blk.views[j]
+			off += m
+		}
+		b.members += off
 	}
 }
 
@@ -172,14 +234,13 @@ func (b *Builder) bfsOrder(g *graph.Graph, order []int32) []int32 {
 	return order
 }
 
-// Stale searches every view of s again and returns the first node whose
+// Stale searches every kept view of s again and returns the first node whose
 // members or fringe no longer match its topology — the graph was edited after
 // the set was built — or -1. It allocates nothing.
 func (b *Builder) Stale(s *Set) int {
-	for v := range s.views {
-		lv := &s.views[v]
-		if lv.h.global {
-			continue // every vertex, whatever the edges
+	for v, lv := range s.views {
+		if lv == nil || lv.h.global {
+			continue // dropped; or every vertex, whatever the edges
 		}
 		ok := b.reach(lv.h.topo, v, lv.h.hops) == len(lv.members)
 		for i, x := range lv.members {

@@ -1,86 +1,74 @@
 package view
 
-import "slices"
-
-// Set holds the local views of every node of one (topology, hops, metric),
-// built by Builder.BuildAll: one array of views whose member ids and status
-// bytes are sub-slices of shared slabs, one pair per range of the build
-// (global views share one member list), plus the header they share: the
-// topology, the base priorities they read and the hop count.
-// Rebuilding into a Set that has served a run of the size and range count
-// allocates nothing. The zero value is an empty set. Distinct views of a Set
-// may be marked from distinct goroutines.
+// Set holds the local views of the nodes of one (topology, hops, metric),
+// built by Builder.BuildAll: per block of the build's BFS order, the kept
+// views and the slabs their member ids and status bytes are sub-slices of
+// (global views share one member list), plus the header every view shares:
+// the topology, the base priorities they read and the hop count. A build may
+// keep only some views (BuildAll's keep); a view it dropped is absent (View
+// returns nil) and holds no memory.
+// Rebuilding into a Set that has served a build of the size whose blocks
+// kept at least as many views and members allocates nothing. The zero value
+// is an empty set. Distinct views of a Set may be marked from distinct
+// goroutines.
 type Set struct {
+	views  []*Local // indexed by node: its view in its block, nil where dropped
+	h      *header  // rewritten in place by each build
+	ident  []int32  // the member list global views share
+	blocks []block  // one per claimGrain vertices of the last build's BFS order; capacity keeps earlier ones'
+	total  int      // members over the kept views
+}
+
+// block is what one block of a build's BFS order keeps — its views, their
+// member ids and their status bytes — each sized exactly to it and reused by
+// the next build wherever it is large enough.
+type block struct {
 	views []Local
-	order []int32 // the vertices in the BFS order of the last build
-	h     *header // rewritten in place by each build
-	parts []part  // one per range of the last build; capacity keeps earlier ones' chunks
-	total int     // members over all views
+	ids   []int32
+	meta  []uint8
 }
 
-// part is the slab pair one range of a build writes its views into.
-type part struct {
-	ids   slab[int32]
-	meta  slab[uint8]
-	total int // members over the range's views
-}
+// View returns node v's view, or nil when the last BuildAll dropped it.
+// Valid until the next BuildAll into s. Callers mark the view and must not
+// otherwise write to it.
+func (s *Set) View(v int) *Local { return s.views[v] }
 
-// Views returns the views, indexed by node, valid until the next BuildAll
-// into s. Callers mark them and must not otherwise write to them.
-func (s *Set) Views() []Local { return s.views }
-
-// Order returns the vertices in the order the last BuildAll visited them: BFS
-// order, so neighbours' views sit side by side in the slabs and a pass over
-// every view that follows it meets overlapping neighbourhoods in turn. Valid
-// until the next BuildAll into s; callers must not write to it.
-func (s *Set) Order() []int32 { return s.order }
-
-// ResetStatus clears every status override of every view, returning the set
-// to its freshly built state, in one pass over the status slabs.
+// ResetStatus clears every status override of every kept view, returning the
+// set to its freshly built state, in one pass over the status slabs.
 func (s *Set) ResetStatus() {
-	for _, p := range s.parts {
-		for _, c := range p.meta.chunks[:min(p.meta.cur+1, len(p.meta.chunks))] {
-			for i := range c {
-				c[i] &^= metaStatusMask
-			}
+	for _, b := range s.blocks {
+		for i := range b.meta {
+			b.meta[i] &^= metaStatusMask
 		}
 	}
 }
 
-// Overlay returns copies of the views over a status slab of their own: they
-// read like the freshly built set and are marked independently of it. This is
-// what one session of a traffic run costs in views — two allocations.
+// Overlay returns copies of the views, indexed by node, over a status slab
+// of their own: they read like the freshly built set and are marked
+// independently of it; a dropped view's copy is the zero Local, which no
+// method may be called on. This is what one session of a traffic run costs
+// in views — two allocations.
 func (s *Set) Overlay() []Local {
-	views, meta := slices.Clone(s.views), make([]uint8, s.total)
-	for v := range views {
-		m := copy(meta, views[v].meta)
+	views, meta := make([]Local, len(s.views)), make([]uint8, s.total)
+	for v, lv := range s.views {
+		if lv == nil {
+			continue
+		}
+		m := copy(meta, lv.meta)
 		for i := range meta[:m] {
 			meta[i] &^= metaStatusMask
 		}
+		views[v] = *lv
 		views[v].meta, meta = meta[:m:m], meta[m:]
 	}
 	return views
 }
 
-// slab hands out sub-slices of chunks that are never reallocated: a slice
-// stays valid until BuildAll rewinds the slab to reuse the chunks.
-type slab[T any] struct {
-	chunks   [][]T
-	cur, off int // next free entry: chunks[cur][off]
-}
-
-// take returns m entries with capacity m, so that appending to one view's
-// slice cannot write into the next. A chunk too full for them is left behind;
-// when none remains, one of hint entries is allocated — at least m, at most
-// 1M (4 MiB of ids), so that a large slab grows in steps, never half empty.
-func (s *slab[T]) take(m, hint int) []T {
-	for s.cur < len(s.chunks) && len(s.chunks[s.cur])-s.off < m {
-		s.cur, s.off = s.cur+1, 0
+// fit returns s resized to n entries, in its own memory when it is large
+// enough; its contents are left for the caller to overwrite.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if s.cur == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, max(m, min(hint, 1<<20))))
-	}
-	out := s.chunks[s.cur][s.off : s.off+m : s.off+m]
-	s.off += m
-	return out
+	return s[:n]
 }
