@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"adhocbcast/internal/graph"
 )
@@ -103,7 +104,8 @@ func Generate(cfg Config, rng *rand.Rand) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var s scratch
+	s := scratches.Get().(*scratch)
+	defer s.release(cfg.N)
 	var last *Network
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		net := s.place(cfg, rng)
@@ -129,19 +131,34 @@ func Generate(cfg Config, rng *rand.Rand) (*Network, error) {
 		cfg.N, cfg.AvgDegree, cfg.MaxAttempts, cfg.Seed, count, largest, cfg.N, last.Range)
 }
 
-// pair is one candidate link: the endpoint pair (u < v) and its distance.
-// Ids are 32-bit (Validate caps N), so a pair is 16 bytes.
+// scratches recycles the scratch of small placements across Generate
+// calls, so the paper's n <= 100 workloads, generated thousands of times per
+// figure, allocate little more than the networks themselves. Short-lived
+// scratch arrays from every call otherwise fragment the heap the cached
+// networks live in.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns s to scratches after a Generate call over n nodes, unless
+// n is large enough to scan on several workers: such a scratch holds
+// megabytes of links that a pool would keep alive for two more collections.
+func (s *scratch) release(n int) {
+	if n <= scanGrain {
+		s.pos = nil
+		scratches.Put(s)
+	}
+}
+
+// pair is one candidate link of the cut bin: the endpoint pair (u < v) and
+// its distance. Ids are 32-bit (Validate caps N), so a pair is 16 bytes.
 type pair struct {
 	d    float64
 	u, v int32
 }
 
 // place builds one candidate network: uniform placement plus exact-link-count
-// range adjustment, over the grid index's candidate pairs (see grid.go).
+// range adjustment over the grid index (see grid.go).
 func (s *scratch) place(cfg Config, rng *rand.Rand) *Network {
-	pos := scatter(cfg, rng)
-	m := links(cfg.N, cfg.AvgDegree)
-	return connect(pos, s.candidatePairs(pos, cfg.Side, m), m)
+	return s.connect(scatter(cfg, rng), cfg.Side, links(cfg.N, cfg.AvgDegree))
 }
 
 // scatter draws the uniform node positions of one placement.
@@ -153,23 +170,13 @@ func scatter(cfg Config, rng *rand.Rand) []Point {
 	return pos
 }
 
-// connect links the m closest of the candidate pairs — any superset of the m
-// closest pairs overall gives the same network — and takes the m-th distance
-// as the range. It selects rather than sorts: the links come out in no
-// particular order, which FromEdges does not mind.
-func connect(pos []Point, pairs []pair, m int) *Network {
-	n := len(pos)
-	r := 0.0
-	if m > 0 {
-		selectPairs(pairs, m-1)
-		r = pairs[m-1].d
-	}
-	edges := make([][2]int, m)
-	for i, p := range pairs[:m] {
-		edges[i] = [2]int{int(p.u), int(p.v)}
-	}
+// connect links the m closest pairs of pos and takes the m-th distance as
+// the range. The links come out in no particular order, which FromEdges
+// does not mind.
+func (s *scratch) connect(pos []Point, side float64, m int) *Network {
+	edges, r := s.closest(pos, side, m)
 	// Endpoints are valid and distinct by construction; FromEdges cannot fail.
-	g, _ := graph.FromEdges(n, edges)
+	g, _ := graph.FromEdges(len(pos), edges)
 	return &Network{G: g, Pos: pos, Range: r}
 }
 

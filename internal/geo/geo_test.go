@@ -179,13 +179,15 @@ func TestLinksRounding(t *testing.T) {
 }
 
 // TestGenerateBytesPerLink pins the generator's allocation per link: the
-// candidate pairs (16 bytes each, in one buffer sized from the expected
-// count), the edge list and the adjacency lists FromEdges builds. A sort
-// over 24-byte pairs in a buffer grown by appending allocated ~220 B per
-// link; the bound sits ~20 % above today's reading, and the count does not
-// depend on the machine.
+// m-slot edge array of 32-bit pairs, the cut bin's side list, the cell
+// directory and the adjacency lists FromEdges builds. A scan that buffered
+// every candidate as a 16-byte distance pair and copied the links into a
+// [][2]int allocated 53.4 B per link, and a sort over 24-byte pairs in a
+// buffer grown by appending ~220 B. The bound sits ~20 % above today's
+// reading of 21.4 B at GOMAXPROCS 2; each extra scan worker adds a
+// histogram, 22.2 B at 4 or more.
 func TestGenerateBytesPerLink(t *testing.T) {
-	const bound = 80
+	const bound = 26
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	net, err := Generate(Config{N: 20000, AvgDegree: 18}, rand.New(rand.NewSource(1)))
@@ -200,5 +202,46 @@ func TestGenerateBytesPerLink(t *testing.T) {
 	t.Logf("%.1f B allocated per link", perLink)
 	if perLink > bound {
 		t.Fatalf("Generate allocated %.1f B per link, want <= %d", perLink, bound)
+	}
+}
+
+// TestGenerateSmallAllocs pins the objects a paper-sized Generate allocates:
+// it scans and sorts inline on the caller in a pooled scratch, so each
+// placement allocates only its positions, its graph (struct, offsets,
+// neighbors), its Network and Connected's search. The generator that
+// buffered every candidate pair in a fresh scratch per call read 12 and 28.
+// The race detector makes sync.Pool drop puts at random, so the pin runs
+// without it.
+func TestGenerateSmallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for _, c := range []struct {
+		d             float64
+		seed          int64
+		attempts, pin int
+	}{
+		{d: 18, seed: 42, attempts: 1, pin: 7},
+		{d: 6, seed: 3, attempts: 3, pin: 21},
+	} {
+		cfg := Config{N: 100, AvgDegree: c.d}
+		rng := rand.New(rand.NewSource(c.seed))
+		net, err := Generate(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Attempts != c.attempts {
+			t.Fatalf("d=%g seed %d: %d attempts, want %d", c.d, c.seed, net.Attempts, c.attempts)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			rng.Seed(c.seed)
+			if _, err := Generate(cfg, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("d=%g seed %d: %v objects", c.d, c.seed, allocs)
+		if allocs > float64(c.pin) {
+			t.Errorf("d=%g seed %d: Generate allocated %v objects, want <= %d", c.d, c.seed, allocs, c.pin)
+		}
 	}
 }

@@ -3,55 +3,131 @@ package geo
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // The grid-indexed candidate generator. Materializing and sorting all
 // n(n-1)/2 point pairs to find the m = round(n*d/2) closest ones is an
 // O(n^2 log n) wall that makes n >= 5,000 infeasible. The grid gets the same
-// m pairs from a guess-and-verify scheme:
+// m pairs from a guess-and-verify scheme of two scans over a cell index,
+// neither of which stores a candidate pair:
 //
 //  1. Estimate the range r that yields m in-range pairs from the analytic
 //     distance distribution of uniform points in a square (with the boundary
 //     deficit term, so the estimate does not systematically undershoot near
 //     the edges), padded by a safety factor.
 //  2. Bucket the points into a uniform grid with cell size r. Any pair within
-//     distance r then lies in the same or an 8-neighboring cell, so scanning
-//     each node's 3x3 cell neighborhood enumerates exactly the pairs with
-//     distance <= r in O(n + k) expected time, k being the candidate count.
-//  3. If fewer than m pairs are in range, the estimate was low: grow r and
-//     rescan (each rescan is a full rebuild, so a bad estimate costs extra
-//     linear passes, never correctness).
+//     distance r then lies in the same or an 8-neighboring cell, so pairing
+//     each cell's nodes among themselves and with the E, SW, S and SE cells
+//     (the forward half of the 3x3 stencil) meets every pair with distance
+//     <= r exactly once, in O(n + k) expected time, k being the in-range
+//     count. Scan 1 counts those pairs into a histogram of distance bins. If
+//     fewer than m are in range, the estimate was low: grow r and rescan
+//     (each rescan is a full rebuild, so a bad estimate costs extra linear
+//     passes, never correctness).
+//  3. The bin of a pair is monotone in its distance, so the m closest pairs
+//     are every pair in the bins below the cut bin, the one that holds the
+//     m-th pair, plus the closest few of the cut bin. Scan 2 meets the same
+//     pairs again and writes the former straight into an m-slot edge array
+//     and the latter into a side list of exactly the cut bin's size.
 //
-// Once the scan yields k >= m candidates, the m globally closest pairs are
-// all among them (at least m pairs have distance <= r, so the m smallest do).
-// Selecting the m smallest of the k = O(m) candidates under the total order
-// (distance, u, v) — a quickselect in O(k) expected time, no sort — therefore
-// yields the same edges and range as sorting all n(n-1)/2 pairs would. That
-// is pinned against exactly that reference (placeNaive in grid_test.go) by
-// TestPlaceGridMatchesNaive, a fuzz target (both with a lattice mode full of
-// distance ties), and the golden-hash test over the paper's n/d grid.
+// At least m pairs have distance <= r, so the m closest pairs are all in
+// range, and selecting the few the cut bin contributes under the total order
+// (distance, u, v) — a quickselect, no sort — yields the same edges and range
+// as sorting all n(n-1)/2 pairs would. That is pinned against exactly that
+// reference (placeNaive in grid_test.go) by TestPlaceGridMatchesNaive, a fuzz
+// target (both with a lattice mode full of distance ties), and golden hashes
+// over the paper's n/d grid and at n = 20k and 200k.
 //
-// The pair buffer is sized once from the expected candidate count, and one
-// Generate call reuses it and the cell directory across rescans and
-// rejected placements.
+// Both scans split the cell rows into bands, one per worker (scanWorkers:
+// small graphs scan inline on the caller). Each band's scan-1 histogram tells
+// scan 2 where its edges and side pairs go, so the workers write disjoint
+// slots of the two exactly sized arrays. One Generate call reuses the cell
+// directory, the histograms and both arrays across rescans and rejected
+// placements, and Generate calls on small graphs share them through a pool.
 
 // rangeSafety pads the analytic range estimate so the first grid scan
 // usually finds enough candidates; growFactor is the rescan growth.
 const (
 	rangeSafety = 1.2
 	growFactor  = 1.4
-	// maxCellsPerSide bounds grid memory for very sparse ranges: with at
-	// most 4096^2 cells the cell directory stays tens of MB even when the
-	// estimated range is a vanishing fraction of the side.
-	maxCellsPerSide = 4096
+	// binLoad is the mean number of in-range pairs per distance bin the
+	// histogram is sized for, and maxBins caps its size. The cut bin then
+	// holds about 1.7 * binLoad pairs (the pair density grows linearly with
+	// distance, and the m-th pair sits near r / rangeSafety) until the cap
+	// is reached, at about 2M in-range pairs.
+	binLoad = 32
+	maxBins = 1 << 16
+	// sqMargin is the relative slack of the squared-distance prefilter: a
+	// pair whose squared coordinate distance exceeds r^2 (1 + sqMargin) is
+	// out of range whatever the few ulps of rounding in it and in
+	// Point.Distance, so only pairs that pass it reach the exact test.
+	sqMargin = 1e-9
 )
 
+var (
+	// maxCellsPerSide bounds grid memory for very sparse ranges: with at
+	// most 4096^2 cells the cell directory stays tens of MB even when the
+	// estimated range is a vanishing fraction of the side. Only n in the
+	// hundreds of millions reaches it; tests lower it to scan clamped cells.
+	maxCellsPerSide = 4096
+	// scanGrain is the fewest nodes a scan worker gets, so a paper-sized
+	// graph scans on the caller alone. Tests lower it.
+	scanGrain = 4096
+)
+
+// scanWorkers is how many bands Generate scans an n-node placement in: one
+// per GOMAXPROCS, as long as each has scanGrain nodes, and at least one.
+func scanWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/scanGrain))
+}
+
 // scratch is the memory one Generate call reuses across growth rescans and
-// rejected placements: the cell directory and the candidate-pair buffer.
+// rejected placements, and the state of the scan in progress.
 type scratch struct {
 	cells cellGrid
-	pairs []pair
+	bands []band     // one per worker; len is the worker count
+	edges [][2]int32 // scan 2's links: below the cut bin, then the side list's best
+	side  []pair     // scan 2's pairs in the cut bin
+
+	pos   []Point // the placement being scanned
+	r, r2 float64 // the scan's range and its squared prefilter bound
+	bins  binning
+	cut   int // scan 2's cut bin; -1 during scan 1
+}
+
+// band is one worker's share of a scan: the cell rows [y0, y1), its scan-1
+// histogram, and in scan 2 the next slots it writes in scratch.edges and
+// scratch.side.
+type band struct {
+	y0, y1 int
+	hist   []int
+	e, s   int
+}
+
+// binning maps an in-range distance to its histogram bin. Both scans bin
+// through it, so scan 2's cut agrees with scan 1's counts, and it is monotone
+// in the distance, so every pair in a lower bin is closer than every pair in
+// a higher one.
+type binning struct {
+	scale float64 // bins per unit distance
+	last  int     // the highest bin
+}
+
+func (b binning) of(d float64) int { return min(int(d*b.scale), b.last) }
+
+// newBinning sizes the histogram of a scan at range r over the expected
+// in-range count k.
+func newBinning(r, k float64) binning {
+	bins := int(min(max(k/binLoad, 1), maxBins))
+	scale := float64(bins) / r
+	if !(scale < math.MaxFloat64) {
+		// r is so small (a subnormal side) that bins/r overflows: one bin.
+		return binning{scale: 0, last: 0}
+	}
+	return binning{scale: scale, last: bins - 1}
 }
 
 // cellGrid is a uniform spatial index: node ids grouped by square cell, laid
@@ -61,32 +137,29 @@ type cellGrid struct {
 	cell  float64
 	cols  int
 	rows  int
-	ci    []int32 // cell index per node
+	ids   []int32 // start and nodes, one allocation
 	start []int32 // len cols*rows+1; nodes[start[c]:start[c+1]] live in cell c
-	nodes []int32 // node ids grouped by cell
+	nodes []int32 // node ids grouped by cell, ascending within a cell
 }
 
 // reset buckets pos into cells of the given size covering a side x side
 // area, reusing the directory's arrays. Cell size is clamped below so the
-// directory never exceeds maxCellsPerSide per axis; the scan radius is what
-// guarantees coverage, the cell size only affects how many candidates each
-// scan examines.
+// directory never exceeds maxCellsPerSide per axis. A clamped cell is larger
+// than the range, never smaller, so the 3x3 stencil still covers every
+// in-range pair; clamping only puts more nodes in each cell.
 func (g *cellGrid) reset(pos []Point, side, cell float64) {
-	cell = max(cell, side/maxCellsPerSide)
+	cell = max(cell, side/float64(maxCellsPerSide))
 	cols := int(math.Ceil(side / cell))
 	if cols < 1 {
 		cols = 1
 	}
 	cells := cols * cols
 	g.cell, g.cols, g.rows = cell, cols, cols
-	g.ci = resize(g.ci, len(pos))
-	g.nodes = resize(g.nodes, len(pos))
-	g.start = resize(g.start, cells+1)
+	g.ids = resize(g.ids, cells+1+len(pos))
+	g.start, g.nodes = g.ids[:cells+1], g.ids[cells+1:]
 	clear(g.start)
-	for i, p := range pos {
-		c := g.cellIndex(p)
-		g.ci[i] = int32(c)
-		g.start[c]++
+	for _, p := range pos {
+		g.start[g.cellIndex(p)]++
 	}
 	// start[c] becomes the end of cell c; filling backwards then walks it
 	// down to the cell's first slot, leaving each cell's ids ascending.
@@ -95,7 +168,7 @@ func (g *cellGrid) reset(pos []Point, side, cell float64) {
 	}
 	g.start[cells] = int32(len(pos))
 	for i := len(pos) - 1; i >= 0; i-- {
-		c := g.ci[i]
+		c := g.cellIndex(pos[i])
 		g.start[c]--
 		g.nodes[g.start[c]] = int32(i)
 	}
@@ -103,9 +176,9 @@ func (g *cellGrid) reset(pos []Point, side, cell float64) {
 
 // resize returns s with length n, reallocating only when its capacity is
 // short; the contents are not preserved.
-func resize(s []int32, n int) []int32 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -128,80 +201,206 @@ func (g *cellGrid) cellIndex(p Point) int {
 	return cy*g.cols + cx
 }
 
-// pairsWithin appends to dst every pair {u, v}, u < v, with distance <= r,
-// visiting each node's 3x3 cell neighborhood. reach is the cell radius the
-// scan must cover: 1 when the cell size is >= r, more when the cell size was
-// clamped below r.
-func (g *cellGrid) pairsWithin(pos []Point, r float64, dst []pair) []pair {
-	reach := 1
-	if g.cell < r {
-		reach = int(math.Ceil(r / g.cell))
+// closest returns the m closest pairs of pos as links, in no particular
+// order, and the m-th distance as the range. The links alias s's edge array,
+// which the next call overwrites.
+func (s *scratch) closest(pos []Point, side float64, m int) ([][2]int32, float64) {
+	if m <= 0 {
+		return nil, 0
 	}
-	for u, c := range g.ci {
-		cx, cy := int(c)%g.cols, int(c)/g.cols
-		pu := pos[u]
-		for dy := -reach; dy <= reach; dy++ {
-			y := cy + dy
-			if y < 0 || y >= g.rows {
+	rmax := side * math.Sqrt2
+	r := min(estimateRange(len(pos), side, m)*rangeSafety, rmax)
+	for s.count(pos, side, r) < m && r < rmax {
+		r = min(r*growFactor, rmax)
+	}
+
+	// The cut is the bin where the running count first reaches m; below
+	// counts the pairs under it, all of which link.
+	below, cut := 0, 0
+	for ; ; cut++ {
+		c := 0
+		for i := range s.bands {
+			c += s.bands[i].hist[cut]
+		}
+		if below+c >= m {
+			break
+		}
+		below += c
+	}
+	// Each band writes its links and side pairs where the bands before it
+	// end, and must end where the next begins.
+	e, sp := 0, 0
+	for i := range s.bands {
+		b := &s.bands[i]
+		b.e, b.s = e, sp
+		e, sp = e+b.below(cut), sp+b.hist[cut]
+	}
+	s.edges = resize(s.edges, m)
+	s.side = resize(s.side, sp)
+	s.cut = cut
+	s.scan()
+	e, sp = 0, 0
+	for i := range s.bands {
+		b := &s.bands[i]
+		e, sp = e+b.below(cut), sp+b.hist[cut]
+		if b.e != e || b.s != sp {
+			panic("geo: scan 2 met other pairs than scan 1")
+		}
+	}
+
+	need := m - below
+	selectPairs(s.side, need-1)
+	for i, p := range s.side[:need] {
+		s.edges[below+i] = [2]int32{p.u, p.v}
+	}
+	return s.edges, s.side[need-1].d
+}
+
+// count runs scan 1 over pos at range r, with the cell directory rebuilt
+// for r, and returns how many pairs lie within the range.
+func (s *scratch) count(pos []Point, side, r float64) int {
+	n := len(pos)
+	s.bands = resize(s.bands, scanWorkers(n))
+	s.pos = pos
+	s.cells.reset(pos, side, r)
+	s.r = r
+	s.r2 = r * r * (1 + sqMargin)
+	if !(s.r2 >= 0x1p-1022) {
+		// A subnormal bound has lost the precision the margin relies on.
+		s.r2 = math.Inf(1)
+	}
+	s.bins = newBinning(r, expectedPairs(n, side, r))
+	s.cut = -1
+	rows := s.cells.rows
+	for i := range s.bands {
+		b := &s.bands[i]
+		b.y0, b.y1 = rows*i/len(s.bands), rows*(i+1)/len(s.bands)
+		b.hist = resize(b.hist, s.bins.last+1)
+	}
+	s.scan()
+	total := 0
+	for i := range s.bands {
+		for _, c := range s.bands[i].hist {
+			total += c
+		}
+	}
+	return total
+}
+
+// below is how many of b's scan-1 pairs fall in the bins under cut.
+func (b *band) below(cut int) int {
+	n := 0
+	for _, c := range b.hist[:cut] {
+		n += c
+	}
+	return n
+}
+
+// scan runs one scan over every band, each band but the first on a
+// goroutine of its own.
+func (s *scratch) scan() {
+	if len(s.bands) == 1 {
+		s.scanBand(&s.bands[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(s.bands); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.scanBand(&s.bands[i])
+		}()
+	}
+	s.scanBand(&s.bands[0])
+	wg.Wait()
+}
+
+// forward is the half of the 3x3 stencil a cell pairs with besides itself:
+// E, SW, S and SE, as (dx, dy). The other half meets the same pairs from
+// the neighbor's side.
+var forward = [4][2]int{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
+
+// scanBand meets every pair whose first cell lies in b's rows: each cell's
+// nodes among themselves, then with the nodes of its forward cells.
+func (s *scratch) scanBand(b *band) {
+	g := &s.cells
+	if s.cut < 0 {
+		clear(b.hist)
+	}
+	for cy := b.y0; cy < b.y1; cy++ {
+		for cx := 0; cx < g.cols; cx++ {
+			c := cy*g.cols + cx
+			lo, hi := g.start[c], g.start[c+1]
+			if lo == hi {
 				continue
 			}
-			for dx := -reach; dx <= reach; dx++ {
-				x := cx + dx
-				if x < 0 || x >= g.cols {
+			ids := g.nodes[lo:hi]
+			for i := range ids {
+				s.pairs(b, ids[i:i+1], ids[i+1:])
+			}
+			for _, o := range forward {
+				x, y := cx+o[0], cy+o[1]
+				if x < 0 || x >= g.cols || y >= g.rows {
 					continue
 				}
 				cc := y*g.cols + x
-				for _, v := range g.nodes[g.start[cc]:g.start[cc+1]] {
-					if int(v) <= u {
-						continue
-					}
-					if d := pu.Distance(pos[v]); d <= r {
-						dst = append(dst, pair{d: d, u: int32(u), v: v})
-					}
-				}
+				lo, hi := g.start[cc], g.start[cc+1]
+				s.pairs(b, ids, g.nodes[lo:hi])
 			}
 		}
 	}
-	return dst
 }
 
-// candidatePairs returns a superset of the m closest pairs: every pair with
-// distance <= r for the smallest tried r that yields at least m pairs. The
-// returned slice is unsorted and aliases s's buffer, which the next call
-// overwrites.
-func (s *scratch) candidatePairs(pos []Point, side float64, m int) []pair {
-	if m <= 0 {
-		return nil
-	}
-	n := len(pos)
-	rmax := side * math.Sqrt2
-	r := min(estimateRange(n, side, m)*rangeSafety, rmax)
-	if want := expectedPairs(n, side, r); cap(s.pairs) < want {
-		s.pairs = make([]pair, 0, want)
-	}
-	for {
-		s.cells.reset(pos, side, r)
-		s.pairs = s.cells.pairsWithin(pos, r, s.pairs[:0])
-		if len(s.pairs) >= m || r >= rmax {
-			return s.pairs
+// pairs meets every pair of a node of a and a node of b. A pair within the
+// range lands, by its distance bin, in bd's scan-1 histogram, or in scan 2
+// in the edge array (below the cut), the side list (the cut bin) or nowhere
+// (above it).
+func (s *scratch) pairs(bd *band, a, b []int32) {
+	pos, r, r2, bins, cut := s.pos, s.r, s.r2, s.bins, s.cut
+	for i, u := range a {
+		p := pos[u]
+		for j, v := range b {
+			q := pos[v]
+			dx, dy := p.X-q.X, p.Y-q.Y
+			if dx*dx+dy*dy > r2 {
+				continue
+			}
+			d := p.Distance(q)
+			if d > r {
+				continue
+			}
+			k := bins.of(d)
+			switch {
+			case cut < 0:
+				bd.hist[k]++
+			case k < cut:
+				s.edges[bd.e] = orderedPair(a[i], b[j])
+				bd.e++
+			case k == cut:
+				e := orderedPair(a[i], b[j])
+				s.side[bd.s] = pair{d: d, u: e[0], v: e[1]}
+				bd.s++
+			}
 		}
-		r = min(r*growFactor, rmax)
 	}
 }
 
-// expectedPairs sizes the candidate buffer for a scan at range r: the
-// expected in-range pair count k = C(n,2) * P(r), plus a margin of
-// 8k/sqrt(n) — four standard deviations if each of the n nodes added an
-// independent 2k/n pairs, so it shrinks relative to k as n grows — capped
-// at every pair.
-func expectedPairs(n int, side, r float64) int {
-	total := float64(n) * float64(n-1) / 2
-	k := total
+// orderedPair is the link {u, v} with its lower id first.
+func orderedPair(u, v int32) [2]int32 {
+	if u > v {
+		u, v = v, u
+	}
+	return [2]int32{u, v}
+}
+
+// expectedPairs is the expected number of pairs within distance r of n
+// uniform points in a side x side square: C(n,2) * P(r).
+func expectedPairs(n int, side, r float64) float64 {
+	k := float64(n) * float64(n-1) / 2
 	if r < side {
 		k *= pairCDF(r, side)
 	}
-	k += 4 * 2 * k / math.Sqrt(float64(n))
-	return int(min(k, total)) + 1
+	return k
 }
 
 // pairCDF is the distance distribution of two uniform points in a side x

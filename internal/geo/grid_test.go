@@ -1,9 +1,11 @@
 package geo
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -66,10 +68,11 @@ func sortPairs(pairs []pair) {
 const latticeSteps = 64
 
 // compareLattice snaps one placement to the lattice and checks the grid
-// path (candidatePairs + connect) against connectNaive on it, edge for edge
-// and with the range equal bit for bit. It reports whether the m-th
-// distance was tied, so callers can check the tie-break was exercised.
-func compareLattice(t *testing.T, cfg Config, seed int64) bool {
+// path (scratch.connect) against connectNaive on it, edge for edge and with
+// the range equal bit for bit. It reports whether the m-th distance was
+// tied, so callers can check the tie-break was exercised, and the grid's
+// scratch, which holds its last scan.
+func compareLattice(t *testing.T, cfg Config, seed int64) (tied bool, s *scratch) {
 	t.Helper()
 	pos := scatter(cfg, rand.New(rand.NewSource(seed)))
 	step := cfg.Side / latticeSteps
@@ -78,9 +81,38 @@ func compareLattice(t *testing.T, cfg Config, seed int64) bool {
 	}
 	m := links(cfg.N, cfg.AvgDegree)
 	naive, tied := connectNaive(pos, m)
-	var s scratch
-	comparePlacements(t, naive, connect(pos, s.candidatePairs(pos, cfg.Side, m), m))
-	return tied
+	s = new(scratch)
+	comparePlacements(t, naive, s.connect(pos, cfg.Side, m))
+	return tied, s
+}
+
+// splitScans lowers scanGrain to one node and sets GOMAXPROCS to workers
+// until t ends, so Generate scans a placement of n >= workers nodes in
+// workers bands of cell rows (some of them empty when the grid has fewer
+// rows).
+func splitScans(t testing.TB, workers int) {
+	oldGrain, oldProcs := scanGrain, runtime.GOMAXPROCS(workers)
+	scanGrain = 1
+	t.Cleanup(func() {
+		scanGrain = oldGrain
+		runtime.GOMAXPROCS(oldProcs)
+	})
+}
+
+// clampCells returns maxCellsPerSide and restores it when t ends, so a test
+// may lower it per configuration with cellsForScale.
+func clampCells(t testing.TB) int {
+	old := maxCellsPerSide
+	t.Cleanup(func() { maxCellsPerSide = old })
+	return old
+}
+
+// cellsForScale is the maxCellsPerSide that clamps the cells of cfg's first
+// scan to at least scale times its estimated range, as the production clamp
+// does for n in the hundreds of millions.
+func cellsForScale(cfg Config, scale int) int {
+	r := estimateRange(cfg.N, cfg.Side, links(cfg.N, cfg.AvgDegree)) * rangeSafety
+	return max(1, int(cfg.Side/(float64(scale)*r)))
 }
 
 // generateNaive is Generate's rejection sampling over placeNaive.
@@ -121,55 +153,129 @@ func comparePlacements(t *testing.T, naive, grid *Network) {
 }
 
 // TestPlaceGridMatchesNaive checks the grid-indexed generator edge-for-edge
-// against the reference full-sort path across a seed matrix. Infeasible
-// (n, d) combinations (d impossible for n) are skipped. The comparison is at
-// the placement level, so disconnected draws are compared too — equivalence
-// must hold for every placement, not just the accepted ones. Lattice mode
-// repeats each placement snapped to the side/64 lattice, where pairs tie at
-// the m-th distance and the (u, v) order decides which of them link.
+// against the reference full-sort path across a seed matrix, scanned in 1,
+// 2, 3 and 7 bands and, in 2 bands, with cells clamped to at least 2 and 3
+// times the range. Infeasible (n, d) combinations (d impossible for n) are
+// skipped. The comparison is at the placement level, so disconnected draws
+// are compared too — equivalence must hold for every placement, not just the
+// accepted ones. Lattice mode repeats each placement snapped to the side/64
+// lattice, where pairs tie at the m-th distance and the (u, v) order decides
+// which of them link.
 func TestPlaceGridMatchesNaive(t *testing.T) {
-	ties := 0
-	for _, n := range []int{20, 100, 500} {
-		for _, d := range []float64{6, 18, 30} {
-			cfg := Config{N: n, AvgDegree: d}
-			if err := cfg.Validate(); err != nil {
-				continue
-			}
-			cfg = cfg.withDefaults()
-			for seed := int64(1); seed <= 3; seed++ {
-				naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
-				grid := new(scratch).place(cfg, rand.New(rand.NewSource(seed)))
-				comparePlacements(t, naive, grid)
-				if compareLattice(t, cfg, seed) {
-					ties++
+	for _, c := range []struct{ workers, scale int }{{1, 0}, {2, 0}, {3, 0}, {7, 0}, {2, 2}, {2, 3}} {
+		t.Run(fmt.Sprintf("workers=%d/clamp=%d", c.workers, c.scale), func(t *testing.T) {
+			splitScans(t, c.workers)
+			cells := clampCells(t)
+			ties, clamped := 0, 0
+			for _, n := range []int{20, 100, 500} {
+				for _, d := range []float64{6, 18, 30} {
+					cfg := Config{N: n, AvgDegree: d}
+					if err := cfg.Validate(); err != nil {
+						continue
+					}
+					cfg = cfg.withDefaults()
+					maxCellsPerSide = cells
+					if c.scale > 0 {
+						maxCellsPerSide = cellsForScale(cfg, c.scale)
+					}
+					for seed := int64(1); seed <= 3; seed++ {
+						naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
+						comparePlacements(t, naive, new(scratch).place(cfg, rand.New(rand.NewSource(seed))))
+						tied, s := compareLattice(t, cfg, seed)
+						if tied {
+							ties++
+						}
+						if s.cells.cell >= float64(c.scale)*s.r {
+							clamped++
+						}
+					}
 				}
 			}
-		}
+			if ties == 0 {
+				t.Fatal("no lattice placement tied at the m-th distance; the tie-break went untested")
+			}
+			if c.scale > 0 {
+				t.Logf("%d lattice placements scanned cells of >= %d times the range", clamped, c.scale)
+				if clamped == 0 {
+					t.Fatalf("no placement scanned cells of %d times the range", c.scale)
+				}
+			}
+		})
 	}
-	if ties == 0 {
-		t.Fatal("no lattice placement tied at the m-th distance; the tie-break went untested")
+}
+
+// TestScanKeepsPairsAtTheRange scans placements at a range equal to one of
+// their pair distances, in 1 and 3 bands, on the paper's side and on one so
+// small that the squared range is subnormal: the squared-distance prefilter
+// must pass every pair Point.Distance puts within the range, whatever the
+// rounding of the squares, so scan 1 counts what a brute-force count does.
+func TestScanKeepsPairsAtTheRange(t *testing.T) {
+	for _, c := range []struct {
+		workers int
+		side    float64
+	}{{1, 100}, {3, 100}, {1, 1e-160}} {
+		t.Run(fmt.Sprintf("workers=%d/side=%g", c.workers, c.side), func(t *testing.T) {
+			splitScans(t, c.workers)
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 300; trial++ {
+				pos := scatter(Config{N: 30, Side: c.side}, rng)
+				r := pos[0].Distance(pos[1+trial%29])
+				want := 0
+				for u := range pos {
+					for v := u + 1; v < len(pos); v++ {
+						if pos[u].Distance(pos[v]) <= r {
+							want++
+						}
+					}
+				}
+				if got := new(scratch).count(pos, c.side, r); got != want {
+					t.Fatalf("trial %d: scan 1 counted %d pairs within %v, want %d", trial, got, r, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPlaceGridMatchesNaiveExtremeSides checks the grid against the
+// reference on sides so small that the squared range is subnormal (1e-160)
+// or that bins per unit distance overflow (1e-310), and so large that
+// squares overflow (1e300): the scan must fall back to the exact distance
+// test and to one bin rather than drop, misbin or index past pairs.
+func TestPlaceGridMatchesNaiveExtremeSides(t *testing.T) {
+	for _, side := range []float64{1e-310, 1e-160, 1e300} {
+		cfg := Config{N: 60, AvgDegree: 8, Side: side}.withDefaults()
+		for seed := int64(1); seed <= 3; seed++ {
+			naive := placeNaive(cfg, rand.New(rand.NewSource(seed)))
+			comparePlacements(t, naive, new(scratch).place(cfg, rand.New(rand.NewSource(seed))))
+		}
 	}
 }
 
 // TestGenerateGridMatchesNaive checks the full Generate pipeline (rejection
-// sampling included) across both paths: identical placements are accepted or
-// rejected identically, so Attempts must agree too.
+// sampling included) across both paths, scanned in 1, 2, 3 and 7 bands:
+// identical placements are accepted or rejected identically, so Attempts
+// must agree too.
 func TestGenerateGridMatchesNaive(t *testing.T) {
-	for _, tt := range []struct {
-		n int
-		d float64
-	}{{30, 6}, {100, 6}, {100, 18}, {200, 10}} {
-		naive := generateNaive(t, Config{N: tt.n, AvgDegree: tt.d}, rand.New(rand.NewSource(11)))
-		grid, err := Generate(Config{N: tt.n, AvgDegree: tt.d},
-			rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatalf("grid n=%d d=%g: %v", tt.n, tt.d, err)
-		}
-		if naive.Attempts != grid.Attempts {
-			t.Fatalf("n=%d d=%g: attempts differ: naive %d, grid %d",
-				tt.n, tt.d, naive.Attempts, grid.Attempts)
-		}
-		comparePlacements(t, naive, grid)
+	for _, workers := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			splitScans(t, workers)
+			for _, tt := range []struct {
+				n int
+				d float64
+			}{{30, 6}, {100, 6}, {100, 18}, {200, 10}} {
+				naive := generateNaive(t, Config{N: tt.n, AvgDegree: tt.d}, rand.New(rand.NewSource(11)))
+				grid, err := Generate(Config{N: tt.n, AvgDegree: tt.d},
+					rand.New(rand.NewSource(11)))
+				if err != nil {
+					t.Fatalf("grid n=%d d=%g: %v", tt.n, tt.d, err)
+				}
+				if naive.Attempts != grid.Attempts {
+					t.Fatalf("n=%d d=%g: attempts differ: naive %d, grid %d",
+						tt.n, tt.d, naive.Attempts, grid.Attempts)
+				}
+				comparePlacements(t, naive, grid)
+			}
+		})
 	}
 }
 
@@ -279,23 +385,25 @@ func TestEstimateRange(t *testing.T) {
 }
 
 // FuzzPlaceGridMatchesNaive fuzzes the equivalence of the two generators over
-// placement seed, size, and degree, on uniform positions or (lattice) on
-// positions snapped to the side/64 lattice, where distances tie.
+// placement seed, size, degree and scan worker count (1-8), on uniform
+// positions or (lattice) on positions snapped to the side/64 lattice, where
+// distances tie.
 func FuzzPlaceGridMatchesNaive(f *testing.F) {
-	f.Add(int64(1), uint16(25), uint16(6), false)
-	f.Add(int64(42), uint16(100), uint16(18), false)
-	f.Add(int64(7), uint16(60), uint16(30), false)
-	f.Add(int64(-3), uint16(2), uint16(1), false)
-	f.Add(int64(1), uint16(25), uint16(6), true)
-	f.Add(int64(42), uint16(100), uint16(18), true)
-	f.Add(int64(7), uint16(299), uint16(30), true)
-	f.Add(int64(-3), uint16(2), uint16(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, n, d uint16, lattice bool) {
+	f.Add(int64(1), uint16(25), uint16(6), false, uint8(0))
+	f.Add(int64(42), uint16(100), uint16(18), false, uint8(1))
+	f.Add(int64(7), uint16(60), uint16(30), false, uint8(2))
+	f.Add(int64(-3), uint16(2), uint16(1), false, uint8(6))
+	f.Add(int64(1), uint16(25), uint16(6), true, uint8(0))
+	f.Add(int64(42), uint16(100), uint16(18), true, uint8(2))
+	f.Add(int64(7), uint16(299), uint16(30), true, uint8(6))
+	f.Add(int64(-3), uint16(2), uint16(1), true, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n, d uint16, lattice bool, workers uint8) {
 		cfg := Config{N: int(n%300) + 2, AvgDegree: float64(d%40) + 0.5}
 		if err := cfg.Validate(); err != nil {
 			t.Skip()
 		}
 		cfg = cfg.withDefaults()
+		splitScans(t, int(workers%8)+1)
 		if lattice {
 			compareLattice(t, cfg, seed)
 			return
@@ -350,5 +458,47 @@ func TestSelectPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGenerateGoldenLarge pins Generate's output far beyond the paper's
+// n <= 100, where the scan splits across cores and the boundary bin holds
+// many pairs: n = 20,000 and 200,000 at d = 18, seed 42. The hashes were
+// recorded from the sequential single-pass generator that buffered every
+// candidate pair.
+func TestGenerateGoldenLarge(t *testing.T) {
+	for _, g := range []struct {
+		n    int
+		hash uint64
+	}{
+		{n: 20000, hash: 0x583bee1a7fbcf900},
+		{n: 200000, hash: 0x9c20181e124cc2b5},
+	} {
+		net, err := Generate(Config{N: g.n, AvgDegree: 18, Seed: 42}, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Fatalf("n=%d: %v", g.n, err)
+		}
+		if got := networkHash(net); got != g.hash {
+			t.Errorf("n=%d d=18: hash 0x%016x, want 0x%016x (generator output changed)", g.n, got, g.hash)
+		}
+	}
+}
+
+// BenchmarkGenerate times Generate at the paper's n = 100 (d = 6 needs
+// several placements, d = 18 usually one) and at 20k and 200k, d = 18, one
+// fixed seed per size so every iteration does the same work.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		n int
+		d float64
+	}{{100, 6}, {100, 18}, {20000, 18}, {200000, 18}} {
+		b.Run(fmt.Sprintf("n=%d/d=%g", c.n, c.d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(Config{N: c.n, AvgDegree: c.d}, rand.New(rand.NewSource(42))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

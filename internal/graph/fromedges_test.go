@@ -1,13 +1,48 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
 
+// splitSorts lowers sortGrain to one vertex and sets GOMAXPROCS to workers
+// until t ends, so FromEdges sorts a graph of n >= workers vertices in
+// workers ranges.
+func splitSorts(t testing.TB, workers int) {
+	oldGrain, oldProcs := sortGrain, runtime.GOMAXPROCS(workers)
+	sortGrain = 1
+	t.Cleanup(func() {
+		sortGrain = oldGrain
+		runtime.GOMAXPROCS(oldProcs)
+	})
+}
+
+// toInt32 converts an edge list to 32-bit endpoints.
+func toInt32(edges [][2]int) [][2]int32 {
+	out := make([][2]int32, len(edges))
+	for i, e := range edges {
+		out[i] = [2]int32{int32(e[0]), int32(e[1])}
+	}
+	return out
+}
+
+// TestFromEdgesMatchesAddEdge builds random graphs edge by edge and checks
+// FromEdges against them, from int and from int32 endpoints, with the
+// adjacency sort on 1, 2, 3 and 7 workers.
 func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			splitSorts(t, workers)
+			checkFromEdgesMatchesAddEdge(t)
+		})
+	}
+}
+
+func checkFromEdgesMatchesAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(60)
@@ -41,22 +76,22 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := FromEdges(n, edges)
+		wide, err := FromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.N() != want.N() || got.M() != want.M() {
-			t.Fatalf("trial %d: size (%d,%d), want (%d,%d)",
-				trial, got.N(), got.M(), want.N(), want.M())
+		narrow, err := FromEdges(n, toInt32(edges))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for v := 0; v < n; v++ {
-			gn, wn := got.Neighbors(v), want.Neighbors(v)
-			if len(gn) != len(wn) {
-				t.Fatalf("trial %d: degree of %d: %d, want %d", trial, v, len(gn), len(wn))
+		for _, got := range []*Graph{wide, narrow} {
+			if got.N() != want.N() || got.M() != want.M() {
+				t.Fatalf("trial %d: size (%d,%d), want (%d,%d)",
+					trial, got.N(), got.M(), want.N(), want.M())
 			}
-			for i := range gn {
-				if gn[i] != wn[i] {
-					t.Fatalf("trial %d: neighbors of %d differ: %v vs %v", trial, v, gn, wn)
+			for v := 0; v < n; v++ {
+				if !slices.Equal(got.Adj(v), want.Adj(v)) {
+					t.Fatalf("trial %d: neighbors of %d differ: %v vs %v", trial, v, got.Adj(v), want.Adj(v))
 				}
 			}
 		}
@@ -76,9 +111,28 @@ func TestFromEdgesErrors(t *testing.T) {
 	if _, err := FromEdges(3, [][2]int{{0, 1}, {1, 0}}); err == nil {
 		t.Error("duplicate edge accepted")
 	}
-	g, err := FromEdges(0, nil)
+	if _, err := FromEdges(3, [][2]int32{{0, 3}}); err == nil {
+		t.Error("out-of-range int32 endpoint accepted")
+	}
+	g, err := FromEdges[int](0, nil)
 	if err != nil || g.N() != 0 || g.M() != 0 {
 		t.Errorf("empty graph: %v %v", g, err)
+	}
+}
+
+// TestFromEdgesNamesFirstDuplicate checks that a split adjacency sort
+// reports the lowest vertex with a duplicate neighbor, as the sequential
+// sort does, whichever worker meets its duplicate first.
+func TestFromEdgesNamesFirstDuplicate(t *testing.T) {
+	edges := [][2]int32{{0, 1}, {2, 3}, {3, 2}, {7, 8}, {8, 7}, {5, 6}}
+	const want = "graph: duplicate edge {2,3}"
+	for _, workers := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			splitSorts(t, workers)
+			if _, err := FromEdges(10, edges); err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+		})
 	}
 }
 
@@ -102,7 +156,7 @@ func TestFromEdgesSizeLimit(t *testing.T) {
 	}
 	// FromEdges consults it first: a vertex count beyond int32 is refused
 	// before anything n-sized is allocated.
-	if _, err := FromEdges(math.MaxInt32+1, nil); err == nil {
+	if _, err := FromEdges[int](math.MaxInt32+1, nil); err == nil {
 		t.Error("FromEdges accepted 2^31 vertices")
 	}
 }
@@ -135,7 +189,9 @@ func TestFromEdgesAdjacencyBytes(t *testing.T) {
 // RemoveEdge calls, some of them self-loops, out of range, repeated or of
 // absent edges, and checks the result against FromEdges of the edge set the
 // sequence leaves: the same Adj, Degree, HasEdge, Edges and M. data[0] sets
-// the vertex count (1-24); every following triple is one edit: the low bit of
+// the vertex count (1-24, its value mod 24) and the workers of a second
+// FromEdges, from int32 endpoints, that must build the same graph (1-8, its
+// value div 24, mod 8); every following triple is one edit: the low bit of
 // its first byte picks remove or add, the next two bytes are the endpoints,
 // taken modulo n+1 so that n itself appears as an out-of-range id.
 func FuzzGraphEditsMatchFromEdges(f *testing.F) {
@@ -143,6 +199,7 @@ func FuzzGraphEditsMatchFromEdges(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 2, 3, 0, 1, 0})
 	f.Add([]byte{8, 1, 7, 0, 1, 0, 7, 1, 3, 5, 0, 7, 0, 1, 8, 2, 1, 6, 6})
 	f.Add([]byte{24, 1, 0, 23, 1, 23, 12, 1, 12, 0, 0, 0, 23, 1, 5, 6, 0, 12, 23})
+	f.Add([]byte{8 + 24*6, 1, 7, 0, 1, 0, 7, 1, 3, 5, 1, 2, 4, 1, 6, 1, 1, 8, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -173,6 +230,16 @@ func FuzzGraphEditsMatchFromEdges(f *testing.F) {
 		want, err := FromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
+		}
+		splitSorts(t, int(data[0])/24%8+1)
+		narrow, err := FromEdges(n, toInt32(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(narrow.Adj(v), want.Adj(v)) {
+				t.Fatalf("vertex %d: split int32 build Adj %v, want %v", v, narrow.Adj(v), want.Adj(v))
+			}
 		}
 		if g.N() != want.N() || g.M() != want.M() {
 			t.Fatalf("size (%d,%d), want (%d,%d)", g.N(), g.M(), want.N(), want.M())

@@ -7,7 +7,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Graph is a simple undirected graph on vertices 0..N()-1, kept in
@@ -154,19 +156,20 @@ func checkSize(n, m int) error {
 
 // FromEdges builds a graph on n vertices from a complete edge list in one
 // pass: degrees are counted into the offsets, each edge is written from both
-// sides, and each vertex's neighbors are sorted. This is O(n + m log deg),
-// which is what the large-scale topology generator needs when m reaches
-// millions of links, and the arrays it allocates are exactly the graph's.
-// Self-loops, out-of-range endpoints, duplicate edges and sizes beyond
-// 32-bit ids are rejected.
-func FromEdges(n int, edges [][2]int) (*Graph, error) {
+// sides, and each vertex's neighbors are sorted, by several goroutines when n
+// is large. This is O(n + m log deg), which is what the large-scale topology
+// generator needs when m reaches millions of links, and the arrays it
+// allocates are exactly the graph's. Endpoints may be int or int32, so a
+// caller holding 32-bit ids keeps 8 bytes a link. Self-loops, out-of-range
+// endpoints, duplicate edges and sizes beyond 32-bit ids are rejected.
+func FromEdges[T int | int32](n int, edges [][2]T) (*Graph, error) {
 	if err := checkSize(n, len(edges)); err != nil {
 		return nil, err
 	}
 	g := New(n)
 	n = g.n
 	for _, e := range edges {
-		u, v := e[0], e[1]
+		u, v := int(e[0]), int(e[1])
 		if u < 0 || v < 0 || u >= n || v >= n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
 		}
@@ -191,17 +194,57 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 	}
 	copy(g.off[1:], g.off[:n])
 	g.off[0] = 0
-	for v := 0; v < n; v++ {
+	if err := g.sortAdj(); err != nil {
+		return nil, err
+	}
+	g.m = len(edges)
+	return g, nil
+}
+
+// sortGrain is the fewest vertices a FromEdges sort worker gets, so a small
+// graph sorts on the caller alone. Tests lower it.
+var sortGrain = 4096
+
+// sortAdj sorts every adjacency list and rejects the first vertex, in id
+// order, that lists a neighbor twice. Above sortGrain vertices per worker it
+// splits the vertices into contiguous ranges, one per GOMAXPROCS.
+func (g *Graph) sortAdj() error {
+	w := max(1, min(runtime.GOMAXPROCS(0), g.n/sortGrain))
+	if w == 1 {
+		return g.sortRange(0, g.n)
+	}
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = g.sortRange(g.n*i/w, g.n*(i+1)/w)
+		}()
+	}
+	errs[0] = g.sortRange(0, g.n/w)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sortRange sorts the adjacency lists of vertices [lo, hi) and reports the
+// first of them with a duplicate neighbor.
+func (g *Graph) sortRange(lo, hi int) error {
+	for v := lo; v < hi; v++ {
 		a := g.Adj(v)
 		slices.Sort(a)
 		for i := 1; i < len(a); i++ {
 			if a[i] == a[i-1] {
-				return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", v, a[i])
+				return fmt.Errorf("graph: duplicate edge {%d,%d}", v, a[i])
 			}
 		}
 	}
-	g.m = len(edges)
-	return g, nil
+	return nil
 }
 
 // Edges returns every edge {u, v} with u < v, ordered lexicographically.
