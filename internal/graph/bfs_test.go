@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,40 @@ func TestConnected(t *testing.T) {
 				t.Fatalf("Connected() = %v, want %v", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestConnectedBytesPerCall pins Connected's footprint at n = 20,000: a
+// visited bitset and an int32 queue, 4n + n/8 bytes plus size-class
+// rounding. Two n-entry []int arrays read 320 KB per call here.
+func TestConnectedBytesPerCall(t *testing.T) {
+	const n = 20000
+	ring := make([][2]int, n)
+	for i := range ring {
+		ring[i] = [2]int{i, (i + 1) % n}
+	}
+	g, err := FromEdges(n, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := FromEdges(n, ring[:n/2]) // a path over half the vertices
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Connected() || cut.Connected() {
+		t.Fatalf("ring Connected() = %v, half path Connected() = %v", g.Connected(), cut.Connected())
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		g.Connected()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d B allocated per Connected at n = %d", per, n)
+	if bound := uint64(4*n + n/8 + 4096); per > bound {
+		t.Fatalf("Connected allocated %d B per call at n = %d, want <= %d", per, n, bound)
 	}
 }
 

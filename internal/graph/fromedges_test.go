@@ -188,7 +188,8 @@ func TestFromEdgesAdjacencyBytes(t *testing.T) {
 // FuzzGraphEditsMatchFromEdges applies a random sequence of AddEdge and
 // RemoveEdge calls, some of them self-loops, out of range, repeated or of
 // absent edges, and checks the result against FromEdges of the edge set the
-// sequence leaves: the same Adj, Degree, HasEdge, Edges and M. data[0] sets
+// sequence leaves: the same Adj, Degree, HasEdge, Edges and M, and Connected
+// agrees with the Components count. data[0] sets
 // the vertex count (1-24, its value mod 24) and the workers of a second
 // FromEdges, from int32 endpoints, that must build the same graph (1-8, its
 // value div 24, mod 8); every following triple is one edit: the low bit of
@@ -252,6 +253,9 @@ func FuzzGraphEditsMatchFromEdges(f *testing.F) {
 				t.Fatalf("vertex %d: Adj %v degree %d, want %v degree %d",
 					v, g.Adj(v), g.Degree(v), want.Adj(v), want.Degree(v))
 			}
+		}
+		if _, count := g.Components(); g.Connected() != (count == 1) {
+			t.Fatalf("Connected() = %v with %d components", g.Connected(), count)
 		}
 		for u := -1; u <= n; u++ {
 			for v := -1; v <= n; v++ {

@@ -74,7 +74,12 @@ func (c *Cache) pointPath(hash string) string {
 // is an error, never a silent miss: a tampered cache must not quietly
 // recompute (hiding the tampering) or serve bad data.
 func (c *Cache) Get(cfg PointConfig, out any) (bool, error) {
-	path := c.pointPath(cfg.Hash())
+	return c.get(cfg, cfg.Hash(), out)
+}
+
+// get is Get for a config whose content address hash the caller holds.
+func (c *Cache) get(cfg PointConfig, hash string, out any) (bool, error) {
+	path := c.pointPath(hash)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
@@ -87,6 +92,11 @@ func (c *Cache) Get(cfg PointConfig, out any) (bool, error) {
 		return false, err
 	}
 	if rec.Config != cfg {
+		// The file is named by cfg's hash, so only a record carrying another
+		// config can sit at the wrong address: rehash it to say so.
+		if err := checkAddress(path, rec.Config); err != nil {
+			return false, err
+		}
 		return false, fmt.Errorf("%s: cached config does not match its content address (cache tampered?)", path)
 	}
 	if err := json.Unmarshal(rec.Result, out); err != nil {
@@ -98,6 +108,11 @@ func (c *Cache) Get(cfg PointConfig, out any) (bool, error) {
 // Put stores one computed point, atomically: the file appears under its
 // content address only complete and sealed.
 func (c *Cache) Put(cfg PointConfig, result any) error {
+	return c.put(cfg, cfg.Hash(), result)
+}
+
+// put is Put for a config whose content address hash the caller holds.
+func (c *Cache) put(cfg PointConfig, hash string, result any) error {
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return fmt.Errorf("encode result for %s: %w", cfg.Point, err)
@@ -106,7 +121,7 @@ func (c *Cache) Put(cfg PointConfig, result any) error {
 	if err != nil {
 		return err
 	}
-	return obsv.WriteFileAtomic(c.pointPath(cfg.Hash()), sealLines(append(line, '\n')))
+	return obsv.WriteFileAtomic(c.pointPath(hash), sealLines(append(line, '\n')))
 }
 
 // sealLines appends the obsv chain record covering lines (newline-terminated
@@ -127,8 +142,8 @@ func sealLines(lines []byte) []byte {
 	return append(append(lines, sealed...), '\n')
 }
 
-// parsePointFile verifies one cached point file (chain seal, schema, content
-// address) and returns its point record.
+// parsePointFile verifies one cached point file (chain seal, schema) and
+// returns its point record; checkAddress checks its content address.
 func parsePointFile(path string, data []byte) (pointRecord, error) {
 	if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
 		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
@@ -145,11 +160,16 @@ func parsePointFile(path string, data []byte) (pointRecord, error) {
 		return pointRecord{}, fmt.Errorf("%s: not a %s %s record (schema %q kind %q)",
 			path, RecordSchema, KindPoint, rec.Schema, rec.Kind)
 	}
-	want := strings.TrimSuffix(filepath.Base(path), ".jsonl")
-	if got := rec.Config.Hash(); got != want {
-		return pointRecord{}, fmt.Errorf("%s: config hashes to %.12s…, file claims %.12s… (cache tampered?)", path, got, want)
-	}
 	return rec, nil
+}
+
+// checkAddress reports whether cfg hashes to the point file's name.
+func checkAddress(path string, cfg PointConfig) error {
+	want := strings.TrimSuffix(filepath.Base(path), ".jsonl")
+	if got := cfg.Hash(); got != want {
+		return fmt.Errorf("%s: config hashes to %.12s…, file claims %.12s… (cache tampered?)", path, got, want)
+	}
+	return nil
 }
 
 // VerifyAll checks every cached point file: chain seal intact, config
@@ -172,7 +192,11 @@ func (c *Cache) VerifyAll() (int, error) {
 			errs = append(errs, err)
 			continue
 		}
-		if _, err := parsePointFile(path, data); err != nil {
+		rec, err := parsePointFile(path, data)
+		if err == nil {
+			err = checkAddress(path, rec.Config)
+		}
+		if err != nil {
 			errs = append(errs, err)
 			continue
 		}

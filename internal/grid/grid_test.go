@@ -3,9 +3,11 @@ package grid
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -123,6 +125,83 @@ func TestCacheDetectsEveryFlippedByte(t *testing.T) {
 	var out summaryPayload
 	if hit, err := c.Get(cfg, &out); err != nil || !hit {
 		t.Fatalf("restored file: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestCacheResealedTamperMessages pins what Get and VerifyAll say about a
+// point file that verifies but sits at the wrong content address: one whose
+// config was edited and resealed, and a valid file copied under another
+// point's name. Both name the config's real hash and the file's claim.
+func TestCacheResealedTamperMessages(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PointConfig{Schema: PointSchema, Experiment: "fig10", Point: "p", Seed: 42, MinRuns: 5, MaxRuns: 8, RelTol: 0.5}
+	other := cfg
+	other.Seed = 7
+	for _, p := range []PointConfig{cfg, other} {
+		if err := c.Put(p, summaryPayload{N: 7, Mean: 1.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := c.pointPath(cfg.Hash())
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := bytes.Cut(orig, []byte("\n"))
+	edited := bytes.Replace(first, []byte(`"seed":42`), []byte(`"seed":7`), 1)
+	copied, err := os.ReadFile(c.pointPath(other.Hash()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s: config hashes to %.12s…, file claims %.12s… (cache tampered?)", path, other.Hash(), cfg.Hash())
+	for name, data := range map[string][]byte{"resealed": sealLines(append(edited, '\n')), "copied": copied} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out summaryPayload
+		if hit, err := c.Get(cfg, &out); err == nil || err.Error() != want {
+			t.Errorf("%s: Get = %v, %v; want error %q", name, hit, err, want)
+		}
+		if _, err := c.VerifyAll(); err == nil || err.Error() != want {
+			t.Errorf("%s: VerifyAll error %v, want %q", name, err, want)
+		}
+	}
+}
+
+// TestCacheGetBytesPerHit bounds what serving one cached point allocates:
+// reading and verifying its ~500-byte file costs a few of its own sizes.
+// Scanning it with a zeroed 1 MiB buffer read about 1.06 MB per hit.
+func TestCacheGetBytesPerHit(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PointConfig{Schema: PointSchema, Experiment: "fig10", Point: "10/d=6, 2-hop/FR/n=60/d=6", Seed: 42, MinRuns: 10, MaxRuns: 100, RelTol: 0.03}
+	in := summaryPayload{N: 37, Mean: 41.62162162162162, StdDev: 3.1415926535897931, CI90: 0.8657304527845201}
+	if err := c.Put(cfg, in); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	var out summaryPayload
+	get := func() {
+		if hit, err := c.Get(cfg, &out); err != nil || !hit || out != in {
+			t.Fatalf("hit=%v err=%v out=%+v", hit, err, out)
+		}
+	}
+	get()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d B allocated per Cache.Get hit", per)
+	if per > 16<<10 {
+		t.Fatalf("Cache.Get allocated %d B per hit, want <= 16 KiB", per)
 	}
 }
 

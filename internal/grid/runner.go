@@ -150,18 +150,19 @@ type collector struct {
 // verifies is decoded into dst, any other is computed and stored (or, under
 // RequireCached, reported as an error).
 func (c *collector) serve(cfg PointConfig, dst any, compute func() error) error {
-	hit, err := c.opts.Cache.Get(cfg, dst)
+	hash := cfg.Hash()
+	hit, err := c.opts.Cache.get(cfg, hash, dst)
 	if err != nil {
 		return err
 	}
 	if !hit {
 		if c.opts.RequireCached {
-			return fmt.Errorf("point %q (%.12s…) not cached", cfg.Point, cfg.Hash())
+			return fmt.Errorf("point %q (%.12s…) not cached", cfg.Point, hash)
 		}
 		if err := compute(); err != nil {
 			return err
 		}
-		if err := c.opts.Cache.Put(cfg, dst); err != nil {
+		if err := c.opts.Cache.put(cfg, hash, dst); err != nil {
 			return err
 		}
 	}
@@ -173,7 +174,7 @@ func (c *collector) serve(cfg PointConfig, dst any, compute func() error) error 
 	} else {
 		c.st.Misses++
 	}
-	c.ents = append(c.ents, manifestEntry{Experiment: cfg.Experiment, Point: cfg.Point, Hash: cfg.Hash()})
+	c.ents = append(c.ents, manifestEntry{Experiment: cfg.Experiment, Point: cfg.Point, Hash: hash})
 	return nil
 }
 
@@ -332,13 +333,14 @@ func List(opts Options) ([]PointStatus, error) {
 	var mu sync.Mutex
 	var out []PointStatus
 	record := func(cfg PointConfig, _ any, _ func() error) error {
-		_, err := os.Stat(opts.Cache.pointPath(cfg.Hash()))
+		hash := cfg.Hash()
+		_, err := os.Stat(opts.Cache.pointPath(hash))
 		mu.Lock()
 		defer mu.Unlock()
 		out = append(out, PointStatus{
 			Experiment: cfg.Experiment,
 			Point:      cfg.Point,
-			Hash:       cfg.Hash(),
+			Hash:       hash,
 			Cached:     err == nil,
 		})
 		return nil

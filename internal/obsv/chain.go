@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -52,6 +51,17 @@ func (c *ChainHasher) Add(line []byte) {
 	c.lines++
 }
 
+// newline is the line terminator addStripped hashes after a line.
+var newline = []byte{'\n'}
+
+// addStripped is Add for a line whose trailing newline a scanner stripped:
+// it hashes the line and then the newline, without copying the line.
+func (c *ChainHasher) addStripped(line []byte) {
+	c.h.Write(line)
+	c.h.Write(newline)
+	c.lines++
+}
+
 // Link seals the pending lines into a ChainLink and starts the next link.
 func (c *ChainHasher) Link() ChainLink {
 	link := ChainLink{
@@ -80,10 +90,10 @@ type chainProbe struct {
 // all other lines — whatever their schema — are the covered payload. The
 // stream must end sealed: trailing payload lines not covered by a link are
 // an error, as is a stream with payload but no links at all. It returns the
-// number of verified links.
+// number of verified links. A line longer than 16 MiB fails with
+// bufio.ErrTooLong.
 func VerifyChain(r io.Reader) (links int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc := newLineScanner(r)
 	ch := NewChainHasher()
 	line := 0
 	for sc.Scan() {
@@ -99,7 +109,7 @@ func VerifyChain(r io.Reader) (links int, err error) {
 		if probe.Schema != SchemaVersion || probe.Kind != KindChain {
 			// Payload line: covered by the next link. Scanner strips the
 			// newline; restore it so the hash matches the written bytes.
-			ch.Add(append(append([]byte(nil), raw...), '\n'))
+			ch.addStripped(raw)
 			continue
 		}
 		if probe.Chain == nil {

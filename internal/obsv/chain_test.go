@@ -1,14 +1,17 @@
 package obsv
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // sealedStream writes a small run+trace stream with interior and final
 // seals, returning the raw bytes.
-func sealedStream(t *testing.T) []byte {
+func sealedStream(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -133,4 +136,111 @@ func TestVerifyChainForeignPayloadLines(t *testing.T) {
 	if _, err := VerifyChain(bytes.NewReader(mut)); err == nil {
 		t.Fatal("tampered foreign payload verified")
 	}
+}
+
+// sealForeign seals payload lines (each without its newline) with one chain
+// link, the way the grid cache seals its point files.
+func sealForeign(t testing.TB, lines ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, line := range lines {
+		buf.WriteString(line + "\n")
+		w.chain.Add([]byte(line + "\n"))
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// pointFile is a one-record sealed stream shaped like a cached grid point:
+// a ~520-byte foreign payload line and its chain line, about 700 bytes.
+func pointFile(t testing.TB) []byte {
+	t.Helper()
+	return sealForeign(t, `{"schema":"grid/v1","kind":"point","pad":"`+strings.Repeat("0.123456789,", 40)+`"}`)
+}
+
+// TestVerifyChainBytesPerCall pins that verifying a small sealed file costs
+// about its own size: the scanner starts small and payload lines are hashed
+// in place. A zeroed 1 MiB initial buffer read 1,050,972 B per call here.
+func TestVerifyChainBytesPerCall(t *testing.T) {
+	data := pointFile(t)
+	if n := len(data); n < 600 || n > 800 {
+		t.Fatalf("point-shaped stream is %d B, want about 700", n)
+	}
+	const calls = 200
+	verify := func() {
+		if links, err := VerifyChain(bytes.NewReader(data)); err != nil || links != 1 {
+			t.Fatalf("links=%d err=%v", links, err)
+		}
+	}
+	verify()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		verify()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d B allocated per VerifyChain of a %d-byte stream", per, len(data))
+	if per > 16<<10 {
+		t.Fatalf("VerifyChain allocated %d B per call, want <= 16 KiB", per)
+	}
+}
+
+// TestVerifyChainLongLines checks the scanner grows past its small start: a
+// 2 MiB line, longer than the old initial buffer, reads and verifies, and a
+// line over the 16 MiB cap still fails with bufio.ErrTooLong, in Read and in
+// VerifyChain alike.
+func TestVerifyChainLongLines(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	long := strings.Repeat("p", 2<<20)
+	if err := w.Write(Record{Kind: KindTrace, Point: long, Event: &TraceEvent{Kind: TraceTransmit, From: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if links, err := VerifyChain(bytes.NewReader(buf.Bytes())); err != nil || links != 1 {
+		t.Fatalf("2 MiB line: links=%d err=%v", links, err)
+	}
+	recs, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(recs) != 2 || recs[0].Point != long {
+		t.Fatalf("2 MiB line: Read got %d records, err=%v", len(recs), err)
+	}
+
+	tooLong := append(bytes.Repeat([]byte("a"), 16<<20+1), '\n')
+	if _, err := VerifyChain(bytes.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("VerifyChain of a 16 MiB + 1 line: err=%v, want bufio.ErrTooLong", err)
+	}
+	if _, err := Read(bytes.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("Read of a 16 MiB + 1 line: err=%v, want bufio.ErrTooLong", err)
+	}
+}
+
+// FuzzVerifyChainMatchesReference runs VerifyChain and the reference it
+// replaced (verifyChainRef) on any bytes: both must count the same links and
+// accept or reject together, with the same error text.
+func FuzzVerifyChainMatchesReference(f *testing.F) {
+	sealed := sealedStream(f)
+	f.Add(sealed)
+	for _, i := range []int{0, 9, 40, len(sealed) / 2, len(sealed) - 20, len(sealed) - 2} {
+		flip := bytes.Clone(sealed)
+		flip[i] ^= 0x01
+		f.Add(flip)
+	}
+	f.Add(sealed[:len(sealed)/2])
+	f.Add(bytes.ReplaceAll(sealed, []byte("\n"), []byte("\r\n")))
+	f.Add(bytes.ReplaceAll(sealed, []byte("\n"), []byte("\n\n  \n")))
+	f.Add(pointFile(f))
+	f.Add(sealForeign(f, `{"schema":"other/v9","kind":"chain"}`, `{"x":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		links, err := VerifyChain(bytes.NewReader(data))
+		refLinks, refErr := verifyChainRef(bytes.NewReader(data))
+		if links != refLinks || (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("VerifyChain = %d, %v; reference = %d, %v", links, err, refLinks, refErr)
+		}
+	})
 }

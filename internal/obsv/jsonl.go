@@ -144,11 +144,24 @@ func (w *Writer) emit(rec Record) error {
 	return err
 }
 
-// Read parses a JSONL stream of Records, rejecting unknown schema versions
-// and malformed lines. Blank lines are skipped.
-func Read(r io.Reader) ([]Record, error) {
+// maxLineBytes caps one JSONL line read by Read or VerifyChain; a longer
+// line fails with bufio.ErrTooLong.
+const maxLineBytes = 16 << 20
+
+// newLineScanner returns a line scanner over r whose buffer starts small and
+// grows only as a line needs, up to maxLineBytes: reading a file of a few
+// hundred bytes costs a few kilobytes, not the cap.
+func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, maxLineBytes)
+	return sc
+}
+
+// Read parses a JSONL stream of Records, rejecting unknown schema versions
+// and malformed lines. Blank lines are skipped. A line longer than 16 MiB
+// fails with bufio.ErrTooLong.
+func Read(r io.Reader) ([]Record, error) {
+	sc := newLineScanner(r)
 	var out []Record
 	line := 0
 	for sc.Scan() {
