@@ -30,6 +30,7 @@ test:
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e CoveredEval -e TransmitExtra -e 'TakePreparedCovered([A-Za-z_]* *int)' internal cmd examples
 	@# One stream-seed derivation: internal/stream; experiments keeps its own text-layout seed.
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"hash/fnv"' . | grep -v '^./internal/experiments/seed.go:'
+	@# Shipped code has shipped users: arch_test.go, run by go test ./... below, fails on an exported internal/ declaration or an internal/ package that no non-test code uses.
 	$(GO) test ./...
 	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/protocol/ ./internal/view/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/ ./internal/protocol/ ./internal/experiments/

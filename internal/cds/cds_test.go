@@ -217,76 +217,3 @@ func TestReduceGuhaKhullerRarelyShrinks(t *testing.T) {
 		t.Fatalf("reduced greedy set %v invalid", reduced)
 	}
 }
-
-func TestRouteSimple(t *testing.T) {
-	// Path 0-1-2-3 with backbone {1,2}.
-	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	got := Route(g, []int{1, 2}, 0, 3)
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Route = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Route = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRouteEdgeCases(t *testing.T) {
-	g := build(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	if got := Route(g, []int{1, 2}, 2, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("self route = %v", got)
-	}
-	if Route(g, []int{1, 2}, -1, 3) != nil || Route(g, []int{1, 2}, 0, 9) != nil {
-		t.Fatal("out-of-range endpoints accepted")
-	}
-	// An empty backbone can only serve adjacent endpoints.
-	if got := Route(g, nil, 0, 1); len(got) != 2 {
-		t.Fatalf("adjacent route = %v", got)
-	}
-	if Route(g, nil, 0, 3) != nil {
-		t.Fatal("route found without a backbone")
-	}
-}
-
-// TestRoutePropertyQuick: over random networks and the marking-process CDS,
-// every node pair is routable through the backbone, the path is simple, and
-// all intermediates are backbone members.
-func TestRoutePropertyQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		g := randomNet(t, int64(trial+1), 40, 6)
-		if g.IsComplete() {
-			continue
-		}
-		set := Reduce(g, MarkingProcess(g))
-		inSet := map[int]bool{}
-		for _, v := range set {
-			inSet[v] = true
-		}
-		for pair := 0; pair < 15; pair++ {
-			s, tt := rng.Intn(40), rng.Intn(40)
-			path := Route(g, set, s, tt)
-			if path == nil {
-				t.Fatalf("trial %d: no route %d->%d via CDS", trial, s, tt)
-			}
-			if path[0] != s || path[len(path)-1] != tt {
-				t.Fatalf("route endpoints wrong: %v", path)
-			}
-			seen := map[int]bool{}
-			for i, v := range path {
-				if seen[v] {
-					t.Fatalf("route revisits %d: %v", v, path)
-				}
-				seen[v] = true
-				if i > 0 && !g.HasEdge(path[i-1], v) {
-					t.Fatalf("route hop %d-%d not a link", path[i-1], v)
-				}
-				if i > 0 && i < len(path)-1 && !inSet[v] {
-					t.Fatalf("intermediate %d not in backbone: %v", v, path)
-				}
-			}
-		}
-	}
-}

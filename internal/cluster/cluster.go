@@ -16,12 +16,6 @@ type Clustering struct {
 	Heads []int
 }
 
-// IsHead reports whether v is a cluster head.
-func (c *Clustering) IsHead(v int) bool { return c.Head[v] == v }
-
-// Clusters returns the number of clusters.
-func (c *Clustering) Clusters() int { return len(c.Heads) }
-
 // LowestID forms clusters with the classic lowest-id heuristic: scanning
 // ids in ascending order, every unassigned node becomes a head and absorbs
 // its unassigned neighbors as members. Every member is a direct neighbor of

@@ -32,18 +32,18 @@ func TestLowestIDPath(t *testing.T) {
 			t.Fatalf("Head = %v, want %v", c.Head, wantHead)
 		}
 	}
-	if c.Clusters() != 3 {
-		t.Fatalf("clusters = %d, want 3", c.Clusters())
+	if len(c.Heads) != 3 {
+		t.Fatalf("clusters = %d, want 3", len(c.Heads))
 	}
-	if !c.IsHead(0) || c.IsHead(1) {
-		t.Fatal("IsHead wrong")
+	if c.Head[0] != 0 || c.Head[1] == 1 {
+		t.Fatal("head assignment wrong")
 	}
 }
 
 func TestLowestIDStar(t *testing.T) {
 	g := build(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
 	c := LowestID(g)
-	if c.Clusters() != 1 || c.Heads[0] != 0 {
+	if len(c.Heads) != 1 || c.Heads[0] != 0 {
 		t.Fatalf("star clustering: %+v", c)
 	}
 }
@@ -142,10 +142,10 @@ func TestBackboneReducible(t *testing.T) {
 
 func TestSingleNodeAndEmpty(t *testing.T) {
 	c := LowestID(graph.New(1))
-	if c.Clusters() != 1 || !c.IsHead(0) {
+	if len(c.Heads) != 1 || c.Head[0] != 0 {
 		t.Fatalf("single node: %+v", c)
 	}
-	if got := LowestID(graph.New(0)).Clusters(); got != 0 {
+	if got := len(LowestID(graph.New(0)).Heads); got != 0 {
 		t.Fatalf("empty graph clusters = %d", got)
 	}
 }

@@ -90,14 +90,14 @@ func bruteBottleneck(lv *view.Local, u, w int) (view.Priority, bool) {
 	var best view.Priority
 	found := false
 	for x := 0; x < n; x++ {
-		if x == lv.Owner || !lv.IsVisible(x) || !lv.Pr(x).Greater(prv) {
+		if x == lv.Owner || !isMember(lv, x) || !lv.Pr(x).Greater(prv) {
 			continue
 		}
 		threshold := lv.Pr(x)
 		// BFS from u through intermediates with priority >= threshold.
 		ok := func() bool {
 			allowed := func(y int) bool {
-				return y != lv.Owner && lv.IsVisible(y) && !lv.Pr(y).Less(threshold)
+				return y != lv.Owner && isMember(lv, y) && !lv.Pr(y).Less(threshold)
 			}
 			// u and w are not adjacent (checked above), so any u-w
 			// connection found here goes through >= 1 intermediate.

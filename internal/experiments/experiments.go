@@ -153,11 +153,6 @@ func Paper() stats.ReplicateOptions {
 	return stats.ReplicateOptions{MinRuns: 30, MaxRuns: 2000, RelTol: 0.01}
 }
 
-// Quick returns a reduced replication preset for tests and benchmarks.
-func Quick() stats.ReplicateOptions {
-	return stats.ReplicateOptions{MinRuns: 10, MaxRuns: 20, RelTol: 0.2}
-}
-
 // Point is one averaged data point of a series.
 type Point struct {
 	// X is the network size n.

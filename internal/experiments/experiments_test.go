@@ -297,14 +297,16 @@ func TestTable1Content(t *testing.T) {
 	}
 }
 
+// TestPaperAndQuickPresets: the paper's criterion is stricter than the
+// quick default every CLI run uses unless -paper is given.
 func TestPaperAndQuickPresets(t *testing.T) {
 	p := Paper()
 	if p.RelTol != 0.01 || p.MinRuns != 30 {
 		t.Fatalf("Paper() = %+v", p)
 	}
-	q := Quick()
-	if q.MaxRuns >= p.MaxRuns {
-		t.Fatalf("Quick() not quicker than Paper(): %+v", q)
+	q := Criterion(stats.ReplicateOptions{})
+	if q.MaxRuns >= p.MaxRuns || q.RelTol <= p.RelTol {
+		t.Fatalf("default criterion %+v not quicker than Paper()", q)
 	}
 }
 

@@ -109,17 +109,6 @@ func (p *Plan) CrashTime(v int) (float64, bool) {
 	return 0, false
 }
 
-// CrashedCount returns the number of nodes that fail-stop under the plan.
-func (p *Plan) CrashedCount() int {
-	c := 0
-	for v := 0; v < p.N; v++ {
-		if p.Crashed(v) {
-			c++
-		}
-	}
-	return c
-}
-
 func downAt(ivs []Interval, t float64) bool {
 	for _, iv := range ivs {
 		if iv.Contains(t) {

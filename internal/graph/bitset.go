@@ -20,38 +20,12 @@ func NewBitset(n int) *Bitset {
 	}
 }
 
-// Cap returns the capacity n the bitset was created with.
-func (b *Bitset) Cap() int { return b.n }
-
 // Set adds x to the set. Out-of-range values are ignored.
 func (b *Bitset) Set(x int) {
 	if x < 0 || x >= b.n {
 		return
 	}
 	b.words[x>>6] |= 1 << uint(x&63)
-}
-
-// Clear removes x from the set.
-func (b *Bitset) Clear(x int) {
-	if x < 0 || x >= b.n {
-		return
-	}
-	b.words[x>>6] &^= 1 << uint(x&63)
-}
-
-// Has reports whether x is in the set.
-func (b *Bitset) Has(x int) bool {
-	if x < 0 || x >= b.n {
-		return false
-	}
-	return b.words[x>>6]&(1<<uint(x&63)) != 0
-}
-
-// Reset removes every element.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // Union sets b to b ∪ other. Both bitsets must have the same capacity.
@@ -69,15 +43,6 @@ func (b *Bitset) Intersects(other *Bitset) bool {
 		}
 	}
 	return false
-}
-
-// Count returns the number of elements in the set.
-func (b *Bitset) Count() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // Elements appends the members of the set to dst in ascending order and

@@ -49,26 +49,12 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// Reset returns every element to its own singleton set, allowing the
-// structure to be reused without reallocating.
-func (uf *UnionFind) Reset() {
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.rank[i] = 0
-	}
-}
-
 // ResetSubset returns each listed element to its own singleton set. Callers
 // that only ever union elements of a known subset can reset just that subset
-// between uses instead of paying the full O(n) Reset.
+// between uses instead of paying O(n) for a fresh structure.
 func (uf *UnionFind) ResetSubset(xs []int) {
 	for _, x := range xs {
 		uf.parent[x] = x
 		uf.rank[x] = 0
 	}
-}
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool {
-	return uf.Find(x) == uf.Find(y)
 }

@@ -13,7 +13,7 @@ func TestUnionFindSingletons(t *testing.T) {
 			t.Fatalf("Find(%d) = %d in fresh structure", i, uf.Find(i))
 		}
 	}
-	if uf.Same(0, 1) {
+	if uf.Find(0) == uf.Find(1) {
 		t.Fatal("fresh singletons reported same")
 	}
 }
@@ -28,10 +28,10 @@ func TestUnionFindMerge(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(0, 3)
-	if !uf.Same(1, 2) {
+	if uf.Find(1) != uf.Find(2) {
 		t.Fatal("transitive union failed")
 	}
-	if uf.Same(1, 4) {
+	if uf.Find(1) == uf.Find(4) {
 		t.Fatal("unrelated elements reported same")
 	}
 }
@@ -50,7 +50,7 @@ func TestUnionFindQuick(t *testing.T) {
 		labels, _ := g.Components()
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				if uf.Same(u, v) != (labels[u] == labels[v]) {
+				if (uf.Find(u) == uf.Find(v)) != (labels[u] == labels[v]) {
 					return false
 				}
 			}

@@ -16,9 +16,11 @@ func ExampleProtocol() {
 			panic(err)
 		}
 	}
-	p := hello.New(g)
-	p.RunRounds(2)
-	fmt.Println(p.KnownLinks(0))
+	views, err := hello.Exchange(g, hello.Config{Rounds: 2})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(views.Graph(0).Edges())
 	// Output:
 	// [[0 1] [1 2]]
 }

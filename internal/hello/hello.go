@@ -7,11 +7,7 @@
 // exchanges" claim is executable and testable rather than assumed.
 package hello
 
-import (
-	"sort"
-
-	"adhocbcast/internal/graph"
-)
+import "adhocbcast/internal/graph"
 
 // message is one hello broadcast: the sender's id plus the link set it has
 // learned so far.
@@ -22,17 +18,14 @@ type message struct {
 
 // nodeState is the per-node knowledge base.
 type nodeState struct {
-	id int
 	// links holds learned links keyed by canonical (min,max) pairs.
 	links map[[2]int]bool
-	// rounds counts completed exchange rounds.
-	rounds int
 }
 
 // Protocol simulates synchronous hello rounds over a (true) connectivity
 // graph g. After construction each node knows only its own id (0-hop
-// information); each Round makes every node broadcast its knowledge to its
-// neighbors and merge what it hears.
+// information); each round makes every node broadcast its knowledge to its
+// neighbors and merge what it hears. Exchange runs the rounds.
 type Protocol struct {
 	g     *graph.Graph
 	nodes []*nodeState
@@ -45,34 +38,18 @@ func New(g *graph.Graph) *Protocol {
 		nodes: make([]*nodeState, g.N()),
 	}
 	for v := 0; v < g.N(); v++ {
-		p.nodes[v] = &nodeState{
-			id:    v,
-			links: make(map[[2]int]bool),
-		}
+		p.nodes[v] = &nodeState{links: make(map[[2]int]bool)}
 	}
 	return p
 }
 
-// Rounds returns the number of completed exchange rounds.
-func (p *Protocol) Rounds() int {
-	if len(p.nodes) == 0 {
-		return 0
-	}
-	return p.nodes[0].rounds
-}
-
-// Round runs one synchronous exchange: every node broadcasts a hello with
-// its current knowledge; every node merges the hellos of its neighbors.
-// Receiving a hello also reveals the link to its sender.
-func (p *Protocol) Round() {
-	p.roundWith(nil)
-}
-
-// roundWith is Round with an optional per-delivery drop hook: drop(v, u)
-// decides whether the hello from u is lost on its way to v. The hook is
-// consulted exactly once per (receiver, sender) pair, receivers in ascending
-// id order and senders in ascending neighbor order, so a seeded stochastic
-// hook yields a deterministic exchange. nil means lossless.
+// roundWith runs one synchronous exchange: every node broadcasts a hello
+// with its current knowledge; every node merges the hellos of its neighbors.
+// Receiving a hello also reveals the link to its sender. The per-delivery
+// drop hook drop(v, u) decides whether the hello from u is lost on its way to
+// v. It is consulted exactly once per (receiver, sender) pair, receivers in
+// ascending id order and senders in ascending neighbor order, so a seeded
+// stochastic hook yields a deterministic exchange.
 func (p *Protocol) roundWith(drop func(recv, from int) bool) {
 	msgs := make([]message, len(p.nodes))
 	for v, st := range p.nodes {
@@ -84,7 +61,7 @@ func (p *Protocol) roundWith(drop func(recv, from int) bool) {
 	}
 	for v, st := range p.nodes {
 		p.g.ForEachNeighbor(v, func(u int) {
-			if drop != nil && drop(v, u) {
+			if drop(v, u) {
 				return
 			}
 			m := msgs[u]
@@ -93,48 +70,19 @@ func (p *Protocol) roundWith(drop func(recv, from int) bool) {
 				st.links[l] = true
 			}
 		})
-		st.rounds++
 	}
-}
-
-// RunRounds runs k exchange rounds.
-func (p *Protocol) RunRounds(k int) {
-	for i := 0; i < k; i++ {
-		p.Round()
-	}
-}
-
-// KnownLinks returns the links node v has learned, sorted lexicographically.
-func (p *Protocol) KnownLinks(v int) [][2]int {
-	st := p.nodes[v]
-	out := make([][2]int, 0, len(st.links))
-	for l := range st.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // ViewGraph assembles node v's learned topology as a graph on the original
-// vertex numbering, together with the set of nodes v has heard of (itself
-// included).
-func (p *Protocol) ViewGraph(v int) (g *graph.Graph, known []bool) {
-	known = make([]bool, p.g.N())
-	known[v] = true
+// vertex numbering.
+func (p *Protocol) ViewGraph(v int) *graph.Graph {
 	links := make([][2]int, 0, len(p.nodes[v].links))
 	for l := range p.nodes[v].links {
-		known[l[0]] = true
-		known[l[1]] = true
 		links = append(links, l)
 	}
 	// The learned links are distinct links of the true graph.
-	g, _ = graph.FromEdges(p.g.N(), links)
-	return g, known
+	g, _ := graph.FromEdges(p.g.N(), links)
+	return g
 }
 
 func canonical(a, b int) [2]int {

@@ -2,6 +2,7 @@ package hello
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -20,18 +21,26 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-func TestZeroRoundsKnowsNothing(t *testing.T) {
-	g := pathGraph(t, 4)
-	p := New(g)
-	if p.Rounds() != 0 {
-		t.Fatalf("rounds = %d", p.Rounds())
+// lossless runs k lossless hello rounds over g.
+func lossless(t *testing.T, g *graph.Graph, k int) *Views {
+	t.Helper()
+	vs, err := Exchange(g, Config{Rounds: k})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if links := p.KnownLinks(1); len(links) != 0 {
+	return vs
+}
+
+func TestZeroRoundsKnowsNothing(t *testing.T) {
+	vs := lossless(t, pathGraph(t, 4), 0)
+	if vs.Rounds() != 0 {
+		t.Fatalf("rounds = %d", vs.Rounds())
+	}
+	if links := vs.Graph(1).Edges(); len(links) != 0 {
 		t.Fatalf("fresh node knows links %v", links)
 	}
-	_, known := p.ViewGraph(1)
-	for v, k := range known {
-		if k != (v == 1) {
+	for v := 0; v < 4; v++ {
+		if k := vs.Known(1, v); k != (v == 1) {
 			t.Fatalf("known[%d] = %v before any round", v, k)
 		}
 	}
@@ -46,17 +55,9 @@ func TestOneRoundLearnsStar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := New(g)
-	p.Round()
-	links := p.KnownLinks(0)
-	want := [][2]int{{0, 1}, {0, 2}}
-	if len(links) != len(want) {
+	links := lossless(t, g, 1).Graph(0).Edges()
+	if want := [][2]int{{0, 1}, {0, 2}}; !reflect.DeepEqual(links, want) {
 		t.Fatalf("links = %v, want %v", links, want)
-	}
-	for i := range want {
-		if links[i] != want[i] {
-			t.Fatalf("links = %v, want %v", links, want)
-		}
 	}
 }
 
@@ -67,23 +68,23 @@ func TestTwoRoundsLearnNeighborLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := New(g)
-	p.RunRounds(2)
-	vg, known := p.ViewGraph(0)
+	vs := lossless(t, g, 2)
+	vg := vs.Graph(0)
 	if !vg.HasEdge(1, 2) {
 		t.Fatal("round 2 should reveal the neighbor's link {1,2}")
 	}
 	if vg.HasEdge(2, 3) {
 		t.Fatal("link {2,3} is 2 hops out and needs a third round")
 	}
-	if !known[2] || known[3] {
-		t.Fatalf("known = %v", known)
+	if !vs.Known(0, 2) || vs.Known(0, 3) {
+		t.Fatalf("known 2, 3 = %v, %v", vs.Known(0, 2), vs.Known(0, 3))
 	}
 }
 
-// TestKRoundsEqualDefinition2Quick is the key property: after k rounds the
-// protocol's assembled view equals the analytic Gk(v) of Definition 2
-// (graph.LocalView) at every node — same visible set, same edge set.
+// TestKRoundsEqualDefinition2Quick is the key property of Section 4.3: after
+// k rounds the exchange's assembled view equals the analytic Gk(v) of
+// Definition 2 (graph.LocalView) at every node — same visible set, same edge
+// set.
 func TestKRoundsEqualDefinition2Quick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -92,14 +93,16 @@ func TestKRoundsEqualDefinition2Quick(t *testing.T) {
 			return true // no connected placement; skip
 		}
 		g := net.G
-		p := New(g)
 		for k := 1; k <= 4; k++ {
-			p.Round()
+			vs, err := Exchange(g, Config{Rounds: k})
+			if err != nil {
+				return false
+			}
 			for v := 0; v < g.N(); v++ {
 				wantG, wantVis := g.LocalView(v, k)
-				gotG, gotKnown := p.ViewGraph(v)
+				gotG := vs.Graph(v)
 				for u := 0; u < g.N(); u++ {
-					if gotKnown[u] != wantVis[u] {
+					if vs.Known(v, u) != wantVis[u] {
 						return false
 					}
 				}
@@ -125,29 +128,25 @@ func TestConvergence(t *testing.T) {
 	// On a diameter-D graph, D+1 rounds reach the full topology at every
 	// node, and further rounds change nothing.
 	g := pathGraph(t, 6) // diameter 5
-	p := New(g)
-	p.RunRounds(6)
+	vs := lossless(t, g, 6)
 	for v := 0; v < 6; v++ {
-		vg, _ := p.ViewGraph(v)
-		if vg.M() != g.M() {
-			t.Fatalf("node %d knows %d links, want %d", v, vg.M(), g.M())
+		if m := vs.Graph(v).M(); m != g.M() {
+			t.Fatalf("node %d knows %d links, want %d", v, m, g.M())
 		}
 	}
-	before := len(p.KnownLinks(0))
-	p.Round()
-	if len(p.KnownLinks(0)) != before {
+	more := lossless(t, g, 7)
+	if more.Graph(0).M() != vs.Graph(0).M() {
 		t.Fatal("converged knowledge kept growing")
 	}
-	if p.Rounds() != 7 {
-		t.Fatalf("rounds = %d", p.Rounds())
+	if more.Rounds() != 7 {
+		t.Fatalf("rounds = %d", more.Rounds())
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	p := New(graph.New(0))
-	p.Round() // must not panic
-	if p.Rounds() != 0 {
-		t.Fatalf("rounds on empty graph = %d", p.Rounds())
+	vs := lossless(t, graph.New(0), 1) // must not panic
+	if vs.N() != 0 {
+		t.Fatalf("views on empty graph cover %d nodes", vs.N())
 	}
 }
 
@@ -156,9 +155,7 @@ func TestIsolatedNodeLearnsNothing(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	p := New(g)
-	p.RunRounds(5)
-	if links := p.KnownLinks(2); len(links) != 0 {
+	if links := lossless(t, g, 5).Graph(2).Edges(); len(links) != 0 {
 		t.Fatalf("isolated node learned %v", links)
 	}
 }

@@ -24,7 +24,7 @@ type Config struct {
 	Rounds int
 	// LossRate is the independent probability in [0, 1) that one node's
 	// hello broadcast is lost on its way to one particular receiver. Zero
-	// reproduces the lossless Protocol exactly.
+	// gives the lossless exchange.
 	LossRate float64
 	// Seed drives the exchange's private loss stream. The stream is derived
 	// from Seed with a purpose tag (the per-purpose RNG discipline of the
@@ -45,13 +45,11 @@ func (c Config) validate() error {
 }
 
 // Views holds the outcome of one (possibly lossy) hello exchange: every
-// node's learned topology, which nodes it has heard of, how many hellos it
-// actually received from each view-neighbor, and which nodes can prove their
-// own view incomplete.
+// node's learned topology, how many hellos it actually received from each
+// view-neighbor, and which nodes can prove their own view incomplete.
 type Views struct {
 	rounds int
 	graphs []*graph.Graph
-	known  [][]bool
 	// recv[v][u] counts the hellos v successfully received from u.
 	recv [][]int
 	// incomplete[v] reports that v can prove its view may be missing links:
@@ -98,12 +96,11 @@ func Exchange(g *graph.Graph, cfg Config) (*Views, error) {
 	vs := &Views{
 		rounds:     cfg.Rounds,
 		graphs:     make([]*graph.Graph, n),
-		known:      make([][]bool, n),
 		recv:       recv,
 		incomplete: make([]bool, n),
 	}
 	for v := 0; v < n; v++ {
-		vs.graphs[v], vs.known[v] = p.ViewGraph(v)
+		vs.graphs[v] = p.ViewGraph(v)
 		// A node audits its own receipts: hello protocols carry round
 		// numbers, so v knows when a view-neighbor's hello went missing —
 		// and with it, potentially, links v has never heard of.
@@ -119,20 +116,11 @@ func Exchange(g *graph.Graph, cfg Config) (*Views, error) {
 // N returns the network size the views cover.
 func (vs *Views) N() int { return len(vs.graphs) }
 
-// Rounds returns the number of exchange rounds the views were built from.
-func (vs *Views) Rounds() int { return vs.rounds }
-
 // Graph returns node v's learned topology on the global vertex numbering.
 // With Incomplete it implements sim.NodeViews, so a *Views plugs into
 // sim.PerNodeViews directly. The returned graph is shared: treat it as
 // read-only.
 func (vs *Views) Graph(v int) *graph.Graph { return vs.graphs[v] }
-
-// Known reports whether node v has heard of node u (itself included).
-func (vs *Views) Known(v, u int) bool { return vs.known[v][u] }
-
-// Receipts returns the number of hellos v successfully received from u.
-func (vs *Views) Receipts(v, u int) int { return vs.recv[v][u] }
 
 // Incomplete reports whether node v can prove its own view may be missing
 // links: it received fewer than Rounds hellos from some node it believes to

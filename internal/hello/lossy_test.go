@@ -135,13 +135,13 @@ func TestExchangeLossyDetection(t *testing.T) {
 	drop := func(v, u int) bool { return v == 1 && u == 2 }
 	p.roundWith(drop)
 	p.roundWith(drop)
-	vg, known := p.ViewGraph(1)
-	if vg.HasEdge(1, 2) || known[2] {
+	vg := p.ViewGraph(1)
+	if vg.HasEdge(1, 2) || vg.Degree(2) > 0 {
 		t.Fatal("node 1 learned about node 2 despite the dropped hellos")
 	}
 	// Node 3, on the intact side, hears node 2 relay {1,2} in round 2 as
 	// usual: the loss stays local to the (2 -> 1) channel.
-	vg3, _ := p.ViewGraph(3)
+	vg3 := p.ViewGraph(3)
 	if !vg3.HasEdge(1, 2) {
 		t.Fatal("node 3 lost knowledge it should have")
 	}

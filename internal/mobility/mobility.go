@@ -46,70 +46,6 @@ func Perturbed(net *geo.Network, side, maxStep float64, seed int64) *geo.Network
 	}
 }
 
-// Walker is a random-direction mobility model: every node moves with a
-// constant speed along its own heading and reflects off the area borders.
-// Step advances all nodes; Snapshot materializes the current connectivity.
-type Walker struct {
-	side  float64
-	r     float64
-	speed float64
-	pos   []geo.Point
-	dir   []float64 // heading in radians
-}
-
-// NewWalker starts a random-direction walk from the positions of net, with
-// the given node speed (distance per Step time unit) over a side x side
-// area.
-func NewWalker(net *geo.Network, side, speed float64, rng *rand.Rand) *Walker {
-	w := &Walker{
-		side:  side,
-		r:     net.Range,
-		speed: speed,
-		pos:   append([]geo.Point(nil), net.Pos...),
-		dir:   make([]float64, len(net.Pos)),
-	}
-	for i := range w.dir {
-		w.dir[i] = rng.Float64() * 2 * math.Pi
-	}
-	return w
-}
-
-// Step advances every node by speed*dt along its heading, reflecting at the
-// area borders.
-func (w *Walker) Step(dt float64) {
-	for i, p := range w.pos {
-		x := p.X + w.speed*dt*math.Cos(w.dir[i])
-		y := p.Y + w.speed*dt*math.Sin(w.dir[i])
-		if x < 0 {
-			x = -x
-			w.dir[i] = math.Pi - w.dir[i]
-		}
-		if x > w.side {
-			x = 2*w.side - x
-			w.dir[i] = math.Pi - w.dir[i]
-		}
-		if y < 0 {
-			y = -y
-			w.dir[i] = -w.dir[i]
-		}
-		if y > w.side {
-			y = 2*w.side - y
-			w.dir[i] = -w.dir[i]
-		}
-		w.pos[i] = geo.Point{X: x, Y: y}
-	}
-}
-
-// Snapshot returns the current connectivity as a network.
-func (w *Walker) Snapshot() *geo.Network {
-	pos := append([]geo.Point(nil), w.pos...)
-	return &geo.Network{
-		G:     linkByRange(pos, w.r),
-		Pos:   pos,
-		Range: w.r,
-	}
-}
-
 // linkByRange builds the unit disk graph of the positions under range r.
 func linkByRange(pos []geo.Point, r float64) *graph.Graph {
 	var links [][2]int

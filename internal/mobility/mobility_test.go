@@ -142,50 +142,3 @@ func TestPerturbedStreamDecoupled(t *testing.T) {
 		t.Fatal("different seeds gave identical perturbations")
 	}
 }
-
-func TestWalkerStepAndBounce(t *testing.T) {
-	net := genNet(t, 9)
-	w := NewWalker(net, 100, 5, rand.New(rand.NewSource(10)))
-	for step := 0; step < 200; step++ {
-		w.Step(1)
-		snap := w.Snapshot()
-		for i, p := range snap.Pos {
-			if p.X < -1e-9 || p.X > 100+1e-9 || p.Y < -1e-9 || p.Y > 100+1e-9 {
-				t.Fatalf("step %d: node %d out of area at %v", step, i, p)
-			}
-		}
-	}
-}
-
-func TestWalkerMovesAtSpeed(t *testing.T) {
-	net := genNet(t, 11)
-	w := NewWalker(net, 100, 3, rand.New(rand.NewSource(12)))
-	before := w.Snapshot().Pos
-	w.Step(1)
-	after := w.Snapshot().Pos
-	for i := range before {
-		d := before[i].Distance(after[i])
-		// Reflections can shorten the net displacement but never lengthen
-		// it beyond speed*dt.
-		if d > 3+1e-9 {
-			t.Fatalf("node %d moved %v in one step at speed 3", i, d)
-		}
-	}
-}
-
-func TestWalkerSnapshotIsolated(t *testing.T) {
-	net := genNet(t, 13)
-	w := NewWalker(net, 100, 2, rand.New(rand.NewSource(14)))
-	snap := w.Snapshot()
-	w.Step(1)
-	snap2 := w.Snapshot()
-	moved := false
-	for i := range snap.Pos {
-		if snap.Pos[i] != snap2.Pos[i] {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("snapshots share storage or walker did not move")
-	}
-}

@@ -36,9 +36,6 @@ func CreateAtomic(path string) (*AtomicFile, error) {
 // Write appends to the pending temp file (io.Writer).
 func (a *AtomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
 
-// Path returns the final path the file will occupy after Commit.
-func (a *AtomicFile) Path() string { return a.path }
-
 // Commit closes the temp file and renames it into place. On any error the
 // temp file is removed and the final path is left untouched.
 func (a *AtomicFile) Commit() error {

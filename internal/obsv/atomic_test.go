@@ -14,9 +14,6 @@ func TestAtomicFileCommitPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Path() != path {
-		t.Fatalf("Path() = %q, want %q", a.Path(), path)
-	}
 	if _, err := a.Write([]byte("hello\n")); err != nil {
 		t.Fatal(err)
 	}

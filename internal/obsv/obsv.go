@@ -213,9 +213,6 @@ func (c *LiveCounters) PointConverged() { c.converged.Add(1) }
 // PointExhausted records a data point that hit its replication cap.
 func (c *LiveCounters) PointExhausted() { c.exhausted.Add(1) }
 
-// Replicates returns the replications recorded so far.
-func (c *LiveCounters) Replicates() int64 { return c.replicates.Load() }
-
 // String renders the counters as a JSON object (the expvar.Var contract).
 func (c *LiveCounters) String() string {
 	var b strings.Builder

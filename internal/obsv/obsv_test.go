@@ -131,9 +131,6 @@ func TestLiveCounters(t *testing.T) {
 	c.AddReplicate()
 	c.PointConverged()
 	c.PointExhausted()
-	if c.Replicates() != 2 {
-		t.Fatalf("replicates = %d, want 2", c.Replicates())
-	}
 	s := c.String()
 	for _, want := range []string{`"replicates": 2`, `"points_converged": 1`, `"points_exhausted": 1`} {
 		if !strings.Contains(s, want) {

@@ -409,7 +409,7 @@ func TestEveryProtocolLeavesPacketsIntact(t *testing.T) {
 		}
 		mac, err := sim.RunTrafficWith(arena, net.G, sessions, mk, sim.Config{Hops: 2, Seed: 5, CarrierSense: true, NACKRecovery: true})
 		if err != nil || mac.Forward < len(sessions) || mac.Retransmits == 0 ||
-			mac.Receipts+mac.Lost+mac.Collided+mac.FaultDrops() != mac.Copies {
+			mac.Receipts+mac.Lost+mac.Collided+mac.DroppedNodeDown+mac.DroppedLinkDown != mac.Copies {
 			t.Errorf("%s carrier-sense traffic: err %v, result %+v", name, err, mac)
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // The packet slab holds a run's packets, one slot per transmission (and per
 // session source): events, MAC queues, receipts and node states point into it
 // until the run ends, across every backoff, retransmission and session.
-// Chunks are never reallocated; the next run starts over at slot 0.
+// Chunks are never reallocated; the next run clears the slots the last one
+// used and starts over at slot 0.
 //
 // The view set holds a view only where a run reads one (viewsFor): under a
 // protocol whose settled verdicts decide a node without its view, the views
@@ -106,6 +107,16 @@ func (a *Arena) addPacket(p Packet) *Packet {
 	dst := &a.pkts[i/packetChunk][i%packetChunk]
 	*dst = p
 	return dst
+}
+
+// resetPackets zeroes the slots the last run handed out, so the trails,
+// designated sets and extras they point to do not outlive it, and starts the
+// slab over at slot 0.
+func (a *Arena) resetPackets() {
+	for i := 0; i < a.npkts; i += packetChunk {
+		clear(a.pkts[i/packetChunk][:min(packetChunk, a.npkts-i)])
+	}
+	a.npkts, a.pktSums = 0, a.pktSums[:0]
 }
 
 // checkPackets is the simdebug guard on packet sharing, run when a run ends:

@@ -123,3 +123,29 @@ func TestUsedArenaIsFreshArena(t *testing.T) {
 		})
 	}
 }
+
+// TestArenaClearsStalePacketSlots: a run leaves no packet of an earlier run
+// in the slab slots past its own, so a Flooding run's trails are not kept
+// alive by the Generic-FR run that reuses its Arena.
+func TestArenaClearsStalePacketSlots(t *testing.T) {
+	net, err := geo.Generate(geo.Config{N: 300, AvgDegree: 10}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sim.NewArena()
+	cfg := sim.Config{Hops: 2, Seed: 1}
+	if _, err := sim.RunWith(a, net.G, 0, protocol.Flooding(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	flooding, _ := sim.PacketSlots(a)
+	if _, err := sim.RunWith(a, net.G, 0, protocol.Generic(protocol.TimingFirstReceipt), cfg); err != nil {
+		t.Fatal(err)
+	}
+	fr, stale := sim.PacketSlots(a)
+	if fr >= flooding {
+		t.Fatalf("Generic-FR used %d packet slots, Flooding %d: the check needs fewer", fr, flooding)
+	}
+	if stale != 0 {
+		t.Fatalf("%d slab slots past Generic-FR's %d still hold Flooding's packets", stale, fr)
+	}
+}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/obsv"
 )
 
 // ShardEveryBatch lowers the loop's sharding threshold and per-helper grain
@@ -68,3 +70,25 @@ func RunCounted(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (R
 // DebugChecks reports whether the package was built with the simdebug tag,
 // whose runs keep merging copies at settled nodes.
 const DebugChecks = debugChecks
+
+// Transmissions returns the transmit events only, fully cloned like Events.
+func (r *Recorder) Transmissions() []obsv.TraceEvent {
+	var out []obsv.TraceEvent
+	for _, e := range r.events {
+		if e.Kind == obsv.TraceTransmit {
+			out = append(out, cloneEvent(e))
+		}
+	}
+	return out
+}
+
+// PacketSlots returns the packet slab slots the last run on a handed out, and
+// how many slots past them still hold a packet.
+func PacketSlots(a *Arena) (used, stale int) {
+	for i := a.npkts; i < len(a.pkts)*packetChunk; i++ {
+		if !reflect.ValueOf(a.pkts[i/packetChunk][i%packetChunk]).IsZero() {
+			stale++
+		}
+	}
+	return a.npkts, stale
+}

@@ -24,7 +24,7 @@ func runMAC(t *testing.T, g *graph.Graph, sessions []sim.SessionSpec, cfg sim.Co
 	rec := &sim.Recorder{}
 	cfg.CarrierSense = true
 	cfg.Observer = rec
-	res, err := sim.RunTraffic(g, sessions, protocol.Flooding, cfg)
+	res, err := sim.RunTrafficWith(nil, g, sessions, protocol.Flooding, cfg)
 	if err != nil {
 		t.Fatalf("traffic run: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestMACHiddenTerminalCollides(t *testing.T) {
 	if res.Delivered != 2 {
 		t.Errorf("Delivered = %d, want 2", res.Delivered)
 	}
-	if res.Receipts+res.Lost+res.Collided+res.FaultDrops() != res.Copies {
+	if res.Receipts+res.Lost+res.Collided+res.DroppedNodeDown+res.DroppedLinkDown != res.Copies {
 		t.Errorf("conservation broken: %+v", res)
 	}
 }
@@ -126,7 +126,7 @@ func TestTrafficSessionTagging(t *testing.T) {
 	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	sessions := []sim.SessionSpec{{Source: 0, At: 0}, {Source: 0, At: 10}}
 	rec := &sim.Recorder{}
-	res, err := sim.RunTraffic(g, sessions, protocol.Flooding, sim.Config{Seed: 1, Observer: rec})
+	res, err := sim.RunTrafficWith(nil, g, sessions, protocol.Flooding, sim.Config{Seed: 1, Observer: rec})
 	if err != nil {
 		t.Fatalf("traffic run: %v", err)
 	}
@@ -180,19 +180,19 @@ func TestMACConfigValidation(t *testing.T) {
 func TestRunTrafficValidation(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	mk := protocol.Flooding
-	if _, err := sim.RunTraffic(g, nil, mk, sim.Config{}); err == nil {
+	if _, err := sim.RunTrafficWith(nil, g, nil, mk, sim.Config{}); err == nil {
 		t.Errorf("empty session list accepted")
 	}
-	if _, err := sim.RunTraffic(g, []sim.SessionSpec{{Source: 0}}, nil, sim.Config{}); err == nil {
+	if _, err := sim.RunTrafficWith(nil, g, []sim.SessionSpec{{Source: 0}}, nil, sim.Config{}); err == nil {
 		t.Errorf("nil protocol factory accepted")
 	}
-	if _, err := sim.RunTraffic(g, []sim.SessionSpec{{Source: 5}}, mk, sim.Config{}); err == nil {
+	if _, err := sim.RunTrafficWith(nil, g, []sim.SessionSpec{{Source: 5}}, mk, sim.Config{}); err == nil {
 		t.Errorf("out-of-range source accepted")
 	}
-	if _, err := sim.RunTraffic(g, []sim.SessionSpec{{Source: 0, At: 3}, {Source: 0, At: 1}}, mk, sim.Config{}); err == nil {
+	if _, err := sim.RunTrafficWith(nil, g, []sim.SessionSpec{{Source: 0, At: 3}, {Source: 0, At: 1}}, mk, sim.Config{}); err == nil {
 		t.Errorf("decreasing injection times accepted")
 	}
-	if _, err := sim.RunTraffic(g, []sim.SessionSpec{{Source: 0}}, mk, sim.Config{
+	if _, err := sim.RunTrafficWith(nil, g, []sim.SessionSpec{{Source: 0}}, mk, sim.Config{
 		Views: sim.PerNodeViews{Views: sameViews(g, g)},
 	}); err == nil {
 		t.Errorf("per-node views accepted in traffic run")

@@ -278,7 +278,7 @@ func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	}
 	a.cal.reset(net.Cfg.TransmitDelay)
 	a.ensureLoopScratch(g.N())
-	a.npkts, a.pktSums = 0, a.pktSums[:0]
+	a.resetPackets()
 	a.settled.hits.Store(0)
 	a.settled.evals.Store(0)
 	a.settled.passEvals.Store(0)

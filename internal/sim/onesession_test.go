@@ -16,7 +16,7 @@ import (
 // TestOneSessionTrafficMatchesRun pins that a single broadcast is session 0
 // of a traffic run: for every registered protocol under clean, contention-MAC,
 // lossy, slot-collision, faulty, beaconed-view and global-view channels, a
-// one-session RunTraffic injected at t=0 reports the counters, finish time,
+// one-session RunTrafficWith injected at t=0 reports the counters, finish time,
 // latency and forward-set histograms and view-level record fields of the
 // same Run, and records the same events apart from its one session-start.
 func TestOneSessionTrafficMatchesRun(t *testing.T) {

@@ -54,7 +54,7 @@ func RunOracle(g *graph.Graph, source int, p Protocol, cfg Config) (Result, erro
 	return net.result(), nil
 }
 
-// RunTrafficOracle is RunTraffic on the reference loop.
+// RunTrafficOracle is RunTrafficWith on the reference loop.
 func RunTrafficOracle(g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (TrafficResult, error) {
 	net, err := newTrafficRun(nil, g, sessions, newProto, cfg)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 //
 //   - the discrete-event simulator (this package), where one Runtime value
 //     per broadcast session hosts every node — a Run is one session, a
-//     RunTraffic run many over one channel — and event ordering is fully
+//     RunTrafficWith run many over one channel — and event ordering is fully
 //     deterministic; and
 //   - the live executor (internal/runtime), where each node is a
 //     message-passing node with a per-node Runtime of its own (runtime.Core):
@@ -73,8 +73,8 @@ type Runtime interface {
 // session is the simulator's Runtime: one broadcast of a run, with its own
 // protocol instance and node states over the run's shared topology, channel,
 // fault plan and RNG streams. A single run (Run) is session 0, over the
-// arena's node states and views; each session of a traffic run (RunTraffic)
-// gets fresh states over an overlay of the view set. State reads and status
+// arena's node states and views; each session of a traffic run
+// (RunTrafficWith) gets fresh states over an overlay of the view set. State reads and status
 // writes route to the session's nodes; transmissions and timers go to the
 // shared network (and, under CarrierSense, its MAC queues) tagged with the
 // session id.

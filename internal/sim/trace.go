@@ -50,17 +50,6 @@ func (r *Recorder) Events() []obsv.TraceEvent {
 	return out
 }
 
-// Transmissions returns the transmit events only, fully cloned like Events.
-func (r *Recorder) Transmissions() []obsv.TraceEvent {
-	var out []obsv.TraceEvent
-	for _, e := range r.events {
-		if e.Kind == obsv.TraceTransmit {
-			out = append(out, cloneEvent(e))
-		}
-	}
-	return out
-}
-
 // cloneEvent deep-copies one trace event.
 func cloneEvent(e obsv.TraceEvent) obsv.TraceEvent {
 	if e.Designated != nil {

@@ -49,7 +49,7 @@ func TestTraceGolden(t *testing.T) {
 			return err
 		}},
 		{"traffic/tail", func(rec *sim.Recorder) error {
-			_, err := sim.RunTraffic(net.G, sessions, protocol.Flooding, sim.Config{Hops: 2, Seed: 2,
+			_, err := sim.RunTrafficWith(nil, net.G, sessions, protocol.Flooding, sim.Config{Hops: 2, Seed: 2,
 				CarrierSense: true, TxQueueCap: 2, Faults: plan, Observer: rec})
 			return err
 		}},

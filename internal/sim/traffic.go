@@ -9,9 +9,9 @@ import (
 	"adhocbcast/internal/obsv"
 )
 
-// Multi-session traffic runs (RunTraffic): many concurrent broadcast sessions
-// share one simulated network and — under Config.CarrierSense — one radio
-// channel per node. Each session gets its own protocol instance, node states,
+// Multi-session traffic runs (RunTrafficWith): many concurrent broadcast
+// sessions share one simulated network and — under Config.CarrierSense — one
+// radio channel per node. Each session gets its own protocol instance, node states,
 // and local views (an overlay of the run's built view set, so per-session
 // view state costs one view array and one status slab instead of n BFS),
 // while the MAC queues, the channel, the fault plan, and every RNG stream are
@@ -91,21 +91,14 @@ func (r TrafficResult) Throughput() float64 {
 	return float64(r.Delivered) / float64(r.N) / r.Finish
 }
 
-// FaultDrops returns the total copies dropped by the fault plan.
-func (r TrafficResult) FaultDrops() int { return r.DroppedNodeDown + r.DroppedLinkDown }
-
-// RunTraffic simulates the given broadcast sessions over g, one protocol
+// RunTrafficWith simulates the given broadcast sessions over g, one protocol
 // instance per session built by newProto, and returns the aggregate outcome.
 // Sessions must be ordered by non-decreasing injection time; use
-// internal/traffic to generate deterministic arrival plans.
-func RunTraffic(g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (TrafficResult, error) {
-	return RunTrafficWith(nil, g, sessions, newProto, cfg)
-}
-
-// RunTrafficWith is RunTraffic with an explicit Arena, with the same reuse
-// contract as RunWith. Per-session node states and views are allocated per
-// run (they are what a session is), but the event queue, built views, MAC
-// scratch, and evaluator are all arena-reused.
+// internal/traffic to generate deterministic arrival plans. The Arena has the
+// same reuse contract as RunWith's, nil allocating a private one. Per-session
+// node states and views are allocated per run (they are what a session is),
+// but the event queue, built views, MAC scratch, and evaluator are all
+// arena-reused.
 func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (TrafficResult, error) {
 	net, err := newTrafficRun(a, g, sessions, newProto, cfg)
 	if err != nil {

@@ -15,15 +15,14 @@ import (
 )
 
 // sessionSpecs converts a generated traffic plan to the simulator's session
-// list.
-func sessionSpecs(t *testing.T, plan *traffic.Plan, n int) []sim.SessionSpec {
-	t.Helper()
-	if err := plan.Validate(n); err != nil {
-		t.Fatalf("traffic plan: %v", err)
-	}
-	specs := make([]sim.SessionSpec, len(plan.Messages))
-	for i, m := range plan.Messages {
-		specs[i] = sim.SessionSpec{Source: m.Source, At: m.At}
+// list, each message repeated burst times back to back. RunTrafficWith
+// rejects a source out of range or an injection time out of order.
+func sessionSpecs(plan *traffic.Plan, burst int) []sim.SessionSpec {
+	var specs []sim.SessionSpec
+	for _, m := range plan.Messages {
+		for range burst {
+			specs = append(specs, sim.SessionSpec{Source: m.Source, At: m.At})
+		}
 	}
 	return specs
 }
@@ -54,12 +53,14 @@ func TestTrafficFastMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("poisson plan: %v", err)
 	}
-	bursts, err := traffic.Bursts(traffic.Config{N: 60, Sources: 4, Rate: 0.25, Horizon: 80, Seed: 43})
+	// Bursts of four back-to-back broadcasts: Poisson epochs at a quarter of
+	// the rate, so each source still offers 0.25 messages per slot.
+	epochs, err := traffic.Poisson(traffic.Config{N: 60, Sources: 4, Rate: 0.25 / 4, Horizon: 80, Seed: 43})
 	if err != nil {
 		t.Fatalf("burst plan: %v", err)
 	}
-	steady := sessionSpecs(t, poisson, 60)
-	bursty := sessionSpecs(t, bursts, 60)
+	steady := sessionSpecs(poisson, 1)
+	bursty := sessionSpecs(epochs, 4)
 
 	scenarios := []struct {
 		name     string

@@ -25,8 +25,9 @@ func (a *Accumulator) Add(x float64) {
 // N returns the number of samples folded in so far.
 func (a *Accumulator) N() int { return a.n }
 
-// Summary materializes the current sample summary. It matches Summarize on
-// the same samples up to floating-point rounding (Welford vs two-pass).
+// Summary materializes the current sample summary. It matches a two-pass
+// summary of the same samples up to floating-point rounding (Welford vs
+// two-pass).
 func (a *Accumulator) Summary() Summary {
 	switch a.n {
 	case 0:

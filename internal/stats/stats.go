@@ -39,30 +39,6 @@ func (s Summary) RelativeCI() float64 {
 	return s.HalfWidth90 / math.Abs(s.Mean)
 }
 
-// Summarize computes the summary of the given samples.
-func Summarize(samples []float64) Summary {
-	n := len(samples)
-	if n == 0 {
-		return Summary{}
-	}
-	sum := 0.0
-	for _, x := range samples {
-		sum += x
-	}
-	mean := sum / float64(n)
-	if n == 1 {
-		return Summary{N: 1, Mean: mean, HalfWidth90: math.Inf(1)}
-	}
-	ss := 0.0
-	for _, x := range samples {
-		d := x - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	hw := T90(n-1) * sd / math.Sqrt(float64(n))
-	return Summary{N: n, Mean: mean, StdDev: sd, HalfWidth90: hw}
-}
-
 // t90 holds two-sided 90% Student-t critical values for small degrees of
 // freedom; beyond the table the normal quantile 1.645 is used.
 var t90 = []float64{

@@ -8,6 +8,31 @@ import (
 	"testing/quick"
 )
 
+// Summarize computes the summary of the given samples in two passes: the
+// reference Accumulator.Summary is checked against.
+func Summarize(samples []float64) Summary {
+	n := len(samples)
+	if n == 0 {
+		return Summary{}
+	}
+	sum := 0.0
+	for _, x := range samples {
+		sum += x
+	}
+	mean := sum / float64(n)
+	if n == 1 {
+		return Summary{N: 1, Mean: mean, HalfWidth90: math.Inf(1)}
+	}
+	ss := 0.0
+	for _, x := range samples {
+		d := x - mean
+		ss += d * d
+	}
+	sd := math.Sqrt(ss / float64(n-1))
+	hw := T90(n-1) * sd / math.Sqrt(float64(n))
+	return Summary{N: n, Mean: mean, StdDev: sd, HalfWidth90: hw}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
 	if s.N != 0 || s.Mean != 0 {

@@ -106,9 +106,6 @@ func (lv *Local) memberIndex(x int) int {
 	return -1
 }
 
-// IsVisible reports whether x is a member of the view.
-func (lv *Local) IsVisible(x int) bool { return lv.memberIndex(x) >= 0 }
-
 // FringeAt reports whether the member at index i is a fringe member
 // (exactly k hops from the owner). Fringe members are visible, but links
 // between two fringe members are outside the view.
@@ -260,22 +257,6 @@ func (lv *Local) HasEdge(u, w int) bool {
 		return false
 	}
 	return lv.h.topo.HasEdge(u, w)
-}
-
-// Degree returns the number of view-neighbors of x.
-func (lv *Local) Degree(x int) int {
-	i := lv.memberIndex(x)
-	if i < 0 {
-		return 0
-	}
-	if lv.h.global || !lv.FringeAt(i) {
-		// A non-fringe member is within k-1 hops, so all its topology
-		// neighbors are members and every incident link is in the view.
-		return lv.h.topo.Degree(x)
-	}
-	deg := 0
-	lv.ForEachNeighbor(x, func(int) { deg++ })
-	return deg
 }
 
 // Neighbors returns the owner's neighbor list under the view (which equals
