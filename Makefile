@@ -91,7 +91,8 @@ fuzz:
 # the differential oracles (grid placement vs naive, graph edits vs the bulk
 # build, view sets vs single views, calendar queue vs binary heap, evaluator
 # vs reference on small graphs and on 60-140-neighbor hubs, runs that skip
-# unread view merges vs runs that merge every copy, hash-chain verification
+# unread view merges vs runs that merge every copy, runs on adopted settled
+# verdicts vs runs that settle their own, hash-chain verification
 # vs the 1 MiB-buffer reference it replaced)
 # and the live node's durable and wire surfaces (journal replay, length
 # framing) exercised on every change without a full campaign.
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -race ./internal/view/ -run '^$$' -fuzz FuzzSetMatchesNewLocal -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzCalQueueMatchesHeap -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzMergeSkipInvisible -fuzztime 5s
+	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzAdoptedVerdicts -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 	$(GO) test -race ./internal/obsv/ -run '^$$' -fuzz FuzzVerifyChainMatchesReference -fuzztime 5s

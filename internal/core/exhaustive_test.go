@@ -144,7 +144,7 @@ func TestSetMatchesNewLocalExhaustive(t *testing.T) {
 			graphs++
 			base := view.BasePriorities(g, view.MetricDegree)
 			for _, hops := range []int{0, 1, 2, 3} {
-				b.BuildAll(s, g, hops, view.MetricDegree, 1, nil)
+				b.BuildAll(s, g, hops, view.MetricDegree, 1, nil, nil)
 				for v := 0; v < n; v++ {
 					got, want := s.View(v), view.NewLocal(g, v, hops, base)
 					same := slices.Equal(got.Members(), want.Members())

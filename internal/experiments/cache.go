@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"adhocbcast/internal/geo"
+	"adhocbcast/internal/sim"
 )
 
 // workloadSeed deliberately excludes the variant label so that every series
@@ -22,10 +23,40 @@ import (
 
 // workload is one cached replication input: the generated network and the
 // broadcast source drawn immediately after it from the same seeded stream
-// (the exact sequence the uncached path used).
+// (the exact sequence the uncached path used), and the settled verdicts runs
+// over the network have computed.
 type workload struct {
-	net    *geo.Network
-	source int
+	net      *geo.Network
+	source   int
+	verdicts *verdictMemo
+}
+
+// verdictMemo holds the settled verdicts (sim.Settled) that runs over one
+// workload's network handed out, one per (hops, metric, condition): the
+// first run that settles a key — Figure 10's Static, say — leaves its
+// verdicts here, and every later run over the network, of any variant or
+// figure, adopts them (sim.Arena.Adopt) instead of deciding every node
+// again, and builds no view they make unread. Verdicts are a pure function
+// of their key, so adopting them never changes a result, only its cost. The
+// memo costs n/8 bytes per key and goes with its cache entry.
+type verdictMemo struct {
+	mu   sync.Mutex
+	sets []*sim.Settled // replaced, never written in place, when one is added
+}
+
+// offerVerdicts offers a's next run the verdicts runs over w's network left.
+func (w workload) offerVerdicts(a *sim.Arena) {
+	w.verdicts.mu.Lock()
+	a.Adopt(w.verdicts.sets)
+	w.verdicts.mu.Unlock()
+}
+
+// keepVerdicts leaves on w the verdicts a holds over w's network, unless w
+// has verdicts of their key.
+func (w workload) keepVerdicts(a *sim.Arena) {
+	w.verdicts.mu.Lock()
+	w.verdicts.sets = a.KeepVerdicts(w.net.G, w.verdicts.sets)
+	w.verdicts.mu.Unlock()
 }
 
 // workloadKey identifies one replication workload. The seed alone determines
@@ -51,6 +82,7 @@ type workloadEntry struct {
 	once sync.Once
 	seen int64 // last-access stamp, guarded by the cache mutex
 	w    workload
+	memo verdictMemo // w's verdicts
 	err  error
 }
 
@@ -98,7 +130,7 @@ func (c *workloadCache) get(key workloadKey) (workload, error) {
 			e.err = err
 			return
 		}
-		e.w = workload{net: net, source: rng.Intn(key.n)}
+		e.w = workload{net: net, source: rng.Intn(key.n), verdicts: &e.memo}
 	})
 	return e.w, e.err
 }

@@ -93,7 +93,7 @@ func crashSweep(rc RunConfig, id, title, unit string, metric func(sim.Result) fl
 			cfg.Seed = seed + 1
 			cfg.LossRate = crashAmbientLoss
 			cfg.Faults = plan
-			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+			res, err := sink.run(i, w, w.net.G, v.make(), cfg, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -118,7 +118,7 @@ func LossDegradation(rc RunConfig) (Figure, error) {
 				cfg := v.cfg
 				cfg.Seed = seed + 1
 				cfg.LossRate = rc.LossRates[k]
-				res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+				res, err := sink.run(i, w, w.net.G, v.make(), cfg, nil)
 				if err != nil {
 					return 0, err
 				}

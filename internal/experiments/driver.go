@@ -175,7 +175,7 @@ func (rc RunConfig) sizeCell(prefix string, n, d int, v variant) cell {
 			}
 			cfg := v.cfg
 			cfg.Seed = seed + 1
-			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+			res, err := sink.run(i, w, w.net.G, v.make(), cfg, nil)
 			if err != nil {
 				return 0, err
 			}

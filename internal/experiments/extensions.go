@@ -46,7 +46,7 @@ func Mobility(rc RunConfig) (Figure, error) {
 					return 0, err
 				}
 				actual := mobility.Perturbed(w.net, 100, float64(steps[k]), mobilitySeed(rc.Seed, d, i, steps[k]))
-				res, err := sink.run(i, actual.G, w.source, v.make(), sim.Config{
+				res, err := sink.run(i, w, actual.G, v.make(), sim.Config{
 					Hops:  2,
 					Views: sim.SharedViews{Topology: w.net.G},
 					Seed:  seed + 1,
@@ -82,7 +82,7 @@ func Reliability(rc RunConfig) (Figure, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := sink.run(i, w.net.G, w.source, v.make(), sim.Config{
+				res, err := sink.run(i, w, w.net.G, v.make(), sim.Config{
 					Hops:       2,
 					Collisions: true,
 					TxJitter:   float64(jitters[k]),
@@ -268,7 +268,7 @@ func Latency(rc RunConfig) (Figure, error) {
 						cfg := v.cfg
 						cfg.Seed = seed + 1
 						cfg.Observer = rec
-						res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+						res, err := sink.run(i, w, w.net.G, v.make(), cfg, nil)
 						if err != nil {
 							return 0, err
 						}

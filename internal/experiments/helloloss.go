@@ -115,7 +115,7 @@ func helloSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *s
 			// When tracing is on, export the view-divergence counters
 			// alongside the run record. Only the driver can fill these — the
 			// simulator never sees the ground truth.
-			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, func(rr *obsv.RunRecord) error {
+			res, err := sink.run(i, w, w.net.G, v.make(), cfg, func(rr *obsv.RunRecord) error {
 				div, err := views.Divergence(w.net.G)
 				if err != nil {
 					return err

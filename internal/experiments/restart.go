@@ -129,7 +129,7 @@ func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, 
 				// different beacon-loss pattern but reruns are bit-identical.
 				cfg.Views = sim.BeaconedViews{Hello: hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}}
 			}
-			res, err := sink.run(i, w.net.G, w.source, v.make(), cfg, nil)
+			res, err := sink.run(i, w, w.net.G, v.make(), cfg, nil)
 			if err != nil {
 				return 0, err
 			}

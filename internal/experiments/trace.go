@@ -72,29 +72,35 @@ func sanitizePoint(point string) string {
 // state per concurrent run. See sim.Arena for what a lent arena pins.
 var arenas = sync.Pool{New: func() any { return sim.NewArena() }}
 
-// run simulates one replicate — proto broadcasts from source over g under
-// cfg — with the replicate's records attached and exported: a metrics record
-// and (unless the driver already installed its own Recorder) a trace recorder
-// go onto cfg, and both are written once the run completes. annotate, when
-// non-nil, runs between the simulation and the write, to add counters only
-// the driver can compute to the run record. On a nil sink run is exactly
-// sim.Run on a borrowed arena, so instrumented results can differ from
-// uninstrumented ones only in cost.
-func (s *traceSink) run(rep int, g *graph.Graph, source int, proto sim.Protocol, cfg sim.Config,
+// run simulates one replicate — proto broadcasts from w's source over g, w's
+// network or one derived from it, under cfg — with the replicate's records
+// attached and exported: a metrics record and (unless the driver already
+// installed its own Recorder) a trace recorder go onto cfg, and both are
+// written once the run completes. annotate, when non-nil, runs between the
+// simulation and the write, to add counters only the driver can compute to
+// the run record. The run adopts w's settled verdicts and leaves w any it
+// settled. On a nil sink run is exactly sim.Run on a borrowed arena, so
+// instrumented results can differ from uninstrumented ones only in cost.
+func (s *traceSink) run(rep int, w workload, g *graph.Graph, proto sim.Protocol, cfg sim.Config,
 	annotate func(*obsv.RunRecord) error) (sim.Result, error) {
 	arena := arenas.Get().(*sim.Arena)
 	defer arenas.Put(arena)
-	if s == nil {
-		return sim.RunWith(arena, g, source, proto, cfg)
+	var rr *obsv.RunRecord
+	if s != nil {
+		if cfg.Observer == nil {
+			cfg.Observer = &sim.Recorder{}
+		}
+		rr = obsv.NewRunRecord()
+		cfg.Metrics = rr
 	}
-	if cfg.Observer == nil {
-		cfg.Observer = &sim.Recorder{}
-	}
-	rr := obsv.NewRunRecord()
-	cfg.Metrics = rr
-	res, err := sim.RunWith(arena, g, source, proto, cfg)
+	w.offerVerdicts(arena)
+	res, err := sim.RunWith(arena, g, w.source, proto, cfg)
 	if err != nil {
 		return res, err
+	}
+	w.keepVerdicts(arena)
+	if s == nil {
+		return res, nil
 	}
 	if annotate != nil {
 		if err := annotate(rr); err != nil {

@@ -127,6 +127,11 @@ func (c *Cache) put(cfg PointConfig, hash string, result any) error {
 // sealLines appends the obsv chain record covering lines (newline-terminated
 // JSONL bytes), producing a stream that passes obsv.VerifyChain.
 func sealLines(lines []byte) []byte {
+	return append(lines, seal(lines)...)
+}
+
+// seal returns the newline-terminated obsv chain record covering lines.
+func seal(lines []byte) []byte {
 	ch := obsv.NewChainHasher()
 	for _, line := range bytes.SplitAfter(lines, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -139,22 +144,31 @@ func sealLines(lines []byte) []byte {
 	if err != nil {
 		panic(fmt.Sprintf("grid: chain record not encodable: %v", err))
 	}
-	return append(append(lines, sealed...), '\n')
+	return append(sealed, '\n')
 }
 
 // parsePointFile verifies one cached point file (chain seal, schema) and
-// returns its point record; checkAddress checks its content address.
+// returns its point record; checkAddress checks its content address. A file
+// as put wrote it — a grid record line, then exactly that line's seal — is
+// decoded once: a line of the grid's schema is chain payload, so the seal
+// alone decides what obsv.VerifyChain would (a line ending in a carriage
+// return, which VerifyChain's scanner strips, is left to it). Any other file
+// gets VerifyChain's diagnosis before its record is decoded.
 func parsePointFile(path string, data []byte) (pointRecord, error) {
-	if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
-		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
-	}
-	first, _, ok := bytes.Cut(data, []byte("\n"))
-	if !ok {
-		return pointRecord{}, fmt.Errorf("%s: empty point file", path)
-	}
 	var rec pointRecord
-	if err := json.Unmarshal(first, &rec); err != nil {
-		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
+	first, rest, ok := bytes.Cut(data, []byte("\n"))
+	if !ok || json.Unmarshal(first, &rec) != nil || rec.Schema != RecordSchema ||
+		bytes.HasSuffix(first, []byte("\r")) || !bytes.Equal(rest, seal(data[:len(first)+1])) {
+		if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
+			return pointRecord{}, fmt.Errorf("%s: %w", path, err)
+		}
+		if !ok {
+			return pointRecord{}, fmt.Errorf("%s: empty point file", path)
+		}
+		rec = pointRecord{}
+		if err := json.Unmarshal(first, &rec); err != nil {
+			return pointRecord{}, fmt.Errorf("%s: %w", path, err)
+		}
 	}
 	if rec.Schema != RecordSchema || rec.Kind != KindPoint {
 		return pointRecord{}, fmt.Errorf("%s: not a %s %s record (schema %q kind %q)",

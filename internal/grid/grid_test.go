@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"adhocbcast/internal/obsv"
 )
 
 // TestPointConfigHashSensitivity walks PointConfig's fields by reflection and
@@ -125,6 +128,65 @@ func TestCacheDetectsEveryFlippedByte(t *testing.T) {
 	var out summaryPayload
 	if hit, err := c.Get(cfg, &out); err != nil || !hit {
 		t.Fatalf("restored file: hit=%v err=%v", hit, err)
+	}
+}
+
+// parsePointFileRef is parsePointFile as it was before a sealed file's
+// record line was decoded once: the chain check, then the line's own decode.
+func parsePointFileRef(path string, data []byte) (pointRecord, error) {
+	if _, err := obsv.VerifyChain(bytes.NewReader(data)); err != nil {
+		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
+	}
+	first, _, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		return pointRecord{}, fmt.Errorf("%s: empty point file", path)
+	}
+	var rec pointRecord
+	if err := json.Unmarshal(first, &rec); err != nil {
+		return pointRecord{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if rec.Schema != RecordSchema || rec.Kind != KindPoint {
+		return pointRecord{}, fmt.Errorf("%s: not a %s %s record (schema %q kind %q)",
+			path, RecordSchema, KindPoint, rec.Schema, rec.Kind)
+	}
+	return rec, nil
+}
+
+// TestParsePointFileMatchesVerifyChain pins that decoding a sealed point
+// file's record once decides every file as the chain check followed by the
+// decode did, record and error text alike: the file put writes, every
+// single-byte flip of it, and variants the chain check accepts or rejects
+// for reasons of its own — a resealed line ending in a carriage return, a
+// blank line after the seal, a record after it, a line of another schema,
+// no seal, and an empty file.
+func TestParsePointFileMatchesVerifyChain(t *testing.T) {
+	cfg := PointConfig{Schema: PointSchema, Experiment: "fig10", Point: "p", Seed: 42, MinRuns: 5, MaxRuns: 8, RelTol: 0.5}
+	line, err := json.Marshal(pointRecord{Schema: RecordSchema, Kind: KindPoint, Config: cfg, Result: json.RawMessage(`{"n":7}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := sealLines(append(bytes.Clone(line), '\n'))
+	files := [][]byte{
+		orig,
+		sealLines(append(bytes.Clone(line), '\r', '\n')),
+		append(bytes.Clone(orig), '\n'),
+		append(bytes.Clone(orig), orig...),
+		sealLines([]byte(`{"schema":"obsv/v1","kind":"run","run":{}}` + "\n")),
+		append(bytes.Clone(line), '\n'),
+		bytes.Clone(line),
+		nil,
+	}
+	for i := range orig {
+		mut := bytes.Clone(orig)
+		mut[i] ^= 0x20
+		files = append(files, mut)
+	}
+	for i, data := range files {
+		got, gotErr := parsePointFile("p.jsonl", data)
+		want, wantErr := parsePointFileRef("p.jsonl", data)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("file %d %q: got %+v, %v; want %+v, %v", i, data, got, gotErr, want, wantErr)
+		}
 	}
 }
 

@@ -9,53 +9,75 @@ import (
 	"adhocbcast/internal/graph"
 )
 
-// TestExchangeLosslessEqualsDefinition2 is the package's key property on the
-// Config-based API: over random connected geometric graphs, a lossless
-// exchange of k rounds gives every node exactly the analytic k-hop view
-// Gk(v)/Nk(v) of Definition 2, with no node able to claim incompleteness and
-// zero divergence against the truth.
+// losslessMatchesDefinition2 is the package's key property, the Section 4.3
+// claim that k hello rounds give exactly the k-hop view: on a random connected
+// geometric graph of n nodes and average degree d, a lossless exchange of k
+// rounds gives every node exactly the analytic k-hop view Gk(v)/Nk(v) of
+// Definition 2 (graph.LocalView) — same visible set, same edge set — with no
+// node able to claim incompleteness and zero divergence against the truth.
+// A seed with no connected placement holds trivially.
+func losslessMatchesDefinition2(n int, d float64, seed int64, k int) bool {
+	rng := rand.New(rand.NewSource(seed))
+	net, err := geo.Generate(geo.Config{N: n, AvgDegree: d}, rng)
+	if err != nil {
+		return true // no connected placement; skip
+	}
+	g := net.G
+	vs, err := Exchange(g, Config{Rounds: k, Seed: seed})
+	if err != nil {
+		return false
+	}
+	for v := 0; v < g.N(); v++ {
+		wantG, wantVis := g.LocalView(v, k)
+		gotG := vs.Graph(v)
+		for u := 0; u < g.N(); u++ {
+			if vs.Known(v, u) != wantVis[u] {
+				return false
+			}
+		}
+		if gotG.M() != wantG.M() {
+			return false
+		}
+		for _, e := range wantG.Edges() {
+			if !gotG.HasEdge(e[0], e[1]) {
+				return false
+			}
+		}
+		if vs.Incomplete(v) {
+			return false
+		}
+	}
+	div, err := vs.Divergence(g)
+	if err != nil {
+		return false
+	}
+	return div.MissingLinks == 0 && div.PhantomLinks == 0 &&
+		div.DivergentNodes == 0 && div.IncompleteNodes == 0
+}
+
+// TestExchangeLosslessEqualsDefinition2 checks losslessMatchesDefinition2
+// for a random k in 1..4 on 30-node graphs.
 func TestExchangeLosslessEqualsDefinition2(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
-		k := int(kRaw%4) + 1
-		rng := rand.New(rand.NewSource(seed))
-		net, err := geo.Generate(geo.Config{N: 30, AvgDegree: 6}, rng)
-		if err != nil {
-			return true // no connected placement; skip
-		}
-		g := net.G
-		vs, err := Exchange(g, Config{Rounds: k, Seed: seed})
-		if err != nil {
-			return false
-		}
-		for v := 0; v < g.N(); v++ {
-			wantG, wantVis := g.LocalView(v, k)
-			gotG := vs.Graph(v)
-			for u := 0; u < g.N(); u++ {
-				if vs.Known(v, u) != wantVis[u] {
-					return false
-				}
-			}
-			if gotG.M() != wantG.M() {
-				return false
-			}
-			for _, e := range wantG.Edges() {
-				if !gotG.HasEdge(e[0], e[1]) {
-					return false
-				}
-			}
-			if vs.Incomplete(v) {
-				return false
-			}
-		}
-		div, err := vs.Divergence(g)
-		if err != nil {
-			return false
-		}
-		return div.MissingLinks == 0 && div.PhantomLinks == 0 &&
-			div.DivergentNodes == 0 && div.IncompleteNodes == 0
+		return losslessMatchesDefinition2(30, 6, seed, int(kRaw%4)+1)
 	}
-	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(7))}
-	if err := quick.Check(f, cfg); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(7))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKRoundsEqualDefinition2Quick checks losslessMatchesDefinition2 for
+// every k in 1..4 on each of its 25-node graphs.
+func TestKRoundsEqualDefinition2Quick(t *testing.T) {
+	f := func(seed int64) bool {
+		for k := 1; k <= 4; k++ {
+			if !losslessMatchesDefinition2(25, 5, seed, k) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Fatal(err)
 	}
 }

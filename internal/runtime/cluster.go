@@ -57,7 +57,7 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		index[names[v]] = v
 	}
 	var views view.Set
-	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric, goruntime.GOMAXPROCS(0), nil)
+	view.NewBuilder().BuildAll(&views, g, cfg.Hops, cfg.Metric, goruntime.GOMAXPROCS(0), nil, nil)
 	eval := new(core.Evaluator)
 	for v := 0; v < n; v++ {
 		p := &port{cl: cl, v: v}

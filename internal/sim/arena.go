@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/graph"
@@ -24,17 +25,21 @@ import (
 //
 // The view set holds a view only where a run reads one (viewsFor): under a
 // protocol whose settled verdicts decide a node without its view, the views
-// of settled nodes are dropped as they are built, and a protocol that reads
-// no view gets none. The set is keyed by (topology pointer, hops, metric),
-// the condition whose settled verdicts it holds (Settled) and whether it
-// dropped views: a run over the same key reuses the built views after
-// clearing their learned status marks; any other run rebuilds them in place.
-// Callers must therefore not edit a graph in place between runs that share an
-// Arena (simdebug builds check).
+// of settled nodes are never built, and a protocol that reads no view gets
+// none. The set is keyed by (topology pointer, hops, metric), the condition
+// whose settled verdicts it holds (Settled) and whether it dropped views: a
+// run over the same key reuses the built views after clearing their learned
+// status marks; any other run rebuilds them in place. Settled verdicts also
+// travel between Arenas: KeepVerdicts hands out a copy of the set's, and a
+// run on another Arena that Adopt offered them to takes them in place of a
+// settling pass, as long as its own key — topology pointer, hops, metric and
+// condition id — is theirs. Callers must therefore not edit a graph in place
+// between runs that share an Arena or verdicts (simdebug builds check).
 //
 // An Arena kept between runs — a sweep driver's pool — pins the last topology
 // it built views from and state sized to the largest run it served: bounded,
-// since a driver holds one Arena per concurrent replicate.
+// since a driver holds one Arena per concurrent replicate. It keeps no
+// offered verdicts past the run they were offered to.
 type Arena struct {
 	nodes   []NodeState
 	pkts    [][]Packet // packet slab, in chunks of packetChunk
@@ -46,11 +51,13 @@ type Arena struct {
 	// Built views and their key, with settled.id (shared-topology modes;
 	// PerNodeViews runs build single views instead). viewCompact is set
 	// when the build dropped the views of settled nodes.
-	viewG       *graph.Graph
-	viewHops    int
-	viewMetric  view.Metric
+	viewKey     viewKey
 	viewCompact bool
 	views       view.Set
+
+	// Verdicts Adopt offered to the next run, which takes them when it
+	// starts (takeOffered).
+	offered []*Settled
 
 	// The view set's settled verdicts (settle.go), and the settling build's
 	// per-helper bitmaps and per-worker node states.
@@ -88,6 +95,54 @@ type Arena struct {
 // NewArena returns an empty Arena ready for RunWith.
 func NewArena() *Arena {
 	return &Arena{builder: view.NewBuilder()}
+}
+
+// viewKey is what a view set is built from: the topology, by pointer, the
+// hop count and the priority metric.
+type viewKey struct {
+	g      *graph.Graph
+	hops   int
+	metric view.Metric
+}
+
+// Adopt offers the Arena's next run settled verdicts that KeepVerdicts
+// handed out, typically on other Arenas that ran the same topology. If one
+// of them has the key of the view set the run readies (its topology pointer,
+// hops, metric and condition id), the run takes it in place of a settling
+// pass: it evaluates no pristine verdict, builds no view its verdicts make
+// unread, and gives its protocol the verdicts even where it would not settle
+// on its own (see viewsFor). The run ignores every other offered verdict.
+// It drops the offer when it starts, whether it took one or not; offered
+// must not be changed until then.
+func (a *Arena) Adopt(offered []*Settled) { a.offered = offered }
+
+// KeepVerdicts hands out the Arena's settled verdicts for later runs on
+// other Arenas (Adopt): when its view set holds verdicts over g's views and
+// kept holds none of their key, it returns kept with a copy of them
+// appended; otherwise it returns kept. It never writes kept's elements or
+// its backing array, so readers of an earlier kept are undisturbed.
+func (a *Arena) KeepVerdicts(g *graph.Graph, kept []*Settled) []*Settled {
+	s := &a.settled
+	if s.id == 0 || a.viewKey.g != g {
+		return kept
+	}
+	for _, o := range kept {
+		if o.key == a.viewKey && o.id == s.id {
+			return kept
+		}
+	}
+	return append(kept[:len(kept):len(kept)], &Settled{key: a.viewKey, id: s.id, bits: slices.Clone(s.bits)})
+}
+
+// takeOffered returns the verdicts Adopt offered the run about to start and
+// drops them from a, which may be nil.
+func (a *Arena) takeOffered() []*Settled {
+	if a == nil {
+		return nil
+	}
+	offered := a.offered
+	a.offered = nil
+	return offered
 }
 
 // packetChunk is the packet slab's growth step (16 KiB of packets).

@@ -74,39 +74,13 @@ func diffOutcomes(got, want mergeOutcome) string {
 // skip at settled nodes too.
 func TestMergeSkipInvisible(t *testing.T) {
 	g := generateSettle(t, 60, 8, 3)
-	vs, err := hello.Exchange(g, hello.Config{Rounds: 2, LossRate: 0.3, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := fault.NewPlan(g, fault.Params{CrashFraction: 0.15, ChurnFraction: 0.10, LinkFraction: 0.10, Protect: []int{0}}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beaconed := sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: 3}}
-	sessions := []sim.SessionSpec{{Source: 3}, {Source: 17, At: 0.5}, {Source: 3, At: 2}, {Source: 41, At: 2}}
-	scenarios := []struct {
-		name     string
-		cfg      sim.Config
-		shard    bool
-		sessions []sim.SessionSpec
-	}{
-		{name: "shared", cfg: sim.Config{Hops: 2, Seed: 1}},
-		{name: "shared-sharded", cfg: sim.Config{Hops: 2, Workers: 4, Seed: 1}, shard: true},
-		{name: "node-views", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs}, Seed: 4}},
-		{name: "node-views-sharded", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs}, Workers: 4, Seed: 4}, shard: true},
-		{name: "beaconed", cfg: sim.Config{Hops: 2, Views: beaconed, Seed: 11}},
-		{name: "beaconed-sharded", cfg: sim.Config{Hops: 2, Views: beaconed, Workers: 4, Seed: 11}, shard: true},
-		{name: "traffic-cs-nack", cfg: sim.Config{Hops: 2, CarrierSense: true, NACKRecovery: true, Seed: 10}, sessions: sessions},
-		{name: "traffic-beaconed-cs-nack", cfg: sim.Config{Hops: 2, Views: beaconed, CarrierSense: true, NACKRecovery: true, Seed: 10}, sessions: sessions},
-		{name: "traffic-loss-faults", cfg: sim.Config{Hops: 2, LossRate: 0.3, NACKRecovery: true, Faults: plan, Seed: 12}, sessions: sessions},
-	}
 	arena := sim.NewArena()
 	settle := func() {
 		if _, err := sim.RunWith(arena, g, 0, protocol.Generic(protocol.TimingStatic), sim.Config{Hops: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, sc := range scenarios {
+	for _, sc := range runScenarios(t, g) {
 		t.Run(sc.name, func(t *testing.T) {
 			if sc.shard {
 				sim.ShardEveryBatch(t)
@@ -125,6 +99,46 @@ func TestMergeSkipInvisible(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// runScenario is one way of running every protocol over a graph: its
+// configuration, whether every batch is sharded, and the traffic sessions
+// (nil for a single broadcast from node 7).
+type runScenario struct {
+	name     string
+	cfg      sim.Config
+	shard    bool
+	sessions []sim.SessionSpec
+}
+
+// runScenarios lists the runs the executor's skips must not show in over g:
+// shared, per-node and beaconed views, single runs at the production
+// sharding threshold and with every batch sharded, and traffic runs over the
+// contention MAC with NACK recovery and with loss plus a crash, churn and
+// link fault plan.
+func runScenarios(t *testing.T, g *graph.Graph) []runScenario {
+	t.Helper()
+	vs, err := hello.Exchange(g, hello.Config{Rounds: 2, LossRate: 0.3, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.NewPlan(g, fault.Params{CrashFraction: 0.15, ChurnFraction: 0.10, LinkFraction: 0.10, Protect: []int{0}}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beaconed := sim.BeaconedViews{Hello: hello.Dynamic{Interval: 0.5, Expiry: 0.7, LossRate: 0.5, Seed: 3}}
+	sessions := []sim.SessionSpec{{Source: 3}, {Source: 17, At: 0.5}, {Source: 3, At: 2}, {Source: 41, At: 2}}
+	return []runScenario{
+		{name: "shared", cfg: sim.Config{Hops: 2, Seed: 1}},
+		{name: "shared-sharded", cfg: sim.Config{Hops: 2, Workers: 4, Seed: 1}, shard: true},
+		{name: "node-views", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs}, Seed: 4}},
+		{name: "node-views-sharded", cfg: sim.Config{Hops: 2, Views: sim.PerNodeViews{Views: vs}, Workers: 4, Seed: 4}, shard: true},
+		{name: "beaconed", cfg: sim.Config{Hops: 2, Views: beaconed, Seed: 11}},
+		{name: "beaconed-sharded", cfg: sim.Config{Hops: 2, Views: beaconed, Workers: 4, Seed: 11}, shard: true},
+		{name: "traffic-cs-nack", cfg: sim.Config{Hops: 2, CarrierSense: true, NACKRecovery: true, Seed: 10}, sessions: sessions},
+		{name: "traffic-beaconed-cs-nack", cfg: sim.Config{Hops: 2, Views: beaconed, CarrierSense: true, NACKRecovery: true, Seed: 10}, sessions: sessions},
+		{name: "traffic-loss-faults", cfg: sim.Config{Hops: 2, LossRate: 0.3, NACKRecovery: true, Faults: plan, Seed: 12}, sessions: sessions},
 	}
 }
 
@@ -215,23 +229,8 @@ func FuzzMergeSkipInvisible(f *testing.F) {
 		if len(edges) == 0 {
 			return
 		}
-		n := 2 + int(edges[0])%15
-		seen := make(map[[2]int]bool)
-		var list [][2]int
-		for i := 1; i+1 < len(edges); i += 2 {
-			u, v := int(edges[i])%n, int(edges[i+1])%n
-			if u > v {
-				u, v = v, u
-			}
-			if u != v && !seen[[2]int{u, v}] {
-				seen[[2]int{u, v}] = true
-				list = append(list, [2]int{u, v})
-			}
-		}
-		g, err := graph.FromEdges(n, list)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, list := edgeGraph(t, edges)
+		n := g.N()
 		mk, _ := protocol.ByName(names[int(proto)%len(names)])
 		cfg := sim.Config{Hops: int(hops) % 4, PiggybackDepth: 1 + int(depth)%4, Seed: 1}
 		arena := sim.NewArena()
@@ -248,4 +247,29 @@ func FuzzMergeSkipInvisible(f *testing.F) {
 				names[int(proto)%len(names)], cfg.Hops, cfg.PiggybackDepth, int(source)%n, list, d)
 		}
 	})
+}
+
+// edgeGraph decodes a fuzz input's graph of up to 16 vertices: the vertex
+// count from the first byte, then byte pairs as edges, self-loops and
+// repeats dropped. It returns the graph and its edge list.
+func edgeGraph(t *testing.T, edges []byte) (*graph.Graph, [][2]int) {
+	t.Helper()
+	n := 2 + int(edges[0])%15
+	seen := make(map[[2]int]bool)
+	var list [][2]int
+	for i := 1; i+1 < len(edges); i += 2 {
+		u, v := int(edges[i])%n, int(edges[i+1])%n
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			list = append(list, [2]int{u, v})
+		}
+	}
+	g, err := graph.FromEdges(n, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, list
 }

@@ -203,10 +203,11 @@ type Network struct {
 	delivered int             // first deliveries across sessions
 
 	// A traffic run's view set and settled verdicts, readied by its first
-	// session (startSession).
+	// session (startSession), and the verdicts Arena.Adopt offered the run.
 	viewsReady bool
 	viewSet    *view.Set
 	settled    *Settled
+	offered    []*Settled
 
 	// Contention-MAC state (CarrierSense; nil/zero otherwise). All slices
 	// are arena scratch, reset per run.
@@ -246,13 +247,14 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 // only the event loop remains: configuration checked, views built, protocol
 // initialised and started at the source.
 func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Network, error) {
+	offered := a.takeOffered()
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("sim: source %d out of range [0,%d)", source, g.N())
 	}
 	if err := cfg.validate(g.N()); err != nil {
 		return nil, err
 	}
-	net := newNetwork(a, g, source, cfg)
+	net := newNetwork(a, g, source, cfg, offered)
 	net.workers = cfg.workerBudget()
 	net.solo[0] = session{net: net, source: source, proto: p, retire: RetiresViews(p)}
 	net.solo[0].nodes = net.build(&net.solo[0])
@@ -263,18 +265,20 @@ func newRun(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (*Netw
 
 // newNetwork returns the Network of one run (single or traffic) over a
 // validated cfg, with the arena's per-run state — event queue, packet slab,
-// loop and MAC scratch — reset for it. A nil Arena allocates a private one.
-func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
+// loop and MAC scratch — reset for it, and the verdicts offered to the run.
+// A nil Arena allocates a private one.
+func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config, offered []*Settled) *Network {
 	if a == nil {
 		a = NewArena()
 	}
 	net := &Network{
-		G:      g,
-		Cfg:    cfg.withDefaults(),
-		Source: source,
-		arena:  a,
-		rngs:   streams{seed: cfg.Seed},
-		plan:   cfg.Faults,
+		G:       g,
+		Cfg:     cfg.withDefaults(),
+		Source:  source,
+		arena:   a,
+		rngs:    streams{seed: cfg.Seed},
+		plan:    cfg.Faults,
+		offered: offered,
 	}
 	a.cal.reset(net.Cfg.TransmitDelay)
 	a.ensureLoopScratch(g.N())
@@ -316,7 +320,7 @@ func (net *Network) build(s *session) []NodeState {
 	}
 	// Every other variant gives all nodes one view graph (priorities included).
 	var set *view.Set
-	set, s.settled = a.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.workers, s.proto, s.retire)
+	set, s.settled = a.viewsFor(net.viewKey(), net.workers, s.proto, s.retire, net.offered)
 	if set != nil {
 		for v := 0; v < n; v++ {
 			nodes[v].View = set.View(v)
@@ -663,6 +667,13 @@ func (net *Network) DegreeBackoff(v int) float64 {
 		return net.Cfg.BackoffWindow
 	}
 	return net.Cfg.BackoffWindow * vg.AverageDegree() / float64(d)
+}
+
+// viewKey returns the key of the shared view set a run's nodes read: the
+// topology the source's knowledge is built from, which is every node's, and
+// the configured hops and metric.
+func (net *Network) viewKey() viewKey {
+	return viewKey{g: net.viewGraphOf(net.Source), hops: net.Cfg.Hops, metric: net.Cfg.Metric}
 }
 
 // viewGraphOf returns the topology node v's knowledge is built from.

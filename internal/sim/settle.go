@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"adhocbcast/internal/core"
-	"adhocbcast/internal/graph"
 	"adhocbcast/internal/view"
 )
 
@@ -18,12 +17,14 @@ import (
 // (internal/core's TestPristineCoverageSettles proves this for the generic
 // and the strong condition on every small world, and
 // TestOwnDesignationBreaksSettling shows why a designating engine may not
-// rely on it). The simulator then decides every node's pristine verdict once
-// per view set, on every core, in the pass that builds the views, and hands
-// the protocol the outcome through UseSettled. Under a protocol that also
-// retires decided nodes' views (RetiresViews), a settled node never reads
-// its view, so that pass keeps only the views of unsettled nodes
-// (Arena.viewsFor).
+// rely on it). The verdicts are therefore a property of the view set's key —
+// topology, hops, metric and condition — not of the run. The simulator
+// decides every node's pristine verdict once per view set, on every core, in
+// the pass that builds the views, or adopts the verdicts another Arena's
+// pass decided for the same key (Arena.Adopt), and hands the protocol the
+// outcome through UseSettled. Under a protocol that also retires decided
+// nodes' views (RetiresViews), a settled node never reads its view, so the
+// set keeps only the views of unsettled nodes (Arena.viewsFor).
 type Settler interface {
 	// SettleCondition returns a positive id naming the protocol's coverage
 	// condition and the condition itself, or id 0 when settled verdicts do
@@ -44,9 +45,11 @@ type Settler interface {
 // Settled holds one view set's settled verdicts under one coverage condition:
 // bit v is set when node v is covered on its pristine view. An Arena keeps
 // one with its views, which it keys by (topology, hops, metric) and by the
-// condition's id. Its methods are safe for concurrent use.
+// condition's id; Arena.KeepVerdicts hands out copies that carry the key
+// with them. Its methods are safe for concurrent use.
 type Settled struct {
-	id   int // the condition's id; 0 when the Arena holds no verdicts
+	key  viewKey // the view set's key (handed-out copies only)
+	id   int     // the condition's id; 0 when the Arena holds no verdicts
 	cond func(*NodeState, *core.Evaluator) bool
 	bits []uint64
 
@@ -92,28 +95,32 @@ func (s *Settled) check(st *NodeState, ev *core.Evaluator, settled bool) {
 	}
 }
 
-// viewsFor readies the Arena's view set for a run of protocol p over vg —
-// retire is RetiresViews(p) — and returns it with the settled verdicts p may
-// take (nil when none), or a nil set when p reads no view at all (a Settler
-// with a nil condition, under retire). The set is the one the previous run
-// left, its learned marks cleared, when its key repeats; otherwise a rebuild
-// into the same memory on up to workers goroutines. The key is (vg, hops,
-// metric), the id of the condition whose verdicts the set holds, and whether
-// it dropped the views of settled nodes:
+// viewsFor readies the Arena's view set over key for a run of protocol p —
+// retire is RetiresViews(p), offered the verdicts Adopt offered the run —
+// and returns it with the settled verdicts p may take (nil when none), or a
+// nil set when p reads no view at all (a Settler with a nil condition, under
+// retire). The set is the one the previous run left, its learned marks
+// cleared, when its key repeats; otherwise a rebuild into the same memory on
+// up to workers goroutines. The set's key is key, the id of the condition
+// whose verdicts the set holds, and whether it dropped the views of settled
+// nodes:
 //   - p gets verdicts when it is a Settler with a condition, and it decides
 //     every node at Init (static), or a view build of n nodes would split in
 //     two (view.Ranges, whatever the core count), or the set holds its
-//     condition's verdicts already: at paper sizes a later-deciding
-//     protocol's evaluations cost less than settling every view;
-//   - a set with verdicts drops the views of settled nodes when p retires
+//     condition's verdicts already, or an offered one is of key and its
+//     condition: at paper sizes a later-deciding protocol's evaluations cost
+//     less than settling every view, but more than adopting settled ones;
+//   - a rebuild with verdicts takes the offered ones if it can, so it
+//     evaluates nothing; else it settles every view as it builds it;
+//   - a set with verdicts has no views of settled nodes when p retires
 //     views, since it then reads none of them — except in simdebug builds,
-//     where Settled.check evaluates every settled verdict on the view the
-//     broadcast actually left;
+//     where Settled.check evaluates every settled verdict, adopted or not, on
+//     the view the broadcast actually left;
 //   - any other run gets every view, with or without verdicts.
 //
 // On a hit, simdebug builds check that the key's topology — its pointer,
 // not its content — still stands for the views.
-func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers int, p Protocol, retire bool) (*view.Set, *Settled) {
+func (a *Arena) viewsFor(key viewKey, workers int, p Protocol, retire bool, offered []*Settled) (*view.Set, *Settled) {
 	var (
 		id     int
 		cond   func(*NodeState, *core.Evaluator) bool
@@ -125,10 +132,19 @@ func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers 
 	if id != 0 && cond == nil && retire {
 		return nil, nil
 	}
-	n := vg.N()
-	same := a.viewG == vg && a.viewHops == hops && a.viewMetric == metric
+	n := key.g.N()
+	same := a.viewKey == key
+	var adopt *Settled
+	if id != 0 && cond != nil {
+		for _, o := range offered {
+			if o.key == key && o.id == id {
+				adopt = o
+				break
+			}
+		}
+	}
 	compact := false
-	if id != 0 && cond != nil && (static || view.Ranges(n, n) > 1 || same && a.settled.id == id) {
+	if id != 0 && cond != nil && (static || view.Ranges(n, n) > 1 || same && a.settled.id == id || adopt != nil) {
 		compact = retire && !debugChecks
 	} else {
 		id = 0
@@ -136,12 +152,12 @@ func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers 
 	if same && a.viewCompact == compact && (id == 0 || a.settled.id == id) {
 		if debugChecks {
 			if v := a.builder.Stale(&a.views); v >= 0 {
-				panic(fmt.Sprintf("sim: the %d-hop view of node %d no longer matches its topology: a graph was changed in place between runs that share an Arena", hops, v))
+				panic(fmt.Sprintf("sim: the %d-hop view of node %d no longer matches its topology: a graph was changed in place between runs that share an Arena", key.hops, v))
 			}
 		}
 		a.views.ResetStatus()
 	} else {
-		a.buildViews(vg, hops, metric, workers, id, cond, compact)
+		a.buildViews(key, workers, id, cond, compact, adopt)
 	}
 	if id == 0 {
 		return &a.views, nil
@@ -149,18 +165,29 @@ func (a *Arena) viewsFor(vg *graph.Graph, hops int, metric view.Metric, workers 
 	return &a.views, &a.settled
 }
 
-// buildViews rebuilds the Arena's view set over vg on up to workers
-// goroutines. With a condition id it settles each view as it is built: cond
-// on the pristine view, with the build worker's own evaluator (the shared
-// one on the calling goroutine) into a bitmap of the worker's own, merged
-// when the build joins; compact then drops every settled node's view, so the
-// full set never exists.
-func (a *Arena) buildViews(vg *graph.Graph, hops int, metric view.Metric, workers, id int, cond func(*NodeState, *core.Evaluator) bool, compact bool) {
-	a.viewG, a.viewHops, a.viewMetric, a.viewCompact = vg, hops, metric, compact
+// buildViews rebuilds the Arena's view set over key on up to workers
+// goroutines. With a condition id it takes the verdicts of adopt, when
+// non-nil, and compact then builds no settled node's view at all; or it
+// settles each view as it is built: cond on the pristine view, with the build
+// worker's own evaluator (the shared one on the calling goroutine) into a
+// bitmap of the worker's own, merged when the build joins, and compact then
+// drops every settled node's view, so the full set never exists.
+func (a *Arena) buildViews(key viewKey, workers, id int, cond func(*NodeState, *core.Evaluator) bool, compact bool, adopt *Settled) {
+	a.viewKey, a.viewCompact = key, compact
+	vg, hops, metric := key.g, key.hops, key.metric
 	s := &a.settled
 	s.id, s.cond = id, cond
 	if id == 0 {
-		a.builder.BuildAll(&a.views, vg, hops, metric, workers, nil)
+		a.builder.BuildAll(&a.views, vg, hops, metric, workers, nil, nil)
+		return
+	}
+	if adopt != nil {
+		s.bits = append(s.bits[:0], adopt.bits...)
+		var skip []uint64
+		if compact {
+			skip = s.bits
+		}
+		a.builder.BuildAll(&a.views, vg, hops, metric, workers, skip, nil)
 		return
 	}
 	n := vg.N()
@@ -177,7 +204,7 @@ func (a *Arena) buildViews(vg *graph.Graph, hops int, metric view.Metric, worker
 	}
 	a.evaluator(n) // every worker's evaluator exists before the build starts them
 	a.workerEvals(r-1, n)
-	a.builder.BuildAll(&a.views, vg, hops, metric, workers, func(w int, lv *view.Local) bool {
+	a.builder.BuildAll(&a.views, vg, hops, metric, workers, nil, func(w int, lv *view.Local) bool {
 		st, ev, bits := &a.settleStates[w], a.eval, s.bits
 		if w > 0 {
 			ev, bits = a.wrkEval[w-1], a.settleBits[w-1]

@@ -112,6 +112,7 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 // only the event loop remains: inputs checked, the shared view set built, and
 // every session's start scheduled at its injection time.
 func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto func() Protocol, cfg Config) (*Network, error) {
+	offered := a.takeOffered()
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("sim: traffic run needs at least one session")
 	}
@@ -134,7 +135,7 @@ func newTrafficRun(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto fu
 	if err := cfg.validate(g.N()); err != nil {
 		return nil, err
 	}
-	net := newNetwork(a, g, sessions[0].Source, cfg)
+	net := newNetwork(a, g, sessions[0].Source, cfg, offered)
 	net.newProto = newProto
 	net.sessions = make([]session, len(sessions))
 	for i, sp := range sessions {
@@ -161,7 +162,7 @@ func (net *Network) startSession(sid int32) {
 	s.proto = net.newProto()
 	s.retire = RetiresViews(s.proto)
 	if !net.viewsReady {
-		net.viewSet, net.settled = net.arena.viewsFor(net.viewGraphOf(net.Source), net.Cfg.Hops, net.Cfg.Metric, net.Cfg.workerBudget(), s.proto, s.retire)
+		net.viewSet, net.settled = net.arena.viewsFor(net.viewKey(), net.Cfg.workerBudget(), s.proto, s.retire, net.offered)
 		net.viewsReady = true
 	}
 	s.settled = net.settled

@@ -41,9 +41,6 @@ type Message struct {
 type Plan struct {
 	// Messages lists every broadcast session in injection order.
 	Messages []Message
-	// Horizon is the generation horizon in slots: arrivals were drawn over
-	// [0, Horizon).
-	Horizon float64
 }
 
 // Sessions returns the number of broadcast sessions in the plan.
@@ -126,7 +123,7 @@ func Poisson(cfg Config) (*Plan, error) {
 	for i := range msgs {
 		msgs[i].Session = i
 	}
-	return &Plan{Messages: msgs, Horizon: cfg.Horizon}, nil
+	return &Plan{Messages: msgs}, nil
 }
 
 // pickSources returns cfg.Sources distinct node ids, a seed-deterministic

@@ -7,15 +7,14 @@ import (
 	"testing"
 )
 
-// Validate checks the plan against an n-node network, the oracle every
-// generated plan must pass: sources in range, finite non-decreasing injection
-// times, and dense in-order session ids.
-func (p *Plan) Validate(n int) error {
+// Validate checks the plan against the config that generated it, the oracle
+// every generated plan must pass: sources in the config's network, injection
+// times finite, non-decreasing and inside its horizon, and dense in-order
+// session ids.
+func (p *Plan) Validate(cfg Config) error {
+	n, horizon := cfg.N, cfg.withDefaults().Horizon
 	if len(p.Messages) == 0 {
 		return fmt.Errorf("traffic: empty plan")
-	}
-	if p.Horizon <= 0 || math.IsNaN(p.Horizon) || math.IsInf(p.Horizon, 0) {
-		return fmt.Errorf("traffic: non-positive horizon %v", p.Horizon)
 	}
 	prev := 0.0
 	for i, m := range p.Messages {
@@ -27,6 +26,9 @@ func (p *Plan) Validate(n int) error {
 		}
 		if m.At < 0 || math.IsNaN(m.At) || math.IsInf(m.At, 0) {
 			return fmt.Errorf("traffic: message %d has invalid time %v", i, m.At)
+		}
+		if m.At >= horizon {
+			return fmt.Errorf("traffic: message %d at %v is past the horizon %v", i, m.At, horizon)
 		}
 		if m.At < prev {
 			return fmt.Errorf("traffic: message %d at %v before predecessor at %v", i, m.At, prev)
@@ -49,7 +51,7 @@ func TestPoissonDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config produced different plans")
 	}
-	if err := a.Validate(50); err != nil {
+	if err := a.Validate(cfg); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)
 	}
 	if a.Sessions() == 0 {
@@ -111,20 +113,21 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPlanValidate(t *testing.T) {
+	cfg := Config{N: 5, Rate: 0.1, Horizon: 10}
 	bad := []Plan{
-		{Messages: nil, Horizon: 10},
-		{Messages: []Message{{Session: 1, Source: 0, At: 0}}, Horizon: 10},
-		{Messages: []Message{{Session: 0, Source: 9, At: 0}}, Horizon: 10},
-		{Messages: []Message{{Session: 0, Source: 0, At: 5}, {Session: 1, Source: 0, At: 1}}, Horizon: 10},
-		{Messages: []Message{{Session: 0, Source: 0, At: 0}}, Horizon: 0},
+		{Messages: nil},
+		{Messages: []Message{{Session: 1, Source: 0, At: 0}}},
+		{Messages: []Message{{Session: 0, Source: 9, At: 0}}},
+		{Messages: []Message{{Session: 0, Source: 0, At: 5}, {Session: 1, Source: 0, At: 1}}},
+		{Messages: []Message{{Session: 0, Source: 0, At: 0}, {Session: 1, Source: 0, At: 10}}},
 	}
 	for i, p := range bad {
-		if err := p.Validate(5); err == nil {
+		if err := p.Validate(cfg); err == nil {
 			t.Errorf("case %d: plan accepted, want error", i)
 		}
 	}
-	good := Plan{Messages: []Message{{Session: 0, Source: 1, At: 0}, {Session: 1, Source: 0, At: 2.5}}, Horizon: 10}
-	if err := good.Validate(5); err != nil {
+	good := Plan{Messages: []Message{{Session: 0, Source: 1, At: 0}, {Session: 1, Source: 0, At: 2.5}}}
+	if err := good.Validate(cfg); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }

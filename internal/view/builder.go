@@ -65,20 +65,22 @@ var claimGrain = 256
 
 // BuildAll builds the k-hop view of every vertex of g under metric into s,
 // replacing what s held and reusing its memory, and keeps the views keep
-// accepts; a nil keep keeps all. It visits the vertices in BFS order, so
-// consecutive builds search overlapping neighbourhoods and neighbours' views
-// sit side by side in the slabs, cut into blocks of claimGrain vertices that
-// Ranges(n, workers) workers claim one at a time: the calling goroutine as
-// worker 0 and each other on a goroutine of its own (a graph under
-// 2·buildGrain vertices has one worker and starts none). A worker builds a
-// block's views into scratch of its own, calls keep(worker, view) on each —
-// the view is valid during the call only, and keep may read it from its
-// worker's goroutine — and copies the views kept into the block's slabs, so
-// a view keep drops never holds memory of the Set. Once s has served a
-// build of the size whose blocks kept at least as much, a rebuild allocates
+// accepts; a nil keep keeps all. A vertex whose bit is set in skip (a bitmap
+// of n bits, or nil) gets no view at all: it is passed over before its
+// neighbourhood is searched, and keep is never offered it. It visits the
+// vertices in BFS order, so consecutive builds search overlapping
+// neighbourhoods and neighbours' views sit side by side in the slabs, cut into
+// blocks of claimGrain vertices that Ranges(n, workers) workers claim one at a
+// time: the calling goroutine as worker 0 and each other on a goroutine of its
+// own (a graph under 2·buildGrain vertices has one worker and starts none). A
+// worker builds a block's views into scratch of its own, calls keep(worker,
+// view) on each — the view is valid during the call only, and keep may read it
+// from its worker's goroutine — and copies the views kept into the block's
+// slabs, so a view keep drops never holds memory of the Set. Once s has served
+// a build of the size whose blocks kept at least as much, a rebuild allocates
 // nothing but its helper goroutines. Every view kept is the one Build would
 // return, whatever the split.
-func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers int, keep func(worker int, lv *Local) bool) {
+func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers int, skip []uint64, keep func(worker int, lv *Local) bool) {
 	n := g.N()
 	if s.h == nil {
 		s.h = &header{}
@@ -108,10 +110,10 @@ func (b *Builder) BuildAll(s *Set, g *graph.Graph, k int, metric Metric, workers
 	for i := 1; i < r; i++ {
 		go func() {
 			defer b.wg.Done()
-			b.helpers[i-1].buildBlocks(s, g, k, b.order, &b.next, i, keep)
+			b.helpers[i-1].buildBlocks(s, g, k, b.order, &b.next, i, skip, keep)
 		}()
 	}
-	b.buildBlocks(s, g, k, b.order, &b.next, 0, keep)
+	b.buildBlocks(s, g, k, b.order, &b.next, 0, skip, keep)
 	b.wg.Wait()
 	// Which worker claims which block varies from build to build, so every
 	// worker's scratch grows to the largest any of them needed: a rebuild
@@ -145,11 +147,11 @@ func Ranges(n, workers int) int {
 }
 
 // buildBlocks is worker w of a BuildAll into s: it claims blocks of order
-// through next until none is left, builds each block's views into b's
-// scratch, moves those keep accepts (all, for a nil keep) into the block's
-// slabs, points s's per-node entries at them, and counts their members in
-// b.members.
-func (b *Builder) buildBlocks(s *Set, g *graph.Graph, k int, order []int32, next *atomic.Int64, w int, keep func(int, *Local) bool) {
+// through next until none is left, builds each block's views but those skip
+// marks into b's scratch, moves those keep accepts (all, for a nil keep) into
+// the block's slabs, points s's per-node entries at them, and counts their
+// members in b.members.
+func (b *Builder) buildBlocks(s *Set, g *graph.Graph, k int, order []int32, next *atomic.Int64, w int, skip []uint64, keep func(int, *Local) bool) {
 	n := g.N()
 	b.members = 0
 	for {
@@ -161,6 +163,9 @@ func (b *Builder) buildBlocks(s *Set, g *graph.Graph, k int, order []int32, next
 		ids, meta, kept := b.ids[:0], b.meta[:0], b.kept[:0]
 		for _, x := range nodes {
 			v := int(x)
+			if skip != nil && skip[v>>6]>>(v&63)&1 != 0 {
+				continue
+			}
 			m := b.reach(g, v, k)
 			meta = slices.Grow(meta, m)
 			lv := Local{Owner: v, h: s.h, members: s.ident, meta: meta[len(meta) : len(meta)+m : len(meta)+m]}

@@ -5,8 +5,8 @@ package view
 // views and the slabs their member ids and status bytes are sub-slices of
 // (global views share one member list), plus the header every view shares:
 // the topology, the base priorities they read and the hop count. A build may
-// keep only some views (BuildAll's keep); a view it dropped is absent (View
-// returns nil) and holds no memory.
+// keep only some views (BuildAll's skip and keep); a view it dropped is
+// absent (View returns nil) and holds no memory.
 // Rebuilding into a Set that has served a build of the size whose blocks
 // kept at least as many views and members allocates nothing. The zero value
 // is an empty set. Distinct views of a Set may be marked from distinct

@@ -21,27 +21,38 @@ func splitBuilds(t testing.TB) {
 
 // checkSetMatchesNewLocal builds every k-hop view of g into s on up to
 // workers goroutines, dropping the views of the vertices drop names (nil
-// drops none, through a nil keep), and checks each kept view against the view
-// NewLocal builds alone: same members, same fringe bits, and the same answers
-// to HasEdge, Degree and Pr for every vertex (HasEdge along every topology
-// link, which is where views differ from the graph). keep must be offered
-// every vertex once, with a worker index below Ranges, and a dropped view
-// must be absent and count no members.
+// drops none, through a nil skip and keep) — the even ones through skip,
+// before their search, the odd ones through keep — and checks each kept view
+// against the view NewLocal builds alone: same members, same fringe bits, and
+// the same answers to HasEdge, Degree and Pr for every vertex (HasEdge along
+// every topology link, which is where views differ from the graph). keep must
+// be offered every vertex but the skipped ones once, with a worker index
+// below Ranges, and a dropped view must be absent and count no members.
 func checkSetMatchesNewLocal(t *testing.T, b *Builder, s *Set, g *graph.Graph, k int, metric Metric, workers int, drop func(v int) bool) {
 	t.Helper()
 	n := g.N()
 	r := Ranges(n, workers)
-	var keep func(int, *Local) bool
+	var (
+		skip []uint64
+		keep func(int, *Local) bool
+	)
+	skipped := func(v int) bool { return drop != nil && drop(v) && v%2 == 0 }
 	offered := make([]atomic.Int32, n)
 	var badWorker atomic.Bool
 	if drop != nil {
+		skip = make([]uint64, (n+63)/64)
+		for v := 0; v < n; v++ {
+			if skipped(v) {
+				skip[v>>6] |= 1 << (v & 63)
+			}
+		}
 		keep = func(w int, lv *Local) bool {
 			offered[lv.Owner].Add(1)
 			badWorker.CompareAndSwap(false, w < 0 || w >= r)
 			return !drop(lv.Owner)
 		}
 	}
-	b.BuildAll(s, g, k, metric, workers, keep)
+	b.BuildAll(s, g, k, metric, workers, skip, keep)
 	if len(s.views) != n {
 		t.Fatalf("n=%d k=%d: set has %d views", n, k, len(s.views))
 	}
@@ -51,8 +62,14 @@ func checkSetMatchesNewLocal(t *testing.T, b *Builder, s *Set, g *graph.Graph, k
 	base := BasePriorities(g, metric)
 	total := 0
 	for v := 0; v < n; v++ {
-		if drop != nil && offered[v].Load() != 1 {
-			t.Fatalf("n=%d k=%d: keep was offered view %d %d times", n, k, v, offered[v].Load())
+		if drop != nil {
+			want := int32(1)
+			if skipped(v) {
+				want = 0
+			}
+			if got := offered[v].Load(); got != want {
+				t.Fatalf("n=%d k=%d: keep was offered view %d %d times, want %d", n, k, v, got, want)
+			}
 		}
 		if drop != nil && drop(v) {
 			if s.View(v) != nil {
@@ -150,7 +167,7 @@ func TestSetMarksAreIsolated(t *testing.T) {
 	}
 	for _, k := range []int{0, 2} {
 		var s Set
-		NewBuilder().BuildAll(&s, net.G, k, MetricID, 1+k/2, nil)
+		NewBuilder().BuildAll(&s, net.G, k, MetricID, 1+k/2, nil, nil)
 		for pass, views := range [][]Local{viewsOf(&s), s.Overlay()} {
 			for v := 1; v+1 < len(views); v++ {
 				before, after := statusBytes(&views[v-1]), statusBytes(&views[v+1])
@@ -194,7 +211,7 @@ func TestSetOverlayAndResetRestoreFreshState(t *testing.T) {
 	for _, c := range []struct{ k, workers int }{{0, 1}, {1, 1}, {2, 1}, {0, 3}, {1, 3}, {2, 3}} {
 		k := c.k
 		var s Set
-		NewBuilder().BuildAll(&s, net.G, k, MetricDegree, c.workers, nil)
+		NewBuilder().BuildAll(&s, net.G, k, MetricDegree, c.workers, nil, nil)
 		var fresh [][]uint8
 		for v := 0; v < len(s.views); v++ {
 			fresh = append(fresh, statusBytes(s.View(v)))
@@ -237,8 +254,9 @@ func TestSetOverlayAndResetRestoreFreshState(t *testing.T) {
 // workers in the next, then vertex pairs — and checks BuildAll against
 // NewLocal on it, connected or not, on one to four workers, through a Builder
 // and a Set that every input shares: every kept view equals NewLocal's, and
-// every dropped one is absent. Predicate 0 keeps all (a nil keep); the others
-// drop vertex v when bit v%8 of input byte v·p mod len is set.
+// every dropped one is absent. Predicate 0 keeps all (a nil skip and keep);
+// the others drop vertex v when bit v%8 of input byte v·p mod len is set,
+// through skip for even v and keep for odd v.
 func FuzzSetMatchesNewLocal(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 1, 2, 2, 3, 3, 4})
 	f.Add([]byte{9, 1, 0, 1, 0, 2, 0, 3, 0, 4, 5, 6})
@@ -306,7 +324,7 @@ func TestSplitRebuildReusesTheSet(t *testing.T) {
 	half := func(_ int, lv *Local) bool { return lv.Owner%2 == 0 }
 	for _, k := range []int{0, 2} {
 		b, s := NewBuilder(), &Set{}
-		b.BuildAll(s, net.G, k, MetricDegree, 3, nil)
+		b.BuildAll(s, net.G, k, MetricDegree, 3, nil, nil)
 		chunks := func() (out []*uint8) {
 			for _, blk := range s.blocks {
 				out = append(out, &blk.meta[0])
@@ -314,7 +332,7 @@ func TestSplitRebuildReusesTheSet(t *testing.T) {
 			return out
 		}
 		before := chunks()
-		allocs := testing.AllocsPerRun(20, func() { b.BuildAll(s, net.G, k, MetricDegree, 3, nil) })
+		allocs := testing.AllocsPerRun(20, func() { b.BuildAll(s, net.G, k, MetricDegree, 3, nil, nil) })
 		if allocs > 2 {
 			t.Errorf("k=%d: a split rebuild into a served set allocates %v objects, want at most one per helper (2)", k, allocs)
 		}
@@ -322,9 +340,9 @@ func TestSplitRebuildReusesTheSet(t *testing.T) {
 			t.Errorf("k=%d: a split rebuild replaced the set's slabs", k)
 		}
 		allocs = testing.AllocsPerRun(20, func() {
-			b.BuildAll(s, net.G, k, MetricDegree, 3, nil)
-			b.BuildAll(s, net.G, k, MetricDegree, 3, half)
-			b.BuildAll(s, net.G, k, MetricDegree, 3, nil)
+			b.BuildAll(s, net.G, k, MetricDegree, 3, nil, nil)
+			b.BuildAll(s, net.G, k, MetricDegree, 3, nil, half)
+			b.BuildAll(s, net.G, k, MetricDegree, 3, nil, nil)
 		})
 		if allocs > 6 {
 			t.Errorf("k=%d: a split full → compacted → full cycle allocates %v objects, want at most one per helper and build (6)", k, allocs)
@@ -350,18 +368,18 @@ func TestSmallBuildIsOneRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, s := NewBuilder(), &Set{}
-	b.BuildAll(s, net.G, 2, MetricID, 64, nil)
+	b.BuildAll(s, net.G, 2, MetricID, 64, nil, nil)
 	if len(b.helpers) != 0 {
 		t.Fatalf("n=100: built with %d helpers, want 0", len(b.helpers))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { b.BuildAll(s, net.G, 2, MetricID, 64, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { b.BuildAll(s, net.G, 2, MetricID, 64, nil, nil) }); allocs != 0 {
 		t.Errorf("n=100: a warm BuildAll with 64 workers allocates %v objects, want 0 (no goroutine)", allocs)
 	}
 	odd := func(_ int, lv *Local) bool { return lv.Owner%2 == 1 }
 	if allocs := testing.AllocsPerRun(20, func() {
-		b.BuildAll(s, net.G, 2, MetricID, 64, nil)
-		b.BuildAll(s, net.G, 2, MetricID, 64, odd)
-		b.BuildAll(s, net.G, 2, MetricID, 64, nil)
+		b.BuildAll(s, net.G, 2, MetricID, 64, nil, nil)
+		b.BuildAll(s, net.G, 2, MetricID, 64, nil, odd)
+		b.BuildAll(s, net.G, 2, MetricID, 64, nil, nil)
 	}); allocs != 0 {
 		t.Errorf("n=100: a full → compacted → full cycle allocates %v objects, want 0", allocs)
 	}
