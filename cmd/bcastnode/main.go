@@ -11,7 +11,7 @@
 //
 //	init       {"type":"init","node_id":"n1","node_ids":["n0","n1",...]}
 //	topology   {"type":"topology","topology":{"n0":["n1"],...}}  (full adjacency)
-//	broadcast  {"type":"broadcast","message":42}   start a wave at this node
+//	broadcast  {"type":"broadcast","message":42}   start a wave at this node (id < 2^32)
 //	read       {"type":"read"}                     -> read_ok {"messages":[...]}
 //	status     {"type":"status"}                   -> status_ok (delivered, forwarded, nacks)
 //	pkt/nack/garble                                 inter-node protocol traffic
@@ -27,7 +27,9 @@
 // replays its own per-source stream of the shared deterministic traffic plan
 // (internal/traffic; all nodes sources at -rate messages per time unit over
 // -horizon units), starting each arrival as a broadcast wave with a message
-// id at or above 2^32 (harness ids below that never collide).
+// id at or above 2^32. Those ids are the node's own: a harness broadcast
+// must use an id below 2^32, and one at or above it is refused as malformed
+// (error code 12) without starting a wave, so the two never collide.
 package main
 
 import (

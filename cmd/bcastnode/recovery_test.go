@@ -185,8 +185,8 @@ func TestRestartMidNACK(t *testing.T) {
 	// Seed-matched simulator arm: the same wave shape — first copy n0->n1
 	// lost detectably, recovered by NACK retransmission — without any crash.
 	// Crash recovery is transparent, so outcomes must agree exactly.
-	g := graph.New(2)
-	if err := g.AddEdge(0, 1); err != nil {
+	g, err := graph.FromEdges(2, [][2]int{{0, 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	agreed := false

@@ -11,11 +11,9 @@ import (
 
 func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -51,7 +49,7 @@ func TestIsCDS(t *testing.T) {
 			}
 		})
 	}
-	if !IsCDS(graph.New(1), nil) {
+	if !IsCDS(build(t, 1, nil), nil) {
 		t.Fatal("single-vertex graph should accept the empty set")
 	}
 }
@@ -111,10 +109,10 @@ func TestGuhaKhullerSmall(t *testing.T) {
 }
 
 func TestGuhaKhullerEdgeCases(t *testing.T) {
-	if set, err := GuhaKhuller(graph.New(0)); err != nil || set != nil {
+	if set, err := GuhaKhuller(build(t, 0, nil)); err != nil || set != nil {
 		t.Fatalf("empty graph: %v, %v", set, err)
 	}
-	if set, err := GuhaKhuller(graph.New(1)); err != nil || len(set) != 1 {
+	if set, err := GuhaKhuller(build(t, 1, nil)); err != nil || len(set) != 1 {
 		t.Fatalf("single vertex: %v, %v", set, err)
 	}
 	disconnected := build(t, 4, [][2]int{{0, 1}, {2, 3}})

@@ -12,11 +12,13 @@ import (
 func ExampleReduce() {
 	// A 6-cycle: every node is marked (its two neighbors are not directly
 	// connected), but half of them suffice as a CDS.
-	g := graph.New(6)
+	var ring [][2]int
 	for i := 0; i < 6; i++ {
-		if err := g.AddEdge(i, (i+1)%6); err != nil {
-			panic(err)
-		}
+		ring = append(ring, [2]int{i, (i + 1) % 6})
+	}
+	g, err := graph.FromEdges(6, ring)
+	if err != nil {
+		panic(err)
 	}
 	marked := cds.MarkingProcess(g)
 	reduced := cds.Reduce(g, marked)

@@ -12,11 +12,9 @@ import (
 
 func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -141,11 +139,11 @@ func TestBackboneReducible(t *testing.T) {
 }
 
 func TestSingleNodeAndEmpty(t *testing.T) {
-	c := LowestID(graph.New(1))
+	c := LowestID(build(t, 1, nil))
 	if len(c.Heads) != 1 || c.Head[0] != 0 {
 		t.Fatalf("single node: %+v", c)
 	}
-	if got := len(LowestID(graph.New(0)).Heads); got != 0 {
+	if got := len(LowestID(build(t, 0, nil)).Heads); got != 0 {
 		t.Fatalf("empty graph clusters = %d", got)
 	}
 }

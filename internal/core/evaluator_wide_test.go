@@ -21,12 +21,9 @@ import (
 func wideHub(d, shift int, chords [][2]int) (g *graph.Graph, hub int) {
 	n := 2*d + 1
 	id := func(logical int) int { return (logical + shift) % n }
-	g = graph.New(n)
+	var links [][2]int
 	link := func(u, w int) {
-		if u != w {
-			// In range by construction; a repeated link is a no-op.
-			_ = g.AddEdge(id(u), id(w))
-		}
+		links = append(links, [2]int{id(u), id(w)})
 	}
 	for i := 0; i < d; i++ {
 		link(0, 1+i)
@@ -37,6 +34,11 @@ func wideHub(d, shift int, chords [][2]int) (g *graph.Graph, hub int) {
 		if c[0]%n != 0 && c[1]%n != 0 {
 			link(c[0]%n, c[1]%n)
 		}
+	}
+	// In range by construction; loops and repeated links are dropped.
+	g, err := graph.FromEdges(n, dedupLinks(links))
+	if err != nil {
+		panic(err)
 	}
 	return g, id(0)
 }

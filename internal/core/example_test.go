@@ -12,11 +12,9 @@ import (
 // through a higher-priority chain, so node 0 may stay silent during a
 // broadcast; node 3 (the highest priority) may not.
 func ExampleCovered() {
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			panic(err)
-		}
+	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
+	if err != nil {
+		panic(err)
 	}
 	base := view.BasePriorities(g, view.MetricID)
 	for v := 0; v < 4; v++ {
@@ -38,11 +36,9 @@ func ExampleCovered() {
 func ExampleMaxMinPath() {
 	// Two candidate paths between node 0's neighbors 1 and 2: through 3, or
 	// through the higher-priority chain 4-5. MAX_MIN prefers the latter.
-	g := graph.New(6)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {3, 2}, {1, 4}, {4, 5}, {5, 2}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			panic(err)
-		}
+	g, err := graph.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {1, 3}, {3, 2}, {1, 4}, {4, 5}, {5, 2}})
+	if err != nil {
+		panic(err)
 	}
 	lv := view.NewLocal(g, 0, 0, view.BasePriorities(g, view.MetricID))
 	path, ok := core.MaxMinPath(lv, 1, 2)

@@ -18,21 +18,22 @@ func decodeGraph(data []byte) (g *graph.Graph, owner, hops int, visited []int) {
 	n := 2 + int(data[0]%14) // 2..15 vertices
 	owner = int(data[1]) % n
 	hops = int(data[2]) % 4 // 0..3 (0 = global)
-	g = graph.New(n)
+	var links [][2]int
 	i := 3
 	for ; i+1 < len(data); i += 2 {
 		if data[i] == 0xff {
 			i++
 			break
 		}
-		u, v := int(data[i])%n, int(data[i+1])%n
-		if u != v {
-			// Vertices are in range by construction.
-			_ = g.AddEdge(u, v)
-		}
+		links = append(links, [2]int{int(data[i]) % n, int(data[i+1]) % n})
 	}
 	for ; i < len(data); i++ {
 		visited = append(visited, int(data[i])%n)
+	}
+	// Vertices are in range by construction; loops and repeats are dropped.
+	g, err := graph.FromEdges(n, dedupLinks(links))
+	if err != nil {
+		panic(err)
 	}
 	return g, owner, hops, visited
 }

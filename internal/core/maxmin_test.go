@@ -193,7 +193,6 @@ func TestMaxMinFigure2(t *testing.T) {
 	//   u adjacent to y and 7 and 5; y-6, 7-6, 6-4, 5-3?; 4-w, 3-w.
 	// We keep the essential structure: the max-min chain picks 4 for
 	// (u,w), then 6 for (u,4), then y for (u,6).
-	g := graph.New(9)
 	edges := [][2]int{
 		{0, 8}, {0, 7}, {0, 3}, // u's links: y, 7, and low node 3
 		{8, 6}, {7, 6}, // y and 7 reach 6
@@ -201,10 +200,9 @@ func TestMaxMinFigure2(t *testing.T) {
 		{4, 1}, {3, 1}, // 4 and 3 reach w
 		{2, 0}, {2, 1}, // v adjacent to u and w
 	}
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(9, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	base := view.BasePriorities(g, view.MetricID)
 	lv := view.NewLocal(g, 2, 0, base)

@@ -11,13 +11,27 @@ import (
 // buildGraph constructs a graph from an edge list.
 func buildGraph(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatalf("AddEdge(%v): %v", e, err)
-		}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatalf("FromEdges(%v): %v", edges, err)
 	}
 	return g
+}
+
+// dedupLinks drops the self-loops and the repeats, in either orientation, of
+// an edge list, keeping the first of each link in order, so that any byte
+// string a fuzz decoder reads is a valid FromEdges input.
+func dedupLinks(links [][2]int) [][2]int {
+	seen := make(map[[2]int]bool, len(links))
+	var out [][2]int
+	for _, e := range links {
+		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
+		if e[0] != e[1] && !seen[key] {
+			seen[key] = true
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // localView builds owner's k-hop view with the given metric.
@@ -30,16 +44,15 @@ func localView(t *testing.T, g *graph.Graph, owner, k int, m view.Metric) *view.
 func randomConnectedGraph(t *testing.T, rng *rand.Rand, n int, p float64) *graph.Graph {
 	t.Helper()
 	for attempt := 0; attempt < 1000; attempt++ {
-		g := graph.New(n)
+		var edges [][2]int
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if rng.Float64() < p {
-					if err := g.AddEdge(u, v); err != nil {
-						t.Fatal(err)
-					}
+					edges = append(edges, [2]int{u, v})
 				}
 			}
 		}
+		g := buildGraph(t, n, edges)
 		if g.Connected() {
 			return g
 		}
@@ -96,13 +109,18 @@ func isCDS(g *graph.Graph, set []int) bool {
 			return false
 		}
 	}
-	induced := graph.New(g.N())
+	var links [][2]int
 	for _, v := range set {
 		g.ForEachNeighbor(v, func(u int) {
 			if u > v && inSet[u] {
-				_ = induced.AddEdge(v, u)
+				links = append(links, [2]int{v, u})
 			}
 		})
+	}
+	// A repeated member of set lists its links twice.
+	induced, err := graph.FromEdges(g.N(), dedupLinks(links))
+	if err != nil {
+		panic(err)
 	}
 	dist := induced.BFSDistances(set[0])
 	for _, v := range set {

@@ -22,11 +22,13 @@ func crashedCount(p *Plan) int {
 
 func line(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for v := 0; v+1 < n; v++ {
-		if err := g.AddEdge(v, v+1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -107,14 +109,18 @@ func TestValidate(t *testing.T) {
 
 func TestNewPlanDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.New(40)
+	var edges [][2]int
+	seen := map[[2]int]bool{}
 	for i := 0; i < 120; i++ {
 		u, v := rng.Intn(40), rng.Intn(40)
-		if u != v && !g.HasEdge(u, v) {
-			if err := g.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
+		if key := [2]int{min(u, v), max(u, v)}; u != v && !seen[key] {
+			seen[key] = true
+			edges = append(edges, [2]int{u, v})
 		}
+	}
+	g, err := graph.FromEdges(40, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	p := Params{CrashFraction: 0.2, ChurnFraction: 0.1, LinkFraction: 0.15, Protect: []int{0}}
 	a, err := NewPlan(g, p, 99)

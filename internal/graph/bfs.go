@@ -98,16 +98,16 @@ func (g *Graph) KHopNeighbors(v, k int) []int {
 // the same vertex numbering with only the view's edges, plus a visibility
 // mask marking the members of Nk(v).
 //
-// k <= 0 yields the global view (the whole graph, all vertices visible even
-// if unreachable); any positive k is a BFS-bounded view that only ever
-// contains reachable vertices.
+// k <= 0 yields the global view: g itself, which no one can change, with
+// all vertices visible even if unreachable. Any positive k is a BFS-bounded
+// view that only ever contains reachable vertices.
 func (g *Graph) LocalView(v, k int) (sub *Graph, visible []bool) {
 	visible = make([]bool, g.n)
 	if k <= 0 {
 		for i := range visible {
 			visible[i] = true
 		}
-		return g.Clone(), visible
+		return g, visible
 	}
 	dist := g.boundedDistances(v, k)
 	var edges [][2]int

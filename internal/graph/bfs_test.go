@@ -10,11 +10,11 @@ import (
 // path builds the path graph 0-1-2-...-(n-1).
 func path(t *testing.T, n int) *Graph {
 	t.Helper()
-	g := New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		mustEdge(t, g, i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return mustGraph(t, n, edges...)
 }
 
 func TestBFSDistancesPath(t *testing.T) {
@@ -30,8 +30,7 @@ func TestBFSDistancesPath(t *testing.T) {
 }
 
 func TestBFSDistancesDisconnected(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1)
+	g := mustGraph(t, 4, [2]int{0, 1})
 	dist := g.BFSDistances(0)
 	if !equalInts(dist, []int{0, 1, -1, -1}) {
 		t.Fatalf("dist = %v", dist)
@@ -39,7 +38,7 @@ func TestBFSDistancesDisconnected(t *testing.T) {
 }
 
 func TestBFSDistancesBadSource(t *testing.T) {
-	g := New(3)
+	g := mustGraph(t, 3)
 	dist := g.BFSDistances(7)
 	if !equalInts(dist, []int{-1, -1, -1}) {
 		t.Fatalf("dist = %v", dist)
@@ -52,19 +51,14 @@ func TestConnected(t *testing.T) {
 		build func(t *testing.T) *Graph
 		want  bool
 	}{
-		{name: "empty", build: func(t *testing.T) *Graph { return New(0) }, want: true},
-		{name: "single", build: func(t *testing.T) *Graph { return New(1) }, want: true},
+		{name: "empty", build: func(t *testing.T) *Graph { return mustGraph(t, 0) }, want: true},
+		{name: "single", build: func(t *testing.T) *Graph { return mustGraph(t, 1) }, want: true},
 		{name: "path", build: func(t *testing.T) *Graph { return path(t, 6) }, want: true},
 		{name: "two components", build: func(t *testing.T) *Graph {
-			g := New(4)
-			mustEdge(t, g, 0, 1)
-			mustEdge(t, g, 2, 3)
-			return g
+			return mustGraph(t, 4, [2]int{0, 1}, [2]int{2, 3})
 		}, want: false},
 		{name: "isolated vertex", build: func(t *testing.T) *Graph {
-			g := New(3)
-			mustEdge(t, g, 0, 1)
-			return g
+			return mustGraph(t, 3, [2]int{0, 1})
 		}, want: false},
 	}
 	for _, tt := range tests {
@@ -111,10 +105,7 @@ func TestConnectedBytesPerCall(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	mustEdge(t, g, 4, 5)
+	g := mustGraph(t, 6, [2]int{0, 1}, [2]int{1, 2}, [2]int{4, 5})
 	labels, count := g.Components()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3", count)
@@ -149,12 +140,7 @@ func TestKHopNeighbors(t *testing.T) {
 func TestLocalViewDefinition2(t *testing.T) {
 	// 0-1, 0-2, 1-3, 2-4, 3-4: vertices 3 and 4 are both 2 hops from 0, so
 	// the edge {3,4} is not in E2(0), while {1,3} and {2,4} are.
-	g := New(5)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 0, 2)
-	mustEdge(t, g, 1, 3)
-	mustEdge(t, g, 2, 4)
-	mustEdge(t, g, 3, 4)
+	g := mustGraph(t, 5, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 3}, [2]int{2, 4}, [2]int{3, 4})
 
 	sub, visible := g.LocalView(0, 2)
 	for v := 0; v < 5; v++ {
@@ -183,10 +169,7 @@ func TestLocalViewDefinition2(t *testing.T) {
 func TestLocalViewOneHop(t *testing.T) {
 	// G1(v) contains only the star around v: links between two neighbors
 	// are invisible (the paper's example following Definition 2).
-	g := New(3)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 0, 2)
-	mustEdge(t, g, 1, 2)
+	g := mustGraph(t, 3, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2})
 	sub, visible := g.LocalView(0, 1)
 	if !visible[0] || !visible[1] || !visible[2] {
 		t.Fatalf("visible = %v", visible)
@@ -203,6 +186,9 @@ func TestLocalViewGlobal(t *testing.T) {
 	g := path(t, 4)
 	for _, k := range []int{0, -1, 4, 99} {
 		sub, visible := g.LocalView(1, k)
+		if k <= 0 && sub != g {
+			t.Fatalf("k=%d: the global view is a copy, want g itself", k)
+		}
 		if sub.M() != g.M() {
 			t.Fatalf("k=%d: M = %d, want %d", k, sub.M(), g.M())
 		}

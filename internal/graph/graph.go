@@ -16,25 +16,14 @@ import (
 // compressed sparse row form: the neighbors of v are to[off[v]:off[v+1]],
 // sorted in ascending vertex order, which makes all traversal deterministic.
 // Each link is stored once from each side, so a graph retains 4(n+1) + 8m
-// bytes of adjacency. The zero value is not usable; construct with New or
-// FromEdges.
+// bytes of adjacency. The zero value is not usable; construct with
+// FromEdges. A Graph never changes once FromEdges returns it: a *Graph names
+// one topology for its whole life, so it may key a cache and be shared
+// across goroutines without locks.
 type Graph struct {
 	n, m int
 	off  []int32 // n+1 offsets into to
 	to   []int32 // 2m neighbor ids
-}
-
-// New returns an empty graph with n vertices and no edges.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{n: n, off: make([]int32, n+1)}
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return &Graph{n: g.n, m: g.m, off: slices.Clone(g.off), to: slices.Clone(g.to)}
 }
 
 // N returns the number of vertices.
@@ -64,9 +53,9 @@ func (g *Graph) ForEachNeighbor(v int, fn func(u int)) {
 }
 
 // Adj returns v's neighbor list in ascending order without copying it. The
-// slice is owned by the graph, valid until the next AddEdge or RemoveEdge,
-// and must not be mutated; it is for hot loops that ForEachNeighbor's
-// callback would slow down.
+// slice is owned by the graph, valid for the graph's life, and must not be
+// written; it is for hot loops that ForEachNeighbor's callback would slow
+// down.
 func (g *Graph) Adj(v int) []int32 {
 	lo, hi := g.off[v], g.off[v+1]
 	return g.to[lo:hi:hi]
@@ -82,67 +71,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	}
 	_, ok := slices.BinarySearch(g.Adj(u), int32(v))
 	return ok
-}
-
-// AddEdge inserts the undirected edge {u, v}. Self-loops and out-of-range
-// vertices are rejected; adding an existing edge is a no-op. An edit shifts
-// the adjacency array, so it costs O(n + m): it is for tests and small
-// edits, and a whole graph is built with FromEdges.
-func (g *Graph) AddEdge(u, v int) error {
-	if u < 0 || v < 0 || u >= g.n || v >= g.n {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	if u > v {
-		u, v = v, u
-	}
-	iu, found := slices.BinarySearch(g.Adj(u), int32(v))
-	if found {
-		return nil
-	}
-	if err := checkSize(g.n, g.m+1); err != nil {
-		return err
-	}
-	iv, _ := slices.BinarySearch(g.Adj(v), int32(u))
-	// u < v, so u's segment lies before v's: v goes in at pu, u at pv + 1
-	// once v's insertion has shifted v's segment by one.
-	pu, pv := int(g.off[u])+iu, int(g.off[v])+iv
-	g.to = slices.Insert(g.to, pv, int32(u))
-	g.to = slices.Insert(g.to, pu, int32(v))
-	g.shift(u, v, 1)
-	g.m++
-	return nil
-}
-
-// RemoveEdge deletes the undirected edge {u, v} if present, in O(n + m).
-func (g *Graph) RemoveEdge(u, v int) {
-	if !g.HasEdge(u, v) {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
-	iu, _ := slices.BinarySearch(g.Adj(u), int32(v))
-	iv, _ := slices.BinarySearch(g.Adj(v), int32(u))
-	pu, pv := int(g.off[u])+iu, int(g.off[v])+iv
-	g.to = slices.Delete(g.to, pv, pv+1)
-	g.to = slices.Delete(g.to, pu, pu+1)
-	g.shift(u, v, -1)
-	g.m--
-}
-
-// shift moves the offsets after an edit of the edge {u, v}, u < v, that
-// changed both endpoints' degrees by d: the segments of u+1..v move by d,
-// the ones after v by 2d.
-func (g *Graph) shift(u, v int, d int32) {
-	for w := u + 1; w <= v; w++ {
-		g.off[w] += d
-	}
-	for w := v + 1; w <= g.n; w++ {
-		g.off[w] += 2 * d
-	}
 }
 
 // checkSize rejects a graph whose vertex ids or adjacency offsets would not
@@ -166,8 +94,8 @@ func FromEdges[T int | int32](n int, edges [][2]T) (*Graph, error) {
 	if err := checkSize(n, len(edges)); err != nil {
 		return nil, err
 	}
-	g := New(n)
-	n = g.n
+	n = max(n, 0)
+	g := &Graph{n: n, off: make([]int32, n+1)}
 	for _, e := range edges {
 		u, v := int(e[0]), int(e[1])
 		if u < 0 || v < 0 || u >= n || v >= n {

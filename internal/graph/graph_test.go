@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewGraphEmpty(t *testing.T) {
-	g := New(5)
+	g := mustGraph(t, 5)
 	if got := g.N(); got != 5 {
 		t.Fatalf("N() = %d, want 5", got)
 	}
@@ -22,16 +22,18 @@ func TestNewGraphEmpty(t *testing.T) {
 }
 
 func TestNewGraphNegative(t *testing.T) {
-	g := New(-3)
+	g := mustGraph(t, -3)
 	if got := g.N(); got != 0 {
 		t.Fatalf("N() = %d, want 0", got)
 	}
 }
 
+// TestAddEdge checks the reference insertion that the FromEdges tests
+// compare against: an inserted edge is seen from both endpoints, and only it.
 func TestAddEdge(t *testing.T) {
-	g := New(4)
-	if err := g.AddEdge(0, 2); err != nil {
-		t.Fatalf("AddEdge(0,2): %v", err)
+	g := mustGraph(t, 4)
+	if err := g.addEdge(0, 2); err != nil {
+		t.Fatalf("addEdge(0,2): %v", err)
 	}
 	if !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
 		t.Fatal("edge {0,2} not symmetric")
@@ -44,68 +46,8 @@ func TestAddEdge(t *testing.T) {
 	}
 }
 
-func TestAddEdgeIdempotent(t *testing.T) {
-	g := New(3)
-	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(1, 2); err != nil {
-			t.Fatalf("AddEdge: %v", err)
-		}
-	}
-	if got := g.M(); got != 1 {
-		t.Fatalf("M() = %d after duplicate adds, want 1", got)
-	}
-	if got := g.Degree(1); got != 1 {
-		t.Fatalf("Degree(1) = %d, want 1", got)
-	}
-}
-
-func TestAddEdgeErrors(t *testing.T) {
-	g := New(3)
-	tests := []struct {
-		name string
-		u, v int
-	}{
-		{name: "self-loop", u: 1, v: 1},
-		{name: "negative", u: -1, v: 0},
-		{name: "out of range", u: 0, v: 3},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if err := g.AddEdge(tt.u, tt.v); err == nil {
-				t.Fatalf("AddEdge(%d,%d) succeeded, want error", tt.u, tt.v)
-			}
-		})
-	}
-	if g.M() != 0 {
-		t.Fatalf("M() = %d after failed adds, want 0", g.M())
-	}
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	g.RemoveEdge(0, 1)
-	if g.HasEdge(0, 1) {
-		t.Fatal("edge {0,1} still present after removal")
-	}
-	if !g.HasEdge(1, 2) {
-		t.Fatal("edge {1,2} removed by mistake")
-	}
-	if got := g.M(); got != 1 {
-		t.Fatalf("M() = %d, want 1", got)
-	}
-	g.RemoveEdge(0, 1) // removing a missing edge is a no-op
-	if got := g.M(); got != 1 {
-		t.Fatalf("M() = %d after double removal, want 1", got)
-	}
-}
-
 func TestNeighborsSortedAndCopied(t *testing.T) {
-	g := New(5)
-	mustEdge(t, g, 3, 1)
-	mustEdge(t, g, 3, 4)
-	mustEdge(t, g, 3, 0)
+	g := mustGraph(t, 5, [2]int{3, 1}, [2]int{3, 4}, [2]int{3, 0})
 	nbrs := g.Neighbors(3)
 	want := []int{0, 1, 4}
 	if !equalInts(nbrs, want) {
@@ -118,10 +60,7 @@ func TestNeighborsSortedAndCopied(t *testing.T) {
 }
 
 func TestForEachNeighborOrder(t *testing.T) {
-	g := New(6)
-	for _, v := range []int{5, 2, 4, 1} {
-		mustEdge(t, g, 0, v)
-	}
+	g := mustGraph(t, 6, [2]int{0, 5}, [2]int{0, 2}, [2]int{0, 4}, [2]int{0, 1})
 	var got []int
 	g.ForEachNeighbor(0, func(u int) { got = append(got, u) })
 	if !equalInts(got, []int{1, 2, 4, 5}) {
@@ -130,9 +69,7 @@ func TestForEachNeighborOrder(t *testing.T) {
 }
 
 func TestEdges(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 2, 1)
-	mustEdge(t, g, 0, 3)
+	g := mustGraph(t, 4, [2]int{2, 1}, [2]int{0, 3})
 	edges := g.Edges()
 	want := [][2]int{{0, 3}, {1, 2}}
 	if len(edges) != len(want) {
@@ -145,49 +82,27 @@ func TestEdges(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := New(3)
-	mustEdge(t, g, 0, 1)
-	c := g.Clone()
-	mustEdge(t, c, 1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("mutating the clone changed the original")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Fatal("clone lost an edge")
-	}
-	if g.M() != 1 || c.M() != 2 {
-		t.Fatalf("edge counts: g=%d c=%d, want 1 and 2", g.M(), c.M())
-	}
-}
-
 func TestAverageDegree(t *testing.T) {
-	g := New(4)
-	if got := g.AverageDegree(); got != 0 {
+	if got := mustGraph(t, 4).AverageDegree(); got != 0 {
 		t.Fatalf("AverageDegree() = %v, want 0", got)
 	}
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 2, 3)
+	g := mustGraph(t, 4, [2]int{0, 1}, [2]int{2, 3})
 	if got := g.AverageDegree(); got != 1 {
 		t.Fatalf("AverageDegree() = %v, want 1", got)
 	}
-	if New(0).AverageDegree() != 0 {
+	if mustGraph(t, 0).AverageDegree() != 0 {
 		t.Fatal("AverageDegree of empty graph should be 0")
 	}
 }
 
 func TestIsComplete(t *testing.T) {
-	g := New(3)
-	if g.IsComplete() {
+	if mustGraph(t, 3).IsComplete() {
 		t.Fatal("empty 3-graph reported complete")
 	}
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 0, 2)
-	mustEdge(t, g, 1, 2)
-	if !g.IsComplete() {
+	if !mustGraph(t, 3, [2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}).IsComplete() {
 		t.Fatal("triangle not reported complete")
 	}
-	if !New(1).IsComplete() {
+	if !mustGraph(t, 1).IsComplete() {
 		t.Fatal("single vertex should be complete")
 	}
 }
@@ -240,11 +155,14 @@ func TestDegreeSumQuick(t *testing.T) {
 
 // --- shared test helpers ---
 
-func mustEdge(t *testing.T, g *Graph, u, v int) {
+// mustGraph builds the graph on n vertices with the given edges.
+func mustGraph(t *testing.T, n int, edges ...[2]int) *Graph {
 	t.Helper()
-	if err := g.AddEdge(u, v); err != nil {
-		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
 func equalInts(a, b []int) bool {
@@ -261,15 +179,17 @@ func equalInts(a, b []int) bool {
 
 // randomGraph builds an Erdős–Rényi style graph with edge probability p.
 func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				if err := g.AddEdge(u, v); err != nil {
-					panic(err)
-				}
+				edges = append(edges, [2]int{u, v})
 			}
 		}
+	}
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

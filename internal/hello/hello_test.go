@@ -9,11 +9,13 @@ import (
 
 func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -46,11 +48,9 @@ func TestZeroRoundsKnowsNothing(t *testing.T) {
 func TestOneRoundLearnsStar(t *testing.T) {
 	// After one round a node knows exactly its incident links — the G1(v)
 	// of Definition 2 (neighbor-to-neighbor links stay invisible).
-	g := graph.New(3)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	links := lossless(t, g, 1).Graph(0).Edges()
 	if want := [][2]int{{0, 1}, {0, 2}}; !reflect.DeepEqual(links, want) {
@@ -59,11 +59,9 @@ func TestOneRoundLearnsStar(t *testing.T) {
 }
 
 func TestTwoRoundsLearnNeighborLinks(t *testing.T) {
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	vs := lossless(t, g, 2)
 	vg := vs.Graph(0)
@@ -98,15 +96,15 @@ func TestConvergence(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	vs := lossless(t, graph.New(0), 1) // must not panic
+	vs := lossless(t, pathGraph(t, 0), 1) // must not panic
 	if vs.N() != 0 {
 		t.Fatalf("views on empty graph cover %d nodes", vs.N())
 	}
 }
 
 func TestIsolatedNodeLearnsNothing(t *testing.T) {
-	g := graph.New(3)
-	if err := g.AddEdge(0, 1); err != nil {
+	g, err := graph.FromEdges(3, [][2]int{{0, 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if links := lossless(t, g, 5).Graph(2).Edges(); len(links) != 0 {

@@ -147,11 +147,9 @@ func TestExchangeLossyDetection(t *testing.T) {
 	// node 2's hellos could reveal link {1,2} to node 1 (the endpoints share
 	// no common neighbor), so node 1 learns {0,1} from 0 but never hears of
 	// node 2 at all.
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	p := New(g)
 	drop := func(v, u int) bool { return v == 1 && u == 2 }
@@ -222,7 +220,10 @@ func TestExchangeLossyDetection(t *testing.T) {
 
 // TestExchangeRejectsBadConfig pins the validation errors.
 func TestExchangeRejectsBadConfig(t *testing.T) {
-	g := graph.New(2)
+	g, err := graph.FromEdges[int](2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Exchange(g, Config{Rounds: -1}); err == nil {
 		t.Fatal("negative Rounds accepted")
 	}

@@ -13,11 +13,9 @@ import (
 
 func mkGraph(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

@@ -10,13 +10,7 @@ import (
 
 func lineGraph6(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(6)
-	for i := 0; i < 5; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+	return mkGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 }
 
 func TestEngineDescribe(t *testing.T) {
@@ -109,12 +103,7 @@ func TestEngineRelaxedNDDeclinesWhenCovered(t *testing.T) {
 	// Relaxed ND on a triangle plus tail: source 0 designates 1 and 2; node
 	// 1's neighbors {0,2} are directly connected, and with node 2 also
 	// designated (higher id, status 1.5), node 1 may decline.
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := mkGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
 	p := New(Options{
 		Name:      "relaxed-nd",
 		Timing:    TimingFirstReceipt,
@@ -234,12 +223,7 @@ func TestMPRRelaxedRuleSkipsNonFirstDesignator(t *testing.T) {
 	// Diamond 0-{1,2}-3 with 1-2 connected: node 3 receives first from the
 	// earlier transmitter; if that sender did not designate it, node 3
 	// stays silent even if the later copy designates it.
-	g := graph.New(5)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {3, 4}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := mkGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {3, 4}})
 	res, err := sim.Run(g, 0, MPR(), sim.Config{Hops: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -275,61 +275,64 @@ func TestDescribeTable1(t *testing.T) {
 
 // --- topology helpers ---
 
-func lineGraph(t *testing.T, n int) *graph.Graph {
-	t.Helper()
-	g := graph.New(n)
+func lineEdges(n int) [][2]int {
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		addEdge(t, g, i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return edges
 }
 
+func lineGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	return fromEdges(t, n, lineEdges(n))
+}
+
+// cycleGraph closes a path of n >= 3 vertices into a ring.
 func cycleGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := lineGraph(t, n)
-	addEdge(t, g, n-1, 0)
-	return g
+	return fromEdges(t, n, append(lineEdges(n), [2]int{n - 1, 0}))
 }
 
 func starGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for v := 1; v < n; v++ {
-		addEdge(t, g, 0, v)
+		edges = append(edges, [2]int{0, v})
 	}
-	return g
+	return fromEdges(t, n, edges)
 }
 
 func completeGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			addEdge(t, g, u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return fromEdges(t, n, edges)
 }
 
 // barbellGraph joins two k-cliques by a single bridge edge.
 func barbellGraph(t *testing.T, k int) *graph.Graph {
 	t.Helper()
-	g := graph.New(2 * k)
+	var edges [][2]int
 	for u := 0; u < k; u++ {
 		for v := u + 1; v < k; v++ {
-			addEdge(t, g, u, v)
-			addEdge(t, g, k+u, k+v)
+			edges = append(edges, [2]int{u, v}, [2]int{k + u, k + v})
 		}
 	}
-	addEdge(t, g, k-1, k)
-	return g
+	return fromEdges(t, 2*k, append(edges, [2]int{k - 1, k}))
 }
 
-func addEdge(t *testing.T, g *graph.Graph, u, v int) {
+func fromEdges(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	if err := g.AddEdge(u, v); err != nil {
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return g
 }
 
 // TestProtocolNamesUnique guards the registry used by CLIs and experiment

@@ -89,7 +89,7 @@ func TestKillPlanDeterministic(t *testing.T) {
 }
 
 // TestChaosSoak is the acceptance soak: real processes, seed-deterministic
-// SIGKILL/restart chaos, and the three invariants from the package doc.
+// SIGKILL/restart chaos, and the three invariants from harness_test.go's doc.
 // Full size (no -short) is a 200-broadcast run with at least 30 kills.
 func TestChaosSoak(t *testing.T) {
 	broadcasts, horizon, minKills := 200, 500.0, 30

@@ -112,25 +112,20 @@ type Report struct {
 }
 
 // Topology returns the harness graph for cfg: backbone ring 0..Backbone-1,
-// victim v (ids Backbone..) attached to backbone nodes v%B and (v+1)%B.
+// victim v (ids Backbone..) attached to backbone nodes v%B and (v+1)%B. A
+// ring needs a backbone of at least three nodes; FromEdges reports the
+// repeated or looped link of a smaller one.
 func Topology(cfg Config) (*graph.Graph, error) {
 	b := cfg.Backbone
-	g := graph.New(b + cfg.Victims)
+	var edges [][2]int
 	for i := 0; i < b; i++ {
-		if err := g.AddEdge(i, (i+1)%b); err != nil {
-			return nil, err
-		}
+		edges = append(edges, [2]int{i, (i + 1) % b})
 	}
 	for v := 0; v < cfg.Victims; v++ {
 		id := b + v
-		if err := g.AddEdge(id, v%b); err != nil {
-			return nil, err
-		}
-		if err := g.AddEdge(id, (v+1)%b); err != nil {
-			return nil, err
-		}
+		edges = append(edges, [2]int{id, v % b}, [2]int{id, (v + 1) % b})
 	}
-	return g, nil
+	return graph.FromEdges(b+cfg.Victims, edges)
 }
 
 // KillPlan builds the seed-deterministic kill schedule as a fault plan: every

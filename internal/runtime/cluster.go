@@ -34,9 +34,10 @@ type Cluster struct {
 }
 
 // New builds a live cluster over g: one Node per vertex. The nodes share one
-// name table, the graph g itself (which must not change while the Cluster is
-// in use), one set of k-hop views built in one pass on every core, and one
-// coverage evaluator, so setup costs what the simulator's does.
+// name table, the graph g itself (a graph never changes once built, so
+// sharing it needs no copy and no lock), one set of k-hop views built in one
+// pass on every core, and one coverage evaluator, so setup costs what the
+// simulator's does.
 func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {

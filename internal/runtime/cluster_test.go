@@ -18,11 +18,13 @@ import (
 
 func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for v := 0; v+1 < n; v++ {
-		if err := g.AddEdge(v, v+1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

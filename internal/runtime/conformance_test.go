@@ -34,30 +34,28 @@ func confTopologies(t *testing.T) []confTopology {
 	t.Helper()
 	path := pathGraph(t, 6)
 
-	star := graph.New(7)
+	var spokes [][2]int
 	for v := 0; v < 7; v++ {
 		if v != 3 {
-			if err := star.AddEdge(3, v); err != nil {
-				t.Fatal(err)
-			}
+			spokes = append(spokes, [2]int{3, v})
 		}
+	}
+	star, err := graph.FromEdges(7, spokes)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Two triangles joined by a bridge: pruning has real choices here.
-	bridge := graph.New(6)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {4, 5}} {
-		if err := bridge.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	bridge, err := graph.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Disconnected: delivery stops at the component boundary in both
 	// executors.
-	split := graph.New(5)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {
-		if err := split.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+	split, err := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	udg, err := geo.Generate(geo.Config{N: 24, AvgDegree: 5}, rand.New(rand.NewSource(7)))

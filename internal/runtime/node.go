@@ -595,7 +595,8 @@ func (n *Node) handlePeers(env Envelope) {
 
 // trafficMessageID tags node-generated broadcast waves: arrival seq of node
 // self maps to a message id at or above 1<<32, so self-injected waves never
-// collide with harness-injected messages (which stay below 2^32 in practice).
+// collide with harness-injected messages, which handleBroadcast keeps below
+// 2^32.
 func trafficMessageID(self, seq int) int64 {
 	return int64(self+1)<<32 | int64(seq)
 }
@@ -684,6 +685,10 @@ func (n *Node) ready(env Envelope, fromPeer bool) bool {
 
 func (n *Node) handleBroadcast(env Envelope) {
 	if !n.ready(env, false) {
+		return
+	}
+	if msg := *env.Body.Message; msg >= 1<<32 {
+		n.replyError(env, errMalformed, fmt.Sprintf("broadcast message %d is at or above 2^32, the ids of self-injected traffic", msg))
 		return
 	}
 	w := n.wave(*env.Body.Message)

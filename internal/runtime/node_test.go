@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +22,51 @@ func TestTrafficMessageIDs(t *testing.T) {
 	}
 	if trafficMessageID(1, 0) == trafficMessageID(0, 1<<31) {
 		t.Error("source streams overlap")
+	}
+}
+
+// TestBroadcastRejectsTrafficIDs: a harness broadcast whose id is in the
+// range trafficMessageID reserves for self-injected waves would merge with
+// such a wave, so the node refuses it as malformed and starts no wave; the
+// id just below the range starts one.
+func TestBroadcastRejectsTrafficIDs(t *testing.T) {
+	cfg, err := Config{Protocol: protocol.Flooding}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &recWire{}
+	n := newNode(cfg, w, nil)
+	n.clk = &stepClock{}
+	n.handle(Envelope{Src: "c0", Body: Body{Type: "init", NodeID: "n0", NodeIDs: []string{"n0", "n1"}}})
+	n.handle(Envelope{Src: "c0", Body: Body{Type: "topology",
+		Topology: map[string][]string{"n0": {"n1"}, "n1": {"n0"}}}})
+	for _, tc := range []struct {
+		msg  int64
+		want string
+	}{
+		{1<<32 - 1, "broadcast_ok"},
+		{trafficMessageID(0, 0), "error"},
+		{trafficMessageID(1, 3), "error"},
+		{math.MaxInt64, "error"},
+	} {
+		msg := tc.msg
+		w.sent = w.sent[:0]
+		n.handle(Envelope{Src: "c0", Body: Body{Type: "broadcast", MsgID: 9, Message: &msg}})
+		var reply *Body
+		for i := range w.sent {
+			if w.sent[i].Body.InReplyTo == 9 {
+				reply = &w.sent[i].Body
+			}
+		}
+		if reply == nil || reply.Type != tc.want {
+			t.Fatalf("broadcast %d: reply %+v, want %s", msg, reply, tc.want)
+		}
+		if tc.want == "error" && reply.Code != errMalformed {
+			t.Errorf("broadcast %d: error code %d, want %d", msg, reply.Code, errMalformed)
+		}
+		if _, started := n.waves[msg]; started != (tc.want == "broadcast_ok") {
+			t.Errorf("broadcast %d: wave started = %v", msg, started)
+		}
 	}
 }
 

@@ -15,8 +15,10 @@
 // for link partitions and node churn/crash evaluated against the run clock.
 // The NACK retry/backoff recovery layer runs live, extended with
 // receiver-driven re-requests so a recovery chain survives a sender that is
-// temporarily down — the property the soak harness (internal/runtime/soak)
-// verifies under partition + churn.
+// temporarily down — the property the soak harness verifies under
+// partition + churn. The soak harness and the process-kill chaos harness are
+// test code, in the test files of internal/runtime/soak and
+// internal/runtime/chaos.
 //
 // Time is measured in the simulator's units: all Config delays
 // (TransmitDelay, BackoffWindow, fault-plan intervals, ...) are in units, so

@@ -159,10 +159,10 @@ func Run(cfg Config) (Report, error) {
 	}
 	g := net.G
 
-	// --- Invariant arms (see the package doc): the churn arm floods under
-	// churn + partitions + loss and must cover every strict-reachable node;
-	// the partition arm runs the pruning protocols with every node up and
-	// must cover everything. Budget and backoff are sized so a recovery
+	// --- Invariant arms (see the doc at the top of this file): the churn
+	// arm floods under churn + partitions + loss and must cover every
+	// strict-reachable node; the partition arm runs the pruning protocols
+	// with every node up and must cover everything. Budget and backoff are sized so a recovery
 	// chain comfortably outlives the longest outage window: attempts
 	// continue past the window's end with several budget left, each failing
 	// only with the 2% loss rate.

@@ -33,8 +33,8 @@ import (
 // travel between Arenas: KeepVerdicts hands out a copy of the set's, and a
 // run on another Arena that Adopt offered them to takes them in place of a
 // settling pass, as long as its own key — topology pointer, hops, metric and
-// condition id — is theirs. Callers must therefore not edit a graph in place
-// between runs that share an Arena or verdicts (simdebug builds check).
+// condition id — is theirs. A pointer is a sound key because a graph never
+// changes once built: it names one topology for its whole life.
 //
 // An Arena kept between runs — a sweep driver's pool — pins the last topology
 // it built views from and state sized to the largest run it served: bounded,
@@ -98,7 +98,8 @@ func NewArena() *Arena {
 }
 
 // viewKey is what a view set is built from: the topology, by pointer, the
-// hop count and the priority metric.
+// hop count and the priority metric. A *graph.Graph is immutable, so equal
+// pointers mean equal topologies, on any goroutine.
 type viewKey struct {
 	g      *graph.Graph
 	hops   int

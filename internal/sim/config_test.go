@@ -14,8 +14,14 @@ import (
 // Config.validate: each bad configuration must fail with an error naming the
 // offending knob, and representative good configurations must pass.
 func TestConfigValidate(t *testing.T) {
-	g4 := graph.New(4)
-	g2 := graph.New(2)
+	g4, err := graph.FromEdges[int](4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := graph.FromEdges[int](2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  Config

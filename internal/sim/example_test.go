@@ -12,11 +12,9 @@ import (
 // first-receipt algorithm forwards everywhere except the far leaf, which
 // prunes itself.
 func ExampleRun() {
-	g := graph.New(5)
-	for i := 0; i < 4; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			panic(err)
-		}
+	g, err := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
+	if err != nil {
+		panic(err)
 	}
 	res, err := sim.Run(g, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{Hops: 2})
 	if err != nil {

@@ -15,11 +15,13 @@ import (
 // pathGraph builds 0-1-...-(n-1).
 func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

@@ -43,10 +43,7 @@ func TestNodeViewsPerNodeDecisions(t *testing.T) {
 	// link {1,3}, so 2 believes its neighbors are directly connected and
 	// prunes itself; every other node sees the truth. Node 3 is stranded.
 	actual := pathGraph(t, 4)
-	wrong := pathGraph(t, 4)
-	if err := wrong.AddEdge(1, 3); err != nil {
-		t.Fatal(err)
-	}
+	wrong := mkG(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 3}})
 	views := sameViews(actual, actual)
 	views.graphs[2] = wrong
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
@@ -135,12 +132,7 @@ func TestConservativeFallbackRefusesNonForward(t *testing.T) {
 	// neighbor 1 already visited, concludes it is covered, and prunes.
 	actual := pathGraph(t, 4)
 	truncated := pathGraph(t, 3) // nodes 0-1-2 only
-	blind := graph.New(4)
-	for _, e := range truncated.Edges() {
-		if err := blind.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	blind := mkG(t, 4, truncated.Edges())
 	views := sameViews(actual, actual)
 	views.graphs[2] = blind
 	views.incomplete = []bool{false, false, true, false}
@@ -243,7 +235,7 @@ func TestNodeViewsValidation(t *testing.T) {
 	if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.PerNodeViews{Views: sameViews(g, nil)}}); err == nil {
 		t.Fatal("nil per-node view accepted")
 	}
-	small := graph.New(2)
+	small := mkG(t, 2, nil)
 	if _, err := sim.Run(g, 0, proto, sim.Config{Views: sim.PerNodeViews{Views: sameViews(g, small)}}); err == nil {
 		t.Fatal("size-mismatched per-node view accepted")
 	}

@@ -15,10 +15,7 @@ func TestStaleViewTopologyUsedForDecisions(t *testing.T) {
 	// phantom link {1,3}. Node 2 sees its neighbors 1 and 3 directly
 	// connected and prunes itself; in reality nothing else reaches node 3.
 	actual := pathGraph(t, 4)
-	stale := pathGraph(t, 4)
-	if err := stale.AddEdge(1, 3); err != nil {
-		t.Fatal(err)
-	}
+	stale := mkG(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 3}})
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
 		Hops:  2,
 		Views: sim.SharedViews{Topology: stale},
@@ -49,10 +46,7 @@ func TestStaleViewTopologyUsedForDecisions(t *testing.T) {
 // in reality but not in the view is never used for pruning, so delivery
 // still succeeds (extra links can only add redundancy).
 func TestStaleViewMissingLink(t *testing.T) {
-	actual := pathGraph(t, 4)
-	if err := actual.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
+	actual := mkG(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
 	stale := pathGraph(t, 4) // the {0,2} link is unknown
 	res, err := sim.Run(actual, 0, protocol.Generic(protocol.TimingFirstReceipt), sim.Config{
 		Hops:  2,

@@ -10,8 +10,8 @@ import (
 
 // Builder constructs Local views with reusable bounded-BFS scratch, so that
 // building all n views of a run costs O(Σ|Nk(v)|·deg) time and only the
-// views' own member arrays in memory. Build and Stale run on the calling
-// goroutine and share its scratch, so one Builder serves one caller at a
+// views' own member arrays in memory. Build runs on the calling goroutine
+// and uses its scratch, so one Builder serves one caller at a
 // time; BuildAll spreads its blocks over helper Builders of its own.
 type Builder struct {
 	dist  []int32 // per-vertex BFS distance, -1 when untouched
@@ -237,25 +237,6 @@ func (b *Builder) bfsOrder(g *graph.Graph, order []int32) []int32 {
 		b.dist[x] = -1
 	}
 	return order
-}
-
-// Stale searches every kept view of s again and returns the first node whose
-// members or fringe no longer match its topology — the graph was edited after
-// the set was built — or -1. It allocates nothing.
-func (b *Builder) Stale(s *Set) int {
-	for v, lv := range s.views {
-		if lv == nil || lv.h.global {
-			continue // dropped; or every vertex, whatever the edges
-		}
-		ok := b.reach(lv.h.topo, v, lv.h.hops) == len(lv.members)
-		for i, x := range lv.members {
-			ok = ok && b.dist[x] >= 0 && (int(b.dist[x]) == lv.h.hops) == lv.FringeAt(i)
-		}
-		if !ok {
-			return v
-		}
-	}
-	return -1
 }
 
 // reach finds Nk(owner) by bounded BFS, leaving it in b.queue in discovery

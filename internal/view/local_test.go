@@ -10,11 +10,19 @@ import (
 // pathGraph builds 0-1-2-...-(n-1).
 func pathGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	return buildGraph(t, n, edges)
+}
+
+// buildGraph builds the graph on n vertices with the given edges.
+func buildGraph(t *testing.T, n int, edges [][2]int) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -145,12 +153,7 @@ func TestFringeEdgesExcluded(t *testing.T) {
 	// Cycle 0-1-2-3-4-5-0: from owner 0 with k=2, nodes 2 and 4 are both at
 	// distance 2. The view contains no 2-4 edge anyway; use a square with a
 	// diagonal instead: 0-1, 0-3, 1-2, 3-2, plus 2 at distance 2 via both.
-	g := graph.New(5)
-	for _, e := range [][2]int{{0, 1}, {0, 3}, {1, 2}, {3, 2}, {2, 4}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 5, [][2]int{{0, 1}, {0, 3}, {1, 2}, {3, 2}, {2, 4}})
 	lv := NewLocal(g, 0, 1, BasePriorities(g, MetricID))
 	// k=1: members {0,1,3}; 1 and 3 are fringe, so any 1-3 link would be
 	// excluded. Here 1-3 does not exist; check 1-2 is invisible (2 is not a
@@ -165,12 +168,7 @@ func TestFringeEdgesExcluded(t *testing.T) {
 	// Now with an explicit fringe-fringe link: triangle 0-1, 0-2, 1-2 plus
 	// pendant 1-3. k=1 from 3: members {1, 3} only... use owner 0, k=1:
 	// members {0,1,2}, fringe {1,2}, so the 1-2 link must be excluded.
-	h := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}} {
-		if err := h.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	h := buildGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}})
 	hv := NewLocal(h, 0, 1, BasePriorities(h, MetricID))
 	if hv.HasEdge(1, 2) {
 		t.Fatal("fringe-fringe link visible in 1-hop view")
@@ -185,12 +183,7 @@ func TestFringeEdgesExcluded(t *testing.T) {
 func TestTwoHopTargets(t *testing.T) {
 	// Star of node 0 with arms 1-4, plus leaves: 1-5, 2-6, 2-7, and a
 	// redundant link 5-0? no: keep 2-hop targets {5,6,7}.
-	g := graph.New(8)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {2, 6}, {2, 7}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 8, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {2, 6}, {2, 7}})
 	base := BasePriorities(g, MetricID)
 	lv := NewLocal(g, 0, 2, base)
 	got := lv.TwoHopTargets()
@@ -207,12 +200,7 @@ func TestTwoHopTargets(t *testing.T) {
 
 func TestTwoHopTargetsExcludesNeighborsAndSelf(t *testing.T) {
 	// Triangle: everything is within one hop, no 2-hop targets.
-	g := graph.New(3)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
 	lv := NewLocal(g, 0, 2, BasePriorities(g, MetricID))
 	if got := lv.TwoHopTargets(); len(got) != 0 {
 		t.Fatalf("TwoHopTargets = %v, want empty", got)
@@ -281,16 +269,11 @@ func TestLocalFootprint(t *testing.T) {
 // against graph.LocalView (the original Definition 2 materialization) on
 // random graphs: identical member sets and identical filtered edges.
 func TestCompactMatchesLocalView(t *testing.T) {
-	g := graph.New(12)
 	edges := [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
 		{7, 8}, {8, 9}, {9, 10}, {10, 11}, {0, 4}, {2, 7}, {5, 9}, {1, 10},
 	}
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 12, edges)
 	base := BasePriorities(g, MetricDegree)
 	for _, k := range []int{0, 1, 2, 3} {
 		for owner := 0; owner < g.N(); owner++ {

@@ -148,12 +148,7 @@ func TestMetricString(t *testing.T) {
 // triangleWithTail builds 0-1-2 triangle plus edge 2-3.
 func triangleWithTail(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.New(4)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := buildGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
 	return g
 }
 
@@ -175,23 +170,11 @@ func TestNCR(t *testing.T) {
 }
 
 func TestNCRStarAndClique(t *testing.T) {
-	star := graph.New(5)
-	for v := 1; v < 5; v++ {
-		if err := star.AddEdge(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	star := buildGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	if got := NCR(star, 0); got != 1 {
 		t.Fatalf("NCR(star center) = %v, want 1", got)
 	}
-	clique := graph.New(4)
-	for u := 0; u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			if err := clique.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	clique := buildGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
 	for v := 0; v < 4; v++ {
 		if got := NCR(clique, v); got != 0 {
 			t.Fatalf("NCR(clique %d) = %v, want 0", v, got)
@@ -236,15 +219,17 @@ func TestNCRRangeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(25)
-		g := graph.New(n)
+		var edges [][2]int
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if rng.Float64() < 0.3 {
-					if err := g.AddEdge(u, v); err != nil {
-						return false
-					}
+					edges = append(edges, [2]int{u, v})
 				}
 			}
+		}
+		g, err := graph.FromEdges(n, edges)
+		if err != nil {
+			return false
 		}
 		for v := 0; v < n; v++ {
 			ncr := NCR(g, v)
