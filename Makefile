@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzCalQueueMatchesHeap -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzMergeSkipInvisible -fuzztime 5s
 	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzAdoptedVerdicts -fuzztime 5s
+	$(GO) test -race ./internal/sim/ -run '^$$' -fuzz FuzzTransmitEventMatchesOracle -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorMatchesReference -fuzztime 5s
 	$(GO) test -race ./internal/core/ -run '^$$' -fuzz FuzzEvaluatorWideNeighborhood -fuzztime 5s
 	$(GO) test -race ./internal/obsv/ -run '^$$' -fuzz FuzzVerifyChainMatchesReference -fuzztime 5s

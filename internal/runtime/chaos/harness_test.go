@@ -252,6 +252,7 @@ func (s *supervisor) spawn(i int) error {
 	}
 	cmd := exec.Command(s.cfg.Bin, args...)
 	cmd.Stderr = os.Stderr
+	dieWithParent(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err

@@ -18,10 +18,11 @@ import (
 // makes large replication sweeps allocation-free in steady state.
 //
 // The packet slab holds a run's packets, one slot per transmission (and per
-// session source): events, MAC queues, receipts and node states point into it
-// until the run ends, across every backoff, retransmission and session.
-// Chunks are never reallocated; the next run clears the slots the last one
-// used and starts over at slot 0.
+// session source): events and MAC queue items name a packet by its int32
+// slot, so they hold no pointer; receipts and node states point into it.
+// Both stay valid until the run ends, across every backoff, retransmission
+// and session. Chunks are never reallocated; the next run clears the slots
+// the last one used and starts over at slot 0.
 //
 // The view set holds a view only where a run reads one (viewsFor): under a
 // protocol whose settled verdicts decide a node without its view, the views
@@ -150,8 +151,8 @@ func (a *Arena) takeOffered() []*Settled {
 const packetChunk = 256
 
 // addPacket stores p in the slab's next free slot, never written again, and
-// in simdebug builds fingerprints it for checkPackets.
-func (a *Arena) addPacket(p Packet) *Packet {
+// returns the slot; in simdebug builds it fingerprints p for checkPackets.
+func (a *Arena) addPacket(p Packet) int32 {
 	i := a.npkts
 	if i/packetChunk == len(a.pkts) {
 		a.pkts = append(a.pkts, make([]Packet, packetChunk))
@@ -160,9 +161,13 @@ func (a *Arena) addPacket(p Packet) *Packet {
 	if debugChecks {
 		a.pktSums = append(a.pktSums, p.fingerprint())
 	}
-	dst := &a.pkts[i/packetChunk][i%packetChunk]
-	*dst = p
-	return dst
+	a.pkts[i/packetChunk][i%packetChunk] = p
+	return int32(i)
+}
+
+// packet returns the packet in slot i, which addPacket handed out this run.
+func (a *Arena) packet(i int32) *Packet {
+	return &a.pkts[uint32(i)/packetChunk][uint32(i)%packetChunk]
 }
 
 // resetPackets zeroes the slots the last run handed out, so the trails,

@@ -1,7 +1,9 @@
 package sim
 
 // calQueue is the simulator's event queue: a bucketed calendar queue over
-// value-typed events. Events are bucketed by "day" — the integer quotient of
+// value-typed, pointer-free events, one per scheduled action — a wireless
+// broadcast is one eventTransmit, not one event per copy, so a forward costs
+// the queue one push and one pop whatever the sender's degree. Events are bucketed by "day" — the integer quotient of
 // their timestamp and the bucket width, which the simulator sets to the unit
 // transmission delay. A day whose pushes arrived in (at, seq) order — every
 // day of a run with unit delays and zero-delay timers only, where a day holds
@@ -13,7 +15,8 @@ package sim
 // cost of one comparison per push. Because simulation time never goes
 // backwards, days are consumed strictly left to right; emptied bucket slices
 // are recycled through a freelist, so steady-state operation allocates
-// nothing.
+// nothing, and since events hold no pointer, neither a popped slot nor a
+// recycled bucket needs clearing.
 //
 // Ordering argument: int(at/width) is monotone in at, so day order refines
 // time order across buckets, and within a bucket the sorted slice or the heap
@@ -26,11 +29,12 @@ package sim
 // tests in calqueue_test.go pin this equivalence against the test-side binary
 // heap (oracle_test.go).
 type calQueue struct {
-	width float64   // bucket width (the unit transmission delay)
-	days  []day     // days[d] holds the events in [d*width, (d+1)*width)
-	cur   int       // first possibly non-empty day
-	size  int       // total queued events
-	free  [][]event // recycled empty bucket slices
+	width  float64   // bucket width (the unit transmission delay)
+	days   []day     // days[d] holds the events in [d*width, (d+1)*width)
+	cur    int       // first possibly non-empty day
+	size   int       // total queued events
+	pushes int       // events pushed since reset (read by the package's tests)
+	free   [][]event // recycled empty bucket slices
 }
 
 // day is one bucket: ev[head:] in (at, seq) order while heap is false, else
@@ -55,13 +59,13 @@ func (q *calQueue) reset(width float64) {
 	q.width = width
 	q.cur = 0
 	q.size = 0
+	q.pushes = 0
 }
 
-// recycle returns day d's slice, its queued events cleared, to the freelist.
+// recycle returns day d's slice to the freelist.
 func (q *calQueue) recycle(d int) {
 	b := &q.days[d]
 	if b.ev != nil {
-		clear(b.ev[b.head:]) // release packet references; popped slots already are
 		q.free = append(q.free, b.ev[:0])
 	}
 	*b = day{}
@@ -91,6 +95,7 @@ func (q *calQueue) push(e event) {
 	}
 	b := &q.days[d]
 	q.size++
+	q.pushes++
 	if len(b.ev) == b.head { // drained: the day starts over, sorted
 		b.ev, b.head, b.heap = b.ev[:0], 0, false
 	}
@@ -101,7 +106,6 @@ func (q *calQueue) push(e event) {
 		}
 		// Out of order: the unpopped rest of the day becomes a heap.
 		n := copy(b.ev, b.ev[b.head:])
-		clear(b.ev[n:])
 		b.ev, b.head, b.heap = b.ev[:n], 0, true
 	}
 	h := append(b.ev, e)
@@ -140,7 +144,6 @@ func (q *calQueue) pop() event {
 	b := &q.days[q.cur]
 	if !b.heap {
 		top := b.ev[b.head]
-		b.ev[b.head] = event{} // release packet references
 		b.head++
 		return top
 	}
@@ -148,7 +151,6 @@ func (q *calQueue) pop() event {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release packet references
 	h = h[:last]
 	// Sift down by (at, seq).
 	i := 0

@@ -201,29 +201,27 @@ func TestCalQueueClampDuringSortedDrain(t *testing.T) {
 }
 
 // TestCalQueueResetHalfDrainedSortedDay resets a queue in the middle of a
-// sorted day's drain: every bucket goes back to the freelist with no event
-// left in it (no packet pinned), and the next run pops in (at, seq) order.
+// sorted day's drain: every bucket goes back to the freelist, the push count
+// starts over, and the next run pops in (at, seq) order. What a recycled
+// bucket still holds pins nothing, since an event holds no pointer
+// (TestStateFootprint).
 func TestCalQueueResetHalfDrainedSortedDay(t *testing.T) {
 	var q calQueue
 	q.reset(1.0)
-	p := &Packet{}
 	for i := 0; i < 6; i++ {
-		q.push(event{at: 2, seq: i + 1, pkt: p})
-		q.push(event{at: 3, seq: i + 7, pkt: p})
+		q.push(event{at: 2, seq: i + 1, pkt: int32(i)})
+		q.push(event{at: 3, seq: i + 7, pkt: int32(i)})
 	}
 	if got := popSeqs(&q, 3); !slices.Equal(got, []int{1, 2, 3}) {
 		t.Fatalf("popped %v, want [1 2 3]", got)
 	}
-	q.reset(1.0)
-	if q.size != 0 || len(q.days) != 0 {
-		t.Fatalf("reset left %d events over %d days", q.size, len(q.days))
+	if q.pushes != 12 {
+		t.Fatalf("counted %d pushes, want 12", q.pushes)
 	}
-	for _, b := range q.free {
-		for _, e := range b[:cap(b)] {
-			if e != (event{}) {
-				t.Fatalf("a recycled bucket still holds event %+v", e)
-			}
-		}
+	q.reset(1.0)
+	if q.size != 0 || len(q.days) != 0 || q.pushes != 0 || len(q.free) != 2 {
+		t.Fatalf("reset left %d events over %d days, %d pushes, %d free buckets; want none and 2",
+			q.size, len(q.days), q.pushes, len(q.free))
 	}
 	for i, at := range []float64{1, 0, 1, 0} {
 		q.push(event{at: at, seq: i + 1})

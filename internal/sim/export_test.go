@@ -92,3 +92,7 @@ func PacketSlots(a *Arena) (used, stale int) {
 	}
 	return a.npkts, stale
 }
+
+// QueuePushes returns how many events the last run on a pushed onto its
+// calendar queue.
+func QueuePushes(a *Arena) int { return a.cal.pushes }

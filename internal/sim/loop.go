@@ -61,9 +61,13 @@ var shardGrain = 64
 // from the calendar queue as one batch (events pushed while the batch runs
 // carry higher sequence numbers and later-or-equal times, so they land in a
 // later batch, and dispatch order is exactly (at, seq) order), counting its
-// timers, and hands the batch to runBatch. The test-side binary-heap oracle
-// (oracle_test.go) dispatches the same events one at a time; results must
-// match bit for bit.
+// timers, and hands the batch to runBatch. A transmission (eventTransmit)
+// enters the batch as its deg(v) receive copies, numbered from its first
+// sequence number up (appendCopies): no other event holds a number of that
+// block, so the batch is the one deg(v) separately queued copies would
+// make. The test-side binary-heap oracle (oracle_test.go) orders every copy
+// individually and dispatches one event at a time; results must match bit
+// for bit.
 func (net *Network) loop() {
 	q := &net.arena.cal
 	for q.size > 0 {
@@ -75,14 +79,39 @@ func (net *Network) loop() {
 		batch := net.arena.batch[:0]
 		timers := 0
 		for q.size > 0 && q.peekTime() == at {
-			batch = append(batch, q.pop())
-			if batch[len(batch)-1].kind == eventTimer {
+			e := q.pop()
+			switch e.kind {
+			case eventTransmit:
+				batch = net.appendCopies(batch, &e)
+				continue
+			case eventTimer:
 				timers++
 			}
+			batch = append(batch, e)
 		}
 		net.arena.batch = batch
 		net.runBatch(batch, net.workers > 1 && timers >= minShard)
 	}
+}
+
+// appendCopies appends transmission t's receive copies to batch: one per
+// neighbor of the sender, in Adj order, with sequence numbers t.seq,
+// t.seq+1, … (the block pushTransmit reserved).
+func (net *Network) appendCopies(batch []event, t *event) []event {
+	seq := t.seq
+	for _, u := range net.G.Adj(int(t.node)) {
+		batch = append(batch, event{
+			at:      t.at,
+			seq:     seq,
+			kind:    eventReceive,
+			node:    u,
+			peer:    t.node,
+			pkt:     t.pkt,
+			session: t.session,
+		})
+		seq++
+	}
+	return batch
 }
 
 // runBatch processes one same-instant batch: an optional sequential collision

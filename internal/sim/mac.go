@@ -22,10 +22,10 @@ package sim
 import "adhocbcast/internal/obsv"
 
 // txItem is one queued transmission: a broadcast forward (to == -1) or a
-// unicast recovery retransmission toward to.
+// unicast recovery retransmission toward to. 40 bytes (TestStateFootprint).
 type txItem struct {
-	pkt        *Packet // the transmission's packet (Arena slab)
-	designated []int   // forward set of broadcast items (trace/metrics)
+	designated []int // forward set of broadcast items (trace/metrics)
+	pkt        int32 // the transmission's packet slab slot
 	session    int32
 	to         int32 // -1 for broadcast, else the recovery receiver
 	attempt    int32 // recovery attempt of unicast items
@@ -155,14 +155,15 @@ func (net *Network) channelBusy(v int) bool {
 // occupancy and per-receiver overlap tracking, copy scheduling, and — for
 // broadcast forwards — the forward-order bookkeeping, trace event, and
 // forward-set metric that the immediate (collision-free) path performs at
-// Transmit time.
+// Transmit time. A broadcast marks every receiver's overlap state now and
+// goes to the queue as one eventTransmit (pushTransmit).
 func (net *Network) emitTx(v int, it txItem) {
 	arrive := net.now + net.Cfg.TransmitDelay
 	net.busyUntil[v] = arrive
 	if it.to >= 0 {
 		// Unicast recovery retransmission: one copy toward the receiver.
-		net.tally.Retransmits++
-		net.airCopy(it.session, v, int(it.to), arrive, it.pkt, it.attempt)
+		net.airCopy(int(it.to), arrive)
+		net.pushRetransmit(it.session, int32(v), it.to, arrive, it.pkt, it.attempt)
 		return
 	}
 	net.tally.Forward = append(net.tally.Forward, v)
@@ -170,32 +171,23 @@ func (net *Network) emitTx(v int, it txItem) {
 	if net.Cfg.Metrics != nil {
 		net.Cfg.Metrics.ForwardSet.Observe(float64(len(it.designated)))
 	}
-	net.G.ForEachNeighbor(v, func(u int) {
-		net.airCopy(it.session, v, u, arrive, it.pkt, 0)
-	})
+	for _, u := range net.G.Adj(v) {
+		net.airCopy(int(u), arrive)
+	}
+	net.pushTransmit(it.session, v, arrive, it.pkt)
 }
 
-// airCopy schedules one copy from v to u arriving at arrive, maintaining
-// receiver-side overlap state: if this transmission started before the
-// latest in-flight copy toward u lands, both copies are garbled (the
-// overlap window extends garbleUntil to cover them).
-func (net *Network) airCopy(sid int32, v, u int, arrive float64, pkt *Packet, attempt int32) {
+// airCopy maintains receiver u's overlap state for a copy arriving at
+// arrive: if this transmission started before the latest in-flight copy
+// toward u lands, both copies are garbled (the overlap window extends
+// garbleUntil to cover them).
+func (net *Network) airCopy(u int, arrive float64) {
 	if net.now < net.airEnd[u] && net.garbleUntil[u] < arrive {
 		net.garbleUntil[u] = arrive
 	}
 	if net.airEnd[u] < arrive {
 		net.airEnd[u] = arrive
 	}
-	net.tally.Copies++
-	net.pushEvent(event{
-		at:      arrive,
-		kind:    eventReceive,
-		node:    int32(u),
-		peer:    int32(v),
-		pkt:     pkt,
-		attempt: attempt,
-		session: sid,
-	})
 }
 
 // garbledArrival reports whether the copy arriving at node v now was garbled

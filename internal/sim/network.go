@@ -341,7 +341,7 @@ func (net *Network) begin(s *session) {
 	}
 	s.proto.Init(s)
 	st := &s.nodes[s.source]
-	p := net.arena.addPacket(Packet{Source: s.source, Session: int(s.id)})
+	p := net.arena.packet(net.arena.addPacket(Packet{Source: s.source, Session: int(s.id)}))
 	st.Received = true
 	st.FirstPacket, st.LastPacket = p, p
 	net.trace(obsv.TraceDeliver, s.id, s.source, -1, "", nil)
@@ -423,7 +423,7 @@ func (net *Network) dropByFault(e *event) bool {
 // that has decided, nor at one whose view the run does not keep
 // (NodeState.ViewRetired).
 func (net *Network) handleReceive(e *event) {
-	sid, v, r := e.session, int(e.node), e.receipt()
+	sid, v, r := e.session, int(e.node), net.receipt(e)
 	if debugChecks && net.down(v) {
 		panic(fmt.Sprintf("sim: delivery dispatched to down node %d at %v", v, net.now))
 	}
@@ -451,7 +451,8 @@ func (net *Network) handleReceive(e *event) {
 // maybeNACK schedules a recovery request from the receiver of copy e to its
 // sender after the copy was dropped by loss or collision (the drops a radio
 // can detect; a down node or link leaves nothing to overhear). The request
-// asks for the retry after the dropped copy's, bounded by the retry budget.
+// asks for the retry after the dropped copy's, bounded by the retry budget,
+// and carries the dropped copy's packet slot through to the retransmission.
 // Receivers that already hold the packet do not bother.
 func (net *Network) maybeNACK(e *event) {
 	if !net.Cfg.NACKRecovery || net.sessions[e.session].nodes[e.node].Received {
@@ -469,6 +470,7 @@ func (net *Network) maybeNACK(e *event) {
 		peer:    e.node,
 		attempt: next,
 		session: e.session,
+		pkt:     e.pkt,
 	})
 }
 
@@ -511,17 +513,22 @@ func (net *Network) handleNACK(e *event) {
 		peer:    e.peer,
 		attempt: e.attempt,
 		session: e.session,
+		pkt:     e.pkt,
 	})
 }
 
-// handleRetransmit emits one unicast recovery copy from sender e.node to
-// receiver e.peer, subject to the same loss, collision, and fault filters as
-// any other copy.
+// handleRetransmit emits one unicast recovery copy of the dropped copy's
+// packet (slot e.pkt) from sender e.node to receiver e.peer, subject to the
+// same loss, collision, and fault filters as any other copy. A node
+// transmits once per session, so that packet is the sender's sentPkt.
 func (net *Network) handleRetransmit(e *event) {
 	u := int(e.node)
 	st := &net.sessions[e.session].nodes[u]
 	if net.down(u) || !st.Sent {
 		return
+	}
+	if debugChecks && net.arena.packet(e.pkt) != st.sentPkt {
+		panic(fmt.Sprintf("sim: node %d retransmits slot %d, not the packet it sent in session %d", u, e.pkt, e.session))
 	}
 	if net.Cfg.CarrierSense {
 		// Under the contention MAC the recovery copy shares the radio:
@@ -530,7 +537,7 @@ func (net *Network) handleRetransmit(e *event) {
 		// exercised under the same contention that caused the drop.
 		net.enqueueTx(u, txItem{
 			session: e.session,
-			pkt:     st.sentPkt,
+			pkt:     e.pkt,
 			to:      e.peer,
 			attempt: e.attempt,
 		})
@@ -542,16 +549,22 @@ func (net *Network) handleRetransmit(e *event) {
 		// never perturb the jitter draws of regular transmissions.
 		arrive += net.rngs.get(streamFault).Float64() * net.Cfg.TxJitter
 	}
+	net.pushRetransmit(e.session, e.node, e.peer, arrive, e.pkt, e.attempt)
+}
+
+// pushRetransmit schedules recovery attempt attempt's unicast copy of packet
+// slot from v to u, arriving at arrive: one receive event.
+func (net *Network) pushRetransmit(sid, v, u int32, arrive float64, slot, attempt int32) {
 	net.tally.Retransmits++
 	net.tally.Copies++
 	net.pushEvent(event{
 		at:      arrive,
 		kind:    eventReceive,
-		node:    e.peer,
-		peer:    e.node,
-		pkt:     st.sentPkt,
-		attempt: e.attempt,
-		session: e.session,
+		node:    u,
+		peer:    v,
+		pkt:     slot,
+		attempt: attempt,
+		session: sid,
 	})
 }
 
@@ -699,8 +712,10 @@ func (net *Network) ConservativeHold(v int) bool {
 // Transmit makes node v forward the broadcast packet now, carrying the
 // given designated forward set and protocol-specific extra payload: every
 // neighbor receives a copy after TransmitDelay, or, under the contention
-// MAC, once the node's transmit queue gets the channel. A node forwards at
-// most once, and a node that is down at transmission time stays silent.
+// MAC, once the node's transmit queue gets the channel. The copies travel as
+// one eventTransmit (pushTransmit), a broadcast heard by all neighbors at
+// one instant. A node forwards at most once, and a node that is down at
+// transmission time stays silent.
 func (s *session) Transmit(v int, designated, extra []int) {
 	net, sid := s.net, s.id
 	st := &s.nodes[v]
@@ -711,10 +726,11 @@ func (s *session) Transmit(v int, designated, extra []int) {
 	if !s.retire { // else no one reads the view of a node that has decided
 		st.View.MarkVisited(v)
 	}
-	// The transmission's one packet: every copy scheduled below, the MAC
-	// queue entry and the sender's retransmission state refer to it.
-	pkt := net.arena.addPacket(st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth))
-	st.sentPkt = pkt
+	// The transmission's one packet: its copies, the MAC queue entry and
+	// recovery events name its slot; the sender's retransmission state
+	// points at it.
+	slot := net.arena.addPacket(st.BuildForwardPacket(designated, extra, net.Cfg.PiggybackDepth))
+	st.sentPkt = net.arena.packet(slot)
 	if net.Cfg.CarrierSense {
 		// The forward decision is final (Sent above), but the packet is
 		// built now and transmitted by the MAC when the channel allows:
@@ -722,7 +738,7 @@ func (s *session) Transmit(v int, designated, extra []int) {
 		// transmission time (see emitTx).
 		net.enqueueTx(v, txItem{
 			session:    sid,
-			pkt:        pkt,
+			pkt:        slot,
 			designated: append([]int(nil), designated...),
 			to:         -1,
 		})
@@ -740,17 +756,7 @@ func (s *session) Transmit(v int, designated, extra []int) {
 		// (delayed) transmission at the same instant.
 		arrive += net.rngs.get(streamJitter).Float64() * net.Cfg.TxJitter
 	}
-	net.G.ForEachNeighbor(v, func(u int) {
-		net.tally.Copies++
-		net.pushEvent(event{
-			at:      arrive,
-			kind:    eventReceive,
-			node:    int32(u),
-			peer:    int32(v),
-			pkt:     pkt,
-			session: sid,
-		})
-	})
+	net.pushTransmit(sid, v, arrive, slot)
 }
 
 // pushEvent schedules e, stamping it with the next sequence number — the
@@ -759,4 +765,19 @@ func (net *Network) pushEvent(e event) {
 	net.seq++
 	e.seq = net.seq
 	net.arena.cal.push(e)
+}
+
+// pushTransmit schedules v's broadcast of packet slot to all deg(v)
+// neighbors, arriving at arrive, as one eventTransmit: it takes the next
+// deg(v) sequence numbers, one per copy, so the copies the loop expands it
+// into order exactly as deg(v) receive events pushed one by one would. A
+// node without neighbors schedules nothing.
+func (net *Network) pushTransmit(sid int32, v int, arrive float64, slot int32) {
+	d := net.G.Degree(v)
+	if d == 0 {
+		return
+	}
+	net.tally.Copies += d
+	net.arena.cal.push(event{at: arrive, seq: net.seq + 1, kind: eventTransmit, node: int32(v), pkt: slot, session: sid})
+	net.seq += d
 }

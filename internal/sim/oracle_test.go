@@ -67,15 +67,32 @@ func RunTrafficOracle(g *graph.Graph, sessions []SessionSpec, newProto func() Pr
 // oracleLoop runs net to completion off a private binary heap. Production
 // code schedules onto the arena's calendar queue; before every step the loop
 // moves whatever landed there into the heap, so the calendar queue never
-// orders anything. A step is one event, or under Config.Collisions all events
-// of one instant.
+// orders anything. A transmission moves as the per-copy receive events it
+// stands for — one per neighbor of the sender, numbered from its first
+// sequence number in neighbor order — so the heap orders every copy on its
+// own, as the simulator did when each copy was queued separately. A step is
+// one event, or under Config.Collisions all events of one instant.
 func oracleLoop(net *Network) {
 	var q eventQueue
 	cal := &net.arena.cal
 	drain := func() {
 		for cal.size > 0 {
 			e := cal.pop()
-			heap.Push(&q, &e)
+			if e.kind != eventTransmit {
+				heap.Push(&q, &e)
+				continue
+			}
+			for i, u := range net.G.Neighbors(int(e.node)) {
+				heap.Push(&q, &event{
+					at:      e.at,
+					seq:     e.seq + i,
+					kind:    eventReceive,
+					node:    int32(u),
+					peer:    e.node,
+					pkt:     e.pkt,
+					session: e.session,
+				})
+			}
 		}
 	}
 	for drain(); q.Len() > 0; drain() {

@@ -127,19 +127,29 @@ func basePriorities(pr []Priority, g *graph.Graph, m Metric) []Priority {
 //	ncr(v) = 1 - sum_{u in N(v)} |N(u) ∩ N(v)| / (deg(v)(deg(v)-1)).
 //
 // Nodes with fewer than two neighbors have no neighbor pairs; their NCR is
-// defined as 0.
+// defined as 0. Each |N(u) ∩ N(v)| is one merge of the two sorted adjacency
+// lists (v is in neither N(v) nor, as a common neighbor, counted).
 func NCR(g *graph.Graph, v int) float64 {
 	deg := g.Degree(v)
 	if deg < 2 {
 		return 0
 	}
+	nv := g.Adj(v)
 	connected := 0
-	g.ForEachNeighbor(v, func(u int) {
-		g.ForEachNeighbor(u, func(w int) {
-			if w != v && g.HasEdge(v, w) {
+	for _, u := range nv {
+		nu := g.Adj(int(u))
+		for i, j := 0, 0; i < len(nv) && j < len(nu); {
+			switch {
+			case nv[i] < nu[j]:
+				i++
+			case nv[i] > nu[j]:
+				j++
+			default:
 				connected++
+				i++
+				j++
 			}
-		})
-	})
+		}
+	}
 	return 1 - float64(connected)/float64(deg*(deg-1))
 }

@@ -1,12 +1,14 @@
 package view
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"adhocbcast/internal/geo"
 	"adhocbcast/internal/graph"
 )
 
@@ -179,6 +181,63 @@ func TestNCRStarAndClique(t *testing.T) {
 		if got := NCR(clique, v); got != 0 {
 			t.Fatalf("NCR(clique %d) = %v, want 0", v, got)
 		}
+	}
+}
+
+// ncrByHasEdge is NCR as first written: one HasEdge search per pair of
+// v's neighbor u and u's neighbor w.
+func ncrByHasEdge(g *graph.Graph, v int) float64 {
+	deg := g.Degree(v)
+	if deg < 2 {
+		return 0
+	}
+	connected := 0
+	g.ForEachNeighbor(v, func(u int) {
+		g.ForEachNeighbor(u, func(w int) {
+			if w != v && g.HasEdge(v, w) {
+				connected++
+			}
+		})
+	})
+	return 1 - float64(connected)/float64(deg*(deg-1))
+}
+
+// TestNCRMatchesHasEdge checks the merge-counting NCR against the HasEdge
+// definition bit for bit: on every graph of up to 5 vertices (connected or
+// not) and on random geometric graphs of sparse to dense degree.
+func TestNCRMatchesHasEdge(t *testing.T) {
+	check := func(g *graph.Graph, what string) {
+		t.Helper()
+		for v := 0; v < g.N(); v++ {
+			if got, want := NCR(g, v), ncrByHasEdge(g, v); got != want {
+				t.Fatalf("%s: NCR(%d) = %v, HasEdge definition %v", what, v, got, want)
+			}
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		var pairs [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, [2]int{u, v})
+			}
+		}
+		for mask := 0; mask < 1<<len(pairs); mask++ {
+			var edges [][2]int
+			for i, p := range pairs {
+				if mask>>i&1 != 0 {
+					edges = append(edges, p)
+				}
+			}
+			check(buildGraph(t, n, edges), fmt.Sprintf("n=%d edges %v", n, edges))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []float64{6, 12, 18, 40} {
+		net, err := geo.Generate(geo.Config{N: 300, AvgDegree: d}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(net.G, fmt.Sprintf("geo n=300 d=%v", d))
 	}
 }
 
